@@ -6,8 +6,8 @@ figure):
 * the original chunk-size table — CR / compress time / random-access
   read fraction vs chunk edge on the Miranda stand-in;
 * a multi-worker scaling benchmark over the shared-memory slab fan-out
-  (``processes=N`` → :func:`repro.parallel.executor
-  .compress_chunks_streaming`): elements/s at 1/2/4/8 workers,
+  (``processes=N`` → :meth:`repro.parallel.executor
+  .ChunkWorkPool.compress_stream`): elements/s at 1/2/4/8 workers,
   normalized by the same gather-calibration proxy the other CI gates
   use, plus a byte-identity check across worker counts.
 

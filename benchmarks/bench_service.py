@@ -14,8 +14,7 @@ self-throttling.  Three phases:
 3. *Saturate*: open loop at 2x sustainable with mixed interactive/batch
    traffic.  Under cost-aware admission the batch lane sheds load first
    and admitted interactive p99 should stay within ~3x of the
-   unsaturated baseline; the same schedule replayed against a
-   depth-only (request-count) admission service shows the contrast.
+   unsaturated baseline.
 
 Every run reconciles the load generator's own admit/reject tallies
 against the service's STATS counters — exactly, not approximately; a
@@ -95,12 +94,11 @@ def build_request(kind, fields, client_id):
     )
 
 
-def service_config(cost_aware=True):
+def service_config():
     # generous per-client quotas: this benchmark exercises the capacity
     # and priority rules, not the per-client fairness rule
     return ServiceConfig(
         processes=1,
-        cost_aware=cost_aware,
         client_rate=1e9,
         client_burst=1e9,
     )
@@ -224,9 +222,9 @@ def reconcile(before, after, tally):
             )
 
 
-def run_mode(cost_aware, fields, rate, duration):
+def run_saturated(fields, rate, duration):
     """One saturated open-loop run against a fresh service."""
-    with ServiceClient(service_config(cost_aware=cost_aware)) as svc:
+    with ServiceClient(service_config()) as svc:
         warm_plans(svc, fields)
         before = snapshot_counters(svc)
         latency, tally = open_loop_run(
@@ -246,8 +244,8 @@ def run_benchmark(duration):
         "duration_s": duration,
     }
 
-    # calibrate + unsaturated baseline on one cost-aware service
-    with ServiceClient(service_config(cost_aware=True)) as svc:
+    # calibrate + unsaturated baseline on one service
+    with ServiceClient(service_config()) as svc:
         warm_plans(svc, fields)
         rate = calibrate(svc, fields)
         before = snapshot_counters(svc)
@@ -263,20 +261,19 @@ def run_benchmark(duration):
         "batch": percentiles(base_latency["batch"]),
     }
 
-    for mode, cost_aware in (("cost_aware", True), ("depth_only", False)):
-        latency, tally = run_mode(cost_aware, fields, rate, duration)
-        results[mode] = {
-            "rate_rps": round(2.0 * rate, 2),
-            "interactive": percentiles(latency["interactive"]),
-            "batch": percentiles(latency["batch"]),
-            "sent": tally["sent"],
-            "admitted": dict(tally["admitted"]),
-            "rejected": dict(tally["rejected"]),
-            "reconciled": True,  # reconcile() raised otherwise
-        }
+    latency, tally = run_saturated(fields, rate, duration)
+    results["saturated"] = {
+        "rate_rps": round(2.0 * rate, 2),
+        "interactive": percentiles(latency["interactive"]),
+        "batch": percentiles(latency["batch"]),
+        "sent": tally["sent"],
+        "admitted": dict(tally["admitted"]),
+        "rejected": dict(tally["rejected"]),
+        "reconciled": True,  # reconcile() raised otherwise
+    }
 
     base_p99 = results["baseline"]["interactive"]["p99_ms"]
-    sat_p99 = results["cost_aware"]["interactive"]["p99_ms"]
+    sat_p99 = results["saturated"]["interactive"]["p99_ms"]
     if base_p99 and sat_p99:
         results["interactive_p99_inflation"] = round(sat_p99 / base_p99, 2)
         results["within_3x"] = bool(sat_p99 <= 3.0 * base_p99)
@@ -292,14 +289,13 @@ def format_results(r):
         f"{r['baseline']['interactive']['p99_ms']} ms "
         f"(n={r['baseline']['interactive']['n']})",
     ]
-    for mode in ("cost_aware", "depth_only"):
-        m = r[mode]
-        lines.append(
-            f"  {mode:<9} 2x: interactive p50/p99 "
-            f"{m['interactive']['p50_ms']}/{m['interactive']['p99_ms']} ms "
-            f"(admitted {m['admitted']}, rejected {m['rejected']}, "
-            f"reconciled={m['reconciled']})"
-        )
+    m = r["saturated"]
+    lines.append(
+        f"  saturated 2x: interactive p50/p99 "
+        f"{m['interactive']['p50_ms']}/{m['interactive']['p99_ms']} ms "
+        f"(admitted {m['admitted']}, rejected {m['rejected']}, "
+        f"reconciled={m['reconciled']})"
+    )
     if "interactive_p99_inflation" in r:
         lines.append(
             f"  cost-aware interactive p99 inflation at 2x: "

@@ -52,12 +52,6 @@ _LAZY = {
     "QoZ": "repro.core.qoz",
     "FrozenPlan": "repro.core.plan_cache",
     "ChunkedFile": "repro.chunked",
-    # deprecated top-level spellings — warning shims; repro.chunked.*
-    # stays the canonical non-deprecated home
-    "compress_chunked": "repro._shims",
-    "compress_chunked_to_file": "repro._shims",
-    "decompress_chunked": "repro._shims",
-    "read_hyperslab": "repro._shims",
     "psnr": "repro.metrics",
     "ssim": "repro.metrics",
     "error_autocorrelation": "repro.metrics",

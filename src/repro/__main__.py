@@ -263,7 +263,6 @@ def _cmd_serve(args) -> int:
         batch_share=args.batch_share,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
-        cost_aware=not args.depth_only,
         stats_interval=args.stats_interval,
     )
     if args.shards == 1:
@@ -423,10 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 16)")
     s.add_argument("--client-burst", type=float, default=48.0,
                    help="per-client quota burst in work units (default 48)")
-    s.add_argument("--depth-only", action="store_true",
-                   help="disable cost-aware admission and priority lanes; "
-                        "admit by queued-job count alone (the pre-admission "
-                        "baseline, for load-test comparison)")
     s.add_argument("--stats-interval", type=float, default=0.0,
                    help="log one service-stats line every N seconds "
                         "(0 = disabled)")

@@ -19,10 +19,8 @@ a bare number) or exactly one of the legacy kwargs; every spelling
 funnels through :func:`repro.utils.normalize_bound`, so the emitted
 stream never depends on which one was used.
 
-The pre-facade top-level entry points (``repro.compress_chunked`` and
-friends) live on as :mod:`repro._shims` with a ``DeprecationWarning``;
-their package-qualified homes (``repro.chunked.compress_chunked``)
-remain canonical, non-deprecated API for code that wants the specific
+The package-qualified layer functions (``repro.chunked.compress_chunked``
+and friends) remain canonical API for code that wants the specific
 layer.
 """
 

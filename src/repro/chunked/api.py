@@ -100,8 +100,8 @@ def compress_chunked_to_file(
     ``np.load(..., mmap_mode='r')`` memmap, in which case only one chunk
     (per worker) is ever resident.  ``processes=None`` (the default)
     compresses in-process; with ``processes > 1``, chunk jobs fan out over
-    a process pool (:func:`repro.parallel.executor.compress_chunks_parallel`)
-    in bounded batches so memory stays proportional to the batch, not the
+    a process pool (:class:`repro.parallel.executor.ChunkWorkPool`) in
+    bounded batches so memory stays proportional to the batch, not the
     field.
 
     When the codec supports plan derivation (QoZ, SZ3), its sampling /
@@ -138,8 +138,7 @@ def compress_chunked_to_file(
     elif plan is None and hasattr(codec_inst, "derive_plan"):
         plan = codec_inst.derive_plan(data, error_bound=eb, data_range=vrange)
     elif plan is not None and not hasattr(codec_inst, "compress_with_plan"):
-        # same fail-fast the parallel path gets from _check_plan, instead
-        # of an AttributeError deep in the chunk loop
+        # fail fast instead of an AttributeError deep in the chunk loop
         raise CompressionError(
             f"codec {codec!r} does not support plan execution; "
             "omit plan= or use a plan-capable codec (qoz, sz3)"
@@ -157,21 +156,17 @@ def compress_chunked_to_file(
                     chunk = np.ascontiguousarray(data[grid.chunk_slices(i)])
                     w.write_chunk(i, compress_one(chunk))
             else:
-                from repro.parallel.executor import compress_chunks_streaming
+                from repro.parallel.executor import ChunkWorkPool
 
-                # lazy views, not copies: the streaming executor packs
-                # each window's chunks straight into a shared-memory
-                # slab, so the slab fill is the only copy per chunk
+                # lazy views, not copies: the pool packs each batch
+                # straight into a shared-memory slab, so the slab fill
+                # is the only copy per chunk
                 jobs = ((i, data[grid.chunk_slices(i)]) for i in grid)
-                for i, blob in compress_chunks_streaming(
-                    jobs,
-                    codec,
-                    codec_kwargs=codec_kwargs,
-                    error_bound=eb,
-                    processes=processes,
-                    plan=plan,
-                ):
-                    w.write_chunk(i, blob)
+                with ChunkWorkPool(processes) as pool:
+                    for i, blob in pool.compress_stream(
+                        jobs, codec, codec_kwargs, eb, plan
+                    ):
+                        w.write_chunk(i, blob)
             return w.finalize()
 
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
@@ -425,8 +420,7 @@ class ChunkedFile:
         ``(chunk_index, src_bounds, dst_bounds)`` with per-axis
         ``(start, stop)`` pairs — exactly the layout the slab-batched
         decode job ships across the pool boundary
-        (:meth:`repro.parallel.executor.ChunkWorkPool.submit_decompress_into`),
-        so the service scheduler and :meth:`read` share one plan shape.
+        (:meth:`repro.parallel.executor.ChunkWorkPool.submit_decode_parts`).
         """
         slab, parts = self.slab_plan(slab)
         shape = tuple(s.stop - s.start for s in slab)
@@ -454,14 +448,15 @@ class ChunkedFile:
         if processes not in (None, 0, 1):
             shape, bounds = self.slab_descriptors(slab)
             if len(bounds) > 1:
-                from repro.parallel.executor import decompress_parts_parallel
+                from repro.parallel.executor import ChunkWorkPool
 
                 jobs = [
                     (self.chunk_bytes(i), src, dst) for i, src, dst in bounds
                 ]
-                return decompress_parts_parallel(
-                    jobs, shape, self.dtype, processes=processes
-                )
+                with ChunkWorkPool(processes) as pool:
+                    return pool.submit_decode_parts(
+                        jobs, shape, self.dtype
+                    ).result()
         slab, parts = self.slab_plan(slab)
         out = np.empty(
             tuple(s.stop - s.start for s in slab), dtype=self.dtype

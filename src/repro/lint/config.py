@@ -76,19 +76,6 @@ DEFAULT_OPTIONS: Dict[str, Dict[str, object]] = {
     # Fault-recovery paths: pool breaks and deadline expiries must stay
     # typed — only where the self-healing supervisor lives.
     "RL009": {"modules": ["repro/service/*", "repro/parallel/*"]},
-    # Deprecated top-level entry points: first-party code goes through
-    # the facade or the canonical repro.chunked spellings; only the
-    # facade and the shim module may touch the old names.
-    "RL010": {
-        "modules": ["repro/*"],
-        "allow_modules": ["repro/api.py", "repro/_shims.py"],
-        "deprecated": [
-            "repro:compress_chunked",
-            "repro:compress_chunked_to_file",
-            "repro:decompress_chunked",
-            "repro:read_hyperslab",
-        ],
-    },
     # Shard-local state (admission, metrics, plan LRU) stays inside its
     # ShardRuntime; the plan bus is the only sanctioned crossing.
     "RL011": {

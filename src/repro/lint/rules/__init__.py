@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple, Type
 
 from ..engine import Rule
-from .api_surface import DeprecatedEntryRule
 from .async_purity import AsyncPurityRule
 from .bounded_decode import BoundedDecodeRule
 from .endianness import ExplicitEndiannessRule
@@ -26,14 +25,12 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     ExplicitEndiannessRule,  # RL007
     PickleGuardRule,  # RL008
     FaultPathDisciplineRule,  # RL009
-    DeprecatedEntryRule,  # RL010
     ShardIsolationRule,  # RL011
 )
 
 __all__ = [
     "ALL_RULES",
     "AsyncPurityRule",
-    "DeprecatedEntryRule",
     "BoundedDecodeRule",
     "BroadExceptRule",
     "ExplicitEndiannessRule",

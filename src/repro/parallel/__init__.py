@@ -5,18 +5,16 @@ Bebop cores, where each core compresses 1.3 GB and the Lustre aggregate
 bandwidth saturates — so at scale the codec with the best compression
 ratio wins despite slower compute.  :mod:`repro.parallel.iomodel`
 implements exactly that mechanism with measured CR/throughput inputs;
-:mod:`repro.parallel.executor` provides real multi-process compression
-for the per-node parallelism we can actually exercise here.
+:mod:`repro.parallel.executor` provides the one process pool
+(:class:`ChunkWorkPool`) behind every multi-process path — the per-node
+parallelism we can actually exercise here.
 """
 
 from repro.parallel.iomodel import IOSystemModel, dump_load_series
 from repro.parallel.executor import (
     ChunkWorkPool,
-    compress_chunks_parallel,
-    compress_chunks_streaming,
     compress_fields_parallel,
     decompress_blobs_parallel,
-    decompress_parts_parallel,
 )
 from repro.parallel.slab import ChunkDescriptor, Slab, active_slab_names
 
@@ -27,9 +25,6 @@ __all__ = [
     "Slab",
     "active_slab_names",
     "dump_load_series",
-    "compress_chunks_parallel",
-    "compress_chunks_streaming",
     "compress_fields_parallel",
     "decompress_blobs_parallel",
-    "decompress_parts_parallel",
 ]

@@ -1,37 +1,36 @@
-"""Multi-process compression of many fields or chunks (per-node parallelism).
+"""One pooled fan-out: every process pool and every slab lives here.
 
-Scientific dumps contain many independent fields (the paper's RTM has
-3600, Hurricane 48x13); compressing them is embarrassingly parallel.  The
-executor ships (codec name, constructor kwargs, field) tuples to worker
-processes — codecs are reconstructed per worker because compressor
-instances hold per-call state (``last_report``).
+:class:`ChunkWorkPool` is the only code in the package that constructs a
+``ProcessPoolExecutor`` or creates a :class:`~repro.parallel.slab.Slab`.
+The library (``repro.chunked``) opens one per call with ``with
+ChunkWorkPool(n) as pool:``; the service keeps one for its lifetime.
+Both drive the same helpers:
 
-The same fan-out applies *within* one field once it is tiled by
-:mod:`repro.chunked`: every chunk is an independent compression job under
-one shared absolute bound (:func:`compress_chunks_parallel`).  Chunk jobs
-are typically smaller and more numerous than field jobs, so they are
-batched onto workers with a map chunksize to amortize IPC.
+* :meth:`ChunkWorkPool.submit_compress_views` packs a batch of chunk
+  views into an input slab and resolves to their streams — chunk
+  *payloads* never ride the pickle channel, the submitted job is
+  ``(slab_name, descriptors, codec, ...)``, a few hundred bytes;
+* :meth:`ChunkWorkPool.submit_decode_parts` decodes ``(blob, src, dst)``
+  parts into an output slab and resolves to the assembled array —
+  decoded chunks are never pickled back;
+* :meth:`ChunkWorkPool.compress_stream` is the synchronous windowed
+  generator over the first.
 
-Chunk jobs optionally carry a :class:`~repro.core.plan_cache.FrozenPlan`
-derived once from the full field: workers then run only the execution
-half of the codec (no per-chunk sampling / selection / tuning), which is
-where chunked QoZ compression used to burn most of its time.  The plan
-pickles in a few hundred bytes, so broadcasting it is free next to the
-chunk payloads themselves.
+Both helpers release their slab when their future is done — result,
+error or cancel — so no caller can leak one.  Chunk jobs optionally
+carry a :class:`~repro.core.plan_cache.FrozenPlan` derived once from the
+full field; workers then run only the execution half of the codec.
 
-Chunk *payloads* no longer ride the pickle channel at all: the streaming
-path and the service pool pack many chunks into one shared-memory slab
-(:mod:`repro.parallel.slab`), workers attach by name and compress sliced
-views, and the submitted job is just ``(slab_name, descriptors, codec,
-…)`` — a few hundred bytes for a whole batch.  Batching many chunks per
-submit also amortizes the per-job dispatch overhead that used to
-dominate small-chunk fan-outs.  Decompression reverses the flow: blobs
-(small) ship pickled, workers write decoded regions straight into a
-shared *output* slab owned by the caller.
+Scientific dumps also hold many independent *fields* (the paper's RTM
+has 3600, Hurricane 48x13; Fig. 14): :func:`compress_fields_parallel` /
+:func:`decompress_blobs_parallel` fan those out over the same pool.
+Codecs are rebuilt per job because compressor instances hold per-call
+state (``last_report``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -49,6 +48,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,13 +61,19 @@ from repro.compressors.base import decompress_any, get_compressor
 from repro.errors import WorkerCrashError
 from repro.parallel.slab import Slab, attach_slab, detach_slab
 
+#: chunks packed into one slab batch: one submit amortizes the dispatch
+#: overhead of this many chunks
+BATCH_CHUNKS = 2
+
+#: slab-resident chunks allowed per worker; with BATCH_CHUNKS this keeps
+#: every worker busy with one batch queued behind it while peak memory
+#: stays bounded by the window, not the field
+WINDOW_PER_WORKER = 4
+
 
 def _compress_one(args) -> bytes:
-    name, kwargs, field, eb_kwargs, plan = args
-    codec = get_compressor(name, **kwargs)
-    if plan is not None:
-        return codec.compress_with_plan(field, plan, **eb_kwargs)
-    return codec.compress(field, **eb_kwargs)
+    name, kwargs, field, eb_kwargs = args
+    return get_compressor(name, **kwargs).compress(field, **eb_kwargs)
 
 
 def _probe_job(_arg: int = 0) -> int:
@@ -83,10 +89,6 @@ def _check_plan(plan, codec_name: str) -> None:
             f"plan was derived by codec {getattr(plan, 'codec', None)!r} "
             f"and cannot drive {codec_name!r} workers"
         )
-
-
-def _decompress_one(blob: bytes) -> np.ndarray:
-    return decompress_any(blob)
 
 
 def _compress_batch(args) -> List[bytes]:
@@ -154,157 +156,22 @@ def compress_fields_parallel(
     rel_error_bound: Optional[float] = None,
     processes: Optional[int] = None,
 ) -> List[bytes]:
-    """Compress every field with its own worker process.
+    """Compress every field of a dump, one pool job per field.
 
     With ``processes=1`` (or a single field) everything runs in-process,
     which keeps unit tests cheap and avoids fork overhead for tiny inputs.
     """
-    codec_kwargs = codec_kwargs or {}
     eb_kwargs = {}
     if error_bound is not None:
         eb_kwargs["error_bound"] = error_bound
     if rel_error_bound is not None:
         eb_kwargs["rel_error_bound"] = rel_error_bound
-    jobs = [(codec_name, codec_kwargs, f, eb_kwargs, None) for f in fields]
+    jobs = [(codec_name, codec_kwargs or {}, f, eb_kwargs) for f in fields]
     if processes == 1 or len(jobs) <= 1:
         return [_compress_one(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_compress_one, jobs))
-
-
-def compress_chunks_parallel(
-    chunks: Sequence[np.ndarray],
-    codec_name: str,
-    codec_kwargs: Optional[Dict] = None,
-    error_bound: Optional[float] = None,
-    processes: Optional[int] = None,
-    plan=None,
-) -> List[bytes]:
-    """Compress the chunks of ONE field with a process-pool fan-out.
-
-    Unlike :func:`compress_fields_parallel`, every job shares a single
-    *absolute* ``error_bound`` — the caller must resolve any relative
-    bound against the full field first, otherwise each chunk would scale
-    the bound by its local value range and the container would not match
-    the unchunked stream's guarantee.  Results keep input order.
-
-    ``plan`` (a :class:`~repro.core.plan_cache.FrozenPlan`) makes every
-    worker execute the shared plan instead of re-deriving one per chunk.
-    """
-    if error_bound is None:
-        raise ValueError("compress_chunks_parallel needs an absolute error_bound")
-    _check_plan(plan, codec_name)
-    codec_kwargs = codec_kwargs or {}
-    if processes == 1 or len(chunks) <= 1:
-        jobs = [
-            (codec_name, codec_kwargs, c, {"error_bound": error_bound}, plan)
-            for c in chunks
-        ]
-        return [_compress_one(j) for j in jobs]
-    # multi-process: ride the slab-batched streaming fan-out so both
-    # entry points share one IPC mechanism (and its byte-identity tests)
-    results: List[Optional[bytes]] = [None] * len(chunks)
-    for i, blob in compress_chunks_streaming(
-        enumerate(chunks),
-        codec_name,
-        codec_kwargs,
-        error_bound=error_bound,
-        processes=processes,
-        plan=plan,
-    ):
-        results[i] = blob
-    return results  # type: ignore[return-value]  # every index was yielded
-
-
-def compress_chunks_streaming(
-    chunks: "Iterable[Tuple[int, np.ndarray]]",
-    codec_name: str,
-    codec_kwargs: Optional[Dict] = None,
-    error_bound: Optional[float] = None,
-    processes: Optional[int] = None,
-    window: Optional[int] = None,
-    plan=None,
-    batch_chunks: Optional[int] = None,
-):
-    """Yield ``(index, blob)`` for a stream of chunk jobs, in submit order.
-
-    One process pool serves the whole iteration (no per-batch pool
-    startup).  Chunks are packed ``batch_chunks`` at a time into a
-    shared-memory slab (:mod:`repro.parallel.slab`) and submitted as one
-    descriptor job, so the pickle channel carries bytes proportional to
-    the batch *count*, not the chunk payloads.  At most ``window``
-    chunks (default ``4 * workers``) are slab-resident at a time — peak
-    memory stays bounded by the window, not the field, even when
-    ``chunks`` lazily slices a memory-mapped array.  Every slab is
-    released as soon as its batch's results are consumed, and
-    unconditionally when the generator is closed early or a job raises.
-    Same absolute-bound contract (and same optional shared ``plan``) as
-    :func:`compress_chunks_parallel`.
-    """
-    if error_bound is None:
-        raise ValueError("compress_chunks_streaming needs an absolute error_bound")
-    _check_plan(plan, codec_name)
-    codec_kwargs = codec_kwargs or {}
-    workers = max(1, processes or os.cpu_count() or 1)
-    win = window or 4 * workers
-    if batch_chunks is None:
-        # enough batches to keep every worker busy twice over the window
-        batch_chunks = max(1, win // (2 * workers))
-    eb_kwargs = {"error_bound": error_bound}
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        #: in-flight batches: (chunk indices, owning slab, inner future)
-        pending: "Deque[Tuple[List[int], Slab, Future]]" = deque()
-        inflight = 0
-        batch_idx: List[int] = []
-        batch_arrays: List[np.ndarray] = []
-
-        def flush_batch() -> None:
-            nonlocal inflight
-            if not batch_idx:
-                return
-            slab = Slab.create(
-                max(1, sum(int(a.nbytes) for a in batch_arrays))
-            )
-            descriptors = slab.pack(batch_arrays)
-            job = (
-                slab.name, tuple(descriptors), codec_name, codec_kwargs,
-                eb_kwargs, plan,
-            )
-            fut = pool.submit(_compress_batch, job)
-            pending.append((list(batch_idx), slab, fut))
-            inflight += len(batch_idx)
-            batch_idx.clear()
-            batch_arrays.clear()
-
-        def drain_oldest() -> "List[Tuple[int, bytes]]":
-            nonlocal inflight
-            indices, slab, fut = pending.popleft()
-            try:
-                blobs = fut.result()
-            finally:
-                slab.release()
-            inflight -= len(indices)
-            return list(zip(indices, blobs))
-
-        try:
-            for index, array in chunks:
-                batch_idx.append(index)
-                batch_arrays.append(array)
-                if len(batch_idx) >= batch_chunks:
-                    flush_batch()
-                while inflight >= win:
-                    for pair in drain_oldest():
-                        yield pair
-            flush_batch()
-            while pending:
-                for pair in drain_oldest():
-                    yield pair
-        finally:
-            # early close / job failure: no slab outlives the generator
-            while pending:
-                _, slab, fut = pending.popleft()
-                fut.cancel()
-                slab.release()
+    with ChunkWorkPool(processes) as pool:
+        futures = [pool._submit(_compress_one, j) for j in jobs]
+        return [f.result() for f in futures]
 
 
 def decompress_blobs_parallel(
@@ -312,64 +179,22 @@ def decompress_blobs_parallel(
 ) -> List[np.ndarray]:
     """Decompress many streams in parallel (codec-routing per stream)."""
     if processes == 1 or len(blobs) <= 1:
-        return [_decompress_one(b) for b in blobs]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_decompress_one, blobs))
-
-
-def decompress_parts_parallel(
-    parts: Sequence[Tuple[bytes, tuple, tuple]],
-    out_shape: Sequence[int],
-    out_dtype,
-    processes: Optional[int] = None,
-) -> np.ndarray:
-    """Decode ``(blob, src_bounds, dst_bounds)`` parts into one array.
-
-    Workers write decoded regions straight into a shared output slab —
-    decoded chunks are never pickled back.  The regions of a hyperslab
-    plan are disjoint by construction, so concurrent writes never
-    overlap.  Parts are dealt round-robin into one batch per worker
-    (times two, for stragglers) to amortize dispatch.
-    """
-    out_dtype = np.dtype(out_dtype)
-    out_shape = tuple(int(n) for n in out_shape)
-    workers = max(1, processes or os.cpu_count() or 1)
-    nbytes = out_dtype.itemsize * int(np.prod(out_shape, dtype=np.int64))
-    slab = Slab.create(max(1, nbytes))
-    try:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            n_batches = max(1, min(len(parts), workers * 2))
-            futures = [
-                pool.submit(
-                    _decompress_into_batch,
-                    (
-                        slab.name, out_shape, out_dtype.str,
-                        tuple(parts[b::n_batches]),
-                    ),
-                )
-                for b in range(n_batches)
-            ]
-            for fut in futures:
-                fut.result()
-        view = slab.view(0, out_shape, out_dtype)
-        result = np.array(view)  # copy out before the slab is unlinked
-        del view
-        return result
-    finally:
-        slab.release()
+        return [decompress_any(b) for b in blobs]
+    with ChunkWorkPool(processes) as pool:
+        futures = [pool.submit_decompress(b) for b in blobs]
+        return [f.result() for f in futures]
 
 
 class ChunkWorkPool:
-    """Long-lived, *self-healing* process pool for service workloads.
+    """*Self-healing* process pool that owns every slab it ships.
 
-    The batch helpers above spin a pool up per call, which is the right
-    shape for a CLI run but exactly wrong for a long-lived server: fork
-    cost per request would swamp small jobs.  This wrapper keeps ONE
-    ``ProcessPoolExecutor`` alive across requests (spawned lazily on the
-    first submit, so constructing a service with ``processes <= 1`` never
-    forks at all) and exposes submit-level access, which is what an
-    asyncio scheduler needs — ``concurrent.futures`` futures it can wrap
-    with ``asyncio.wrap_future`` and interleave across requests.
+    ONE ``ProcessPoolExecutor`` serves the pool's lifetime — a whole
+    ``with ChunkWorkPool(n) as pool:`` block for a library call, every
+    request of a service (fork cost per request would swamp small jobs).
+    It is spawned lazily on the first submit, so constructing a service
+    with ``processes <= 1`` never forks at all.  Submits return
+    ``concurrent.futures`` futures: the library blocks on them, an
+    asyncio scheduler wraps them with ``asyncio.wrap_future``.
 
     On top of that sits a supervisor (see DESIGN.md §12): a worker dying
     of OOM/segfault bricks a raw ``ProcessPoolExecutor`` permanently
@@ -394,16 +219,14 @@ class ChunkWorkPool:
     service wires this to ``ServiceMetrics.pool_event``), and the
     current mode is visible via :meth:`health`.
 
-    Chunk jobs reuse the exact module-level worker functions of the batch
-    paths (:func:`_compress_one`, :func:`_decompress_one`,
-    :func:`_compress_batch`, :func:`_decompress_into_batch`), so a
-    stream compressed through the pool is byte-identical to one
-    compressed by :func:`compress_chunks_parallel` or inline — crash
-    retries included, because the payload (or slab descriptor) re-ships
-    verbatim.  Slab-batched submits keep slab OWNERSHIP with the caller:
-    the pool never unlinks a slab, so heal/retry/poison can re-dispatch
-    the same descriptors, and the caller releases the slab once the
-    outer future resolves (or is cancelled by a deadline shed).
+    Crash retries re-ship the payload (or slab descriptor) verbatim, so
+    a stream compressed through the pool is byte-identical to one
+    compressed inline.  Slab ownership (DESIGN.md §13):
+    :meth:`submit_compress_views` and :meth:`submit_decode_parts` create
+    their slab and release it when their future is done, which is after
+    any heal/retry/poison has run its course.  The raw
+    :meth:`submit_compress_batch` takes a caller-made slab by name and
+    never unlinks it.
     """
 
     def __init__(
@@ -431,6 +254,22 @@ class ChunkWorkPool:
         self._ever_built = False
         self._probe_inflight = False
         self._last_probe = 0.0
+
+    def __enter__(self) -> "ChunkWorkPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown()
+
+    @property
+    def workers(self) -> int:
+        """Worker processes a fresh pool is built with."""
+        return max(1, self.processes or os.cpu_count() or 1)
+
+    @property
+    def window_batches(self) -> int:
+        """Slab batches that may be in flight at once (the memory bound)."""
+        return max(1, WINDOW_PER_WORKER * self.workers // BATCH_CHUNKS)
 
     @property
     def parallel(self) -> bool:
@@ -644,25 +483,9 @@ class ChunkWorkPool:
                 pass  # lost a race with a caller-side cancel
 
     # ------------------------------------------------------------------- api
-    def submit_compress(
-        self,
-        codec_name: str,
-        codec_kwargs: Optional[Dict],
-        chunk: np.ndarray,
-        error_bound: float,
-        plan=None,
-    ):
-        """Submit one chunk compression; returns a concurrent future."""
-        _check_plan(plan, codec_name)
-        job = (
-            codec_name, codec_kwargs or {}, chunk,
-            {"error_bound": error_bound}, plan,
-        )
-        return self._submit(_compress_one, job)
-
-    def submit_decompress(self, blob: bytes):
+    def submit_decompress(self, blob: bytes) -> "Future":
         """Submit one stream decode; returns a concurrent future."""
-        return self._submit(_decompress_one, blob)
+        return self._submit(decompress_any, blob)
 
     def submit_compress_batch(
         self,
@@ -672,10 +495,10 @@ class ChunkWorkPool:
         descriptors: Sequence[Tuple[int, Tuple[int, ...], str]],
         error_bound: float,
         plan=None,
-    ):
+    ) -> "Future":
         """Submit one slab batch of chunk compressions (one future, many
         chunks).  The future resolves to the list of streams in
-        descriptor order.  The caller owns the slab and must keep it
+        descriptor order.  The caller made the slab and must keep it
         alive until the future resolves — crash retries re-attach it.
         """
         _check_plan(plan, codec_name)
@@ -685,28 +508,144 @@ class ChunkWorkPool:
         )
         return self._submit(_compress_batch, job)
 
-    def submit_decompress_into(
+    def submit_compress_views(
         self,
-        slab_name: str,
-        out_shape: Sequence[int],
-        out_dtype: str,
-        parts: Sequence[Tuple[bytes, tuple, tuple]],
-    ):
-        """Submit one batch of region decodes into a shared output slab.
+        codec_name: str,
+        codec_kwargs: Optional[Dict],
+        views: Sequence[np.ndarray],
+        error_bound: float,
+        plan=None,
+    ) -> "Future":
+        """Compress a batch of chunk views; resolves to their streams.
 
-        Each part is ``(blob, src_bounds, dst_bounds)`` with per-axis
-        ``(start, stop)`` pairs; the worker writes ``decoded[src]`` into
-        ``out[dst]``.  Writes are idempotent, so the supervisor's retry
-        path needs no special casing.  Slab ownership stays with the
-        caller (same contract as :meth:`submit_compress_batch`).
+        Fills a fresh input slab in the calling thread (the one copy per
+        chunk; ``views`` may be lazy memmap slices) and releases it in
+        the future's done-callback — on result, error and cancel alike.
+        Every chunk shares the single *absolute* ``error_bound``: the
+        caller resolves a relative bound against the full field first,
+        otherwise each chunk would scale it by its local value range.
         """
-        job = (
-            slab_name,
-            tuple(int(n) for n in out_shape),
-            str(out_dtype),
-            tuple(parts),
-        )
-        return self._submit(_decompress_into_batch, job)
+        slab = Slab.create(max(1, sum(int(v.nbytes) for v in views)))
+        try:
+            future = self.submit_compress_batch(
+                codec_name, codec_kwargs, slab.name, slab.pack(views),
+                error_bound, plan,
+            )
+        except BaseException:
+            slab.release()
+            raise
+        future.add_done_callback(lambda _f: slab.release())
+        return future
+
+    def compress_stream(
+        self,
+        chunks: Iterable[Tuple[int, np.ndarray]],
+        codec_name: str,
+        codec_kwargs: Optional[Dict],
+        error_bound: float,
+        plan=None,
+    ) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(index, blob)`` for a stream of chunk jobs, in submit
+        order.
+
+        Chunks go out :data:`BATCH_CHUNKS` at a time through
+        :meth:`submit_compress_views`; at most :attr:`window_batches`
+        batches are in flight, so peak memory stays bounded by the
+        window even when ``chunks`` lazily slices a memory-mapped array.
+        Closing the generator early (or a failing job) cancels what is
+        still pending, which releases those slabs.
+        """
+        pending: Deque[Tuple[List[int], Future]] = deque()
+        indices: List[int] = []
+        views: List[np.ndarray] = []
+
+        def flush() -> None:
+            nonlocal indices, views
+            if indices:
+                future = self.submit_compress_views(
+                    codec_name, codec_kwargs, views, error_bound, plan
+                )
+                pending.append((indices, future))
+                indices, views = [], []
+
+        def drain_oldest() -> Iterator[Tuple[int, bytes]]:
+            batch, future = pending.popleft()
+            return zip(batch, future.result())
+
+        try:
+            for index, view in chunks:
+                indices.append(index)
+                views.append(view)
+                if len(indices) >= BATCH_CHUNKS:
+                    flush()
+                while len(pending) >= self.window_batches:
+                    yield from drain_oldest()
+            flush()
+            while pending:
+                yield from drain_oldest()
+        finally:
+            for _, future in pending:
+                future.cancel()
+
+    def submit_decode_parts(
+        self,
+        parts: Sequence[Tuple[bytes, tuple, tuple]],
+        out_shape: Sequence[int],
+        out_dtype,
+    ) -> "Future":
+        """Decode ``(blob, src_bounds, dst_bounds)`` parts into one array.
+
+        Bounds are per-axis ``(start, stop)`` pairs; a worker writes
+        ``decoded[src]`` into ``out[dst]`` of a fresh output slab.  The
+        regions of a hyperslab plan are disjoint by construction, so
+        concurrent writes never overlap.  Parts are dealt round-robin
+        into one batch per worker (times two, for stragglers).  The
+        last batch to finish copies the array out and releases the
+        slab; an error or a cancel releases it too and drops the rest.
+        """
+        dtype = np.dtype(out_dtype)
+        shape = tuple(int(n) for n in out_shape)
+        slab = Slab.create(max(1, dtype.itemsize * math.prod(shape)))
+        outer: Future = Future()
+        n_batches = max(1, min(len(parts), 2 * self.workers))
+        batches: List[Future] = []
+        remaining = n_batches
+        lock = threading.Lock()
+
+        def abandon(_outer: "Future") -> None:
+            for future in batches:
+                future.cancel()
+            slab.release()
+
+        def batch_done(future: "Future") -> None:
+            nonlocal remaining
+            if future.cancelled() or outer.done():
+                return
+            exc = future.exception()
+            if exc is not None:
+                self._set_exception(outer, exc)
+                return
+            with lock:
+                remaining -= 1
+                last = remaining == 0
+            if last:
+                view = slab.view(0, shape, dtype)
+                result = np.array(view)  # copy out before the unlink
+                del view
+                slab.release()
+                self._set_result(outer, result)
+
+        outer.add_done_callback(abandon)
+        try:
+            for b in range(n_batches):
+                job = (slab.name, shape, dtype.str, tuple(parts[b::n_batches]))
+                batches.append(self._submit(_decompress_into_batch, job))
+        except BaseException:
+            outer.cancel()
+            raise
+        for future in batches:
+            future.add_done_callback(batch_done)
+        return outer
 
     def shutdown(self) -> None:
         """Idempotent teardown that tolerates an already-broken pool."""

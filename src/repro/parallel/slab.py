@@ -79,6 +79,20 @@ _LIVE: Dict[str, "Slab"] = {}
 _LIVE_LOCK = threading.Lock()
 _COUNTER = itertools.count()
 
+#: Creating and unlinking a segment takes multiprocessing's
+#: resource-tracker lock, and on Python < 3.13 a worker's attach takes it
+#: again.  A pool forked from one thread while another is inside
+#: create/release would hand its workers a copy of that lock held by a
+#: thread that does not exist there, and their first attach would block
+#: forever.  Slab holds this lock around both calls and every fork waits
+#: for it, so no child is ever born mid-call.
+_TRACKER_CALL_LOCK = threading.RLock()
+os.register_at_fork(
+    before=_TRACKER_CALL_LOCK.acquire,
+    after_in_parent=_TRACKER_CALL_LOCK.release,
+    after_in_child=_TRACKER_CALL_LOCK.release,
+)
+
 
 def _purge_at_exit() -> None:
     """Interpreter-exit safety net: unlink every still-live slab."""
@@ -123,9 +137,10 @@ class Slab:
                 f"-{next(_COUNTER)}-{os.urandom(3).hex()}"
             )
             try:
-                shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=nbytes
-                )
+                with _TRACKER_CALL_LOCK:
+                    shm = shared_memory.SharedMemory(
+                        name=name, create=True, size=nbytes
+                    )
             except FileExistsError:
                 continue
             slab = cls(shm)
@@ -185,7 +200,8 @@ class Slab:
         with _LIVE_LOCK:
             _LIVE.pop(self.name, None)
         try:
-            self._shm.unlink()
+            with _TRACKER_CALL_LOCK:
+                self._shm.unlink()
         except FileNotFoundError:
             pass  # already gone (e.g. purged by a resource tracker)
         try:

@@ -513,29 +513,15 @@ class AdmissionController:
         units: float,
         priority: str,
         client_id: Optional[str] = None,
-        depth_only: bool = False,
     ) -> AdmitDecision:
-        """Decide, and commit the queue/bucket state on an admit.
-
-        ``depth_only`` reproduces the pre-admission-control policy (job
-        count is the only check) — kept as a measurable baseline for the
-        load generator, not a recommended mode.
-        """
+        """Decide, and commit the queue/bucket state on an admit."""
         now = self._clock()
         snap = self.snapshot(client_id, now)
-        if depth_only:
-            if snap.queued_jobs >= self.limits.max_queue_jobs:
-                decision = AdmitDecision(
-                    False, self.limits.min_retry_after, "queue-full"
-                )
-            else:
-                decision = AdmitDecision(True, 0.0, "ok")
-        else:
-            decision = decide(units, priority, snap, self.limits)
+        decision = decide(units, priority, snap, self.limits)
         if decision.admitted:
             self._jobs += 1
             self._units[priority] += units
-            if client_id and not depth_only:
+            if client_id:
                 self._buckets[client_id].consume(units, now)
         return decision
 
@@ -695,7 +681,7 @@ class ServiceMetrics:
 #: fleet value is the max of the shard values (identical-by-construction
 #: config plus "oldest shard" uptime) ...
 _AGG_MAX = frozenset(
-    {"stats_version", "uptime_s", "n_shards", "cost_aware", "batch_share"}
+    {"stats_version", "uptime_s", "n_shards", "batch_share"}
 )
 #: ... keys where it is the mean (EWMAs of per-request quantities —
 #: summing a latency EWMA across shards would be nonsense) ...

@@ -33,10 +33,10 @@ Two clients, one surface:
   :class:`~repro.errors.ServiceConnectionError`.  RETRY backpressure
   hints are honored independently of (and in addition to) this path.
 
-Both expose ``compress`` / ``decompress`` / ``read`` / ``stats`` /
-``ping`` with the same signatures and are context managers.  Work
-requests accept ``priority`` (``interactive`` / ``batch``) and
-``client_id`` keywords; a constructor-level ``client_id`` is the default
+Both inherit ``compress`` / ``decompress`` / ``read`` / ``stats`` /
+``ping`` from one definition (:class:`_ClientAPI`) over a per-transport
+``_request`` hook, and are context managers.  Work requests accept
+``priority`` (``interactive`` / ``batch``) and ``client_id`` keywords; a constructor-level ``client_id`` is the default
 identity for per-client quota accounting.  ``deadline_ms`` attaches a
 server-enforced deadline: a job still queued past it is shed, a running
 one is cancelled, and either way the client gets a one-line error
@@ -83,44 +83,105 @@ _T = TypeVar("_T")
 SlabArg = Sequence[Union[slice, Tuple[int, int], None]]
 
 
-def _compress_request(
-    data: np.ndarray,
-    codec: str,
-    error_bound: Optional[float],
-    rel_error_bound: Optional[float],
-    chunks: Union[int, Sequence[int], None],
-    codec_kwargs: Optional[Dict],
-    family: Optional[str],
-    per_chunk_tuning: bool,
-    priority: str,
-    client_id: Optional[str],
-    deadline_ms: Optional[float] = None,
-    bound: Optional[BoundLike] = None,
-    shard_key: Optional[str] = None,
-) -> protocol.CompressRequest:
-    if chunks is not None and not isinstance(chunks, int):
-        chunks = tuple(chunks)
-    protocol.validate_priority(priority)
-    if deadline_ms is not None:
-        deadline_ms = protocol.validate_deadline_ms(deadline_ms)
-    return protocol.CompressRequest(
-        data=np.asarray(data),
-        codec=codec,
-        codec_kwargs=dict(codec_kwargs or {}),
-        error_bound=error_bound,
-        rel_error_bound=rel_error_bound,
-        chunks=chunks,
-        family=family,
-        per_chunk_tuning=per_chunk_tuning,
-        priority=priority,
-        client_id=client_id,
-        deadline_ms=deadline_ms,
-        bound=bound,
-        shard_key=shard_key,
-    )
+class _ClientAPI:
+    """The client surface, defined once over a transport's ``_request``."""
+
+    client_id: Optional[str] = None
+    #: default routing-affinity tag (only a hash-routed fleet reads it)
+    shard_key: Optional[str] = None
+
+    def _request(self, request: protocol.Request) -> Any:
+        """Send one request; return its result (bytes / array / dict)."""
+        raise NotImplementedError
+
+    def _meta(
+        self,
+        priority: str,
+        client_id: Optional[str],
+        deadline_ms: Optional[float],
+        shard_key: Optional[str],
+    ) -> Dict[str, Any]:
+        """The admission metadata every work request carries."""
+        protocol.validate_priority(priority)
+        if deadline_ms is not None:
+            deadline_ms = protocol.validate_deadline_ms(deadline_ms)
+        return {
+            "priority": priority,
+            "client_id": client_id or self.client_id,
+            "deadline_ms": deadline_ms,
+            "shard_key": shard_key or self.shard_key,
+        }
+
+    def ping(self) -> None:
+        self._request(protocol.PingRequest())
+
+    def compress(
+        self,
+        data: np.ndarray,
+        codec: str = "qoz",
+        error_bound: Optional[float] = None,
+        rel_error_bound: Optional[float] = None,
+        chunks: Union[int, Sequence[int], None] = None,
+        codec_kwargs: Optional[Dict] = None,
+        family: Optional[str] = None,
+        per_chunk_tuning: bool = False,
+        priority: str = "interactive",
+        client_id: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        bound: Optional[BoundLike] = None,
+        shard_key: Optional[str] = None,
+    ) -> bytes:
+        if chunks is not None and not isinstance(chunks, int):
+            chunks = tuple(chunks)
+        return cast(bytes, self._request(protocol.CompressRequest(
+            data=np.asarray(data),
+            codec=codec,
+            codec_kwargs=dict(codec_kwargs or {}),
+            error_bound=error_bound,
+            rel_error_bound=rel_error_bound,
+            chunks=chunks,
+            family=family,
+            per_chunk_tuning=per_chunk_tuning,
+            bound=bound,
+            **self._meta(priority, client_id, deadline_ms, shard_key),
+        )))
+
+    def decompress(
+        self,
+        blob: bytes,
+        priority: str = "interactive",
+        client_id: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        shard_key: Optional[str] = None,
+    ) -> np.ndarray:
+        return cast(np.ndarray, self._request(protocol.DecompressRequest(
+            blob=bytes(blob),
+            **self._meta(priority, client_id, deadline_ms, shard_key),
+        )))
+
+    def read(
+        self,
+        source: Union[bytes, str],
+        slab: SlabArg,
+        priority: str = "interactive",
+        client_id: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        shard_key: Optional[str] = None,
+    ) -> np.ndarray:
+        return cast(np.ndarray, self._request(protocol.ReadSlabRequest(
+            source=source,
+            slab=tuple(slab),
+            **self._meta(priority, client_id, deadline_ms, shard_key),
+        )))
+
+    def stats(self) -> Dict[str, Union[int, float]]:
+        return cast(
+            Dict[str, Union[int, float]],
+            self._request(protocol.StatsRequest()),
+        )
 
 
-class ServiceClient:
+class ServiceClient(_ClientAPI):
     """In-process client: private loop thread + embedded service."""
 
     def __init__(
@@ -142,85 +203,8 @@ class ServiceClient:
         # blocks the *caller's* thread, never the loop (RL002's concern)
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    # ----------------------------------------------------------------- api
-    def ping(self) -> None:
-        self._call(self.service.handle(protocol.PingRequest()))
-
-    def compress(
-        self,
-        data: np.ndarray,
-        codec: str = "qoz",
-        error_bound: Optional[float] = None,
-        rel_error_bound: Optional[float] = None,
-        chunks: Union[int, Sequence[int], None] = None,
-        codec_kwargs: Optional[Dict] = None,
-        family: Optional[str] = None,
-        per_chunk_tuning: bool = False,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        bound: Optional[BoundLike] = None,
-        shard_key: Optional[str] = None,
-    ) -> bytes:
-        req = _compress_request(
-            data, codec, error_bound, rel_error_bound, chunks,
-            codec_kwargs, family, per_chunk_tuning,
-            priority, client_id or self.client_id, deadline_ms, bound,
-            shard_key,
-        )
-        return cast(bytes, self._call(self.service.handle(req)))
-
-    def decompress(
-        self,
-        blob: bytes,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        protocol.validate_priority(priority)
-        return cast(
-            np.ndarray,
-            self._call(
-                self.service.handle(
-                    protocol.DecompressRequest(
-                        blob=bytes(blob),
-                        priority=priority,
-                        client_id=client_id or self.client_id,
-                        deadline_ms=deadline_ms,
-                    )
-                )
-            ),
-        )
-
-    def read(
-        self,
-        source: Union[bytes, str],
-        slab: SlabArg,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        protocol.validate_priority(priority)
-        return cast(
-            np.ndarray,
-            self._call(
-                self.service.handle(
-                    protocol.ReadSlabRequest(
-                        source=source,
-                        slab=tuple(slab),
-                        priority=priority,
-                        client_id=client_id or self.client_id,
-                        deadline_ms=deadline_ms,
-                    )
-                )
-            ),
-        )
-
-    def stats(self) -> Dict[str, Union[int, float]]:
-        return cast(
-            Dict[str, Union[int, float]],
-            self._call(self.service.handle(protocol.StatsRequest())),
-        )
+    def _request(self, request: protocol.Request) -> Any:
+        return self._call(self.service.handle(request))
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -245,7 +229,7 @@ class ServiceClient:
         self.close()
 
 
-class RemoteClient:
+class RemoteClient(_ClientAPI):
     """Blocking socket client for a running ``repro serve`` endpoint.
 
     ``retries`` bounds backpressure (RETRY-frame) retries; ``reconnects``
@@ -379,84 +363,12 @@ class RemoteClient:
             self._retry_sleep(resp.retry_after or 0.05)
         raise ProtocolError("unreachable")  # pragma: no cover
 
-    # ----------------------------------------------------------------- api
-    def ping(self) -> None:
-        self._rpc(protocol.PingRequest())
-
-    def compress(
-        self,
-        data: np.ndarray,
-        codec: str = "qoz",
-        error_bound: Optional[float] = None,
-        rel_error_bound: Optional[float] = None,
-        chunks: Union[int, Sequence[int], None] = None,
-        codec_kwargs: Optional[Dict] = None,
-        family: Optional[str] = None,
-        per_chunk_tuning: bool = False,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        bound: Optional[BoundLike] = None,
-        shard_key: Optional[str] = None,
-    ) -> bytes:
-        req = _compress_request(
-            data, codec, error_bound, rel_error_bound, chunks,
-            codec_kwargs, family, per_chunk_tuning,
-            priority, client_id or self.client_id, deadline_ms, bound,
-            shard_key or self.shard_key,
-        )
-        blob = self._rpc(req).blob
-        assert blob is not None  # ST_OK compress responses always carry one
-        return blob
-
-    def decompress(
-        self,
-        blob: bytes,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        shard_key: Optional[str] = None,
-    ) -> np.ndarray:
-        protocol.validate_priority(priority)
-        array = self._rpc(
-            protocol.DecompressRequest(
-                blob=bytes(blob),
-                priority=priority,
-                client_id=client_id or self.client_id,
-                deadline_ms=deadline_ms,
-                shard_key=shard_key or self.shard_key,
-            )
-        ).array
-        assert array is not None
-        return array
-
-    def read(
-        self,
-        source: Union[bytes, str],
-        slab: SlabArg,
-        priority: str = "interactive",
-        client_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        shard_key: Optional[str] = None,
-    ) -> np.ndarray:
-        protocol.validate_priority(priority)
-        array = self._rpc(
-            protocol.ReadSlabRequest(
-                source=source,
-                slab=tuple(slab),
-                priority=priority,
-                client_id=client_id or self.client_id,
-                deadline_ms=deadline_ms,
-                shard_key=shard_key or self.shard_key,
-            )
-        ).array
-        assert array is not None
-        return array
-
-    def stats(self) -> Dict[str, Union[int, float]]:
-        mapping = self._rpc(protocol.StatsRequest()).mapping
-        assert mapping is not None
-        return mapping
+    def _request(self, request: protocol.Request) -> Any:
+        # an ST_OK response sets exactly one payload field (none: ping)
+        resp = self._rpc(request)
+        if resp.blob is not None:
+            return resp.blob
+        return resp.array if resp.array is not None else resp.mapping
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:

@@ -467,38 +467,58 @@ def encode_request(req: Request) -> bytes:
     raise ProtocolError(f"cannot encode request of type {type(req).__name__}")
 
 
-def decode_request(body: bytes) -> Request:
-    r = _Reader(body)
+_REQUEST_OPS = (OP_PING, OP_COMPRESS, OP_DECOMPRESS, OP_READ_SLAB, OP_STATS)
+_RESPONSE_STATUSES = (ST_OK, ST_ERROR, ST_RETRY)
+
+
+def _read_preamble(r: _Reader, what: str, known: Tuple[int, ...]) -> int:
+    """The two bytes every body starts with: protocol version, then the
+    request opcode or response status.  Validated before anything else
+    is touched, so a bad code reports itself instead of a misleading
+    truncation error further in."""
     version = r.u8()
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version {version} not supported (this side speaks "
             f"{PROTOCOL_VERSION})"
         )
-    op = r.u8()
-    if op not in (OP_PING, OP_COMPRESS, OP_DECOMPRESS, OP_READ_SLAB, OP_STATS):
-        # validate before touching the meta kv so a bad opcode reports
-        # itself instead of a misleading truncation error
-        raise ProtocolError(f"unknown request opcode {op}")
+    code = r.u8()
+    if code not in known:
+        raise ProtocolError(f"unknown {what} {code}")
+    return code
+
+
+def _read_compress_head(
+    r: _Reader,
+) -> Tuple[
+    str, Dict, int, float, Union[int, Tuple[int, ...], None], Optional[str]
+]:
+    """OP_COMPRESS fields in wire order, up to and including ``family``."""
+    codec = r.string()
+    kwargs = r.kv()
+    eb_mode = r.u8()
+    bound = r.f64()
+    chunks_kind = r.u8()
+    chunks: Union[int, Tuple[int, ...], None]
+    if chunks_kind == 0:
+        chunks = None
+    elif chunks_kind == 1:
+        chunks = r.u32()
+    elif chunks_kind == 2:
+        chunks = tuple(r.u32() for _ in range(r.u8()))
+    else:
+        raise ProtocolError(f"unknown chunk-spec kind {chunks_kind}")
+    return codec, kwargs, eb_mode, bound, chunks, r.string() or None
+
+
+def decode_request(body: bytes) -> Request:
+    r = _Reader(body)
+    op = _read_preamble(r, "request opcode", _REQUEST_OPS)
     meta = r.kv()
     if op == OP_PING:
         req: Request = PingRequest()
     elif op == OP_COMPRESS:
-        codec = r.string()
-        kwargs = r.kv()
-        eb_mode = r.u8()
-        bound = r.f64()
-        chunks_kind = r.u8()
-        chunks: Union[int, Tuple[int, ...], None]
-        if chunks_kind == 0:
-            chunks = None
-        elif chunks_kind == 1:
-            chunks = r.u32()
-        elif chunks_kind == 2:
-            chunks = tuple(r.u32() for _ in range(r.u8()))
-        else:
-            raise ProtocolError(f"unknown chunk-spec kind {chunks_kind}")
-        family = r.string() or None
+        codec, kwargs, eb_mode, bound, chunks, family = _read_compress_head(r)
         per_chunk = bool(r.u8())
         data = _unpack_array(r)
         req = CompressRequest(
@@ -523,10 +543,8 @@ def decode_request(body: bytes) -> Request:
         else:
             raise ProtocolError(f"unknown read source kind {kind}")
         req = ReadSlabRequest(source=source, slab=_unpack_slab(r))
-    elif op == OP_STATS:
-        req = StatsRequest()
     else:
-        raise ProtocolError(f"unknown request opcode {op}")
+        req = StatsRequest()
     r.done()
     return _apply_meta(req, meta)
 
@@ -547,31 +565,13 @@ def routing_key(body: bytes) -> Optional[str]:
     """
     try:
         r = _Reader(body)
-        if r.u8() != PROTOCOL_VERSION:
-            return None
-        op = r.u8()
-        if op not in (OP_PING, OP_COMPRESS, OP_DECOMPRESS, OP_READ_SLAB,
-                      OP_STATS):
-            return None
-        meta = r.kv()
-        shard_key = meta.get("shard_key")
+        op = _read_preamble(r, "request opcode", _REQUEST_OPS)
+        shard_key = r.kv().get("shard_key")
         if shard_key:
             return str(shard_key)
         if op != OP_COMPRESS:
             return None
-        r.string()  # codec
-        r.kv()  # codec kwargs
-        r.u8()  # eb mode
-        r.f64()  # bound value
-        chunks_kind = r.u8()
-        if chunks_kind == 1:
-            r.u32()
-        elif chunks_kind == 2:
-            for _ in range(r.u8()):
-                r.u32()
-        elif chunks_kind != 0:
-            return None
-        family = r.string()
+        family = _read_compress_head(r)[-1]
         return f"family:{family}" if family else None
     except (ProtocolError, UnicodeDecodeError):
         return None
@@ -640,28 +640,19 @@ class Response:
 def decode_response(body: bytes, op: int) -> Response:
     """Decode a response body; ``op`` is the request opcode it answers."""
     r = _Reader(body)
-    version = r.u8()
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version {version} not supported (this side speaks "
-            f"{PROTOCOL_VERSION})"
-        )
-    status = r.u8()
+    status = _read_preamble(r, "response status", _RESPONSE_STATUSES)
     if status == ST_ERROR:
         resp = Response(status=status, message=r.string())
     elif status == ST_RETRY:
         resp = Response(status=status, retry_after=r.f64(), reason=r.string())
-    elif status == ST_OK:
-        if op == OP_COMPRESS:
-            resp = Response(status=status, blob=r.blob())
-        elif op in (OP_DECOMPRESS, OP_READ_SLAB):
-            resp = Response(status=status, array=_unpack_array(r))
-        elif op == OP_STATS:
-            resp = Response(status=status, mapping=r.kv())
-        else:
-            resp = Response(status=status)
+    elif op == OP_COMPRESS:
+        resp = Response(status=status, blob=r.blob())
+    elif op in (OP_DECOMPRESS, OP_READ_SLAB):
+        resp = Response(status=status, array=_unpack_array(r))
+    elif op == OP_STATS:
+        resp = Response(status=status, mapping=r.kv())
     else:
-        raise ProtocolError(f"unknown response status {status}")
+        resp = Response(status=status)
     r.done()
     return resp
 

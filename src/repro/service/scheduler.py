@@ -56,9 +56,10 @@ import math
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
+    Any,
     Awaitable,
     Callable,
     Deque,
@@ -87,8 +88,7 @@ from repro.errors import (
     DecompressionError,
     ServiceOverloadedError,
 )
-from repro.parallel.executor import ChunkWorkPool, _decompress_one
-from repro.parallel.slab import Slab as ShmSlab
+from repro.parallel.executor import BATCH_CHUNKS, ChunkWorkPool
 from repro.service.admission import (
     AdmissionController,
     AdmissionLimits,
@@ -111,15 +111,6 @@ from repro.service.protocol import (
 from repro.utils import normalize_bound, validate_field_lazy
 
 
-#: chunks packed per shared-memory slab batch on the pooled compress
-#: path; with the 4x-workers resident-chunk window this yields
-#: 2x-workers in-flight batches — enough to keep every worker busy with
-#: one batch queued behind it, while one submit amortizes the dispatch
-#: overhead of _COMPRESS_BATCH_CHUNKS chunks (matches the default
-#: batch sizing of compress_chunks_streaming)
-_COMPRESS_BATCH_CHUNKS = 2
-
-
 @dataclass
 class ServiceConfig:
     """Knobs of one service instance.
@@ -138,10 +129,8 @@ class ServiceConfig:
     latency budget), ``batch_share`` the fraction of it bulk-priority
     traffic may occupy, and ``client_rate`` / ``client_burst`` the
     per-client token-bucket quota (units/s, units) applied to requests
-    that carry a ``client_id``.  ``cost_aware=False`` degrades to the
-    PR 4 depth-only policy (single FIFO, job-count bound) — kept as a
-    measurable baseline for the load generator.  ``stats_interval`` > 0
-    makes the server log one snapshot line that often (seconds).
+    that carry a ``client_id``.  ``stats_interval`` > 0 makes the server
+    log one snapshot line that often (seconds).
     """
 
     processes: int = 1
@@ -156,7 +145,6 @@ class ServiceConfig:
     batch_share: float = 0.5
     client_rate: float = 16.0
     client_burst: float = 48.0
-    cost_aware: bool = True
     stats_interval: float = 0.0
     #: identity of this instance within a sharded deployment (DESIGN.md
     #: §14); the default (0 of 1) is the unsharded single-process serve
@@ -303,10 +291,7 @@ class CompressionService:
         client_id = getattr(request, "client_id", None)
         estimate = self.cost_model.predict(request, self.plans)
         decision = self.admission.try_admit(
-            estimate.units,
-            priority,
-            client_id,
-            depth_only=not self.config.cost_aware,
+            estimate.units, priority, client_id
         )
         if not decision.admitted:
             self.metrics.reject(priority, decision.reason)
@@ -329,11 +314,7 @@ class CompressionService:
             deadline_ms=deadline_ms or 0.0,
         )
         future.add_done_callback(lambda fut, job=job: self._on_job_done(job, fut))
-        # depth-only mode is also FIFO-only: everything shares one lane,
-        # which is exactly the PR 4 behavior the load generator compares
-        # against
-        lane = priority if self.config.cost_aware else "interactive"
-        self._pending[lane].append(job)
+        self._pending[priority].append(job)
         self._wakeup.set()
         return future
 
@@ -377,7 +358,6 @@ class CompressionService:
             "max_queue": self.config.max_queue,
             "batch_max": self.config.batch_max,
             "processes": self.config.processes,
-            "cost_aware": int(self.config.cost_aware),
             "open_containers": len(self._files),
         }
         health = self._pool.health()
@@ -397,9 +377,8 @@ class CompressionService:
     async def _collect_batch(self) -> List[_Job]:
         """Up to ``batch_max`` waiting jobs, interactive strictly first.
 
-        In cost-aware mode at most ONE batch-lane job rides per dispatch
-        group: a group is executed to completion before the lanes are
-        consulted again, so every batch job in it is head-of-line delay
+        At most ONE batch-lane job rides per dispatch group: a group is
+        executed to completion before the lanes are consulted again, so every batch job in it is head-of-line delay
         for any interactive request that arrives mid-group.  Capping the
         batch lane at one bounds that delay to a single batch job's
         service time — the same worst case an unsaturated service has —
@@ -410,7 +389,7 @@ class CompressionService:
             batch: List[_Job] = []
             for cls in PRIORITIES:
                 limit = self.config.batch_max
-                if cls == "batch" and self.config.cost_aware:
+                if cls == "batch":
                     limit = min(limit, len(batch) + 1)
                 pending = self._pending[cls]
                 while pending and len(batch) < limit:
@@ -526,21 +505,13 @@ class CompressionService:
 
         if self._pool.parallel:
             # every job in the group submits into the shared pool
-            # concurrently (the per-codec batching win), but a group-wide
-            # window bounds in-flight slab batches: with
-            # _COMPRESS_BATCH_CHUNKS chunks per slab this is the same
-            # 4x-workers cap on resident chunk copies that
-            # compress_chunks_streaming uses, so a batch of large fields
-            # cannot hold 2x-everything resident at once.  _guard routes
-            # any failure (incl. a BrokenProcessPool on submit) into the
-            # job's future, never into the scheduler.
-            window = asyncio.Semaphore(
-                max(
-                    1,
-                    4 * max(1, self.config.processes)
-                    // _COMPRESS_BATCH_CHUNKS,
-                )
-            )
+            # concurrently (the per-codec batching win), but one
+            # group-wide window bounds in-flight slab batches to the
+            # pool's own cap on resident chunk copies, so a batch of
+            # large fields cannot hold 2x-everything resident at once.
+            # _guard routes any failure (incl. a BrokenProcessPool on
+            # submit) into the job's future, never into the scheduler.
+            window = asyncio.Semaphore(self._pool.window_batches)
             await asyncio.gather(*[
                 self._guard(job, self._compress_pooled(prep, window))
                 for job, prep in zip(jobs, prepared)
@@ -587,55 +558,45 @@ class CompressionService:
             dtype=data.dtype,
         )
 
-    def _fill_slab(
-        self, prep: _PreparedCompress, indices: List[int]
-    ) -> Tuple[ShmSlab, List[tuple]]:
-        """Blocking half of one slab batch: slice, allocate, pack.
+    async def _await_pooled(
+        self, helper: Callable[..., "Future[Any]"], *args: object
+    ) -> Any:
+        """Await one slab-owning :class:`ChunkWorkPool` helper.
 
-        Runs on the thread executor (slab fill is a memcpy).  On a pack
-        failure the slab is released here — afterwards the caller owns
-        it and releases it when the pool future resolves.
+        The helper fills (or allocates) its slab synchronously, so it
+        runs on the thread executor and hands back the pool future that
+        owns the slab.  A deadline can cancel this coroutine while the
+        fill is still running on its thread: the pool future is then
+        cancelled the moment it exists, which releases the slab.
         """
-        views = [prep.data[prep.grid.chunk_slices(i)] for i in indices]
-        slab = ShmSlab.create(max(1, sum(int(v.nbytes) for v in views)))
+        started = self._threads.submit(helper, *args)
         try:
-            descriptors = slab.pack(views)
-        except BaseException:
-            slab.release()
+            pooled = await asyncio.wrap_future(started)
+        except asyncio.CancelledError:
+            started.add_done_callback(_cancel_pooled)
             raise
-        return slab, list(descriptors)
+        return await asyncio.wrap_future(pooled)
 
     async def _compress_pooled(
         self, prep: _PreparedCompress, window: asyncio.Semaphore
     ) -> bytes:
         loop = asyncio.get_running_loop()
-        size = _COMPRESS_BATCH_CHUNKS
 
         async def one_batch(indices: List[int]) -> List[bytes]:
             async with window:  # held from slab fill to completion: the
                 # bytes of live slabs never exceed the window's batches
-                slab, descriptors = await loop.run_in_executor(
-                    self._threads, self._fill_slab, prep, indices
+                views = [prep.data[prep.grid.chunk_slices(i)] for i in indices]
+                return await self._await_pooled(
+                    self._pool.submit_compress_views,
+                    prep.codec_name, prep.codec_kwargs, views,
+                    prep.eb, prep.plan,
                 )
-                try:
-                    blobs = await asyncio.wrap_future(
-                        self._pool.submit_compress_batch(
-                            prep.codec_name, prep.codec_kwargs,
-                            slab.name, descriptors, prep.eb, prep.plan,
-                        )
-                    )
-                finally:
-                    # every exit path — success, job failure, deadline
-                    # cancellation — unlinks the slab; a worker that is
-                    # still mapped keeps its view alive until it closes
-                    slab.release()
-                return list(blobs)
 
-        indices = [i for i in prep.grid]
-        groups = [
-            indices[k:k + size] for k in range(0, len(indices), size)
-        ]
-        blob_lists = await asyncio.gather(*[one_batch(g) for g in groups])
+        indices = list(prep.grid)
+        blob_lists = await asyncio.gather(*[
+            one_batch(indices[k:k + BATCH_CHUNKS])
+            for k in range(0, len(indices), BATCH_CHUNKS)
+        ])
         blobs = [b for lst in blob_lists for b in lst]
         return await loop.run_in_executor(
             self._threads, self._assemble_container, prep, blobs
@@ -795,56 +756,23 @@ class CompressionService:
                 )
                 for (_, src, dst), blob in zip(parts, blobs)
             ]
-            return await self._read_pooled(out_shape, cf.dtype, jobs)
+            return await self._await_pooled(
+                self._pool.submit_decode_parts, jobs, out_shape, cf.dtype
+            )
         out = np.empty(out_shape, dtype=cf.dtype)
         chunks = await asyncio.gather(*[
-            loop.run_in_executor(self._threads, _decompress_one, b)
+            loop.run_in_executor(self._threads, decompress_any, b)
             for b in blobs
         ])
         for (i, src, dst), chunk in zip(parts, chunks):
             out[dst] = chunk[src]
         return out
 
-    async def _read_pooled(
-        self,
-        out_shape: Tuple[int, ...],
-        dtype: "np.dtype[np.generic]",
-        jobs: List[Tuple[bytes, tuple, tuple]],
-    ) -> np.ndarray:
-        """Slab-batched decode: workers write regions into a shared
-        output slab (decoded chunks never pickle back), one batch per
-        worker times two so stragglers interleave.  The plan's regions
-        are disjoint, so concurrent writes never overlap.
-        """
-        loop = asyncio.get_running_loop()
-        dtype = np.dtype(dtype)
-        n_batches = max(
-            1, min(len(jobs), 2 * max(1, self.config.processes))
-        )
-        nbytes = dtype.itemsize * math.prod(int(n) for n in out_shape)
-        out_slab = await loop.run_in_executor(
-            self._threads, ShmSlab.create, max(1, nbytes)
-        )
-        try:
-            await asyncio.gather(*[
-                asyncio.wrap_future(
-                    self._pool.submit_decompress_into(
-                        out_slab.name, out_shape, dtype.str,
-                        tuple(jobs[b::n_batches]),
-                    )
-                )
-                for b in range(n_batches)
-            ])
 
-            def copy_out() -> np.ndarray:
-                view = out_slab.view(0, out_shape, dtype)
-                result = np.array(view)
-                del view  # the view must not outlive the release below
-                return result
-
-            return await loop.run_in_executor(self._threads, copy_out)
-        finally:
-            out_slab.release()
+def _cancel_pooled(started: "Future[Any]") -> None:
+    """Cancel the pool future a finished helper call produced, if any."""
+    if not started.cancelled() and started.exception() is None:
+        started.result().cancel()
 
 
 __all__ = ["CompressionService", "ServiceConfig"]

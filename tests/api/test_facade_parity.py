@@ -2,8 +2,7 @@
 
 Every route through :func:`repro.compress` / :func:`repro.decompress` /
 :func:`repro.open` is checked against the legacy entry point it routes
-to — identical bytes out, identical arrays back.  The deprecation shims
-get the same treatment: they must warn, then delegate unchanged.
+to — identical bytes out, identical arrays back.
 """
 
 import io
@@ -115,40 +114,7 @@ class TestRoutingErrors:
             repro.compress(field)
 
 
-class TestDeprecationShims:
-    def test_shims_warn_and_delegate_byte_identically(self, field):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = repro.compress_chunked(
-                field, chunks=10, error_bound=1e-3
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.compress" in str(w.message)
-            for w in caught
-        )
-        assert shimmed == chunked_api.compress_chunked(
-            field, chunks=10, error_bound=1e-3
-        )
-
-    def test_every_deprecated_name_warns(self, field):
-        blob = chunked_api.compress_chunked(field, chunks=10, error_bound=1e-3)
-        slab = (slice(0, 8), slice(None), slice(None))
-        calls = [
-            lambda: repro.decompress_chunked(blob),
-            lambda: repro.read_hyperslab(blob, slab),
-            lambda: repro.compress_chunked_to_file(
-                field, io.BytesIO(), error_bound=1e-3
-            ),
-        ]
-        for call in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            )
-
+class TestCanonicalSpellings:
     def test_canonical_chunked_spellings_do_not_warn(self, field):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -32,16 +32,12 @@ PUBLIC_SYMBOLS = [
     "available_compressors",
     "bit_rate",
     "compress",
-    "compress_chunked",  # deprecated shim
-    "compress_chunked_to_file",  # deprecated shim
     "compression_ratio",
     "decompress",
-    "decompress_chunked",  # deprecated shim
     "error_autocorrelation",
     "get_compressor",
     "open",
     "psnr",
-    "read_hyperslab",  # deprecated shim
     "ssim",
 ]
 
@@ -55,13 +51,6 @@ FACADE_SIGNATURES = {
     ),
     "decompress": "(source, processes=None, client=None, **service_kwargs)",
     "open": "(source, verify=True)",
-}
-
-DEPRECATED = {
-    "compress_chunked",
-    "compress_chunked_to_file",
-    "decompress_chunked",
-    "read_hyperslab",
 }
 
 
@@ -101,13 +90,6 @@ def test_facade_module_exports_exactly_the_facade():
     import repro.api
 
     assert repro.api.__all__ == ["compress", "decompress", "open"]
-
-
-def test_deprecated_names_resolve_to_the_shim_module():
-    import repro._shims
-
-    for name in sorted(DEPRECATED):
-        assert getattr(repro, name) is getattr(repro._shims, name)
 
 
 def test_error_bound_surface():

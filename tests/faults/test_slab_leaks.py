@@ -1,8 +1,9 @@
 """Crash slab-backed batch jobs every way we can; assert zero shm leaks.
 
 The slab ownership contract (DESIGN.md §13): the side that calls
-``Slab.create`` releases it, exactly once, on *every* exit path — normal
-drain, worker crash + heal, poison, abandoned generator, interpreter
+``Slab.create`` — in ``src/`` that is only ``ChunkWorkPool`` — releases
+it, exactly once, on *every* exit path — normal drain, worker crash +
+heal, poison, abandoned generator, cancelled service job, interpreter
 exit — and workers only ever attach/detach.  Leaks are observable from
 the outside: a leaked slab is a ``repro-slab-*`` file in ``/dev/shm``
 that outlives the run.  Every test here induces a failure and then
@@ -26,10 +27,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.chunked import (
+    compress_chunked,
+    decompress_chunked,
+    read_hyperslab,
+)
 from repro.compressors.base import Compressor, register
-from repro.errors import WorkerCrashError
-from repro.parallel.executor import ChunkWorkPool, compress_chunks_streaming
+from repro.errors import DeadlineExceededError, WorkerCrashError
+from repro.parallel.executor import ChunkWorkPool
 from repro.parallel.slab import SLAB_NAME_PREFIX, Slab, active_slab_names
+from repro.service import ServiceClient, ServiceConfig
 
 MAIN_PID = os.getpid()
 FORK_CTX = multiprocessing.get_context("fork")
@@ -172,13 +179,80 @@ class TestStreamingAbandon:
     def test_closing_the_generator_releases_in_flight_slabs(self):
         """A consumer that walks away mid-stream leaks nothing."""
         jobs = ((i, arr) for i, arr in enumerate(chunk_arrays(n=12)))
-        gen = compress_chunks_streaming(
-            jobs, "qoz", None, 1e-3, processes=2, batch_chunks=2
-        )
-        got = next(gen)  # at least one batch is in flight now
-        assert isinstance(got[1], bytes)
-        gen.close()  # GeneratorExit: pending batches cancelled + released
+        with ChunkWorkPool(2) as pool:
+            gen = pool.compress_stream(jobs, "qoz", None, 1e-3)
+            got = next(gen)  # at least one batch is in flight now
+            assert isinstance(got[1], bytes)
+            gen.close()  # GeneratorExit: pending batches are cancelled
         assert_no_leaks()
+
+
+def smooth3d(n=32, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal((n, n, n)), axis=0)
+    return (x / np.abs(x).max()).astype(np.float32)
+
+
+class TestLibraryPooledPath:
+    def test_one_worker_sigkill_heals_to_the_serial_bytes(self, tmp_path):
+        """``processes=2`` rides the self-healing pool: a worker dying
+        mid-container costs a retry, not the call — same bytes as the
+        in-process path, nothing left in /dev/shm."""
+        data = smooth3d(16)
+        marker = tmp_path / "died-once"
+        kwargs = dict(
+            codec="crashy", chunks=8, error_bound=1e-3,
+            codec_kwargs={"marker": str(marker)},
+        )
+        pooled = compress_chunked(data, processes=2, **kwargs)
+        assert marker.exists(), "no worker ever hit the kill switch"
+        assert pooled == compress_chunked(data, processes=None, **kwargs)
+        assert_no_leaks()
+
+
+class TestServicePooledPath:
+    def test_pooled_service_matches_the_library_and_leaks_nothing(self):
+        data = smooth3d()
+        want = compress_chunked(
+            data, codec="qoz", chunks=16, rel_error_bound=1e-3
+        )
+        slab = (slice(3, 29), slice(None), slice(10, 20))
+        with ServiceClient(ServiceConfig(processes=2)) as svc:
+            blob = svc.compress(
+                data, codec="qoz", chunks=16, rel_error_bound=1e-3
+            )
+            assert blob == want
+            np.testing.assert_array_equal(
+                svc.decompress(blob), decompress_chunked(want)
+            )
+            np.testing.assert_array_equal(
+                svc.read(blob, slab), read_hyperslab(want, slab)
+            )
+            assert_no_leaks()
+
+    def test_deadline_during_slab_fill_leaks_nothing(self, monkeypatch):
+        """A job cancelled while its slabs are still being filled on the
+        thread executor must not strand them: the fill's result is a
+        pool future that owns its slab, cancelled as soon as it exists.
+        """
+        data = smooth3d(seed=1)
+        request = dict(codec="qoz", chunks=16, rel_error_bound=1e-3)
+        with ServiceClient(ServiceConfig(processes=2)) as svc:
+            svc.compress(data, **request)  # warm the plan: prepare is fast
+            real_pack = Slab.pack
+
+            def slow_pack(self, arrays):
+                time.sleep(0.4)
+                return real_pack(self, arrays)
+
+            monkeypatch.setattr(Slab, "pack", slow_pack)
+            with pytest.raises(DeadlineExceededError) as err:
+                svc.compress(data, deadline_ms=100.0, **request)
+            assert err.value.stage == "running"
+            deadline = time.monotonic() + 10
+            while active_slab_names() and time.monotonic() < deadline:
+                time.sleep(0.05)  # the abandoned fills finish, then drop
+            assert_no_leaks()
 
 
 class TestInterpreterExit:

@@ -606,85 +606,6 @@ def test_rl009_ignores_unscoped_modules():
     assert findings == []
 
 
-# ------------------------------------------------------------------- RL010
-
-
-_RL010_OPTIONS = dict(
-    deprecated=[
-        "repro:compress_chunked",
-        "repro:decompress_chunked",
-    ],
-    allow_modules=["repro/api.py", "repro/_shims.py"],
-)
-
-
-def test_rl010_fires_on_deprecated_from_import():
-    findings = run(
-        "RL010",
-        """
-        from repro import compress_chunked
-
-        def save(data):
-            return compress_chunked(data, error_bound=1e-3)
-        """,
-        **_RL010_OPTIONS,
-    )
-    assert hits(findings) == [("RL010", 2)]
-
-
-def test_rl010_fires_on_deprecated_attribute_use():
-    findings = run(
-        "RL010",
-        """
-        import repro
-
-        def load(blob):
-            return repro.decompress_chunked(blob)
-        """,
-        **_RL010_OPTIONS,
-    )
-    assert hits(findings) == [("RL010", 5)]
-
-
-def test_rl010_fires_on_shim_module_import():
-    findings = run(
-        "RL010",
-        """
-        from repro._shims import compress_chunked
-        import repro._shims
-        """,
-        **_RL010_OPTIONS,
-    )
-    assert hits(findings) == [("RL010", 2), ("RL010", 3)]
-
-
-def test_rl010_passes_on_canonical_and_facade_spellings():
-    findings = run(
-        "RL010",
-        """
-        import repro
-        from repro.chunked import compress_chunked
-
-        def save(data):
-            return repro.compress(data, bound=1e-3, chunks=32)
-        """,
-        **_RL010_OPTIONS,
-    )
-    assert findings == []
-
-
-def test_rl010_allowlists_the_shim_module_itself():
-    findings = run(
-        "RL010",
-        """
-        from repro import compress_chunked
-        """,
-        relpath="repro/_shims.py",
-        **_RL010_OPTIONS,
-    )
-    assert findings == []
-
-
 # ------------------------------------------------------------------- RL011
 
 
@@ -701,7 +622,7 @@ def test_rl011_fires_on_shard_state_in_process_args():
             )
             proc.start()
         """,
-        relpath="repro/service/shard_runtime.py",
+        relpath="repro/service/sharding.py",
     )
     assert hits(findings) == [("RL011", 6)]
     assert "ServiceMetrics" in findings[0].message
@@ -718,7 +639,7 @@ def test_rl011_fires_on_pickling_tracked_attribute():
             def snapshot(self):
                 return pickle.dumps(self._plans)
         """,
-        relpath="repro/service/shard_runtime.py",
+        relpath="repro/service/sharding.py",
     )
     assert hits(findings) == [("RL011", 6)]
     assert "PlanLRU" in findings[0].message
@@ -732,7 +653,7 @@ def test_rl011_fires_on_sending_tracked_object_over_pipe():
             admission = AdmissionController(budget=64)
             conn.send(admission)
         """,
-        relpath="repro/service/shard_runtime.py",
+        relpath="repro/service/sharding.py",
     )
     assert hits(findings) == [("RL011", 4)]
     assert "AdmissionController" in findings[0].message
@@ -755,7 +676,7 @@ def test_rl011_passes_on_encoded_messages_and_local_use():
             conn.send_bytes(encode_plan("climate", plan))
             return proc, metrics
         """,
-        relpath="repro/service/shard_runtime.py",
+        relpath="repro/service/sharding.py",
     )
     assert findings == []
 

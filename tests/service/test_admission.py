@@ -251,13 +251,6 @@ class TestAdmissionController:
         snap = ctrl.snapshot()
         assert snap.interactive_units == 0.0 and snap.queued_jobs == 0
 
-    def test_depth_only_ignores_units(self):
-        ctrl, _ = self.make()
-        for _ in range(4):
-            assert ctrl.try_admit(100.0, "interactive", depth_only=True).admitted
-        d = ctrl.try_admit(0.1, "interactive", depth_only=True)
-        assert not d.admitted and d.reason == "queue-full"
-
     def test_client_bucket_lru_bounded(self):
         ctrl, _ = self.make(max_clients=3)
         for i in range(6):

@@ -12,14 +12,16 @@ The acceptance contract this file pins:
 """
 
 import asyncio
+import inspect
 
 import numpy as np
 import pytest
 
+import repro
 from repro.chunked import ChunkedFile, compress_chunked, decompress_chunked
 from repro.core.qoz import QoZ
 from repro.errors import ServiceOverloadedError
-from repro.service import ServiceClient, ServiceConfig
+from repro.service import RemoteClient, ServiceClient, ServiceConfig
 from repro.service.protocol import CompressRequest
 from repro.service.scheduler import CompressionService
 
@@ -148,6 +150,31 @@ class TestByteIdentity:
             ):
                 with pytest.raises(PermissionError, match="outside"):
                     svc.read(escape, (slice(0, 4),))
+
+
+class TestOneClientSurface:
+    @pytest.mark.parametrize(
+        "method", ["compress", "decompress", "read", "stats", "ping"]
+    )
+    def test_both_clients_take_the_same_keywords(self, method):
+        assert inspect.signature(
+            getattr(ServiceClient, method)
+        ) == inspect.signature(getattr(RemoteClient, method))
+
+    def test_routing_keywords_are_accepted_in_process(self, svc):
+        """``shard_key`` only means something to a hash-routed fleet,
+        but code written against one client must run against the other.
+        """
+        data = smooth3d(seed=9, dtype=np.float32)
+        blob = repro.compress(
+            data, bound="abs:1e-3", chunks=20, client=svc, shard_key="k"
+        )
+        recon = repro.decompress(blob, client=svc, shard_key="k")
+        np.testing.assert_array_equal(recon, decompress_chunked(blob))
+        part = svc.read(
+            blob, (slice(0, 8), slice(None), slice(None)), shard_key="k"
+        )
+        np.testing.assert_array_equal(part, recon[:8])
 
 
 class TestPlanCache:
@@ -449,7 +476,7 @@ class TestStatsSchema:
             "admitted_interactive", "rejected_interactive",
             "retried_interactive", "completed_interactive",
             "admitted_batch", "rejected_batch", "retried_batch",
-            "batch_fill_ewma", "plan_cache_hit_rate", "cost_aware",
+            "batch_fill_ewma", "plan_cache_hit_rate",
             "queue_depth_interactive", "queue_depth_batch",
             "connections_total", "connections_open",
         ):
