@@ -20,10 +20,9 @@ from repro.core.interpolation import CUBIC, predict_targets
 from repro.core.levels import (
     ORDER_FORWARD,
     anchor_slices,
-    dim_order,
-    level_pass_specs,
     max_level_for_anchor,
     max_level_for_shape,
+    pass_schedule,
 )
 from repro.errors import ConfigurationError, DecompressionError
 from repro.quantize.linear import DEFAULT_RADIUS, LinearQuantizer
@@ -121,17 +120,13 @@ def execute_passes(
     rather than by prediction feedback.
     """
     shape = work.shape[1:] if batch else work.shape
-    off = 1 if batch else 0
     top = plan.max_level(shape)
     levels = [only_level] if only_level is not None else range(top, 0, -1)
     for level in levels:
         lp = plan.level_plan(level)
-        order = dim_order(len(shape), lp.order_id)
-        for spec in level_pass_specs(shape, level, order):
-            sl = ((slice(None),) if batch else ()) + spec.view_slices
-            view = np.moveaxis(work[sl], spec.axis + off, -1)
+        for index, perm, m in pass_schedule(shape, level, lp.order_id, batch):
+            view = work[index].transpose(perm)
             even = view[..., ::2]
-            m = spec.grid_len // 2
             pred = predict_targets(even, m, lp.method)
             targets = view[..., 1::2]
             if compress:
@@ -144,7 +139,7 @@ def execute_passes(
                 if closed_loop:
                     targets[...] = recon
             else:
-                recon = quantizer.dequantize(int(np.prod(pred.shape)), pred, lp.eb)
+                recon = quantizer.dequantize(pred.size, pred, lp.eb)
                 targets[...] = recon
 
 

@@ -13,7 +13,8 @@ what makes each pass fully vectorizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +97,41 @@ def level_pass_specs(
             grid_len=g,
             n_targets=n_targets,
         )
+
+
+class ScheduledPass(NamedTuple):
+    """One pass of :func:`level_pass_specs`, resolved for the engine."""
+
+    index: Tuple[slice, ...]  # basic index of the line view on the work array
+    perm: Tuple[int, ...]  # transpose putting the interpolated axis last
+    line_targets: int  # odd-index targets per line (``grid_len // 2``)
+
+
+@lru_cache(maxsize=512)
+def pass_schedule(
+    shape: Tuple[int, ...], level: int, order_id: int, batch: bool
+) -> Tuple[ScheduledPass, ...]:
+    """The passes of one level, ready to execute.
+
+    :func:`level_pass_specs` is the specification of the traversal; this
+    is the same traversal with everything the engine derived per pass —
+    the index tuple (with the leading block axis when ``batch``) and the
+    axis move of ``np.moveaxis(view, axis, -1)`` as a transpose
+    permutation — worked out once per ``(shape, level, order_id,
+    batch)``.  Selection trials, tuning trials, plan execution and
+    decoding all walk a handful of such keys thousands of times.  The
+    entries hold only slices and ints (no arrays, nothing of the data),
+    and the cache is bounded, so a server seeing many shapes stays flat.
+    """
+    off = 1 if batch else 0
+    lead = (slice(None),) * off
+    ndim = len(shape) + off
+    out = []
+    for spec in level_pass_specs(shape, level, dim_order(len(shape), order_id)):
+        axis = spec.axis + off
+        perm = tuple(a for a in range(ndim) if a != axis) + (axis,)
+        out.append(ScheduledPass(lead + spec.view_slices, perm, spec.grid_len // 2))
+    return tuple(out)
 
 
 def anchor_slices(ndim: int, anchor_stride: int) -> Tuple[slice, ...]:

@@ -25,7 +25,7 @@ from repro.encoding.codec import estimate_stream_bits
 from repro.errors import ConfigurationError
 from repro.metrics.autocorr import error_autocorrelation
 from repro.metrics.psnr import psnr
-from repro.metrics.ssim import ssim
+from repro.metrics.ssim import SsimReference, ssim, ssim_reference
 from repro.quantize.linear import DEFAULT_RADIUS
 
 #: paper §VI-C1 candidate grids
@@ -65,10 +65,21 @@ def build_plan(
     (a :class:`SelectionResult` or a :class:`FrozenPlan`).
     """
     ebs = level_error_bounds(eb, alpha, beta, max_level)
+    interpolators = {l: selection.interpolator(l) for l in ebs}
+    return _assemble_plan(ebs, interpolators, anchor_stride, radius)
+
+
+def _assemble_plan(
+    ebs: Dict[int, float],
+    interpolators: Dict[int, Tuple[int, int]],
+    anchor_stride: int,
+    radius: int,
+) -> InterpPlan:
+    """Engine plan from already-expanded per-level bounds."""
     levels = {}
-    for l in range(1, max_level + 1):
-        method, order_id = selection.interpolator(l)
-        levels[l] = LevelPlan(eb=ebs[l], method=method, order_id=order_id)
+    for l, e in ebs.items():
+        method, order_id = interpolators[l]
+        levels[l] = LevelPlan(eb=e, method=method, order_id=order_id)
     return InterpPlan(levels=levels, anchor_stride=anchor_stride, radius=radius)
 
 
@@ -96,17 +107,18 @@ class TuningOutcome:
 
 def _evaluate_candidate(
     blocks: np.ndarray,
-    eb: float,
+    plan: InterpPlan,
     alpha: float,
     beta: float,
-    selection: SelectionResult,
-    max_level: int,
     metric: str,
     data_range: float,
-    radius: int,
+    ssim_ref: Optional[SsimReference],
 ) -> TrialResult:
-    """Trial-compress the sampled blocks and score (bit rate, metric)."""
-    plan = build_plan(eb, alpha, beta, selection, max_level, 0, radius)
+    """Trial-compress the sampled blocks and score (bit rate, metric).
+
+    ``ssim_ref`` holds the SSIM terms of ``blocks`` themselves, which no
+    candidate changes (``None`` unless the metric is 'ssim').
+    """
     # in 'cr' mode no reconstruction metric is evaluated, so the trial's
     # full-stack float64 reconstruction is dropped inside the engine
     codes, outliers, _known, work = interp_compress(
@@ -118,7 +130,9 @@ def _evaluate_candidate(
     if metric == "psnr":
         value = psnr_with_range(blocks, work, data_range)
     elif metric == "ssim":
-        value = ssim(blocks, work, data_range=data_range, batch=True)
+        value = ssim(
+            blocks, work, data_range=data_range, batch=True, reference=ssim_ref
+        )
     elif metric == "ac":
         value = -abs(error_autocorrelation(blocks, work))
     return TrialResult(alpha=alpha, beta=beta, bit_rate=rate, metric=value)
@@ -175,7 +189,13 @@ def tune_parameters(
         raise ConfigurationError(
             f"metric must be one of {TUNING_METRICS}, got {metric!r}"
         )
+    if not alphas or not betas:
+        raise ConfigurationError("alphas and betas must each name a candidate")
     outcome = TuningOutcome(alpha=1.0, beta=1.0)
+    # what no candidate changes is worked out once, so a trial pays only
+    # for its own Eq. 5 bound vector
+    interpolators = {l: selection.interpolator(l) for l in range(1, max_level + 1)}
+    ssim_ref = ssim_reference(blocks, batch=True) if metric == "ssim" else None
 
     # Eq. 5 caps the per-level bounds at ``min(alpha**(l-1), beta)``, so
     # distinct (alpha, beta) pairs frequently share one bound vector (every
@@ -187,18 +207,17 @@ def tune_parameters(
     memo: Dict[Tuple[float, ...], TrialResult] = {}
 
     def evaluate(eb_trial: float, alpha: float, beta: float) -> TrialResult:
-        key = tuple(
-            level_error_bounds(eb_trial, alpha, beta, max_level).values()
-        )
+        ebs = level_error_bounds(eb_trial, alpha, beta, max_level)
+        key = tuple(ebs.values())
         hit = memo.get(key)
         if hit is not None:
             outcome.cache_hits += 1
             return TrialResult(
                 alpha=alpha, beta=beta, bit_rate=hit.bit_rate, metric=hit.metric
             )
+        plan = _assemble_plan(ebs, interpolators, 0, radius)
         trial = _evaluate_candidate(
-            blocks, eb_trial, alpha, beta, selection, max_level, metric,
-            data_range, radius,
+            blocks, plan, alpha, beta, metric, data_range, ssim_ref
         )
         outcome.trial_compressions += 1
         memo[key] = trial

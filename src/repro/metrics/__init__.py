@@ -6,7 +6,7 @@ used to verify strict error-bound compliance (paper Fig. 7).
 """
 
 from repro.metrics.psnr import mse, nrmse, psnr
-from repro.metrics.ssim import ssim
+from repro.metrics.ssim import ssim, ssim_reference
 from repro.metrics.autocorr import error_autocorrelation, autocorrelation_profile
 from repro.metrics.rate import (
     bit_rate,
@@ -20,6 +20,7 @@ __all__ = [
     "nrmse",
     "psnr",
     "ssim",
+    "ssim_reference",
     "error_autocorrelation",
     "autocorrelation_profile",
     "bit_rate",

@@ -60,6 +60,9 @@ def quantize_block(
     ok &= err < radius
     codes = q.astype(np.int64)
     codes += radius
+    if ok.all():
+        # the usual pass: nothing to store exactly, nothing to patch
+        return codes, recon, np.empty(0, dtype=np.float64)
     bad = ~ok
     codes[bad] = OUTLIER_CODE
     outliers = values[bad]

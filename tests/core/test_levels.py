@@ -14,6 +14,7 @@ from repro.core.levels import (
     level_pass_specs,
     max_level_for_anchor,
     max_level_for_shape,
+    pass_schedule,
     total_pass_targets,
 )
 from repro.errors import ConfigurationError
@@ -120,3 +121,52 @@ def test_coverage_property(shape):
     shape = tuple(shape)
     top = max_level_for_shape(shape)
     assert total_pass_targets(shape, top) + 1 == int(np.prod(shape))
+
+
+class TestPassSchedule:
+    """The memoised schedule is `level_pass_specs` + `np.moveaxis`, resolved."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 17), min_size=1, max_size=4).map(tuple),
+        level=st.integers(1, 6),
+        order_id=st.sampled_from([ORDER_FORWARD, ORDER_BACKWARD]),
+        batch=st.booleans(),
+    )
+    def test_reproduces_the_specified_views(self, shape, level, order_id, batch):
+        full = ((3,) if batch else ()) + shape
+        # every element carries its own flat index, so equal views mean the
+        # same points in the same scan order
+        arr = np.arange(int(np.prod(full))).reshape(full)
+        lead = (slice(None),) if batch else ()
+        specs = list(level_pass_specs(shape, level, dim_order(len(shape), order_id)))
+        schedule = pass_schedule(shape, level, order_id, batch)
+        assert len(schedule) == len(specs)
+        for spec, (index, perm, line_targets) in zip(specs, schedule):
+            want = np.moveaxis(
+                arr[lead + spec.view_slices], spec.axis + len(lead), -1
+            )
+            got = arr[index].transpose(perm)
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides
+            assert line_targets == spec.grid_len // 2
+            targets = got[..., 1::2]
+            assert targets.shape[-1] == line_targets
+            assert targets.size == spec.n_targets * (3 if batch else 1)
+
+    def test_unknown_order_id_is_rejected_and_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                pass_schedule((8, 8), 1, 7, False)
+
+    def test_cache_is_bounded_and_holds_no_array(self):
+        info = pass_schedule.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize <= 4096
+        for entry in pass_schedule((9, 6, 5), 2, ORDER_BACKWARD, True):
+            assert all(isinstance(s, slice) for s in entry.index)
+            assert all(isinstance(a, int) for a in entry.perm)
+            assert isinstance(entry.line_targets, int)
+        # repeated keys are answered from the cache, by identity
+        assert pass_schedule((9, 6, 5), 2, ORDER_BACKWARD, True) is pass_schedule(
+            (9, 6, 5), 2, ORDER_BACKWARD, True
+        )

@@ -199,3 +199,27 @@ class TestTuning:
         )
         assert len(outcome.trials) == 2
         assert outcome.beta == 2.0
+
+    @pytest.mark.parametrize("grid", [dict(alphas=()), dict(betas=())])
+    def test_empty_candidate_grid_is_a_configuration_error(self, grid):
+        # used to die on `best.alpha` with best = None
+        with pytest.raises(ConfigurationError):
+            tune_parameters(self.blocks, 1e-3, self.selection, self.top, **grid)
+
+    def test_one_eq5_expansion_per_candidate(self, monkeypatch):
+        """The memo key and the trial plan come from the same expansion:
+        20 grid points, no re-trials in 'cr' mode, 20 calls."""
+        import repro.core.tuning as tuning
+
+        calls = []
+        real = tuning.level_error_bounds
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tuning, "level_error_bounds", counting)
+        outcome = tune_parameters(
+            self.blocks, 1e-3, self.selection, self.top, metric="cr"
+        )
+        assert len(calls) == len(outcome.trials)

@@ -9,6 +9,7 @@ from repro.encoding.rle import (
     RUN_CLASSES,
     _floor_log2,
     detokenize_runs,
+    run_token_histogram,
     run_token_widths,
     tokenize_runs,
 )
@@ -155,3 +156,18 @@ def test_roundtrip_explicit_lists(values):
     syms = np.array(values, dtype=np.int64)
     out, _, _, _ = roundtrip(syms, 2, 6)
     np.testing.assert_array_equal(out, syms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=300))
+def test_histogram_equals_the_tokenizers(values):
+    """`run_token_histogram` never builds the tokens, yet has to count
+    them exactly — dominant runs at either end, back to back, absent, or
+    the whole stream included (QoZ's trial scores hinge on it)."""
+    syms = np.array(values, dtype=np.int64)
+    tokens, _extras, widths = tokenize_runs(syms, 2, 4)
+    freqs, extra_bits = run_token_histogram(syms, 2)
+    want = np.bincount(tokens) if tokens.size else np.zeros(1, np.int64)
+    # the contract is the same positive-entry sequence (what Shannon sees)
+    assert freqs[freqs > 0].tolist() == want[want > 0].tolist()
+    assert extra_bits == int(widths.astype(np.int64).sum())

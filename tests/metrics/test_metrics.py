@@ -16,6 +16,7 @@ from repro.metrics import (
     nrmse,
     psnr,
     ssim,
+    ssim_reference,
 )
 
 
@@ -78,6 +79,68 @@ class TestSSIM:
     def test_small_window_on_small_input(self, rng):
         x = rng.standard_normal((3, 3))
         assert ssim(x, x) == pytest.approx(1.0)
+
+
+def _ssim_spelled_out(x, y, data_range, window=7, batch=False):
+    """SSIM with every term computed in place — the expression tree the
+    hoisted-reference implementation has to reproduce bit for bit."""
+    from scipy.ndimage import uniform_filter
+
+    if data_range == 0.0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    size = [window] * x.ndim
+    if batch:
+        size[0] = 1
+    win = np.minimum(size, x.shape).tolist()
+    mu_x = uniform_filter(x, size=win)
+    mu_y = uniform_filter(y, size=win)
+    mu_xx = uniform_filter(x * x, size=win)
+    mu_yy = uniform_filter(y * y, size=win)
+    mu_xy = uniform_filter(x * y, size=win)
+    var_x = np.maximum(mu_xx - mu_x * mu_x, 0.0)
+    var_y = np.maximum(mu_yy - mu_y * mu_y, 0.0)
+    cov = mu_xy - mu_x * mu_y
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+class TestSSIMReference:
+    """`reference=` changes what a call costs, never what it returns."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("shape", [(6, 16, 16), (4, 9, 8, 8), (5, 40)])
+    def test_equals_the_spelled_out_formula_exactly(self, rng, shape, batch):
+        x = np.cumsum(rng.standard_normal(shape), axis=-1)
+        ref = ssim_reference(x, batch=batch)
+        for noise in (1e-4, 1e-2, 1.0):
+            y = x + noise * rng.standard_normal(shape)
+            for data_range in (float(x.max() - x.min()), 3.7):
+                want = _ssim_spelled_out(x, y, data_range, batch=batch)
+                assert ssim(x, y, data_range=data_range, batch=batch) == want
+                assert (
+                    ssim(x, y, data_range=data_range, batch=batch, reference=ref)
+                    == want
+                )
+
+    def test_constant_field_and_zero_range(self, rng):
+        x = np.full((3, 8, 8), 5.0)
+        y = x + 0.25 * rng.standard_normal(x.shape)
+        ref = ssim_reference(x, batch=True)
+        assert ssim(x, y, data_range=2.0, batch=True, reference=ref) == (
+            _ssim_spelled_out(x, y, 2.0, batch=True)
+        )
+        # a zero range is answered from equality, reference or not
+        for other, want in ((x.copy(), 1.0), (y, 0.0)):
+            assert ssim(x, other, batch=True, reference=ref) == want
+            assert ssim(x, other, data_range=0.0, batch=True, reference=ref) == want
+
+    def test_reference_of_another_shape_is_rejected(self, rng):
+        x = rng.standard_normal((8, 8))
+        with pytest.raises(ValueError):
+            ssim(x, x, reference=ssim_reference(rng.standard_normal((8, 9))))
 
 
 class TestAutocorrelation:
@@ -164,3 +227,24 @@ def test_autocorrelation_in_unit_interval(seed):
     y = x + rng.standard_normal(300) * 0.1
     ac = error_autocorrelation(x, y)
     assert -1.0 - 1e-9 <= ac <= 1.0 + 1e-9
+
+
+def test_importing_the_codec_does_not_import_scipy_ndimage(subprocess_env):
+    """Only an SSIM score needs scipy.ndimage; `metric="cr"` callers, pool
+    workers and the server must not pay its import (0.3 of 0.5 s)."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro, repro.core.qoz, repro.metrics\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'eager'\n"
+        "import numpy as np\n"
+        "x = np.arange(64.0).reshape(8, 8)\n"
+        "assert repro.metrics.ssim(x, x) > 0.99\n"
+        "assert 'scipy.ndimage' in sys.modules, 'never imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -70,6 +70,65 @@ class TestQuantizeBlock:
         assert np.all(np.abs(values - recon) <= 0.01)
 
 
+def _quantize_block_masked(values, preds, eb, radius=DEFAULT_RADIUS,
+                           cast_dtype=np.float64):
+    """`quantize_block` with the outlier patch-up applied unconditionally:
+    the specification its no-outlier early return is checked against."""
+    values = np.asarray(values, dtype=np.float64)
+    preds = np.asarray(preds, dtype=np.float64)
+    q = np.rint((values - preds) * (1.0 / (2.0 * eb)))
+    recon = q * (2.0 * eb)
+    recon += preds
+    delivered = recon.astype(cast_dtype).astype(np.float64)
+    ok = (np.abs(values - delivered) <= eb) & (np.abs(q) < radius)
+    codes = q.astype(np.int64) + radius
+    bad = ~ok
+    codes[bad] = OUTLIER_CODE
+    outliers = values[bad]
+    recon[bad] = outliers
+    return codes, recon, outliers
+
+
+class TestEarlyReturnEqualsMaskedPath:
+    def check(self, values, preds, eb, **kw):
+        got = quantize_block(values, preds, eb, **kw)
+        with np.errstate(invalid="ignore"):
+            want = _quantize_block_masked(values, preds, eb, **kw)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)  # NaN == NaN here
+        return got
+
+    @pytest.mark.parametrize("cast_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_outliers", [0, 1, 40])
+    def test_zero_one_and_many_outliers(self, rng, n_outliers, cast_dtype):
+        values = rng.standard_normal((6, 50))
+        preds = values + rng.uniform(-0.3, 0.3, values.shape)
+        hit = rng.choice(values.size, size=n_outliers, replace=False)
+        values.ravel()[hit] += 1e9  # residual overflows the bin range
+        _, _, outliers = self.check(values, preds, 1e-3, cast_dtype=cast_dtype)
+        assert outliers.size == n_outliers
+
+    def test_nan_is_stored_exactly(self, rng):
+        values = rng.standard_normal(64)
+        values[17] = np.nan
+        with np.errstate(invalid="ignore"):
+            codes, recon, outliers = self.check(values, np.zeros(64), 1e-2)
+        assert codes[17] == OUTLIER_CODE
+        assert np.isnan(recon[17]) and np.isnan(outliers).all()
+        assert outliers.size == 1
+
+    def test_float32_rounding_outlier(self):
+        value, pred = np.array([1e6]), np.array([1e6 - 0.033])
+        codes, _, _ = self.check(value, pred, 0.04, cast_dtype=np.float32)
+        assert codes[0] == OUTLIER_CODE
+
+    def test_strided_views_are_consumed_in_place(self, rng):
+        work = rng.standard_normal((4, 9, 10))
+        targets = work[:, ::2, 1::2].transpose(0, 2, 1)
+        self.check(targets, np.zeros(targets.shape), 5e-3)
+
+
 class TestLinearQuantizerState:
     def test_multi_pass_roundtrip(self, rng):
         q = LinearQuantizer()
