@@ -26,6 +26,8 @@ layer.
 
 from __future__ import annotations
 
+import io
+import os
 from typing import Any, BinaryIO, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -115,20 +117,7 @@ def compress(
         )
 
     if chunked or wants_chunked:
-        if file is not None:
-            return compress_chunked_to_file(
-                data,
-                file,
-                codec=codec,
-                chunks=chunks,
-                codec_kwargs=codec_kwargs,
-                processes=processes,
-                per_chunk_tuning=per_chunk_tuning,
-                plan=plan,
-                bound=spec,
-            )
-        return compress_chunked(
-            data,
+        route: Dict[str, Any] = dict(
             codec=codec,
             chunks=chunks,
             codec_kwargs=codec_kwargs,
@@ -137,9 +126,24 @@ def compress(
             plan=plan,
             bound=spec,
         )
+        if file is not None:
+            return compress_chunked_to_file(data, file, **route)
+        return compress_chunked(data, **route)
 
     codec_inst = get_compressor(codec, **(codec_kwargs or {}))
     return codec_inst.compress(data, **spec.kwargs())
+
+
+def _as_bytes(
+    source: Union[bytes, bytearray, memoryview, PathLike, BinaryIO]
+) -> bytes:
+    """What a client ships: the bytes the local route would have opened."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return bytes(source)
+    if isinstance(source, (str, os.PathLike)):
+        with io.open(source, "rb") as fh:
+            return fh.read()
+    return source.read()
 
 
 def decompress(
@@ -151,7 +155,8 @@ def decompress(
     """Decode any stream this package produces back into an array.
 
     Routing mirrors :func:`compress`: ``client=`` executes on a
-    service; a path (or open file) is read as a chunked container; raw
+    service (a path or open file is read here and its bytes shipped); a
+    path (or open file) is read as a chunked container; raw
     bytes are sniffed by their stream header — chunked containers take
     the container path (honoring ``processes=``), single-array streams
     take their codec's decoder.
@@ -163,7 +168,7 @@ def decompress(
                 "service, not the call"
             )
         return client.decompress(  # type: ignore[attr-defined]  # duck-typed client
-            bytes(source), **service_kwargs  # type: ignore[arg-type]  # client path takes bytes
+            _as_bytes(source), **service_kwargs
         )
     if service_kwargs:
         raise CompressionError(

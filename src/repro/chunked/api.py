@@ -22,7 +22,16 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    BinaryIO,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -35,6 +44,7 @@ from repro.chunked.container import (
 from repro.chunked.tiling import ChunkGrid, Slab, grid_for
 from repro.compressors.base import codec_name_for_id, decompress_any, get_compressor
 from repro.core.header import VERSION_CHECKSUM, chunk_digest, parse_header
+from repro.core.plan_cache import FrozenPlan
 from repro.errors import (
     ChunkCorruptionError,
     CompressionError,
@@ -44,29 +54,16 @@ from repro.utils import (
     BoundLike,
     ErrorBound,
     normalize_bound,
+    resolve_error_bound,
     validate_field_lazy,
 )
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 
-def _resolve_eb_streaming(
-    data: np.ndarray,
-    grid: ChunkGrid,
-    bound: ErrorBound,
-) -> Tuple[float, Optional[float]]:
-    """``(absolute bound, value range | None)`` for the whole field,
-    scanning at most a chunk at a time.
-
-    Mirrors :func:`repro.utils.resolve_error_bound` (including the
-    constant-field fallback) but never materializes more than one chunk,
-    so memory-mapped inputs stay out of core.  The value range is only
-    known (and returned) when a relative bound forced the scan; plan
-    derivation reuses it instead of re-scanning.
-    """
-    if not bound.is_relative:
-        return bound.value, None
-    rel = bound.value
+def _streaming_value_range(data: np.ndarray, grid: ChunkGrid) -> float:
+    """``max - min`` of the whole field, reading one chunk at a time so a
+    memory-mapped input stays out of core."""
     lo, hi = np.inf, -np.inf
     for i in grid:
         chunk = np.asarray(data[grid.chunk_slices(i)])
@@ -74,11 +71,111 @@ def _resolve_eb_streaming(
             raise CompressionError("data contains non-finite values")
         lo = min(lo, float(chunk.min()))
         hi = max(hi, float(chunk.max()))
-    vrange = hi - lo
-    if vrange == 0.0:
-        scale = abs(lo) or 1.0
-        return rel * scale, vrange
-    return rel * vrange, vrange
+    return hi - lo
+
+
+class CompressJob:
+    """One field on its way into a container: admit, derive, execute.
+
+    :func:`compress_chunked_to_file` builds and consumes one per call; the
+    service borrows the same object, with its plan cache around
+    :meth:`derive` and its pool in place of :meth:`compress_to` — both
+    write the same bytes because they run the same code.
+
+    Construction is the **admit** step: the field is validated lazily
+    (never copied), and a relative bound is made absolute against the
+    *full* field's value range, so every chunk honors exactly the bound
+    the unchunked route would.  ``vrange`` keeps that range for
+    derivation; ``plan`` starts as the injected plan, if any, and its
+    owner fills it from :meth:`derive` while :attr:`wants_plan`.
+    """
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        codec: str,
+        chunks: Union[int, Sequence[int], None],
+        codec_kwargs: Optional[Dict],
+        bound: ErrorBound,
+        per_chunk_tuning: bool = False,
+        plan: Optional[FrozenPlan] = None,
+    ) -> None:
+        if per_chunk_tuning and plan is not None:
+            raise CompressionError(
+                "plan= and per_chunk_tuning=True are contradictory: an "
+                "injected plan exists to skip per-chunk analysis"
+            )
+        self.data = validate_field_lazy(data)
+        self.codec_name = codec
+        self.codec_kwargs = codec_kwargs or {}
+        self.codec = get_compressor(codec, **self.codec_kwargs)
+        self.grid = grid_for(self.data.shape, chunks)
+        self.vrange = (
+            _streaming_value_range(self.data, self.grid)
+            if bound.is_relative
+            else None
+        )
+        self.eb = resolve_error_bound(
+            self.data, data_range=self.vrange, **bound.kwargs()
+        )
+        self.per_chunk_tuning = per_chunk_tuning
+        self.plan = plan
+
+    @property
+    def wants_plan(self) -> bool:
+        """True while the derive step is owed: the codec has one, no plan
+        is in hand, and per-chunk tuning has not opted out of sharing."""
+        return (
+            self.plan is None
+            and not self.per_chunk_tuning
+            and self.codec.derives_plan
+        )
+
+    def derive(self) -> FrozenPlan:
+        """The codec's analysis, once, over the full field."""
+        plan = self.codec.derive_plan(
+            self.data, error_bound=self.eb, data_range=self.vrange
+        )
+        if plan is None:
+            raise CompressionError(f"codec {self.codec_name!r} derives no plan")
+        return plan
+
+    def compress_chunk(self, view: np.ndarray) -> bytes:
+        """Execute on one chunk (``plan=None``: derive on the chunk)."""
+        return self.codec.compress_with_plan(
+            np.ascontiguousarray(view), self.plan, self.eb
+        )
+
+    def write(
+        self, fh: BinaryIO, streams: Iterable[Tuple[int, bytes]]
+    ) -> ContainerInfo:
+        """The container walk: header, every chunk stream, patched index."""
+        with ChunkedWriter(
+            fh, self.codec.codec_id, self.data.dtype, self.grid, self.eb
+        ) as w:
+            for i, blob in streams:
+                w.write_chunk(i, blob)
+            return w.finalize()
+
+    def compress_to(
+        self, fh: BinaryIO, processes: Optional[int] = None
+    ) -> ContainerInfo:
+        """Execute every chunk, in-process or over ``processes`` pool
+        workers, and write the container to ``fh``."""
+        # lazy views, not copies: the pool packs each batch straight into
+        # a shared-memory slab, so the slab fill is the only copy per chunk
+        views = ((i, self.data[self.grid.chunk_slices(i)]) for i in self.grid)
+        if processes in (None, 0, 1) or self.grid.n_chunks <= 1:
+            return self.write(
+                fh, ((i, self.compress_chunk(v)) for i, v in views)
+            )
+        from repro.parallel.executor import ChunkWorkPool
+
+        with ChunkWorkPool(processes) as pool:
+            streams = pool.compress_stream(
+                views, self.codec_name, self.codec_kwargs, self.eb, self.plan
+            )
+            return self.write(fh, streams)
 
 
 def compress_chunked_to_file(
@@ -114,64 +211,29 @@ def compress_chunked_to_file(
     The error bound is enforced point-wise by the quantizer either way.
 
     ``plan`` injects a previously derived
-    :class:`~repro.core.plan_cache.FrozenPlan` (e.g. from the service
-    layer's LRU), skipping derivation here entirely; it must come from
-    the same codec family or the executor rejects it.
+    :class:`~repro.core.plan_cache.FrozenPlan`, skipping derivation here
+    entirely; it must come from the same codec or the first chunk
+    rejects it with :class:`~repro.errors.CompressionError`.
 
     The bound may be given as the unified ``bound=``
     (:class:`~repro.utils.ErrorBound` or any spelling its parser
     accepts) or as exactly one of the legacy kwarg pair.
     """
-    data = validate_field_lazy(data)
-    codec_kwargs = codec_kwargs or {}
-    codec_inst = get_compressor(codec, **codec_kwargs)
-    grid = grid_for(data.shape, chunks)
-    spec = normalize_bound(bound, error_bound, rel_error_bound)
-    eb, vrange = _resolve_eb_streaming(data, grid, spec)
-
-    if per_chunk_tuning:
-        if plan is not None:
-            raise CompressionError(
-                "plan= and per_chunk_tuning=True are contradictory: an "
-                "injected plan exists to skip per-chunk analysis"
-            )
-    elif plan is None and hasattr(codec_inst, "derive_plan"):
-        plan = codec_inst.derive_plan(data, error_bound=eb, data_range=vrange)
-    elif plan is not None and not hasattr(codec_inst, "compress_with_plan"):
-        # fail fast instead of an AttributeError deep in the chunk loop
-        raise CompressionError(
-            f"codec {codec!r} does not support plan execution; "
-            "omit plan= or use a plan-capable codec (qoz, sz3)"
-        )
-
-    def compress_one(chunk: np.ndarray) -> bytes:
-        if plan is not None:
-            return codec_inst.compress_with_plan(chunk, plan, error_bound=eb)
-        return codec_inst.compress(chunk, error_bound=eb)
-
-    def write_to(fh: BinaryIO) -> ContainerInfo:
-        with ChunkedWriter(fh, codec_inst.codec_id, data.dtype, grid, eb) as w:
-            if processes in (None, 0, 1) or grid.n_chunks <= 1:
-                for i in grid:
-                    chunk = np.ascontiguousarray(data[grid.chunk_slices(i)])
-                    w.write_chunk(i, compress_one(chunk))
-            else:
-                from repro.parallel.executor import ChunkWorkPool
-
-                # lazy views, not copies: the pool packs each batch
-                # straight into a shared-memory slab, so the slab fill
-                # is the only copy per chunk
-                jobs = ((i, data[grid.chunk_slices(i)]) for i in grid)
-                with ChunkWorkPool(processes) as pool:
-                    for i, blob in pool.compress_stream(
-                        jobs, codec, codec_kwargs, eb, plan
-                    ):
-                        w.write_chunk(i, blob)
-            return w.finalize()
+    job = CompressJob(
+        data,
+        codec,
+        chunks,
+        codec_kwargs,
+        normalize_bound(bound, error_bound, rel_error_bound),
+        per_chunk_tuning,
+        plan,
+    )
+    if job.wants_plan:
+        job.plan = job.derive()
 
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     if not own:
-        return write_to(file)
+        return job.compress_to(file, processes)
 
     # Crash-safe path write: stream into a sibling temp file, fsync it,
     # then atomically rename over the target.  An interruption at any
@@ -184,7 +246,7 @@ def compress_chunked_to_file(
     )
     try:
         with os.fdopen(fd, "wb") as fh:
-            info = write_to(fh)
+            info = job.compress_to(fh, processes)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, target)

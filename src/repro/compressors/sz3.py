@@ -11,7 +11,7 @@ interpolation weakness QoZ's anchors fix (paper §V-B1).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,13 +19,12 @@ from repro.compressors.base import Compressor, register
 from repro.core.engine import interp_decompress
 from repro.core.interpolation import METHOD_IDS
 from repro.core.levels import ORDER_FORWARD
-from repro.core.plan_cache import FrozenPlan, SharedPlanMixin, execute_frozen_plan
+from repro.core.plan_cache import FrozenPlan
 from repro.core.sampling import sample_blocks
 from repro.core.selection import select_global_interpolator
 from repro.core.stream import unpack_interp_payload
 from repro.errors import ConfigurationError
 from repro.quantize.linear import DEFAULT_RADIUS
-from repro.utils import resolve_error_bound, validate_field_lazy
 
 #: default fraction of points used for interpolator selection
 DEFAULT_SAMPLE_RATE = 0.01
@@ -33,11 +32,12 @@ DEFAULT_SAMPLE_BLOCK = 32
 
 
 @register
-class SZ3(SharedPlanMixin, Compressor):
+class SZ3(Compressor):
     """SZ3 baseline (interpolation + linear quantization + Huffman/RLE)."""
 
     name = "sz3"
     codec_id = 1
+    derives_plan = True
 
     def __init__(
         self,
@@ -58,49 +58,28 @@ class SZ3(SharedPlanMixin, Compressor):
         self.sample_block = sample_block
         self.radius = radius
 
-    def _choose_interpolator(self, data: np.ndarray, eb: float):
-        if self.method != "auto":
-            return METHOD_IDS[self.method], self.order_id
-        blocks, _ = sample_blocks(data, self.sample_block, self.sample_rate)
-        return select_global_interpolator(blocks, eb, self.radius)
-
-    def derive_plan(
-        self,
-        data: np.ndarray,
-        error_bound: Optional[float] = None,
-        rel_error_bound: Optional[float] = None,
-        data_range: Optional[float] = None,
-    ) -> FrozenPlan:
-        """Run the sampled interpolator selection only; return a frozen plan.
+    def _derive(
+        self, data: np.ndarray, eb: float, data_range: Optional[float]
+    ) -> Tuple[FrozenPlan, None]:
+        """The sampled interpolator selection, frozen.
 
         SZ3's plan has no (alpha, beta) — a uniform bound across levels is
         ``alpha = beta = 1`` in Eq. 5 terms — so freezing captures just
         the global interpolator choice and the quantizer radius.
         """
-        data = validate_field_lazy(data)
-        eb = resolve_error_bound(
-            data, error_bound, rel_error_bound, data_range=data_range
-        )
-        method, order_id = self._choose_interpolator(data, eb)
-        return FrozenPlan(
+        if self.method != "auto":
+            choice = METHOD_IDS[self.method], self.order_id
+        else:
+            blocks, _ = sample_blocks(data, self.sample_block, self.sample_rate)
+            choice = select_global_interpolator(blocks, eb, self.radius)
+        plan = FrozenPlan(
             codec=self.name,
             eb=eb,
-            interpolators={1: (method, order_id)},
+            interpolators={1: choice},
             anchor_stride=0,
             radius=self.radius,
         )
-
-    def _compress(self, data: np.ndarray, eb: float) -> bytes:
-        method, order_id = self._choose_interpolator(data, eb)
-        frozen = FrozenPlan(
-            codec=self.name,
-            eb=eb,
-            interpolators={1: (method, order_id)},
-            anchor_stride=0,
-            radius=self.radius,
-        )
-        payload, _execution = execute_frozen_plan(data, frozen, eb)
-        return payload
+        return plan, None
 
     def _decompress(self, payload: bytes, header) -> np.ndarray:
         plan, _top, known, codes, outliers = unpack_interp_payload(

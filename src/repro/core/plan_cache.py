@@ -4,7 +4,7 @@ QoZ's online pipeline (paper Fig. 2) runs block sampling, Algorithm 1
 interpolator selection, and the Eq. 5 (alpha, beta) grid search before a
 single payload byte is produced.  All of that work answers one question —
 *which plan to run* — and the answer does not change between the chunks of
-one field compressed under one bound.  This module splits the two halves:
+one field compressed under one bound.  This module holds both halves:
 
 * :class:`FrozenPlan` is the small, picklable answer: tuned (alpha, beta),
   the selected per-level interpolators, and the geometry knobs.  It is
@@ -13,10 +13,11 @@ one field compressed under one bound.  This module splits the two halves:
   drives every chunk (and broadcasts cheaply to pool workers).
 * :func:`execute_frozen_plan` is the execution half: expand the frozen
   plan into a concrete :class:`~repro.core.engine.InterpPlan` for one
-  array and produce the standard interpolation payload.  It is the exact
-  code path the inline compressors run after their own derivation, so a
-  stream compressed with a frozen plan is byte-identical to inline
-  compression that derived the same plan.
+  array and produce the standard interpolation payload.  It is the only
+  execution :class:`~repro.compressors.base.Compressor` has for a plan,
+  whether the call derived it or was handed it, so a stream compressed
+  with a frozen plan is byte-identical to ``compress`` deriving the same
+  plan.
 
 The error-bound guarantee is unaffected by plan sharing: the linear
 quantizer verifies every point against the bound at execution time, so a
@@ -38,7 +39,7 @@ from repro.core.engine import InterpPlan, interp_compress
 from repro.core.levels import max_level_for_anchor, max_level_for_shape
 from repro.core.stream import pack_interp_payload
 from repro.core.tuning import build_plan
-from repro.errors import CompressionError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.quantize.linear import DEFAULT_RADIUS
 
 
@@ -115,9 +116,8 @@ def execute_frozen_plan(
 ) -> Tuple[bytes, PlanExecution]:
     """Compress ``data`` under a frozen plan; returns (payload, stats).
 
-    This is the shared execution half of the interpolation compressors:
-    identical to what :meth:`QoZ._compress` / :meth:`SZ3._compress` run
-    after inline derivation, which is what makes plan reuse byte-stable.
+    The execution half of the interpolation compressors, reached only
+    through :meth:`repro.compressors.base.Compressor._execute`.
     """
     plan, top = frozen.build_interp_plan(data.shape, eb, cast_dtype=data.dtype)
     codes, outliers, known, _ = interp_compress(data, plan, keep_work=False)
@@ -125,51 +125,6 @@ def execute_frozen_plan(
     return payload, PlanExecution(
         max_level=top, n_codes=int(codes.size), n_outliers=int(outliers.size)
     )
-
-
-class SharedPlanMixin:
-    """Adds ``compress_with_plan`` to interpolation-engine compressors.
-
-    Subclasses provide ``derive_plan`` (the analysis half differs per
-    codec); execution is shared.  ``_note_plan_execution`` is a hook for
-    codecs that expose a last-compression report.
-    """
-
-    def compress_with_plan(
-        self,
-        data: np.ndarray,
-        plan: FrozenPlan,
-        error_bound: float | None = None,
-    ) -> bytes:
-        """Compress ``data`` with a previously derived :class:`FrozenPlan`.
-
-        Skips sampling, selection, and tuning entirely.  ``error_bound``
-        defaults to the bound the plan was derived at; passing a different
-        absolute bound rescales the per-level bounds through the plan's
-        (alpha, beta).  The returned stream is a standard self-describing
-        stream — decompression needs no plan.
-        """
-        from repro.core.header import pack_header
-        from repro.utils import validate_error_bound, validate_input
-
-        if plan.codec != self.name:
-            raise CompressionError(
-                f"plan was derived by codec {plan.codec!r}, not {self.name!r}"
-            )
-        data = validate_input(data)
-        eb = (
-            validate_error_bound(error_bound)
-            if error_bound is not None
-            else validate_error_bound(plan.eb)
-        )
-        payload, execution = execute_frozen_plan(data, plan, eb)
-        self._note_plan_execution(plan, eb, execution)
-        return pack_header(self.codec_id, data.dtype, data.shape, eb) + payload
-
-    def _note_plan_execution(
-        self, plan: FrozenPlan, eb: float, execution: PlanExecution
-    ) -> None:
-        """Hook: record diagnostics of a plan execution (default: none)."""
 
 
 # --------------------------------------------------------------------------

@@ -34,12 +34,7 @@ from repro.core.levels import (
     max_level_for_anchor,
     max_level_for_shape,
 )
-from repro.core.plan_cache import (
-    FrozenPlan,
-    PlanExecution,
-    SharedPlanMixin,
-    execute_frozen_plan,
-)
+from repro.core.plan_cache import FrozenPlan, PlanExecution
 from repro.core.sampling import sample_blocks
 from repro.core.selection import SelectionResult, select_interpolators
 from repro.core.stream import unpack_interp_payload
@@ -50,7 +45,7 @@ from repro.core.tuning import (
 )
 from repro.errors import ConfigurationError
 from repro.quantize.linear import DEFAULT_RADIUS
-from repro.utils import resolve_error_bound, validate_field_lazy, value_range
+from repro.utils import value_range
 
 #: paper §VII-A4 experimental configuration.  One deviation: the paper
 #: samples 16^3 blocks for 3-D data; at our reduced dataset sizes those
@@ -61,6 +56,9 @@ DEFAULTS_2D = dict(anchor_stride=64, sample_block=64, sample_rate=0.01)
 DEFAULTS_3D = dict(anchor_stride=32, sample_block=32, sample_rate=0.005)
 
 _SELECTION_MODES = ("none", "global", "level")
+
+#: what ``_derive`` hands ``_note_execution`` besides the plan
+_Trace = Tuple[Optional[SelectionResult], Optional[TuningOutcome]]
 
 
 @dataclass
@@ -83,11 +81,12 @@ class CompressionReport:
 
 
 @register
-class QoZ(SharedPlanMixin, Compressor):
+class QoZ(Compressor):
     """Quality-metric-oriented error-bounded lossy compressor (SC22)."""
 
     name = "qoz"
     codec_id = 2
+    derives_plan = True
 
     def __init__(
         self,
@@ -143,8 +142,8 @@ class QoZ(SharedPlanMixin, Compressor):
 
     # ------------------------------------------------------ plan derivation
     def _derive(
-        self, data: np.ndarray, eb: float, data_range: Optional[float] = None
-    ) -> Tuple[FrozenPlan, SelectionResult, Optional[TuningOutcome]]:
+        self, data: np.ndarray, eb: float, data_range: Optional[float]
+    ) -> Tuple[FrozenPlan, _Trace]:
         """The analysis half of Fig. 2: sampling + selection + tuning.
 
         Touches ``data`` only through block-sized reads (plus one min/max
@@ -181,64 +180,28 @@ class QoZ(SharedPlanMixin, Compressor):
             radius=self.radius,
             metric=self.metric,
         )
-        return frozen, selection, tuning
+        return frozen, (
+            selection if self.selection != "none" else None, tuning
+        )
 
-    def derive_plan(
+    def _note_execution(
         self,
-        data: np.ndarray,
-        error_bound: Optional[float] = None,
-        rel_error_bound: Optional[float] = None,
-        data_range: Optional[float] = None,
-    ) -> FrozenPlan:
-        """Run sampling + selection + tuning only; return the frozen plan.
-
-        The plan pickles small and is shape-free: apply it to the same
-        field, to its chunks, or to sibling fields of the same dump via
-        :meth:`compress_with_plan`.  ``data_range`` (max - min of the full
-        field) short-circuits the value scan that a relative bound or a
-        reconstruction metric would otherwise need — the chunked path
-        passes the range it already computed while resolving the bound.
-        """
-        data = validate_field_lazy(data)
-        if rel_error_bound is not None and data_range is None:
-            data_range = value_range(data)  # one scan, shared with tuning
-        eb = resolve_error_bound(
-            data, error_bound, rel_error_bound, data_range=data_range
-        )
-        frozen, _selection, _tuning = self._derive(data, eb, data_range)
-        return frozen
-
-    # ----------------------------------------------------------- compress
-    def _compress(self, data: np.ndarray, eb: float) -> bytes:
-        frozen, selection, tuning = self._derive(data, eb)
-        payload, execution = execute_frozen_plan(data, frozen, eb)
-        self.last_report = CompressionReport(
-            alpha=frozen.alpha,
-            beta=frozen.beta,
-            selection=selection if self.selection != "none" else None,
-            tuning=tuning,
-            max_level=execution.max_level,
-            anchor_stride=frozen.anchor_stride,
-            n_outliers=execution.n_outliers,
-            n_codes=execution.n_codes,
-            plan=frozen,
-        )
-        return payload
-
-    def _note_plan_execution(
-        self, plan: FrozenPlan, eb: float, execution: PlanExecution
+        plan: FrozenPlan,
+        execution: PlanExecution,
+        trace: Optional[_Trace],
     ) -> None:
+        selection, tuning = trace or (None, None)
         self.last_report = CompressionReport(
             alpha=plan.alpha,
             beta=plan.beta,
-            selection=None,
-            tuning=None,
+            selection=selection,
+            tuning=tuning,
             max_level=execution.max_level,
             anchor_stride=plan.anchor_stride,
             n_outliers=execution.n_outliers,
             n_codes=execution.n_codes,
-            plan=None,
-            from_plan=True,
+            plan=plan if trace else None,
+            from_plan=trace is None,
         )
 
     def _run_selection(self, blocks, eb: float) -> SelectionResult:

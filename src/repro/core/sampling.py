@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import CompressionError, ConfigurationError
 from repro.utils import is_pow2
 
 
@@ -50,6 +50,8 @@ def sample_blocks(
     ``(n_blocks, b, b, ...)`` in float64.  The block size may be shrunk
     (power of two) to fit small inputs; the stride is tightened when the
     nominal rate would produce fewer than :data:`MIN_BLOCKS` blocks.
+    Derivation reads a lazily validated field only through this stack, so
+    this is where its values are checked for finiteness.
     """
     b = effective_block_size(data.shape, block)
     stride = sampling_stride(b, rate, data.ndim)
@@ -77,4 +79,6 @@ def sample_blocks(
     for i, origin in enumerate(origins):
         sel = tuple(slice(int(o), int(o) + b) for o in origin)
         blocks[i] = data[sel]
+    if not np.all(np.isfinite(blocks)):
+        raise CompressionError("data contains non-finite values")
     return blocks, b

@@ -72,8 +72,10 @@ WINDOW_PER_WORKER = 4
 
 
 def _compress_one(args) -> bytes:
-    name, kwargs, field, eb_kwargs = args
-    return get_compressor(name, **kwargs).compress(field, **eb_kwargs)
+    name, kwargs, field, error_bound, rel_error_bound = args
+    return get_compressor(name, **kwargs).compress(
+        field, error_bound, rel_error_bound
+    )
 
 
 def _probe_job(_arg: int = 0) -> int:
@@ -81,27 +83,17 @@ def _probe_job(_arg: int = 0) -> int:
     return _arg + 1
 
 
-def _check_plan(plan, codec_name: str) -> None:
-    """Fail fast (in the caller, not a pool worker) on a plan the target
-    codec cannot execute."""
-    if plan is not None and getattr(plan, "codec", None) != codec_name:
-        raise ValueError(
-            f"plan was derived by codec {getattr(plan, 'codec', None)!r} "
-            f"and cannot drive {codec_name!r} workers"
-        )
-
-
 def _compress_batch(args) -> List[bytes]:
     """Worker: compress every chunk described by one slab batch.
 
     ``args`` is ``(slab_name, descriptors, codec_name, codec_kwargs,
-    eb_kwargs, plan)`` where each descriptor is ``(offset, shape,
+    error_bound, plan)`` where each descriptor is ``(offset, shape,
     dtype)`` into the named input slab (layout pinned by
     ``slab.SLAB_DESCRIPTOR_LAYOUT`` in the wire registry).  The worker
     never takes slab ownership; re-dispatch after a crash ships the
     identical descriptors, so retried streams stay byte-identical.
     """
-    slab_name, descriptors, codec_name, codec_kwargs, eb_kwargs, plan = args
+    slab_name, descriptors, codec_name, codec_kwargs, error_bound, plan = args
     codec = get_compressor(codec_name, **codec_kwargs)
     shm = attach_slab(slab_name)
     try:
@@ -111,10 +103,7 @@ def _compress_batch(args) -> List[bytes]:
                 tuple(shape), dtype=np.dtype(dtype),
                 buffer=shm.buf, offset=offset,
             )
-            if plan is not None:
-                blobs.append(codec.compress_with_plan(view, plan, **eb_kwargs))
-            else:
-                blobs.append(codec.compress(view, **eb_kwargs))
+            blobs.append(codec.compress_with_plan(view, plan, error_bound))
             del view  # views must die before the mapping closes
         return blobs
     finally:
@@ -161,12 +150,10 @@ def compress_fields_parallel(
     With ``processes=1`` (or a single field) everything runs in-process,
     which keeps unit tests cheap and avoids fork overhead for tiny inputs.
     """
-    eb_kwargs = {}
-    if error_bound is not None:
-        eb_kwargs["error_bound"] = error_bound
-    if rel_error_bound is not None:
-        eb_kwargs["rel_error_bound"] = rel_error_bound
-    jobs = [(codec_name, codec_kwargs or {}, f, eb_kwargs) for f in fields]
+    jobs = [
+        (codec_name, codec_kwargs or {}, f, error_bound, rel_error_bound)
+        for f in fields
+    ]
     if processes == 1 or len(jobs) <= 1:
         return [_compress_one(j) for j in jobs]
     with ChunkWorkPool(processes) as pool:
@@ -501,10 +488,9 @@ class ChunkWorkPool:
         descriptor order.  The caller made the slab and must keep it
         alive until the future resolves — crash retries re-attach it.
         """
-        _check_plan(plan, codec_name)
         job = (
             slab_name, tuple(descriptors), codec_name, codec_kwargs or {},
-            {"error_bound": error_bound}, plan,
+            error_bound, plan,
         )
         return self._submit(_compress_batch, job)
 

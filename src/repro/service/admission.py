@@ -51,13 +51,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.compressors.base import codec_derives_plan
 from repro.core.header import parse_header
-from repro.errors import ReproError
 from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
+from repro.errors import ReproError
 from repro.service.protocol import (
     PRIORITIES,
     CompressRequest,
@@ -83,10 +84,6 @@ CODEC_WORK_CLASS: Dict[str, float] = {
     "mgard": 2.0,
 }
 DEFAULT_WORK_CLASS = 1.0
-
-#: codecs whose compression runs sampling/selection/tuning before
-#: execution (the plan-cache-amortizable half)
-PLAN_CODECS = frozenset({"qoz", "sz3"})
 
 #: cold-plan surcharge: derivation (sampling + the memoized Eq. 5 trial
 #: grid) costs roughly this many times the execution pass over the same
@@ -143,6 +140,19 @@ class WorkEstimate:
     warm: bool
 
 
+def request_plan_key(req: CompressRequest) -> Hashable:
+    """The plan-cache slot of one compress request (cost model's warmth
+    lookup and the scheduler's ``get_or_derive`` must agree on it)."""
+    spec = req.normalized_bound
+    return plan_cache_key(
+        req.codec,
+        req.codec_kwargs,
+        spec.mode,
+        spec.value,
+        field_signature(req.data, req.family),
+    )
+
+
 class CostModel:
     """Predict request cost in work units from metadata only.
 
@@ -177,28 +187,15 @@ class CostModel:
         elements = int(data.size)
         melem = elements / 1e6
         work_class = self._work_class(req.codec)
-        warm = False
-        if (
-            req.codec in PLAN_CODECS
+        derives = codec_derives_plan(req.codec)
+        warm = (
+            derives
             and not req.per_chunk_tuning
-            and req.family
+            and bool(req.family)
             and plans is not None
-        ):
-            mode, bound = (
-                ("abs", req.error_bound)
-                if req.error_bound is not None
-                else ("rel", req.rel_error_bound)
-            )
-            if bound is not None:
-                key = plan_cache_key(
-                    req.codec,
-                    req.codec_kwargs,
-                    mode,
-                    bound,
-                    field_signature(data, req.family),
-                )
-                warm = plans.peek(key) is not None
-        cold_derive = req.codec in PLAN_CODECS and not warm
+            and plans.peek(request_plan_key(req)) is not None
+        )
+        cold_derive = derives and not warm
         units = self._units(
             melem, work_class * (1.0 + (DERIVE_SURCHARGE if cold_derive else 0.0))
         )
@@ -256,6 +253,10 @@ class CostModel:
 
         Never raises on malformed payloads — a bad request still gets a
         finite estimate and fails with its real error in the scheduler.
+        The one thing read beyond sizes is a family-tagged compress
+        request's bound (it keys the warmth lookup); a malformed one
+        raises its :class:`~repro.errors.CompressionError` here, at the
+        door.
         """
         if isinstance(request, CompressRequest):
             return self._compress_estimate(request, plans)
@@ -778,7 +779,6 @@ def format_stats_line(stats: Dict[str, Union[int, float]]) -> str:
 __all__ = [
     "STATS_VERSION",
     "CODEC_WORK_CLASS",
-    "PLAN_CODECS",
     "DERIVE_SURCHARGE",
     "DECODE_WORK_CLASS",
     "MIN_UNITS",

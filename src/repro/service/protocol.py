@@ -59,7 +59,7 @@ from repro.errors import (
     ProtocolError,
     ServiceConnectionError,
 )
-from repro.utils import BoundLike, normalize_bound
+from repro.utils import BoundLike, ErrorBound, normalize_bound
 
 PROTOCOL_VERSION = 2
 
@@ -317,6 +317,13 @@ class CompressRequest:
     bound: Optional[BoundLike] = None
     shard_key: Optional[str] = None
 
+    @property
+    def normalized_bound(self) -> ErrorBound:
+        """The request's bound, whichever of the three fields spelled it."""
+        return normalize_bound(
+            self.bound, self.error_bound, self.rel_error_bound
+        )
+
 
 @dataclass
 class DecompressRequest:
@@ -424,9 +431,7 @@ def encode_request(req: Request) -> bytes:
         w.string(req.codec)
         w.kv(req.codec_kwargs)
         try:
-            spec = normalize_bound(
-                req.bound, req.error_bound, req.rel_error_bound
-            )
+            spec = req.normalized_bound
         except CompressionError as exc:
             raise ProtocolError(str(exc)) from None
         w.u8(1 if spec.is_relative else 0)

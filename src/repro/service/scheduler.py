@@ -28,23 +28,23 @@ The service's execution model, front to back:
   the :class:`~repro.service.admission.ServiceMetrics` registry, and
   :meth:`CompressionService.stats` snapshots it — the versioned STATS
   frame the server, clients, and ``repro serve-stats`` render.
-* Per-field work splits into the derivation and execution halves from
-  PR 3 (:mod:`repro.core.plan_cache`).  Derivation — sampling, Algorithm
-  1 selection, the Eq. 5 (alpha, beta) search — is the amortizable half,
-  so its result is kept in a :class:`~repro.core.plan_cache.PlanLRU`
-  keyed by (codec config, bound request, field signature).  Warm traffic
-  on a field family skips tuning entirely and goes straight to
-  execution; the quantizer still enforces the error bound point-wise on
-  every request, so a cache hit can never loosen the guarantee.
+* Per-field work is the library's :class:`~repro.chunked.api.CompressJob`
+  — admit, derive, execute — borrowed whole.  Derivation (sampling,
+  Algorithm 1 selection, the Eq. 5 (alpha, beta) search) is the
+  amortizable step, so the service wraps ``job.derive`` in a
+  :class:`~repro.core.plan_cache.PlanLRU` keyed by (codec config, bound
+  request, field signature).  Warm traffic on a field family skips tuning
+  entirely and goes straight to execution; the quantizer still enforces
+  the error bound point-wise on every request, so a cache hit can never
+  loosen the guarantee.
 * Execution runs off the event loop: chunk jobs go to the long-lived
   process pool (:class:`~repro.parallel.executor.ChunkWorkPool`) when
   ``processes > 1``, otherwise to a small thread executor (numpy releases
   the GIL for the hot kernels, and tests stay fork-free).
 
-Container bytes are assembled with the same :class:`ChunkedWriter` walk
-as :func:`repro.chunked.api.compress_chunked_to_file`, and hyperslab
-reads execute the same :meth:`ChunkedFile.slab_plan` the library path
-runs — byte/bit identity between served and in-process results is by
+Container bytes come out of the job's own walk, and hyperslab reads
+execute the same :meth:`ChunkedFile.slab_plan` the library path runs —
+byte/bit identity between served and in-process results is by
 construction, and pinned in ``tests/service``.
 """
 
@@ -73,16 +73,11 @@ from typing import (
 
 import numpy as np
 
-from repro.chunked.api import (
-    ChunkedFile,
-    _resolve_eb_streaming,
-    compress_chunked,
-)
-from repro.chunked.container import ChunkedWriter
-from repro.chunked.tiling import Slab, grid_for
-from repro.compressors.base import decompress_any, get_compressor
+from repro.chunked.api import ChunkedFile, CompressJob
+from repro.chunked.tiling import Slab
+from repro.compressors.base import decompress_any
 from repro.core.header import parse_header
-from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
+from repro.core.plan_cache import PlanLRU
 from repro.errors import (
     DeadlineExceededError,
     DecompressionError,
@@ -95,6 +90,7 @@ from repro.service.admission import (
     CostModel,
     ServiceMetrics,
     WorkEstimate,
+    request_plan_key,
 )
 from repro.service.protocol import (
     MAX_FRAME,
@@ -108,7 +104,6 @@ from repro.service.protocol import (
     validate_deadline_ms,
     validate_priority,
 )
-from repro.utils import normalize_bound, validate_field_lazy
 
 
 @dataclass
@@ -163,20 +158,6 @@ class _Job:
     #: absolute ``time.monotonic()`` deadline (None = no client deadline)
     deadline: Optional[float] = None
     deadline_ms: float = 0.0
-
-
-@dataclass
-class _PreparedCompress:
-    """Everything derivation resolved for one compress job."""
-
-    codec_name: str
-    codec_kwargs: Dict
-    codec_inst: object
-    grid: object
-    eb: float
-    plan: Optional[object]
-    data: np.ndarray
-    dtype: np.dtype
 
 
 class CompressionService:
@@ -271,19 +252,6 @@ class CompressionService:
         the client's token bucket (see :mod:`repro.service.admission`).
         """
         loop = asyncio.get_running_loop()
-        if (
-            isinstance(request, CompressRequest)
-            and request.bound is not None
-        ):
-            # fold the unified bound= spelling into the legacy kwarg pair
-            # once, at admission, so the cost model, the plan-cache key,
-            # and derivation all see one canonical form
-            spec = normalize_bound(
-                request.bound, request.error_bound, request.rel_error_bound
-            )
-            request.bound = None
-            request.error_bound = None if spec.is_relative else spec.value
-            request.rel_error_bound = spec.value if spec.is_relative else None
         priority = validate_priority(
             getattr(request, "priority", "interactive")
         )
@@ -490,7 +458,7 @@ class CompressionService:
     # ------------------------------------------------------------- compress
     async def _run_compress_group(self, jobs: List[_Job]) -> None:
         loop = asyncio.get_running_loop()
-        prepared: List[Optional[_PreparedCompress]] = []
+        prepared: List[Tuple[_Job, CompressJob]] = []
         for job in jobs:
             try:
                 prep = await loop.run_in_executor(
@@ -499,9 +467,8 @@ class CompressionService:
             except Exception as exc:
                 if not job.future.done():
                     job.future.set_exception(exc)
-                prepared.append(None)
             else:
-                prepared.append(prep)
+                prepared.append((job, prep))
 
         if self._pool.parallel:
             # every job in the group submits into the shared pool
@@ -514,49 +481,26 @@ class CompressionService:
             window = asyncio.Semaphore(self._pool.window_batches)
             await asyncio.gather(*[
                 self._guard(job, self._compress_pooled(prep, window))
-                for job, prep in zip(jobs, prepared)
-                if prep is not None
+                for job, prep in prepared
             ])
         else:
-            for job, prep in zip(jobs, prepared):
-                if prep is None:
-                    continue
-                await self._guard(
-                    job, self._compress_inprocess(job.request, prep)
-                )
+            for job, prep in prepared:
+                # in-process execution IS the library walk, on a thread
+                await self._guard(job, loop.run_in_executor(
+                    self._threads, _container_bytes, prep.compress_to
+                ))
 
-    def _prepare_compress(self, req: CompressRequest) -> _PreparedCompress:
-        """Blocking half: validate, resolve the bound, get/derive the plan."""
-        data = validate_field_lazy(req.data)
-        codec_inst = get_compressor(req.codec, **req.codec_kwargs)
-        grid = grid_for(data.shape, req.chunks)
-        spec = normalize_bound(None, req.error_bound, req.rel_error_bound)
-        eb, vrange = _resolve_eb_streaming(data, grid, spec)
-        plan = None
-        if not req.per_chunk_tuning and hasattr(codec_inst, "derive_plan"):
-            key = plan_cache_key(
-                req.codec,
-                req.codec_kwargs,
-                spec.mode,
-                spec.value,
-                field_signature(data, req.family),
-            )
-            plan = self.plans.get_or_derive(
-                key,
-                lambda: codec_inst.derive_plan(
-                    data, error_bound=eb, data_range=vrange
-                ),
-            )
-        return _PreparedCompress(
-            codec_name=req.codec,
-            codec_kwargs=req.codec_kwargs,
-            codec_inst=codec_inst,
-            grid=grid,
-            eb=eb,
-            plan=plan,
-            data=data,
-            dtype=data.dtype,
+    def _prepare_compress(self, req: CompressRequest) -> CompressJob:
+        """Blocking half: admit the field, get/derive the plan."""
+        job = CompressJob(
+            req.data, req.codec, req.chunks, req.codec_kwargs,
+            req.normalized_bound, req.per_chunk_tuning,
         )
+        if job.wants_plan:
+            job.plan = self.plans.get_or_derive(
+                request_plan_key(req), job.derive
+            )
+        return job
 
     async def _await_pooled(
         self, helper: Callable[..., "Future[Any]"], *args: object
@@ -578,7 +522,7 @@ class CompressionService:
         return await asyncio.wrap_future(pooled)
 
     async def _compress_pooled(
-        self, prep: _PreparedCompress, window: asyncio.Semaphore
+        self, prep: CompressJob, window: asyncio.Semaphore
     ) -> bytes:
         loop = asyncio.get_running_loop()
 
@@ -599,41 +543,8 @@ class CompressionService:
         ])
         blobs = [b for lst in blob_lists for b in lst]
         return await loop.run_in_executor(
-            self._threads, self._assemble_container, prep, blobs
+            self._threads, _container_bytes, prep.write, enumerate(blobs)
         )
-
-    async def _compress_inprocess(
-        self, req: CompressRequest, prep: _PreparedCompress
-    ) -> bytes:
-        """In-process execution IS the library path: ``compress_chunked``
-        with the resolved absolute bound and the (cached) plan injected —
-        byte parity is shared code, not a parallel implementation."""
-        loop = asyncio.get_running_loop()
-
-        def run() -> bytes:
-            return compress_chunked(
-                prep.data,
-                codec=prep.codec_name,
-                chunks=req.chunks,
-                codec_kwargs=prep.codec_kwargs,
-                error_bound=prep.eb,
-                per_chunk_tuning=req.per_chunk_tuning,
-                plan=prep.plan,
-            )
-
-        return await loop.run_in_executor(self._threads, run)
-
-    def _assemble_container(
-        self, prep: _PreparedCompress, blobs: List[bytes]
-    ) -> bytes:
-        """Pack chunk streams exactly like ``compress_chunked_to_file``."""
-        buf = io.BytesIO()
-        with ChunkedWriter(
-            buf, prep.codec_inst.codec_id, prep.dtype, prep.grid, prep.eb
-        ) as w:
-            for i, blob in enumerate(blobs):
-                w.write_chunk(i, blob)
-        return buf.getvalue()
 
     # ------------------------------------------------------ decompress/read
     @staticmethod
@@ -738,8 +649,7 @@ class CompressionService:
     async def _read_from(self, cf: ChunkedFile, slab: Slab) -> np.ndarray:
         """Concurrent-decode execution of ``ChunkedFile.slab_plan``."""
         loop = asyncio.get_running_loop()
-        norm, parts = cf.slab_plan(slab)
-        out_shape = tuple(s.stop - s.start for s in norm)
+        out_shape, parts = cf.slab_descriptors(slab)
         self._check_decode_size(out_shape, cf.dtype, "hyperslab")
         if not parts:
             return np.empty(out_shape, dtype=cf.dtype)
@@ -749,12 +659,7 @@ class CompressionService:
         ])
         if self._pool.parallel and len(parts) > 1:
             jobs = [
-                (
-                    blob,
-                    tuple((s.start, s.stop) for s in src),
-                    tuple((d.start, d.stop) for d in dst),
-                )
-                for (_, src, dst), blob in zip(parts, blobs)
+                (blob, src, dst) for (_, src, dst), blob in zip(parts, blobs)
             ]
             return await self._await_pooled(
                 self._pool.submit_decode_parts, jobs, out_shape, cf.dtype
@@ -764,9 +669,20 @@ class CompressionService:
             loop.run_in_executor(self._threads, decompress_any, b)
             for b in blobs
         ])
-        for (i, src, dst), chunk in zip(parts, chunks):
-            out[dst] = chunk[src]
+        for (_, src, dst), chunk in zip(parts, chunks):
+            out[_slices(dst)] = chunk[_slices(src)]
         return out
+
+
+def _slices(bounds: Sequence[Tuple[int, int]]) -> Tuple[slice, ...]:
+    return tuple(slice(start, stop) for start, stop in bounds)
+
+
+def _container_bytes(walk: Callable[..., object], *args: object) -> bytes:
+    """Run one of a job's container walks into memory."""
+    buf = io.BytesIO()
+    walk(buf, *args)
+    return buf.getvalue()
 
 
 def _cancel_pooled(started: "Future[Any]") -> None:

@@ -163,23 +163,31 @@ def validate_error_bound(eb: float) -> float:
 
 
 def value_range(data: np.ndarray) -> float:
-    """max(X) - min(X); the paper's ``vrange`` used for relative bounds/PSNR."""
-    return float(np.max(data) - np.min(data))
+    """max(X) - min(X); the paper's ``vrange`` used for relative bounds/PSNR.
+
+    ``inf`` when the difference overflows the field's dtype and ``nan``
+    when the field holds one — :func:`resolve_error_bound` rejects both.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(data) - np.min(data))
 
 
 def resolve_error_bound(
     data: np.ndarray,
-    error_bound: float | None,
-    rel_error_bound: float | None,
+    error_bound: float | None = None,
+    rel_error_bound: float | None = None,
     data_range: float | None = None,
 ) -> float:
     """Turn (absolute | value-range-relative) bound into an absolute bound.
 
+    The one place a relative bound becomes absolute, on every route.
     Exactly one of the two must be given.  A relative bound on a constant
     field (vrange == 0) falls back to a tiny absolute bound so compression
     still succeeds (and is lossless in effect).  Callers that already know
-    the field's value range (e.g. from a streaming chunk scan) pass it as
-    ``data_range`` so ``data`` is not re-scanned.
+    the field's value range (the chunked route's streaming scan) pass it
+    as ``data_range`` so ``data`` is not re-scanned.  A range that is not
+    finite — the field holds NaN/Inf, or ``max - min`` overflows — yields
+    no usable bound and is rejected like any other bad bound.
     """
     if (error_bound is None) == (rel_error_bound is None):
         raise CompressionError(
@@ -189,11 +197,15 @@ def resolve_error_bound(
         return validate_error_bound(error_bound)
     rel = validate_error_bound(rel_error_bound)
     vr = value_range(data) if data_range is None else data_range
+    if not np.isfinite(vr):
+        raise CompressionError(
+            f"relative bound needs a finite value range, got {vr}: data "
+            "contains non-finite values or its range overflows"
+        )
     if vr == 0.0:
         # constant field: any positive bound works; keep it tiny
-        scale = abs(float(data.flat[0])) or 1.0
-        return rel * scale
-    return rel * vr
+        vr = abs(float(data.flat[0])) or 1.0
+    return validate_error_bound(rel * vr)
 
 
 def dtype_code(dtype: np.dtype) -> int:

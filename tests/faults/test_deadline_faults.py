@@ -44,15 +44,15 @@ class TestLifecycle:
             assert stats["deadline_timeout_interactive"] == 0
 
     def test_running_job_past_deadline_is_cancelled(self, monkeypatch):
-        import repro.service.scheduler as sched
+        from repro.chunked.api import CompressJob
 
-        real = sched.compress_chunked
+        real = CompressJob.compress_to
 
         def slow_compress(*args, **kwargs):
             time.sleep(1.0)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sched, "compress_chunked", slow_compress)
+        monkeypatch.setattr(CompressJob, "compress_to", slow_compress)
         with ServiceClient(ServiceConfig(processes=1)) as svc:
             started = time.monotonic()
             with pytest.raises(DeadlineExceededError) as err:

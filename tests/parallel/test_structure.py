@@ -1,9 +1,13 @@
-"""One pooled fan-out, checked on the syntax tree.
+"""One pooled fan-out and one front door, checked on the syntax tree.
 
 ``ChunkWorkPool`` is the only code in ``src/`` allowed to construct a
 ``ProcessPoolExecutor`` or create a :class:`~repro.parallel.slab.Slab`
-(DESIGN.md §7, §13).  A second pool or a second slab owner is exactly
-the duplication this layout removed, so both are pinned here.
+(DESIGN.md §7, §13), and every compress route is the same admit ->
+derive -> execute (§4): ``Compressor`` owns the plan contract, one
+function makes a relative bound absolute, and the scheduler borrows the
+library's ``CompressJob`` instead of rebuilding its walk.  A second
+pool, slab owner, plan probe, bound resolver or container walk is
+exactly the duplication this layout removed, so each is pinned here.
 """
 
 import ast
@@ -63,3 +67,73 @@ def test_the_scheduler_does_not_import_the_slab_module():
         if isinstance(node, ast.ImportFrom)
     }
     assert "repro.parallel.slab" not in imported
+
+
+def test_nothing_probes_a_codec_for_plan_support():
+    # Compressor.derives_plan answers it; duck-typing probes are how the
+    # routes used to disagree about which codecs plan
+    def is_probe(node):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id in ("hasattr", "getattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in ("derive_plan", "compress_with_plan")
+        )
+
+    sites = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node, _ in calls(ast.parse(path.read_text()))
+        if is_probe(node)
+    ]
+    assert sites == []
+
+
+def test_the_constant_field_fallback_is_written_once():
+    # ``abs(first value) or 1.0``: the scale a relative bound falls back
+    # to when the value range is zero
+    def is_fallback(node):
+        return (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and isinstance(node.values[0], ast.Call)
+            and isinstance(node.values[0].func, ast.Name)
+            and node.values[0].func.id == "abs"
+            and isinstance(node.values[-1], ast.Constant)
+            and node.values[-1].value == 1.0
+        )
+
+    sites = [
+        (path.relative_to(SRC).as_posix(), func.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if is_fallback(node)
+    ]
+    assert sites == [("utils.py", "resolve_error_bound")]
+
+
+def test_the_scheduler_borrows_the_library_walk():
+    tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("repro.chunked")
+        for alias in node.names
+    }
+    assert "CompressJob" in names
+    assert not {n for n in names if n.startswith("_")}, names
+    assert not names & {"ChunkedWriter", "grid_for"}, names
+
+
+def test_each_codec_module_builds_its_plan_in_one_place():
+    modules = [*sorted((SRC / "compressors").glob("*.py")), SRC / "core" / "qoz.py"]
+    for path in modules:
+        built = [
+            node for node, _ in calls(ast.parse(path.read_text()))
+            if isinstance(node.func, ast.Name) and node.func.id == "FrozenPlan"
+        ]
+        assert len(built) <= 1, path.name
