@@ -1,13 +1,14 @@
 """Vectorized bit-level I/O.
 
-The writer accumulates (value, nbits) chunks and expands them into a packed
-byte buffer in one numpy pass at flush time.  The reader is *byte-windowed*:
-every read gathers 40-bit windows (5 bytes) around the requested bit
-positions straight from the packed buffer — there is no whole-stream
-``unpackbits`` expansion, so peak reader memory is a small constant multiple
-of the compressed buffer regardless of how it is sliced.  Bits are MSB-first
-within each value and within each byte, so streams are byte-order
-independent and diffable.
+The writer accumulates (value, nbits) fields and packs them at flush time
+one *field* at a time, never one bit at a time: shift each to its place in
+the 64-bit word that holds its last bit, OR the fields of a word together
+(DESIGN.md §6).  The reader is *byte-windowed*: every read gathers 40-bit
+windows (5 bytes) around the requested bit positions straight from the
+packed buffer — there is no whole-stream ``unpackbits`` expansion, so peak
+reader memory is a small constant multiple of the compressed buffer
+regardless of how it is sliced.  Bits are MSB-first within each value and
+within each byte, so streams are byte-order independent and diffable.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class BitWriter:
     """Accumulate values with explicit bit widths; emit packed bytes.
 
     Scalar ``write_uint`` calls are buffered in plain Python lists and
-    folded into one numpy chunk only when an array write or a flush needs
-    them — header/param-block writers issue hundreds of scalar fields, and
-    materializing a one-element array per field dominated their cost.
+    folded into one numpy chunk only when an array write needs them —
+    header/param-block writers issue hundreds of scalar fields, and a
+    one-element array per field dominated their cost; a writer that saw
+    nothing else never touches numpy.  Every stored field is 1..64 bits
+    wide and holds a value that fits.
     """
 
     def __init__(self) -> None:
@@ -74,45 +77,55 @@ class BitWriter:
         """Write many unsigned integers.
 
         ``nbits`` may be a scalar (same width for all) or a per-element
-        uint8 array.  Elements with width 0 contribute nothing.
+        array of widths 0..64.  Elements with width 0 contribute nothing,
+        whatever their value; any other element must fit its width, as in
+        :meth:`write_uint` — ``ValueError`` otherwise, because the packer
+        would OR the excess bits into the neighbouring fields.
         """
         values = np.ascontiguousarray(values, dtype=np.uint64)
-        if np.isscalar(nbits) or getattr(nbits, "ndim", 1) == 0:
-            w = int(nbits)
-            if w == 0 or values.size == 0:
-                return
-            lengths = np.full(values.shape, w, dtype=np.uint8)
-        else:
-            lengths = np.ascontiguousarray(nbits, dtype=np.uint8)
-            if lengths.shape != values.shape:
-                raise ValueError("values/nbits shape mismatch")
-            if values.size == 0:
-                return
+        widths = np.asarray(nbits)
+        if widths.size and not 0 <= widths.min() <= widths.max() <= _MAX_BITS:
+            raise ValueError(f"nbits must be in 0..{_MAX_BITS}")
+        if widths.ndim and widths.shape != values.shape:
+            raise ValueError("values/nbits shape mismatch")
+        lengths = np.broadcast_to(widths, values.shape).astype(np.uint8).ravel()
+        values = values.ravel()
+        if not lengths.all():
+            keep = np.flatnonzero(lengths)
+            values, lengths = values[keep], lengths[keep]
+        if values.size == 0:
+            return
+        # all but a field's lowest bit shifted out must leave 0 or 1
+        if (values >> (lengths - np.uint8(1))).max() > 1:
+            raise ValueError("value does not fit in its nbits")
         self._flush_scalars()
-        self._values.append(values.ravel())
-        self._lengths.append(lengths.ravel())
+        self._values.append(values)
+        self._lengths.append(lengths)
         self._total_bits += int(lengths.sum(dtype=np.int64))
 
     def getvalue(self) -> bytes:
         """Pack everything written so far into bytes (zero-padded tail)."""
-        if self._total_bits == 0:
-            return b""
+        nbytes = (self._total_bits + 7) >> 3
+        if not self._values:
+            acc = 0
+            for value, nbits in zip(self._pending_vals, self._pending_bits):
+                acc = (acc << nbits) | value
+            return (acc << (8 * nbytes - self._total_bits)).to_bytes(nbytes, "big")
         self._flush_scalars()
         values = np.concatenate(self._values)
-        lengths = np.concatenate(self._lengths).astype(np.int64)
-        total = int(lengths.sum())
-        # bit position just past each value in the output stream
-        ends = np.cumsum(lengths)
-        # for output bit i coming from value v: its in-value shift is
-        # (end_of_v - 1 - i), so two repeats (value, end) cover the whole
-        # spread — no per-bit source-index gather or offset array needed
-        shift = np.repeat(ends, lengths)
-        shift -= 1
-        shift -= np.arange(total, dtype=np.int64)
-        bits = (
-            (np.repeat(values, lengths) >> shift.astype(np.uint64)) & np.uint64(1)
-        ).astype(np.uint8)
-        return np.packbits(bits).tobytes()
+        lengths = np.concatenate(self._lengths)
+        # left shift that puts a field's last bit in place in the word it ends
+        # in: minus the bit position just past it, mod 64 (uint8 wraps mod 256)
+        shift = -np.cumsum(lengths, dtype=np.uint8) & 63
+        # a field is the first to end in its word iff it reaches back to the
+        # word's first bit; every word has one (fields are at most a word
+        # wide) and only that one can start in the word before
+        firsts = np.flatnonzero(shift + lengths >= _MAX_BITS)
+        words = np.bitwise_or.reduceat(values << shift, firsts)
+        straddle = firsts[1:]
+        # bits above the word: a field that starts in its own word has none
+        words[:-1] |= (values[straddle] >> (63 - shift[straddle])) >> np.uint8(1)
+        return words.astype(">u8").tobytes()[:nbytes]
 
 
 class BitReader:

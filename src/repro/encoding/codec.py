@@ -25,13 +25,6 @@ from repro.errors import DecompressionError
 RLE_DOMINANCE_THRESHOLD = 0.25
 
 
-def _dominant_symbol(symbols: np.ndarray, lo: int) -> tuple[int, int]:
-    """(most frequent symbol value, its count)."""
-    counts = np.bincount(symbols - lo)
-    dom = int(np.argmax(counts))
-    return dom + lo, int(counts[dom])
-
-
 def encode_symbol_stream(codes: np.ndarray, use_rle: bool = True) -> bytes:
     """Encode a non-negative int array into a self-describing byte string."""
     codes = np.ascontiguousarray(codes, dtype=np.int64)
@@ -39,29 +32,31 @@ def encode_symbol_stream(codes: np.ndarray, use_rle: bool = True) -> bytes:
     writer.write_uint(codes.size, 64)
     if codes.size == 0:
         return writer.getvalue()
-    if codes.min() < 0:
-        raise ValueError("symbol codes must be non-negative")
     lo = int(codes.min())
-    hi = int(codes.max())
+    if lo < 0:
+        raise ValueError("symbol codes must be non-negative")
     syms = codes - lo
-    alphabet = hi - lo + 1
-    dom, dom_count = _dominant_symbol(codes, lo)
-    rle = bool(use_rle) and dom_count >= RLE_DOMINANCE_THRESHOLD * codes.size
+    # the one histogram: alphabet extent, dominant symbol and (with the run
+    # classes appended) the Huffman frequencies all come from it
+    counts = np.bincount(syms)
+    alphabet = counts.size
+    dom = int(np.argmax(counts))
+    rle = bool(use_rle) and counts[dom] >= RLE_DOMINANCE_THRESHOLD * codes.size
     writer.write_uint(lo, 32)
     writer.write_uint(alphabet, 32)
     writer.write_uint(1 if rle else 0, 1)
     if rle:
-        writer.write_uint(dom - lo, 32)
-        tokens, extra_vals, extra_widths = tokenize_runs(syms, dom - lo, alphabet)
-        writer.write_uint(tokens.size, 64)
-        code = HuffmanCode.from_symbols(tokens, alphabet + RUN_CLASSES)
-        code.serialize(writer)
-        code.encode(tokens, writer)
+        writer.write_uint(dom, 32)
+        syms, extra_vals, extra_widths = tokenize_runs(syms, dom, alphabet)
+        writer.write_uint(syms.size, 64)
+        counts[dom] = 0  # literal tokens are the non-dominant symbols
+        runs = np.bincount(extra_widths, minlength=RUN_CLASSES)
+        counts = np.concatenate([counts, runs])
+    code = HuffmanCode.from_frequencies(counts)
+    code.serialize(writer)
+    code.encode(syms, writer)
+    if rle:
         writer.write_array(extra_vals, extra_widths)
-    else:
-        code = HuffmanCode.from_symbols(syms, alphabet)
-        code.serialize(writer)
-        code.encode(syms, writer)
     return writer.getvalue()
 
 
@@ -133,8 +128,7 @@ def estimate_stream_bits(codes: np.ndarray, use_rle: bool = True) -> float:
     bits plus an approximate table cost.  The histogram comes straight
     from the run-length decomposition (:func:`run_token_histogram`) — the
     token stream itself is never materialized, because QoZ's (alpha, beta)
-    auto-tuning calls this for every candidate trial and the tokenizer's
-    ``np.repeat`` expansion dominated its cost.
+    auto-tuning calls this for every candidate trial.
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.size == 0:

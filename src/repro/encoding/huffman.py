@@ -1,18 +1,22 @@
 """Canonical, length-limited Huffman coding over a dense integer alphabet.
 
-Both directions are fully vectorized.  Encoding is a table lookup +
+The code comes from the textbook heap merge, with one parent link recorded
+per merge and every depth read off the links in a single sweep.  Both coding
+directions are fully vectorized.  Encoding is a table lookup +
 :class:`BitWriter`.  Decoding works in bounded bit-blocks: gather a 32-bit
 window at *every* bit offset of the block straight from the packed bytes,
 resolve each offset's (symbol, code length) through a 16-bit first-level
 table (with a vectorized canonical pass for longer codes), then extract the
 actual codeword chain by pointer doubling over the per-offset "next
-position" array.  No per-symbol Python loop, and peak memory is bounded by
-the block size, not the stream (DESIGN.md §6).
+position" array.  No per-symbol Python loop, and the block-sized arrays are
+one per-thread scratch reused by every block of every stream, so decode
+memory is bounded by the block size, not the stream (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from typing import Optional
 
 import numpy as np
@@ -27,36 +31,49 @@ _TABLE_BITS = 16
 _ESCAPE = 255
 #: escape marker in the fused table's 6-bit length field
 _ESCAPE_LEN = 63
-#: bits examined per decode round; bounds peak decode memory (a handful of
-#: int64 arrays of this many elements) independently of stream size
+#: bits examined per decode round; bounds decode scratch (five int64 rows
+#: of this many elements) independently of stream size
 _BLOCK_BITS = 1 << 17
+_scratch = threading.local()
+
+
+def _block_scratch(n: int) -> np.ndarray:
+    """This thread's five rows of >= ``n`` int64 that every decode block
+    works in — fused entries, next-offset links, two jump buffers and
+    0..n-1 — grown on demand and kept, so a decode allocates nothing per
+    block and its speed no longer follows what the allocator was last
+    asked to free (EXPERIMENTS.md §12)."""
+    rows = getattr(_scratch, "rows", None)
+    if rows is None or rows.shape[1] < n:
+        rows = _scratch.rows = np.empty((5, n), dtype=np.int64)
+        rows[4] = np.arange(n)
+    return rows
 
 
 def _tree_lengths(freqs: np.ndarray) -> np.ndarray:
     """Code length per symbol from a frequency table (0 for absent symbols)."""
     nz = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.uint8)
-    if nz.size == 0:
+    if nz.size < 2:
+        lengths[nz] = 1
         return lengths
-    if nz.size == 1:
-        lengths[nz[0]] = 1
-        return lengths
-    # heap items: (weight, tiebreak, leaf_symbols)
-    heap = [(int(freqs[s]), int(s), [int(s)]) for s in nz]
+    # heap items are (weight, node id): leaves are numbered in symbol
+    # order and merged nodes after them in creation order, so the id is
+    # the tiebreak, and a parent's id is larger than its children's: one
+    # sweep down from the root (the last node) reads off every depth
+    n = int(nz.size)
+    heap = list(zip(freqs[nz].tolist(), range(n)))
     heapq.heapify(heap)
-    tick = int(freqs.size)
-    depth = {int(s): 0 for s in nz}
-    while len(heap) > 1:
-        w1, _, l1 = heapq.heappop(heap)
-        w2, _, l2 = heapq.heappop(heap)
-        for s in l1:
-            depth[s] += 1
-        for s in l2:
-            depth[s] += 1
-        tick += 1
-        heapq.heappush(heap, (w1 + w2, tick, l1 + l2))
-    for s, d in depth.items():
-        lengths[s] = d
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
+        w1, a = heapq.heappop(heap)
+        w2, b = heap[0]
+        parent[a] = parent[b] = node
+        heapq.heapreplace(heap, (w1 + w2, node))
+    depth = [0] * (2 * n - 1)
+    for i in range(2 * n - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    lengths[nz] = depth[:n]
     return lengths
 
 
@@ -74,16 +91,12 @@ def _build_lengths(freqs: np.ndarray) -> np.ndarray:
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codes ordered by (length, symbol)."""
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = 0
-    for sym in order:
-        ln = int(lengths[sym])
-        code <<= ln - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = ln
+    order = np.argsort(lengths, kind="stable")[np.count_nonzero(lengths == 0) :]
+    if order.size:
+        # a code is the Kraft mass of the codes before it (2^-len each) in
+        # units of its own 2^-len; scaled by 2^longest the sums are integers
+        shift = (lengths[order[-1]] - lengths[order]).astype(np.uint64)
+        codes[order] = (np.cumsum(np.uint64(1) << shift) >> shift) - np.uint64(1)
     return codes
 
 
@@ -228,7 +241,7 @@ class HuffmanCode:
         step[esc] = step_e
 
     @staticmethod
-    def _extract_chain(nxt, span, m):
+    def _extract_chain(nxt, span, m, buf_a, buf_b):
         """Positions after 0..m codewords, following ``nxt`` from offset 0.
 
         ``nxt`` maps every offset in ``[0, span)`` to the offset after one
@@ -237,7 +250,9 @@ class HuffmanCode:
         doubling (log2(m) full passes over ``nxt``); larger ones compose
         ``nxt`` only a few times, walk stride-sized anchor hops, then
         advance all anchor lanes in lockstep — O(m) gathers total instead
-        of a full composition pass per doubling round.
+        of a full composition pass per doubling round.  The compositions
+        and the lanes live in the two scratch rows ``buf_a`` / ``buf_b``;
+        the returned chain is a view of one, good until the next block.
         """
         if m < 512:
             chain = np.empty(m + 1, dtype=np.intp)
@@ -258,8 +273,9 @@ class HuffmanCode:
         c = max(2, min(7, (m // 600).bit_length() - 1))
         stride = 1 << c
         stride_jump = nxt
-        for _ in range(c):
-            stride_jump = stride_jump[stride_jump]
+        for i in range(c):  # ping-pong: never gather into the source
+            spare = (buf_b if i & 1 else buf_a)[: nxt.size]
+            stride_jump = np.take(stride_jump, stride_jump, out=spare, mode="clip")
         n_anchor = m // stride + 1
         anchors = np.empty(n_anchor, dtype=np.intp)
         a = 0
@@ -269,13 +285,13 @@ class HuffmanCode:
                 anchors[i:] = a  # saturated: every later anchor is the same
                 break
             a = int(stride_jump[a])
-        lanes = np.empty((stride, n_anchor), dtype=np.intp)
+        lanes = buf_a[: stride * n_anchor].reshape(stride, n_anchor)
         lanes[0] = anchors
-        cur = anchors
         for r in range(1, stride):
-            cur = nxt[cur]
-            lanes[r] = cur
-        return lanes.T.reshape(-1)[: m + 1]
+            np.take(nxt, lanes[r - 1], out=lanes[r], mode="clip")
+        chain = buf_b[: stride * n_anchor]
+        chain.reshape(n_anchor, stride)[:] = lanes.T
+        return chain[: m + 1]
 
     def decode(self, reader: BitReader, count: int) -> np.ndarray:
         """Decode ``count`` symbols from ``reader`` (vectorized).
@@ -288,32 +304,32 @@ class HuffmanCode:
         the current position and following next-offset links — is then
         materialized by :meth:`_extract_chain`, and exactly the symbols
         on the chain are emitted.  Offsets that are never on the chain
-        may hold garbage; that is fine, they are never read.
+        may hold garbage; that is fine, they are never read.  Every
+        block-sized array here is a row of :func:`_block_scratch`, written
+        in place; the decoder itself allocates only its output.
         """
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         if count > reader.remaining:  # every codeword costs >= 1 bit
             raise DecompressionError("huffman stream exhausted")
         tables = self._ensure_decode_table()
-        t, combo, maxlen, has_escapes = (
-            tables[0],
-            tables[1],
-            tables[2],
-            tables[7],
-        )
+        (t, combo, maxlen), has_escapes = tables[:3], tables[7]
         pos = reader.position
         start_pos = pos
         nbits_total = reader.bit_length
         out = np.empty(count, dtype=np.int64)
         produced = 0
+        # + 128: the links just past a block (MAX_CODE_LENGTH + 1 of them)
+        # and the last, partly idle lane of anchors (at most 127 slots)
+        entries, links, buf_a, buf_b, identity = _block_scratch(
+            min(_BLOCK_BITS, reader.remaining) + 128
+        )
         while produced < count:
             if pos >= nbits_total:
                 raise DecompressionError("huffman stream exhausted")
             # never examine more bits than the remaining symbols could use
             span = min(
-                _BLOCK_BITS,
-                nbits_total - pos,
-                (count - produced) * max(maxlen, 1),
+                _BLOCK_BITS, nbits_total - pos, (count - produced) * max(maxlen, 1)
             )
             # chain-length budget: the worst case is one codeword per bit,
             # but after the first block the observed bits-per-codeword
@@ -322,8 +338,12 @@ class HuffmanCode:
             if produced:
                 avg_bits = (pos - start_pos) / produced
                 m = min(m, int(span / avg_bits * 1.3) + 64)
-            entry = combo[reader.peek_windows(pos, span, t)]
-            step = entry & np.int64(_ESCAPE_LEN)
+            windows = reader.peek_windows(pos, span, t).view(np.int64)
+            entry = np.take(combo, windows, out=entries[:span], mode="clip")
+            ext = span + MAX_CODE_LENGTH + 1
+            nxt = links[:ext]
+            nxt[span:] = 0
+            step = np.bitwise_and(entry, _ESCAPE_LEN, out=nxt[:span])
             n_esc = 0
             if has_escapes:
                 esc = np.flatnonzero(step == _ESCAPE_LEN)
@@ -333,17 +353,17 @@ class HuffmanCode:
             # next-offset links, saturating at the first offset past the
             # block (chain entries there keep their value so the block
             # boundary position survives the jump composition)
-            ext = span + MAX_CODE_LENGTH + 1
-            nxt = np.arange(ext, dtype=np.intp)
-            nxt[:span] += step
-            chain = self._extract_chain(nxt, span, m)
-            # symbols whose codeword starts inside this block; the >> 6
-            # runs on just the chain entries, not every bit offset
+            nxt += identity[:ext]
+            chain = self._extract_chain(nxt, span, m, buf_a, buf_b)
+            # symbols whose codeword starts inside this block, gathered
+            # straight into the output; the >> 6 runs on just the chain
+            # entries, not every bit offset
             k = min(int(np.searchsorted(chain, span, side="left")), m)
-            emitted = entry[chain[:k]] >> np.int64(6)
+            emitted = out[produced : produced + k]
+            np.take(entry, chain[:k], out=emitted, mode="clip")
+            emitted >>= 6
             if n_esc and emitted.min(initial=0) < 0:
                 raise DecompressionError("invalid huffman code")
-            out[produced : produced + k] = emitted
             produced += k
             pos += int(chain[k])
         if pos > nbits_total:

@@ -5,7 +5,10 @@ comes from long runs of the dominant (perfect-prediction) bin.  We capture
 exactly that effect with deflate-style run tokens: a run of the dominant
 symbol with length ``L`` becomes token ``base + k`` where ``k = floor(log2
 L)``, plus ``k`` extra bits storing ``L - 2**k``.  Every other symbol passes
-through as a literal token.  The transform is fully vectorized both ways.
+through as a literal token.  The transform is fully vectorized and works
+per *literal* both ways: the dominant runs are the gaps between
+neighbouring literals, so nothing is decomposed or expanded symbol by
+symbol — tokens are scattered to their slots, and back.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ def _floor_log2(x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _run_lengths(symbols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(run start values, run lengths) of a 1-D symbol array."""
-    n = symbols.size
-    change = np.flatnonzero(symbols[1:] != symbols[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    lens = np.diff(np.concatenate([starts, [n]]))
-    return symbols[starts], lens
+def _run_gaps(symbols: np.ndarray, dominant: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(literal positions, dominant-run length before each literal and
+    after the last one) — the runs of ``dominant`` are exactly the gaps
+    between neighbouring non-dominant symbols and the two stream ends."""
+    literal_at = np.flatnonzero(symbols != dominant)
+    edges = np.concatenate([[-1], literal_at, [symbols.size]])
+    return literal_at, np.diff(edges) - 1
 
 
 def tokenize_runs(
@@ -50,20 +53,21 @@ def tokenize_runs(
     remainders (aligned with run tokens, in stream order).
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.int64)
-    if symbols.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.astype(np.uint64), empty.astype(np.uint8)
-    vals, lens = _run_lengths(symbols)
-    is_dom = vals == dominant
-    k = np.zeros(lens.size, dtype=np.int64)
-    if is_dom.any():
-        k[is_dom] = _floor_log2(lens[is_dom])
-    token_vals = np.where(is_dom, alphabet_size + k, vals)
-    out_counts = np.where(is_dom, 1, lens)
-    tokens = np.repeat(token_vals, out_counts)
-    extra_values = (lens[is_dom] - (np.int64(1) << k[is_dom])).astype(np.uint64)
-    extra_widths = k[is_dom].astype(np.uint8)
-    return tokens, extra_values, extra_widths
+    literal_at, gaps = _run_gaps(symbols, dominant)
+    # index, not mask: on an unpredictable pattern the boolean gather is
+    # several times slower than flatnonzero + take
+    has_run = gaps > 0
+    run_at = np.flatnonzero(has_run)
+    lens = gaps[run_at]
+    k = _floor_log2(lens)
+    # output order is [run] literal [run] literal ... [run]: a literal sits
+    # behind the runs of every gap up to its own, the r-th run behind the
+    # literals before its gap and the r runs before it
+    runs_before = np.cumsum(has_run[:-1])
+    tokens = np.empty(literal_at.size + run_at.size, dtype=np.int64)
+    tokens[np.arange(literal_at.size) + runs_before] = symbols[literal_at]
+    tokens[run_at + np.arange(run_at.size)] = alphabet_size + k
+    return tokens, (lens - (np.int64(1) << k)).astype(np.uint64), k.astype(np.uint8)
 
 
 def run_token_histogram(
@@ -87,21 +91,8 @@ def run_token_histogram(
     literals = counts.copy()
     if dominant < literals.size:
         literals[dominant] = 0
-    if symbols.size == 0:
-        return literals, 0
-    # the dominant runs are the gaps between neighbouring non-dominant
-    # symbols (and the two ends of the stream) — the same lengths
-    # :func:`_run_lengths` reports for them, without decomposing the
-    # literal stretches the histogram already covers
-    edges = np.flatnonzero(symbols != dominant)
-    edges = np.concatenate([[-1], edges, [symbols.size]])
-    gaps = np.diff(edges) - 1
-    # index, not mask: on an unpredictable pattern the boolean gather is
-    # several times slower than flatnonzero + take
-    dom_lens = gaps[np.flatnonzero(gaps > 0)]
-    if dom_lens.size == 0:
-        return literals, 0
-    k = _floor_log2(dom_lens)
+    gaps = _run_gaps(symbols, dominant)[1]
+    k = _floor_log2(gaps[np.flatnonzero(gaps > 0)])
     run_hist = np.bincount(k)
     return np.concatenate([literals, run_hist]), int(k.sum())
 
@@ -120,7 +111,7 @@ def detokenize_runs(
     (the tokenizer never emits more), and with ``expected_size`` given
     the run lengths must sum to exactly that many symbols.  A corrupt or
     malicious stream therefore raises :class:`DecompressionError` instead
-    of silently mis-decoding or ballooning ``np.repeat`` into an
+    of silently mis-decoding or ballooning the output into an
     attacker-controlled allocation.
     """
     tokens = np.ascontiguousarray(tokens, dtype=np.int64)
@@ -129,18 +120,17 @@ def detokenize_runs(
             raise DecompressionError("run token stream decoded to 0 symbols")
         return np.zeros(0, dtype=np.int64)
     is_run = tokens >= alphabet_size
-    k = tokens[is_run] - alphabet_size
-    if (k >= RUN_CLASSES).any() or (tokens < 0).any():
+    k = tokens[np.flatnonzero(is_run)] - alphabet_size
+    if (k >= RUN_CLASSES).any() or tokens.min() < 0:
         raise DecompressionError("corrupt run token stream")
-    if int(is_run.sum()) != extra_values.size:
+    if k.size != extra_values.size:
         raise DecompressionError("run-token/extras count mismatch")
     extras = extra_values.astype(np.int64, copy=False)
     if extras.size and (
         (extras < 0).any() or (extras >> np.minimum(k, 62)).any()
     ):
         raise DecompressionError("run length remainder out of range")
-    lens = np.ones(tokens.size, dtype=np.int64)
-    lens[is_run] = (np.int64(1) << k) + extras
+    lens = (np.int64(1) << k) + extras
     if (lens <= 0).any():  # int64 overflow from a hostile k=63 run
         raise DecompressionError("run length out of range")
     # int64 lens.sum() wraps silently (e.g. four class-62 runs sum to 8),
@@ -148,15 +138,25 @@ def detokenize_runs(
     # monotone float arithmetic before trusting integer summation
     if float(lens.sum(dtype=np.float64)) > 2.0**62:
         raise DecompressionError("run lengths overflow")
-    if expected_size is not None and int(lens.sum()) != expected_size:
+    total = tokens.size - k.size + int(lens.sum())
+    if expected_size is not None and total != expected_size:
         raise DecompressionError(
             "run token stream does not decode to the declared symbol count"
         )
-    out_vals = np.where(is_run, dominant, tokens)
-    return np.repeat(out_vals, lens)
+    # the inverse scatter: fill with the dominant symbol, drop each literal
+    # behind the tokens before it plus what the runs among them grew by
+    # (a literal's index minus its rank counts those runs)
+    literal_at = np.flatnonzero(~is_run)
+    grown = np.concatenate([[0], np.cumsum(lens - 1)])
+    slot = literal_at - np.arange(literal_at.size)
+    np.take(grown, slot, out=slot)
+    slot += literal_at
+    out = np.full(total, dominant, dtype=np.int64)
+    out[slot] = tokens[literal_at]
+    return out
 
 
 def run_token_widths(tokens: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Per-run-token extra-bit widths, recoverable from the tokens alone."""
-    is_run = tokens >= alphabet_size
-    return (tokens[is_run] - alphabet_size).astype(np.uint8)
+    run_at = np.flatnonzero(tokens >= alphabet_size)  # index, not mask
+    return (tokens[run_at] - alphabet_size).astype(np.uint8)

@@ -1,4 +1,4 @@
-"""Peak-allocation bounds for the decode path.
+"""Peak-allocation bounds for the entropy codec, decode and encode.
 
 The pre-vectorization ``BitReader`` expanded the whole packed stream into
 an 8x uint8 bit array, and the Huffman decoder materialized Python lists
@@ -7,6 +7,11 @@ at ~30-90x the compressed payload.  The byte-windowed reader and the
 block-based decoder keep scratch bounded by the (constant) decode block
 size instead, which is what makes the chunked out-of-core path's
 "peak memory ~ one chunk" guarantee true on the read side.
+
+The encode side has its own budget: ``BitWriter.getvalue`` used to
+expand every field into one 8-byte array element per *bit*, several
+arrays deep; the word-level packer works per field, and the budget keeps
+a per-bit expansion from coming back unnoticed.
 
 numpy >= 1.22 routes array allocations through tracemalloc, so these
 budgets measure real array traffic, not just Python objects.
@@ -37,25 +42,25 @@ def _peak_extra(fn, *args):
     return peak - out.nbytes, out
 
 
-@pytest.mark.parametrize(
-    "make_symbols",
-    [
-        pytest.param(
-            lambda rng: rng.integers(0, 256, size=2_000_000), id="high-entropy"
-        ),
-        pytest.param(
-            lambda rng: np.where(
-                rng.random(2_000_000) < 0.97,
-                5,
-                rng.integers(0, 40, size=2_000_000),
-            ),
-            id="rle-heavy",
-        ),
-    ],
-)
+def _high_entropy(rng):
+    return rng.integers(0, 256, size=2_000_000).astype(np.int64)
+
+
+def _rle_heavy(rng):
+    dominant = rng.random(2_000_000) < 0.97
+    return np.where(dominant, 5, rng.integers(0, 40, size=2_000_000)).astype(np.int64)
+
+
+_STREAMS = [
+    pytest.param(_high_entropy, id="high-entropy"),
+    pytest.param(_rle_heavy, id="rle-heavy"),
+]
+
+
+@pytest.mark.parametrize("make_symbols", _STREAMS)
 def test_symbol_stream_decode_allocation_is_bounded(make_symbols):
     rng = np.random.default_rng(7)
-    syms = make_symbols(rng).astype(np.int64)
+    syms = make_symbols(rng)
     blob = encode_symbol_stream(syms)
     extra, out = _peak_extra(decode_symbol_stream, blob)
     np.testing.assert_array_equal(out, syms)
@@ -64,6 +69,51 @@ def test_symbol_stream_decode_allocation_is_bounded(make_symbols):
         f"decode scratch {extra / 1e6:.1f} MB exceeds "
         f"{budget / 1e6:.1f} MB for a {len(blob) / 1e6:.1f} MB stream"
     )
+
+
+#: tracemalloc peak of ``encode_symbol_stream`` on the two streams above,
+#: bytes, as measured at the parent of the word-level packer (per-bit
+#: ``getvalue``: 466.1 MB and 41.7 MB) — the change itself peaks at 74.0 MB
+#: and 20.6 MB (16 % and 49 %; what is left on the run-heavy stream is the
+#: remapped copy of the 16 MB input)
+_PARENT_ENCODE_PEAK = {"_high_entropy": 466.1e6, "_rle_heavy": 41.7e6}
+
+
+@pytest.mark.parametrize("make_symbols", _STREAMS)
+def test_symbol_stream_encode_allocation_is_bounded(make_symbols):
+    syms = make_symbols(np.random.default_rng(7))
+    encode_symbol_stream(syms)  # warm
+    tracemalloc.start()
+    blob = encode_symbol_stream(syms)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    np.testing.assert_array_equal(decode_symbol_stream(blob), syms)
+    budget = 0.6 * _PARENT_ENCODE_PEAK[make_symbols.__name__]
+    assert peak <= budget, (
+        f"encode peak {peak / 1e6:.1f} MB exceeds {budget / 1e6:.1f} MB: "
+        "a per-bit expansion is back in the packer or the tokenizer"
+    )
+
+
+def test_warm_huffman_decode_allocates_no_block_scratch():
+    """The block-sized arrays are one per-thread scratch kept across calls
+    (``huffman._block_scratch``): a warm decode allocates the reader's
+    windows for a block and its output, nothing else block-sized — the
+    five 1 MB rows a block works in used to be a dozen fresh arrays per
+    block (7.2 MB peak beyond the output on this stream, 3.0 MB now), which
+    is what tied decode speed to the allocator's state (EXPERIMENTS.md §12)."""
+    from repro.encoding.bitstream import BitReader, BitWriter
+    from repro.encoding.huffman import HuffmanCode
+
+    syms = np.random.default_rng(3).integers(0, 256, size=200_000)
+    code = HuffmanCode.from_symbols(syms, 256)
+    writer = BitWriter()
+    code.encode(syms, writer)
+    blob = writer.getvalue()
+    assert len(blob) * 8 > 8 * (1 << 17)  # several blocks
+    extra, out = _peak_extra(lambda: code.decode(BitReader(blob), syms.size))
+    np.testing.assert_array_equal(out, syms)
+    assert extra <= 3.5e6, f"{extra / 1e6:.1f} MB of per-call decode scratch"
 
 
 def test_decode_scratch_does_not_scale_with_stream_size():

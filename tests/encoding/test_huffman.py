@@ -1,12 +1,20 @@
 """Unit + property tests for the canonical Huffman coder."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.huffman import MAX_CODE_LENGTH, HuffmanCode
+from repro.encoding.huffman import (
+    MAX_CODE_LENGTH,
+    HuffmanCode,
+    _build_lengths,
+    _canonical_codes,
+    _tree_lengths,
+)
 
 
 def roundtrip(symbols, alphabet):
@@ -194,3 +202,149 @@ def test_serialize_deserialize_identity(seed):
     code2 = HuffmanCode.deserialize(r)
     np.testing.assert_array_equal(code.lengths, code2.lengths)
     np.testing.assert_array_equal(code.codes, code2.codes)
+
+
+# --- the decoder's per-thread block scratch ---------------------------------
+
+
+def _encoded(seed, n, alphabet):
+    syms = np.random.default_rng(seed).integers(0, alphabet, size=n)
+    code = HuffmanCode.from_symbols(syms, alphabet)
+    w = BitWriter()
+    code.encode(syms, w)
+    return syms, code, w.getvalue()
+
+
+class TestBlockScratch:
+    def test_results_survive_later_decodes_of_other_sizes(self):
+        # several blocks, then one block, then a tiny one: every decode
+        # works in the same rows, none may hand out a view of them
+        streams = [_encoded(s, n, a) for s, n, a in
+                   [(1, 120_000, 200), (2, 30_000, 7), (3, 40, 3), (4, 90_000, 2000)]]
+        outs = [code.decode(BitReader(blob), syms.size) for syms, code, blob in streams]
+        for (syms, _, _), out in zip(streams, outs):
+            np.testing.assert_array_equal(out, syms)
+
+    def test_threads_do_not_share_scratch(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        streams = [_encoded(10 + i, 150_000, 50 + 40 * i) for i in range(4)]
+
+        def decode(stream):
+            syms, code, blob = stream
+            return all(
+                np.array_equal(code.decode(BitReader(blob), syms.size), syms)
+                for _ in range(5)
+            )
+
+        with ThreadPoolExecutor(4) as pool:
+            assert all(pool.map(decode, streams * 2))
+
+
+# --- the parent-link tree build against the leaf-list one it replaced ------
+
+
+def tree_lengths_by_leaf_lists(freqs):
+    """Reference: every heap node carries the list of leaves under it and
+    each merge deepens all of them by one."""
+    nz = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    if nz.size == 1:
+        lengths[nz[0]] = 1
+    if nz.size < 2:
+        return lengths
+    heap = [(int(freqs[s]), int(s), [int(s)]) for s in nz]
+    heapq.heapify(heap)
+    tick = int(freqs.size)
+    depth = {int(s): 0 for s in nz}
+    while len(heap) > 1:
+        w1, _, l1 = heapq.heappop(heap)
+        w2, _, l2 = heapq.heappop(heap)
+        for s in l1 + l2:
+            depth[s] += 1
+        tick += 1
+        heapq.heappush(heap, (w1 + w2, tick, l1 + l2))
+    for s, d in depth.items():
+        lengths[s] = d
+    return lengths
+
+
+def _fibonacci(n):
+    out = [1, 1]
+    while len(out) < n:
+        out.append(out[-1] + out[-2])
+    return np.array(out, dtype=np.int64)
+
+
+class TestTreeLengthsReference:
+    def test_random_histograms(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            size = int(rng.integers(1, 300))
+            # small ceilings make ties (the tiebreak order) the common case
+            freqs = rng.integers(0, rng.choice([2, 4, 50, 10**6]), size=size)
+            freqs[rng.random(size) < rng.random()] = 0
+            np.testing.assert_array_equal(
+                _tree_lengths(freqs), tree_lengths_by_leaf_lists(freqs)
+            )
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            np.zeros(5, dtype=np.int64),
+            np.array([0, 0, 9], dtype=np.int64),
+            np.full(37, 6, dtype=np.int64),
+            np.full(64, 1, dtype=np.int64),
+            1 << np.arange(30, dtype=np.int64),
+            (1 << np.arange(30, dtype=np.int64))[::-1].copy(),
+            _fibonacci(30),
+        ],
+        ids=["empty", "one-symbol", "all-equal", "all-equal-2^k",
+             "powers-of-two", "powers-of-two-descending", "fibonacci"],
+    )
+    def test_structured_histograms(self, freqs):
+        np.testing.assert_array_equal(
+            _tree_lengths(freqs), tree_lengths_by_leaf_lists(freqs)
+        )
+
+    def test_fibonacci_histogram_through_the_flattening_loop(self):
+        freqs = _fibonacci(45)
+        # unlimited, the tree is a 44-deep comb: the build has to flatten
+        assert tree_lengths_by_leaf_lists(freqs).max() == 44 > MAX_CODE_LENGTH
+        want = freqs.copy()
+        rounds = 0
+        while tree_lengths_by_leaf_lists(want).max() > MAX_CODE_LENGTH:
+            want = (want + 1) // 2
+            rounds += 1
+        assert rounds >= 1
+        got = _build_lengths(freqs)
+        np.testing.assert_array_equal(got, tree_lengths_by_leaf_lists(want))
+        assert got.max() <= MAX_CODE_LENGTH
+
+
+def canonical_codes_one_by_one(lengths):
+    """Reference: walk the symbols in (length, symbol) order, add one per
+    code and shift left whenever the length grows."""
+    codes = np.zeros(lengths.size, dtype=np.uint64)
+    code = prev_len = 0
+    for sym in sorted(np.flatnonzero(lengths), key=lambda s: (lengths[s], s)):
+        code <<= int(lengths[sym]) - prev_len
+        codes[sym] = code
+        code += 1
+        prev_len = int(lengths[sym])
+    return codes
+
+
+def test_canonical_codes_equal_the_one_by_one_assignment():
+    rng = np.random.default_rng(12)
+    cases = [np.zeros(4, dtype=np.uint8), np.array([0, 1, 0], dtype=np.uint8)]
+    cases += [_build_lengths(_fibonacci(n)) for n in (2, 33, 45)]
+    for _ in range(300):
+        size = int(rng.integers(1, 400))
+        freqs = rng.integers(0, rng.choice([2, 50, 10**6]), size=size)
+        freqs[rng.random(size) < rng.random()] = 0
+        cases.append(_build_lengths(freqs))
+    for lengths in cases:
+        np.testing.assert_array_equal(
+            _canonical_codes(lengths), canonical_codes_one_by_one(lengths)
+        )

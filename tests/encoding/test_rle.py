@@ -171,3 +171,107 @@ def test_histogram_equals_the_tokenizers(values):
     # the contract is the same positive-entry sequence (what Shannon sees)
     assert freqs[freqs > 0].tolist() == want[want > 0].tolist()
     assert extra_bits == int(widths.astype(np.int64).sum())
+
+
+# --- the gap tokenizer against the run-decomposition it replaced -----------
+
+
+def tokenize_by_run_lengths(symbols, dominant, alphabet_size):
+    """Reference: decompose the whole stream into runs of equal symbols,
+    turn the dominant ones into tokens and expand the rest."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.size == 0:
+        return symbols, symbols.astype(np.uint64), symbols.astype(np.uint8)
+    change = np.flatnonzero(symbols[1:] != symbols[:-1]) + 1
+    starts = np.concatenate([[0], change])
+    lens = np.diff(np.concatenate([starts, [symbols.size]]))
+    vals = symbols[starts]
+    is_dom = vals == dominant
+    k = np.zeros(lens.size, dtype=np.int64)
+    k[is_dom] = _floor_log2(lens[is_dom]) if is_dom.any() else 0
+    tokens = np.repeat(
+        np.where(is_dom, alphabet_size + k, vals), np.where(is_dom, 1, lens)
+    )
+    extra = (lens[is_dom] - (np.int64(1) << k[is_dom])).astype(np.uint64)
+    return tokens, extra, k[is_dom].astype(np.uint8)
+
+
+def _runs_of(lengths, dominant=2, literal=0):
+    """Dominant runs of the given lengths, one literal between neighbours."""
+    parts = []
+    for n in lengths:
+        parts += [np.full(n, dominant), [literal]]
+    return np.concatenate(parts[:-1]).astype(np.int64)
+
+
+_EDGE_LENGTHS = sorted(
+    {n for k in range(1, 13) for n in (2**k - 1, 2**k, 2**k + 1)}
+)
+
+_REFERENCE_CASES = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "all-dominant": np.full(777, 2, dtype=np.int64),
+    "no-dominant": np.array([0, 1, 3, 3, 1, 0, 0], dtype=np.int64),
+    "dominant-at-both-ends": np.array([2, 2, 1, 0, 2, 3, 2, 2, 2], dtype=np.int64),
+    "single-dominant": np.array([2], dtype=np.int64),
+    "single-literal": np.array([1], dtype=np.int64),
+    "strictly-alternating": np.tile([2, 1], 50).astype(np.int64),
+    "alternating-literal-first": np.tile([1, 2], 50).astype(np.int64),
+    "power-of-two-edges": _runs_of(_EDGE_LENGTHS),
+    "power-of-two-edges-behind-a-literal": np.concatenate(
+        [[3], _runs_of(_EDGE_LENGTHS[::-1]), [3]]
+    ).astype(np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_tokenizer_equals_run_length_reference(name):
+    syms = _REFERENCE_CASES[name]
+    got = tokenize_runs(syms, 2, 4)
+    want = tokenize_by_run_lengths(syms, 2, 4)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=300))
+def test_tokenizer_equals_run_length_reference_on_arbitrary_streams(values):
+    syms = np.array(values, dtype=np.int64)
+    for got, want in zip(tokenize_runs(syms, 2, 4), tokenize_by_run_lengths(syms, 2, 4)):
+        np.testing.assert_array_equal(got, want)
+
+
+# --- the scatter detokenizer against the np.repeat expansion it replaced ----
+
+
+def detokenize_by_repeat(tokens, extra_values, dominant, alphabet_size):
+    """Reference: one output run per token — length 1 for a literal,
+    ``2**k + extra`` for a run token — expanded with ``np.repeat``."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    is_run = tokens >= alphabet_size
+    lens = np.ones(tokens.size, dtype=np.int64)
+    lens[is_run] = (np.int64(1) << (tokens[is_run] - alphabet_size)) + (
+        np.asarray(extra_values).astype(np.int64)
+    )
+    return np.repeat(np.where(is_run, dominant, tokens), lens)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_detokenizer_equals_repeat_reference(name):
+    syms = _REFERENCE_CASES[name]
+    tokens, extra, _ = tokenize_by_run_lengths(syms, 2, 4)
+    got = detokenize_runs(tokens, extra, 2, 4, expected_size=syms.size)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, detokenize_by_repeat(tokens, extra, 2, 4))
+    np.testing.assert_array_equal(got, syms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=300))
+def test_detokenizer_equals_repeat_reference_on_arbitrary_streams(values):
+    syms = np.array(values, dtype=np.int64)
+    tokens, extra, _ = tokenize_by_run_lengths(syms, 2, 4)
+    np.testing.assert_array_equal(
+        detokenize_runs(tokens, extra, 2, 4), detokenize_by_repeat(tokens, extra, 2, 4)
+    )

@@ -1,27 +1,34 @@
 #!/usr/bin/env sh
 # Paired A/B benchmark of this checkout (B) against a parent commit (A).
 #
-#   tools/ab_bench.sh <parent-ref> <workload> [pairs=10]
+#   tools/ab_bench.sh <parent-ref> <workload[,workload...]|all> [pairs=10]
 #
-# Checks <parent-ref> out as a temporary git worktree, runs
+# Checks <parent-ref> out as a temporary git worktree and, for each named
+# workload (`all` = every workload of BENCHMARK.json), runs
 # benchmarks/suite/run.py for seeds 1..pairs on both trees — alternating
 # which side goes first, so neither always gets the quieter half of a
-# pair — and hands the two result files to benchmarks/suite/compare.py
-# (one verdict per metric; exit 1 on a regression or a fixed value that
-# differs).  Each side runs its *own* copy of the suite against its own
-# src/, as the PR gate does.  The worktree and the result files are
-# removed on any way out.
+# pair — and hands the workload's two result files to
+# benchmarks/suite/compare.py (one verdict per metric; its rows for the
+# workloads that were not run are left out).  Exits 1 if any workload had
+# a regression or a fixed value that differs.  Each side runs its *own*
+# copy of the suite against its own src/, as the PR gate does.  The
+# worktree and the result files are removed on any way out.
 set -eu
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: tools/ab_bench.sh <parent-ref> <workload> [pairs=10]" >&2
+    echo "usage: tools/ab_bench.sh <parent-ref> <workload[,workload...]|all> [pairs=10]" >&2
     exit 2
 fi
 parent=$1
-workload=$2
+workloads=$2
 pairs=${3:-10}
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$workloads" = all ]; then
+    workloads=$(python3 -c 'import json, sys
+print(",".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+        "$repo/BENCHMARK.json")
+fi
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab_bench.XXXXXX")
 cleanup() {
     git -C "$repo" worktree remove --force "$tmp/parent" 2>/dev/null || true
@@ -39,17 +46,23 @@ run_side() {  # run_side <tree> <out.json> <seed>
         --seed "$3" --trace 0 --out "$2" >/dev/null)
 }
 
-i=1
-while [ "$i" -le "$pairs" ]; do
-    echo "pair $i/$pairs ($workload)" >&2
-    if [ $((i % 2)) -eq 1 ]; then
-        run_side "$tmp/parent" "$tmp/A.json" "$i"
-        run_side "$repo" "$tmp/B.json" "$i"
-    else
-        run_side "$repo" "$tmp/B.json" "$i"
-        run_side "$tmp/parent" "$tmp/A.json" "$i"
-    fi
-    i=$((i + 1))
+status=0
+for workload in $(echo "$workloads" | tr ',' ' '); do
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        echo "pair $i/$pairs ($workload)" >&2
+        if [ $((i % 2)) -eq 1 ]; then
+            run_side "$tmp/parent" "$tmp/A.$workload.json" "$i"
+            run_side "$repo" "$tmp/B.$workload.json" "$i"
+        else
+            run_side "$repo" "$tmp/B.$workload.json" "$i"
+            run_side "$tmp/parent" "$tmp/A.$workload.json" "$i"
+        fi
+        i=$((i + 1))
+    done
+    echo "== $workload"
+    python3 "$repo/benchmarks/suite/compare.py" \
+        "$tmp/A.$workload.json" "$tmp/B.$workload.json" >"$tmp/verdict" || status=1
+    grep -v "no runs on one side" "$tmp/verdict" || true
 done
-
-python3 "$repo/benchmarks/suite/compare.py" "$tmp/A.json" "$tmp/B.json"
+exit "$status"
