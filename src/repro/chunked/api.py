@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
     BinaryIO,
@@ -169,12 +170,12 @@ class CompressJob:
             return self.write(
                 fh, ((i, self.compress_chunk(v)) for i, v in views)
             )
-        from repro.parallel.executor import ChunkWorkPool
+        from repro.parallel.executor import kept_pool
 
-        with ChunkWorkPool(processes) as pool:
-            streams = pool.compress_stream(
-                views, self.codec_name, self.codec_kwargs, self.eb, self.plan
-            )
+        # closing(): a failing writer cancels, and so releases, what is in flight
+        with kept_pool(processes) as pool, closing(pool.compress_stream(
+            views, self.codec_name, self.codec_kwargs, self.eb, self.plan
+        )) as streams:
             return self.write(fh, streams)
 
 
@@ -197,9 +198,9 @@ def compress_chunked_to_file(
     ``np.load(..., mmap_mode='r')`` memmap, in which case only one chunk
     (per worker) is ever resident.  ``processes=None`` (the default)
     compresses in-process; with ``processes > 1``, chunk jobs fan out over
-    a process pool (:class:`repro.parallel.executor.ChunkWorkPool`) in
-    bounded batches so memory stays proportional to the batch, not the
-    field.
+    the process's kept worker pool (forked by the first such call, stopped
+    by :func:`repro.parallel.shutdown_pool` or at exit) in bounded batches,
+    so memory stays proportional to the batch, not the field.
 
     When the codec supports plan derivation (QoZ, SZ3), its sampling /
     selection / tuning runs **once** over the full field and the frozen
@@ -501,7 +502,7 @@ class ChunkedFile:
     ) -> np.ndarray:
         """Extract an arbitrary hyperslab, decoding only intersecting chunks.
 
-        ``processes > 1`` fans the chunk decodes out over a process pool
+        ``processes > 1`` fans the chunk decodes out over the kept pool
         writing into a shared-memory output slab (one worker write per
         chunk, no result pickling); the default decodes in-process.
         Both paths execute the same :meth:`slab_plan`, so outputs are
@@ -510,12 +511,12 @@ class ChunkedFile:
         if processes not in (None, 0, 1):
             shape, bounds = self.slab_descriptors(slab)
             if len(bounds) > 1:
-                from repro.parallel.executor import ChunkWorkPool
+                from repro.parallel.executor import kept_pool
 
                 jobs = [
                     (self.chunk_bytes(i), src, dst) for i, src, dst in bounds
                 ]
-                with ChunkWorkPool(processes) as pool:
+                with kept_pool(processes) as pool:
                     return pool.submit_decode_parts(
                         jobs, shape, self.dtype
                     ).result()

@@ -18,15 +18,20 @@ from repro.utils import dtype_code, dtype_from_code
 
 _RAW, _CODED = 0, 1
 
+#: fixed bytes of any symbol stream (64+32+32+1 header bits, 32+32+1 of
+#: table preamble): coding an input this short (one anchor) cannot beat raw
+_MIN_CODED_BYTES = 25
+
 
 def compress_bytes(data: bytes) -> bytes:
     """Entropy-code a byte string (raw fallback when incompressible)."""
     if len(data) == 0:
         return bytes([0, _RAW])
-    buf = np.frombuffer(data, dtype=np.uint8)
-    coded = encode_symbol_stream(buf.astype(np.int64))
-    if len(coded) < len(data):
-        return bytes([1, _CODED]) + coded
+    if len(data) > _MIN_CODED_BYTES:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        coded = encode_symbol_stream(buf.astype(np.int64))
+        if len(coded) < len(data):
+            return bytes([1, _CODED]) + coded
     return bytes([1, _RAW]) + data
 
 

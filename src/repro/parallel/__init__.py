@@ -7,7 +7,8 @@ ratio wins despite slower compute.  :mod:`repro.parallel.iomodel`
 implements exactly that mechanism with measured CR/throughput inputs;
 :mod:`repro.parallel.executor` provides the one process pool
 (:class:`ChunkWorkPool`) behind every multi-process path — the per-node
-parallelism we can actually exercise here.
+parallelism we can actually exercise here.  Library ``processes=`` calls
+share one kept, warm pool; :func:`shutdown_pool` releases it early.
 """
 
 from repro.parallel.iomodel import IOSystemModel, dump_load_series
@@ -15,6 +16,7 @@ from repro.parallel.executor import (
     ChunkWorkPool,
     compress_fields_parallel,
     decompress_blobs_parallel,
+    shutdown_pool,
 )
 from repro.parallel.slab import ChunkDescriptor, Slab, active_slab_names
 
@@ -27,4 +29,5 @@ __all__ = [
     "dump_load_series",
     "compress_fields_parallel",
     "decompress_blobs_parallel",
+    "shutdown_pool",
 ]

@@ -2,9 +2,9 @@
 
 :class:`ChunkWorkPool` is the only code in the package that constructs a
 ``ProcessPoolExecutor`` or creates a :class:`~repro.parallel.slab.Slab`.
-The library (``repro.chunked``) opens one per call with ``with
-ChunkWorkPool(n) as pool:``; the service keeps one for its lifetime.
-Both drive the same helpers:
+The library (every ``processes=`` call) borrows the one process-wide
+pool that :func:`kept_pool` keeps warm; the service keeps its own for
+its lifetime.  Both drive the same helpers:
 
 * :meth:`ChunkWorkPool.submit_compress_views` packs a batch of chunk
   views into an input slab and resolves to their streams — chunk
@@ -42,6 +42,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from multiprocessing.util import Finalize
 from typing import (
     Any,
     Callable,
@@ -57,7 +59,7 @@ from typing import (
 
 import numpy as np
 
-from repro.compressors.base import decompress_any, get_compressor
+from repro.compressors.base import available_compressors, decompress_any, get_compressor
 from repro.errors import WorkerCrashError
 from repro.parallel.slab import Slab, attach_slab, detach_slab
 
@@ -156,7 +158,7 @@ def compress_fields_parallel(
     ]
     if processes == 1 or len(jobs) <= 1:
         return [_compress_one(j) for j in jobs]
-    with ChunkWorkPool(processes) as pool:
+    with kept_pool(processes) as pool:
         futures = [pool._submit(_compress_one, j) for j in jobs]
         return [f.result() for f in futures]
 
@@ -167,7 +169,7 @@ def decompress_blobs_parallel(
     """Decompress many streams in parallel (codec-routing per stream)."""
     if processes == 1 or len(blobs) <= 1:
         return [decompress_any(b) for b in blobs]
-    with ChunkWorkPool(processes) as pool:
+    with kept_pool(processes) as pool:
         futures = [pool.submit_decompress(b) for b in blobs]
         return [f.result() for f in futures]
 
@@ -175,9 +177,9 @@ def decompress_blobs_parallel(
 class ChunkWorkPool:
     """*Self-healing* process pool that owns every slab it ships.
 
-    ONE ``ProcessPoolExecutor`` serves the pool's lifetime — a whole
-    ``with ChunkWorkPool(n) as pool:`` block for a library call, every
-    request of a service (fork cost per request would swamp small jobs).
+    ONE ``ProcessPoolExecutor`` serves the pool's lifetime — every
+    library call of a process (:func:`kept_pool`), every request of a
+    service (fork cost per call would swamp small jobs).
     It is spawned lazily on the first submit, so constructing a service
     with ``processes <= 1`` never forks at all.  Submits return
     ``concurrent.futures`` futures: the library blocks on them, an
@@ -241,12 +243,9 @@ class ChunkWorkPool:
         self._ever_built = False
         self._probe_inflight = False
         self._last_probe = 0.0
-
-    def __enter__(self) -> "ChunkWorkPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
+        #: library calls inside ``with kept_pool(...)`` on this pool right
+        #: now (the registry's count, under the registry's lock)
+        self.borrowers = 0
 
     @property
     def workers(self) -> int:
@@ -648,3 +647,65 @@ class ChunkWorkPool:
                 lane.shutdown(wait=True, cancel_futures=True)
             except (OSError, RuntimeError):
                 pass  # a broken executor may raise on shutdown; it is gone
+
+
+# ----------------------------------------------------------- the kept pool
+_kept: Optional[ChunkWorkPool] = None
+_kept_for: tuple = ()  # (worker count, codec names) its workers were forked with
+_kept_lock = threading.RLock()
+_kept_exit: Optional[Finalize] = None
+_parked: List[Optional[ChunkWorkPool]] = []
+
+
+@contextmanager
+def kept_pool(processes: Optional[int]) -> Iterator[ChunkWorkPool]:
+    """Borrow the process-wide pool for the length of one library call.
+
+    Forked by the first ``processes > 1`` call, kept warm for every later
+    one on any thread, stopped by :func:`shutdown_pool` or at exit.  A
+    different worker count, or a codec registered since the fork,
+    replaces it: the old pool is shut down first — or, while another
+    thread's call still runs on it, by that call as it returns.
+    """
+    global _kept, _kept_for, _kept_exit
+    wanted = (processes, available_compressors())
+    with _kept_lock:
+        if _kept is not None and _kept_for != wanted:
+            shutdown_pool()
+        if _kept is None:
+            _kept, _kept_for = ChunkWorkPool(processes), wanted
+            # multiprocessing's exit hook, not atexit: a Process child
+            # joins its children before atexit or the executor's own
+            # handler would stop them; 100 = ahead of the queues' closers
+            if _kept_exit is None or not _kept_exit.still_active():
+                _kept_exit = Finalize(None, shutdown_pool, exitpriority=100)
+        pool = _kept
+        pool.borrowers += 1
+    try:
+        yield pool
+    finally:
+        with _kept_lock:
+            pool.borrowers -= 1
+            if pool.borrowers == 0 and pool is not _kept:
+                pool.shutdown()
+
+
+def shutdown_pool() -> None:
+    """Stop the kept pool's workers now; the next pooled call forks anew."""
+    global _kept
+    with _kept_lock:
+        pool, _kept = _kept, None
+        if pool is not None and pool.borrowers == 0:
+            pool.shutdown()
+
+
+def _forget_kept_pool() -> None:
+    """In a forked child (the pool's own workers included) the kept pool
+    has no threads: park it — collecting its executor would take a lock
+    that a thread which was not copied may hold — and start empty."""
+    global _kept, _kept_lock
+    _parked.append(_kept)
+    _kept, _kept_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_kept_pool)

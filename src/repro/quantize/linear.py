@@ -18,6 +18,8 @@ from typing import List
 
 import numpy as np
 
+from repro.errors import DecompressionError
+
 #: default number of bins on each side of zero (SZ uses 2^15)
 DEFAULT_RADIUS = 32768
 #: reserved quantization code marking an exactly-stored point
@@ -82,13 +84,9 @@ def reconstruct_block(
     ``outliers`` must contain exactly the values for the pass's outlier
     codes, in scan order.
     """
-    codes = np.asarray(codes)
-    preds = np.asarray(preds, dtype=np.float64)
-    recon = preds + (2.0 * eb) * (codes.astype(np.float64) - radius)
-    mask = codes == OUTLIER_CODE
-    if mask.any():
-        recon[mask] = outliers
-    return recon
+    codes = np.asarray(codes).ravel()
+    decoder = LinearQuantizer(radius, codes=codes, outliers=outliers)
+    return decoder.dequantize(codes.size, preds, eb)
 
 
 @dataclass
@@ -114,7 +112,16 @@ class LinearQuantizer:
     _code_chunks: List[np.ndarray] = field(default_factory=list)
     _outlier_chunks: List[np.ndarray] = field(default_factory=list)
     _code_pos: int = 0
-    _outlier_pos: int = 0
+
+    def __post_init__(self) -> None:
+        """Decode set-up: the facts of the stream, taken once, not per pass."""
+        if self.codes is None:
+            return
+        codes = np.asarray(self.codes)
+        self._centred = codes - float(self.radius)  # exact: small integers
+        self._outlier_at = np.flatnonzero(codes == OUTLIER_CODE)
+        if self._outlier_at.size > self.outliers.size:
+            raise DecompressionError("outlier stream exhausted")
 
     # -------------------------------------------------------------- compress
     def quantize(self, values: np.ndarray, preds: np.ndarray, eb: float):
@@ -149,18 +156,14 @@ class LinearQuantizer:
         them; the result has the shape of ``preds``.
         """
         preds = np.asarray(preds, dtype=np.float64)
-        codes = self.codes[self._code_pos : self._code_pos + count]
-        if codes.size != count:
-            from repro.errors import DecompressionError
-
+        start, stop = self._code_pos, self._code_pos + count
+        flat = self._centred[start:stop] * (2.0 * eb)
+        if flat.size != count:
             raise DecompressionError("quantization code stream exhausted")
-        self._code_pos += count
-        n_out = int(np.count_nonzero(codes == OUTLIER_CODE))
-        outliers = self.outliers[self._outlier_pos : self._outlier_pos + n_out]
-        if outliers.size != n_out:
-            from repro.errors import DecompressionError
-
-            raise DecompressionError("outlier stream exhausted")
-        self._outlier_pos += n_out
-        flat = reconstruct_block(codes, preds.ravel(), eb, outliers, self.radius)
-        return flat.reshape(preds.shape)
+        self._code_pos = stop
+        recon = flat.reshape(preds.shape)
+        recon += preds
+        if self._outlier_at.size:  # stored exactly, in scan order
+            lo, hi = np.searchsorted(self._outlier_at, (start, stop))
+            flat[self._outlier_at[lo:hi] - start] = self.outliers[lo:hi]
+        return recon

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -36,3 +37,45 @@ def subprocess_env() -> dict:
 def rng():
     """Deterministic RNG for tests."""
     return np.random.default_rng(12345)
+
+
+def _live_children():
+    """``(pid, command line)`` of this process's children that still run,
+    multiprocessing's resource tracker (which lives until exit) aside."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline") as fh:
+                cmdline = fh.read().replace("\0", " ").strip()
+        except (OSError, ValueError):
+            continue  # gone between listdir and open
+        if (
+            int(ppid) == os.getpid()
+            and state != "Z"
+            and "multiprocessing.resource_tracker" not in cmdline
+        ):
+            found.append((int(entry), cmdline))
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_outlives_the_session():
+    """Release the kept worker pool (DESIGN.md §7) when the session ends,
+    then require what a per-call pool's teardown used to guarantee: no
+    worker process and no shared-memory slab of this process is left."""
+    yield
+    from repro.parallel import active_slab_names, shutdown_pool
+
+    shutdown_pool()
+    if not os.path.isdir("/proc/self"):
+        return  # no way to look from here
+    deadline = time.monotonic() + 10.0
+    while _live_children() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert _live_children() == []
+    assert active_slab_names() == []
+    assert list(pathlib.Path("/dev/shm").glob(f"repro-slab-{os.getpid()}-*")) == []

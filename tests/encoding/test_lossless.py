@@ -39,6 +39,37 @@ class TestCompressBytes:
         assert len(blob) < 2000
 
 
+    def test_short_inputs_equal_the_routine_that_always_tries(self, rng):
+        """Inputs of <= 25 bytes skip the symbol-stream attempt (its fixed
+        fields alone are 25 bytes); the bytes must be what trying gives."""
+        from repro.encoding.codec import encode_symbol_stream
+
+        def always_try(data):
+            if len(data) == 0:
+                return bytes([0, 0])
+            buf = np.frombuffer(data, dtype=np.uint8)
+            coded = encode_symbol_stream(buf.astype(np.int64))
+            if len(coded) < len(data):
+                return bytes([1, 1]) + coded
+            return bytes([1, 0]) + data
+
+        coded_lengths = []
+        for n in range(65):
+            contents = (
+                rng.integers(0, 256, size=n, dtype=np.uint8).tobytes(),
+                bytes([7]) * n,
+                bytes(range(n)),
+            )
+            for data in contents:
+                blob = compress_bytes(data)
+                assert blob == always_try(data), (n, data)
+                assert decompress_bytes(blob) == data
+                if blob[:2] == bytes([1, 1]):
+                    coded_lengths.append(n)
+        # both outcomes occur in the range, and coding never wins at <= 25
+        assert coded_lengths and min(coded_lengths) > 25
+
+
 class TestFloatsLossless:
     def test_smooth_field_roundtrip_and_gain(self):
         x = np.linspace(0, 1, 8192, dtype=np.float32)

@@ -179,11 +179,15 @@ class TestStreamingAbandon:
     def test_closing_the_generator_releases_in_flight_slabs(self):
         """A consumer that walks away mid-stream leaks nothing."""
         jobs = ((i, arr) for i, arr in enumerate(chunk_arrays(n=12)))
-        with ChunkWorkPool(2) as pool:
+        pool = ChunkWorkPool(2)
+        try:
             gen = pool.compress_stream(jobs, "qoz", None, 1e-3)
             got = next(gen)  # at least one batch is in flight now
             assert isinstance(got[1], bytes)
             gen.close()  # GeneratorExit: pending batches are cancelled
+            assert active_slab_names() == []
+        finally:
+            pool.shutdown()
         assert_no_leaks()
 
 

@@ -1,8 +1,9 @@
 """One pooled fan-out and one front door, checked on the syntax tree.
 
 ``ChunkWorkPool`` is the only code in ``src/`` allowed to construct a
-``ProcessPoolExecutor`` or create a :class:`~repro.parallel.slab.Slab`
-(DESIGN.md §7, §13), and every compress route is the same admit ->
+``ProcessPoolExecutor`` or create a :class:`~repro.parallel.slab.Slab`,
+and the library's one is built by ``kept_pool`` alone
+(DESIGN.md §7, §13); every compress route is the same admit ->
 derive -> execute (§4): ``Compressor`` owns the plan contract, one
 function makes a relative bound absolute, and the scheduler borrows the
 library's ``CompressJob`` instead of rebuilding its walk.  A second
@@ -17,10 +18,11 @@ SRC = pathlib.Path(__file__).parent.parent.parent / "src" / "repro"
 
 
 def calls(tree, parents=()):
-    """Yield ``(call node, enclosing class names)`` for every call."""
+    """Yield ``(call node, enclosing class / function names)`` for every
+    call."""
     for node in ast.iter_child_nodes(tree):
         inner = parents
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             inner = parents + (node.name,)
         if isinstance(node, ast.Call):
             yield node, parents
@@ -44,9 +46,21 @@ def test_process_pools_are_built_only_inside_chunkworkpool():
     )
     assert sites, "the check no longer sees the pool being built"
     assert all(
-        path == "parallel/executor.py" and classes == ("ChunkWorkPool",)
-        for path, classes in sites
+        path == "parallel/executor.py" and scope[0] == "ChunkWorkPool"
+        for path, scope in sites
     ), sites
+
+
+def test_the_library_borrows_the_kept_pool_and_builds_none():
+    # one ChunkWorkPool per process behind every ``processes=`` call: the
+    # registry builds it, the service owns its own, nothing else does
+    sites = call_sites(
+        lambda f: isinstance(f, ast.Name) and f.id == "ChunkWorkPool"
+    )
+    assert sorted(sites) == [
+        ("parallel/executor.py", ("kept_pool",)),
+        ("service/scheduler.py", ("CompressionService", "__init__")),
+    ]
 
 
 def test_slabs_are_created_only_under_parallel():

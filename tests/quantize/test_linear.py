@@ -166,6 +166,56 @@ class TestLinearQuantizerState:
         with pytest.raises(DecompressionError):
             d.dequantize(1, np.zeros(1), 1e-3)
 
+    def test_a_pass_longer_than_what_is_left_raises(self):
+        from repro.errors import DecompressionError
+
+        d = LinearQuantizer(codes=np.full(5, DEFAULT_RADIUS), outliers=np.zeros(0))
+        d.dequantize(3, np.zeros(3), 1e-3)
+        with pytest.raises(DecompressionError, match="code stream exhausted"):
+            d.dequantize(3, np.zeros(3), 1e-3)
+
+    def test_outlier_code_without_a_stored_value_raises(self):
+        from repro.errors import DecompressionError
+
+        codes = np.array([DEFAULT_RADIUS, OUTLIER_CODE, OUTLIER_CODE])
+        with pytest.raises(DecompressionError, match="outlier stream exhausted"):
+            LinearQuantizer(codes=codes, outliers=np.array([1.0]))
+        with pytest.raises(DecompressionError, match="outlier stream exhausted"):
+            reconstruct_block(codes, np.zeros(3), 1e-3, np.zeros(0))
+
+    def test_decode_equals_the_per_pass_formulation(self, rng):
+        """Set-up hoists the centring and the outlier mask out of the
+        passes; every pass must still give the bits of the formula it
+        replaced, outliers and strided predictions included."""
+
+        def per_pass(codes, preds, eb, outliers, radius):
+            recon = preds + (2.0 * eb) * (codes.astype(np.float64) - radius)
+            recon[codes == OUTLIER_CODE] = outliers
+            return recon
+
+        radius, eb = 64, 3e-3
+        shapes = [(7,), (4, 6), (3, 2, 5), (1,), (2, 0), (9, 3)]
+        for outlier_rate in (0.0, 0.2):
+            preds = [rng.standard_normal(s[::-1]).T * 50 for s in shapes]
+            codes = rng.integers(1, 2 * radius, sum(p.size for p in preds))
+            codes[rng.random(codes.size) < outlier_rate] = OUTLIER_CODE
+            outliers = rng.standard_normal(int((codes == OUTLIER_CODE).sum()))
+            d = LinearQuantizer(radius, codes=codes, outliers=outliers)
+            pos = out_pos = 0
+            for pred in preds:
+                part = codes[pos : pos + pred.size]
+                n_out = int((part == OUTLIER_CODE).sum())
+                expected = per_pass(
+                    part, pred.ravel(), eb,
+                    outliers[out_pos : out_pos + n_out], radius,
+                ).reshape(pred.shape)
+                got = d.dequantize(pred.size, pred, eb)
+                assert got.shape == pred.shape
+                np.testing.assert_array_equal(got, expected)
+                assert got.tobytes() == expected.tobytes()
+                pos += pred.size
+                out_pos += n_out
+
     def test_empty_harvest(self):
         codes, outliers = LinearQuantizer().harvest()
         assert codes.size == 0 and outliers.size == 0

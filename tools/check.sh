@@ -2,7 +2,7 @@
 # One-command pre-push gate: the same checks CI's `lint` and `tests`
 # jobs run, in fast-feedback order.
 #
-#   tools/check.sh          reprolint + lint tests + tier-1 suite
+#   tools/check.sh          reprolint + lint tests + tier-1 suite + leak gate
 #   tools/check.sh --fast   reprolint + lint/structure/route tests only
 #                           (seconds)
 #
@@ -34,5 +34,15 @@ fi
 
 echo "== tier-1 suite =="
 python -m pytest -x -q -m "not soak and not chaos"
+
+# the leak gate: the suite itself fails if its process ends with a live
+# child (tests/conftest.py); a slab may also be left by a process a test
+# started, and that only shows from outside
+echo "== leak gate =="
+if ls /dev/shm/repro-slab-* >/dev/null 2>&1; then
+    echo "check.sh: shared-memory slabs left behind:" >&2
+    ls /dev/shm/repro-slab-* >&2
+    exit 1
+fi
 
 echo "check.sh: all checks passed"
