@@ -16,16 +16,17 @@ Examples::
     python -m repro verify field.rpz
     python -m repro decompress field.rpz recon.npy
     python -m repro decompress field.rpz slab.npy --slab 0:16,:,8:24
-    python -m repro serve --port 9753 --processes 4
+    python -m repro serve --port 9753 --shards 2
 
 ``serve`` runs the long-lived async compression service
 (:mod:`repro.service`): compress / decompress / hyperslab-read over a
 binary socket protocol, with cost-aware admission control and
 cross-request plan caching.  ``serve --shards N`` runs N shard
-processes behind one address — SO_REUSEPORT kernel accept sharding
-where available, a consistent-hash front router otherwise — with
+processes behind one address (SO_REUSEPORT kernel accept sharding) with
 derived plans replicated between shards over an inter-process bus
-(DESIGN.md §14).  ``serve-stats`` connects to a running service and
+(DESIGN.md §14) — the flag that multiplies request throughput, where
+``--processes`` fans the chunks of one multi-chunk request over
+workers.  ``serve-stats`` connects to a running service and
 renders its observability snapshot as a table (or ``--json`` /
 ``--line``, optionally ``--watch N``); ``serve-stats --all-shards``
 queries a sharded deployment's admin endpoint for the fleet-wide
@@ -97,35 +98,20 @@ def _load_input(spec: str) -> np.ndarray:
     return np.load(spec, mmap_mode="r")
 
 
-def _parse_eb(text: str):
-    from repro.errors import CompressionError
-    from repro.utils import ErrorBound
-
-    try:
-        return ErrorBound.parse(text)
-    except CompressionError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _eb_kwargs(args) -> dict:
+def _cmd_compress(args) -> int:
+    from repro.chunked import compress_chunked_to_file
     from repro.errors import CompressionError
     from repro.utils import normalize_bound
 
-    given = sum(x is not None for x in (args.eb, args.abs_eb, args.rel_eb))
-    if given != 1:
+    try:
+        bound = normalize_bound(args.eb, args.abs_eb, args.rel_eb)
+    except CompressionError as exc:
+        if "exactly one" not in str(exc):
+            raise  # a malformed value: main() prints the parser's line
+        # the library names its keywords; the user typed flags
         raise SystemExit(
             "error: give exactly one of --eb / --abs-eb / --rel-eb"
         )
-    try:
-        spec = normalize_bound(args.eb, args.abs_eb, args.rel_eb)
-    except CompressionError as exc:
-        raise SystemExit(f"error: {exc}")
-    return spec.kwargs()
-
-
-def _cmd_compress(args) -> int:
-    from repro.chunked import compress_chunked_to_file
-
     data = _load_input(args.input)
     t0 = time.perf_counter()
     info = compress_chunked_to_file(
@@ -135,7 +121,7 @@ def _cmd_compress(args) -> int:
         chunks=args.chunks,
         processes=args.processes,
         per_chunk_tuning=args.per_chunk_tuning,
-        **_eb_kwargs(args),
+        bound=bound,
     )
     dt = time.perf_counter() - t0
     raw = int(np.prod(info.grid.shape)) * info.header.dtype.itemsize
@@ -276,7 +262,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         config=config,
         shards=args.shards,
-        router=args.router,
         admin_port=args.admin_port,
     )
 
@@ -348,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--codec", default="qoz", help="registered codec name (default: qoz)")
     c.add_argument("--chunks", type=_parse_chunks, default=None,
                    help="chunk shape, e.g. '256' or '64,64,32' (default 256/axis)")
-    c.add_argument("--eb", type=_parse_eb, default=None, metavar="SPEC",
-                   help="unified error-bound spec: 'abs:1e-3', 'rel:1e-4', "
-                        "or a bare number (absolute)")
+    c.add_argument("--eb", default=None, metavar="SPEC",
+                   help="unified error-bound spec: 'abs:1e-3' or 'rel:1e-4'")
     c.add_argument("--abs-eb", type=float, default=None, help="absolute error bound")
     c.add_argument("--rel-eb", type=float, default=None,
                    help="value-range-relative error bound")
@@ -396,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free port; the actual port is "
                         "printed once listening)")
     s.add_argument("--processes", type=int, default=1,
-                   help="process-pool width for chunk jobs (1 = in-process)")
+                   help="worker processes per shard: fans the chunks of "
+                        "ONE multi-chunk request out over N workers (1 = "
+                        "in-process); buys nothing on one-chunk requests "
+                        "— use --shards for request throughput")
     s.add_argument("--max-queue", type=int, default=64,
                    help="admission bound; beyond it requests get "
                         "retry-after backpressure (default 64)")
@@ -426,17 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log one service-stats line every N seconds "
                         "(0 = disabled)")
     s.add_argument("--shards", type=int, default=1,
-                   help="number of shard processes (default 1 = classic "
-                        "single-process server; N>1 runs the sharded "
-                        "runtime with a replicated plan cache)")
-    s.add_argument("--router", choices=("auto", "reuseport", "hash"),
-                   default="auto",
-                   help="connection-distribution strategy for --shards>1: "
-                        "'reuseport' = kernel SO_REUSEPORT accept "
-                        "sharding, 'hash' = front router consistent-"
-                        "hashing on plan key / family tag, 'auto' = "
-                        "reuseport when the platform supports it "
-                        "(default)")
+                   help="number of full service processes behind the one "
+                        "address (SO_REUSEPORT, replicated plan cache): "
+                        "multiplies request throughput, 1.7-2.0x with 2 "
+                        "shards on 2 cores (default 1 = single-process "
+                        "server, no supervisor)")
     s.add_argument("--admin-port", type=int, default=None,
                    help="supervisor admin endpoint for aggregated stats "
                         "(--shards>1 only; default: public port + 1)")

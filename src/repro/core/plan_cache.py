@@ -187,9 +187,12 @@ class PlanLRU:
     re-derive" on them.
 
     :meth:`get_or_derive` runs the derive callable *outside* the lock —
-    derivation takes orders of magnitude longer than a dict move, and two
-    racing derivations of the same key are deterministic and identical,
-    so last-write-wins is safe (only duplicate work, never a wrong plan).
+    derivation takes orders of magnitude longer than a dict move — so two
+    threads may derive one key at once and the last write wins.  Under a
+    content key the racers derive the same plan; under a ``family=`` key
+    each derives from its own request's data, so the plans can differ —
+    either is valid for the family (the bound is enforced at execution),
+    and whichever is cached is what every later request runs.
 
     ``on_derive`` is the replication hook of the sharded serve runtime
     (:mod:`repro.service.planbus`): called with ``(key, plan)`` after every
@@ -197,9 +200,11 @@ class PlanLRU:
     shard's derivation work can be published to its peers.  It runs
     outside the lock on the deriving thread; implementations must be
     thread-safe and must not raise (publishing is best-effort).
-    :meth:`install` is the receiving half: idempotent, first-writer-wins,
-    counted separately (``replicated``) so cache-warmth tests can observe
-    replication without it masquerading as local derivation.
+    :meth:`install` is the receiving half: it *replaces* the resident
+    entry, because what the bus delivers is the one plan the whole fleet
+    runs for that key; counted separately (``replicated``) so
+    cache-warmth tests can observe replication without it masquerading
+    as local derivation.
     """
 
     def __init__(
@@ -251,18 +256,18 @@ class PlanLRU:
                 self._plans.popitem(last=False)
 
     def install(self, key: Hashable, plan: FrozenPlan) -> bool:
-        """Install a plan replicated from a peer; True if newly installed.
+        """Install the fleet's plan for ``key``; True if the cache changed.
 
-        First-writer-wins: a key already present (derived locally or
-        replicated earlier) is left untouched — derivation is
-        deterministic, so the entries are identical and keeping the
-        resident one preserves its LRU recency.  Does not bump
-        ``derives`` (no derivation happened here) nor ``hits``/``misses``
-        (nobody asked); bumps ``replicated`` so warmth gained from peers
-        is observable.
+        Replaces a different resident plan (a local derivation that lost
+        the fleet-wide race, see :mod:`repro.service.planbus`) in place,
+        keeping its LRU recency; an equal one is left alone.  Does not
+        bump ``derives`` (no derivation happened here) nor
+        ``hits``/``misses`` (nobody asked), and never fires
+        ``on_derive`` (no re-publish, so no replication storm); bumps
+        ``replicated`` so what was taken from peers is observable.
         """
         with self._lock:
-            if key in self._plans:
+            if self._plans.get(key) == plan:
                 return False
             self._plans[key] = plan
             while len(self._plans) > self.capacity:

@@ -59,6 +59,9 @@ class WireSpec:
 #                routing-affinity tag (sharded serve, DESIGN.md §14);
 #                no layout change — meta kv is forward-extensible and
 #                unknown keys are ignored, so PROTOCOL_VERSION stays 2
+#   protocol.py  rev 4: 'shard_key' no longer written or read (the hash
+#                router that consumed it is gone); an old client's tag
+#                is ignored like any unknown meta key, no layout change
 #   slab.py      rev 1: shared-memory batch descriptors — cross a process
 #                boundary via the pool's pickle channel, not a socket,
 #                but the tuple layout is an IPC contract all the same
@@ -67,6 +70,10 @@ class WireSpec:
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars
 #                ride protocol.py's _Reader/_Writer codecs, so no struct
 #                formats appear in the module itself
+#   planbus.py   rev 2: PLAN_BUS_VERSION 2 — HELLO drops its u32 backend
+#                port (pid only; every shard listens on the public
+#                port).  No reader for version 1: both ends of the bus
+#                are always one build, forked from one invocation
 # ---------------------------------------------------------------------------
 
 WIRE_SPECS: Tuple[WireSpec, ...] = (
@@ -108,7 +115,7 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/service/protocol.py",
-        revision=3,
+        revision=4,
         formats=(
             "<B",  # u8 scalar
             "<H",  # u16 scalar / string length
@@ -132,10 +139,10 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/service/planbus.py",
-        revision=1,
+        revision=2,
         formats=(),  # scalars ride protocol.py's _Reader/_Writer codecs
         constants={
-            "PLAN_BUS_VERSION": 1,
+            "PLAN_BUS_VERSION": 2,
             "MAX_BUS_MSG": 1 << 20,
             "MSG_HELLO": 1,
             "MSG_PLAN": 2,

@@ -21,7 +21,7 @@ throughput EWMAs, and batch fill.
 Quickstart::
 
     # server
-    #   $ repro serve --port 9753 --processes 4
+    #   $ repro serve --port 9753 --shards 2
     # client
     from repro.service import RemoteClient
 
@@ -43,10 +43,13 @@ the derivation half cached.
 ``repro serve --shards N`` (DESIGN.md §14) multiplies the whole stack
 across N processes behind one address: each shard owns a full
 :class:`ShardRuntime` (scheduler + admission + pool + plan cache), the
-kernel or a consistent-hash front router distributes connections, and
-derived plans replicate shard-to-shard over a pipe bus so a plan paid
-for once is warm everywhere.  Served bytes stay identical regardless of
-which shard answers.
+kernel distributes connections over their ``SO_REUSEPORT`` listeners,
+and derived plans replicate shard-to-shard over a pipe bus whose hub
+keeps one plan per key — a plan paid for once is warm everywhere, and
+once the bus has settled the served bytes are identical regardless of
+which shard answers.  Shards are what turns a second core into request
+throughput (1.7-2.0x on two cores, EXPERIMENTS.md §10); ``--processes``
+fans the chunks of one multi-chunk request over workers.
 """
 
 from repro.service.admission import (
@@ -64,11 +67,7 @@ from repro.service.admission import (
 from repro.service.client import RemoteClient, ServiceClient
 from repro.service.scheduler import CompressionService, ServiceConfig
 from repro.service.server import ServiceServer, ShardRuntime, run_server
-from repro.service.sharding import (
-    reuseport_available,
-    run_sharded,
-    shard_for_key,
-)
+from repro.service.sharding import run_sharded
 
 __all__ = [
     "AdmissionController",
@@ -87,8 +86,6 @@ __all__ = [
     "aggregate_snapshots",
     "decide",
     "format_stats_line",
-    "reuseport_available",
     "run_server",
     "run_sharded",
-    "shard_for_key",
 ]

@@ -87,8 +87,6 @@ class _ClientAPI:
     """The client surface, defined once over a transport's ``_request``."""
 
     client_id: Optional[str] = None
-    #: default routing-affinity tag (only a hash-routed fleet reads it)
-    shard_key: Optional[str] = None
 
     def _request(self, request: protocol.Request) -> Any:
         """Send one request; return its result (bytes / array / dict)."""
@@ -99,7 +97,6 @@ class _ClientAPI:
         priority: str,
         client_id: Optional[str],
         deadline_ms: Optional[float],
-        shard_key: Optional[str],
     ) -> Dict[str, Any]:
         """The admission metadata every work request carries."""
         protocol.validate_priority(priority)
@@ -109,7 +106,6 @@ class _ClientAPI:
             "priority": priority,
             "client_id": client_id or self.client_id,
             "deadline_ms": deadline_ms,
-            "shard_key": shard_key or self.shard_key,
         }
 
     def ping(self) -> None:
@@ -129,7 +125,6 @@ class _ClientAPI:
         client_id: Optional[str] = None,
         deadline_ms: Optional[float] = None,
         bound: Optional[BoundLike] = None,
-        shard_key: Optional[str] = None,
     ) -> bytes:
         if chunks is not None and not isinstance(chunks, int):
             chunks = tuple(chunks)
@@ -143,7 +138,7 @@ class _ClientAPI:
             family=family,
             per_chunk_tuning=per_chunk_tuning,
             bound=bound,
-            **self._meta(priority, client_id, deadline_ms, shard_key),
+            **self._meta(priority, client_id, deadline_ms),
         )))
 
     def decompress(
@@ -152,11 +147,10 @@ class _ClientAPI:
         priority: str = "interactive",
         client_id: Optional[str] = None,
         deadline_ms: Optional[float] = None,
-        shard_key: Optional[str] = None,
     ) -> np.ndarray:
         return cast(np.ndarray, self._request(protocol.DecompressRequest(
             blob=bytes(blob),
-            **self._meta(priority, client_id, deadline_ms, shard_key),
+            **self._meta(priority, client_id, deadline_ms),
         )))
 
     def read(
@@ -166,12 +160,11 @@ class _ClientAPI:
         priority: str = "interactive",
         client_id: Optional[str] = None,
         deadline_ms: Optional[float] = None,
-        shard_key: Optional[str] = None,
     ) -> np.ndarray:
         return cast(np.ndarray, self._request(protocol.ReadSlabRequest(
             source=source,
             slab=tuple(slab),
-            **self._meta(priority, client_id, deadline_ms, shard_key),
+            **self._meta(priority, client_id, deadline_ms),
         )))
 
     def stats(self) -> Dict[str, Union[int, float]]:
@@ -234,10 +227,7 @@ class RemoteClient(_ClientAPI):
 
     ``retries`` bounds backpressure (RETRY-frame) retries; ``reconnects``
     bounds transport recovery after the connection dies mid-request (see
-    the module docstring).  ``shard_key`` sets a default routing-affinity
-    tag carried in every work request's meta — under a hash-routed
-    sharded deployment all of this client's traffic then lands on one
-    shard (per-request ``shard_key=`` overrides it).
+    the module docstring).
     """
 
     def __init__(
@@ -248,7 +238,6 @@ class RemoteClient(_ClientAPI):
         retries: int = 0,
         client_id: Optional[str] = None,
         reconnects: int = 0,
-        shard_key: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -256,7 +245,6 @@ class RemoteClient(_ClientAPI):
         self.retries = retries
         self.reconnects = reconnects
         self.client_id = client_id
-        self.shard_key = shard_key
         # Per-client RNG for retry jitter.  Seeded from the OS, not the
         # default global state: many client processes forked from one
         # parent (the load generator, an MPI job) must not share a seed,

@@ -4,10 +4,9 @@ Each shard of a ``repro serve --shards N`` deployment owns a private
 :class:`~repro.core.plan_cache.PlanLRU`; sharing the *object* across
 processes is exactly what RL011 forbids.  What shards share instead is
 the **work product**: a freshly derived
-:class:`~repro.core.plan_cache.FrozenPlan` is ~224 B pickled, and
-derivation is deterministic, so broadcasting the pickle and installing
-it on every peer makes the whole fleet warm for the price of one
-derivation — with byte-identical output from any shard by construction.
+:class:`~repro.core.plan_cache.FrozenPlan` is ~224 B pickled, so
+broadcasting the pickle and installing it on every peer makes the whole
+fleet warm for the price of one derivation.
 
 Topology is a star: the parent supervisor holds one
 :class:`multiprocessing.Pipe` per shard (:class:`BusHub`); each shard
@@ -15,9 +14,22 @@ holds the other end (:class:`PlanBusEndpoint`).  A PLAN message from
 shard *i* is fanned out by the hub to every other shard *verbatim* —
 the raw payload bytes are forwarded, never re-encoded, so the pickle a
 receiver unpickles is the exact pickle the deriver produced.  The same
-bus carries shard hellos (backend port discovery for the hash router)
-and stats pulls (the ``serve-stats --all-shards`` view), so the
-runtime needs exactly one IPC channel per shard.
+bus carries shard hellos (readiness + pid) and stats pulls (the
+``serve-stats --all-shards`` view), so the runtime needs exactly one
+IPC channel per shard.
+
+**One plan per key, fleet-wide.**  A content-hash key derives the same
+plan wherever it is derived, but a ``family=`` key's plan comes from
+whichever request carried the tag first — two shards that meet one
+family at the same moment derive two different plans.  The hub sees
+every PLAN in one order, so it arbitrates: it remembers the first
+payload per key (:data:`HUB_PLAN_CAPACITY` keys, LRU), forwards that
+one, and answers every later publisher of the key with the remembered
+winner instead of forwarding the loser; whatever a shard receives from
+the hub *replaces* what it holds.  Once the bus is drained every shard
+runs the winner, so any shard's output for the key is byte-identical.
+The remaining window is a loser's own replies between finishing its
+local derive and reading the hub's answer (one pipe round trip).
 
 Wire format (``PLAN_BUS_VERSION``, registered in
 :mod:`repro.lint.wire_registry`): every message is one
@@ -25,7 +37,7 @@ Wire format (``PLAN_BUS_VERSION``, registered in
 
     u8 version | u8 kind | u16 shard_id | kind-specific body
 
-* ``MSG_HELLO``  — u32 backend port (0 in SO_REUSEPORT mode), u32 pid;
+* ``MSG_HELLO``  — u32 pid;
 * ``MSG_PLAN``   — blob pickled cache key, blob pickled FrozenPlan;
 * ``MSG_STATS_REQ``  — empty (hub -> shard pull);
 * ``MSG_STATS_RESP`` — typed kv stats snapshot (shard -> hub).
@@ -46,7 +58,8 @@ import asyncio
 import os
 import pickle
 import threading
-from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple, Union
+from collections import OrderedDict
+from typing import Callable, Dict, Hashable, Mapping, Optional, Union
 
 from multiprocessing.connection import Connection
 
@@ -55,11 +68,14 @@ from repro.errors import ProtocolError
 from repro.service.protocol import _Reader, _Writer
 
 #: bump when the message layout changes (mirrored in wire_registry)
-PLAN_BUS_VERSION = 1
+PLAN_BUS_VERSION = 2
 
 #: one Connection.send_bytes payload may not exceed this (plans are
 #: ~224 B pickled; stats snapshots a few KB — 1 MiB is generous)
 MAX_BUS_MSG = 1 << 20
+
+#: keys whose first-published payload the hub remembers (~0.5 KB each)
+HUB_PLAN_CAPACITY = 4096
 
 # message kinds
 MSG_HELLO = 1
@@ -82,9 +98,8 @@ def _header(kind: int, shard_id: int) -> _Writer:
     return w
 
 
-def encode_hello(shard_id: int, port: int, pid: int) -> bytes:
+def encode_hello(shard_id: int, pid: int) -> bytes:
     w = _header(MSG_HELLO, shard_id)
-    w.u32(port)
     w.u32(pid)
     return w.getvalue()
 
@@ -114,13 +129,12 @@ def encode_stats_resp(shard_id: int, stats: Mapping[str, object]) -> bytes:
 class BusMessage:
     """One decoded bus message (kind-specific fields default to empty)."""
 
-    __slots__ = ("kind", "shard_id", "port", "pid", "key", "plan", "stats")
+    __slots__ = ("kind", "shard_id", "pid", "key", "plan", "stats")
 
     def __init__(
         self,
         kind: int,
         shard_id: int,
-        port: int = 0,
         pid: int = 0,
         key: Hashable = None,
         plan: Optional[FrozenPlan] = None,
@@ -128,7 +142,6 @@ class BusMessage:
     ) -> None:
         self.kind = kind
         self.shard_id = shard_id
-        self.port = port
         self.pid = pid
         self.key = key
         self.plan = plan
@@ -151,7 +164,7 @@ def decode_message(body: bytes) -> BusMessage:
     kind = r.u8()
     shard_id = r.u16()
     if kind == MSG_HELLO:
-        msg = BusMessage(kind, shard_id, port=r.u32(), pid=r.u32())
+        msg = BusMessage(kind, shard_id, pid=r.u32())
     elif kind == MSG_PLAN:
         key_raw = r.blob()
         plan_raw = r.blob()
@@ -195,8 +208,9 @@ class PlanBusEndpoint:
     failure is counted, never raised into the compress path.
 
     ``attach`` wires the receiving half into the shard's event loop:
-    incoming PLAN messages install into the local cache, STATS_REQ pulls
-    answer with the provided snapshot callable.
+    an incoming PLAN message replaces whatever the local cache holds for
+    its key (the hub only ever sends the fleet's winner), STATS_REQ
+    pulls answer with the provided snapshot callable.
     """
 
     def __init__(self, conn: Connection, shard_id: int) -> None:
@@ -225,9 +239,9 @@ class PlanBusEndpoint:
         if self._send(encode_plan(self.shard_id, key, plan)):
             self.plans_published += 1
 
-    def hello(self, port: int) -> None:
-        """Announce readiness (and the backend port, for the hash router)."""
-        self._send(encode_hello(self.shard_id, port, os.getpid()))
+    def hello(self) -> None:
+        """Announce readiness: this shard is listening."""
+        self._send(encode_hello(self.shard_id, os.getpid()))
 
     # ----------------------------------------------------------- receiving
     def attach(
@@ -283,20 +297,20 @@ class BusHub:
 
     PLAN payloads are forwarded to peers *verbatim* (raw bytes, no
     decode/re-encode round trip), which is what makes the replicated
-    pickle byte-identical to the published one.  HELLO messages populate
-    :attr:`ports` (hash-router backends) and resolve :meth:`wait_ready`;
-    STATS_REQ broadcasts collect per-shard snapshots for the aggregated
-    ``serve-stats`` view.
+    pickle byte-identical to the published one — and only the first
+    payload per key is ever forwarded; a later publisher of that key is
+    sent the first one back (module docstring).  HELLO messages populate
+    :attr:`pids` and resolve :meth:`wait_ready`; STATS_REQ broadcasts
+    collect per-shard snapshots for the aggregated ``serve-stats`` view.
     """
 
     def __init__(self) -> None:
         self._conns: Dict[int, Connection] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self.ports: Dict[int, int] = {}
         self.pids: Dict[int, int] = {}
+        self._winners: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self._hello_events: Dict[int, asyncio.Event] = {}
         self._stats_waiters: Dict[int, "asyncio.Future[StatsDict]"] = {}
-        self.plans_forwarded = 0
 
     def add_shard(self, shard_id: int) -> Connection:
         """(Re)create the pipe for a shard; returns the child end.
@@ -312,7 +326,6 @@ class BusHub:
             if self._loop is not None:
                 self._loop.remove_reader(old.fileno())
             old.close()
-        self.ports.pop(shard_id, None)
         self.pids.pop(shard_id, None)
         parent_conn, child_conn = mp.Pipe(duplex=True)
         self._conns[shard_id] = parent_conn
@@ -361,9 +374,16 @@ class BusHub:
     def _dispatch(self, shard_id: int, payload: bytes) -> None:
         msg = decode_message(payload)
         if msg.kind == MSG_PLAN:
-            self._forward(shard_id, payload)
+            winner = self._winners.get(msg.key)
+            if winner is None:
+                self._winners[msg.key] = payload
+                if len(self._winners) > HUB_PLAN_CAPACITY:
+                    self._winners.popitem(last=False)
+                self._forward(shard_id, payload)
+            else:
+                self._winners.move_to_end(msg.key)
+                self._send(shard_id, winner)
         elif msg.kind == MSG_HELLO:
-            self.ports[msg.shard_id] = msg.port
             self.pids[msg.shard_id] = msg.pid
             event = self._hello_events.get(msg.shard_id)
             if event is not None:
@@ -373,16 +393,17 @@ class BusHub:
             if waiter is not None and not waiter.done():
                 waiter.set_result(msg.stats)
 
+    def _send(self, shard_id: int, payload: bytes) -> None:
+        try:
+            self._conns[shard_id].send_bytes(payload)
+        except (OSError, ValueError):
+            # dead shard: respawn handling owns cleanup
+            pass
+
     def _forward(self, origin: int, payload: bytes) -> None:
-        for shard_id, conn in self._conns.items():
-            if shard_id == origin:
-                continue
-            try:
-                conn.send_bytes(payload)
-                self.plans_forwarded += 1
-            except (OSError, ValueError):
-                # dead shard: respawn handling owns cleanup
-                continue
+        for shard_id in self._conns:
+            if shard_id != origin:
+                self._send(shard_id, payload)
 
     # --------------------------------------------------------------- waits
     async def wait_ready(self, timeout: float = 30.0) -> None:
@@ -418,13 +439,11 @@ class BusHub:
                 self._stats_waiters.pop(shard_id, None)
         return out
 
-    def live_shards(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._conns))
-
 
 __all__ = [
     "PLAN_BUS_VERSION",
     "MAX_BUS_MSG",
+    "HUB_PLAN_CAPACITY",
     "MSG_HELLO",
     "MSG_PLAN",
     "MSG_STATS_REQ",

@@ -29,10 +29,10 @@ backpressure/observability frames:
   version/opcode bytes — ``priority`` (``interactive``/``batch``),
   ``client_id`` (per-client quota key), ``attempt`` (0 on the first
   send; a retrying client increments it so the server can count retried
-  admissions), and ``shard_key`` (an explicit routing-affinity tag for
-  the sharded runtime's hash router; unknown meta keys are ignored, so
-  the vocabulary extends without a version bump).  Only non-default
-  entries are written, so the common case costs two bytes;
+  admissions) and ``deadline_ms``.  Unknown meta keys are ignored, so
+  the vocabulary grows and shrinks without a version bump (the history
+  is in :mod:`repro.lint.wire_registry`).  Only non-default entries are
+  written, so the common case costs two bytes;
 * RETRY responses carry a ``reason`` string after the ``retry_after``
   hint (``queue-full`` / ``capacity`` / ``class-capacity`` /
   ``client-quota``), so clients and dashboards can tell *why* they were
@@ -315,7 +315,6 @@ class CompressRequest:
     attempt: int = 0
     deadline_ms: Optional[float] = None
     bound: Optional[BoundLike] = None
-    shard_key: Optional[str] = None
 
     @property
     def normalized_bound(self) -> ErrorBound:
@@ -332,7 +331,6 @@ class DecompressRequest:
     client_id: Optional[str] = None
     attempt: int = 0
     deadline_ms: Optional[float] = None
-    shard_key: Optional[str] = None
 
 
 @dataclass
@@ -345,7 +343,6 @@ class ReadSlabRequest:
     client_id: Optional[str] = None
     attempt: int = 0
     deadline_ms: Optional[float] = None
-    shard_key: Optional[str] = None
 
 
 @dataclass
@@ -399,9 +396,6 @@ def _request_writer(op: int, req: Request) -> _Writer:
     deadline_ms = getattr(req, "deadline_ms", None)
     if deadline_ms is not None:
         meta["deadline_ms"] = validate_deadline_ms(deadline_ms)
-    shard_key = getattr(req, "shard_key", None)
-    if shard_key:
-        meta["shard_key"] = str(shard_key)
     w.kv(meta)
     return w
 
@@ -418,8 +412,6 @@ def _apply_meta(req: Request, meta: Dict) -> Request:
         if deadline_ms is not None:
             deadline_ms = validate_deadline_ms(deadline_ms)
         req.deadline_ms = deadline_ms
-        shard_key = meta.get("shard_key")
-        req.shard_key = str(shard_key) if shard_key else None
     return req
 
 
@@ -493,29 +485,6 @@ def _read_preamble(r: _Reader, what: str, known: Tuple[int, ...]) -> int:
     return code
 
 
-def _read_compress_head(
-    r: _Reader,
-) -> Tuple[
-    str, Dict, int, float, Union[int, Tuple[int, ...], None], Optional[str]
-]:
-    """OP_COMPRESS fields in wire order, up to and including ``family``."""
-    codec = r.string()
-    kwargs = r.kv()
-    eb_mode = r.u8()
-    bound = r.f64()
-    chunks_kind = r.u8()
-    chunks: Union[int, Tuple[int, ...], None]
-    if chunks_kind == 0:
-        chunks = None
-    elif chunks_kind == 1:
-        chunks = r.u32()
-    elif chunks_kind == 2:
-        chunks = tuple(r.u32() for _ in range(r.u8()))
-    else:
-        raise ProtocolError(f"unknown chunk-spec kind {chunks_kind}")
-    return codec, kwargs, eb_mode, bound, chunks, r.string() or None
-
-
 def decode_request(body: bytes) -> Request:
     r = _Reader(body)
     op = _read_preamble(r, "request opcode", _REQUEST_OPS)
@@ -523,7 +492,21 @@ def decode_request(body: bytes) -> Request:
     if op == OP_PING:
         req: Request = PingRequest()
     elif op == OP_COMPRESS:
-        codec, kwargs, eb_mode, bound, chunks, family = _read_compress_head(r)
+        codec = r.string()
+        kwargs = r.kv()
+        eb_mode = r.u8()
+        bound = r.f64()
+        chunks_kind = r.u8()
+        chunks: Union[int, Tuple[int, ...], None]
+        if chunks_kind == 0:
+            chunks = None
+        elif chunks_kind == 1:
+            chunks = r.u32()
+        elif chunks_kind == 2:
+            chunks = tuple(r.u32() for _ in range(r.u8()))
+        else:
+            raise ProtocolError(f"unknown chunk-spec kind {chunks_kind}")
+        family = r.string() or None
         per_chunk = bool(r.u8())
         data = _unpack_array(r)
         req = CompressRequest(
@@ -552,34 +535,6 @@ def decode_request(body: bytes) -> Request:
         req = StatsRequest()
     r.done()
     return _apply_meta(req, meta)
-
-
-def routing_key(body: bytes) -> Optional[str]:
-    """Routing-affinity key of an encoded request, for the hash router.
-
-    Decodes only as far as needed: the meta kv's ``shard_key`` wins when
-    present; otherwise a compress request's ``family=`` tag routes as
-    ``"family:NAME"`` (repeat family traffic should land on the shard
-    whose plan cache is already warm).  Everything else — content-keyed
-    compresses, decompresses, pings, stats — returns ``None``, meaning
-    "no affinity, balance freely".
-
-    Never raises: the router peeks at frames *before* a shard validates
-    them, so garbage here must fall through to a shard (which will answer
-    with the proper ERROR frame), not kill the router.
-    """
-    try:
-        r = _Reader(body)
-        op = _read_preamble(r, "request opcode", _REQUEST_OPS)
-        shard_key = r.kv().get("shard_key")
-        if shard_key:
-            return str(shard_key)
-        if op != OP_COMPRESS:
-            return None
-        family = _read_compress_head(r)[-1]
-        return f"family:{family}" if family else None
-    except (ProtocolError, UnicodeDecodeError):
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -751,7 +706,6 @@ __all__ = [
     "Response",
     "encode_request",
     "decode_request",
-    "routing_key",
     "encode_ok_empty",
     "encode_ok_bytes",
     "encode_ok_array",

@@ -24,7 +24,7 @@ line and a ``repro serve-stats`` table never disagree.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Union
+from typing import Awaitable, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -38,6 +38,45 @@ from repro.service import protocol
 from repro.service.admission import format_stats_line
 from repro.service.planbus import PlanBusEndpoint
 from repro.service.scheduler import CompressionService, ServiceConfig
+
+
+async def serve_frames(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    respond: Callable[[bytes], Awaitable[bytes]],
+) -> None:
+    """One connection's request loop: a frame in, ``respond``'s frame out.
+
+    Shared by every shard's public listener and the supervisor's admin
+    endpoint.  Ends on EOF, on a peer reset, or after answering a
+    malformed frame with ERROR (framing can no longer be trusted); the
+    writer is closed either way.
+    """
+    try:
+        while True:
+            try:
+                body = await protocol.read_frame(reader)
+            except ProtocolError as exc:
+                writer.write(protocol.frame(protocol.encode_error(str(exc))))
+                await writer.drain()
+                break
+            if body is None:
+                break
+            writer.write(protocol.frame(await respond(body)))
+            await writer.drain()
+    except (ConnectionResetError, BrokenPipeError):
+        pass
+    except asyncio.CancelledError:
+        # server shutdown while blocked on read_frame; returning (not
+        # re-raising) keeps asyncio.streams' connection_made callback
+        # from logging the retrieved CancelledError at close
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
 
 class ServiceServer:
@@ -105,32 +144,9 @@ class ServiceServer:
     ) -> None:
         self.service.metrics.connection_opened()
         try:
-            while True:
-                try:
-                    body = await protocol.read_frame(reader)
-                except ProtocolError as exc:
-                    writer.write(protocol.frame(protocol.encode_error(str(exc))))
-                    await writer.drain()
-                    break
-                if body is None:
-                    break
-                response = await self._respond(body)
-                writer.write(protocol.frame(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # server shutdown while blocked on read_frame; returning (not
-            # re-raising) keeps asyncio.streams' connection_made callback
-            # from logging the retrieved CancelledError at close
-            pass
+            await serve_frames(reader, writer, self._respond)
         finally:
             self.service.metrics.connection_closed()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     async def _respond(self, body: bytes) -> bytes:
         try:
@@ -228,7 +244,7 @@ class ShardRuntime:
             self.bus.attach(
                 asyncio.get_running_loop(), self.plans, self.stats
             )
-            self.bus.hello(self.server.port)
+            self.bus.hello()
 
     async def close(self) -> None:
         if self.bus is not None:
@@ -277,4 +293,4 @@ def run_server(
     return 0
 
 
-__all__ = ["ServiceServer", "ShardRuntime", "run_server"]
+__all__ = ["serve_frames", "ServiceServer", "ShardRuntime", "run_server"]

@@ -7,39 +7,28 @@ cache, worker pool).  Shards share *nothing* mutable — the only
 inter-process channel is the plan replication bus
 (:mod:`repro.service.planbus`), a pipe star centered on the supervisor.
 
-Two accept-distribution modes (``--router``):
+One accept path: every shard binds the *same* public (host, port) with
+``SO_REUSEPORT`` and the kernel distributes incoming connections across
+the listeners.  Zero userspace forwarding cost; placement is the
+kernel's 4-tuple hash, so plan warmth comes from the replication bus,
+not from routing — and a handful of long-lived connections can land
+unevenly (EXPERIMENTS.md §10).  A platform without ``SO_REUSEPORT``
+gets one :class:`~repro.errors.ConfigurationError`.
 
-* ``reuseport`` (the default where available, i.e. Linux): every shard
-  binds the *same* public (host, port) with ``SO_REUSEPORT`` and the
-  kernel distributes incoming connections across the listeners.  Zero
-  userspace forwarding cost; placement is the kernel's 4-tuple hash, so
-  plan warmth comes from the replication bus rather than routing.
-* ``hash``: shards bind private loopback ports (announced over the bus)
-  and the supervisor runs a :class:`FrontRouter` on the public port.
-  The router peeks at each connection's first frame, extracts its
-  routing key (:func:`repro.service.protocol.routing_key` — explicit
-  ``shard_key`` meta, else the compress ``family=`` tag), and splices
-  the connection to ``shard_for_key(key) = blake2b(key) mod N`` — so
-  repeat family traffic lands on the shard whose
-  :class:`~repro.core.plan_cache.PlanLRU` derived the plan, without
-  waiting for replication.  Keyless requests round-robin.
-
-The supervisor is deliberately boring: a single-threaded asyncio loop
-that (1) respawns crashed shards (fresh bus pipe, bounded budget, the
-peers re-warm the newcomer's cache organically as they publish), (2)
-serves the **admin endpoint** — the same binary protocol, STATS/PING
-only — whose STATS response is the all-shards aggregate
+The supervisor is deliberately boring and never on a request's path: a
+single-threaded asyncio loop that (1) respawns crashed shards (fresh
+bus pipe, bounded budget; the hub answers the newcomer's first publish
+of a key with the plan the fleet already runs), and (2) serves the
+**admin endpoint** — the same binary protocol, STATS/PING only — whose
+STATS response is the all-shards aggregate
 (:func:`repro.service.admission.aggregate_snapshots`) with per-shard
-``shardN_``-prefixed rows, and (3) in hash mode, runs the front router.
-Because it never compresses anything, forking a new shard from it is
-always safe.
+``shardN_``-prefixed rows.  Because it never compresses anything,
+forking a new shard from it is always safe.
 
-A dead shard is therefore invisible to clients in reuseport mode beyond
-its in-flight connections (the kernel stops offering the dead listener;
+A dead shard is invisible to clients beyond its in-flight connections:
+the kernel stops offering the dead listener, and
 :class:`~repro.service.client.RemoteClient` with ``reconnects > 0``
-transparently lands on a live shard), and a brief connect-refused window
-in hash mode (the router falls over to the next live shard until the
-respawn re-announces).
+transparently lands on a live shard.
 """
 
 from __future__ import annotations
@@ -47,13 +36,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import multiprocessing
-import os
 import signal
 import socket
-import struct
 import sys
-from hashlib import blake2b
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from multiprocessing.connection import Connection
 
@@ -62,50 +48,13 @@ from repro.service import protocol
 from repro.service.admission import aggregate_snapshots
 from repro.service.planbus import BusHub, PlanBusEndpoint
 from repro.service.scheduler import ServiceConfig
-from repro.service.server import ShardRuntime
-
-ROUTER_MODES = ("auto", "reuseport", "hash")
+from repro.service.server import ShardRuntime, serve_frames
 
 #: a crashed shard is restarted after this many seconds, at most
 #: MAX_RESPAWNS times — enough to ride out transient failures without
 #: hot-looping on a persistent one
 RESPAWN_DELAY = 0.5
 MAX_RESPAWNS = 10
-
-_SPLICE_CHUNK = 1 << 16
-
-
-def shard_for_key(key: str, n_shards: int) -> int:
-    """Stable consistent placement of a routing key onto a shard.
-
-    blake2b (not ``hash()``) so the mapping is identical across
-    processes and Python invocations — clients, tests, and the router
-    must all agree where a key lives.
-    """
-    if n_shards < 1:
-        raise ConfigurationError("n_shards must be >= 1")
-    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int(struct.unpack("<Q", digest)[0] % n_shards)
-
-
-def reuseport_available() -> bool:
-    """True when the platform supports SO_REUSEPORT accept sharding."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
-def resolve_router(mode: str) -> str:
-    if mode not in ROUTER_MODES:
-        raise ConfigurationError(
-            f"unknown router mode {mode!r} (expected one of {ROUTER_MODES})"
-        )
-    if mode == "auto":
-        return "reuseport" if reuseport_available() else "hash"
-    if mode == "reuseport" and not reuseport_available():
-        raise ConfigurationError(
-            "SO_REUSEPORT is not available on this platform; "
-            "use --router hash"
-        )
-    return mode
 
 
 # --------------------------------------------------------------------------
@@ -116,9 +65,7 @@ def _shard_main(
     config: ServiceConfig,
     host: str,
     port: int,
-    reuse_port: bool,
     conn: Connection,
-    shard_id: int,
 ) -> None:
     """Entry point of one shard process: serve until told to stop.
 
@@ -126,11 +73,11 @@ def _shard_main(
     metrics, admission, pool all start empty and private (RL011); the
     inherited ``conn`` is its only link to the rest of the deployment.
     """
-    endpoint = PlanBusEndpoint(conn, shard_id)
+    endpoint = PlanBusEndpoint(conn, config.shard_id)
 
     async def _main() -> None:
         runtime = ShardRuntime(
-            config, host, port, reuse_port=reuse_port, bus=endpoint
+            config, host, port, reuse_port=True, bus=endpoint
         )
         await runtime.start()
         loop = asyncio.get_running_loop()
@@ -155,135 +102,6 @@ def _shard_main(
 
 
 # --------------------------------------------------------------------------
-# fallback front router (hash mode)
-# --------------------------------------------------------------------------
-
-class FrontRouter:
-    """Consistent-hash connection router for platforms without SO_REUSEPORT.
-
-    Routes per *connection*: the first frame's routing key pins every
-    subsequent frame on that connection to the same shard (so a client's
-    ``stats()`` after a compress reports the shard that served it).
-    After routing the first frame the router degrades to a dumb
-    bidirectional byte splice — it never decodes payloads.
-    """
-
-    def __init__(
-        self, hub: BusHub, host: str, port: int, n_shards: int
-    ) -> None:
-        self.hub = hub
-        self.host = host
-        self.port = port
-        self.n_shards = n_shards
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._rr = 0
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    def _pick_shard(self, key: Optional[str]) -> List[int]:
-        """Preferred shard first, then live fallbacks (failover order)."""
-        live = [s for s in self.hub.live_shards() if self.hub.ports.get(s)]
-        if not live:
-            return []
-        if key is not None:
-            # hash over the CONFIGURED count, not the live set: the
-            # key -> shard mapping must not reshuffle when a shard is
-            # briefly down (failover below covers the gap)
-            first = shard_for_key(key, self.n_shards)
-        else:
-            first = live[self._rr % len(live)]
-            self._rr += 1
-        ordered = [first] + [s for s in live if s != first]
-        return [s for s in ordered if self.hub.ports.get(s)]
-
-    async def _connect(
-        self, candidates: List[int]
-    ) -> Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
-        for shard_id in candidates:
-            port = self.hub.ports.get(shard_id)
-            if not port:
-                continue
-            try:
-                return await asyncio.open_connection("127.0.0.1", port)
-            except OSError:
-                continue
-        return None
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                body = await protocol.read_frame(reader)
-            except ProtocolError:
-                body = None
-            if body is None:
-                return
-            backend = await self._connect(
-                self._pick_shard(protocol.routing_key(body))
-            )
-            if backend is None:
-                writer.write(
-                    protocol.frame(
-                        protocol.encode_error("no shards available")
-                    )
-                )
-                await writer.drain()
-                return
-            up_reader, up_writer = backend
-            try:
-                up_writer.write(protocol.frame(body))
-                await up_writer.drain()
-                await asyncio.gather(
-                    _splice(reader, up_writer),
-                    _splice(up_reader, writer),
-                )
-            finally:
-                up_writer.close()
-                try:
-                    await up_writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-
-async def _splice(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    """One direction of a byte splice; EOF propagates, errors end it."""
-    try:
-        while True:
-            chunk = await reader.read(_SPLICE_CHUNK)
-            if not chunk:
-                break
-            writer.write(chunk)
-            await writer.drain()
-    except (ConnectionResetError, BrokenPipeError, OSError):
-        return
-    try:
-        writer.write_eof()
-    except (OSError, RuntimeError):
-        pass
-
-
-# --------------------------------------------------------------------------
 # admin endpoint (aggregated stats)
 # --------------------------------------------------------------------------
 
@@ -304,7 +122,7 @@ class _AdminServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._serve, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -314,33 +132,10 @@ class _AdminServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def _handle(
+    async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            while True:
-                try:
-                    body = await protocol.read_frame(reader)
-                except ProtocolError as exc:
-                    writer.write(
-                        protocol.frame(protocol.encode_error(str(exc)))
-                    )
-                    await writer.drain()
-                    break
-                if body is None:
-                    break
-                writer.write(protocol.frame(await self._respond(body)))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        await serve_frames(reader, writer, self._respond)
 
     async def _respond(self, body: bytes) -> bytes:
         try:
@@ -372,13 +167,11 @@ class _Supervisor:
         host: str,
         public_port: int,
         shards: int,
-        router: str,
     ) -> None:
         self.config = config
         self.host = host
         self.public_port = public_port
         self.shards = shards
-        self.router = router
         self.hub = BusHub()
         self.procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         self.respawns: Dict[int, int] = {i: 0 for i in range(shards)}
@@ -389,14 +182,14 @@ class _Supervisor:
 
     # ------------------------------------------------------------ spawning
     def reserve_public_port(self) -> None:
-        """Resolve ``--port 0`` under reuseport *before* spawning.
+        """Resolve ``--port 0`` *before* spawning.
 
         Every shard must bind the same number, so the supervisor binds a
         SO_REUSEPORT socket first and keeps it open — bound but never
         listening, so the kernel hands connections only to the shards'
         listening sockets — and the shards join its reuseport group.
         """
-        if self.router != "reuseport" or self.public_port != 0:
+        if self.public_port != 0:
             return
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
@@ -404,26 +197,17 @@ class _Supervisor:
         self._reserve_sock = sock
         self.public_port = sock.getsockname()[1]
 
-    def _shard_config(self, shard_id: int) -> ServiceConfig:
-        return dataclasses.replace(
-            self.config, shard_id=shard_id, n_shards=self.shards
-        )
-
     def spawn_shard(self, shard_id: int) -> None:
         conn = self.hub.add_shard(shard_id)
-        if self.router == "reuseport":
-            bind_host, bind_port, reuse = self.host, self.public_port, True
-        else:
-            bind_host, bind_port, reuse = "127.0.0.1", 0, False
         proc = self._mp.Process(
             target=_shard_main,
             args=(
-                self._shard_config(shard_id),
-                bind_host,
-                bind_port,
-                reuse,
+                dataclasses.replace(
+                    self.config, shard_id=shard_id, n_shards=self.shards
+                ),
+                self.host,
+                self.public_port,
                 conn,
-                shard_id,
             ),
             name=f"repro-shard-{shard_id}",
         )
@@ -494,7 +278,6 @@ class _Supervisor:
         out = aggregate_snapshots(snaps, per_shard=True)
         out["shards"] = self.shards
         out["shard_respawns"] = sum(self.respawns.values())
-        out["router_hash"] = int(self.router == "hash")
         return dict(out)
 
 
@@ -503,7 +286,6 @@ def run_sharded(
     port: int = 9753,
     config: Optional[ServiceConfig] = None,
     shards: int = 2,
-    router: str = "auto",
     admin_port: Optional[int] = None,
 ) -> int:
     """Blocking entry point for ``repro serve --shards N`` (N >= 2).
@@ -520,10 +302,11 @@ def run_sharded(
     """
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
-    router = resolve_router(router)
-    sup = _Supervisor(
-        config or ServiceConfig(), host, port, shards, router
-    )
+    if not hasattr(socket, "SO_REUSEPORT"):
+        raise ConfigurationError(
+            "--shards needs SO_REUSEPORT, which this platform lacks"
+        )
+    sup = _Supervisor(config or ServiceConfig(), host, port, shards)
     sup.reserve_public_port()
     for shard_id in range(shards):
         sup.spawn_shard(shard_id)
@@ -536,41 +319,30 @@ def run_sharded(
         sup.hub.attach(loop)
         sup.watch_shards(loop)
         await sup.hub.wait_ready()
-        front: Optional[FrontRouter] = None
-        if router == "hash":
-            front = FrontRouter(sup.hub, host, sup.public_port, shards)
-            await front.start()
-            public_port = front.port
-        else:
-            public_port = sup.public_port
-        resolved_admin = (
-            admin_port if admin_port is not None else public_port + 1
+        admin = _AdminServer(
+            sup,
+            host,
+            admin_port if admin_port is not None else sup.public_port + 1,
         )
-        admin = _AdminServer(sup, host, resolved_admin)
         await admin.start()
-        for shard_id in sorted(sup.hub.ports):
-            if router == "reuseport":
-                shard_host, shard_port = host, public_port
-            else:
-                shard_host, shard_port = "127.0.0.1", sup.hub.ports[shard_id]
+        for shard_id in sorted(sup.hub.pids):
             print(
                 f"repro shard {shard_id}/{shards} "
                 f"pid={sup.hub.pids[shard_id]} listening on "
-                f"{shard_host}:{shard_port}",
+                f"{host}:{sup.public_port}",
                 flush=True,
             )
         print(
             f"repro admin listening on {host}:{admin.port}", flush=True
         )
         print(
-            f"repro service listening on {host}:{public_port}", flush=True
+            f"repro service listening on {host}:{sup.public_port}",
+            flush=True,
         )
         try:
             await stop.wait()
         finally:
             await admin.close()
-            if front is not None:
-                await front.close()
             sup.hub.detach()
 
     try:
@@ -582,11 +354,4 @@ def run_sharded(
     return 0
 
 
-__all__ = [
-    "ROUTER_MODES",
-    "shard_for_key",
-    "reuseport_available",
-    "resolve_router",
-    "FrontRouter",
-    "run_sharded",
-]
+__all__ = ["run_sharded"]

@@ -104,6 +104,38 @@ class TestEndToEnd:
         with pytest.raises(SystemExit):
             main(["compress", str(path), str(tmp_path / "x.rpz")])
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--eb", "rel:1e-3", "--abs-eb", "1e-3"]],
+        ids=["zero", "two"],
+    )
+    def test_bound_count_error_names_the_flags(self, npy_field, tmp_path, flags):
+        """``normalize_bound`` counts; the CLI only re-words its error
+        from keywords to flags (exit status 1, as before)."""
+        path, _ = npy_field
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", str(path), str(tmp_path / "x.rpz"), *flags])
+        assert exc.value.code == (
+            "error: give exactly one of --eb / --abs-eb / --rel-eb"
+        )
+
+    def test_malformed_eb_is_one_error_line(self, npy_field, tmp_path, capsys):
+        path, _ = npy_field
+        assert main(["compress", str(path), str(tmp_path / "x.rpz"),
+                     "--eb", "tight"]) == 1
+        assert capsys.readouterr().err.startswith("error: error-bound spec")
+
+    def test_eb_spec_reaches_the_container(self, npy_field, tmp_path):
+        path, data = npy_field
+        rpz = tmp_path / "x.rpz"
+        assert main(["compress", str(path), str(rpz), "--codec", "sz3",
+                     "--eb", "rel:1e-3"]) == 0
+        from repro.chunked import ChunkedFile
+
+        with ChunkedFile(str(rpz)) as f:
+            assert f.error_bound == pytest.approx(
+                1e-3 * float(data.max() - data.min()), rel=1e-6
+            )
+
 
 def test_python_dash_m_entrypoint(npy_field, tmp_path, subprocess_env):
     """The real ``python -m repro`` module entry point works."""

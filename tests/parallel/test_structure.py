@@ -151,3 +151,20 @@ def test_each_codec_module_builds_its_plan_in_one_place():
             if isinstance(node.func, ast.Name) and node.func.id == "FrozenPlan"
         ]
         assert len(built) <= 1, path.name
+
+
+def test_the_shard_supervisor_is_not_on_the_data_path():
+    # one accept path: shards listen on the public port themselves
+    # (SO_REUSEPORT); the supervisor listens for STATS/PING only and
+    # never dials a shard — a router in front of them was measured and
+    # removed (EXPERIMENTS.md §10)
+    tree = ast.parse((SRC / "service" / "sharding.py").read_text())
+    listens = [
+        scope for node, scope in calls(tree)
+        if isinstance(node.func, ast.Attribute)
+        and node.func.attr == "start_server"
+    ]
+    assert listens and all(s[0] == "_AdminServer" for s in listens), listens
+    assert "open_connection" not in {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }

@@ -1,20 +1,21 @@
 """Unit tests for the sharded-runtime building blocks (no subprocesses).
 
 Covers the plan-replication bus codec (versioned wire format, pickle
-byte-identity), the :class:`PlanLRU` replication hooks, shard key
-hashing / request routing keys, and the all-shards stats aggregation —
-the pieces ``repro serve --shards N`` composes.
+byte-identity), the :class:`PlanLRU` replication hooks, the hub's
+one-plan-per-key arbitration (a ``BusHub`` and two endpoints over real
+pipes, in this process), and the all-shards stats aggregation — the
+pieces ``repro serve --shards N`` composes.
 """
 
+import asyncio
 import pickle
 
 import pytest
 
 from repro.core.plan_cache import FrozenPlan, PlanLRU
 from repro.errors import ProtocolError
-from repro.service import aggregate_snapshots, shard_for_key
+from repro.service import aggregate_snapshots
 from repro.service import planbus, protocol
-from repro.service.sharding import resolve_router, reuseport_available
 
 
 def make_plan(eb=1e-3, alpha=1.5):
@@ -39,9 +40,9 @@ class TestBusCodec:
             pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
 
     def test_hello_roundtrip(self):
-        msg = planbus.decode_message(planbus.encode_hello(1, 9754, 4242))
-        assert (msg.kind, msg.shard_id, msg.port, msg.pid) == (
-            planbus.MSG_HELLO, 1, 9754, 4242,
+        msg = planbus.decode_message(planbus.encode_hello(1, 4242))
+        assert (msg.kind, msg.shard_id, msg.pid) == (
+            planbus.MSG_HELLO, 1, 4242,
         )
 
     def test_stats_roundtrip(self):
@@ -51,13 +52,13 @@ class TestBusCodec:
         assert msg.stats == stats
 
     def test_wrong_version_rejected(self):
-        body = bytearray(planbus.encode_hello(0, 1, 2))
+        body = bytearray(planbus.encode_hello(0, 2))
         body[0] = 99
         with pytest.raises(ProtocolError, match="version 99"):
             planbus.decode_message(bytes(body))
 
     def test_unknown_kind_rejected(self):
-        body = bytearray(planbus.encode_hello(0, 1, 2))
+        body = bytearray(planbus.encode_hello(0, 2))
         body[1] = 77
         with pytest.raises(ProtocolError, match="kind 77"):
             planbus.decode_message(bytes(body))
@@ -71,14 +72,22 @@ class TestBusCodec:
 
 
 class TestPlanLRUReplication:
-    def test_install_does_not_overwrite_and_counts(self):
-        lru = PlanLRU(capacity=4)
+    def test_install_replaces_and_counts(self):
+        """What the bus delivers is the fleet's plan: it replaces a
+        different resident one (in place — no eviction, no re-derive)
+        and an equal one is a no-op."""
+        lru = PlanLRU(capacity=2)
         local = make_plan(alpha=1.0)
-        remote = make_plan(alpha=9.0)
-        assert lru.install("k", local)
-        assert not lru.install("k", remote)  # local copy wins
-        assert lru.get_or_derive("k", lambda: remote) is local
-        assert lru.stats()["plan_replicated"] == 1
+        fleet = make_plan(alpha=9.0)
+        lru.put("k", local)
+        lru.put("newer", local)
+        assert lru.install("k", fleet)
+        assert not lru.install("k", make_plan(alpha=9.0))  # equal: no-op
+        assert lru.get_or_derive("k", lambda: local) is fleet
+        stats = lru.stats()
+        assert stats["plan_replicated"] == 1
+        assert stats["plan_derives"] == 0
+        assert stats["plan_cache_size"] == 2
 
     def test_install_respects_capacity(self):
         lru = PlanLRU(capacity=2)
@@ -96,53 +105,151 @@ class TestPlanLRUReplication:
         assert published == ["a"]
 
 
-class TestRouting:
-    def test_shard_for_key_is_stable_and_in_range(self):
-        for n in (1, 2, 4, 7):
-            for key in ("family:climate", "plan:abc", "x"):
-                s = shard_for_key(key, n)
-                assert 0 <= s < n
-                assert s == shard_for_key(key, n)  # deterministic
+def scripted_fleet(loop, capacities=(8, 8)):
+    """A ``BusHub`` and one endpoint + cache per shard, over real pipes,
+    all in this process and not yet attached to ``loop``."""
+    hub = planbus.BusHub()
+    ends, caches = [], []
+    for shard_id, capacity in enumerate(capacities):
+        end = planbus.PlanBusEndpoint(hub.add_shard(shard_id), shard_id)
+        ends.append(end)
+        caches.append(PlanLRU(capacity, on_derive=end.publish_plan))
 
-    def test_shard_for_key_spreads(self):
-        hits = {shard_for_key(f"family:f{i}", 4) for i in range(64)}
-        assert hits == {0, 1, 2, 3}
+    def attach():
+        hub.attach(loop)
+        for end, cache in zip(ends, caches):
+            end.attach(loop, cache, dict)
 
-    def test_routing_key_prefers_shard_key_meta(self):
-        req = protocol.StatsRequest()
-        body = protocol.encode_request(req)
-        assert protocol.routing_key(body) is None  # keyless op
+    def detach():
+        for end in ends:
+            end.detach()
+        hub.close()
 
-    def test_routing_key_from_compress_family(self):
+    return hub, caches, attach, detach
+
+
+async def settle(caches, key, timeout=5.0):
+    """Run the loop until every cache holds one plan for ``key`` (or the
+    timeout passes), then a little longer so late messages land too."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while asyncio.get_running_loop().time() < deadline:
+        held = [cache.peek(key) for cache in caches]
+        if None not in held and all(p == held[0] for p in held):
+            break
+        await asyncio.sleep(0.01)
+    await asyncio.sleep(0.05)
+
+
+def dumps(plan):
+    return pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class TestFleetConvergence:
+    """One key, one plan, fleet-wide — whoever derived what, and when."""
+
+    KEY = ("qoz", (), "rel", 1e-3, ("family", "F", "float32"))
+
+    def test_racing_derivations_of_one_family_key_converge(self):
+        """Both shards derive (different data, so different plans) and
+        publish before either reads the bus: the hub keeps the first
+        payload it sees and sends the loser that one back."""
+        plan_a, plan_b = make_plan(alpha=1.0), make_plan(alpha=2.0)
+
+        async def scenario():
+            hub, caches, attach, detach = scripted_fleet(
+                asyncio.get_running_loop()
+            )
+            try:
+                caches[0].get_or_derive(self.KEY, lambda: plan_a)
+                caches[1].get_or_derive(self.KEY, lambda: plan_b)
+                attach()
+                await settle(caches, self.KEY)
+                return [dumps(cache.peek(self.KEY)) for cache in caches]
+            finally:
+                detach()
+
+        held = asyncio.run(scenario())
+        assert held[0] == held[1]
+        assert held[0] in (dumps(plan_a), dumps(plan_b))
+
+    def test_rederiving_an_evicted_key_ends_on_the_fleets_plan(self):
+        """Shard 1 (capacity 1) loses the key to its LRU, derives it
+        again from other data, and still ends up with the plan shard 0
+        has been serving all along — installs never re-publish, so the
+        bus goes quiet afterwards."""
+        fleet_plan, other, late = (
+            make_plan(alpha=1.0), make_plan(alpha=3.0), make_plan(alpha=2.0),
+        )
+
+        async def scenario():
+            hub, caches, attach, detach = scripted_fleet(
+                asyncio.get_running_loop(), capacities=(8, 1)
+            )
+            try:
+                attach()
+                caches[0].get_or_derive(self.KEY, lambda: fleet_plan)
+                await settle(caches, self.KEY)
+                assert caches[1].peek(self.KEY) == fleet_plan
+                caches[1].get_or_derive("another-key", lambda: other)
+                assert caches[1].peek(self.KEY) is None  # evicted
+                assert caches[1].get_or_derive(self.KEY, lambda: late) is late
+                await settle(caches, self.KEY)
+                return [cache.peek(self.KEY) for cache in caches], [
+                    cache.stats()["plan_derives"] for cache in caches
+                ]
+            finally:
+                detach()
+
+        held, derives = asyncio.run(scenario())
+        assert held == [fleet_plan, fleet_plan]
+        assert derives == [1, 2]  # only real derivations are counted
+
+    def test_hub_forgets_old_keys_and_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(planbus, "HUB_PLAN_CAPACITY", 2)
+
+        async def scenario():
+            hub, caches, attach, detach = scripted_fleet(
+                asyncio.get_running_loop()
+            )
+            try:
+                attach()
+                for i in range(5):
+                    caches[0].get_or_derive(i, make_plan)
+                await settle(caches, 4)
+                return len(hub._winners), caches[1].stats()["plan_replicated"]
+            finally:
+                detach()
+
+        assert asyncio.run(scenario()) == (2, 5)
+
+
+class TestOldClientFrames:
+    def test_shard_key_meta_from_an_old_client_is_ignored(self):
+        """Protocol rule: unknown meta keys are skipped.  ``shard_key``
+        (written by clients up to wire-registry revision 3) is now one
+        of them, so an old client keeps working against a new server."""
         import numpy as np
 
         req = protocol.CompressRequest(
-            data=np.zeros((4, 4), dtype=np.float32),
+            data=np.arange(16, dtype=np.float32).reshape(4, 4),
             codec="qoz", error_bound=1e-3, family="climate",
+            priority="batch",
         )
-        assert protocol.routing_key(protocol.encode_request(req)) == \
-            "family:climate"
-
-    def test_routing_key_shard_key_wins_over_family(self):
-        import numpy as np
-
-        req = protocol.CompressRequest(
-            data=np.zeros((4, 4), dtype=np.float32),
-            codec="qoz", error_bound=1e-3, family="climate",
-            shard_key="pin-7",
-        )
-        assert protocol.routing_key(protocol.encode_request(req)) == "pin-7"
-
-    def test_routing_key_never_raises_on_garbage(self):
-        assert protocol.routing_key(b"") is None
-        assert protocol.routing_key(b"\xff" * 40) is None
-
-    def test_resolve_router(self):
-        assert resolve_router("hash") == "hash"
-        expected = "reuseport" if reuseport_available() else "hash"
-        assert resolve_router("auto") == expected
-        with pytest.raises(ValueError):
-            resolve_router("carrier-pigeon")
+        new = protocol.encode_request(req)
+        # hand-build the old frame: same body, one more meta entry
+        w = protocol._Writer()
+        w.u8(protocol.PROTOCOL_VERSION)
+        w.u8(protocol.OP_COMPRESS)
+        w.kv({"priority": "batch", "shard_key": "pin-7"})
+        r = protocol._Reader(new)
+        r.u8(), r.u8(), r.kv()
+        old = w.getvalue() + new[r._pos:]
+        assert old != new
+        a, b = protocol.decode_request(old), protocol.decode_request(new)
+        assert not hasattr(a, "shard_key")
+        np.testing.assert_array_equal(a.data, b.data)
+        a.data = b.data = None
+        assert a == b
 
 
 class TestAggregateSnapshots:

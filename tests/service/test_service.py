@@ -161,20 +161,18 @@ class TestOneClientSurface:
             getattr(ServiceClient, method)
         ) == inspect.signature(getattr(RemoteClient, method))
 
-    def test_routing_keywords_are_accepted_in_process(self, svc):
-        """``shard_key`` only means something to a hash-routed fleet,
-        but code written against one client must run against the other.
-        """
+    def test_shard_key_is_gone_from_every_surface(self, svc):
+        """``shard_key`` went with the hash router that read it: removed,
+        not aliased, so a stale call site fails loudly."""
         data = smooth3d(seed=9, dtype=np.float32)
-        blob = repro.compress(
-            data, bound="abs:1e-3", chunks=20, client=svc, shard_key="k"
-        )
-        recon = repro.decompress(blob, client=svc, shard_key="k")
-        np.testing.assert_array_equal(recon, decompress_chunked(blob))
-        part = svc.read(
-            blob, (slice(0, 8), slice(None), slice(None)), shard_key="k"
-        )
-        np.testing.assert_array_equal(part, recon[:8])
+        with pytest.raises(TypeError, match="shard_key"):
+            repro.compress(
+                data, bound="abs:1e-3", chunks=20, client=svc, shard_key="k"
+            )
+        with pytest.raises(TypeError, match="shard_key"):
+            svc.decompress(b"", shard_key="k")
+        with pytest.raises(TypeError, match="shard_key"):
+            RemoteClient(port=1, shard_key="k")  # raises before it dials
 
 
 class TestPlanCache:

@@ -9,14 +9,16 @@ clients —
   bytes the in-process library path yields (byte-identity);
 * a plan derived on one shard warms the other through the replication
   bus (observed via ``bus_plans_installed`` / ``plan_cache_hits``);
+* two shards that meet one ``family=`` at the same moment, each with
+  its own data, end up serving that family under ONE plan;
 * the supervisor's admin endpoint serves an aggregated snapshot whose
   per-shard rows reconcile with the fleet totals;
 * killing a shard mid-connection costs a ``reconnects``-enabled client
   one redial and nothing else (and surfaces as the typed
   :class:`ServiceConnectionError` for a default client).
 
-The hash-router mode (the non-Linux fallback) gets its own fixture so
-both distribution strategies stay covered on every platform.
+There is one accept path (``SO_REUSEPORT``); ``--router`` is gone and
+argparse says so.
 """
 
 import json
@@ -26,6 +28,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -60,12 +63,11 @@ def subprocess_env():
 class ShardedServer:
     """A ``repro serve --shards N`` subprocess, with parsed topology."""
 
-    def __init__(self, shards=2, router="auto", extra=()):
+    def __init__(self, shards=2, extra=()):
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--shards", str(shards), "--router", router,
-                *extra,
+                "--port", "0", "--shards", str(shards), *extra,
             ],
             env=subprocess_env(),
             stdout=subprocess.PIPE,
@@ -186,6 +188,47 @@ class TestShardedSmoke:
             data, codec="qoz", rel_error_bound=1e-3, chunks=12
         )
 
+    def test_one_family_met_on_two_shards_at_once_converges(self, server):
+        """Each shard derives the family's plan from the block *it* was
+        sent (the plans differ); after the bus settles the same block
+        compresses to the same bytes on both."""
+        from repro.datasets import get_dataset
+
+        blocks = {
+            0: get_dataset("nyx", shape=(32, 32, 32), seed=0),
+            1: get_dataset("miranda", shape=(32, 32, 32), seed=0),
+        }
+        probe = get_dataset("hurricane", shape=(32, 32, 32), seed=0)
+        call = dict(codec="qoz", bound="rel:1e-3", family="race-probe")
+        clients = {i: client_on_shard(server.port, i) for i in (0, 1)}
+        try:
+            before = {i: c.stats()["plan_derives"] for i, c in clients.items()}
+            gate = threading.Barrier(2)
+
+            def first_contact(shard_id):
+                gate.wait()
+                clients[shard_id].compress(blocks[shard_id], **call)
+
+            threads = [
+                threading.Thread(target=first_contact, args=(i,))
+                for i in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            time.sleep(1.0)  # the settle: one pipe round trip, generously
+            derived = sum(
+                c.stats()["plan_derives"] - before[i]
+                for i, c in clients.items()
+            )
+            assert derived >= 1  # 2 when the race happened (the usual case)
+            blobs = [clients[i].compress(probe, **call) for i in (0, 1)]
+        finally:
+            for c in clients.values():
+                c.close()
+        assert blobs[0] == blobs[1]
+
     def test_admin_aggregate_reconciles_with_per_shard_rows(self, server):
         # make sure both shards have admitted something first
         for shard_id in (0, 1):
@@ -274,46 +317,12 @@ class TestShardedSmoke:
         raise AssertionError(f"shard never respawned: {agg}")
 
 
-class TestHashRouter:
-    """The SO_REUSEPORT-less fallback: explicit front-router process."""
-
-    @pytest.fixture(scope="class")
-    def router_server(self):
-        srv = ShardedServer(shards=2, router="hash")
-        yield srv
-        srv.close()
-
-    def test_bytes_identical_through_router(self, router_server):
-        data = smooth3d(seed=5)
-        inline = compress_chunked(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=12
-        )
-        for i in range(3):
-            with RemoteClient(port=router_server.port) as client:
-                blob = client.compress(
-                    data, codec="qoz", rel_error_bound=1e-3, chunks=12
-                )
-            assert blob == inline, f"connection {i}"
-
-    def test_shard_key_affinity(self, router_server):
-        # connections tagged with the same shard_key reach the same
-        # shard: that is what makes a family's plan cache shard-local
-        # even before replication catches up
-        data = smooth3d(seed=6)
-        shards = set()
-        for _ in range(4):
-            with RemoteClient(
-                port=router_server.port, shard_key="pin-me"
-            ) as client:
-                client.compress(
-                    data, codec="qoz", rel_error_bound=1e-3, chunks=12
-                )
-                shards.add(client.stats()["shard_id"])
-        assert len(shards) == 1
-
-    def test_keyless_connections_round_robin(self, router_server):
-        seen = set()
-        for _ in range(8):
-            with RemoteClient(port=router_server.port) as client:
-                seen.add(client.stats()["shard_id"])
-        assert seen == {0, 1}
+def test_the_router_flag_is_gone():
+    """One accept path: ``--router`` was removed, not aliased."""
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--shards", "2",
+         "--router", "hash"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert "unrecognized arguments: --router hash" in out.stderr
