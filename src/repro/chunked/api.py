@@ -87,8 +87,9 @@ class CompressJob:
     (never copied), and a relative bound is made absolute against the
     *full* field's value range, so every chunk honors exactly the bound
     the unchunked route would.  ``vrange`` keeps that range for
-    derivation; ``plan`` starts as the injected plan, if any, and its
-    owner fills it from :meth:`derive` while :attr:`wants_plan`.
+    derivation; ``plan`` starts as the injected plan, if any, and while
+    :attr:`wants_plan` it is filled from :meth:`derive` — by the service
+    through its cache, else by :meth:`compress_to`.
     """
 
     def __init__(
@@ -132,10 +133,12 @@ class CompressJob:
             and self.codec.derives_plan
         )
 
-    def derive(self) -> FrozenPlan:
-        """The codec's analysis, once, over the full field."""
+    def derive(self, pool=None) -> FrozenPlan:
+        """The codec's analysis, once, over the full field; ``pool`` (a
+        ``ChunkWorkPool``) lends it workers for its independent trials."""
         plan = self.codec.derive_plan(
-            self.data, error_bound=self.eb, data_range=self.vrange
+            self.data, error_bound=self.eb, data_range=self.vrange,
+            fan_out=pool.map_stack if pool is not None else None,
         )
         if plan is None:
             raise CompressionError(f"codec {self.codec_name!r} derives no plan")
@@ -161,22 +164,30 @@ class CompressJob:
     def compress_to(
         self, fh: BinaryIO, processes: Optional[int] = None
     ) -> ContainerInfo:
-        """Execute every chunk, in-process or over ``processes`` pool
-        workers, and write the container to ``fh``."""
+        """Derive if still owed, execute every chunk and write the
+        container to ``fh`` — in-process, or over ``processes`` workers of
+        the kept pool, borrowed once for both steps (``processes=`` covers
+        the tuning trials as well as the chunks)."""
         # lazy views, not copies: the pool packs each batch straight into
         # a shared-memory slab, so the slab fill is the only copy per chunk
         views = ((i, self.data[self.grid.chunk_slices(i)]) for i in self.grid)
         if processes in (None, 0, 1) or self.grid.n_chunks <= 1:
+            if self.wants_plan:
+                self.plan = self.derive()
             return self.write(
                 fh, ((i, self.compress_chunk(v)) for i, v in views)
             )
         from repro.parallel.executor import kept_pool
 
-        # closing(): a failing writer cancels, and so releases, what is in flight
-        with kept_pool(processes) as pool, closing(pool.compress_stream(
-            views, self.codec_name, self.codec_kwargs, self.eb, self.plan
-        )) as streams:
-            return self.write(fh, streams)
+        with kept_pool(processes) as pool:
+            if self.wants_plan:
+                self.plan = self.derive(pool)
+            # closing(): a failing writer cancels, and so releases, what is
+            # in flight
+            with closing(pool.compress_stream(
+                views, self.codec_name, self.codec_kwargs, self.eb, self.plan
+            )) as streams:
+                return self.write(fh, streams)
 
 
 def compress_chunked_to_file(
@@ -206,6 +217,8 @@ def compress_chunked_to_file(
     selection / tuning runs **once** over the full field and the frozen
     plan is broadcast to every chunk — the dominant cost of chunked QoZ
     compression, otherwise re-paid per chunk, is amortized to one payment.
+    A call that fans out lends the same pool to that derivation: QoZ's
+    independent tuning trials run on the workers (same plan, same bytes).
     ``per_chunk_tuning=True`` opts back into independent per-chunk
     analysis: marginally better per-chunk ratios (each chunk gets its own
     (alpha, beta) and interpolators) at a many-fold compression-time cost.
@@ -229,9 +242,6 @@ def compress_chunked_to_file(
         per_chunk_tuning,
         plan,
     )
-    if job.wants_plan:
-        job.plan = job.derive()
-
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     if not own:
         return job.compress_to(file, processes)

@@ -11,7 +11,7 @@ supplies only its analysis (``_derive``) or its plan-less payload
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -151,6 +151,8 @@ class Compressor(ABC):
         error_bound: Optional[float] = None,
         rel_error_bound: Optional[float] = None,
         data_range: Optional[float] = None,
+        *,
+        fan_out: Optional[Callable] = None,
     ) -> Optional[FrozenPlan]:
         """Run the codec's analysis only; ``None`` if it has none.
 
@@ -161,12 +163,15 @@ class Compressor(ABC):
         ``data_range`` (max - min of the full field) short-circuits the
         value scan that a relative bound or a reconstruction metric would
         otherwise need — the chunked route passes the one it already has.
+        ``fan_out`` (:data:`repro.core.tuning.FanOut`) lends the analysis
+        a pool for its independent trial compressions; the plan is the
+        same with or without it.
         """
         data = validate_field_lazy(data)
         eb, data_range = _admit_bound(
             data, error_bound, rel_error_bound, data_range
         )
-        return self._derive(data, eb, data_range)[0]
+        return self._derive(data, eb, data_range, fan_out)[0]
 
     def compress_with_plan(
         self,
@@ -233,10 +238,12 @@ class Compressor(ABC):
         return recon.astype(header.dtype)
 
     def _derive(
-        self, data: np.ndarray, eb: float, data_range: Optional[float]
+        self, data: np.ndarray, eb: float, data_range: Optional[float],
+        fan_out: Optional[Callable] = None,
     ) -> Tuple[Optional[FrozenPlan], Any]:
         """``(plan, trace)`` of the codec's analysis; ``trace`` comes back
-        in :meth:`_note_execution`."""
+        in :meth:`_note_execution`.  A codec without independent trials
+        ignores ``fan_out``."""
         return None, None
 
     def _note_execution(

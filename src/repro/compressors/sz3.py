@@ -59,7 +59,8 @@ class SZ3(Compressor):
         self.radius = radius
 
     def _derive(
-        self, data: np.ndarray, eb: float, data_range: Optional[float]
+        self, data: np.ndarray, eb: float, data_range: Optional[float],
+        fan_out=None,
     ) -> Tuple[FrozenPlan, None]:
         """The sampled interpolator selection, frozen.
 

@@ -57,6 +57,11 @@ DEFAULTS_3D = dict(anchor_stride=32, sample_block=32, sample_rate=0.005)
 
 _SELECTION_MODES = ("none", "global", "level")
 
+#: sampled stacks smaller than one default 3-D block (32^3 points) are
+#: analysed inline: their independent trials cost less than the ~1 ms it
+#: takes to ship them to workers (EXPERIMENTS.md §14)
+FAN_OUT_MIN_POINTS = 32**3
+
 #: what ``_derive`` hands ``_note_execution`` besides the plan
 _Trace = Tuple[Optional[SelectionResult], Optional[TuningOutcome]]
 
@@ -142,7 +147,8 @@ class QoZ(Compressor):
 
     # ------------------------------------------------------ plan derivation
     def _derive(
-        self, data: np.ndarray, eb: float, data_range: Optional[float]
+        self, data: np.ndarray, eb: float, data_range: Optional[float],
+        fan_out=None,
     ) -> Tuple[FrozenPlan, _Trace]:
         """The analysis half of Fig. 2: sampling + selection + tuning.
 
@@ -166,9 +172,11 @@ class QoZ(Compressor):
                 data, int(cfg["sample_block"]), float(cfg["sample_rate"])
             )
 
-        selection = self._run_selection(blocks, eb)
+        if blocks is not None and blocks.size < FAN_OUT_MIN_POINTS:
+            fan_out = None
+        selection = self._run_selection(blocks, eb, fan_out)
         alpha, beta, tuning = self._run_tuning(
-            blocks, eb, selection, max_level, data, data_range
+            blocks, eb, selection, max_level, data, data_range, fan_out
         )
         frozen = FrozenPlan(
             codec=self.name,
@@ -204,12 +212,12 @@ class QoZ(Compressor):
             from_plan=trace is None,
         )
 
-    def _run_selection(self, blocks, eb: float) -> SelectionResult:
+    def _run_selection(self, blocks, eb: float, fan_out=None) -> SelectionResult:
         if self.selection == "none" or blocks is None:
             return SelectionResult(
                 per_level={1: (CUBIC, ORDER_FORWARD)}, l1_errors={}
             )
-        result = select_interpolators(blocks, eb, self.radius)
+        result = select_interpolators(blocks, eb, self.radius, fan_out=fan_out)
         if self.selection == "global":
             # one interpolator everywhere: reuse the finest level's winner
             # (it covers the bulk of the points)
@@ -225,6 +233,7 @@ class QoZ(Compressor):
         max_level: int,
         data,
         data_range: Optional[float] = None,
+        fan_out=None,
     ) -> Tuple[float, float, Optional[TuningOutcome]]:
         if self.fixed_alpha is not None:
             return float(self.fixed_alpha), float(self.fixed_beta), None
@@ -242,6 +251,7 @@ class QoZ(Compressor):
             metric=self.metric,
             data_range=1.0 if data_range is None else data_range,
             radius=self.radius,
+            fan_out=fan_out,
         )
         return outcome.alpha, outcome.beta, outcome
 

@@ -14,7 +14,7 @@ decompressor will actually see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,10 +108,23 @@ def _trial_level(
     return score, stats.mean_abs_error(level), trial
 
 
+def score_level_candidates(
+    work: np.ndarray, candidates: Sequence[Tuple[int, int]],
+    level: int, eb: float, radius: int,
+) -> List[Tuple[float, float]]:
+    """``(score, l1)`` of each candidate at one level, end states dropped."""
+    return [_trial_level(work, level, eb, m, o, radius)[:2] for m, o in candidates]
+
+
 def select_interpolators(
-    blocks: np.ndarray, eb: float, radius: int = DEFAULT_RADIUS
+    blocks: np.ndarray, eb: float, radius: int = DEFAULT_RADIUS, *, fan_out=None
 ) -> SelectionResult:
-    """Algorithm 1: per-level best-fit interpolator over sampled blocks."""
+    """Algorithm 1: per-level best-fit interpolator over sampled blocks.
+
+    ``fan_out`` (see :data:`repro.core.tuning.FanOut`) scores level 1's
+    candidates all at once: nothing reads that level's end state, so they
+    are independent.  The upper levels each start from the last winner's.
+    """
     block_shape = blocks.shape[1:]
     top = max_level_for_shape(block_shape)
     candidates = distinct_candidates(len(block_shape))
@@ -119,6 +132,11 @@ def select_interpolators(
     per_level: Dict[int, Tuple[int, int]] = {}
     l1: Dict[int, float] = {}
     for level in range(top, 0, -1):
+        if level == 1 and fan_out is not None:
+            scored = fan_out(score_level_candidates, work, candidates, 1, eb, radius)
+            k = min(range(len(scored)), key=scored.__getitem__)  # first minimum
+            per_level[1], l1[1] = candidates[k], scored[k][1]
+            break
         best_score = np.inf
         best_l1 = np.inf
         best = candidates[0]

@@ -15,7 +15,7 @@ test in (bit-rate, metric) space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,14 @@ BETA_CANDIDATES: Tuple[float, ...] = (1.5, 2.0, 3.0, 4.0)
 
 #: supported tuning targets; 'cr' = maximize compression ratio only
 TUNING_METRICS = ("cr", "psnr", "ssim", "ac")
+
+#: an Eq. 5 bound vector ``(e_1, ..., e_L)`` is all a trial depends on;
+#: its ``(bit rate, metric | None)`` is all it yields
+BoundVector = Tuple[float, ...]
+Score = Tuple[float, Optional[float]]
+#: ``fan_out(fn, stack, items, *spec)`` returns ``fn(stack, items, *spec)``,
+#: computed anywhere (``ChunkWorkPool.map_stack`` deals items to workers)
+FanOut = Callable[..., list]
 
 
 def level_error_bounds(
@@ -108,12 +116,10 @@ class TuningOutcome:
 def _evaluate_candidate(
     blocks: np.ndarray,
     plan: InterpPlan,
-    alpha: float,
-    beta: float,
     metric: str,
     data_range: float,
     ssim_ref: Optional[SsimReference],
-) -> TrialResult:
+) -> Score:
     """Trial-compress the sampled blocks and score (bit rate, metric).
 
     ``ssim_ref`` holds the SSIM terms of ``blocks`` themselves, which no
@@ -135,7 +141,31 @@ def _evaluate_candidate(
         )
     elif metric == "ac":
         value = -abs(error_autocorrelation(blocks, work))
-    return TrialResult(alpha=alpha, beta=beta, bit_rate=rate, metric=value)
+    return rate, value
+
+
+def score_bound_vectors(
+    blocks: np.ndarray,
+    vectors: Sequence[BoundVector],
+    interpolators: Dict[int, Tuple[int, int]],
+    radius: int,
+    metric: str,
+    data_range: float,
+    ssim_ref: Optional[SsimReference] = None,
+) -> List[Score]:
+    """One engine run per bound vector.  Every trial, wherever it runs, is
+    this function: the Table I loop calls it per vector, a pool worker on
+    its share of the first round."""
+    if metric == "ssim" and ssim_ref is None:
+        ssim_ref = ssim_reference(blocks, batch=True)
+    return [
+        _evaluate_candidate(
+            blocks,
+            _assemble_plan(dict(enumerate(v, 1)), interpolators, 0, radius),
+            metric, data_range, ssim_ref,
+        )
+        for v in vectors
+    ]
 
 
 def psnr_with_range(original, reconstructed, data_range: float) -> float:
@@ -183,8 +213,15 @@ def tune_parameters(
     radius: int = DEFAULT_RADIUS,
     alphas: Tuple[float, ...] = ALPHA_CANDIDATES,
     betas: Tuple[float, ...] = BETA_CANDIDATES,
+    *,
+    fan_out: Optional[FanOut] = None,
 ) -> TuningOutcome:
-    """Pick (alpha, beta) for the user's quality metric (paper Table I)."""
+    """Pick (alpha, beta) for the user's quality metric (paper Table I).
+
+    ``fan_out`` scores the first round's distinct bound vectors ahead of
+    the loop, which then consumes them as if it had just run each one:
+    same winner, same counters.
+    """
     if metric not in TUNING_METRICS:
         raise ConfigurationError(
             f"metric must be one of {TUNING_METRICS}, got {metric!r}"
@@ -196,6 +233,10 @@ def tune_parameters(
     # for its own Eq. 5 bound vector
     interpolators = {l: selection.interpolator(l) for l in range(1, max_level + 1)}
     ssim_ref = ssim_reference(blocks, batch=True) if metric == "ssim" else None
+    spec = (interpolators, radius, metric, data_range)
+
+    def bound_vector(eb_trial: float, alpha: float, beta: float) -> BoundVector:
+        return tuple(level_error_bounds(eb_trial, alpha, beta, max_level).values())
 
     # Eq. 5 caps the per-level bounds at ``min(alpha**(l-1), beta)``, so
     # distinct (alpha, beta) pairs frequently share one bound vector (every
@@ -204,24 +245,31 @@ def tune_parameters(
     # vector, so trials are memoized by it — Table I re-trials at 0.8e/1.2e
     # hit the same cache.  Scores are reused bit-for-bit, which keeps the
     # winner identical to exhaustively re-running every candidate.
-    memo: Dict[Tuple[float, ...], TrialResult] = {}
+    memo: Dict[BoundVector, Score] = {}
+    # The first round's vectors are known up front and independent, so
+    # they can be scored all at once; re-trials depend on the running
+    # comparison and stay inline.  So does all of 'ac': it scores through
+    # np.dot, and BLAS threads inside forked workers oversubscribe the
+    # cores — measured, a loss (EXPERIMENTS.md §14).
+    ahead: Dict[BoundVector, Score] = {}
+    if fan_out is not None and metric != "ac":
+        first = list(
+            dict.fromkeys(bound_vector(eb, a, b) for a in alphas for b in betas)
+        )
+        ahead = dict(zip(first, fan_out(score_bound_vectors, blocks, first, *spec)))
 
     def evaluate(eb_trial: float, alpha: float, beta: float) -> TrialResult:
-        ebs = level_error_bounds(eb_trial, alpha, beta, max_level)
-        key = tuple(ebs.values())
-        hit = memo.get(key)
-        if hit is not None:
+        key = bound_vector(eb_trial, alpha, beta)
+        score = memo.get(key)
+        if score is not None:
             outcome.cache_hits += 1
-            return TrialResult(
-                alpha=alpha, beta=beta, bit_rate=hit.bit_rate, metric=hit.metric
-            )
-        plan = _assemble_plan(ebs, interpolators, 0, radius)
-        trial = _evaluate_candidate(
-            blocks, plan, alpha, beta, metric, data_range, ssim_ref
-        )
-        outcome.trial_compressions += 1
-        memo[key] = trial
-        return trial
+        else:
+            score = ahead.pop(key, None) or score_bound_vectors(
+                blocks, [key], *spec, ssim_ref
+            )[0]
+            outcome.trial_compressions += 1
+            memo[key] = score
+        return TrialResult(alpha, beta, *score)
 
     best: Optional[TrialResult] = None
     for alpha in alphas:

@@ -65,6 +65,10 @@ class WireSpec:
 #   slab.py      rev 1: shared-memory batch descriptors — cross a process
 #                boundary via the pool's pickle channel, not a socket,
 #                but the tuple layout is an IPC contract all the same
+#   slab.py      rev 2: adds the derive-trial job tuple (PR 21): the
+#                sampled stack rides a slab under the rev 1 descriptor,
+#                beside it a function by name and parent-built tuples
+#                of floats and ints (one dict of int tuples)
 #   planbus.py   rev 1: inter-shard plan replication bus — one pipe
 #                payload per message, 'u8 ver | u8 kind | u16 shard_id |
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars
@@ -106,11 +110,12 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/parallel/slab.py",
-        revision=1,
+        revision=2,
         formats=(),  # descriptors ride multiprocessing's pickle, no struct
         constants={
             "SLAB_BATCH_VERSION": 1,
             "SLAB_DESCRIPTOR_LAYOUT": "offset,shape,dtype",
+            "STACK_JOB_LAYOUT": "slab,stack,fn,items,spec",
         },
     ),
     WireSpec(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -61,7 +62,13 @@ import numpy as np
 
 from repro.compressors.base import available_compressors, decompress_any, get_compressor
 from repro.errors import WorkerCrashError
-from repro.parallel.slab import Slab, attach_slab, detach_slab
+from repro.parallel.slab import (
+    Slab,
+    StackJob,
+    attach_slab,
+    detach_slab,
+    share_tracker_with_children,
+)
 
 #: chunks packed into one slab batch: one submit amortizes the dispatch
 #: overhead of this many chunks
@@ -78,6 +85,15 @@ def _compress_one(args) -> bytes:
     return get_compressor(name, **kwargs).compress(
         field, error_bound, rel_error_bound
     )
+
+
+def _own_signals() -> None:
+    """Worker initializer.  A worker forked under an asyncio loop inherits
+    the loop's signal wakeup fd and no-op handlers: the SIGTERM a healing
+    pool sends *it* would reach the parent's loop instead and stop a
+    server that handles SIGTERM."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _probe_job(_arg: int = 0) -> int:
@@ -108,6 +124,22 @@ def _compress_batch(args) -> List[bytes]:
             blobs.append(codec.compress_with_plan(view, plan, error_bound))
             del view  # views must die before the mapping closes
         return blobs
+    finally:
+        detach_slab(shm)
+
+
+def _stack_job(job: StackJob) -> list:
+    """Worker: ``fn(stack, items, *spec)`` on a slab-resident stack — a
+    share of a derive step's independent trials (``STACK_JOB_LAYOUT``).
+    Deterministic and read-only, so a crash retry returns the same."""
+    offset, shape, dtype = job.stack
+    shm = attach_slab(job.slab)
+    try:
+        stack = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
+        try:
+            return job.fn(stack, job.items, *job.spec)
+        finally:
+            del stack  # views must die before the mapping closes
     finally:
         detach_slab(shm)
 
@@ -281,6 +313,13 @@ class ChunkWorkPool:
         if self._on_event is not None:
             self._on_event(kind)
 
+    def _new_executor(self) -> ProcessPoolExecutor:
+        share_tracker_with_children()
+        return ProcessPoolExecutor(
+            max_workers=self.processes, mp_context=self._mp_context,
+            initializer=_own_signals,
+        )
+
     def _acquire_lane(self):
         """Pick the executor for one dispatch attempt.
 
@@ -306,9 +345,7 @@ class ChunkWorkPool:
                     self._last_probe = now
                 return self._serial, self._generation, False, probe
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.processes, mp_context=self._mp_context
-                )
+                self._pool = self._new_executor()
                 if self._ever_built:
                     self._emit("respawn")
                 self._ever_built = True
@@ -350,9 +387,7 @@ class ChunkWorkPool:
 
     def _start_probe(self) -> None:
         """Try one job on a candidate process pool; adopt it if it lives."""
-        candidate = ProcessPoolExecutor(
-            max_workers=self.processes, mp_context=self._mp_context
-        )
+        candidate = self._new_executor()
         try:
             fut = candidate.submit(_probe_job)
         except (BrokenProcessPool, RuntimeError):
@@ -521,6 +556,30 @@ class ChunkWorkPool:
             raise
         future.add_done_callback(lambda _f: slab.release())
         return future
+
+    def map_stack(self, fn: Callable, stack: np.ndarray, items, *spec) -> list:
+        """``fn(stack, items, *spec)``, the items dealt over the workers.
+
+        ``stack`` travels once, in a slab this call owns and releases on
+        every way out; each worker takes an interleaved share, and the
+        results come back in ``items`` order.  Blocks until all are in.
+        """
+        shares = min(len(items), self.workers)
+        slab = Slab.create(max(1, int(stack.nbytes)))
+        futures: List[Future] = []
+        try:
+            (where,) = slab.pack([stack])
+            for k in range(shares):
+                job = StackJob(slab.name, where, fn, tuple(items[k::shares]), spec)
+                futures.append(self._submit(_stack_job, job))
+            out: list = [None] * len(items)
+            for k, future in enumerate(futures):
+                out[k::shares] = future.result()
+            return out
+        finally:
+            for future in futures:
+                future.cancel()
+            slab.release()
 
     def compress_stream(
         self,

@@ -42,7 +42,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 try:  # guarded: some minimal builds ship multiprocessing without _posixshmem
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 
     HAVE_SHARED_MEMORY = True
 except ImportError:  # pragma: no cover - exercised only on exotic builds
@@ -53,11 +53,14 @@ __all__ = [
     "SLAB_BATCH_VERSION",
     "SLAB_DESCRIPTOR_LAYOUT",
     "SLAB_NAME_PREFIX",
+    "STACK_JOB_LAYOUT",
     "ChunkDescriptor",
     "Slab",
+    "StackJob",
     "active_slab_names",
     "attach_slab",
     "detach_slab",
+    "share_tracker_with_children",
 ]
 
 #: version tag of the (slab name, descriptors) job layout shipped to
@@ -69,11 +72,18 @@ SLAB_BATCH_VERSION = 1
 #: lint/wire_registry.py (RL003 pins this constant to the registry).
 SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 
+#: field order of one derive-trial job (``ChunkWorkPool.map_stack``): the
+#: worker runs ``fn(stack, items, *spec)`` — ``stack`` the chunk descriptor
+#: of the sampled block stack in ``slab``, ``items`` its share of bound
+#: vectors or interpolator candidates.  Also registered.
+STACK_JOB_LAYOUT = "slab,stack,fn,items,spec"
+
 #: every segment this package creates is named with this prefix, so a
 #: leak check can glob /dev/shm from outside the owning process
 SLAB_NAME_PREFIX = "repro-slab"
 
 ChunkDescriptor = namedtuple("ChunkDescriptor", SLAB_DESCRIPTOR_LAYOUT.split(","))
+StackJob = namedtuple("StackJob", STACK_JOB_LAYOUT.split(","))
 
 _LIVE: Dict[str, "Slab"] = {}
 _LIVE_LOCK = threading.Lock()
@@ -92,6 +102,16 @@ os.register_at_fork(
     after_in_parent=_TRACKER_CALL_LOCK.release,
     after_in_child=_TRACKER_CALL_LOCK.release,
 )
+
+
+def share_tracker_with_children() -> None:
+    """Start the resource tracker before workers fork, so their attaches
+    (re-registered on Python < 3.13) reach the owner's tracker: a worker
+    forked earlier starts its own, which reports the owner's segments as
+    leaked and unlinks them when that worker dies."""
+    if HAVE_SHARED_MEMORY:
+        with _TRACKER_CALL_LOCK:
+            resource_tracker.ensure_running()
 
 
 def _purge_at_exit() -> None:

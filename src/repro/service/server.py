@@ -24,6 +24,7 @@ line and a ``repro serve-stats`` table never disagree.
 from __future__ import annotations
 
 import asyncio
+import signal
 from typing import Awaitable, Callable, Dict, Optional, Union
 
 import numpy as np
@@ -281,8 +282,15 @@ def run_server(
             f"repro service listening on {runtime.host}:{runtime.port}",
             flush=True,
         )
+        # SIGTERM / SIGINT end the serve task, so the ``finally`` runs and
+        # the runtime stops its pool workers instead of orphaning them
+        serving = asyncio.ensure_future(runtime.serve_forever())
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(sig, serving.cancel)
         try:
-            await runtime.serve_forever()
+            await serving
+        except asyncio.CancelledError:
+            pass
         finally:
             await runtime.close()
 

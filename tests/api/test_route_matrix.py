@@ -95,6 +95,17 @@ class TestValidProbes:
             recon = repro.decompress(blob).astype(np.float64)
             assert np.abs(recon - x).max() <= tol
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("metric", ["cr", "psnr", "ssim", "ac"])
+    def test_pooled_derive_writes_the_serial_container(self, metric, dtype):
+        # processes= lends the pool to the tuning trials too (DESIGN.md §7)
+        x = field(dtype, seed=3)
+        call = dict(
+            codec="qoz", bound=BOUNDS[1], chunks=CHUNKS,
+            codec_kwargs={"metric": metric},
+        )
+        assert repro.compress(x, processes=2, **call) == repro.compress(x, **call)
+
     @pytest.mark.parametrize("bound", BOUNDS, ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("codec,kwargs", CODECS)

@@ -39,9 +39,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _live_children():
-    """``(pid, command line)`` of this process's children that still run,
-    multiprocessing's resource tracker (which lives until exit) aside."""
+def live_children(parent=None):
+    """``(pid, command line)`` of a process's children that still run
+    (default: this process's), multiprocessing's resource tracker (which
+    lives until exit) aside."""
+    parent = os.getpid() if parent is None else parent
     found = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -54,12 +56,19 @@ def _live_children():
         except (OSError, ValueError):
             continue  # gone between listdir and open
         if (
-            int(ppid) == os.getpid()
+            int(ppid) == parent
             and state != "Z"
             and "multiprocessing.resource_tracker" not in cmdline
         ):
             found.append((int(entry), cmdline))
     return found
+
+
+@pytest.fixture(name="live_children")
+def live_children_fixture():
+    """:func:`live_children` for test modules (conftest is not importable
+    by name when ``benchmarks/conftest.py`` is collected too)."""
+    return live_children
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -74,8 +83,8 @@ def nothing_outlives_the_session():
     if not os.path.isdir("/proc/self"):
         return  # no way to look from here
     deadline = time.monotonic() + 10.0
-    while _live_children() and time.monotonic() < deadline:
+    while live_children() and time.monotonic() < deadline:
         time.sleep(0.1)
-    assert _live_children() == []
+    assert live_children() == []
     assert active_slab_names() == []
     assert list(pathlib.Path("/dev/shm").glob(f"repro-slab-{os.getpid()}-*")) == []

@@ -71,11 +71,16 @@ def server(subprocess_env):
 
 
 def worker_pids(server_pid):
-    """Direct children of the server — its pool worker processes."""
-    children = pathlib.Path(
-        f"/proc/{server_pid}/task/{server_pid}/children"
-    ).read_text().split()
-    return [int(pid) for pid in children]
+    """Direct children of the server that are pool workers (children are
+    listed per forking thread, and the pool's first submit is not on the
+    main one; the resource tracker is a child too)."""
+    return [
+        int(pid)
+        for task in pathlib.Path(f"/proc/{server_pid}/task").glob("*/children")
+        for pid in task.read_text().split()
+        if b"resource_tracker"
+        not in pathlib.Path(f"/proc/{pid}/cmdline").read_bytes()
+    ]
 
 
 def test_worker_kill_under_load_recovers_byte_identical(server):

@@ -51,6 +51,19 @@ def test_registry_matches_live_protocol_module(protocol_spec):
         assert getattr(protocol, name) == expected, name
 
 
+def test_registry_matches_live_slab_module():
+    from repro.parallel import slab
+
+    spec = spec_for("repro/parallel/slab.py")
+    for name, expected in spec.constants.items():
+        assert getattr(slab, name) == expected, name
+    # the derive-trial job ships its stack under the registered descriptor
+    assert slab.StackJob._fields[:2] == ("slab", "stack")
+    assert slab.ChunkDescriptor._fields == tuple(
+        spec.constants["SLAB_DESCRIPTOR_LAYOUT"].split(",")
+    )
+
+
 def test_golden_codec_blobs_start_with_registered_magic(golden, header_spec):
     magic = header_spec.constants["MAGIC"]
     version = header_spec.constants["VERSION"]

@@ -162,6 +162,31 @@ def test_a_process_that_just_returns_exits_clean(tmp_path, subprocess_env, how):
     assert shm_slabs(script_pid) == []
 
 
+SLABLESS_FIRST_SCRIPT = """
+import numpy as np
+import repro, repro.parallel
+from repro.datasets import get_dataset
+
+x = get_dataset("nyx", shape=(32, 32, 32)).astype(np.float32)
+# the first pooled call ships no slab: nothing has started the resource
+# tracker when the workers fork
+repro.parallel.compress_fields_parallel([x, x], "sz3", rel_error_bound=1e-3,
+                                        processes=2)
+repro.compress(x, codec="sz3", bound="rel:1e-3", chunks=16, processes=2)
+"""
+
+
+def test_workers_forked_by_a_slabless_call_share_the_owners_tracker(subprocess_env):
+    # with a tracker of their own (Python < 3.13 registers an attach) they
+    # report the owner's slabs as leaked at exit — and a killed worker's
+    # tracker would unlink a slab its owner still ships
+    done = subprocess.run(
+        [sys.executable, "-c", SLABLESS_FIRST_SCRIPT], env=subprocess_env,
+        stderr=subprocess.PIPE, timeout=JOIN_S, check=True,
+    )
+    assert b"leaked shared_memory" not in done.stderr, done.stderr.decode()
+
+
 class TestForkedChildren:
     def test_a_forked_child_starts_empty_and_builds_its_own(self, serial):
         compress()

@@ -168,3 +168,41 @@ def test_the_shard_supervisor_is_not_on_the_data_path():
     assert "open_connection" not in {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
+
+
+def test_every_tuning_trial_is_one_evaluator():
+    # the inline runner and a pool worker both reach the engine through
+    # _evaluate_candidate; a second caller would be a second trial kernel
+    sites = [
+        scope for path, scope in call_sites(
+            lambda f: isinstance(f, ast.Name) and f.id == "interp_compress"
+        )
+        if path == "core/tuning.py"
+    ]
+    assert sites == [("_evaluate_candidate",)]
+
+
+def test_core_does_not_import_the_pool():
+    # derivation takes a trial runner as an argument; it never reaches
+    # for a pool itself, so a worker that derives cannot fan out again
+    for path in sorted((SRC / "core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = []
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            assert not [m for m in modules if m.startswith("repro.parallel")], path
+
+
+def test_a_library_compress_call_borrows_the_kept_pool_once():
+    # one ``with kept_pool(...)`` around derive + execute, not one each
+    sites = [
+        scope for path, scope in call_sites(
+            lambda f: isinstance(f, ast.Name) and f.id == "kept_pool"
+        )
+        if path == "chunked/api.py"
+    ]
+    assert sorted(sites) == [
+        ("ChunkedFile", "read"), ("CompressJob", "compress_to"),
+    ]

@@ -7,9 +7,13 @@ at once, and pin the served bytes to the in-process
 ``compress_chunked`` / ``ChunkedFile`` path.
 """
 
+import os
+import pathlib
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,9 +58,6 @@ def server(subprocess_env):
 # subprocess_env fixture; re-export it at module scope
 @pytest.fixture(scope="module")
 def subprocess_env():
-    import os
-    import pathlib
-
     src = pathlib.Path(__file__).parent.parent.parent / "src"
     env = os.environ.copy()
     existing = env.get("PYTHONPATH")
@@ -134,3 +135,32 @@ class TestSmoke:
             stats = client.stats()
             assert stats["processes"] == 1
             assert stats["max_queue"] == 64
+
+
+def test_sigterm_stops_a_single_shard_server_and_its_pool_workers(
+    subprocess_env, live_children
+):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--processes", "2"],
+        env=subprocess_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line, (line, proc.stderr.read())
+        with RemoteClient(port=int(line.rsplit(":", 1)[1])) as client:
+            client.compress(smooth3d(), codec="qoz", rel_error_bound=1e-3, chunks=18)
+        workers = [pid for pid, _cmd in live_children(proc.pid)]
+        assert workers, "the request forked no pool worker"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
+    deadline = time.monotonic() + 5.0
+    while any(os.path.exists(f"/proc/{w}") for w in workers):
+        assert time.monotonic() < deadline, "orphaned pool workers"
+        time.sleep(0.05)
+    assert list(pathlib.Path("/dev/shm").glob(f"repro-slab-{proc.pid}-*")) == []

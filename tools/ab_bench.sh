@@ -3,8 +3,8 @@
 #
 #   tools/ab_bench.sh <parent-ref> <workload[,workload...]|all> [pairs=10]
 #
-# Checks <parent-ref> out as a temporary git worktree and, for each named
-# workload (`all` = every workload of BENCHMARK.json), runs
+# Unpacks <parent-ref> (`git archive`) into a temporary directory and,
+# for each named workload (`all` = every workload of BENCHMARK.json), runs
 # benchmarks/suite/run.py for seeds 1..pairs on both trees — alternating
 # which side goes first, so neither always gets the quieter half of a
 # pair — and hands the workload's two result files to
@@ -12,7 +12,7 @@
 # workloads that were not run are left out).  Exits 1 if any workload had
 # a regression or a fixed value that differs.  Each side runs its *own*
 # copy of the suite against its own src/, as the PR gate does.  The
-# worktree and the result files are removed on any way out.
+# parent copy and the result files are removed on any way out.
 set -eu
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -30,16 +30,12 @@ print(",".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
         "$repo/BENCHMARK.json")
 fi
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab_bench.XXXXXX")
-cleanup() {
-    git -C "$repo" worktree remove --force "$tmp/parent" 2>/dev/null || true
-    git -C "$repo" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
 
-git -C "$repo" worktree add --detach "$tmp/parent" "$parent" >/dev/null
+mkdir "$tmp/parent"
+git -C "$repo" archive "$parent" | tar -x -C "$tmp/parent"
 
 run_side() {  # run_side <tree> <out.json> <seed>
     (cd "$1" && python3 benchmarks/suite/run.py --workload "$workload" \

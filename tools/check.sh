@@ -3,8 +3,8 @@
 # jobs run, in fast-feedback order.
 #
 #   tools/check.sh          reprolint + lint tests + tier-1 suite + leak gate
-#   tools/check.sh --fast   reprolint + lint/structure/route tests only
-#                           (seconds)
+#   tools/check.sh --fast   reprolint + lint/structure/route/pooled-derive
+#                           identity tests only (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -18,7 +18,7 @@ python -m repro lint src
 
 echo "== lint test suite + one-front-door pins =="
 python -m pytest tests/lint tests/parallel/test_structure.py \
-    tests/api/test_route_matrix.py -q
+    tests/api/test_route_matrix.py tests/parallel/test_pooled_derive.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
