@@ -311,12 +311,6 @@ def _cmd_serve_stats(args) -> int:
         return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(args.rest)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -448,24 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
                          "aggregate only)")
     ss.set_defaults(func=_cmd_serve_stats)
 
-    # `repro lint` owns its full option surface in repro.lint.cli (so the
-    # linter is usable standalone); this stub just forwards everything
-    lnt = sub.add_parser(
+    # listed for `repro --help` only: main() hands `repro lint ...` to
+    # repro.lint.cli before this parser runs
+    sub.add_parser(
         "lint",
         add_help=False,
         help="run reprolint, the AST-based invariant checker (see "
              "'repro lint --help')",
     )
-    lnt.add_argument("rest", nargs=argparse.REMAINDER)
-    lnt.set_defaults(func=_cmd_lint)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     if raw and raw[0] == "lint":
-        # dispatch before argparse: nargs=REMAINDER cannot forward a
-        # leading option like `repro lint --no-baseline src` (bpo-17050)
+        # the linter parses its own arguments (repro.lint.cli)
         from repro.lint.cli import main as lint_main
 
         return lint_main(raw[1:])

@@ -2,42 +2,32 @@
 
 Run it with ``repro lint src/`` (or ``python -m repro lint src/``).
 See :mod:`repro.lint.engine` for the framework, :mod:`repro.lint.rules`
-for the rule catalogue, and :mod:`repro.lint.wire_registry` for the
+for the two rules, and :mod:`repro.lint.wire_registry` for the
 declarative wire-format registry RL003 checks against.
 """
 
 from __future__ import annotations
 
-from .config import DEFAULT_OPTIONS, build_rules, rule_classes
 from .engine import (
     Finding,
     LintError,
     ModuleContext,
     Rule,
-    apply_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
-    save_baseline,
 )
-from .rules import ALL_RULES
+from .rules import RULES
 from .wire_registry import WIRE_SPECS, WireSpec, spec_for
 
 __all__ = [
-    "ALL_RULES",
-    "DEFAULT_OPTIONS",
+    "RULES",
     "Finding",
     "LintError",
     "ModuleContext",
     "Rule",
     "WIRE_SPECS",
     "WireSpec",
-    "apply_baseline",
-    "build_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "rule_classes",
-    "save_baseline",
     "spec_for",
 ]

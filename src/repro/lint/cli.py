@@ -2,42 +2,30 @@
 
 Usage::
 
-    repro lint src/                       # lint against the committed baseline
-    repro lint --no-baseline src/         # everything, grandfathered or not
-    repro lint --format json src/         # machine-readable findings
-    repro lint --select RL003 src/        # one rule only
-    repro lint --write-baseline src/      # re-grandfather current findings
+    repro lint src/           # every rule over a tree
+    repro lint --list-rules   # the rule catalogue
 
-Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage or
-configuration error.  Stale baseline entries — grandfathered findings
-the code no longer produces — also fail the run, so the committed
-baseline can only shrink, never silently rot.
+Exit codes: 0 clean, 1 findings, 2 usage error or an unreadable file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .config import build_rules, rule_classes
-from .engine import Finding, LintError, apply_baseline, lint_paths, load_baseline, save_baseline
+from .engine import LintError, lint_paths
+from .rules import RULES
 
-__all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
-
-#: the committed grandfather list, next to this module
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+__all__ = ["main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "reprolint: AST-based checker for the repo's correctness "
-            "invariants (bounded decode, async purity, wire stability, "
-            "plan immutability)"
+            "reprolint: AST-based checker for the invariants nothing else "
+            "tests (bounded decode allocations, wire-format stability)"
         ),
     )
     parser.add_argument(
@@ -47,121 +35,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULE",
-        help="run only these rule IDs (repeatable, e.g. --select RL003)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=f"baseline JSON to subtract (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    return parser
-
-
-def _print_rules() -> None:
-    for rule_id, cls in sorted(rule_classes().items()):
-        print(f"{rule_id}  {cls.name:<28} {cls.description}")
-
-
-def _emit(
-    findings: Sequence[Finding],
-    stale: Sequence[str],
-    fmt: str,
-    checked: Sequence[str],
-) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "findings": [f.to_json() for f in findings],
-                    "stale_baseline_entries": list(stale),
-                },
-                indent=2,
-            )
-        )
-        return
-    for f in findings:
-        print(f.render())
-    for key in stale:
-        print(
-            f"stale baseline entry: {key} — the finding no longer exists; "
-            f"remove it (repro lint --write-baseline)"
-        )
-    if findings or stale:
-        print(
-            f"\nreprolint: {len(findings)} finding(s), {len(stale)} stale "
-            f"baseline entr(y/ies) in {', '.join(checked)}"
-        )
-    else:
-        print(f"reprolint: clean ({', '.join(checked)})")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        _print_rules()
+        for rule in RULES:
+            print(f"{rule.rule_id}  {rule.name:<28} {rule.description}")
         return 0
 
     try:
-        rules = build_rules(select=args.select)
-    except KeyError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    try:
-        findings = lint_paths(args.paths, rules)
+        findings = lint_paths(args.paths, RULES)
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-
-    if args.write_baseline:
-        save_baseline(baseline_path, findings)
-        print(
-            f"reprolint: wrote {len(findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    stale: List[str] = []
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except LintError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        findings, stale_map = apply_baseline(findings, baseline)
-        stale = sorted(stale_map)
-
-    _emit(findings, stale, args.format, [str(p) for p in args.paths])
-    return 1 if (findings or stale) else 0
+    checked = ", ".join(args.paths)
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        print(f"\nreprolint: {len(findings)} finding(s) in {checked}")
+        return 1
+    print(f"reprolint: clean ({checked})")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

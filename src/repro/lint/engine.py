@@ -1,37 +1,28 @@
-"""reprolint core: findings, rule framework, suppressions, baseline.
+"""reprolint core: findings, the rule base class, suppressions, the driver.
 
-The repo earned a set of hard correctness contracts PR by PR — bounded
-decode allocations (PR 2), byte-stable wire formats (PR 1/2), frozen
-plans (PR 3), a non-blocking event loop and single-writer service state
-(PR 4/6).  Each survives today only as reviewer memory; ``reprolint``
-turns them into machine-checked invariants, the same way the bench gates
-pin performance.
+Two of the repo's contracts are checked on the syntax tree of every
+commit because nothing else tests them: decode allocations are sized from
+validated quantities (RL001) and wire bytes change only through the
+registry (RL003).  The other invariants PR 7-10 wrote rules for are a few
+AST asserts each in ``tests/parallel/test_structure.py`` (DESIGN.md §11
+maps every one).
 
-Architecture: one :class:`ModuleContext` per file (AST + source lines +
-inline suppressions), a set of :class:`Rule` subclasses that each walk
-the tree for one invariant (see :mod:`repro.lint.rules`), and this
-module's driver which scopes rules to the modules they guard, filters
-``# reprolint: disable=RULE`` suppressions, and subtracts the committed
-JSON baseline of grandfathered findings.  Everything is stdlib ``ast``
-and ``tokenize`` — the linter must run in the bare CI image.
-
-Baseline keys hash the *content* of the flagged line (not its number),
-so unrelated edits above a grandfathered finding do not resurrect it,
-while editing the flagged line itself forces a fresh decision.
+One :class:`ModuleContext` per file (AST + source lines), a
+:class:`Rule` subclass per invariant (see :mod:`repro.lint.rules`), and
+this module's driver, which scopes rules to the modules they guard and
+drops findings whose line carries a ``# reprolint: disable=RULE``
+comment.  Everything is stdlib ``ast`` — the linter must run in the bare
+CI image.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-import hashlib
-import io
-import json
 import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Finding",
@@ -40,26 +31,16 @@ __all__ = [
     "LintError",
     "dotted_name",
     "names_in",
-    "iter_functions",
     "lint_source",
     "lint_paths",
-    "finding_key",
-    "load_baseline",
-    "save_baseline",
-    "apply_baseline",
     "module_relpath",
 ]
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s-]+|all)", re.IGNORECASE
-)
-
-#: rule-id shape every registered rule must follow (``RL`` + 3 digits)
-RULE_ID_RE = re.compile(r"^RL\d{3}$")
+_SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9,\s]+)")
 
 
 class LintError(Exception):
-    """A file could not be linted (syntax error, unreadable, bad config)."""
+    """A file could not be linted (syntax error, unreadable, not Python)."""
 
 
 @dataclass
@@ -71,20 +52,9 @@ class Finding:
     line: int
     col: int
     message: str
-    key: str = ""  # content-hash baseline key, filled by the driver
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "key": self.key,
-        }
 
 
 class ModuleContext:
@@ -92,85 +62,39 @@ class ModuleContext:
 
     def __init__(self, relpath: str, source: str) -> None:
         self.relpath = relpath
-        self.source = source
         self.lines: List[str] = source.splitlines()
         try:
             self.tree: ast.Module = ast.parse(source)
         except SyntaxError as exc:  # pragma: no cover - guarded by tests
             raise LintError(f"{relpath}: syntax error: {exc}") from exc
-        self._suppressed: Dict[int, Set[str]] = {}
-        self._comment_only: Set[int] = set()
-        self._scan_suppressions()
-
-    def _scan_suppressions(self) -> None:
-        reader = io.StringIO(self.source).readline
-        try:
-            tokens = list(tokenize.generate_tokens(reader))
-        except tokenize.TokenError:  # pragma: no cover - ast.parse succeeded
-            tokens = []
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(tok.string)
-            line = tok.start[0]
-            stripped = (
-                self.lines[line - 1].strip() if line <= len(self.lines) else ""
-            )
-            if stripped.startswith("#"):
-                self._comment_only.add(line)
-            if not match:
-                continue
-            rules = {r.strip().upper() for r in match.group(1).split(",")}
-            rules.discard("")
-            self._suppressed.setdefault(line, set()).update(
-                {"ALL"} if "ALL" in rules else rules
-            )
 
     def is_suppressed(self, rule: str, line: int) -> bool:
-        """True when an inline comment disables ``rule`` for ``line``.
-
-        Both the flagged line itself and a standalone comment on the
-        line above count, so suppressions survive code formatters that
-        refuse long trailing comments.
-        """
-        for cand in (line, line - 1):
-            rules = self._suppressed.get(cand)
-            if rules is None:
-                continue
-            if cand != line and cand not in self._comment_only:
-                continue
-            if "ALL" in rules or rule.upper() in rules:
-                return True
-        return False
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
+        """True when a comment on ``line`` itself disables ``rule``."""
+        if not 1 <= line <= len(self.lines):
+            return False
+        match = _SUPPRESS_RE.search(self.lines[line - 1])
+        return match is not None and rule in {
+            r.strip().upper() for r in match.group(1).split(",")
+        }
 
 
 class Rule:
     """One invariant check.
 
-    Subclasses set ``rule_id``/``name``/``description`` and implement
-    :meth:`check`.  ``options`` comes from the active
-    :class:`~repro.lint.config.LintConfig` and always contains the
-    merged defaults; the common ``modules`` option (a list of
-    ``fnmatch`` globs over repo-relative paths) scopes the rule.
+    Subclasses set ``rule_id``/``name``/``description``, implement
+    :meth:`check`, and name the modules they guard in ``modules``
+    (``fnmatch`` globs over repo-relative paths; empty: every module).
     """
 
     rule_id: str = "RL000"
     name: str = ""
     description: str = ""
-
-    def __init__(self, options: Optional[Dict[str, object]] = None) -> None:
-        self.options: Dict[str, object] = dict(options or {})
+    modules: Tuple[str, ...] = ()
 
     def applies(self, ctx: ModuleContext) -> bool:
-        patterns = self.options.get("modules")
-        if not patterns:
-            return True
-        return any(fnmatch.fnmatch(ctx.relpath, p) for p in patterns)
+        return not self.modules or any(
+            fnmatch.fnmatch(ctx.relpath, p) for p in self.modules
+        )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -201,42 +125,23 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def names_in(node: ast.AST, skip_comprehension_targets: bool = True) -> Set[str]:
+def names_in(node: ast.AST) -> Set[str]:
     """Every plain Name referenced inside ``node``.
 
     Comprehension loop variables are locally bound throwaways, not data
-    the expression depends on, so they are skipped by default.
+    the expression depends on, so they are skipped.
     """
     skip: Set[str] = set()
-    if skip_comprehension_targets:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.comprehension):
-                for tgt in ast.walk(sub.target):
-                    if isinstance(tgt, ast.Name):
-                        skip.add(tgt.id)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.comprehension):
+            for tgt in ast.walk(sub.target):
+                if isinstance(tgt, ast.Name):
+                    skip.add(tgt.id)
     return {
         sub.id
         for sub in ast.walk(node)
         if isinstance(sub, ast.Name) and sub.id not in skip
     }
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, Tuple[str, ...]]]:
-    """Yield every (async) function with the class names enclosing it."""
-
-    def walk(node: ast.AST, classes: Tuple[str, ...]) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from walk(child, classes + (child.name,))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, classes
-                yield from walk(child, classes)
-            else:
-                yield from walk(child, classes)
-
-    yield from walk(tree, ())
 
 
 def call_args_with_keyword(
@@ -277,7 +182,6 @@ def _run_rules(
         for finding in rule.check(ctx):
             if ctx.is_suppressed(finding.rule, finding.line):
                 continue
-            finding.key = finding_key(finding, ctx.line_text(finding.line))
             findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
@@ -316,71 +220,3 @@ def lint_paths(paths: Sequence[str], rules: Sequence[Rule]) -> List[Finding]:
         findings.extend(_run_rules(ctx, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-# --------------------------------------------------------------------------
-# baseline
-# --------------------------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def finding_key(finding: Finding, line_text: str) -> str:
-    """Stable identity of a finding: file + rule + flagged-line content."""
-    digest = hashlib.sha1(line_text.strip().encode("utf-8")).hexdigest()[:12]
-    return f"{finding.path}::{finding.rule}::{digest}"
-
-
-def load_baseline(path: Path) -> Dict[str, int]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LintError(f"baseline file not found: {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LintError(f"cannot read baseline {path}: {exc}") from exc
-    if raw.get("version") != BASELINE_VERSION:
-        raise LintError(
-            f"baseline {path} has version {raw.get('version')!r}; this "
-            f"reprolint speaks version {BASELINE_VERSION}"
-        )
-    findings = raw.get("findings", {})
-    if not isinstance(findings, dict):
-        raise LintError(f"baseline {path} is malformed: 'findings' not a map")
-    return {str(k): int(v) for k, v in findings.items()}
-
-
-def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    counts: Dict[str, int] = {}
-    for f in findings:
-        counts[f.key] = counts.get(f.key, 0) + 1
-    payload = {
-        "version": BASELINE_VERSION,
-        "comment": (
-            "Grandfathered reprolint findings. Keys hash the flagged line's "
-            "content; fix the code and the entry goes stale (reprolint "
-            "--prune-note). New code must lint clean - do not add entries "
-            "by hand, use --write-baseline and justify it in review."
-        ),
-        "findings": dict(sorted(counts.items())),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> Tuple[List[Finding], Dict[str, int]]:
-    """Subtract grandfathered findings.
-
-    Returns ``(fresh_findings, stale_entries)`` — stale entries are
-    baseline keys no longer produced (the code was fixed; the entry
-    should be dropped from the committed file).
-    """
-    budget = dict(baseline)
-    fresh: List[Finding] = []
-    for f in findings:
-        if budget.get(f.key, 0) > 0:
-            budget[f.key] -= 1
-        else:
-            fresh.append(f)
-    stale = {k: v for k, v in budget.items() if v > 0}
-    return fresh, stale

@@ -216,6 +216,16 @@ class BoundedDecodeRule(Rule):
         "decode-path allocations must be sized from bounded/validated "
         "expressions, never raw header fields"
     )
+    #: decode paths that parse attacker-controllable bytes: everything
+    #: that turns a blob back into arrays
+    modules = (
+        "repro/encoding/*",
+        "repro/compressors/*",
+        "repro/core/stream.py",
+        "repro/core/header.py",
+        "repro/chunked/*",
+        "repro/service/*",
+    )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

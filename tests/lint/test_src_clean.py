@@ -1,40 +1,17 @@
 """Meta-test: the shipped tree satisfies its own invariant checker.
 
 This is the test CI's lint job mirrors — if a change introduces a
-non-baselined finding anywhere in ``src/``, it fails here first, with
-the finding text in the assertion message."""
+finding anywhere in ``src/``, it fails here first, with the finding text
+in the assertion message."""
 
-import json
 from pathlib import Path
 
-from repro.lint import apply_baseline, build_rules, lint_paths, load_baseline
-from repro.lint.cli import DEFAULT_BASELINE
+from repro.lint import RULES, lint_paths
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def test_src_tree_lints_clean_against_committed_baseline():
-    findings = lint_paths([str(SRC)], build_rules())
-    baseline = load_baseline(DEFAULT_BASELINE)
-    fresh, stale = apply_baseline(findings, baseline)
-    rendered = "\n".join(f.render() for f in fresh)
-    assert not fresh, f"non-baselined reprolint findings:\n{rendered}"
-    assert not stale, f"stale baseline entries (fixed code): {sorted(stale)}"
-
-
-def test_service_and_encoding_have_no_grandfathered_findings():
-    # the acceptance bar from the issue: the hardened subsystems carry
-    # no baseline debt at all
-    baseline = load_baseline(DEFAULT_BASELINE)
-    debt = [
-        key
-        for key in baseline
-        if key.startswith(("repro/service/", "repro/encoding/"))
-    ]
-    assert debt == []
-
-
-def test_committed_baseline_is_valid_json_with_version():
-    payload = json.loads(DEFAULT_BASELINE.read_text())
-    assert payload["version"] == 1
-    assert isinstance(payload["findings"], dict)
+def test_src_tree_lints_clean():
+    findings = lint_paths([str(SRC)], RULES)
+    rendered = "\n".join(f.render() for f in findings)
+    assert not findings, f"reprolint findings:\n{rendered}"

@@ -2,9 +2,9 @@
 # One-command pre-push gate: the same checks CI's `lint` and `tests`
 # jobs run, in fast-feedback order.
 #
-#   tools/check.sh          reprolint + lint tests + tier-1 suite + leak gate
-#   tools/check.sh --fast   reprolint + lint/structure/route/pooled-derive
-#                           identity tests only (seconds)
+#   tools/check.sh          reprolint + invariant tests + tier-1 suite + leak gate
+#   tools/check.sh --fast   reprolint + rule fixtures, wire golden, structure
+#                           pins, route matrix, pooled-derive identity (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -16,7 +16,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== reprolint =="
 python -m repro lint src
 
-echo "== lint test suite + one-front-door pins =="
+echo "== rule fixtures + wire golden + structure pins + route identity =="
 python -m pytest tests/lint tests/parallel/test_structure.py \
     tests/api/test_route_matrix.py tests/parallel/test_pooled_derive.py -q
 
