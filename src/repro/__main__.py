@@ -242,7 +242,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         processes=args.processes,
         max_queue=args.max_queue,
-        batch_max=args.batch_max,
         plan_cache_size=args.plan_cache,
         serve_root=args.serve_root,
         max_work_units=args.max_work_units,
@@ -374,16 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free port; the actual port is "
                         "printed once listening)")
     s.add_argument("--processes", type=int, default=1,
-                   help="worker processes per shard: fans the chunks of "
-                        "ONE multi-chunk request out over N workers (1 = "
-                        "in-process); buys nothing on one-chunk requests "
-                        "— use --shards for request throughput")
+                   help="worker processes per shard, and as many job "
+                        "slots: N requests run at once with all their "
+                        "codec work on the workers, and the chunks of one "
+                        "big request fan out over them (1 = one job at a "
+                        "time, in-process)")
     s.add_argument("--max-queue", type=int, default=64,
                    help="admission bound; beyond it requests get "
                         "retry-after backpressure (default 64)")
-    s.add_argument("--batch-max", type=int, default=8,
-                   help="max queued jobs drained per scheduling cycle "
-                        "(per-codec batching window, default 8)")
     s.add_argument("--plan-cache", type=int, default=128,
                    help="LRU capacity of the cross-request FrozenPlan "
                         "cache (default 128)")
@@ -409,9 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shards", type=int, default=1,
                    help="number of full service processes behind the one "
                         "address (SO_REUSEPORT, replicated plan cache): "
-                        "multiplies request throughput, 1.7-2.0x with 2 "
-                        "shards on 2 cores (default 1 = single-process "
-                        "server, no supervisor)")
+                        "multiplies request throughput, 2.0x with 2 "
+                        "shards on 2 cores against 1.4x for --processes 2 "
+                        "(default 1 = single-process server, no "
+                        "supervisor)")
     s.add_argument("--admin-port", type=int, default=None,
                    help="supervisor admin endpoint for aggregated stats "
                         "(--shards>1 only; default: public port + 1)")

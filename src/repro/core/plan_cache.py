@@ -187,12 +187,11 @@ class PlanLRU:
     re-derive" on them.
 
     :meth:`get_or_derive` runs the derive callable *outside* the lock —
-    derivation takes orders of magnitude longer than a dict move — so two
-    threads may derive one key at once and the last write wins.  Under a
-    content key the racers derive the same plan; under a ``family=`` key
-    each derives from its own request's data, so the plans can differ —
-    either is valid for the family (the bound is enforced at execution),
-    and whichever is cached is what every later request runs.
+    derivation takes orders of magnitude longer than a dict move — with
+    one derive in flight per key: a thread that misses while another is
+    deriving that key waits and takes its plan.  Under a ``family=`` key
+    each request would derive from its own data, so without this two
+    concurrent first requests could run under different plans.
 
     ``on_derive`` is the replication hook of the sharded serve runtime
     (:mod:`repro.service.planbus`): called with ``(key, plan)`` after every
@@ -217,6 +216,8 @@ class PlanLRU:
         self.capacity = capacity
         self._plans: "OrderedDict[Hashable, FrozenPlan]" = OrderedDict()
         self._lock = threading.Lock()
+        #: key -> set when the derive in flight for it has ended
+        self._deriving: Dict[Hashable, threading.Event] = {}
         self._on_derive = on_derive
         self.hits = 0
         self.misses = 0
@@ -280,12 +281,28 @@ class PlanLRU:
     ) -> FrozenPlan:
         """Cached plan for ``key``, deriving (and caching) on a miss."""
         plan = self.get(key)
+        while plan is None:
+            with self._lock:
+                plan = self._plans.get(key)  # landed since the miss?
+                flight = self._deriving.get(key)
+                if plan is None and flight is None:
+                    flight = self._deriving[key] = threading.Event()
+                    break
+            if plan is None:
+                # take the first's plan — or, if its derive failed on its
+                # own input, come back and derive from this caller's
+                flight.wait()
         if plan is not None:
             return plan
-        plan = derive()
-        with self._lock:
-            self.derives += 1
-        self.put(key, plan)
+        try:
+            plan = derive()
+            with self._lock:
+                self.derives += 1
+            self.put(key, plan)
+        finally:
+            with self._lock:
+                del self._deriving[key]
+            flight.set()
         if self._on_derive is not None:
             self._on_derive(key, plan)
         return plan

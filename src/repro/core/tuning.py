@@ -248,11 +248,9 @@ def tune_parameters(
     memo: Dict[BoundVector, Score] = {}
     # The first round's vectors are known up front and independent, so
     # they can be scored all at once; re-trials depend on the running
-    # comparison and stay inline.  So does all of 'ac': it scores through
-    # np.dot, and BLAS threads inside forked workers oversubscribe the
-    # cores — measured, a loss (EXPERIMENTS.md §14).
+    # comparison and stay inline.
     ahead: Dict[BoundVector, Score] = {}
-    if fan_out is not None and metric != "ac":
+    if fan_out is not None:
         first = list(
             dict.fromkeys(bound_vector(eb, a, b) for a in alphas for b in betas)
         )

@@ -40,8 +40,11 @@ def _autocorr(e: np.ndarray, lag: int) -> float:
         return 0.0
     mu = e.mean()
     d = e - mu
-    denom = float(np.dot(d, d))
+    # einsum, not np.dot: this scores tuning trials, and a BLAS ddot is
+    # threaded (slow to start, slower in forked workers) and sums in an
+    # order that depends on the host's library and thread count
+    denom = float(np.einsum("i,i->", d, d))
     if denom == 0.0:
         return 0.0
-    num = float(np.dot(d[:-lag], d[lag:]))
+    num = float(np.einsum("i,i->", d[:-lag], d[lag:]))
     return num / denom

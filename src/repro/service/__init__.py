@@ -4,7 +4,7 @@ The library and CLI paths pay QoZ's derivation cost — sampling,
 interpolator selection, (alpha, beta) tuning — on every call.  A service
 holding state across requests can amortize it: this package wraps the
 existing chunked subsystem and process-pool executor in an asyncio front
-end with a bounded scheduler, per-codec batching, backpressure, and an
+end with a bounded scheduler (job slots, two priority lanes), backpressure, and an
 LRU of :class:`~repro.core.plan_cache.FrozenPlan` objects keyed by
 (codec config, bound request, field signature), so warm traffic on a
 field family executes plans instead of deriving them.  See DESIGN.md §9.
@@ -16,7 +16,7 @@ predicted units — not request count — with ``interactive`` / ``batch``
 priority lanes and per-client token-bucket quotas.  A versioned STATS
 snapshot (``repro serve-stats``) exposes queue depth in units,
 admit/reject/retry counts by class, plan-cache hit rate, per-codec
-throughput EWMAs, and batch fill.
+throughput EWMAs, and slot fill.
 
 Quickstart::
 
@@ -47,9 +47,10 @@ kernel distributes connections over their ``SO_REUSEPORT`` listeners,
 and derived plans replicate shard-to-shard over a pipe bus whose hub
 keeps one plan per key — a plan paid for once is warm everywhere, and
 once the bus has settled the served bytes are identical regardless of
-which shard answers.  Shards are what turns a second core into request
-throughput (1.7-2.0x on two cores, EXPERIMENTS.md §10); ``--processes``
-fans the chunks of one multi-chunk request over workers.
+which shard answers.  Both flags turn a second core into request
+throughput: ``--processes 2`` gives one service two job slots on two
+pool workers (1.43x of ``--processes 1`` on one-chunk traffic), two
+shards read 1.28x of that again (EXPERIMENTS.md §10).
 """
 
 from repro.service.admission import (

@@ -25,7 +25,7 @@ module makes admission *cost-aware*:
   EWMA that turns "how much work is queued" into "how long until it is
   your turn" (the ``retry_after`` hint).
 * :class:`ServiceMetrics` is the observability registry: admit / reject
-  / retry counters by class, per-codec throughput EWMAs, batch fill,
+  / retry counters by class, per-codec throughput EWMAs, slot fill,
   queue-wait EWMAs — updated on every job transition (admitted,
   started, finished) and snapshotted into the versioned STATS frame.
 
@@ -69,7 +69,7 @@ from repro.service.protocol import (
 
 #: version of the stats snapshot layout (the ``stats_version`` key every
 #: snapshot carries); bump when keys are renamed or change meaning
-STATS_VERSION = 1
+STATS_VERSION = 2
 
 #: calibration table: work units per megaelement of *execution*, by
 #: codec.  Scaled so the interpolation engine (qoz/sz3) is the 1.0
@@ -573,8 +573,8 @@ class ServiceMetrics:
         self.failed = {cls: 0 for cls in PRIORITIES}
         self.reject_reasons: Dict[str, int] = {}
         self.kind_done = {"compress": 0, "decompress": 0, "read": 0, "other": 0}
-        self.batches = 0
-        self.batch_fill = Ewma(alpha=0.2)
+        #: share of the job slots in use as a job starts, itself included
+        self.slot_fill = Ewma(alpha=0.2)
         self.queue_wait_ms = {cls: Ewma(alpha=0.2) for cls in PRIORITIES}
         self.codec_jobs: Dict[str, int] = {}
         self.codec_mbps: Dict[str, Ewma] = {}
@@ -595,8 +595,11 @@ class ServiceMetrics:
         self.rejected[priority] += 1
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
 
-    def job_started(self, priority: str, wait_s: float) -> None:
+    def job_started(
+        self, priority: str, wait_s: float, slot_fill: float
+    ) -> None:
         self.queue_wait_ms[priority].update(wait_s * 1e3)
+        self.slot_fill.update(slot_fill)
 
     def job_finished(
         self,
@@ -615,10 +618,6 @@ class ServiceMetrics:
                 self.codec_mbps.setdefault(codec, Ewma(alpha=0.2)).update(
                     nbytes / 1e6 / duration_s
                 )
-
-    def batch_dispatched(self, size: int, capacity: int) -> None:
-        self.batches += 1
-        self.batch_fill.update(size / max(1, capacity))
 
     def connection_opened(self) -> None:
         self.connections_total += 1
@@ -645,8 +644,9 @@ class ServiceMetrics:
         out: Dict[str, Union[int, float]] = {
             "stats_version": STATS_VERSION,
             "uptime_s": round(self._clock() - self._t0, 3),
-            "batches": self.batches,
-            "batch_fill_ewma": round(self.batch_fill.get(), 4),
+            # the key predates job slots (it was the fill of a dispatch
+            # group); benchmarks/suite reads it under this name
+            "batch_fill_ewma": round(self.slot_fill.get(), 4),
             "connections_total": self.connections_total,
             "connections_open": self.connections_open,
             "jobs_compress": self.kind_done["compress"],
@@ -702,7 +702,7 @@ def aggregate_snapshots(
     Default policy: counters, queue depths, capacities, drain rates, and
     throughput EWMAs **sum** (they read as fleet totals — e.g.
     ``work_capacity_units`` becomes the whole deployment's admission
-    budget); per-request EWMAs (queue wait, batch fill) **average** over
+    budget); per-request EWMAs (queue wait, slot fill) **average** over
     the shards that report them; version/config keys take the **max**
     (identical across shards by construction).  ``plan_cache_hit_rate``
     is recomputed from the summed hit/miss counters rather than averaged,
@@ -770,7 +770,7 @@ def format_stats_line(stats: Dict[str, Union[int, float]]) -> str:
         f"admit={admit}",
         f"reject={reject}",
         f"plan_hit={hit_pct:.0f}%",
-        f"batch_fill={stats.get('batch_fill_ewma', 0.0):.2f}",
+        f"slot_fill={stats.get('batch_fill_ewma', 0.0):.2f}",
         f"drain={stats.get('drain_rate_units_s', 0.0):.1f}u/s",
     ]
     return " ".join(parts)

@@ -6,7 +6,7 @@ Two clients, one surface:
   a daemon thread, hosts its own
   :class:`~repro.service.scheduler.CompressionService`, and hands request
   dataclasses straight to the scheduler — no sockets, no serialization.
-  It exercises the full admission/batching/plan-cache machinery, which is
+  It exercises the full admission/scheduling/plan-cache machinery, which is
   exactly what the unit tests want (and what an application embedding the
   service as a library gets).
 * :class:`RemoteClient` speaks the length-prefixed binary protocol over a

@@ -13,17 +13,13 @@ The service's execution model, front to back:
   unboundedly — load sheds at the door, which keeps both memory *and
   queueing latency* proportional to the configured budget rather than
   to the burst.
-* Admitted jobs join one of two priority deques; the scheduler drains
-  ``interactive`` strictly ahead of ``batch``, so bulk traffic can fill
-  its share of the budget without sitting in front of latency-sensitive
-  requests.
-* One scheduler task drains the queues.  Each cycle it takes every job
-  that is already waiting (up to ``batch_max``, interactive first) and
-  groups the compress jobs by codec configuration — *per-codec
-  batching*: all chunks of all fields in a group are dispatched to the
-  process pool as one burst, so small requests from different
-  connections share fork/IPC overhead the way chunks of one big field
-  already do.
+* Admitted jobs join one of two priority deques.  There is one dispatch
+  path: every job is its own task, started when one of **S slots** is
+  free — S is ``processes`` when the pool fans out and 1 otherwise, so a
+  ``processes <= 1`` service runs one job at a time, in-process.  A free
+  slot takes the oldest ``interactive`` job first; the ``batch`` lane may
+  hold at most ``max(1, S - 1)`` slots, so an interactive arrival waits
+  behind at most one batch job however much bulk work is queued.
 * Every job transition (admitted / rejected / started / finished) feeds
   the :class:`~repro.service.admission.ServiceMetrics` registry, and
   :meth:`CompressionService.stats` snapshots it — the versioned STATS
@@ -36,10 +32,14 @@ The service's execution model, front to back:
   request, field signature).  Warm traffic on a field family skips tuning
   entirely and goes straight to execution; the quantizer still enforces
   the error bound point-wise on every request, so a cache hit can never
-  loosen the guarantee.
-* Execution runs off the event loop: chunk jobs go to the long-lived
-  process pool (:class:`~repro.parallel.executor.ChunkWorkPool`) when
-  ``processes > 1``, otherwise to a small thread executor (numpy releases
+  loosen the guarantee.  One derive is in flight per key: concurrent
+  first requests of one ``family=`` run one plan.
+* Codec work runs off the event loop.  With ``processes > 1`` all of it
+  goes to the long-lived process pool
+  (:class:`~repro.parallel.executor.ChunkWorkPool`): the trials of a
+  cache-miss derivation, every chunk execution, plain-stream decodes and
+  the parts of a read, under one service-wide window on resident slab
+  batches.  Otherwise it runs on a small thread executor (numpy releases
   the GIL for the hot kernels, and tests stay fork-free).
 
 Container bytes come out of the job's own walk, and hyperslab reads
@@ -60,7 +60,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
-    Awaitable,
     Callable,
     Deque,
     Dict,
@@ -106,13 +105,22 @@ from repro.service.protocol import (
 )
 
 
+#: threads for the blocking halves of a job (field admission, container
+#: I/O, in-process codec work when ``processes <= 1``)
+IO_THREADS = 4
+
+#: server-side containers kept open for path-based reads (LRU)
+OPEN_FILES = 8
+
+
 @dataclass
 class ServiceConfig:
     """Knobs of one service instance.
 
     ``processes <= 1`` keeps execution in-process (thread executor, no
-    forks) — the right default for tests and small deployments; larger
-    values fan chunk jobs out over a persistent process pool.
+    forks, one job at a time) — the right default for tests and small
+    deployments; a larger value is that many pool workers and as many
+    job slots, with all codec work on the workers.
 
     ``serve_root`` gates path-based hyperslab reads: ``None`` (the
     default) refuses them outright, and a directory restricts them to
@@ -130,11 +138,8 @@ class ServiceConfig:
 
     processes: int = 1
     max_queue: int = 64
-    batch_max: int = 8
     plan_cache_size: int = 128
     retry_after: float = 0.05
-    io_threads: int = 4
-    open_files: int = 8
     serve_root: Optional[str] = None
     max_work_units: float = 64.0
     batch_share: float = 0.5
@@ -161,7 +166,7 @@ class _Job:
 
 
 class CompressionService:
-    """Async compression service: bounded queue, batching, plan cache."""
+    """Async compression service: bounded queue, job slots, plan cache."""
 
     def __init__(
         self,
@@ -175,7 +180,6 @@ class CompressionService:
         self._pending: Dict[str, "Deque[_Job]"] = {
             cls: deque() for cls in PRIORITIES
         }
-        self._wakeup = asyncio.Event()
         # a sharded runtime injects a PlanLRU wired with its replication
         # hook (repro.service.planbus); standalone use builds a plain one
         self.plans = (
@@ -200,44 +204,49 @@ class CompressionService:
             self.config.processes, on_event=self.metrics.pool_event
         )
         self._threads = ThreadPoolExecutor(
-            max_workers=max(2, self.config.io_threads),
-            thread_name_prefix="repro-svc",
+            max_workers=IO_THREADS, thread_name_prefix="repro-svc"
         )
         self._files: "OrderedDict[str, Tuple[Tuple[int, int], ChunkedFile]]" = (
             OrderedDict()
         )
-        self._task: Optional[asyncio.Task] = None
+        #: job slots: one per worker when the pool fans out, else one
+        self._slots = self.config.processes if self._pool.parallel else 1
+        #: bound on slab batches resident at once, over all running jobs
+        self._window = asyncio.Semaphore(self._pool.window_batches)
+        self._running: Dict["asyncio.Task[None]", _Job] = {}
+        self._started = False
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.create_task(self._run(), name="repro-scheduler")
+        self._started = True
+        self._fill_slots()
 
     async def close(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        # jobs the scheduler was processing when cancelled are resolved
-        # by _run's CancelledError handler; here drain the still-queued
-        # ones — no caller may hang on a future nobody will resolve
+        self._started = False
+        # a cancelled job's future is resolved where its slot is freed
+        # (``_slot_freed``: a task cancelled before its first step never
+        # runs a line of ``_run_job``); the still-queued ones are drained
+        # here — no caller may hang on a future nobody will resolve
+        running = list(self._running)
+        for task in running:
+            task.cancel()
+        await asyncio.gather(*running, return_exceptions=True)
         for pending in self._pending.values():
             while pending:
-                job = pending.popleft()
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceOverloadedError(
-                            self.config.retry_after, "shutting-down"
-                        )
-                    )
+                self._fail(pending.popleft(), self._shutting_down())
         for _, (_, cf) in self._files.items():
             cf.close()
         self._files.clear()
         self._pool.shutdown()
         self._threads.shutdown(wait=True)
+
+    def _shutting_down(self) -> ServiceOverloadedError:
+        return ServiceOverloadedError(self.config.retry_after, "shutting-down")
+
+    @staticmethod
+    def _fail(job: _Job, exc: BaseException) -> None:
+        if not job.future.done():
+            job.future.set_exception(exc)
 
     # ------------------------------------------------------------ admission
     def submit(self, request: Request) -> "asyncio.Future":
@@ -283,7 +292,7 @@ class CompressionService:
         )
         future.add_done_callback(lambda fut, job=job: self._on_job_done(job, fut))
         self._pending[priority].append(job)
-        self._wakeup.set()
+        self._fill_slots()
         return future
 
     def _on_job_done(self, job: _Job, fut: "asyncio.Future") -> None:
@@ -324,7 +333,6 @@ class CompressionService:
             "queue_depth_interactive": len(self._pending["interactive"]),
             "queue_depth_batch": len(self._pending["batch"]),
             "max_queue": self.config.max_queue,
-            "batch_max": self.config.batch_max,
             "processes": self.config.processes,
             "open_containers": len(self._files),
         }
@@ -342,90 +350,49 @@ class CompressionService:
         return out
 
     # ------------------------------------------------------------ scheduler
-    async def _collect_batch(self) -> List[_Job]:
-        """Up to ``batch_max`` waiting jobs, interactive strictly first.
+    def _next_job(self) -> Optional[_Job]:
+        """The job a free slot takes: interactive strictly first; a batch
+        job only while its lane holds fewer than ``max(1, S - 1)`` slots,
+        which bounds what an interactive arrival can find in its way to
+        one batch job's service time."""
+        if self._pending["interactive"]:
+            return self._pending["interactive"].popleft()
+        lane = sum(job.priority == "batch" for job in self._running.values())
+        if self._pending["batch"] and lane < max(1, self._slots - 1):
+            return self._pending["batch"].popleft()
+        return None
 
-        At most ONE batch-lane job rides per dispatch group: a group is
-        executed to completion before the lanes are consulted again, so every batch job in it is head-of-line delay
-        for any interactive request that arrives mid-group.  Capping the
-        batch lane at one bounds that delay to a single batch job's
-        service time — the same worst case an unsaturated service has —
-        at no throughput cost (an empty interactive lane just yields
-        back-to-back one-job groups).
-        """
-        while True:
-            batch: List[_Job] = []
-            for cls in PRIORITIES:
-                limit = self.config.batch_max
-                if cls == "batch":
-                    limit = min(limit, len(batch) + 1)
-                pending = self._pending[cls]
-                while pending and len(batch) < limit:
-                    batch.append(pending.popleft())
-            if batch:
-                return batch
-            self._wakeup.clear()
-            await self._wakeup.wait()
-
-    async def _run(self) -> None:
-        while True:
-            collected = await self._collect_batch()
+    def _fill_slots(self) -> None:
+        """Start waiting jobs, each as its own task, while a slot is free.
+        Called when a job arrives and when one leaves."""
+        while self._started and len(self._running) < self._slots:
+            job = self._next_job()
+            if job is None:
+                return
             now = time.monotonic()
-            batch: List[_Job] = []
-            for job in collected:
-                # queued-past-deadline jobs are shed here, at dispatch:
-                # the work has not started, so failing fast costs nothing
-                # and frees their admission units for live requests
-                if job.deadline is not None and now >= job.deadline:
-                    self.metrics.deadline_missed(job.priority, "queued")
-                    if not job.future.done():
-                        job.future.set_exception(
-                            DeadlineExceededError(job.deadline_ms, "queued")
-                        )
-                    continue
-                job.started = now
-                self.metrics.job_started(job.priority, now - job.enqueued)
-                batch.append(job)
-            if not batch:
+            if job.deadline is not None and now >= job.deadline:
+                # queued past its deadline: shed at dispatch — the work
+                # has not started, so failing fast costs nothing and
+                # frees its admission units for live requests
+                self.metrics.deadline_missed(job.priority, "queued")
+                self._fail(job, DeadlineExceededError(job.deadline_ms, "queued"))
                 continue
-            self.metrics.batch_dispatched(len(batch), self.config.batch_max)
-            try:
-                await self._run_batch(batch)
-            except asyncio.CancelledError:
-                # close() cancelled us mid-batch: resolve the in-flight
-                # futures so no caller blocks forever on .result()
-                for j in batch:
-                    if not j.future.done():
-                        j.future.set_exception(
-                            ServiceOverloadedError(
-                                self.config.retry_after, "shutting-down"
-                            )
-                        )
-                raise
-            except Exception as exc:  # last resort: fail the batch's jobs,
-                for j in batch:       # never the scheduler task itself
-                    if not j.future.done():
-                        j.future.set_exception(exc)
+            job.started = now
+            self.metrics.job_started(
+                job.priority, now - job.enqueued,
+                (len(self._running) + 1) / self._slots,
+            )
+            task = asyncio.create_task(self._run_job(job), name="repro-job")
+            self._running[task] = job
+            task.add_done_callback(self._slot_freed)
 
-    async def _run_batch(self, batch: List[_Job]) -> None:
-        # group compress jobs by codec configuration; everything else
-        # runs individually (reads are already chunk-concurrent inside)
-        groups: Dict[tuple, List[_Job]] = {}
-        singles: List[_Job] = []
-        for job in batch:
-            if isinstance(job.request, CompressRequest):
-                req = job.request
-                key = (req.codec, tuple(sorted(req.codec_kwargs.items())))
-                groups.setdefault(key, []).append(job)
-            else:
-                singles.append(job)
-        for group in groups.values():
-            await self._run_compress_group(group)
-        for job in singles:
-            await self._run_single(job)
+    def _slot_freed(self, task: "asyncio.Task[None]") -> None:
+        # a no-op for a job that resolved its own future
+        self._fail(self._running.pop(task), self._shutting_down())
+        self._fill_slots()
 
-    async def _guard(self, job: _Job, coro: Awaitable[object]) -> None:
-        """Await a job coroutine, routing the outcome into its future.
+    async def _run_job(self, job: _Job) -> None:
+        """Run one job, routing the outcome into its future.
 
         A job with a client deadline runs under ``asyncio.wait_for``:
         hitting the deadline cancels the work coroutine (which cascades
@@ -434,21 +401,29 @@ class CompressionService:
         with :class:`DeadlineExceededError` — releasing its admission
         units through the ordinary ``_on_job_done`` exit path.
         """
+        req = job.request
+        if isinstance(req, CompressRequest):
+            work = self._compress(req)
+        elif isinstance(req, DecompressRequest):
+            work = self._decompress(req)
+        elif isinstance(req, ReadSlabRequest):
+            work = self._read_slab(req)
+        else:
+            self._fail(job, TypeError(f"unschedulable request {type(req).__name__}"))
+            return
         try:
             if job.deadline is not None:
                 remaining = job.deadline - time.monotonic()
-                result = await asyncio.wait_for(coro, max(0.0, remaining))
+                result = await asyncio.wait_for(work, max(0.0, remaining))
             else:
-                result = await coro
+                result = await work
         except asyncio.TimeoutError:
             self.metrics.deadline_missed(job.priority, "running")
             if not job.future.done():
                 job.future.set_exception(
                     DeadlineExceededError(job.deadline_ms, "running")
                 )
-        except (Exception, asyncio.CancelledError) as exc:
-            if isinstance(exc, asyncio.CancelledError):
-                raise
+        except Exception as exc:  # the job's failure, never the service's
             if not job.future.done():
                 job.future.set_exception(exc)
         else:
@@ -456,49 +431,29 @@ class CompressionService:
                 job.future.set_result(result)
 
     # ------------------------------------------------------------- compress
-    async def _run_compress_group(self, jobs: List[_Job]) -> None:
+    async def _compress(self, req: CompressRequest) -> bytes:
         loop = asyncio.get_running_loop()
-        prepared: List[Tuple[_Job, CompressJob]] = []
-        for job in jobs:
-            try:
-                prep = await loop.run_in_executor(
-                    self._threads, self._prepare_compress, job.request
-                )
-            except Exception as exc:
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            else:
-                prepared.append((job, prep))
-
+        prep = await loop.run_in_executor(
+            self._threads, self._prepare_compress, req
+        )
         if self._pool.parallel:
-            # every job in the group submits into the shared pool
-            # concurrently (the per-codec batching win), but one
-            # group-wide window bounds in-flight slab batches to the
-            # pool's own cap on resident chunk copies, so a batch of
-            # large fields cannot hold 2x-everything resident at once.
-            # _guard routes any failure (incl. a BrokenProcessPool on
-            # submit) into the job's future, never into the scheduler.
-            window = asyncio.Semaphore(self._pool.window_batches)
-            await asyncio.gather(*[
-                self._guard(job, self._compress_pooled(prep, window))
-                for job, prep in prepared
-            ])
-        else:
-            for job, prep in prepared:
-                # in-process execution IS the library walk, on a thread
-                await self._guard(job, loop.run_in_executor(
-                    self._threads, _container_bytes, prep.compress_to
-                ))
+            return await self._compress_pooled(prep)
+        # in-process execution IS the library walk, on a thread
+        return await loop.run_in_executor(
+            self._threads, _container_bytes, prep.compress_to
+        )
 
     def _prepare_compress(self, req: CompressRequest) -> CompressJob:
-        """Blocking half: admit the field, get/derive the plan."""
+        """Blocking half: admit the field, get/derive the plan (a derive
+        lends the pool's workers to the analysis when the pool fans out)."""
         job = CompressJob(
             req.data, req.codec, req.chunks, req.codec_kwargs,
             req.normalized_bound, req.per_chunk_tuning,
         )
         if job.wants_plan:
+            pool = self._pool if self._pool.parallel else None
             job.plan = self.plans.get_or_derive(
-                request_plan_key(req), job.derive
+                request_plan_key(req), lambda: job.derive(pool)
             )
         return job
 
@@ -521,14 +476,12 @@ class CompressionService:
             raise
         return await asyncio.wrap_future(pooled)
 
-    async def _compress_pooled(
-        self, prep: CompressJob, window: asyncio.Semaphore
-    ) -> bytes:
+    async def _compress_pooled(self, prep: CompressJob) -> bytes:
         loop = asyncio.get_running_loop()
 
         async def one_batch(indices: List[int]) -> List[bytes]:
-            async with window:  # held from slab fill to completion: the
-                # bytes of live slabs never exceed the window's batches
+            async with self._window:  # held from slab fill to completion:
+                # the bytes of live slabs never exceed the window's batches
                 views = [prep.data[prep.grid.chunk_slices(i)] for i in indices]
                 return await self._await_pooled(
                     self._pool.submit_compress_views,
@@ -564,25 +517,18 @@ class CompressionService:
                 f"{MAX_FRAME}-byte service frame cap"
             )
 
-    async def _run_single(self, job: _Job) -> None:
-        req = job.request
-        if isinstance(req, DecompressRequest):
-            await self._guard(job, self._decompress(req))
-        elif isinstance(req, ReadSlabRequest):
-            await self._guard(job, self._read_slab(req))
-        else:
-            if not job.future.done():
-                job.future.set_exception(
-                    TypeError(f"unschedulable request {type(req).__name__}")
-                )
-
     async def _decompress(self, req: DecompressRequest) -> np.ndarray:
         blob = req.blob
         header, _ = parse_header(blob[:64])
         self._check_decode_size(header.shape, header.dtype, "field")
         if not header.is_chunked:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
+            if self._pool.parallel:
+                # off the loop like every pool submit: acquiring a lane
+                # may build or heal the executor
+                return await self._await_pooled(
+                    self._pool.submit_decompress, blob
+                )
+            return await asyncio.get_running_loop().run_in_executor(
                 self._threads, decompress_any, blob
             )
         cf = ChunkedFile(blob)
@@ -641,7 +587,7 @@ class CompressionService:
             cached[1].close()
         cf = await loop.run_in_executor(self._threads, ChunkedFile, path)
         self._files[path] = (stamp, cf)
-        while len(self._files) > self.config.open_files:
+        while len(self._files) > OPEN_FILES:
             _, (_, old) = self._files.popitem(last=False)
             old.close()
         return cf
@@ -657,7 +603,7 @@ class CompressionService:
             loop.run_in_executor(self._threads, cf.chunk_bytes, i)
             for i, _, _ in parts
         ])
-        if self._pool.parallel and len(parts) > 1:
+        if self._pool.parallel:
             jobs = [
                 (blob, src, dst) for (_, src, dst), blob in zip(parts, blobs)
             ]

@@ -2,8 +2,8 @@
 
 One :class:`~repro.service.scheduler.CompressionService` serves every
 connection; each connection handler reads frames sequentially (request
-concurrency comes from having many connections, which is how the shared
-scheduler queue sees interleaved traffic to batch).  Errors are mapped to
+concurrency comes from having many connections, whose jobs the shared
+scheduler runs in its slots).  Errors are mapped to
 protocol responses at this boundary:
 
 * :class:`ServiceOverloadedError` -> RETRY with the suggested delay and
@@ -16,7 +16,7 @@ protocol responses at this boundary:
 
 With ``stats_interval`` > 0 in the service config the server also logs
 one compact snapshot line per interval (queue depth in work units,
-admit / reject counts, plan-cache hit rate, batch fill, drain rate) —
+admit / reject counts, plan-cache hit rate, slot fill, drain rate) —
 rendered from the same snapshot dict the STATS frame serves, so a log
 line and a ``repro serve-stats`` table never disagree.
 """

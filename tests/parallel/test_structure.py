@@ -191,6 +191,52 @@ def test_every_tuning_trial_is_one_evaluator():
     assert sites == [("_evaluate_candidate",)]
 
 
+def test_the_ac_score_calls_no_blas_routine():
+    # a tuning decision must not hang on the host's BLAS: its thread
+    # count changes the sum order, and its threads in forked workers
+    # made 'ac' the one metric that could not fan out (EXPERIMENTS.md §14)
+    tree = ast.parse((SRC / "metrics" / "autocorr.py").read_text())
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "correlate", "MatMult"}
+    used = {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    } | {type(node).__name__ for node in ast.walk(tree)}
+    assert not used & blas, used & blas
+    (tuner,) = [
+        node for node in ast.walk(ast.parse((SRC / "core" / "tuning.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "tune_parameters"
+    ]
+    per_metric_fan_out = [
+        node for node in ast.walk(tuner)
+        if isinstance(node, ast.If)
+        and "fan_out" in ast.dump(node.test) and "metric" in ast.dump(node.test)
+    ]
+    assert not per_metric_fan_out
+
+
+def test_the_scheduler_has_one_dispatch_path():
+    # every admitted job is its own task in one of S slots; the collect ->
+    # group-by-codec -> await-in-turn loop was measured (fill 0.125, a
+    # second worker worth 1.0x) and removed (EXPERIMENTS.md §10)
+    tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
+    (service,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "CompressionService"
+    ]
+    methods = {
+        node.name for node in service.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "_run_job" in methods and "_fill_slots" in methods
+    assert not methods & {
+        "_collect_batch", "_run", "_run_batch", "_run_compress_group", "_run_single",
+    }
+    starts = [
+        scope for node, scope in calls(service)
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "create_task"
+    ]
+    assert starts == [("_fill_slots",)], starts
+
+
 def test_core_does_not_import_the_pool():
     # derivation takes a trial runner as an argument; it never reaches
     # for a pool itself, so a worker that derives cannot fan out again

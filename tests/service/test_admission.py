@@ -283,12 +283,11 @@ class TestServiceMetrics:
         m.admit("interactive")
         m.admit("interactive", attempt=2)
         m.reject("batch", "class-capacity")
-        m.job_started("interactive", wait_s=0.004)
+        m.job_started("interactive", wait_s=0.004, slot_fill=0.5)
         m.job_finished("interactive", "compress", ok=True,
                        duration_s=0.1, nbytes=4_000_000, codec="qoz")
         m.job_finished("interactive", "compress", ok=False,
                        duration_s=0.0, nbytes=0, codec="qoz")
-        m.batch_dispatched(4, 8)
         m.connection_opened()
         m.connection_closed()
         s = m.snapshot()

@@ -13,14 +13,19 @@ The acceptance contract this file pins:
 
 import asyncio
 import inspect
+import os
+import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro
 from repro.chunked import ChunkedFile, compress_chunked, decompress_chunked
+from repro.compressors.base import Compressor, register
 from repro.core.qoz import QoZ
-from repro.errors import ServiceOverloadedError
+from repro.errors import DeadlineExceededError, ServiceOverloadedError
 from repro.service import RemoteClient, ServiceClient, ServiceConfig
 from repro.service.protocol import CompressRequest
 from repro.service.scheduler import CompressionService
@@ -294,6 +299,305 @@ class TestBackpressure:
         asyncio.run(main())
 
 
+@register
+class RendezvousCodec(Compressor):
+    """Test codec whose compress returns only once ``parties`` calls are
+    in it at the same time (each leaves a marker file in ``dir`` and waits
+    for the others'), so a service that runs them one after the other
+    fails instead of merely being slow."""
+
+    name = "rendezvous"
+    codec_id = 203
+
+    def __init__(self, dir=None, parties=2, patience=10.0):
+        self.dir, self.parties, self.patience = dir, parties, patience
+
+    def _compress(self, data, eb):
+        here = pathlib.Path(self.dir)
+        (here / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        deadline = time.monotonic() + self.patience
+        while len(list(here.iterdir())) < self.parties:
+            if time.monotonic() > deadline:
+                raise RuntimeError("compressed alone: the other call never started")
+            time.sleep(0.005)
+        return data.astype(np.float64).tobytes()
+
+    def _decompress(self, payload, header):
+        return np.frombuffer(payload, dtype=np.float64).reshape(header.shape)
+
+
+class TestJobSlots:
+    """One dispatch path: each job its own task in one of S slots
+    (S = ``processes`` with a pool, else 1), interactive first, the batch
+    lane at most ``max(1, S - 1)`` wide."""
+
+    def test_two_one_chunk_requests_overlap_on_two_workers(self, tmp_path):
+        data = smooth3d((8, 8, 8), seed=30)
+        request = dict(
+            codec="rendezvous", error_bound=1e-3,
+            codec_kwargs={"dir": str(tmp_path)},
+        )
+        replies, errors = [], []
+
+        def send(svc):
+            try:
+                replies.append(svc.compress(data, **request))
+            except Exception as exc:
+                errors.append(exc)
+
+        with ServiceClient(ServiceConfig(processes=2)) as svc:
+            threads = [threading.Thread(target=send, args=(svc,)) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(replies) == 2 and replies[0] == replies[1]
+        # and they met in two different worker processes
+        assert len({p.name.split("-")[0] for p in tmp_path.iterdir()}) == 2
+
+    class Harness:
+        """A service whose compress work is a gate per request, so a test
+        decides which job ends when and reads the start order."""
+
+        def __init__(self, processes):
+            self.service = CompressionService(ServiceConfig(processes=processes))
+            self.started = []
+            self.gates = {}
+            self.service._compress = self._work  # shadows the method
+
+        async def _work(self, req):
+            self.started.append(req.family)
+            await self.gates.setdefault(req.family, asyncio.Event()).wait()
+            return req.family.encode()
+
+        def submit(self, name, priority="interactive", deadline_ms=None):
+            return self.service.submit(CompressRequest(
+                data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0,
+                family=name, priority=priority, deadline_ms=deadline_ms,
+            ))
+
+        async def finish(self, name):
+            self.gates.setdefault(name, asyncio.Event()).set()
+            await asyncio.sleep(0.01)  # let the freed slot refill
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_interactive_overtakes_queued_batch_work(self, processes):
+        async def main():
+            h = self.Harness(processes)
+            batch = [h.submit(f"b{i}", "batch") for i in range(3)]
+            late = h.submit("i0")  # admitted last, started first
+            await h.service.start()
+            await asyncio.sleep(0.01)
+            assert h.started == (["i0"] if processes == 1 else ["i0", "b0"])
+            for name in ("i0", "b0", "b1", "b2"):
+                await h.finish(name)
+            assert h.started == ["i0", "b0", "b1", "b2"]
+            assert await late == b"i0"
+            assert [await f for f in batch] == [b"b0", b"b1", b"b2"]
+            await h.service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_interactive_arrival_waits_behind_at_most_one_batch_job(
+        self, processes
+    ):
+        async def main():
+            h = self.Harness(processes)
+            await h.service.start()
+            for i in range(3):
+                h.submit(f"b{i}", "batch")
+            await asyncio.sleep(0.01)
+            # however much bulk work waits, the batch lane is one job wide
+            # here (max(1, S - 1)): a second worker is not handed to it
+            assert h.started == ["b0"]
+            h.submit("i0")
+            await asyncio.sleep(0.01)
+            if processes == 2:
+                assert h.started == ["b0", "i0"]  # a free slot: no wait at all
+            else:
+                assert h.started == ["b0"]
+                await h.finish("b0")
+                assert h.started == ["b0", "i0"]  # one batch job, not three
+            await h.service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_job_queued_past_its_deadline_is_shed_when_a_slot_frees(
+        self, processes
+    ):
+        async def main():
+            h = self.Harness(processes)
+            await h.service.start()
+            for i in range(processes):
+                h.submit(f"i{i}")  # every slot taken
+            doomed = h.submit("late", deadline_ms=20.0)
+            alive = h.submit("patient")
+            await asyncio.sleep(0.06)
+            await h.finish("i0")
+            with pytest.raises(DeadlineExceededError) as err:
+                await doomed
+            assert err.value.stage == "queued"
+            assert "late" not in h.started and h.started[-1] == "patient"
+            assert h.service.stats()["deadline_shed_interactive"] == 1
+            await h.finish("patient")
+            assert await alive == b"patient"
+            await h.service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_close_resolves_every_future_and_releases_each_job_once(
+        self, processes
+    ):
+        async def main():
+            h = self.Harness(processes)
+            released = []
+            release = h.service.admission.release
+            h.service.admission.release = lambda units, cls: (
+                released.append(cls), release(units, cls)
+            )
+            await h.service.start()
+            futures = [h.submit(f"i{i}") for i in range(4)]
+            futures += [h.submit(f"b{i}", "batch") for i in range(2)]
+            await asyncio.sleep(0.01)
+            assert len(h.started) == processes  # the rest still queued
+            done = h.started[0]
+            await h.finish(done)
+            await h.service.close()
+            assert all(f.done() for f in futures)
+            outcomes = [f.exception() for f in futures]
+            assert outcomes.count(None) == 1
+            assert all(
+                isinstance(exc, ServiceOverloadedError)
+                and exc.reason == "shutting-down"
+                for exc in outcomes if exc is not None
+            )
+            await asyncio.sleep(0)  # done-callbacks of the drained futures
+            assert sorted(released) == 2 * ["batch"] + 4 * ["interactive"]
+            stats = h.service.stats()
+            assert stats["queue_units_interactive"] == 0
+            assert stats["queue_units_batch"] == 0
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_close_right_after_submit_resolves_unstarted_tasks(self, processes):
+        """No await between submit and close: the job tasks are cancelled
+        before their first step, so no line of ``_run_job`` ever runs."""
+
+        async def main():
+            h = self.Harness(processes)
+            await h.service.start()
+            futures = [h.submit(f"i{i}") for i in range(3)]
+            await h.service.close()
+            assert h.started == []
+            for f in futures:
+                assert f.done()
+                assert f.exception().reason == "shutting-down"
+            await asyncio.sleep(0)  # done-callbacks of the failed futures
+            assert h.service.stats()["queue_units_interactive"] == 0
+
+        asyncio.run(main())
+
+    def test_slot_fill_is_jobs_in_flight_over_slots(self):
+        async def main():
+            h = self.Harness(2)
+            await h.service.start()
+            h.submit("i0")
+            await asyncio.sleep(0.01)
+            assert h.service.stats()["batch_fill_ewma"] == 0.5  # 1 of 2
+            h.submit("i1")
+            await asyncio.sleep(0.01)
+            assert h.service.stats()["batch_fill_ewma"] == 0.6  # ewma to 2 of 2
+            await h.service.close()
+
+        asyncio.run(main())
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    with ServiceClient(ServiceConfig(processes=2)) as client:
+        yield client
+
+
+class TestSameRepliesWithAPool:
+    """``processes=2`` sends all of a job's codec work to the workers —
+    derive trials, execution, plain-stream decodes, reads of any part
+    count; every reply equals the in-process service's and the library's."""
+
+    @pytest.mark.parametrize("chunks", [None, 16], ids=["one-chunk", "tiled"])
+    @pytest.mark.parametrize("family", [None, "pooled-siblings"])
+    def test_compress(self, svc, pooled, chunks, family):
+        data = smooth3d((32, 32, 32), seed=40, dtype=np.float32)
+        request = dict(codec="qoz", rel_error_bound=1e-3, chunks=chunks)
+        want = compress_chunked(data, **request)
+        assert pooled.compress(data, family=family, **request) == want
+        assert svc.compress(data, family=family, **request) == want
+
+    @pytest.mark.parametrize("chunks", [None, 16], ids=["plain", "tiled"])
+    def test_decompress(self, svc, pooled, chunks):
+        data = smooth3d((32, 32, 32), seed=41, dtype=np.float32)
+        blob = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=chunks)
+        want = repro.decompress(blob)
+        for client in (svc, pooled):
+            got = client.decompress(blob)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "slab",
+        [(slice(2, 14), slice(0, 16), slice(5, 6)),
+         (slice(3, 29), slice(None), slice(10, 20))],
+        ids=["one-part", "eight-parts"],
+    )
+    def test_read(self, svc, pooled, slab):
+        data = smooth3d((32, 32, 32), seed=42, dtype=np.float32)
+        blob = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=16)
+        with ChunkedFile(blob) as f:
+            want = f.read(slab)
+        for client in (svc, pooled):
+            assert np.array_equal(client.read(blob, slab), want)
+
+    def test_concurrent_first_requests_of_a_family_run_one_plan(self, pooled):
+        """Two siblings that arrive together before the family has a plan:
+        one derive, and both replies (and every later one) run under it —
+        whichever of the two fields it was derived from."""
+        fields = [smooth3d((32, 32, 32), seed=50 + i, dtype=np.float32)
+                  for i in range(2)]
+        request = dict(codec="qoz", rel_error_bound=1e-3, family="two-at-once")
+        before = pooled.stats()
+        replies = [None, None]
+
+        def send(i):
+            replies[i] = pooled.compress(fields[i], **request)
+
+        threads = [threading.Thread(target=send, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        after = pooled.stats()
+        assert after["plan_derives"] == before["plan_derives"] + 1
+        assert after["plan_cache_size"] == before["plan_cache_size"] + 1
+        plans = [
+            QoZ().derive_plan(
+                x, error_bound=1e-3 * float(x.max() - x.min()),
+                data_range=float(x.max() - x.min()),
+            )
+            for x in fields
+        ]
+        both_ways = [
+            [compress_chunked(x, plan=plan, codec="qoz", rel_error_bound=1e-3)
+             for x in fields]
+            for plan in plans
+        ]
+        assert replies in both_ways
+        assert pooled.compress(fields[1], **request) == replies[1]
+
+
 class TestErrorPropagation:
     def test_unknown_codec_raises(self, svc):
         with pytest.raises(KeyError):
@@ -339,13 +643,15 @@ class TestStats:
         svc.ping()
         stats = svc.stats()
         for key in (
-            "queue_depth", "max_queue", "batch_max", "processes",
-            "jobs_compress", "jobs_decompress", "jobs_read", "batches",
+            "queue_depth", "max_queue", "processes",
+            "jobs_compress", "jobs_decompress", "jobs_read",
             "plan_cache_size", "plan_cache_capacity", "plan_cache_hits",
             "plan_cache_misses", "plan_derives", "open_containers",
         ):
             assert key in stats, key
         assert stats["max_queue"] == 64
+        assert stats["processes"] == 1
+        assert "batch_max" not in stats  # went with the dispatch groups
         assert stats["jobs_compress"] > 0
 
 
@@ -467,7 +773,7 @@ class TestStatsSchema:
     def test_versioned_snapshot_keys(self, svc):
         svc.ping()
         stats = svc.stats()
-        assert stats["stats_version"] == 1
+        assert stats["stats_version"] == 2
         for key in (
             "uptime_s", "queue_units_interactive", "queue_units_batch",
             "work_capacity_units", "batch_share", "drain_rate_units_s",
@@ -485,4 +791,5 @@ class TestStatsSchema:
         from repro.service import format_stats_line
 
         line = format_stats_line(svc.stats())
-        assert line.startswith("repro service stats: v=1 ")
+        assert line.startswith("repro service stats: v=2 ")
+        assert " slot_fill=" in line

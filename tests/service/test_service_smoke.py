@@ -32,12 +32,19 @@ def smooth3d(shape=(36, 36, 36), seed=0):
     return (x / np.abs(x).max()).astype(np.float32)
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids="processes={}".format)
+def processes(request):
+    """In-process service, then one whose codec work all runs on two pool
+    workers: the same replies either way."""
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def server(subprocess_env):
+def server(subprocess_env, processes):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--processes", "1",
+            "--port", "0", "--processes", str(processes),
         ],
         env=subprocess_env,
         stdout=subprocess.PIPE,
@@ -109,6 +116,30 @@ class TestSmoke:
                 recon.astype(np.float64) - data.astype(np.float64)
             ).max() <= 1e-3 * float(data.max() - data.min()) + 1e-12
 
+    def test_one_chunk_requests_match_the_library(self, server):
+        """The four request kinds at the size where a pool used to do
+        nothing: a family-tagged and a content-keyed one-chunk compress,
+        a plain-stream decode and a read that touches one chunk."""
+        import repro
+
+        data = smooth3d((24, 24, 24), seed=5)
+        plain = repro.compress(data, codec="qoz", bound="rel:1e-3")
+        tiled = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=12)
+        corner = (slice(0, 10), slice(2, 12), slice(None, 12))
+        with RemoteClient(port=server) as client:
+            tagged = client.compress(
+                data, codec="qoz", rel_error_bound=1e-3, family="smoke-one-chunk"
+            )
+            keyed = client.compress(data, codec="qoz", rel_error_bound=1e-3)
+            decoded = client.decompress(plain)
+            part = client.read(tiled, corner)
+        assert tagged == keyed == compress_chunked(
+            data, codec="qoz", rel_error_bound=1e-3
+        )
+        assert np.array_equal(decoded, repro.decompress(plain))
+        with ChunkedFile(tiled) as f:
+            assert np.array_equal(part, f.read(corner))
+
     def test_plan_cache_is_warm_across_connections(self, server):
         data = smooth3d(seed=3)
         with RemoteClient(port=server) as client:
@@ -129,11 +160,11 @@ class TestSmoke:
             # the connection survives an error response
             client.ping()
 
-    def test_ping_and_stats(self, server):
+    def test_ping_and_stats(self, server, processes):
         with RemoteClient(port=server) as client:
             client.ping()
             stats = client.stats()
-            assert stats["processes"] == 1
+            assert stats["processes"] == processes
             assert stats["max_queue"] == 64
 
 
