@@ -98,6 +98,14 @@ def _load_input(spec: str) -> np.ndarray:
     return np.load(spec, mmap_mode="r")
 
 
+def _stream_header(path: str):
+    """The fixed header of the stream stored at ``path``."""
+    from repro.core.header import HEADER_PROBE_BYTES, parse_header
+
+    with open(path, "rb") as fh:
+        return parse_header(fh.read(HEADER_PROBE_BYTES))[0]
+
+
 def _cmd_compress(args) -> int:
     from repro.chunked import compress_chunked_to_file
     from repro.errors import CompressionError
@@ -137,11 +145,8 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     from repro.chunked import ChunkedFile
     from repro.compressors.base import decompress_any
-    from repro.core.header import parse_header
 
-    with open(args.input, "rb") as fh:
-        head = fh.read(64)
-    header, _ = parse_header(head)
+    header = _stream_header(args.input)
     t0 = time.perf_counter()
     if not header.is_chunked:
         with open(args.input, "rb") as fh:
@@ -173,12 +178,9 @@ def _cmd_decompress(args) -> int:
 def _cmd_info(args) -> int:
     import os
 
-    from repro.core.header import parse_header
     from repro.core.stream import summarize_header
 
-    with open(args.input, "rb") as fh:
-        head = fh.read(64)
-    header, _ = parse_header(head)
+    header = _stream_header(args.input)
     if header.is_chunked:
         from repro.chunked import ChunkedFile
 
@@ -208,11 +210,8 @@ def _cmd_info(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.chunked import verify_container
-    from repro.core.header import parse_header
 
-    with open(args.input, "rb") as fh:
-        head = fh.read(64)
-    header, _ = parse_header(head)
+    header = _stream_header(args.input)
     if not header.is_chunked:
         # plain stream: the fixed header parsed (v3 would have checked
         # its checksum here); payload integrity rests on decode guards
@@ -439,26 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "per-shard rows in the output (default: "
                          "aggregate only)")
     ss.set_defaults(func=_cmd_serve_stats)
-
-    # listed for `repro --help` only: main() hands `repro lint ...` to
-    # repro.lint.cli before this parser runs
-    sub.add_parser(
-        "lint",
-        add_help=False,
-        help="run reprolint, the AST-based invariant checker (see "
-             "'repro lint --help')",
-    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "lint":
-        # the linter parses its own arguments (repro.lint.cli)
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(raw[1:])
-    args = build_parser().parse_args(raw)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReproError, KeyError, OSError, ValueError) as exc:

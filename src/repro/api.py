@@ -41,7 +41,7 @@ from repro.chunked.api import (
 )
 from repro.chunked.container import ContainerInfo
 from repro.compressors.base import decompress_any, get_compressor
-from repro.core.header import parse_header
+from repro.core.header import HEADER_PROBE_BYTES, parse_header
 from repro.errors import CompressionError
 from repro.utils import BoundLike, normalize_bound
 
@@ -177,7 +177,7 @@ def decompress(
         )
     if isinstance(source, (bytes, bytearray, memoryview)):
         blob = bytes(source)
-        header, _ = parse_header(blob[:64])
+        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
         if header.is_chunked:
             return decompress_chunked(blob, processes=processes)
         return decompress_any(blob)

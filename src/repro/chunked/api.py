@@ -433,7 +433,14 @@ class ChunkedFile:
     def chunk_bytes(self, index: int) -> bytes:
         """Compressed stream of one chunk (reads only its byte range)."""
         entry = self.info.entries[index]
-        blob = self._read_at(self.info.data_start + entry.offset, entry.nbytes)
+        start = self.info.data_start + entry.offset
+        # the index is not checksummed: a range past the stored bytes is a
+        # truncated chunk, not a read to attempt
+        blob = (
+            self._read_at(start, entry.nbytes)
+            if start + entry.nbytes <= self.info.data_end
+            else b""
+        )
         if len(blob) != entry.nbytes:
             raise DecompressionError(
                 f"chunk {index} truncated: expected {entry.nbytes} bytes, "
@@ -449,7 +456,18 @@ class ChunkedFile:
 
     def chunk(self, index: int) -> np.ndarray:
         """Decode one chunk."""
-        return decompress_any(self.chunk_bytes(index))
+        return self.chunk_from(index, self.chunk_bytes(index))
+
+    def chunk_from(self, index: int, blob: bytes) -> np.ndarray:
+        """Decode chunk ``index`` from its stored bytes, which must
+        describe the shape its index entry gives it."""
+        out = decompress_any(blob)
+        entry = self.info.entries[index]
+        if out.shape != entry.shape:
+            raise ChunkCorruptionError(
+                index, entry.start, entry.shape, _disagrees(out.shape)
+            )
+        return out
 
     # ----------------------------------------------------------- hyperslabs
     def slab_plan(
@@ -601,6 +619,10 @@ def read_hyperslab(
 # ------------------------------------------------------------- verification
 
 
+def _disagrees(shape: Sequence[int]) -> str:
+    return f"chunk header shape {tuple(shape)} disagrees with index entry"
+
+
 @dataclass(frozen=True)
 class ChunkFault:
     """One damaged chunk found by :func:`verify_container`."""
@@ -673,13 +695,7 @@ def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
                 continue
             if tuple(head.shape) != tuple(entry.shape):
                 faults.append(
-                    ChunkFault(
-                        i,
-                        entry.start,
-                        entry.shape,
-                        f"chunk header shape {tuple(head.shape)} disagrees "
-                        f"with index entry",
-                    )
+                    ChunkFault(i, entry.start, entry.shape, _disagrees(head.shape))
                 )
         return VerifyReport(
             version=info.header.version,

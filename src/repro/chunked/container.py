@@ -24,6 +24,7 @@ access guarantee tested in ``tests/chunked``.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Union
@@ -33,6 +34,7 @@ import numpy as np
 from repro.chunked.tiling import ChunkGrid
 from repro.core.header import (
     FLAG_CHUNKED,
+    HEADER_PROBE_BYTES,
     VERSION_CHECKSUM,
     ChunkEntry,
     StreamHeader,
@@ -54,6 +56,7 @@ class ContainerInfo:
     grid: ChunkGrid
     entries: List[ChunkEntry]
     data_start: int  # absolute byte offset of the first chunk payload
+    data_end: int  # absolute byte offset just past the stored bytes
 
     @property
     def total_bytes(self) -> int:
@@ -149,6 +152,7 @@ class ChunkedWriter:
             grid=self._grid,
             entries=list(self._entries),
             data_start=self._data_start,
+            data_end=self._data_start + self._next_offset,
         )
 
     def __enter__(self) -> "ChunkedWriter":
@@ -162,13 +166,17 @@ class ChunkedWriter:
 def parse_header_from(fileobj: BinaryIO, base: int = 0):
     """Parse the fixed header of a stream stored in a seekable file."""
     fileobj.seek(base)
-    # fixed header + up to 4 dims is < 64 bytes in every version
-    blob = fileobj.read(64)
-    return parse_header(blob)
+    return parse_header(fileobj.read(HEADER_PROBE_BYTES))
 
 
 def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
-    """Parse header + chunk index of a container without touching chunk data."""
+    """Parse header + chunk index of a container without touching chunk data.
+
+    The index is not checksummed, so it is checked against what the
+    header implies before anything is sized from it: the entries must fit
+    the stream, and their starts and shapes must be exactly the grid the
+    header shape and the nominal chunk shape tile.
+    """
     header, off = parse_header_from(fileobj, base)
     if not header.is_chunked:
         raise DecompressionError(
@@ -177,6 +185,7 @@ def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
         )
     ndim = len(header.shape)
     with_checksums = header.version == VERSION_CHECKSUM
+    end = fileobj.seek(0, io.SEEK_END)
     fileobj.seek(base + off)
     # the index size is known once n_chunks is — read its fixed prelude,
     # then the entries (v3 entries carry a trailing u64 digest)
@@ -184,20 +193,39 @@ def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
     if len(prelude) < 4 * ndim + 8:
         raise DecompressionError("stream truncated in chunk index header")
     (count,) = struct.unpack_from("<Q", prelude, 4 * ndim)
-    entry_bytes = count * ((12 * ndim + 24) if with_checksums else (12 * ndim + 16))
-    body = fileobj.read(entry_bytes)
+    data_start = base + off + chunk_index_size(ndim, count, with_checksums)
+    if data_start > end:
+        raise DecompressionError("stream truncated in chunk index entries")
+    body = fileobj.read(data_start - base - off - len(prelude))
     chunk_shape, entries, _ = unpack_chunk_index(
         prelude + body, 0, ndim, with_checksums
     )
+    if not all(1 <= c <= n for c, n in zip(chunk_shape, header.shape)):
+        raise DecompressionError(
+            f"chunk shape {chunk_shape} does not tile the array shape "
+            f"{header.shape}"
+        )
     grid = ChunkGrid(header.shape, chunk_shape)
     if grid.n_chunks != len(entries):
         raise DecompressionError(
             f"chunk index has {len(entries)} entries but the grid implies "
             f"{grid.n_chunks}"
         )
-    data_start = base + off + chunk_index_size(ndim, len(entries), with_checksums)
+    starts = itertools.product(
+        *(range(0, n, c) for n, c in zip(header.shape, chunk_shape))
+    )
+    for i, (entry, start) in enumerate(zip(entries, starts)):
+        shape = tuple(
+            min(c, n - s) for c, n, s in zip(chunk_shape, header.shape, start)
+        )
+        if entry.start != start or entry.shape != shape:
+            raise DecompressionError(
+                f"chunk index entry {i} (start {entry.start}, shape "
+                f"{entry.shape}) is not the grid's chunk {i}"
+            )
     return ContainerInfo(
-        header=header, grid=grid, entries=entries, data_start=data_start
+        header=header, grid=grid, entries=entries, data_start=data_start,
+        data_end=end,
     )
 
 

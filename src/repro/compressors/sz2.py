@@ -13,6 +13,7 @@ from :mod:`repro.compressors.lorenzo`.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -161,9 +162,9 @@ class SZ2(Compressor):
             n + (-n) % block for n in header.shape
         ):
             raise DecompressionError("SZ2 payload shape contradicts header")
-        n_blocks = int(np.prod([n // block for n in padded_shape]))
+        n_blocks = math.prod(n // block for n in padded_shape)
         use_reg = reader.read_array(n_blocks, 1).astype(bool)
-        n_points = int(np.prod(padded_shape))
+        n_points = math.prod(padded_shape)
         coeff_len = int(use_reg.sum()) * 4 * (nd + 1)
         coeff_bytes = decompress_bytes(sections[1], max_size=coeff_len)
         if len(coeff_bytes) != coeff_len:

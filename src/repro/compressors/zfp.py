@@ -19,6 +19,7 @@ values for any point that would violate the bound, making the bound strict
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -277,13 +278,14 @@ class ZFP(Compressor):
         n_bad = hr.read_uint(64)
         bad_idx = hr.read_array(n_bad, 64).astype(np.int64)
         bad_vals = decompress_floats_lossless(
-            sections[2], max_values=int(np.prod(header.shape))
+            sections[2], max_values=math.prod(header.shape)
         ).astype(np.float64)
 
         shape = header.shape
         nd = len(shape)
         padded_shape = tuple(ceil_div(n, BLOCK) * BLOCK for n in shape)
-        nb = int(np.prod([n // BLOCK for n in padded_shape]))
+        # exact: a forged header dim must not wrap the block count
+        nb = math.prod(n // BLOCK for n in padded_shape)
         m = BLOCK**nd
         eb = header.error_bound
 

@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.interpolation import CUBIC, predict_targets
 from repro.core.levels import (
     ORDER_FORWARD,
+    anchor_count,
     anchor_slices,
     max_level_for_anchor,
     max_level_for_shape,
@@ -219,7 +220,8 @@ def interp_decompress(
     # check with exact int arithmetic before sizing any allocation off
     # the (attacker-controlled) shape
     total = math.prod(full_shape)
-    if known.size + codes.size != total:
+    seeds = anchor_count(shape, plan.anchor_stride) if plan.anchor_stride else 1
+    if known.size != seeds * max(batch_size, 1) or known.size + codes.size != total:
         raise DecompressionError(
             f"payload carries {known.size} known + {codes.size} coded "
             f"points for a shape of {total}"

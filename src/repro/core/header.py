@@ -44,6 +44,10 @@ VERSION_CHECKSUM = 3
 #: single codec payload (``codec_id`` then names the *inner* codec)
 FLAG_CHUNKED = 0x01
 
+#: a stream prefix long enough to parse any header the writers emit (the
+#: largest, a 4-D v3 container's, is 17 + 32 + 4 = 53 bytes)
+HEADER_PROBE_BYTES = 64
+
 _PREFIX = struct.Struct("<4sB")  # magic, version
 _FIXED_V1 = struct.Struct("<4sBBBBd")  # magic, version, codec, dtype, ndim, eb
 _FIXED_V2 = struct.Struct("<4sBBBBBd")  # ... + flags before eb
@@ -134,6 +138,8 @@ def parse_header(blob: bytes) -> Tuple[StreamHeader, int]:
     if len(blob) < off + 8 * ndim:
         raise DecompressionError("stream truncated in shape header")
     shape = struct.unpack_from(f"<{ndim}Q", blob, off)
+    if not shape or 0 in shape:  # writers emit non-empty arrays, rank >= 1
+        raise DecompressionError(f"stream declares a degenerate shape {shape}")
     off += 8 * ndim
     if version == VERSION_CHECKSUM:
         if len(blob) < off + 4:

@@ -12,6 +12,7 @@ what makes each pass fully vectorizable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence, Tuple
@@ -141,7 +142,7 @@ def anchor_slices(ndim: int, anchor_stride: int) -> Tuple[slice, ...]:
 
 def anchor_count(shape: Sequence[int], anchor_stride: int) -> int:
     """Number of anchor points for a shape."""
-    return int(np.prod([ceil_div(n, anchor_stride) for n in shape], dtype=np.int64))
+    return math.prod(ceil_div(n, anchor_stride) for n in shape)
 
 
 def total_pass_targets(shape: Sequence[int], max_level: int) -> int:

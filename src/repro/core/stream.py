@@ -50,9 +50,9 @@ def describe_stream(blob: bytes) -> Dict:
 def summarize_header(header, compressed_bytes: int) -> Dict:
     """Summary of a plain stream from its parsed header + total size alone.
 
-    Needs no payload bytes, so callers with a file can pass the first 64
-    bytes through :func:`repro.core.header.parse_header` and the on-disk
-    size, never reading the stream body.
+    Needs no payload bytes, so callers with a file can pass its first
+    ``HEADER_PROBE_BYTES`` through :func:`repro.core.header.parse_header`
+    and the on-disk size, never reading the stream body.
     """
     from repro.compressors.base import codec_name_for_id
 
@@ -127,6 +127,8 @@ def unpack_interp_payload(
     anchor_stride = reader.read_uint(32)
     radius = reader.read_uint(32)
     max_level = reader.read_uint(8)
+    if max_level < 1:
+        raise DecompressionError("interpolation payload plans no level")
     levels = {}
     for level in range(1, max_level + 1):
         method = reader.read_uint(1)

@@ -283,7 +283,7 @@ class BitReader:
             # need<=remaining backstop does not apply; every in-tree call
             # site passes a count derived from an already-validated
             # header quantity or an actual read
-            return np.zeros(count, dtype=np.uint64)  # reprolint: disable=RL001
+            return np.zeros(count, dtype=np.uint64)
         need = count * nbits
         if need > self.remaining:
             raise DecompressionError("bit stream exhausted")

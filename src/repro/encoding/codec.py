@@ -93,7 +93,7 @@ def decode_symbol_stream(blob: bytes, max_size: int | None = None) -> np.ndarray
             raise DecompressionError(
                 "token count exceeds declared symbol count"
             )
-        code = HuffmanCode.deserialize(reader)
+        code = HuffmanCode.deserialize(reader, alphabet + RUN_CLASSES)
         tokens = code.decode(reader, n_tokens)
         widths = run_token_widths(tokens, alphabet)
         extra_vals = reader.read_varwidth_array(widths)
@@ -101,7 +101,7 @@ def decode_symbol_stream(blob: bytes, max_size: int | None = None) -> np.ndarray
             tokens, extra_vals, dom, alphabet, expected_size=n
         )
     else:
-        code = HuffmanCode.deserialize(reader)
+        code = HuffmanCode.deserialize(reader, alphabet)
         syms = code.decode(reader, n)
     if syms.size != n:
         raise DecompressionError(

@@ -387,16 +387,20 @@ class HuffmanCode:
             writer.write_array(lengths[nz].astype(np.uint64), 6)
 
     @classmethod
-    def deserialize(cls, reader: BitReader) -> "HuffmanCode":
-        """Read a code table written by :meth:`serialize`."""
+    def deserialize(
+        cls, reader: BitReader, alphabet: Optional[int] = None
+    ) -> "HuffmanCode":
+        """Read a code table written by :meth:`serialize`; ``alphabet`` is
+        the table size the enclosing stream declares, when it does."""
         size = reader.read_uint(32)
         nnz = reader.read_uint(32)
         dense = reader.read_uint(1)
         # reject count fields that promise more table entries than the
-        # stream has bits for, before they size any allocation; the
-        # alphabet cap matches from_frequencies' practical limit and stops
-        # a flipped sparse-table size field from allocating gigabytes
-        if size > (1 << 28):
+        # stream has bits for, before they size any allocation; a sparse
+        # table names its size for free, so it must also be the size the
+        # stream declares, and never beyond from_frequencies' practical
+        # limit — a flipped size field must not allocate gigabytes
+        if size > (1 << 28) or alphabet not in (None, size):
             raise DecompressionError("corrupt huffman table (alphabet size)")
         if nnz > size or (6 * size if dense else 38 * nnz) > reader.remaining:
             raise DecompressionError("corrupt huffman table (truncated)")

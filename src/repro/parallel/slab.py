@@ -8,7 +8,7 @@ the parent copies chunk data into the slab **once**, workers attach by
 name and operate on sliced ndarray views, and the pickled job shrinks to
 a descriptor of a few dozen bytes per chunk
 (:data:`SLAB_DESCRIPTOR_LAYOUT` — the layout is registered in
-:mod:`repro.lint.wire_registry` because descriptors cross a process
+:mod:`repro.wire_registry` because descriptors cross a process
 boundary, exactly like struct formats cross a file boundary).
 
 Ownership contract (DESIGN.md §13): the process that calls
@@ -69,7 +69,7 @@ SLAB_BATCH_VERSION = 1
 
 #: field order of one chunk descriptor as it crosses the pool boundary:
 #: byte offset into the slab, chunk shape, dtype string.  Registered in
-#: lint/wire_registry.py (RL003 pins this constant to the registry).
+#: repro/wire_registry.py (the wire_drift pin holds it to the registry).
 SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 
 #: field order of one derive-trial job (``ChunkWorkPool.map_stack``): the

@@ -56,7 +56,7 @@ from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.compressors.base import codec_derives_plan
-from repro.core.header import parse_header
+from repro.core.header import HEADER_PROBE_BYTES, parse_header
 from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
 from repro.errors import ReproError
 from repro.service.protocol import (
@@ -167,14 +167,10 @@ class CostModel:
     cost is the safe direction for admission.
     """
 
-    def __init__(self, calibration: Optional[Dict[str, float]] = None) -> None:
-        self.calibration = dict(CODEC_WORK_CLASS)
-        if calibration:
-            self.calibration.update(calibration)
-
     # ------------------------------------------------------------- internals
-    def _work_class(self, codec: str) -> float:
-        return self.calibration.get(codec, DEFAULT_WORK_CLASS)
+    @staticmethod
+    def _work_class(codec: str) -> float:
+        return CODEC_WORK_CLASS.get(codec, DEFAULT_WORK_CLASS)
 
     @staticmethod
     def _units(melem: float, work_class: float) -> float:
@@ -273,7 +269,7 @@ class CostModel:
 def _declared_field(blob: bytes) -> Tuple[Optional[int], int]:
     """(elements, nbytes) a stream header declares, or (None, 0)."""
     try:
-        header, _ = parse_header(blob[:64])
+        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
     except ReproError:
         # malformed/truncated header: the request still gets a finite
         # estimate here and fails with its real error in the scheduler
@@ -286,7 +282,7 @@ def _declared_field(blob: bytes) -> Tuple[Optional[int], int]:
 
 def _declared_shape(blob: bytes) -> Optional[Tuple[int, ...]]:
     try:
-        header, _ = parse_header(blob[:64])
+        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
     except ReproError:
         return None
     return tuple(int(n) for n in header.shape)

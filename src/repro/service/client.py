@@ -193,7 +193,8 @@ class ServiceClient(_ClientAPI):
 
     def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
         # synchronous bridge onto the private loop thread; .result() here
-        # blocks the *caller's* thread, never the loop (RL002's concern)
+        # blocks the *caller's* thread, never the loop (what the
+        # blocking_calls_in_async_defs pin guards)
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def _request(self, request: protocol.Request) -> Any:

@@ -2,7 +2,8 @@
 
 Each shard of a ``repro serve --shards N`` deployment owns a private
 :class:`~repro.core.plan_cache.PlanLRU`; sharing the *object* across
-processes is exactly what RL011 forbids.  What shards share instead is
+processes is exactly what the shard_state_leaving_the_process pin
+forbids.  What shards share instead is
 the **work product**: a freshly derived
 :class:`~repro.core.plan_cache.FrozenPlan` is ~224 B pickled, so
 broadcasting the pickle and installing it on every peer makes the whole
@@ -32,7 +33,7 @@ The remaining window is a loser's own replies between finishing its
 local derive and reading the hub's answer (one pipe round trip).
 
 Wire format (``PLAN_BUS_VERSION``, registered in
-:mod:`repro.lint.wire_registry`): every message is one
+:mod:`repro.wire_registry`): every message is one
 ``Connection.send_bytes`` payload —
 
     u8 version | u8 kind | u16 shard_id | kind-specific body
@@ -46,7 +47,7 @@ The bus is a *trusted* channel — both ends are processes forked from one
 ``repro serve`` invocation, connected by an inherited pipe that never
 touches a network socket.  That is why ``pickle`` is acceptable here
 (same trust story as the pool's plan broadcast in
-``repro/parallel/executor.py``, which RL008 already allowlists) while
+``repro/parallel/executor.py``, which the unpickling pin also exempts) while
 the client-facing protocol remains pickle-free.  Payloads are still
 bounded (:data:`MAX_BUS_MSG`) and version-checked: a malformed message
 means a bug, and the endpoint drops it loudly rather than misparsing.

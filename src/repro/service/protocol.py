@@ -31,7 +31,7 @@ backpressure/observability frames:
   send; a retrying client increments it so the server can count retried
   admissions) and ``deadline_ms``.  Unknown meta keys are ignored, so
   the vocabulary grows and shrinks without a version bump (the history
-  is in :mod:`repro.lint.wire_registry`).  Only non-default entries are
+  is in :mod:`repro.wire_registry`).  Only non-default entries are
   written, so the common case costs two bytes;
 * RETRY responses carry a ``reason`` string after the ``retry_after``
   hint (``queue-full`` / ``capacity`` / ``class-capacity`` /
@@ -184,8 +184,11 @@ class _Reader:
         return struct.unpack("<d", self._take(8))[0]
 
     def string(self) -> str:
-        n = self.u16()
-        return self._take(n).decode("utf-8")
+        raw = self._take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("string field is not UTF-8") from None
 
     def blob(self) -> bytes:
         n = self.u64()
@@ -227,11 +230,17 @@ def _pack_array(w: _Writer, array: np.ndarray) -> None:
 
 
 def _unpack_array(r: _Reader) -> np.ndarray:
-    dtype = np.dtype(r.string())
+    spec = r.string()
+    try:
+        dtype = np.dtype(spec)
+    except (TypeError, ValueError, SyntaxError):
+        raise ProtocolError(f"unknown array dtype {spec!r}") from None
+    if dtype.kind not in "biufc":
+        raise ProtocolError(f"array dtype {spec!r} is not numeric")
     ndim = r.u8()
     shape = tuple(r.u64() for _ in range(ndim))
     raw = r.blob()
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if len(raw) != expected:
         raise ProtocolError(
             f"array payload is {len(raw)} bytes but dtype/shape imply {expected}"

@@ -75,7 +75,7 @@ import numpy as np
 from repro.chunked.api import ChunkedFile, CompressJob
 from repro.chunked.tiling import Slab
 from repro.compressors.base import decompress_any
-from repro.core.header import parse_header
+from repro.core.header import HEADER_PROBE_BYTES, parse_header
 from repro.core.plan_cache import PlanLRU
 from repro.errors import (
     DeadlineExceededError,
@@ -519,7 +519,7 @@ class CompressionService:
 
     async def _decompress(self, req: DecompressRequest) -> np.ndarray:
         blob = req.blob
-        header, _ = parse_header(blob[:64])
+        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
         self._check_decode_size(header.shape, header.dtype, "field")
         if not header.is_chunked:
             if self._pool.parallel:
@@ -592,17 +592,30 @@ class CompressionService:
             old.close()
         return cf
 
+    async def _settled(
+        self, fn: Callable[..., Any], *arglists: Sequence[Any]
+    ) -> List[Any]:
+        """``fn`` over the argument lists on the thread executor.  A
+        failure is raised once every call has settled, so a failed request
+        leaves no decode running behind it."""
+        loop = asyncio.get_running_loop()
+        results = await asyncio.gather(*[
+            loop.run_in_executor(self._threads, fn, *args)
+            for args in zip(*arglists)
+        ], return_exceptions=True)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
+
     async def _read_from(self, cf: ChunkedFile, slab: Slab) -> np.ndarray:
         """Concurrent-decode execution of ``ChunkedFile.slab_plan``."""
-        loop = asyncio.get_running_loop()
         out_shape, parts = cf.slab_descriptors(slab)
         self._check_decode_size(out_shape, cf.dtype, "hyperslab")
         if not parts:
             return np.empty(out_shape, dtype=cf.dtype)
-        blobs = await asyncio.gather(*[
-            loop.run_in_executor(self._threads, cf.chunk_bytes, i)
-            for i, _, _ in parts
-        ])
+        indices = [i for i, _, _ in parts]
+        blobs = await self._settled(cf.chunk_bytes, indices)
         if self._pool.parallel:
             jobs = [
                 (blob, src, dst) for (_, src, dst), blob in zip(parts, blobs)
@@ -611,10 +624,7 @@ class CompressionService:
                 self._pool.submit_decode_parts, jobs, out_shape, cf.dtype
             )
         out = np.empty(out_shape, dtype=cf.dtype)
-        chunks = await asyncio.gather(*[
-            loop.run_in_executor(self._threads, decompress_any, b)
-            for b in blobs
-        ])
+        chunks = await self._settled(cf.chunk_from, indices, blobs)
         for (_, src, dst), chunk in zip(parts, chunks):
             out[_slices(dst)] = chunk[_slices(src)]
         return out

@@ -203,8 +203,8 @@ class ShardRuntime:
 
     The shard's own mutable state — plan cache, metrics, admission —
     lives entirely inside this object and never crosses a process
-    boundary (RL011); only pickled :class:`FrozenPlan` payloads and
-    stats snapshots travel, over the bus.
+    boundary (the shard_state_leaving_the_process pin); only pickled
+    :class:`FrozenPlan` payloads and stats snapshots travel, over the bus.
     """
 
     def __init__(

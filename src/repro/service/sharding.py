@@ -70,7 +70,8 @@ def _shard_main(
     """Entry point of one shard process: serve until told to stop.
 
     The shard builds its entire runtime *after* the fork — plan cache,
-    metrics, admission, pool all start empty and private (RL011); the
+    metrics, admission, pool all start empty and private (the
+    shard_state_leaving_the_process pin); the
     inherited ``conn`` is its only link to the rest of the deployment.
     """
     endpoint = PlanBusEndpoint(conn, config.shard_id)

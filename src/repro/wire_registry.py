@@ -1,20 +1,22 @@
-"""Central registry of the repo's wire formats (the RL003 ground truth).
+"""Central registry of the repo's wire formats.
 
 Every byte that crosses a process or file boundary is described here:
 the container/stream header (``repro/core/header.py``), the chunked
 container footer (``repro/chunked/container.py``), and the service
-protocol (``repro/service/protocol.py``).  RL003 cross-checks each wire
-module against its registered spec in both directions —
+protocol (``repro/service/protocol.py``).  A structure pin
+(``wire_drift`` in ``tests/parallel/test_structure.py``) cross-checks
+each wire module against its registered spec in both directions —
 
-* a ``struct`` format string or magic/version constant in the source
-  that is **not** registered here fails lint (you changed wire bytes
-  without declaring it), and
-* a registered format that no longer appears in the source fails lint
-  (the registry drifted from reality).
+* a ``struct`` format string in the source that is **not** registered
+  here, or one that is not a literal, fails the pin (you changed wire
+  bytes without declaring it);
+* a registered format that no longer appears in the source fails it
+  (the registry drifted from reality), and so does a registered
+  constant whose live value differs.
 
 Changing wire bytes is therefore a two-file diff by construction: the
 wire module **and** this registry, with the module's ``revision``
-bumped.  The golden tests in ``tests/lint/test_wire_golden.py`` then
+bumped.  The golden tests in ``tests/wire/test_wire_golden.py`` then
 pin the registered constants to the actual bytes of the committed
 golden fixtures, closing the loop registry ↔ source ↔ bytes-on-disk.
 
@@ -53,8 +55,10 @@ class WireSpec:
 #                the dims and a blake2s-8 per-chunk digest ("<Q") per
 #                index entry; v1/v2 still readable (PR 8)
 #   container.py rev 1: footer chunk-count "<Q" (PR 3)
-#   protocol.py  rev 2: protocol v2 adds priority + declared-cost fields
-#                to OP_COMPRESS (PR 6); scalar codecs unchanged since v1
+#   protocol.py  rev 2: protocol v2 adds the request meta kv after the
+#                opcode (priority, client_id, attempt; deadline_ms joined
+#                it later, no layout change) and a reason string to RETRY;
+#                no cost field is on the wire, scalar codecs as in v1
 #   protocol.py  rev 3: request meta gains the optional 'shard_key'
 #                routing-affinity tag (sharded serve, DESIGN.md §14);
 #                no layout change — meta kv is forward-extensible and

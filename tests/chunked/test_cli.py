@@ -40,6 +40,26 @@ class TestParsers:
         assert _parse_slab("-3") == (slice(-3, -2),)
 
 
+class TestSurface:
+    """The subcommand set is part of the surface: one appearing or
+    vanishing must be a reviewed diff of this list."""
+
+    COMMANDS = "compress, decompress, info, verify, serve, serve-stats"
+
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert choices.split(",") == self.COMMANDS.split(", ")
+
+    def test_lint_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
 class TestEndToEnd:
     def test_compress_info_decompress(self, npy_field, tmp_path, capsys):
         path, data = npy_field

@@ -8,6 +8,7 @@ import pytest
 from repro.core.engine import InterpPlan, LevelPlan, interp_compress
 from repro.core.header import (
     FLAG_CHUNKED,
+    HEADER_PROBE_BYTES,
     VERSION,
     VERSION_CHECKSUM,
     ChunkEntry,
@@ -92,6 +93,17 @@ class TestHeader:
         blob[9] ^= 0x01  # corrupt a byte inside the error-bound field
         with pytest.raises(DecompressionError, match="checksum"):
             parse_header(bytes(blob))
+
+    def test_the_largest_written_header_parses_from_the_probe(self):
+        """Readers parse a header from the first HEADER_PROBE_BYTES of a
+        stream; the largest header written is a 4-D v3 container's."""
+        blob = pack_header(
+            1, np.dtype(np.float64), (2**40,) * 4, 0.1,
+            flags=FLAG_CHUNKED, version=VERSION_CHECKSUM,
+        )
+        assert len(blob) == 17 + 32 + 4 <= HEADER_PROBE_BYTES
+        header, off = parse_header((blob + b"\xff" * 64)[:HEADER_PROBE_BYTES])
+        assert header.shape == (2**40,) * 4 and off == len(blob)
 
     def test_v3_header_truncated_checksum(self):
         blob = pack_header(

@@ -1,4 +1,4 @@
-"""The fixtures of the eight reprolint rules that became structure pins.
+"""The fixtures of the reprolint rules that became structure pins.
 
 Each entry is ``(rule id, path under src/repro, source, flagged lines)``:
 the bad/good snippet pairs the rules were written against (PR 7, 8, 10),
@@ -7,6 +7,8 @@ rule flagged and nothing its rule let through.  Lines count inside the
 dedented string; the leading newline makes the first code line line 2.
 The lines are the rule's own, except RL008's aliased ``from pickle
 import loads``, which its pin flags at the import (line 3), not the call.
+``WIRE_FIXTURES`` are RL003's, for the wire-registry pin; its pin runs
+each one as a module, since it compares live constant values.
 """
 
 FIXTURES = [
@@ -267,5 +269,88 @@ FIXTURES = [
         def encode_plan(family):
             plans = PlanLRU(capacity=8)
             return pickle.dumps(plans)
+        """, []),
+]
+
+WIRE_FIXTURES = [
+    # an unregistered format
+    ("RL003", "chunked/container.py", """
+        import struct
+
+        def read_count(prelude, ndim):
+            return struct.unpack_from("<QQQ", prelude, 4 * ndim)
+
+        def read_ok(prelude, ndim):
+            return struct.unpack_from("<Q", prelude, 4 * ndim)
+        """, [5]),
+    ("RL003", "chunked/container.py", """
+        import struct
+
+        def read_count(prelude):
+            return struct.unpack_from("<Q", prelude)[0]
+
+        def read_flags(prelude):
+            return struct.unpack_from("<H", prelude, 8)[0]
+        """, [8]),
+    ("RL003", "chunked/container.py", """
+        import struct
+
+        def read_count(prelude):
+            return struct.unpack_from("<Q", prelude)[0]
+
+        def read_flags(prelude):
+            return struct.unpack_from("<Q", prelude, 8)[0]
+        """, []),
+    # the registered "<Q" never appears: the registry has drifted
+    ("RL003", "chunked/container.py", """
+        import struct
+        """, [1]),
+    # a computed format cannot be audited at rest
+    ("RL003", "chunked/container.py", """
+        import struct
+
+        def sneaky_pack(fmt):
+            struct.unpack_from("<Q", b"", 0)
+            return struct.pack(fmt, 1)
+        """, [6]),
+    # a wire constant changed without a registry revision
+    ("RL003", "service/protocol.py", """
+        import struct
+        PROTOCOL_VERSION = 3
+        MAX_FRAME = 1 << 30
+        OP_PING = 1
+        OP_COMPRESS = 2
+        OP_DECOMPRESS = 3
+        OP_READ_SLAB = 4
+        OP_STATS = 5
+        ST_OK = 0
+        ST_ERROR = 1
+        ST_RETRY = 2
+        FMTS = (struct.pack("<B", 0), struct.pack("<H", 0),
+                struct.pack("<I", 0), struct.pack("<Q", 0),
+                struct.pack("<q", 0), struct.pack("<d", 0.0))
+        """, [3]),
+    # f-string counts normalize to {}
+    ("RL003", "core/header.py", """
+        import struct
+        MAGIC = b"RPZ1"
+        VERSION = 2
+        VERSION_CHECKSUM = 3
+        FLAG_CHUNKED = 0x01
+        _PREFIX = struct.Struct("<4sB")
+        _FIXED_V1 = struct.Struct("<4sBBBBd")
+        _FIXED_V2 = struct.Struct("<4sBBBBBd")
+
+        def pack_all(shape, ndim, e):
+            a = struct.pack(f"<{len(shape)}Q", *shape)
+            b = struct.pack(f"<{ndim}I", *shape)
+            c = struct.pack("<I", 1) + struct.pack("<Q", 2)
+            d = struct.pack("<QQ", e.offset, e.nbytes)
+            return a + b + c + d
+        """, []),
+    # an unregistered module is not a wire module
+    ("RL003", "analysis/report.py", """
+        import struct
+        X = struct.pack("<QQQQQ", 1, 2, 3, 4, 5)
         """, []),
 ]

@@ -10,18 +10,21 @@ library's ``CompressJob`` instead of rebuilding its walk.  A second
 pool, slab owner, plan probe, bound resolver or container walk is
 exactly the duplication this layout removed, so each is pinned here.
 
-The second half holds the eight invariants that were reprolint rules
-until PR 23 (DESIGN.md §11): the same checks, a few asserts each.
+The second half holds the nine invariants that were reprolint rules
+(DESIGN.md §11): the same checks, a few asserts each — the wire-format
+registry's among them.
 """
 
 import ast
 import fnmatch
+import importlib
 import pathlib
 import textwrap
 
 import pytest
 
-from rule_fixtures import FIXTURES
+from repro.wire_registry import WIRE_SPECS, spec_for
+from rule_fixtures import FIXTURES, WIRE_FIXTURES
 
 SRC = pathlib.Path(__file__).parent.parent.parent / "src" / "repro"
 
@@ -512,3 +515,79 @@ def test_a_retired_rules_invariant_holds_in_src(rule):
 )
 def test_a_pin_flags_what_its_rule_flagged(rule, relpath, source, lines):
     assert flagged(rule, relpath, textwrap.dedent(source)) == lines
+
+
+# ---------------------------------------------------------------------------
+# RL003: wire bytes change only through repro/wire_registry.py, whose
+# revision history records every change to them (DESIGN.md §11)
+# ---------------------------------------------------------------------------
+
+STRUCT_CALLS = {"pack", "pack_into", "unpack", "unpack_from", "calcsize", "Struct"}
+
+
+def struct_formats(tree):
+    """``(line, format)`` of every format a ``struct`` call names: the
+    literal, an f-string with its counts as ``{}``, or None if computed."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        if ast.unparse(node.func).removeprefix("struct.") not in STRUCT_CALLS:
+            continue  # a Struct's own methods take data, not a format
+        fmt = node.args[0]
+        if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
+            yield node.lineno, fmt.value
+        elif isinstance(fmt, ast.JoinedStr):
+            yield node.lineno, "".join(
+                "{}" if isinstance(part, ast.FormattedValue) else part.value
+                for part in fmt.values
+            )
+        else:
+            yield node.lineno, None
+
+
+def wire_drift(relpath, source, live):
+    """Lines where the module at ``relpath`` leaves its registered wire
+    surface: a format that is unregistered or not a literal; line 1 for
+    each registered format it no longer names; the assignment (or line 1)
+    of each registered constant whose value in ``live`` differs."""
+    spec = spec_for(f"repro/{relpath}")
+    if spec is None:
+        return []
+    tree = ast.parse(source)
+    lines, named = [], set()
+    for line, fmt in struct_formats(tree):
+        named.add(fmt)
+        if fmt not in spec.formats:
+            lines.append(line)
+    lines += [1] * len(set(spec.formats) - named)
+    assigned = {
+        target.id: node.lineno
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    missing = object()
+    lines += [
+        assigned.get(name, 1) for name, value in spec.constants.items()
+        if live.get(name, missing) != value
+    ]
+    return sorted(lines)
+
+
+def test_the_wire_registry_holds_in_src():
+    for spec in WIRE_SPECS:
+        relpath = spec.module.removeprefix("repro/")
+        module = importlib.import_module(spec.module[:-3].replace("/", "."))
+        source = (SRC / relpath).read_text()
+        assert wire_drift(relpath, source, vars(module)) == [], spec.module
+
+
+@pytest.mark.parametrize(
+    "relpath, source, lines", [f[1:] for f in WIRE_FIXTURES],
+    ids=[f"RL003-{'bad' if f[3] else 'good'}-{i}"
+         for i, f in enumerate(WIRE_FIXTURES)],
+)
+def test_the_wire_pin_flags_what_rl003_flagged(relpath, source, lines):
+    source = textwrap.dedent(source)
+    live = {}
+    exec(compile(source, relpath, "exec"), live)
+    assert wire_drift(relpath, source, live) == lines

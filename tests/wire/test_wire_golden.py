@@ -1,6 +1,7 @@
 """Registry ↔ reality: wire_registry constants vs live code vs golden bytes.
 
-RL003 pins source code to the registry; these tests pin the registry to
+The ``wire_drift`` structure pin (``tests/parallel/test_structure.py``)
+holds source code to the registry; these tests pin the registry to
 the *actual bytes* of the committed golden fixtures and the live
 protocol encoder, closing the loop.  If any of the three drifts, one
 side of a test here goes red."""
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.lint.wire_registry import WIRE_SPECS, spec_for
+from repro.wire_registry import WIRE_SPECS, spec_for
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden" / "golden_streams.npz"
 

@@ -2,9 +2,10 @@
 # One-command pre-push gate: the same checks CI's `lint` and `tests`
 # jobs run, in fast-feedback order.
 #
-#   tools/check.sh          reprolint + invariant tests + tier-1 suite + leak gate
-#   tools/check.sh --fast   reprolint + rule fixtures, wire golden, structure
-#                           pins, route matrix, pooled-derive identity (seconds)
+#   tools/check.sh          invariant tests + tier-1 suite + leak gate
+#   tools/check.sh --fast   wire golden, structure pins, forged-size
+#                           property, route matrix, pooled-derive identity
+#                           (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -13,12 +14,10 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== reprolint =="
-python -m repro lint src
-
-echo "== rule fixtures + wire golden + structure pins + route identity =="
-python -m pytest tests/lint tests/parallel/test_structure.py \
-    tests/api/test_route_matrix.py tests/parallel/test_pooled_derive.py -q
+echo "== wire golden + structure pins + forged sizes + route identity =="
+python -m pytest tests/wire tests/parallel/test_structure.py \
+    tests/properties/test_forged_sizes.py tests/api/test_route_matrix.py \
+    tests/parallel/test_pooled_derive.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
