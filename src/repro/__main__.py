@@ -20,8 +20,8 @@ Examples::
 
 ``serve`` runs the long-lived async compression service
 (:mod:`repro.service`): compress / decompress / hyperslab-read over a
-binary socket protocol, with cost-aware admission control and
-cross-request plan caching.  ``serve --shards N`` runs N shard
+binary socket protocol, with admission control and cross-request
+plan caching.  ``serve --shards N`` runs N shard
 processes behind one address (SO_REUSEPORT kernel accept sharding) with
 derived plans replicated between shards over an inter-process bus
 (DESIGN.md §14) — the flag that multiplies request throughput, where
@@ -243,8 +243,6 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         plan_cache_size=args.plan_cache,
         serve_root=args.serve_root,
-        max_work_units=args.max_work_units,
-        batch_share=args.batch_share,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
         stats_interval=args.stats_interval,
@@ -387,18 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow path-based hyperslab reads for containers "
                         "under DIR (default: path reads disabled; "
                         "clients must send container bytes inline)")
-    s.add_argument("--max-work-units", type=float, default=64.0,
-                   help="admission budget in predicted work units (one "
-                        "unit ~ one megaelement of warm interpolation "
-                        "compression; default 64)")
-    s.add_argument("--batch-share", type=float, default=0.5,
-                   help="fraction of the work-unit budget batch-priority "
-                        "requests may occupy (default 0.5)")
     s.add_argument("--client-rate", type=float, default=16.0,
-                   help="per-client quota refill rate in work units/s "
-                        "(default 16)")
+                   help="per-client quota refill rate in declared "
+                        "megaelements/s (default 16)")
     s.add_argument("--client-burst", type=float, default=48.0,
-                   help="per-client quota burst in work units (default 48)")
+                   help="per-client quota burst in megaelements (default 48)")
     s.add_argument("--stats-interval", type=float, default=0.0,
                    help="log one service-stats line every N seconds "
                         "(0 = disabled)")

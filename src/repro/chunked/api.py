@@ -50,6 +50,7 @@ from repro.errors import (
     ChunkCorruptionError,
     CompressionError,
     DecompressionError,
+    shape_disagreement,
 )
 from repro.utils import (
     BoundLike,
@@ -465,7 +466,7 @@ class ChunkedFile:
         entry = self.info.entries[index]
         if out.shape != entry.shape:
             raise ChunkCorruptionError(
-                index, entry.start, entry.shape, _disagrees(out.shape)
+                index, entry.start, entry.shape, shape_disagreement(out.shape)
             )
         return out
 
@@ -509,9 +510,8 @@ class ChunkedFile:
 
         Returns ``(out_shape, parts)`` where each part is
         ``(chunk_index, src_bounds, dst_bounds)`` with per-axis
-        ``(start, stop)`` pairs — exactly the layout the slab-batched
-        decode job ships across the pool boundary
-        (:meth:`repro.parallel.executor.ChunkWorkPool.submit_decode_parts`).
+        ``(start, stop)`` pairs — the bounds the slab-batched decode job
+        ships across the pool boundary (:meth:`decode_parts`).
         """
         slab, parts = self.slab_plan(slab)
         shape = tuple(s.stop - s.start for s in slab)
@@ -524,6 +524,21 @@ class ChunkedFile:
             for i, src, dst in parts
         ]
         return shape, bounds
+
+    def decode_parts(
+        self,
+        bounds: Sequence[Tuple[int, tuple, tuple]],
+        blobs: Sequence[bytes],
+    ) -> List[tuple]:
+        """The pool's decode parts (``slab.DECODE_PART_LAYOUT``) of
+        :meth:`slab_descriptors` bounds and their chunks' stored bytes:
+        each carries its index entry, so the worker checks the decoded
+        shape as :meth:`chunk_from` does."""
+        entries = self.info.entries
+        return [
+            (blob, src, dst, i, entries[i].start, entries[i].shape)
+            for (i, src, dst), blob in zip(bounds, blobs)
+        ]
 
     def read(
         self, slab: Slab, processes: Optional[int] = None
@@ -541,9 +556,9 @@ class ChunkedFile:
             if len(bounds) > 1:
                 from repro.parallel.executor import kept_pool
 
-                jobs = [
-                    (self.chunk_bytes(i), src, dst) for i, src, dst in bounds
-                ]
+                jobs = self.decode_parts(
+                    bounds, [self.chunk_bytes(i) for i, _, _ in bounds]
+                )
                 with kept_pool(processes) as pool:
                     return pool.submit_decode_parts(
                         jobs, shape, self.dtype
@@ -619,10 +634,6 @@ def read_hyperslab(
 # ------------------------------------------------------------- verification
 
 
-def _disagrees(shape: Sequence[int]) -> str:
-    return f"chunk header shape {tuple(shape)} disagrees with index entry"
-
-
 @dataclass(frozen=True)
 class ChunkFault:
     """One damaged chunk found by :func:`verify_container`."""
@@ -695,7 +706,9 @@ def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
                 continue
             if tuple(head.shape) != tuple(entry.shape):
                 faults.append(
-                    ChunkFault(i, entry.start, entry.shape, _disagrees(head.shape))
+                    ChunkFault(
+                        i, entry.start, entry.shape, shape_disagreement(head.shape)
+                    )
                 )
         return VerifyReport(
             version=info.header.version,

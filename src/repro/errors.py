@@ -26,9 +26,9 @@ class ServiceOverloadedError(ReproError):
 
     ``retry_after`` is the server's suggested delay in seconds before the
     client retries and ``reason`` names the admission rule that rejected
-    the request (``queue-full``, ``capacity``, ``class-capacity``,
-    ``client-quota``); the wire protocol carries both in the RETRY
-    response.
+    the request (``queue-full``, ``client-quota``, or ``shutting-down``
+    for a job still queued when the service closed); the wire protocol
+    carries both in the RETRY response.
     """
 
     def __init__(
@@ -116,3 +116,14 @@ class ChunkCorruptionError(DecompressionError):
         self.start = tuple(start)
         self.shape = tuple(shape)
         self.detail = str(detail)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from its fields: a pool worker raises it across the
+        # pickle channel, where the default (message only) cannot rebuild
+        return type(self), (self.index, self.start, self.shape, self.detail)
+
+
+def shape_disagreement(decoded: tuple) -> str:
+    """The ``detail`` of a chunk whose stream describes (or decodes to)
+    another shape than its container index entry gives."""
+    return f"chunk header shape {tuple(decoded)} disagrees with index entry"

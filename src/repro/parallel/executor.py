@@ -10,9 +10,9 @@ its lifetime.  Both drive the same helpers:
   views into an input slab and resolves to their streams — chunk
   *payloads* never ride the pickle channel, the submitted job is
   ``(slab_name, descriptors, codec, ...)``, a few hundred bytes;
-* :meth:`ChunkWorkPool.submit_decode_parts` decodes ``(blob, src, dst)``
-  parts into an output slab and resolves to the assembled array —
-  decoded chunks are never pickled back;
+* :meth:`ChunkWorkPool.submit_decode_parts` decodes hyperslab parts
+  (``slab.DECODE_PART_LAYOUT``) into an output slab and resolves to the
+  assembled array — decoded chunks are never pickled back;
 * :meth:`ChunkWorkPool.compress_stream` is the synchronous windowed
   generator over the first.
 
@@ -61,8 +61,9 @@ from typing import (
 import numpy as np
 
 from repro.compressors.base import available_compressors, decompress_any, get_compressor
-from repro.errors import WorkerCrashError
+from repro.errors import ChunkCorruptionError, WorkerCrashError, shape_disagreement
 from repro.parallel.slab import (
+    DecodePart,
     Slab,
     StackJob,
     attach_slab,
@@ -148,11 +149,13 @@ def _decompress_into_batch(args) -> int:
     """Worker: decode blobs and write regions into a shared output slab.
 
     ``args`` is ``(slab_name, out_shape, out_dtype, parts)`` with each
-    part ``(blob, src_bounds, dst_bounds)``; bounds are per-axis
+    part laid out as ``slab.DECODE_PART_LAYOUT``; bounds are per-axis
     ``(start, stop)`` pairs (plain ints pickle smaller than slice
-    objects and keep the job layout introspectable).  Writes are
-    idempotent — a crash retry rewrites the same values — so this rides
-    the supervisor's heal/retry paths unchanged.
+    objects and keep the job layout introspectable).  A chunk that
+    decodes to another shape than its index entry raises
+    :class:`ChunkCorruptionError`, as the in-process read does.  Writes
+    are idempotent — a crash retry rewrites the same values — so this
+    rides the supervisor's heal/retry paths unchanged.
     """
     slab_name, out_shape, out_dtype, parts = args
     shm = attach_slab(slab_name)
@@ -160,10 +163,16 @@ def _decompress_into_batch(args) -> int:
         out = np.ndarray(
             tuple(out_shape), dtype=np.dtype(out_dtype), buffer=shm.buf
         )
-        for blob, src_bounds, dst_bounds in parts:
-            src = tuple(slice(a, b) for a, b in src_bounds)
-            dst = tuple(slice(a, b) for a, b in dst_bounds)
-            out[dst] = decompress_any(blob)[src]
+        for part in map(DecodePart._make, parts):
+            chunk = decompress_any(part.blob)
+            if chunk.shape != tuple(part.shape):
+                raise ChunkCorruptionError(
+                    part.index, part.start, part.shape,
+                    shape_disagreement(chunk.shape),
+                )
+            src = tuple(slice(a, b) for a, b in part.src)
+            dst = tuple(slice(a, b) for a, b in part.dst)
+            out[dst] = chunk[src]
         done = len(parts)
         del out  # views must die before the mapping closes
         return done
@@ -633,13 +642,15 @@ class ChunkWorkPool:
 
     def submit_decode_parts(
         self,
-        parts: Sequence[Tuple[bytes, tuple, tuple]],
+        parts: Sequence[tuple],
         out_shape: Sequence[int],
         out_dtype,
     ) -> "Future":
-        """Decode ``(blob, src_bounds, dst_bounds)`` parts into one array.
+        """Decode hyperslab parts into one array.
 
-        Bounds are per-axis ``(start, stop)`` pairs; a worker writes
+        Each part is laid out as ``slab.DECODE_PART_LAYOUT`` (built by
+        :meth:`repro.chunked.api.ChunkedFile.decode_parts`); a worker
+        checks each decoded chunk against its index entry and writes
         ``decoded[src]`` into ``out[dst]`` of a fresh output slab.  The
         regions of a hyperslab plan are disjoint by construction, so
         concurrent writes never overlap.  Parts are dealt round-robin

@@ -49,12 +49,14 @@ except ImportError:  # pragma: no cover - exercised only on exotic builds
     HAVE_SHARED_MEMORY = False
 
 __all__ = [
+    "DECODE_PART_LAYOUT",
     "HAVE_SHARED_MEMORY",
     "SLAB_BATCH_VERSION",
     "SLAB_DESCRIPTOR_LAYOUT",
     "SLAB_NAME_PREFIX",
     "STACK_JOB_LAYOUT",
     "ChunkDescriptor",
+    "DecodePart",
     "Slab",
     "StackJob",
     "active_slab_names",
@@ -78,12 +80,21 @@ SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 #: vectors or interpolator candidates.  Also registered.
 STACK_JOB_LAYOUT = "slab,stack,fn,items,spec"
 
+#: field order of one hyperslab decode part
+#: (``ChunkWorkPool.submit_decode_parts``): the chunk's stored stream,
+#: per-axis ``(start, stop)`` bounds in the chunk and in the output, and
+#: the chunk's container index entry — its number, start and shape — so
+#: the worker checks the decoded shape as ``ChunkedFile.chunk_from``
+#: does.  Also registered.
+DECODE_PART_LAYOUT = "blob,src,dst,index,start,shape"
+
 #: every segment this package creates is named with this prefix, so a
 #: leak check can glob /dev/shm from outside the owning process
 SLAB_NAME_PREFIX = "repro-slab"
 
 ChunkDescriptor = namedtuple("ChunkDescriptor", SLAB_DESCRIPTOR_LAYOUT.split(","))
 StackJob = namedtuple("StackJob", STACK_JOB_LAYOUT.split(","))
+DecodePart = namedtuple("DecodePart", DECODE_PART_LAYOUT.split(","))
 
 _LIVE: Dict[str, "Slab"] = {}
 _LIVE_LOCK = threading.Lock()

@@ -9,14 +9,13 @@ LRU of :class:`~repro.core.plan_cache.FrozenPlan` objects keyed by
 (codec config, bound request, field signature), so warm traffic on a
 field family executes plans instead of deriving them.  See DESIGN.md §9.
 
-Admission is *cost-aware* (DESIGN.md §10): every request's work is
-predicted in units from its metadata (elements x per-codec work class,
-with a surcharge for cold plan derivation), and the service admits by
-predicted units — not request count — with ``interactive`` / ``batch``
-priority lanes and per-client token-bucket quotas.  A versioned STATS
-snapshot (``repro serve-stats``) exposes queue depth in units,
-admit/reject/retry counts by class, plan-cache hit rate, per-codec
-throughput EWMAs, and slot fill.
+Admission (DESIGN.md §10) bounds the jobs admitted and not yet finished
+and, per ``client_id``, the megaelements requested per second (a token
+bucket); admitted work runs in ``interactive`` / ``batch`` priority
+lanes.  A versioned STATS snapshot (``repro serve-stats``) exposes
+admit/reject/retry counts by class and reason, queue-wait and run-time
+histograms per class (mean, p50/p90/p99), plan-cache hit rate and slot
+fill — every raw value a count or a sum, so shards merge by addition.
 
 Quickstart::
 
@@ -58,9 +57,7 @@ from repro.service.admission import (
     AdmissionLimits,
     AdmissionSnapshot,
     AdmitDecision,
-    CostModel,
     ServiceMetrics,
-    WorkEstimate,
     aggregate_snapshots,
     decide,
     format_stats_line,
@@ -76,14 +73,12 @@ __all__ = [
     "AdmissionSnapshot",
     "AdmitDecision",
     "CompressionService",
-    "CostModel",
     "RemoteClient",
     "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceServer",
     "ShardRuntime",
-    "WorkEstimate",
     "aggregate_snapshots",
     "decide",
     "format_stats_line",

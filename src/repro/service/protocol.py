@@ -34,9 +34,8 @@ backpressure/observability frames:
   is in :mod:`repro.wire_registry`).  Only non-default entries are
   written, so the common case costs two bytes;
 * RETRY responses carry a ``reason`` string after the ``retry_after``
-  hint (``queue-full`` / ``capacity`` / ``class-capacity`` /
-  ``client-quota``), so clients and dashboards can tell *why* they were
-  shed;
+  hint (``queue-full`` / ``client-quota``), so clients and dashboards
+  can tell *why* they were shed;
 * STATS responses are a flat typed kv whose layout is versioned by its
   own ``stats_version`` key (see :mod:`repro.service.admission`) —
   independent of the protocol version, so stats keys can evolve without

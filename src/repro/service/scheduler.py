@@ -3,16 +3,14 @@
 The service's execution model, front to back:
 
 * Requests enter through :meth:`CompressionService.handle` and pass
-  **cost-aware admission** (:mod:`repro.service.admission`): the cost
-  model predicts the request's work units from its metadata, and the
-  admission controller checks that prediction against the work-unit
-  budget, the batch-class share, and the client's token bucket — not
-  just a job count.  A rejected request fails immediately with
-  :class:`ServiceOverloadedError` (carrying a drain-rate-derived
-  ``retry_after`` and the rejecting rule's name) instead of buffering
-  unboundedly — load sheds at the door, which keeps both memory *and
-  queueing latency* proportional to the configured budget rather than
-  to the burst.
+  **admission** (:mod:`repro.service.admission`): the job-count bound
+  ``max_queue`` and, for a request with a ``client_id``, that client's
+  token bucket, drawn by the megaelements the request declares.  A
+  rejected request fails immediately with
+  :class:`ServiceOverloadedError` (carrying a ``retry_after`` hint and
+  the rejecting rule's name) instead of buffering unboundedly — load
+  sheds at the door, which keeps both memory *and queueing latency*
+  proportional to the bound rather than to the burst.
 * Admitted jobs join one of two priority deques.  There is one dispatch
   path: every job is its own task, started when one of **S slots** is
   free — S is ``processes`` when the pool fans out and 1 otherwise, so a
@@ -76,7 +74,7 @@ from repro.chunked.api import ChunkedFile, CompressJob
 from repro.chunked.tiling import Slab
 from repro.compressors.base import decompress_any
 from repro.core.header import HEADER_PROBE_BYTES, parse_header
-from repro.core.plan_cache import PlanLRU
+from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
 from repro.errors import (
     DeadlineExceededError,
     DecompressionError,
@@ -86,10 +84,8 @@ from repro.parallel.executor import BATCH_CHUNKS, ChunkWorkPool
 from repro.service.admission import (
     AdmissionController,
     AdmissionLimits,
-    CostModel,
     ServiceMetrics,
-    WorkEstimate,
-    request_plan_key,
+    request_units,
 )
 from repro.service.protocol import (
     MAX_FRAME,
@@ -127,13 +123,12 @@ class ServiceConfig:
     containers under it — a remote client must never get an arbitrary
     file-read/probe primitive over the server's filesystem.
 
-    Admission knobs (see :mod:`repro.service.admission`):
-    ``max_work_units`` bounds the *predicted work* queued at once (the
-    latency budget), ``batch_share`` the fraction of it bulk-priority
-    traffic may occupy, and ``client_rate`` / ``client_burst`` the
-    per-client token-bucket quota (units/s, units) applied to requests
-    that carry a ``client_id``.  ``stats_interval`` > 0 makes the server
-    log one snapshot line that often (seconds).
+    Admission knobs (see :mod:`repro.service.admission`): ``max_queue``
+    bounds the jobs admitted and not yet finished, and ``client_rate`` /
+    ``client_burst`` are the per-client token-bucket quota (declared
+    megaelements per second, megaelements) applied to requests that
+    carry a ``client_id``.  ``stats_interval`` > 0 makes the server log
+    one snapshot line that often (seconds).
     """
 
     processes: int = 1
@@ -141,8 +136,6 @@ class ServiceConfig:
     plan_cache_size: int = 128
     retry_after: float = 0.05
     serve_root: Optional[str] = None
-    max_work_units: float = 64.0
-    batch_share: float = 0.5
     client_rate: float = 16.0
     client_burst: float = 48.0
     stats_interval: float = 0.0
@@ -152,11 +145,18 @@ class ServiceConfig:
     n_shards: int = 1
 
 
+#: the STATS ``jobs_<kind>`` counter each request type feeds
+_KINDS = {
+    CompressRequest: "compress",
+    DecompressRequest: "decompress",
+    ReadSlabRequest: "read",
+}
+
+
 @dataclass
 class _Job:
     request: Request
     future: "asyncio.Future"
-    estimate: WorkEstimate
     priority: str
     enqueued: float
     started: float = 0.0
@@ -187,16 +187,14 @@ class CompressionService:
         )
         self._extra_stats = extra_stats
         self.metrics = ServiceMetrics()
-        self.cost_model = CostModel()
         self.admission = AdmissionController(
             AdmissionLimits(
                 max_queue_jobs=max(1, self.config.max_queue),
-                max_work_units=self.config.max_work_units,
-                batch_share=self.config.batch_share,
                 min_retry_after=self.config.retry_after,
             ),
             client_rate=self.config.client_rate,
             client_burst=self.config.client_burst,
+            mean_run_s=self.metrics.mean_run_s,
         )
         # the pool supervisor reports crash/retry/respawn/degrade events
         # straight into the metrics registry (pool_event is thread-safe)
@@ -256,9 +254,8 @@ class CompressionService:
         (one connection handler among many) must learn *immediately*
         whether the job was accepted, so it can push the RETRY response
         instead of holding the connection while the queue drains.  The
-        decision is cost-aware — the cost model's predicted work units
-        are checked against the work budget, the batch-class share, and
-        the client's token bucket (see :mod:`repro.service.admission`).
+        job-count bound and the client's token bucket decide (see
+        :mod:`repro.service.admission`).
         """
         loop = asyncio.get_running_loop()
         priority = validate_priority(
@@ -266,10 +263,7 @@ class CompressionService:
         )
         attempt = int(getattr(request, "attempt", 0))
         client_id = getattr(request, "client_id", None)
-        estimate = self.cost_model.predict(request, self.plans)
-        decision = self.admission.try_admit(
-            estimate.units, priority, client_id
-        )
+        decision = self.admission.try_admit(request_units(request), client_id)
         if not decision.admitted:
             self.metrics.reject(priority, decision.reason)
             raise ServiceOverloadedError(decision.retry_after, decision.reason)
@@ -282,7 +276,6 @@ class CompressionService:
         job = _Job(
             request=request,
             future=future,
-            estimate=estimate,
             priority=priority,
             enqueued=now,
             deadline=(
@@ -297,18 +290,14 @@ class CompressionService:
 
     def _on_job_done(self, job: _Job, fut: "asyncio.Future") -> None:
         """Single exit point for admitted jobs (done/failed/cancelled)."""
-        self.admission.release(job.estimate.units, job.priority)
+        self.admission.release()
         ok = (not fut.cancelled()) and fut.exception() is None
-        duration = time.monotonic() - job.started if job.started else 0.0
-        if ok and duration > 0.0:
-            self.admission.observe_drain(job.estimate.units, duration)
         self.metrics.job_finished(
             job.priority,
-            job.estimate.kind,
+            _KINDS.get(type(job.request), "other"),
             ok,
-            duration,
-            job.estimate.nbytes,
-            job.estimate.codec,
+            time.monotonic() - job.started if job.started else None,
+            getattr(job.request, "codec", ""),
         )
 
     async def handle(self, request: Request) -> object:
@@ -373,14 +362,14 @@ class CompressionService:
             if job.deadline is not None and now >= job.deadline:
                 # queued past its deadline: shed at dispatch — the work
                 # has not started, so failing fast costs nothing and
-                # frees its admission units for live requests
+                # frees its admission place for live requests
                 self.metrics.deadline_missed(job.priority, "queued")
                 self._fail(job, DeadlineExceededError(job.deadline_ms, "queued"))
                 continue
             job.started = now
             self.metrics.job_started(
                 job.priority, now - job.enqueued,
-                (len(self._running) + 1) / self._slots,
+                len(self._running) + 1, self._slots,
             )
             task = asyncio.create_task(self._run_job(job), name="repro-job")
             self._running[task] = job
@@ -399,7 +388,7 @@ class CompressionService:
         into the wrapped pool futures, so abandoned chunk results are
         dropped by the pool supervisor) and resolves the job's future
         with :class:`DeadlineExceededError` — releasing its admission
-        units through the ordinary ``_on_job_done`` exit path.
+        place through the ordinary ``_on_job_done`` exit path.
         """
         req = job.request
         if isinstance(req, CompressRequest):
@@ -452,9 +441,12 @@ class CompressionService:
         )
         if job.wants_plan:
             pool = self._pool if self._pool.parallel else None
-            job.plan = self.plans.get_or_derive(
-                request_plan_key(req), lambda: job.derive(pool)
+            spec = req.normalized_bound
+            key = plan_cache_key(
+                req.codec, req.codec_kwargs, spec.mode, spec.value,
+                field_signature(req.data, req.family),
             )
+            job.plan = self.plans.get_or_derive(key, lambda: job.derive(pool))
         return job
 
     async def _await_pooled(
@@ -617,11 +609,9 @@ class CompressionService:
         indices = [i for i, _, _ in parts]
         blobs = await self._settled(cf.chunk_bytes, indices)
         if self._pool.parallel:
-            jobs = [
-                (blob, src, dst) for (_, src, dst), blob in zip(parts, blobs)
-            ]
             return await self._await_pooled(
-                self._pool.submit_decode_parts, jobs, out_shape, cf.dtype
+                self._pool.submit_decode_parts,
+                cf.decode_parts(parts, blobs), out_shape, cf.dtype,
             )
         out = np.empty(out_shape, dtype=cf.dtype)
         chunks = await self._settled(cf.chunk_from, indices, blobs)

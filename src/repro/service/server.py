@@ -15,8 +15,8 @@ protocol responses at this boundary:
   can no longer be trusted).
 
 With ``stats_interval`` > 0 in the service config the server also logs
-one compact snapshot line per interval (queue depth in work units,
-admit / reject counts, plan-cache hit rate, slot fill, drain rate) —
+one compact snapshot line per interval (queue depth, admit / reject
+counts, plan-cache hit rate, slot fill, queue-wait and run p50/p99) —
 rendered from the same snapshot dict the STATS frame serves, so a log
 line and a ``repro serve-stats`` table never disagree.
 """

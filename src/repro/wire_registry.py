@@ -73,6 +73,10 @@ class WireSpec:
 #                sampled stack rides a slab under the rev 1 descriptor,
 #                beside it a function by name and parent-built tuples
 #                of floats and ints (one dict of int tuples)
+#   slab.py      rev 3: registers the hyperslab decode part, which gains
+#                the chunk's index entry (number, start, shape) after
+#                '(blob, src, dst)' so a worker can refuse a chunk that
+#                decodes to another shape; the other layouts are unchanged
 #   planbus.py   rev 1: inter-shard plan replication bus — one pipe
 #                payload per message, 'u8 ver | u8 kind | u16 shard_id |
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars
@@ -114,12 +118,13 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/parallel/slab.py",
-        revision=2,
+        revision=3,
         formats=(),  # descriptors ride multiprocessing's pickle, no struct
         constants={
             "SLAB_BATCH_VERSION": 1,
             "SLAB_DESCRIPTOR_LAYOUT": "offset,shape,dtype",
             "STACK_JOB_LAYOUT": "slab,stack,fn,items,spec",
+            "DECODE_PART_LAYOUT": "blob,src,dst,index,start,shape",
         },
     ),
     WireSpec(

@@ -250,7 +250,7 @@ class TestServicePooledPath:
     def test_deadline_while_running_releases_slab_and_units(
         self, monkeypatch, processes
     ):
-        """A job cancelled mid-run frees its slot and its admission units,
+        """A job cancelled mid-run frees its slot and its admission place,
         and with a pool it must not strand the slabs still being filled
         on the thread executor: the fill's result is a pool future that
         owns its slab, cancelled as soon as it exists.
@@ -275,7 +275,7 @@ class TestServicePooledPath:
             assert err.value.stage == "running"
             stats = svc.stats()
             assert stats["deadline_timeout_interactive"] == 1
-            assert stats["queue_units_interactive"] == 0
+            assert stats["admission_jobs"] == 0
             monkeypatch.undo()
             # the slot is free again: the next request is served
             assert svc.compress(data, **request) == compress_chunked(data, **request)

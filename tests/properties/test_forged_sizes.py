@@ -1,10 +1,11 @@
 """P3 for declared sizes: a forged size fails typed, small and fast.
 
 Every case starts from an honest input — a plain stream of each codec in
-both dtypes; a chunked container (v3, and a v2 one whose header carries
-no checksum) decoded whole or read by hyperslab, through the library and
-through the in-process ``ServiceClient``; a service protocol request or
-response body — and forges it once:
+both dtypes; a chunked container (v3, and v2 ones whose header carries
+no checksum, sz3 and zfp) decoded whole or read by hyperslab, through the
+library and through the in-process ``ServiceClient``, each read also with
+``processes=2`` (chunks decoded on pool workers); a service protocol
+request or response body — and forges it once:
 
 * a 1-, 2-, 4- or 8-byte window overwritten with an adversarial size, in
   either byte order;
@@ -51,8 +52,8 @@ from repro.datasets import get_dataset
 from repro.encoding.bitstream import BitWriter
 from repro.encoding.huffman import HuffmanCode
 from repro.encoding.rle import RUN_CLASSES
-from repro.errors import ReproError
-from repro.service import ServiceClient, protocol
+from repro.errors import ChunkCorruptionError, ReproError
+from repro.service import ServiceClient, ServiceConfig, protocol
 
 CODECS = ("qoz", "sz3", "sz2", "zfp", "mgard")
 SLICE_EXAMPLES = 1500
@@ -68,10 +69,23 @@ HEAD_BYTES = 512
 
 class Target(NamedTuple):
     blob: bytes
-    #: ``(client, forged bytes) -> result``
+    #: ``(clients, forged bytes) -> result``
     decode: Callable
     #: ``(forged bytes, result)``: asserts the result is what was declared
     declared: Callable
+
+
+class Clients(NamedTuple):
+    serial: ServiceClient
+    #: ``processes=2``: a read's chunks decode on its pool's workers
+    pooled: ServiceClient
+
+
+@contextmanager
+def serving():
+    with ServiceClient() as serial, \
+            ServiceClient(ServiceConfig(processes=2)) as pooled:
+        yield Clients(serial, pooled)
 
 
 def array_as_header_says(forged, out, slab=None):
@@ -82,9 +96,13 @@ def array_as_header_says(forged, out, slab=None):
     assert out.shape == shape and out.dtype == header.dtype
 
 
-def read_slab(_, blob):
+def slab_as_header_says(forged, out):
+    array_as_header_says(forged, out, SLAB)
+
+
+def read_slab(_, blob, processes=None):
     with ChunkedFile(blob) as f:
-        return f.read(SLAB)
+        return f.read(SLAB, processes=processes)
 
 
 def as_v2(container):
@@ -120,19 +138,28 @@ def corpus():
         containers = {f"v3-{tag}": container}
         if dtype is np.float64:
             containers["v2-float64"] = as_v2(container)
+        else:
+            # zfp decodes a chunk whose header declares another shape:
+            # the case the index-entry check exists for
+            containers["v2zfp-float32"] = as_v2(compress_chunked(
+                data, codec="zfp", chunks=(12, 24, 12), rel_error_bound=1e-3
+            ))
         for name, blob in containers.items():
             targets[f"{name}-decode"] = Target(
                 blob, lambda _, b: repro.decompress(b), array_as_header_says
             )
-            targets[f"{name}-read"] = Target(
-                blob, read_slab, lambda f, out: array_as_header_says(f, out, SLAB)
+            targets[f"{name}-read"] = Target(blob, read_slab, slab_as_header_says)
+            targets[f"{name}-pool-read"] = Target(
+                blob, lambda c, b: read_slab(c, b, processes=2), slab_as_header_says
             )
             targets[f"{name}-serve-decode"] = Target(
-                blob, lambda c, b: c.decompress(b), array_as_header_says
+                blob, lambda c, b: c.serial.decompress(b), array_as_header_says
             )
             targets[f"{name}-serve-read"] = Target(
-                blob, lambda c, b: c.read(b, SLAB),
-                lambda f, out: array_as_header_says(f, out, SLAB),
+                blob, lambda c, b: c.serial.read(b, SLAB), slab_as_header_says
+            )
+            targets[f"{name}-pool-serve-read"] = Target(
+                blob, lambda c, b: c.pooled.read(b, SLAB), slab_as_header_says
             )
 
     def message(kind):
@@ -162,7 +189,7 @@ def corpus():
             protocol.encode_ok_kv({"a": 1, "b": 2.5, "c": True, "d": "x"}),
             protocol.OP_STATS,
         ),
-        "retry": (protocol.encode_retry(0.25, "capacity"), protocol.OP_COMPRESS),
+        "retry": (protocol.encode_retry(0.25, "queue-full"), protocol.OP_COMPRESS),
         "error": (protocol.encode_error("boom"), protocol.OP_READ_SLAB),
     }
     for name, (body, op) in responses.items():
@@ -262,29 +289,29 @@ def traced(decode, *args):
 _honest_peaks = {}
 
 
-def honest_peak(client, name):
+def honest_peak(clients, name):
     if name not in _honest_peaks:
         target = corpus()[name]
-        target.decode(client, target.blob)  # first-use caches
-        out, peak, _ = traced(target.decode, client, target.blob)
+        target.decode(clients, target.blob)  # first-use caches
+        out, peak, _ = traced(target.decode, clients, target.blob)
         assert out is not None, name
         _honest_peaks[name] = peak
     return _honest_peaks[name]
 
 
-def check_forgery(client, forgery):
+def check_forgery(clients, forgery):
     """The requirement, for one forged case."""
     target = corpus()[forgery.target]
-    budget = 4 * honest_peak(client, forgery.target) + SLACK_BYTES
+    budget = 4 * honest_peak(clients, forgery.target) + SLACK_BYTES
     forged = forgery.apply(target.blob)
-    out, peak, elapsed = traced(target.decode, client, forged)
+    out, peak, elapsed = traced(target.decode, clients, forged)
     if out is not None:
         target.declared(forged, out)
     assert peak <= budget, f"traced peak {peak} > {budget}"
     assert elapsed <= MAX_SECONDS, f"took {elapsed:.2f} s"
 
 
-def forged_sizes_property(client, examples, seed_value):
+def forged_sizes_property(clients, examples, seed_value):
     @seed(seed_value)
     @settings(
         max_examples=examples, database=None, deadline=None,
@@ -292,7 +319,7 @@ def forged_sizes_property(client, examples, seed_value):
     )
     @given(forgery=forgeries())
     def forged_decode_fails_typed_and_bounded(forgery):
-        check_forgery(client, forgery)
+        check_forgery(clients, forgery)
 
     forged_decode_fails_typed_and_bounded()
 
@@ -323,8 +350,8 @@ def run_slice(examples, seed_value):
     key = (examples, seed_value)
     if key not in _runs:
         codes = set()
-        with profiled(codes), ServiceClient() as client:
-            forged_sizes_property(client, examples, seed_value)
+        with profiled(codes), serving() as clients:
+            forged_sizes_property(clients, examples, seed_value)
         _runs[key] = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
     return _runs[key]
 
@@ -360,19 +387,45 @@ PINNED = {
     "protocol-_unpack_array-dtype": Forgery("response-array", "flip", 6, value=6),
     "protocol-_unpack_array-descr": Forgery("response-array", "flip", 4, value=4),
     "mgard-budget": Forgery("mgard-float32", "flip", 171, value=0),
+    "executor-_decompress_into_batch": Forgery(
+        "v2zfp-float32-pool-read", "flip", 286, value=2
+    ),
+    "executor-_decompress_into_batch-served": Forgery(
+        "v2zfp-float32-pool-serve-read", "flip", 286, value=2
+    ),
+}
+
+#: chunk streams of the zfp container forged to declare another shape
+#: than their index entries: chunk 0 as (8, 24, 12), which the slab's
+#: part of it cannot fill, and chunk 2 as (1, 24, 12), which numpy would
+#: broadcast over the slab's seven rows of it without a word
+SHAPE_FORGERIES = {
+    "short": Forgery("v2zfp-float32-read", "flip", 286, value=2),
+    "broadcast": Forgery("v2zfp-float32-read", "window", 7707, 1, 1),
 }
 
 
 @pytest.fixture(scope="module")
-def client():
-    with ServiceClient() as c:
+def clients():
+    with serving() as c:
         yield c
 
 
 @pytest.mark.parametrize("forgery", list(PINNED.values()), ids=list(PINNED))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_pinned_forgery_fails_typed_and_bounded(client, forgery):
-    check_forgery(client, forgery)
+def test_a_pinned_forgery_fails_typed_and_bounded(clients, forgery):
+    check_forgery(clients, forgery)
+
+
+@pytest.mark.parametrize("route", ["read", "pool-read", "serve-read", "pool-serve-read"])
+@pytest.mark.parametrize("forgery", list(SHAPE_FORGERIES.values()), ids=list(SHAPE_FORGERIES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_chunk_of_another_shape_is_corruption_on_every_read_route(
+    clients, route, forgery
+):
+    target = corpus()[f"v2zfp-float32-{route}"]
+    with pytest.raises(ChunkCorruptionError, match="disagrees with index entry"):
+        target.decode(clients, forgery.apply(target.blob))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Property tests for the cost model and the pure admission policy.
+"""Property tests for request sizing, the pure admission policy and the
+metrics registry.
 
-The two load-bearing properties the module docstring promises:
+The load-bearing properties the module docstring promises:
 
-* predicted cost is *monotone in element count* for every codec and
-  request kind — admission can rank requests by size without ever being
-  inverted by a bigger request predicting cheaper;
+* :func:`repro.service.admission.request_units` is *monotone in the
+  declared size* for every request kind, and finite for garbage — the
+  quota can never be inverted by a bigger request drawing less;
 * :func:`repro.service.admission.decide` is *pure* — replaying the same
-  (units, priority, snapshot, limits) tuple reproduces the decision
-  bit-for-bit, including the retry hint.
+  (units, snapshot, limits) tuple reproduces the decision bit-for-bit,
+  including the retry hint;
+* histogram keys merge by addition (the fleet property is in
+  ``test_planbus.py``).
 
-Both are swept over seeded-numpy random inputs, so a regression shows up
-as a deterministic counterexample, not a flake.
+Swept over seeded-numpy random inputs, so a regression shows up as a
+deterministic counterexample, not a flake.
 """
 
 import math
@@ -18,19 +21,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
 from repro.service.admission import (
-    CODEC_WORK_CLASS,
-    DEFAULT_DRAIN_RATE,
+    HIST_EDGES_MS,
     MIN_UNITS,
     AdmissionController,
     AdmissionLimits,
     AdmissionSnapshot,
-    CostModel,
     ServiceMetrics,
     TokenBucket,
     decide,
     format_stats_line,
+    request_units,
 )
 from repro.service.protocol import (
     CompressRequest,
@@ -47,89 +48,73 @@ def compress_req(n_elements, codec="qoz", **kw):
     )
 
 
-class TestCostModel:
-    def test_monotone_in_elements_per_codec(self):
+class TestRequestUnits:
+    def test_compress_is_declared_megaelements(self):
         rng = np.random.default_rng(1234)
-        model = CostModel()
-        for codec in CODEC_WORK_CLASS:
-            sizes = np.sort(rng.integers(1, 2_000_000, size=12))
-            units = [
-                model.predict(compress_req(n, codec=codec)).units
-                for n in sizes
-            ]
-            assert units == sorted(units), f"non-monotone for {codec}"
+        sizes = np.sort(rng.integers(1, 2_000_000, size=12))
+        units = [request_units(compress_req(n)) for n in sizes]
+        assert units == sorted(units)
+        # a warm qoz/sz3 compress drew exactly this under the cost model
+        assert request_units(compress_req(1_000_000)) == pytest.approx(1.0)
 
     def test_monotone_decompress(self):
         from repro.compressors import get_compressor
 
         rng = np.random.default_rng(99)
-        model = CostModel()
         comp = get_compressor("zfp")
         units = []
         for n in (8, 64, 512):
             blob = comp.compress(
                 rng.random((n, 8, 8)).astype(np.float32), error_bound=1e-2
             )
-            units.append(
-                model.predict(DecompressRequest(blob=blob)).units
-            )
+            units.append(request_units(DecompressRequest(blob=blob)))
+            assert units[-1] == pytest.approx(max(MIN_UNITS, n * 64 / 1e6))
         assert units == sorted(units)
-        # garbage blobs still get a finite, size-monotone estimate
+        # garbage blobs still get a finite, size-monotone number
         garbage = [
-            model.predict(DecompressRequest(blob=b"\xff" * n)).units
+            request_units(DecompressRequest(blob=b"\xff" * n))
             for n in (64, 4096, 1 << 20)
         ]
         assert garbage == sorted(garbage)
         assert all(math.isfinite(u) for u in garbage)
 
-    def test_cold_costs_more_than_warm(self):
-        model = CostModel()
-        plans = PlanLRU(capacity=8)
-        req = compress_req(500_000, codec="qoz", family="f")
-        cold = model.predict(req, plans)
-        assert not cold.warm
-        key = plan_cache_key(
-            "qoz", {}, "rel", 1e-3, field_signature(req.data, "f")
+    def test_monotone_read_in_slab_extent(self):
+        rng = np.random.default_rng(7)
+        extents = np.sort(rng.integers(1, 4000, size=10))
+        units = [
+            request_units(ReadSlabRequest(
+                source=b"x", slab=(slice(0, int(n)), slice(0, 1000)),
+            ))
+            for n in extents
+        ]
+        assert units == sorted(units)
+        assert units[-1] > units[0]
+
+    def test_read_open_ends_from_the_container_header(self):
+        from repro.chunked import compress_chunked
+
+        blob = compress_chunked(
+            np.zeros((16, 64, 32), dtype=np.float32), codec="zfp",
+            error_bound=1e-3, chunks=32,
         )
-        from repro.core.plan_cache import FrozenPlan
-
-        plans.put(key, FrozenPlan(codec="qoz", eb=1.0, interpolators={1: (0, 0)}))
-        warm = model.predict(req, plans)
-        assert warm.warm
-        assert cold.units > warm.units
-
-    def test_non_plan_codec_has_no_surcharge(self):
-        model = CostModel()
-        est = model.predict(compress_req(1_000_000, codec="zfp"))
-        assert est.units == pytest.approx(CODEC_WORK_CLASS["zfp"])
+        read = ReadSlabRequest(source=blob, slab=(slice(0, 4), slice(None)))
+        assert request_units(read) == pytest.approx(4 * 64 * 32 / 1e6)
+        # a path-based read with an open end cannot be sized: 1.0
+        path = ReadSlabRequest(source="f.rpz", slab=(slice(0, 4), slice(None)))
+        assert request_units(path) == 1.0
 
     def test_floor_and_other_kinds(self):
-        model = CostModel()
-        assert model.predict(compress_req(1)).units >= MIN_UNITS
-        assert model.predict(PingRequest()).units == MIN_UNITS
-        est = model.predict(
-            ReadSlabRequest(source=b"junk", slab=(slice(0, 4), slice(0, 4)))
-        )
-        assert est.kind == "read" and est.units >= MIN_UNITS
-
-    def test_read_estimate_uses_slab_extent(self):
-        model = CostModel()
-        small = model.predict(
-            ReadSlabRequest(source=b"x", slab=(slice(0, 4), slice(0, 4)))
-        )
-        big = model.predict(
-            ReadSlabRequest(source=b"x", slab=(slice(0, 4000), slice(0, 4000)))
-        )
-        assert big.units > small.units
+        assert request_units(compress_req(1)) == MIN_UNITS
+        assert request_units(PingRequest()) == MIN_UNITS
+        junk = ReadSlabRequest(source=b"junk", slab=(slice(0, 4), slice(0, 4)))
+        assert request_units(junk) >= MIN_UNITS
 
 
 class TestDecidePurity:
     def random_snapshot(self, rng):
         return AdmissionSnapshot(
             queued_jobs=int(rng.integers(0, 100)),
-            interactive_units=float(rng.uniform(0, 80)),
-            batch_units=float(rng.uniform(0, 80)),
-            drain_rate=float(rng.uniform(0.01, 50)),
+            mean_run_s=float(rng.uniform(0, 10)),
             client_tokens=float(rng.uniform(-50, 100)),
             client_rate=float(rng.uniform(0.1, 64)),
             client_burst=float(rng.uniform(1, 100)),
@@ -141,85 +126,55 @@ class TestDecidePurity:
         for _ in range(500):
             snap = self.random_snapshot(rng)
             units = float(rng.uniform(0, 40))
-            priority = ["interactive", "batch"][int(rng.integers(0, 2))]
-            first = decide(units, priority, snap, limits)
+            first = decide(units, snap, limits)
             for _ in range(3):
-                again = decide(units, priority, snap, limits)
-                assert again == first
+                assert decide(units, snap, limits) == first
 
     def test_rejections_always_carry_positive_retry_after(self):
         rng = np.random.default_rng(4242)
         limits = AdmissionLimits()
-        rejected = 0
+        reasons = set()
         for _ in range(500):
-            snap = self.random_snapshot(rng)
-            d = decide(
-                float(rng.uniform(0, 40)),
-                ["interactive", "batch"][int(rng.integers(0, 2))],
-                snap,
-                limits,
-            )
+            d = decide(float(rng.uniform(0, 40)), self.random_snapshot(rng), limits)
             if not d.admitted:
-                rejected += 1
-                assert d.retry_after > 0.0
+                reasons.add(d.reason)
                 assert limits.min_retry_after <= d.retry_after <= limits.max_retry_after
-                assert d.reason in (
-                    "queue-full", "client-quota", "class-capacity", "capacity"
-                )
-        assert rejected > 0  # the sweep must actually exercise rejection
-
-    def test_unknown_priority_rejected(self):
-        snap = AdmissionSnapshot(0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="priority"):
-            decide(1.0, "urgent", snap, AdmissionLimits())
+        # the sweep must actually exercise both rules
+        assert reasons == {"queue-full", "client-quota"}
 
 
 class TestPolicyRules:
-    LIMITS = AdmissionLimits(max_queue_jobs=10, max_work_units=10.0,
-                             batch_share=0.5)
+    LIMITS = AdmissionLimits(max_queue_jobs=10)
 
-    def test_empty_queue_admits_any_size(self):
-        snap = AdmissionSnapshot(queued_jobs=0, interactive_units=0.0,
-                                 batch_units=0.0)
-        assert decide(1e6, "interactive", snap, self.LIMITS).admitted
-        assert decide(1e6, "batch", snap, self.LIMITS).admitted
-
-    def test_capacity_rejects_when_backlogged(self):
-        snap = AdmissionSnapshot(queued_jobs=3, interactive_units=9.5,
-                                 batch_units=0.0)
-        d = decide(2.0, "interactive", snap, self.LIMITS)
-        assert not d.admitted and d.reason == "capacity"
-
-    def test_batch_class_budget_tighter_than_total(self):
-        # 4 of 10 units queued, all batch: one more big batch job would
-        # blow the 5-unit batch share but interactive still fits
-        snap = AdmissionSnapshot(queued_jobs=2, interactive_units=0.0,
-                                 batch_units=4.0)
-        d = decide(2.0, "batch", snap, self.LIMITS)
-        assert not d.admitted and d.reason == "class-capacity"
-        assert decide(2.0, "interactive", snap, self.LIMITS).admitted
+    def test_below_the_bound_without_a_quota_admits_any_size(self):
+        snap = AdmissionSnapshot(queued_jobs=9)
+        assert decide(1e6, snap, self.LIMITS).admitted
 
     def test_full_bucket_admits_oversized_request(self):
         snap = AdmissionSnapshot(
-            queued_jobs=1, interactive_units=1.0, batch_units=0.0,
-            client_tokens=5.0, client_rate=1.0, client_burst=5.0,
+            queued_jobs=1, client_tokens=5.0, client_rate=1.0, client_burst=5.0,
         )
-        assert decide(8.0, "interactive", snap, self.LIMITS).admitted
+        assert decide(8.0, snap, self.LIMITS).admitted
 
     def test_drained_bucket_rejects_with_refill_hint(self):
         snap = AdmissionSnapshot(
-            queued_jobs=1, interactive_units=1.0, batch_units=0.0,
-            client_tokens=1.0, client_rate=2.0, client_burst=5.0,
+            queued_jobs=1, client_tokens=1.0, client_rate=2.0, client_burst=5.0,
         )
-        d = decide(3.0, "interactive", snap, self.LIMITS)
+        d = decide(3.0, snap, self.LIMITS)
         assert not d.admitted and d.reason == "client-quota"
-        assert d.retry_after == pytest.approx(1.0)  # (3 - 1) / 2 u/s
+        assert d.retry_after == pytest.approx(1.0)  # (3 - 1) / 2 per s
 
     def test_queue_full_wins_over_everything(self):
-        snap = AdmissionSnapshot(queued_jobs=10, interactive_units=0.5,
-                                 batch_units=0.0, client_tokens=0.0,
+        snap = AdmissionSnapshot(queued_jobs=10, client_tokens=0.0,
                                  client_rate=1.0, client_burst=5.0)
-        assert decide(0.1, "interactive", snap, self.LIMITS).reason == "queue-full"
+        assert decide(0.1, snap, self.LIMITS).reason == "queue-full"
+
+    @pytest.mark.parametrize("mean_run_s, hint", [
+        (0.0, 0.05), (0.3, 0.3), (60.0, 5.0),
+    ])
+    def test_queue_full_hints_the_mean_run_time_clamped(self, mean_run_s, hint):
+        snap = AdmissionSnapshot(queued_jobs=10, mean_run_s=mean_run_s)
+        assert decide(0.1, snap, self.LIMITS).retry_after == hint
 
 
 class TestTokenBucket:
@@ -234,41 +189,6 @@ class TestTokenBucket:
         assert b.stamp == 100.0
 
 
-class TestAdmissionController:
-    def make(self, **kw):
-        clock = FakeClock()
-        ctrl = AdmissionController(
-            AdmissionLimits(max_queue_jobs=4, max_work_units=8.0),
-            clock=clock, **kw,
-        )
-        return ctrl, clock
-
-    def test_admit_release_roundtrip(self):
-        ctrl, _ = self.make()
-        assert ctrl.try_admit(3.0, "interactive").admitted
-        assert ctrl.snapshot().interactive_units == 3.0
-        ctrl.release(3.0, "interactive")
-        snap = ctrl.snapshot()
-        assert snap.interactive_units == 0.0 and snap.queued_jobs == 0
-
-    def test_client_bucket_lru_bounded(self):
-        ctrl, _ = self.make(max_clients=3)
-        for i in range(6):
-            ctrl.try_admit(0.5, "interactive", client_id=f"c{i}")
-        assert ctrl.stats()["quota_clients_tracked"] == 3
-
-    def test_drain_ewma_feeds_snapshot(self):
-        ctrl, _ = self.make()
-        ctrl.observe_drain(10.0, 2.0)  # 5 units/s
-        assert ctrl.snapshot().drain_rate == pytest.approx(5.0)
-        ctrl.observe_drain(0.0, 1.0)  # zero-work samples are ignored
-        assert ctrl.snapshot().drain_rate == pytest.approx(5.0)
-
-    def test_default_drain_before_any_completion(self):
-        ctrl, _ = self.make()
-        assert ctrl.snapshot().drain_rate == DEFAULT_DRAIN_RATE
-
-
 class FakeClock:
     def __init__(self):
         self.t = 0.0
@@ -277,36 +197,92 @@ class FakeClock:
         return self.t
 
 
+class TestAdmissionController:
+    def make(self, max_queue_jobs=2, **kw):
+        return AdmissionController(
+            AdmissionLimits(max_queue_jobs=max_queue_jobs),
+            clock=FakeClock(), **kw,
+        )
+
+    def test_admit_release_roundtrip(self):
+        ctrl = self.make()
+        assert ctrl.try_admit(3.0).admitted
+        assert ctrl.try_admit(3.0).admitted
+        assert ctrl.try_admit(3.0).reason == "queue-full"
+        assert ctrl.stats()["admission_jobs"] == 2
+        ctrl.release()
+        ctrl.release()
+        assert ctrl.snapshot().queued_jobs == 0
+        assert ctrl.try_admit(3.0).admitted
+
+    def test_client_bucket_lru_bounded(self):
+        ctrl = self.make(max_queue_jobs=10, max_clients=3)
+        for i in range(6):
+            ctrl.try_admit(0.5, client_id=f"c{i}")
+        assert ctrl.stats()["quota_clients_tracked"] == 3
+
+    def test_queue_full_hint_reads_the_mean_run_time(self):
+        metrics = ServiceMetrics(clock=FakeClock())
+        ctrl = self.make(mean_run_s=metrics.mean_run_s)
+        for run_s in (0.2, 0.4):
+            metrics.job_finished("interactive", "compress", True, run_s)
+        ctrl.try_admit(1.0)
+        ctrl.try_admit(1.0)
+        assert ctrl.try_admit(1.0).retry_after == pytest.approx(0.3)
+
+
 class TestServiceMetrics:
     def test_snapshot_counts_and_layout(self):
         m = ServiceMetrics(clock=FakeClock())
         m.admit("interactive")
         m.admit("interactive", attempt=2)
-        m.reject("batch", "class-capacity")
-        m.job_started("interactive", wait_s=0.004, slot_fill=0.5)
-        m.job_finished("interactive", "compress", ok=True,
-                       duration_s=0.1, nbytes=4_000_000, codec="qoz")
-        m.job_finished("interactive", "compress", ok=False,
-                       duration_s=0.0, nbytes=0, codec="qoz")
+        m.reject("batch", "client-quota")
+        m.job_started("interactive", wait_s=0.004, busy=1, slots=2)
+        m.job_finished("interactive", "compress", ok=True, run_s=0.1, codec="qoz")
+        m.job_finished("interactive", "compress", ok=False, run_s=None, codec="qoz")
         m.connection_opened()
         m.connection_closed()
         s = m.snapshot()
-        assert s["stats_version"] >= 1
+        assert s["stats_version"] == 3
         assert s["admitted_interactive"] == 2
         assert s["retried_interactive"] == 1
         assert s["rejected_batch"] == 1
-        assert s["rejects_class_capacity"] == 1
+        assert s["rejects_client_quota"] == 1
         assert s["completed_interactive"] == 1
         assert s["failed_interactive"] == 1
         assert s["jobs_codec_qoz"] == 2
-        assert s["throughput_qoz_mbps"] == pytest.approx(40.0)
         assert s["batch_fill_ewma"] == pytest.approx(0.5)
+        assert s["queue_wait_ms_interactive"] == pytest.approx(4.0)
+        # a job that never started has no run time
+        assert s["run_count_interactive"] == 1
+        assert s["run_ms_interactive"] == pytest.approx(100.0)
         assert s["connections_total"] == 1 and s["connections_open"] == 0
+        assert not any(k.startswith("throughput_") for k in s)
         # the wire frame is a typed kv map: every value must be int/float
         assert all(isinstance(v, (int, float)) for v in s.values())
+
+    def test_percentiles_are_bucket_upper_edges(self):
+        m = ServiceMetrics(clock=FakeClock())
+        waits_ms = [0.5] * 50 + [3.0] * 40 + [40.0] * 9 + [1e6]
+        for ms in waits_ms:
+            m.job_started("batch", wait_s=ms / 1e3, busy=1, slots=1)
+        s = m.snapshot()
+
+        def edge(ms):
+            return min(e for e in HIST_EDGES_MS if e >= ms)
+
+        assert s["queue_wait_p50_ms_batch"] == edge(0.5)
+        assert s["queue_wait_p90_ms_batch"] == edge(3.0)
+        assert s["queue_wait_p99_ms_batch"] == edge(40.0)
+        assert s["queue_wait_count_batch"] == 100
+        assert s["queue_wait_ms_batch"] == pytest.approx(sum(waits_ms) / 100)
+        # the 1000 s sample sits in the overflow bucket
+        assert s[f"queue_wait_b{len(HIST_EDGES_MS)}_batch"] == 1
+        assert s["queue_wait_p50_ms_interactive"] == 0.0  # no samples
 
     def test_stats_line_renders_any_snapshot(self):
         m = ServiceMetrics(clock=FakeClock())
         line = format_stats_line(m.snapshot())
         assert line.startswith("repro service stats:")
         assert "admit=0" in line and "reject=0" in line
+        assert "run_interactive=0/0ms" in line

@@ -11,11 +11,39 @@ import asyncio
 import pickle
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.plan_cache import FrozenPlan, PlanLRU
 from repro.errors import ProtocolError
-from repro.service import aggregate_snapshots
+from repro.service import ServiceMetrics, aggregate_snapshots
 from repro.service import planbus, protocol
+
+CLASSES = st.sampled_from(protocol.PRIORITIES)
+#: seconds from microseconds to past the last histogram edge (100 s)
+SECONDS = st.one_of(
+    st.floats(0, 1e-3), st.floats(0, 1.0), st.floats(0, 300.0),
+)
+#: one ServiceMetrics transition: (method name, *arguments)
+METRIC_EVENTS = st.one_of(
+    st.tuples(st.just("admit"), CLASSES, st.integers(0, 2)),
+    st.tuples(
+        st.just("reject"), CLASSES, st.sampled_from(("queue-full", "client-quota")),
+    ),
+    st.tuples(
+        st.just("job_started"), CLASSES, SECONDS, st.integers(1, 4),
+        st.integers(1, 4),
+    ),
+    st.tuples(
+        st.just("job_finished"), CLASSES,
+        st.sampled_from(("compress", "decompress", "read")), st.booleans(),
+        st.one_of(st.none(), SECONDS), st.sampled_from(("", "qoz", "zfp")),
+    ),
+)
+
+
+class FakeClock:
+    def __call__(self):
+        return 0.0
 
 
 def make_plan(eb=1e-3, alpha=1.5):
@@ -256,23 +284,23 @@ class TestAggregateSnapshots:
     def snaps(self):
         return {
             0: {
-                "stats_version": 1, "shard_id": 0, "n_shards": 2,
+                "stats_version": 3, "shard_id": 0, "n_shards": 2,
                 "admitted_interactive": 3, "plan_cache_hits": 3,
-                "plan_cache_misses": 1, "batch_fill_ewma": 0.5,
-                "uptime_s": 10.0,
+                "plan_cache_misses": 1, "slot_busy_sum": 1,
+                "slot_count_sum": 2, "uptime_s": 10.0,
             },
             1: {
-                "stats_version": 1, "shard_id": 1, "n_shards": 2,
+                "stats_version": 3, "shard_id": 1, "n_shards": 2,
                 "admitted_interactive": 5, "plan_cache_hits": 1,
-                "plan_cache_misses": 3, "batch_fill_ewma": 0.25,
-                "uptime_s": 12.0,
+                "plan_cache_misses": 3, "slot_busy_sum": 3,
+                "slot_count_sum": 6, "uptime_s": 12.0,
             },
         }
 
     def test_counters_sum_and_config_maxes(self):
         agg = aggregate_snapshots(self.snaps())
         assert agg["admitted_interactive"] == 8
-        assert agg["stats_version"] == 1  # config key: max, not sum
+        assert agg["stats_version"] == 3  # config key: max, not sum
         assert agg["uptime_s"] == 12.0
         assert agg["n_shards"] == 2
         assert agg["shards_reporting"] == 2
@@ -281,10 +309,38 @@ class TestAggregateSnapshots:
     def test_hit_rate_recomputed_from_summed_counts(self):
         agg = aggregate_snapshots(self.snaps())
         assert agg["plan_cache_hit_rate"] == pytest.approx(4 / 8)
+        assert agg["batch_fill_ewma"] == pytest.approx(4 / 8)
 
-    def test_ewma_averages(self):
-        agg = aggregate_snapshots(self.snaps())
-        assert agg["batch_fill_ewma"] == pytest.approx(0.375)
+    def test_fleet_mean_weighs_every_job(self):
+        # averaging the shards' means would report ~252 ms of queue wait
+        busy, idle = ServiceMetrics(), ServiceMetrics()
+        for _ in range(1000):
+            busy.job_started("interactive", 0.005, 1, 1)
+        idle.job_started("interactive", 0.5, 1, 1)
+        agg = aggregate_snapshots({0: busy.snapshot(), 1: idle.snapshot()})
+        assert agg["queue_wait_ms_interactive"] == pytest.approx(
+            (1000 * 5 + 500) / 1001, abs=1e-3
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @seed(20261015)
+    @settings(max_examples=60, database=None, deadline=None)
+    @given(stream=st.lists(
+        st.tuples(st.integers(0, 2), METRIC_EVENTS), max_size=80,
+    ))
+    def test_merge_by_addition_equals_one_registry(self, n, stream):
+        """Split one event stream over ``n`` registries: the aggregate of
+        their snapshots is the snapshot of one registry fed it all, key
+        for key — counters, buckets, means and percentiles."""
+        clock = FakeClock()
+        whole = ServiceMetrics(clock)
+        parts = [ServiceMetrics(clock) for _ in range(n)]
+        for where, (event, *args) in stream:
+            for registry in (whole, parts[where % n]):
+                getattr(registry, event)(*args)
+        agg = aggregate_snapshots({i: p.snapshot() for i, p in enumerate(parts)})
+        assert agg.pop("shards_reporting") == n
+        assert agg == whole.snapshot()
 
     def test_per_shard_rows_prefixed(self):
         agg = aggregate_snapshots(self.snaps(), per_shard=True)

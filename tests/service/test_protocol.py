@@ -264,11 +264,11 @@ class TestRequestMeta:
 
 class TestRetryReason:
     def test_retry_response_carries_reason(self):
-        body = p.encode_retry(0.75, "class-capacity")
+        body = p.encode_retry(0.75, "client-quota")
         resp = p.decode_response(body, p.OP_PING)
         assert resp.status == p.ST_RETRY
         assert resp.retry_after == 0.75
-        assert resp.reason == "class-capacity"
+        assert resp.reason == "client-quota"
 
     def test_retry_reason_defaults_to_overloaded(self):
         resp = p.decode_response(p.encode_retry(0.1), p.OP_PING)

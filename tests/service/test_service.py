@@ -457,8 +457,8 @@ class TestJobSlots:
             h = self.Harness(processes)
             released = []
             release = h.service.admission.release
-            h.service.admission.release = lambda units, cls: (
-                released.append(cls), release(units, cls)
+            h.service.admission.release = lambda: (
+                released.append(1), release()
             )
             await h.service.start()
             futures = [h.submit(f"i{i}") for i in range(4)]
@@ -477,10 +477,8 @@ class TestJobSlots:
                 for exc in outcomes if exc is not None
             )
             await asyncio.sleep(0)  # done-callbacks of the drained futures
-            assert sorted(released) == 2 * ["batch"] + 4 * ["interactive"]
-            stats = h.service.stats()
-            assert stats["queue_units_interactive"] == 0
-            assert stats["queue_units_batch"] == 0
+            assert len(released) == 6
+            assert h.service.stats()["admission_jobs"] == 0
 
         asyncio.run(main())
 
@@ -499,7 +497,7 @@ class TestJobSlots:
                 assert f.done()
                 assert f.exception().reason == "shutting-down"
             await asyncio.sleep(0)  # done-callbacks of the failed futures
-            assert h.service.stats()["queue_units_interactive"] == 0
+            assert h.service.stats()["admission_jobs"] == 0
 
         asyncio.run(main())
 
@@ -512,7 +510,7 @@ class TestJobSlots:
             assert h.service.stats()["batch_fill_ewma"] == 0.5  # 1 of 2
             h.submit("i1")
             await asyncio.sleep(0.01)
-            assert h.service.stats()["batch_fill_ewma"] == 0.6  # ewma to 2 of 2
+            assert h.service.stats()["batch_fill_ewma"] == 0.75  # mean of 1/2, 2/2
             await h.service.close()
 
         asyncio.run(main())
@@ -676,7 +674,7 @@ class TestRetryJitter:
         srv = socket.create_server(("127.0.0.1", 0))
         port = srv.getsockname()[1]
         stop = threading.Event()
-        reply = protocol.frame(protocol.encode_retry(self.HINT, "capacity"))
+        reply = protocol.frame(protocol.encode_retry(self.HINT, "queue-full"))
 
         def serve():
             srv.settimeout(0.2)
@@ -733,7 +731,7 @@ class TestRetryJitter:
                     client.ping()
                 per_client.append(sleeps[before:])
                 assert exc_info.value.retry_after == pytest.approx(self.HINT)
-                assert exc_info.value.reason == "capacity"
+                assert exc_info.value.reason == "queue-full"
         for client_sleeps in per_client:
             assert len(client_sleeps) == 3  # retries, then gave up
             for s in client_sleeps:
@@ -748,7 +746,7 @@ class TestRetryJitter:
 
         monkeypatch.setattr(time_module, "sleep", lambda s: None)
         with RemoteClient(port=retry_server, retries=0) as client:
-            with pytest.raises(ServiceOverloadedError, match="capacity"):
+            with pytest.raises(ServiceOverloadedError, match="queue-full"):
                 client.ping()
 
 
@@ -773,23 +771,33 @@ class TestStatsSchema:
     def test_versioned_snapshot_keys(self, svc):
         svc.ping()
         stats = svc.stats()
-        assert stats["stats_version"] == 2
+        assert stats["stats_version"] == 3
         for key in (
-            "uptime_s", "queue_units_interactive", "queue_units_batch",
-            "work_capacity_units", "batch_share", "drain_rate_units_s",
+            "uptime_s", "admission_jobs", "quota_clients_tracked",
             "admitted_interactive", "rejected_interactive",
             "retried_interactive", "completed_interactive",
             "admitted_batch", "rejected_batch", "retried_batch",
-            "batch_fill_ewma", "plan_cache_hit_rate",
-            "queue_depth_interactive", "queue_depth_batch",
+            "batch_fill_ewma", "slot_busy_sum", "slot_count_sum",
+            "plan_cache_hit_rate", "plan_cache_hits", "plan_cache_misses",
+            "plan_derives", "queue_depth_interactive", "queue_depth_batch",
             "connections_total", "connections_open",
         ):
             assert key in stats, key
+        for stage in ("queue_wait", "run"):
+            for cls in ("interactive", "batch"):
+                for key in ("count", "sum_us", "p50_ms", "p90_ms", "p99_ms"):
+                    assert f"{stage}_{key}_{cls}" in stats
+                assert f"{stage}_ms_{cls}" in stats  # the mean
+        for gone in ("queue_units_interactive", "work_capacity_units",
+                     "batch_share", "drain_rate_units_s"):
+            assert gone not in stats
+        assert not any(k.startswith("throughput_") for k in stats)
         assert all(isinstance(v, (int, float)) for v in stats.values())
 
     def test_stats_line_renders_live_snapshot(self, svc):
         from repro.service import format_stats_line
 
         line = format_stats_line(svc.stats())
-        assert line.startswith("repro service stats: v=2 ")
+        assert line.startswith("repro service stats: v=3 ")
         assert " slot_fill=" in line
+        assert " queue_wait_interactive=" in line and " run_batch=" in line

@@ -6,8 +6,9 @@ invocation carries ``-m "not soak"`` via pyproject addopts).  The CI
 the final stats snapshot as an artifact.
 
 What it pins, after REPRO_SOAK_SECONDS (default 30) of closed-loop load
-from REPRO_SOAK_CLIENTS threads hammering a deliberately small work-unit
-budget:
+from REPRO_SOAK_CLIENTS threads hammering a deliberately small job bound
+(``--max-queue``) and per-client quota (``--client-rate`` /
+``--client-burst``; every thread is its own client id):
 
 * zero dropped connections and zero ERROR responses — overload is
   expressed *only* through the RETRY path;
@@ -44,7 +45,7 @@ SOAK_PROCESSES = int(os.environ.get("REPRO_SOAK_PROCESSES", "1"))
 STATS_PATH = os.environ.get("REPRO_SOAK_STATS", "")
 
 MAX_ATTEMPTS = 5  # per logical op, then abandon and move on
-REASONS = {"queue-full", "client-quota", "class-capacity", "capacity"}
+REASONS = {"queue-full", "client-quota"}
 CLASSES = ("interactive", "batch")
 
 
@@ -66,10 +67,13 @@ def server():
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--processes", str(SOAK_PROCESSES),
-            # a small unit budget so the storm actually trips every
-            # admission rule, not just the happy path
-            "--max-work-units", "2.0",
-            "--max-queue", "16",
+            # a small job bound and quota so the storm actually trips
+            # both admission rules, not just the happy path: at most
+            # one request per client thread is in flight, and a cycle
+            # declares ~1.2 megaelements
+            "--max-queue", "4",
+            "--client-rate", "0.2",
+            "--client-burst", "1.0",
             "--stats-interval", "10",
         ],
         env=env,
@@ -254,9 +258,12 @@ class TestSoak:
         assert not total.errors, total.errors[:10]
         assert not total.bad_retries, total.bad_retries[:10]
 
-        # the storm must have exercised both admission outcomes
+        # the storm must have exercised both admission outcomes, and
+        # both rules
         assert sum(total.ok.values()) > 0
         assert sum(total.rejected.values()) > 0
+        for rule in ("rejects_queue_full", "rejects_client_quota"):
+            assert after.get(rule, 0) > before.get(rule, 0), rule
 
         # exact reconciliation, per class — not approximate, not fuzzy
         for cls in CLASSES:

@@ -63,6 +63,28 @@ def test_registry_matches_live_slab_module():
     assert slab.ChunkDescriptor._fields == tuple(
         spec.constants["SLAB_DESCRIPTOR_LAYOUT"].split(",")
     )
+    assert slab.DecodePart._fields == tuple(
+        spec.constants["DECODE_PART_LAYOUT"].split(",")
+    )
+
+
+def test_decode_parts_are_built_in_the_registered_layout():
+    from repro.chunked import ChunkedFile, compress_chunked
+    from repro.parallel.slab import DecodePart
+
+    blob = compress_chunked(
+        np.zeros((8, 8), dtype=np.float32), codec="zfp",
+        error_bound=1e-3, chunks=4,
+    )
+    with ChunkedFile(blob) as f:
+        _, bounds = f.slab_descriptors((slice(2, 6), slice(0, 8)))
+        blobs = [f.chunk_bytes(i) for i, _, _ in bounds]
+        parts = [DecodePart._make(p) for p in f.decode_parts(bounds, blobs)]
+        for part, (i, src, dst), stored in zip(parts, bounds, blobs):
+            entry = f.info.entries[i]
+            assert part == DecodePart(
+                stored, src, dst, i, entry.start, entry.shape
+            )
 
 
 def test_golden_codec_blobs_start_with_registered_magic(golden, header_spec):
