@@ -16,22 +16,16 @@ Examples::
     python -m repro verify field.rpz
     python -m repro decompress field.rpz recon.npy
     python -m repro decompress field.rpz slab.npy --slab 0:16,:,8:24
-    python -m repro serve --port 9753 --shards 2
+    python -m repro serve --port 9753 --processes 2
 
 ``serve`` runs the long-lived async compression service
 (:mod:`repro.service`): compress / decompress / hyperslab-read over a
 binary socket protocol, with admission control and cross-request
-plan caching.  ``serve --shards N`` runs N shard
-processes behind one address (SO_REUSEPORT kernel accept sharding) with
-derived plans replicated between shards over an inter-process bus
-(DESIGN.md §14) — the flag that multiplies request throughput, where
-``--processes`` fans the chunks of one multi-chunk request over
-workers.  ``serve-stats`` connects to a running service and
+plan caching; ``--processes N`` runs all codec work on N pool workers.
+``serve-stats`` connects to a running service and
 renders its observability snapshot as a table (or ``--json`` /
-``--line``, optionally ``--watch N``); ``serve-stats --all-shards``
-queries a sharded deployment's admin endpoint for the fleet-wide
-aggregate.  The package also installs a ``repro`` console script
-pointing at this module.
+``--line``, optionally ``--watch N``).  The package also installs a
+``repro`` console script pointing at this module.
 """
 
 from __future__ import annotations
@@ -235,9 +229,6 @@ def _cmd_verify(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service import ServiceConfig, run_server
 
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         processes=args.processes,
         max_queue=args.max_queue,
@@ -247,19 +238,7 @@ def _cmd_serve(args) -> int:
         client_burst=args.client_burst,
         stats_interval=args.stats_interval,
     )
-    if args.shards == 1:
-        # single-shard path: exactly yesterday's in-process server, no
-        # supervisor, no bus, no admin endpoint
-        return run_server(host=args.host, port=args.port, config=config)
-    from repro.service import run_sharded
-
-    return run_sharded(
-        host=args.host,
-        port=args.port,
-        config=config,
-        shards=args.shards,
-        admin_port=args.admin_port,
-    )
+    return run_server(host=args.host, port=args.port, config=config)
 
 
 def _stats_rows(stats: dict) -> list:
@@ -274,24 +253,14 @@ def _stats_rows(stats: dict) -> list:
 
 def _cmd_serve_stats(args) -> int:
     import json
-    import re
 
     from repro.analysis import format_table
     from repro.service import RemoteClient, format_stats_line
 
-    port = args.port
-    if args.all_shards:
-        port = args.admin_port if args.admin_port is not None else args.port + 1
     try:
         while True:
-            with RemoteClient(host=args.host, port=port) as client:
+            with RemoteClient(host=args.host, port=args.port) as client:
                 stats = client.stats()
-            if args.all_shards and not args.per_shard:
-                stats = {
-                    k: v
-                    for k, v in stats.items()
-                    if not re.match(r"shard\d+_", k)
-                }
             if args.json:
                 print(json.dumps(stats, sort_keys=True))
             elif args.line:
@@ -370,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free port; the actual port is "
                         "printed once listening)")
     s.add_argument("--processes", type=int, default=1,
-                   help="worker processes per shard, and as many job "
-                        "slots: N requests run at once with all their "
-                        "codec work on the workers, and the chunks of one "
+                   help="worker processes: all codec work runs on them, "
+                        "N + 1 requests at once, and the chunks of one "
                         "big request fan out over them (1 = one job at a "
                         "time, in-process)")
     s.add_argument("--max-queue", type=int, default=64,
@@ -393,16 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stats-interval", type=float, default=0.0,
                    help="log one service-stats line every N seconds "
                         "(0 = disabled)")
-    s.add_argument("--shards", type=int, default=1,
-                   help="number of full service processes behind the one "
-                        "address (SO_REUSEPORT, replicated plan cache): "
-                        "multiplies request throughput, 2.0x with 2 "
-                        "shards on 2 cores against 1.4x for --processes 2 "
-                        "(default 1 = single-process server, no "
-                        "supervisor)")
-    s.add_argument("--admin-port", type=int, default=None,
-                   help="supervisor admin endpoint for aggregated stats "
-                        "(--shards>1 only; default: public port + 1)")
     s.set_defaults(func=_cmd_serve)
 
     ss = sub.add_parser(
@@ -417,17 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the compact one-line form the server logs")
     ss.add_argument("--watch", type=float, default=0.0, metavar="SECONDS",
                     help="re-fetch and re-render every N seconds")
-    ss.add_argument("--all-shards", action="store_true",
-                    help="query a sharded deployment's admin endpoint "
-                         "(--port + 1 unless --admin-port) for the "
-                         "fleet-wide aggregated snapshot")
-    ss.add_argument("--admin-port", type=int, default=None,
-                    help="admin endpoint port for --all-shards (default: "
-                         "--port + 1)")
-    ss.add_argument("--per-shard", action="store_true",
-                    help="with --all-shards: keep the shardN_-prefixed "
-                         "per-shard rows in the output (default: "
-                         "aggregate only)")
     ss.set_defaults(func=_cmd_serve_stats)
     return parser
 

@@ -18,9 +18,11 @@ handle fields larger than RAM.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 import threading
+from concurrent.futures import Future
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
@@ -81,8 +83,9 @@ class CompressJob:
 
     :func:`compress_chunked_to_file` builds and consumes one per call; the
     service borrows the same object, with its plan cache around
-    :meth:`derive` and its pool in place of :meth:`compress_to` — both
-    write the same bytes because they run the same code.
+    :meth:`derive` and its pool around :meth:`write` — or, for a
+    one-chunk job, around :meth:`compress_to` itself, run on a worker —
+    so both write the same bytes because they run the same code.
 
     Construction is the **admit** step: the field is validated lazily
     (never copied), and a relative bound is made absolute against the
@@ -113,6 +116,7 @@ class CompressJob:
         self.codec_kwargs = codec_kwargs or {}
         self.codec = get_compressor(codec, **self.codec_kwargs)
         self.grid = grid_for(self.data.shape, chunks)
+        self.bound = bound
         self.vrange = (
             _streaming_value_range(self.data, self.grid)
             if bound.is_relative
@@ -144,6 +148,19 @@ class CompressJob:
         if plan is None:
             raise CompressionError(f"codec {self.codec_name!r} derives no plan")
         return plan
+
+    def submit_whole(
+        self, pool
+    ) -> "Future[Tuple[Optional[FrozenPlan], bytes]]":
+        """A one-chunk job in one hand-over: a worker rebuilds this job
+        from the slab copy of its field (the same bound, value range and
+        plan in hand, if any) and runs :meth:`compress_to` — the serial
+        derive when one is owed, then the bytes this job would write.
+        Resolves to the plan it ran and the container."""
+        return pool.submit_array(
+            _whole_on_worker, self.data, self.codec_name, self.codec_kwargs,
+            self.bound, self.per_chunk_tuning, self.plan,
+        )
 
     def compress_chunk(self, view: np.ndarray) -> bytes:
         """Execute on one chunk (``plan=None``: derive on the chunk)."""
@@ -189,6 +206,19 @@ class CompressJob:
                 views, self.codec_name, self.codec_kwargs, self.eb, self.plan
             )) as streams:
                 return self.write(fh, streams)
+
+
+def _whole_on_worker(
+    field: np.ndarray, codec: str, codec_kwargs: Dict, bound: ErrorBound,
+    per_chunk_tuning: bool, plan: Optional[FrozenPlan],
+) -> Tuple[Optional[FrozenPlan], bytes]:
+    """Pool-worker half of :meth:`CompressJob.submit_whole`."""
+    job = CompressJob(
+        field, codec, field.shape, codec_kwargs, bound, per_chunk_tuning, plan
+    )
+    buf = io.BytesIO()
+    job.compress_to(buf)
+    return job.plan, buf.getvalue()
 
 
 def compress_chunked_to_file(
@@ -295,8 +325,6 @@ def compress_chunked(
     bound: Optional[BoundLike] = None,
 ) -> bytes:
     """In-memory variant of :func:`compress_chunked_to_file`."""
-    import io
-
     buf = io.BytesIO()
     compress_chunked_to_file(
         data,

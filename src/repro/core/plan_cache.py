@@ -192,25 +192,9 @@ class PlanLRU:
     deriving that key waits and takes its plan.  Under a ``family=`` key
     each request would derive from its own data, so without this two
     concurrent first requests could run under different plans.
-
-    ``on_derive`` is the replication hook of the sharded serve runtime
-    (:mod:`repro.service.planbus`): called with ``(key, plan)`` after every
-    *fresh* derivation — never on hits or on :meth:`install` — so one
-    shard's derivation work can be published to its peers.  It runs
-    outside the lock on the deriving thread; implementations must be
-    thread-safe and must not raise (publishing is best-effort).
-    :meth:`install` is the receiving half: it *replaces* the resident
-    entry, because what the bus delivers is the one plan the whole fleet
-    runs for that key; counted separately (``replicated``) so
-    cache-warmth tests can observe replication without it masquerading
-    as local derivation.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        on_derive: Optional[Callable[[Hashable, FrozenPlan], None]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ConfigurationError("plan cache capacity must be >= 1")
         self.capacity = capacity
@@ -218,11 +202,9 @@ class PlanLRU:
         self._lock = threading.Lock()
         #: key -> set when the derive in flight for it has ended
         self._deriving: Dict[Hashable, threading.Event] = {}
-        self._on_derive = on_derive
         self.hits = 0
         self.misses = 0
         self.derives = 0
-        self.replicated = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -238,43 +220,12 @@ class PlanLRU:
             self.hits += 1
             return plan
 
-    def peek(self, key: Hashable) -> Optional[FrozenPlan]:
-        """Cached plan without side effects: no counter bump, no LRU move.
-
-        The admission cost model asks "would this request be warm?" on
-        every submit; that question must not perturb the hit/miss
-        counters the observability layer reports, nor refresh an entry's
-        recency just for being asked about.
-        """
-        with self._lock:
-            return self._plans.get(key)
-
     def put(self, key: Hashable, plan: FrozenPlan) -> None:
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
-
-    def install(self, key: Hashable, plan: FrozenPlan) -> bool:
-        """Install the fleet's plan for ``key``; True if the cache changed.
-
-        Replaces a different resident plan (a local derivation that lost
-        the fleet-wide race, see :mod:`repro.service.planbus`) in place,
-        keeping its LRU recency; an equal one is left alone.  Does not
-        bump ``derives`` (no derivation happened here) nor
-        ``hits``/``misses`` (nobody asked), and never fires
-        ``on_derive`` (no re-publish, so no replication storm); bumps
-        ``replicated`` so what was taken from peers is observable.
-        """
-        with self._lock:
-            if self._plans.get(key) == plan:
-                return False
-            self._plans[key] = plan
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-            self.replicated += 1
-            return True
 
     def get_or_derive(
         self, key: Hashable, derive: Callable[[], FrozenPlan]
@@ -303,8 +254,6 @@ class PlanLRU:
             with self._lock:
                 del self._deriving[key]
             flight.set()
-        if self._on_derive is not None:
-            self._on_derive(key, plan)
         return plan
 
     def stats(self) -> Dict[str, float]:
@@ -319,5 +268,4 @@ class PlanLRU:
                     round(self.hits / lookups, 4) if lookups else 0.0
                 ),
                 "plan_derives": self.derives,
-                "plan_replicated": self.replicated,
             }

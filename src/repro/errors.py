@@ -54,8 +54,8 @@ class ServiceConnectionError(RemoteServiceError, ProtocolError):
     """A service connection dropped mid-request (send or receive).
 
     Distinct from :class:`RemoteServiceError` proper — the server did not
-    *report* anything; the transport died under the request (a shard was
-    killed, the peer reset, a socket timed out mid-frame).  It descends
+    *report* anything; the transport died under the request (the server
+    was killed, the peer reset, a socket timed out mid-frame).  It descends
     from both :class:`RemoteServiceError` (the RPC failed) and
     :class:`ProtocolError` (the framing can no longer be trusted), so
     callers written against either family keep catching it.

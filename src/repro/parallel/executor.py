@@ -13,10 +13,14 @@ its lifetime.  Both drive the same helpers:
 * :meth:`ChunkWorkPool.submit_decode_parts` decodes hyperslab parts
   (``slab.DECODE_PART_LAYOUT``) into an output slab and resolves to the
   assembled array — decoded chunks are never pickled back;
+* :meth:`ChunkWorkPool.submit_array` runs one function on one array on
+  one worker (``slab.ARRAY_JOB_LAYOUT``) — the service's one-chunk job,
+  derive and container included; :meth:`ChunkWorkPool.map_stack` deals
+  a derive step's trials over every worker under the same layout;
 * :meth:`ChunkWorkPool.compress_stream` is the synchronous windowed
   generator over the first.
 
-Both helpers release their slab when their future is done — result,
+The helpers release their slab when their future is done — result,
 error or cancel — so no caller can leak one.  Chunk jobs optionally
 carry a :class:`~repro.core.plan_cache.FrozenPlan` derived once from the
 full field; workers then run only the execution half of the codec.
@@ -63,9 +67,9 @@ import numpy as np
 from repro.compressors.base import available_compressors, decompress_any, get_compressor
 from repro.errors import ChunkCorruptionError, WorkerCrashError, shape_disagreement
 from repro.parallel.slab import (
+    ArrayJob,
     DecodePart,
     Slab,
-    StackJob,
     attach_slab,
     detach_slab,
     share_tracker_with_children,
@@ -129,18 +133,19 @@ def _compress_batch(args) -> List[bytes]:
         detach_slab(shm)
 
 
-def _stack_job(job: StackJob) -> list:
-    """Worker: ``fn(stack, items, *spec)`` on a slab-resident stack — a
-    share of a derive step's independent trials (``STACK_JOB_LAYOUT``).
-    Deterministic and read-only, so a crash retry returns the same."""
-    offset, shape, dtype = job.stack
+def _array_job(job: ArrayJob) -> Any:
+    """Worker: ``fn(array, *args)`` on a slab-resident array — a share of
+    a derive step's independent trials, or a whole field
+    (``ARRAY_JOB_LAYOUT``).  The callers' functions are deterministic and
+    read the array only, so a crash retry returns the same."""
+    offset, shape, dtype = job.array
     shm = attach_slab(job.slab)
     try:
-        stack = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
+        array = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
         try:
-            return job.fn(stack, job.items, *job.spec)
+            return job.fn(array, *job.args)
         finally:
-            del stack  # views must die before the mapping closes
+            del array  # views must die before the mapping closes
     finally:
         detach_slab(shm)
 
@@ -178,6 +183,23 @@ def _decompress_into_batch(args) -> int:
         return done
     finally:
         detach_slab(shm)
+
+
+def _on_slab(
+    arrays: Sequence[np.ndarray], submit: Callable[[str, list], "Future"]
+) -> "Future":
+    """``submit(slab name, descriptors)`` of ``arrays`` packed into a fresh
+    slab — the one copy per array, in the calling thread; views may be
+    lazy memmap slices.  The slab is released in the future's
+    done-callback: on result, error and cancel alike."""
+    slab = Slab.create(max(1, sum(int(a.nbytes) for a in arrays)))
+    try:
+        future = submit(slab.name, slab.pack(arrays))
+    except BaseException:
+        slab.release()
+        raise
+    future.add_done_callback(lambda _f: slab.release())
+    return future
 
 
 def compress_fields_parallel(
@@ -547,24 +569,25 @@ class ChunkWorkPool:
     ) -> "Future":
         """Compress a batch of chunk views; resolves to their streams.
 
-        Fills a fresh input slab in the calling thread (the one copy per
-        chunk; ``views`` may be lazy memmap slices) and releases it in
-        the future's done-callback — on result, error and cancel alike.
-        Every chunk shares the single *absolute* ``error_bound``: the
-        caller resolves a relative bound against the full field first,
-        otherwise each chunk would scale it by its local value range.
+        The views travel in one slab (:func:`_on_slab`).  Every chunk
+        shares the single *absolute* ``error_bound``: the caller resolves
+        a relative bound against the full field first, otherwise each
+        chunk would scale it by its local value range.
         """
-        slab = Slab.create(max(1, sum(int(v.nbytes) for v in views)))
-        try:
-            future = self.submit_compress_batch(
-                codec_name, codec_kwargs, slab.name, slab.pack(views),
-                error_bound, plan,
-            )
-        except BaseException:
-            slab.release()
-            raise
-        future.add_done_callback(lambda _f: slab.release())
-        return future
+        return _on_slab(views, lambda name, descriptors: self.submit_compress_batch(
+            codec_name, codec_kwargs, name, descriptors, error_bound, plan,
+        ))
+
+    def submit_array(self, fn: Callable, array: np.ndarray, *args) -> "Future":
+        """``fn(array, *args)`` on one worker; resolves to its result.
+
+        ``array`` travels in a slab (:func:`_on_slab`); ``fn`` rides the
+        pickle channel by name, so it must be a module-level function,
+        and must leave the array unchanged.
+        """
+        return _on_slab([array], lambda name, descriptors: self._submit(
+            _array_job, ArrayJob(name, descriptors[0], fn, args)
+        ))
 
     def map_stack(self, fn: Callable, stack: np.ndarray, items, *spec) -> list:
         """``fn(stack, items, *spec)``, the items dealt over the workers.
@@ -579,8 +602,10 @@ class ChunkWorkPool:
         try:
             (where,) = slab.pack([stack])
             for k in range(shares):
-                job = StackJob(slab.name, where, fn, tuple(items[k::shares]), spec)
-                futures.append(self._submit(_stack_job, job))
+                args = (tuple(items[k::shares]), *spec)
+                futures.append(
+                    self._submit(_array_job, ArrayJob(slab.name, where, fn, args))
+                )
             out: list = [None] * len(items)
             for k, future in enumerate(futures):
                 out[k::shares] = future.result()

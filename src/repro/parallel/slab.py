@@ -49,16 +49,16 @@ except ImportError:  # pragma: no cover - exercised only on exotic builds
     HAVE_SHARED_MEMORY = False
 
 __all__ = [
+    "ARRAY_JOB_LAYOUT",
     "DECODE_PART_LAYOUT",
     "HAVE_SHARED_MEMORY",
     "SLAB_BATCH_VERSION",
     "SLAB_DESCRIPTOR_LAYOUT",
     "SLAB_NAME_PREFIX",
-    "STACK_JOB_LAYOUT",
+    "ArrayJob",
     "ChunkDescriptor",
     "DecodePart",
     "Slab",
-    "StackJob",
     "active_slab_names",
     "attach_slab",
     "detach_slab",
@@ -74,11 +74,13 @@ SLAB_BATCH_VERSION = 1
 #: repro/wire_registry.py (the wire_drift pin holds it to the registry).
 SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 
-#: field order of one derive-trial job (``ChunkWorkPool.map_stack``): the
-#: worker runs ``fn(stack, items, *spec)`` — ``stack`` the chunk descriptor
-#: of the sampled block stack in ``slab``, ``items`` its share of bound
-#: vectors or interpolator candidates.  Also registered.
-STACK_JOB_LAYOUT = "slab,stack,fn,items,spec"
+#: field order of one array job (``ChunkWorkPool.submit_array`` and the
+#: shares of ``map_stack``): the worker runs ``fn(array, *args)`` —
+#: ``array`` the chunk descriptor of one array in ``slab``: a derive's
+#: sampled block stack (``args`` then starts with the worker's share of
+#: bound vectors or interpolator candidates), or the field of a
+#: one-chunk job.  Also registered.
+ARRAY_JOB_LAYOUT = "slab,array,fn,args"
 
 #: field order of one hyperslab decode part
 #: (``ChunkWorkPool.submit_decode_parts``): the chunk's stored stream,
@@ -93,7 +95,7 @@ DECODE_PART_LAYOUT = "blob,src,dst,index,start,shape"
 SLAB_NAME_PREFIX = "repro-slab"
 
 ChunkDescriptor = namedtuple("ChunkDescriptor", SLAB_DESCRIPTOR_LAYOUT.split(","))
-StackJob = namedtuple("StackJob", STACK_JOB_LAYOUT.split(","))
+ArrayJob = namedtuple("ArrayJob", ARRAY_JOB_LAYOUT.split(","))
 DecodePart = namedtuple("DecodePart", DECODE_PART_LAYOUT.split(","))
 
 _LIVE: Dict[str, "Slab"] = {}

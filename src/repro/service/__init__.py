@@ -15,12 +15,12 @@ bucket); admitted work runs in ``interactive`` / ``batch`` priority
 lanes.  A versioned STATS snapshot (``repro serve-stats``) exposes
 admit/reject/retry counts by class and reason, queue-wait and run-time
 histograms per class (mean, p50/p90/p99), plan-cache hit rate and slot
-fill — every raw value a count or a sum, so shards merge by addition.
+fill — every raw value a count or a sum.
 
 Quickstart::
 
     # server
-    #   $ repro serve --port 9753 --shards 2
+    #   $ repro serve --port 9753 --processes 2
     # client
     from repro.service import RemoteClient
 
@@ -39,17 +39,12 @@ output — the scheduler runs the same derivation, the same chunk
 execution, and the same container writer, just asynchronously and with
 the derivation half cached.
 
-``repro serve --shards N`` (DESIGN.md §14) multiplies the whole stack
-across N processes behind one address: each shard owns a full
-:class:`ShardRuntime` (scheduler + admission + pool + plan cache), the
-kernel distributes connections over their ``SO_REUSEPORT`` listeners,
-and derived plans replicate shard-to-shard over a pipe bus whose hub
-keeps one plan per key — a plan paid for once is warm everywhere, and
-once the bus has settled the served bytes are identical regardless of
-which shard answers.  Both flags turn a second core into request
-throughput: ``--processes 2`` gives one service two job slots on two
-pool workers (1.43x of ``--processes 1`` on one-chunk traffic), two
-shards read 1.28x of that again (EXPERIMENTS.md §10).
+``--processes N`` is how the service uses more cores: all codec work
+runs on N pool workers, a one-chunk request in one hand-over.  One
+service with two workers read 0.91x of the two-process fleet that
+``--shards 2`` used to run (24 alternating pairs; 0.89x on a host that
+gives both cores fully), so the fleet is gone (EXPERIMENTS.md §10,
+DESIGN.md §14).
 """
 
 from repro.service.admission import (
@@ -58,14 +53,12 @@ from repro.service.admission import (
     AdmissionSnapshot,
     AdmitDecision,
     ServiceMetrics,
-    aggregate_snapshots,
     decide,
     format_stats_line,
 )
 from repro.service.client import RemoteClient, ServiceClient
 from repro.service.scheduler import CompressionService, ServiceConfig
-from repro.service.server import ServiceServer, ShardRuntime, run_server
-from repro.service.sharding import run_sharded
+from repro.service.server import ServiceServer, run_server
 
 __all__ = [
     "AdmissionController",
@@ -78,10 +71,7 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceServer",
-    "ShardRuntime",
-    "aggregate_snapshots",
     "decide",
     "format_stats_line",
     "run_server",
-    "run_sharded",
 ]

@@ -15,9 +15,8 @@ audited every rule this module has held and kept these):
 replay; :class:`AdmissionController` owns the job count and the
 buckets.  Which admitted job runs first is the scheduler's business.
 :class:`ServiceMetrics` records counters and a :class:`Histogram` of
-queue wait and of run time per class — counts and sums only, so shards'
-snapshots merge by addition (:func:`aggregate_snapshots`) and
-:func:`summarize` derives means and percentiles alike for one or many.
+queue wait and of run time per class — counts and sums only, from which
+:func:`summarize` derives the means and percentiles.
 """
 
 from __future__ import annotations
@@ -327,10 +326,7 @@ def summarize(stats: Mapping[str, Union[int, float]]) -> Stats:
     Per stage and class, the mean (``queue_wait_ms_<cls>``,
     ``run_ms_<cls>``) and ``{stage}_p50_ms_<cls>`` / p90 / p99; the mean
     slot fill (``batch_fill_ewma``, a name the benchmark suite reads:
-    job slots in use as a job starts, itself included, over the slots);
-    and ``plan_cache_hit_rate`` when plan-cache counters are present.
-    One function for a shard's snapshot and a fleet's sum, so both read
-    alike and a derived key never has to be merged.
+    job slots in use as a job starts, itself included, over the slots).
     """
     out = dict(stats)
     for stage in HIST_STAGES:
@@ -345,10 +341,6 @@ def summarize(stats: Mapping[str, Union[int, float]]) -> Stats:
     slots = stats.get("slot_count_sum", 0)
     busy = stats.get("slot_busy_sum", 0)
     out["batch_fill_ewma"] = round(busy / slots, 4) if slots else 0.0
-    if "plan_cache_hits" in stats:
-        hits = stats["plan_cache_hits"]
-        lookups = hits + stats.get("plan_cache_misses", 0)
-        out["plan_cache_hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
     return out
 
 
@@ -467,47 +459,6 @@ class ServiceMetrics:
         return summarize(out)
 
 
-#: config keys, the same on every shard by construction (uptime: the
-#: oldest shard's) — the fleet value is the max, not the sum
-_AGG_MAX = frozenset({"stats_version", "uptime_s", "n_shards"})
-
-
-def aggregate_snapshots(
-    snaps: Mapping[int, Mapping[str, Union[int, float]]],
-    per_shard: bool = False,
-) -> Stats:
-    """Fold per-shard STATS snapshots into one fleet view.
-
-    One merge rule: every value **adds** — counters, gauges, histogram
-    buckets, counts and sums read as fleet totals — except the config
-    keys, which take the **max**, and ``shard_id``, which is dropped.
-    :func:`summarize` then derives the means, percentiles, slot fill and
-    plan-cache hit rate from the fleet's sums, exactly as it does for one
-    shard, so they reconcile with the summed counters.
-    ``shards_reporting`` records how many snapshots the aggregate is
-    built from (a dead shard is absent, not zero-filled).
-
-    ``per_shard=True`` additionally carries every input row through as
-    ``shard{i}_{key}`` — the detail view behind
-    ``repro serve-stats --per-shard``.
-    """
-    out: Stats = {"shards_reporting": len(snaps)}
-    for snap in snaps.values():
-        for key, value in snap.items():
-            if key == "shard_id":
-                continue
-            if key in _AGG_MAX:
-                out[key] = max(out.get(key, value), value)
-            else:
-                out[key] = out.get(key, 0) + value
-    out = summarize(out)
-    if per_shard:
-        for shard_id in sorted(snaps):
-            for key, value in snaps[shard_id].items():
-                out[f"shard{shard_id}_{key}"] = value
-    return out
-
-
 def format_stats_line(stats: Mapping[str, Union[int, float]]) -> str:
     """One compact ``key=value`` line for the server's periodic log."""
     admit = sum(stats.get(f"admitted_{c}", 0) for c in PRIORITIES)
@@ -516,14 +467,6 @@ def format_stats_line(stats: Mapping[str, Union[int, float]]) -> str:
     parts = [
         "repro service stats:",
         f"v={stats.get('stats_version', STATS_VERSION)}",
-    ]
-    if "shards_reporting" in stats:
-        parts.append(f"shards={stats['shards_reporting']:.0f}")
-    elif stats.get("n_shards", 1) > 1:
-        parts.append(
-            f"shard={stats.get('shard_id', 0):.0f}/{stats['n_shards']:.0f}"
-        )
-    parts += [
         f"up={stats.get('uptime_s', 0):.0f}s",
         f"conns={stats.get('connections_open', 0)}",
         f"queue={stats.get('queue_depth', 0)}",
@@ -544,5 +487,5 @@ __all__ = [
     "STATS_VERSION", "MIN_UNITS", "HIST_EDGES_MS", "request_units",
     "AdmissionLimits", "AdmissionSnapshot", "AdmitDecision", "decide",
     "TokenBucket", "AdmissionController", "Histogram", "ServiceMetrics",
-    "summarize", "aggregate_snapshots", "format_stats_line",
+    "summarize", "format_stats_line",
 ]

@@ -21,14 +21,11 @@ Two clients, one surface:
   stats distinguish retries from fresh arrivals.
 
   ``reconnects > 0`` additionally survives the *connection* dying
-  mid-request (a shard killed under a sharded deployment, a proxy reset):
-  a send/receive that fails with
-  :class:`~repro.errors.ServiceConnectionError` / ``OSError`` closes the
-  socket, dials a fresh connection (jittered backoff, growing with
-  consecutive drops), and resends — safe because every service request
-  is idempotent.  Under ``repro serve --shards N`` the fresh connection
-  lands on a live shard, which serves byte-identical results, so a shard
-  death costs the client one reconnect and nothing else.  Once the
+  mid-request (a server restart, a proxy reset): a send/receive that
+  fails with :class:`~repro.errors.ServiceConnectionError` / ``OSError``
+  closes the socket, dials a fresh connection (jittered backoff,
+  growing with consecutive drops), and resends — safe because every
+  service request is idempotent.  Once the
   per-request budget is exhausted the failure surfaces as
   :class:`~repro.errors.ServiceConnectionError`.  RETRY backpressure
   hints are honored independently of (and in addition to) this path.
@@ -331,9 +328,9 @@ class RemoteClient(_ClientAPI):
                             f"budget {self.reconnects}): {err}"
                         ) from err
                     try:
-                        # A failed dial (shard still respawning) burns
+                        # A failed dial (server still restarting) burns
                         # budget like a drop; the growing backoff gives
-                        # the supervisor time to bring a shard back.
+                        # it time to come back.
                         self._reconnect(drops)
                         break
                     except OSError as dial_exc:

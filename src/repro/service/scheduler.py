@@ -13,11 +13,14 @@ The service's execution model, front to back:
   proportional to the bound rather than to the burst.
 * Admitted jobs join one of two priority deques.  There is one dispatch
   path: every job is its own task, started when one of **S slots** is
-  free — S is ``processes`` when the pool fans out and 1 otherwise, so a
-  ``processes <= 1`` service runs one job at a time, in-process.  A free
-  slot takes the oldest ``interactive`` job first; the ``batch`` lane may
-  hold at most ``max(1, S - 1)`` slots, so an interactive arrival waits
-  behind at most one batch job however much bulk work is queued.
+  free — S is ``processes + 1`` when the pool fans out and 1 otherwise,
+  so a ``processes <= 1`` service runs one job at a time, in-process.
+  The slot beyond the workers keeps them busy while another job is in
+  a hand-over (EXPERIMENTS.md §10).  A free slot takes the oldest
+  ``interactive`` job first; the ``batch`` lane may hold at most
+  ``max(1, S - 1)`` slots, so however much bulk work is queued an
+  interactive arrival finds a slot free of it — or, without a pool,
+  waits behind one batch job.
 * Every job transition (admitted / rejected / started / finished) feeds
   the :class:`~repro.service.admission.ServiceMetrics` registry, and
   :meth:`CompressionService.stats` snapshots it — the versioned STATS
@@ -34,11 +37,14 @@ The service's execution model, front to back:
   first requests of one ``family=`` run one plan.
 * Codec work runs off the event loop.  With ``processes > 1`` all of it
   goes to the long-lived process pool
-  (:class:`~repro.parallel.executor.ChunkWorkPool`): the trials of a
-  cache-miss derivation, every chunk execution, plain-stream decodes and
-  the parts of a read, under one service-wide window on resident slab
-  batches.  Otherwise it runs on a small thread executor (numpy releases
-  the GIL for the hot kernels, and tests stay fork-free).
+  (:class:`~repro.parallel.executor.ChunkWorkPool`).  A one-chunk job
+  is one hand-over: one worker derives on a cache miss, executes and
+  returns the finished container.  A bigger job lends its cache-miss
+  derive the workers for the trials, then sends its chunks in slab
+  batches under one service-wide window.  Plain-stream decodes and the
+  parts of a read are decoded there too.  Otherwise it runs on a small
+  thread executor (numpy releases the GIL for the hot kernels, and
+  tests stay fork-free).
 
 Container bytes come out of the job's own walk, and hyperslab reads
 execute the same :meth:`ChunkedFile.slab_plan` the library path runs —
@@ -74,7 +80,12 @@ from repro.chunked.api import ChunkedFile, CompressJob
 from repro.chunked.tiling import Slab
 from repro.compressors.base import decompress_any
 from repro.core.header import HEADER_PROBE_BYTES, parse_header
-from repro.core.plan_cache import PlanLRU, field_signature, plan_cache_key
+from repro.core.plan_cache import (
+    FrozenPlan,
+    PlanLRU,
+    field_signature,
+    plan_cache_key,
+)
 from repro.errors import (
     DeadlineExceededError,
     DecompressionError,
@@ -115,8 +126,8 @@ class ServiceConfig:
 
     ``processes <= 1`` keeps execution in-process (thread executor, no
     forks, one job at a time) — the right default for tests and small
-    deployments; a larger value is that many pool workers and as many
-    job slots, with all codec work on the workers.
+    deployments; a larger value is that many pool workers and one job
+    slot more, with all codec work on the workers.
 
     ``serve_root`` gates path-based hyperslab reads: ``None`` (the
     default) refuses them outright, and a directory restricts them to
@@ -139,11 +150,11 @@ class ServiceConfig:
     client_rate: float = 16.0
     client_burst: float = 48.0
     stats_interval: float = 0.0
-    #: identity of this instance within a sharded deployment (DESIGN.md
-    #: §14); the default (0 of 1) is the unsharded single-process serve
-    shard_id: int = 0
-    n_shards: int = 1
 
+
+#: what a one-chunk job's worker hands back: the plan it ran (None for a
+#: codec without one, or per-chunk tuning) and the finished container
+_Ran = Tuple[Optional[FrozenPlan], bytes]
 
 #: the STATS ``jobs_<kind>`` counter each request type feeds
 _KINDS = {
@@ -168,24 +179,12 @@ class _Job:
 class CompressionService:
     """Async compression service: bounded queue, job slots, plan cache."""
 
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        plans: Optional[PlanLRU] = None,
-        extra_stats: Optional[
-            Callable[[], Dict[str, Union[int, float]]]
-        ] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self._pending: Dict[str, "Deque[_Job]"] = {
             cls: deque() for cls in PRIORITIES
         }
-        # a sharded runtime injects a PlanLRU wired with its replication
-        # hook (repro.service.planbus); standalone use builds a plain one
-        self.plans = (
-            plans if plans is not None else PlanLRU(self.config.plan_cache_size)
-        )
-        self._extra_stats = extra_stats
+        self.plans = PlanLRU(self.config.plan_cache_size)
         self.metrics = ServiceMetrics()
         self.admission = AdmissionController(
             AdmissionLimits(
@@ -201,14 +200,18 @@ class CompressionService:
         self._pool = ChunkWorkPool(
             self.config.processes, on_event=self.metrics.pool_event
         )
+        #: job slots: one per worker and one more when the pool fans out,
+        #: else one
+        self._slots = self.config.processes + 1 if self._pool.parallel else 1
+        # a full batch lane of cache-miss derives blocks S - 1 threads;
+        # the last slot's job must still find one
         self._threads = ThreadPoolExecutor(
-            max_workers=IO_THREADS, thread_name_prefix="repro-svc"
+            max_workers=max(IO_THREADS, self._slots),
+            thread_name_prefix="repro-svc",
         )
         self._files: "OrderedDict[str, Tuple[Tuple[int, int], ChunkedFile]]" = (
             OrderedDict()
         )
-        #: job slots: one per worker when the pool fans out, else one
-        self._slots = self.config.processes if self._pool.parallel else 1
         #: bound on slab batches resident at once, over all running jobs
         self._window = asyncio.Semaphore(self._pool.window_batches)
         self._running: Dict["asyncio.Task[None]", _Job] = {}
@@ -316,8 +319,6 @@ class CompressionService:
         is the protocol's typed kv map.
         """
         out: Dict[str, Union[int, float]] = {
-            "shard_id": self.config.shard_id,
-            "n_shards": self.config.n_shards,
             "queue_depth": sum(len(q) for q in self._pending.values()),
             "queue_depth_interactive": len(self._pending["interactive"]),
             "queue_depth_batch": len(self._pending["batch"]),
@@ -334,8 +335,6 @@ class CompressionService:
         out.update(self.metrics.snapshot())
         out.update(self.admission.stats())
         out.update(self.plans.stats())
-        if self._extra_stats is not None:
-            out.update(self._extra_stats())
         return out
 
     # ------------------------------------------------------------ scheduler
@@ -422,73 +421,118 @@ class CompressionService:
     # ------------------------------------------------------------- compress
     async def _compress(self, req: CompressRequest) -> bytes:
         loop = asyncio.get_running_loop()
-        prep = await loop.run_in_executor(
-            self._threads, self._prepare_compress, req
-        )
-        if self._pool.parallel:
-            return await self._compress_pooled(prep)
-        # in-process execution IS the library walk, on a thread
-        return await loop.run_in_executor(
-            self._threads, _container_bytes, prep.compress_to
-        )
+        if not self._pool.parallel:
+            prep = await loop.run_in_executor(
+                self._threads, self._prepare_compress, req, CompressJob.derive
+            )
+            # in-process execution IS the library walk, on a thread
+            return await loop.run_in_executor(
+                self._threads, _container_bytes, prep.compress_to
+            )
+        handed = await self._await_pooled(self._start_pooled, req)
+        if isinstance(handed, CompressJob):
+            return await self._compress_batches(handed)
+        _plan, container = handed
+        return container
 
-    def _prepare_compress(self, req: CompressRequest) -> CompressJob:
-        """Blocking half: admit the field, get/derive the plan (a derive
-        lends the pool's workers to the analysis when the pool fans out)."""
+    def _prepare_compress(
+        self,
+        req: CompressRequest,
+        derive: Callable[[CompressJob], FrozenPlan],
+    ) -> CompressJob:
+        """Blocking half: admit the field, take the plan from the cache or,
+        on a miss, from ``derive(job)``."""
         job = CompressJob(
             req.data, req.codec, req.chunks, req.codec_kwargs,
             req.normalized_bound, req.per_chunk_tuning,
         )
         if job.wants_plan:
-            pool = self._pool if self._pool.parallel else None
             spec = req.normalized_bound
             key = plan_cache_key(
                 req.codec, req.codec_kwargs, spec.mode, spec.value,
                 field_signature(req.data, req.family),
             )
-            job.plan = self.plans.get_or_derive(key, lambda: job.derive(pool))
+            job.plan = self.plans.get_or_derive(key, lambda: derive(job))
         return job
 
-    async def _await_pooled(
-        self, helper: Callable[..., "Future[Any]"], *args: object
-    ) -> Any:
-        """Await one slab-owning :class:`ChunkWorkPool` helper.
+    def _start_pooled(
+        self, req: CompressRequest
+    ) -> Union[CompressJob, "_Ran", "Future[_Ran]"]:
+        """The one thread call of a pooled compress.
 
-        The helper fills (or allocates) its slab synchronously, so it
-        runs on the thread executor and hands back the pool future that
-        owns the slab.  A deadline can cancel this coroutine while the
-        fill is still running on its thread: the pool future is then
-        cancelled the moment it exists, which releases the slab.
+        A one-chunk job goes to one worker whole — derive if the cache
+        misses, execute, write: the library's own
+        :meth:`CompressJob.compress_to` — and comes back as the plan it
+        ran and the finished container.  A bigger job comes back planned
+        (its derive lends the analysis the pool's workers), for
+        :meth:`_compress_batches`.
+        """
+        ran: List[_Ran] = []
+
+        def derive(job: CompressJob) -> FrozenPlan:
+            if len(job.grid) > 1:
+                return job.derive(self._pool)
+            ran.append(job.submit_whole(self._pool).result())
+            plan = ran[0][0]
+            assert plan is not None  # wants_plan: the walk derived one
+            return plan
+
+        job = self._prepare_compress(req, derive)
+        if ran:
+            return ran[0]
+        return job.submit_whole(self._pool) if len(job.grid) == 1 else job
+
+    async def _await_pooled(self, helper: Callable[..., Any], *args: object) -> Any:
+        """``helper(*args)`` on the thread executor, and the pool future
+        it hands back, if it hands one back.
+
+        A helper that fills a slab returns the pool future that owns it.
+        A deadline can cancel this coroutine while the helper is still
+        running on its thread: that pool future is then cancelled the
+        moment it exists, which releases the slab.
         """
         started = self._threads.submit(helper, *args)
         try:
-            pooled = await asyncio.wrap_future(started)
+            handed = await asyncio.wrap_future(started)
         except asyncio.CancelledError:
             started.add_done_callback(_cancel_pooled)
             raise
-        return await asyncio.wrap_future(pooled)
+        if isinstance(handed, Future):
+            return await asyncio.wrap_future(handed)
+        return handed
 
-    async def _compress_pooled(self, prep: CompressJob) -> bytes:
-        loop = asyncio.get_running_loop()
+    async def _compress_batches(self, job: CompressJob) -> bytes:
+        """A multi-chunk job: slab batches under the service-wide window,
+        then the container walk on a thread.  After a batch fails, the
+        batches still waiting for the window skip, and the job fails once
+        the ones already out have settled: nothing of it is submitted
+        after its error is returned."""
+        failed = False
 
         async def one_batch(indices: List[int]) -> List[bytes]:
+            nonlocal failed
             async with self._window:  # held from slab fill to completion:
                 # the bytes of live slabs never exceed the window's batches
-                views = [prep.data[prep.grid.chunk_slices(i)] for i in indices]
-                return await self._await_pooled(
-                    self._pool.submit_compress_views,
-                    prep.codec_name, prep.codec_kwargs, views,
-                    prep.eb, prep.plan,
-                )
+                if failed:
+                    return []
+                views = [job.data[job.grid.chunk_slices(i)] for i in indices]
+                try:
+                    return await self._await_pooled(
+                        self._pool.submit_compress_views,
+                        job.codec_name, job.codec_kwargs, views, job.eb, job.plan,
+                    )
+                except Exception:
+                    failed = True
+                    raise
 
-        indices = list(prep.grid)
-        blob_lists = await asyncio.gather(*[
+        indices = list(job.grid)
+        blob_lists = _first_failure(await asyncio.gather(*[
             one_batch(indices[k:k + BATCH_CHUNKS])
             for k in range(0, len(indices), BATCH_CHUNKS)
-        ])
+        ], return_exceptions=True))
         blobs = [b for lst in blob_lists for b in lst]
-        return await loop.run_in_executor(
-            self._threads, _container_bytes, prep.write, enumerate(blobs)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._threads, _container_bytes, job.write, enumerate(blobs)
         )
 
     # ------------------------------------------------------ decompress/read
@@ -591,14 +635,10 @@ class CompressionService:
         failure is raised once every call has settled, so a failed request
         leaves no decode running behind it."""
         loop = asyncio.get_running_loop()
-        results = await asyncio.gather(*[
+        return _first_failure(await asyncio.gather(*[
             loop.run_in_executor(self._threads, fn, *args)
             for args in zip(*arglists)
-        ], return_exceptions=True)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results
+        ], return_exceptions=True))
 
     async def _read_from(self, cf: ChunkedFile, slab: Slab) -> np.ndarray:
         """Concurrent-decode execution of ``ChunkedFile.slab_plan``."""
@@ -631,10 +671,21 @@ def _container_bytes(walk: Callable[..., object], *args: object) -> bytes:
     return buf.getvalue()
 
 
+def _first_failure(results: List[Any]) -> List[Any]:
+    """``results`` of a settled ``gather(..., return_exceptions=True)``,
+    or the first exception among them, raised."""
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def _cancel_pooled(started: "Future[Any]") -> None:
     """Cancel the pool future a finished helper call produced, if any."""
     if not started.cancelled() and started.exception() is None:
-        started.result().cancel()
+        handed = started.result()
+        if isinstance(handed, Future):
+            handed.cancel()
 
 
 __all__ = ["CompressionService", "ServiceConfig"]

@@ -25,88 +25,35 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Awaitable, Callable, Dict, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.plan_cache import PlanLRU
-from repro.errors import (
-    ProtocolError,
-    ReproError,
-    ServiceOverloadedError,
-)
+from repro.errors import ProtocolError, ServiceOverloadedError
 from repro.service import protocol
 from repro.service.admission import format_stats_line
-from repro.service.planbus import PlanBusEndpoint
 from repro.service.scheduler import CompressionService, ServiceConfig
 
 
-async def serve_frames(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    respond: Callable[[bytes], Awaitable[bytes]],
-) -> None:
-    """One connection's request loop: a frame in, ``respond``'s frame out.
-
-    Shared by every shard's public listener and the supervisor's admin
-    endpoint.  Ends on EOF, on a peer reset, or after answering a
-    malformed frame with ERROR (framing can no longer be trusted); the
-    writer is closed either way.
-    """
-    try:
-        while True:
-            try:
-                body = await protocol.read_frame(reader)
-            except ProtocolError as exc:
-                writer.write(protocol.frame(protocol.encode_error(str(exc))))
-                await writer.drain()
-                break
-            if body is None:
-                break
-            writer.write(protocol.frame(await respond(body)))
-            await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    except asyncio.CancelledError:
-        # server shutdown while blocked on read_frame; returning (not
-        # re-raising) keeps asyncio.streams' connection_made callback
-        # from logging the retrieved CancelledError at close
-        pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
 class ServiceServer:
-    """Wrap a :class:`CompressionService` in an asyncio stream server.
-
-    ``reuse_port=True`` binds with ``SO_REUSEPORT`` so N shard processes
-    can listen on one (host, port) and let the kernel distribute accepts
-    (DESIGN.md §14); the default is a plain exclusive bind.
-    """
+    """Wrap a :class:`CompressionService` in an asyncio stream server."""
 
     def __init__(
         self,
         service: CompressionService,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuse_port: bool = False,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port  # 0 = pick a free port; updated once listening
-        self.reuse_port = reuse_port
         self._server: Optional[asyncio.AbstractServer] = None
         self._stats_task: Optional[asyncio.Task] = None
 
     async def start(self) -> None:
         await self.service.start()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         interval = getattr(self.service.config, "stats_interval", 0.0)
@@ -143,11 +90,39 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """One connection's request loop: a frame in, a frame out.
+
+        Ends on EOF, on a peer reset, or after answering a malformed frame
+        with ERROR (framing can no longer be trusted); the writer is
+        closed either way.
+        """
         self.service.metrics.connection_opened()
         try:
-            await serve_frames(reader, writer, self._respond)
+            while True:
+                try:
+                    body = await protocol.read_frame(reader)
+                except ProtocolError as exc:
+                    writer.write(protocol.frame(protocol.encode_error(str(exc))))
+                    await writer.drain()
+                    break
+                if body is None:
+                    break
+                writer.write(protocol.frame(await self._respond(body)))
+                await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        except asyncio.CancelledError:
+            # server shutdown while blocked on read_frame; returning (not
+            # re-raising) keeps asyncio.streams' connection_made callback
+            # from logging the retrieved CancelledError at close
+            pass
         finally:
             self.service.metrics.connection_closed()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
 
     async def _respond(self, body: bytes) -> bytes:
         try:
@@ -190,75 +165,6 @@ class ServiceServer:
         return response
 
 
-class ShardRuntime:
-    """One shard's complete serve stack, wired and reusable.
-
-    This is the unit the multi-process mode replicates: config ->
-    plan cache (with the replication hook when a bus endpoint is given)
-    -> :class:`CompressionService` -> :class:`ServiceServer`.  The
-    single-shard ``repro serve`` path builds exactly one of these with no
-    bus; ``repro serve --shards N`` builds one per child process with a
-    :class:`~repro.service.planbus.PlanBusEndpoint` connecting it to its
-    peers (see :mod:`repro.service.sharding`).
-
-    The shard's own mutable state — plan cache, metrics, admission —
-    lives entirely inside this object and never crosses a process
-    boundary (the shard_state_leaving_the_process pin); only pickled
-    :class:`FrozenPlan` payloads and stats snapshots travel, over the bus.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        reuse_port: bool = False,
-        bus: Optional[PlanBusEndpoint] = None,
-    ) -> None:
-        self.config = config or ServiceConfig()
-        self.bus = bus
-        self.plans = PlanLRU(
-            self.config.plan_cache_size,
-            on_derive=bus.publish_plan if bus is not None else None,
-        )
-        self.service = CompressionService(
-            self.config,
-            plans=self.plans,
-            extra_stats=bus.stats if bus is not None else None,
-        )
-        self.server = ServiceServer(
-            self.service, host, port, reuse_port=reuse_port
-        )
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    async def start(self) -> None:
-        """Start serving; then announce readiness on the bus (if any)."""
-        await self.server.start()
-        if self.bus is not None:
-            self.bus.attach(
-                asyncio.get_running_loop(), self.plans, self.stats
-            )
-            self.bus.hello()
-
-    async def close(self) -> None:
-        if self.bus is not None:
-            self.bus.detach()
-        await self.server.close()
-
-    async def serve_forever(self) -> None:
-        await self.server.serve_forever()
-
-    def stats(self) -> Dict[str, Union[int, float]]:
-        return self.service.stats()
-
-
 def run_server(
     host: str = "127.0.0.1",
     port: int = 9753,
@@ -269,22 +175,18 @@ def run_server(
     Prints one ``repro service listening on HOST:PORT`` line once the
     socket is bound (``--port 0`` picks a free port, so callers — the CI
     smoke test included — parse the actual port from this line).
-
-    This is the single-shard path: one :class:`ShardRuntime`, no bus.
-    ``repro serve --shards N`` goes through
-    :func:`repro.service.sharding.run_sharded` instead.
     """
 
     async def _main() -> None:
-        runtime = ShardRuntime(config, host, port)
-        await runtime.start()
+        server = ServiceServer(CompressionService(config), host, port)
+        await server.start()
         print(
-            f"repro service listening on {runtime.host}:{runtime.port}",
+            f"repro service listening on {server.host}:{server.port}",
             flush=True,
         )
         # SIGTERM / SIGINT end the serve task, so the ``finally`` runs and
-        # the runtime stops its pool workers instead of orphaning them
-        serving = asyncio.ensure_future(runtime.serve_forever())
+        # the service stops its pool workers instead of orphaning them
+        serving = asyncio.ensure_future(server.serve_forever())
         for sig in (signal.SIGTERM, signal.SIGINT):
             asyncio.get_running_loop().add_signal_handler(sig, serving.cancel)
         try:
@@ -292,7 +194,7 @@ def run_server(
         except asyncio.CancelledError:
             pass
         finally:
-            await runtime.close()
+            await server.close()
 
     try:
         asyncio.run(_main())
@@ -301,4 +203,4 @@ def run_server(
     return 0
 
 
-__all__ = ["serve_frames", "ServiceServer", "ShardRuntime", "run_server"]
+__all__ = ["ServiceServer", "run_server"]

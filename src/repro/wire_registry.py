@@ -77,6 +77,12 @@ class WireSpec:
 #                the chunk's index entry (number, start, shape) after
 #                '(blob, src, dst)' so a worker can refuse a chunk that
 #                decodes to another shape; the other layouts are unchanged
+#   slab.py      rev 4: the derive-trial job becomes the array job
+#                'slab,array,fn,args' (worker runs fn(array, *args)): a
+#                trial share ships its items as the first arg, and the
+#                service ships a one-chunk job's field under it (with
+#                its bound and plan, if cached), whose worker returns the
+#                plan it ran and the finished container
 #   planbus.py   rev 1: inter-shard plan replication bus — one pipe
 #                payload per message, 'u8 ver | u8 kind | u16 shard_id |
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars
@@ -86,6 +92,10 @@ class WireSpec:
 #                port (pid only; every shard listens on the public
 #                port).  No reader for version 1: both ends of the bus
 #                are always one build, forked from one invocation
+#   planbus.py   retired with the shard fleet it connected: one serving
+#                process with pool workers read 0.91x of two shards
+#                (EXPERIMENTS.md §10), so no process reads or writes the
+#                bus format any more
 # ---------------------------------------------------------------------------
 
 WIRE_SPECS: Tuple[WireSpec, ...] = (
@@ -118,12 +128,12 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/parallel/slab.py",
-        revision=3,
+        revision=4,
         formats=(),  # descriptors ride multiprocessing's pickle, no struct
         constants={
             "SLAB_BATCH_VERSION": 1,
             "SLAB_DESCRIPTOR_LAYOUT": "offset,shape,dtype",
-            "STACK_JOB_LAYOUT": "slab,stack,fn,items,spec",
+            "ARRAY_JOB_LAYOUT": "slab,array,fn,args",
             "DECODE_PART_LAYOUT": "blob,src,dst,index,start,shape",
         },
     ),
@@ -149,19 +159,6 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
             "ST_OK": 0,
             "ST_ERROR": 1,
             "ST_RETRY": 2,
-        },
-    ),
-    WireSpec(
-        module="repro/service/planbus.py",
-        revision=2,
-        formats=(),  # scalars ride protocol.py's _Reader/_Writer codecs
-        constants={
-            "PLAN_BUS_VERSION": 2,
-            "MAX_BUS_MSG": 1 << 20,
-            "MSG_HELLO": 1,
-            "MSG_PLAN": 2,
-            "MSG_STATS_REQ": 3,
-            "MSG_STATS_RESP": 4,
         },
     ),
 )

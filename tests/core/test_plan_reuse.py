@@ -10,6 +10,7 @@ picklable, and survive the process-pool broadcast.
 """
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -257,23 +258,151 @@ class TestPlanLRU:
         assert s["plan_derives"] == 1
         assert s["plan_cache_hit_rate"] == pytest.approx(2 / 6, abs=1e-4)
 
-    def test_peek_has_no_side_effects(self):
-        from repro.core.plan_cache import PlanLRU
-
-        cache = PlanLRU(capacity=2)
-        k0, k1, k2 = self.keys()[:3]
-        cache.put(k0, self.plan("0"))
-        cache.put(k1, self.plan("1"))
-        before = cache.stats()
-        assert cache.peek(k0).metric == "0"
-        assert cache.peek(k2) is None
-        assert cache.stats() == before  # counters untouched
-        # peeking k0 must NOT have refreshed its recency: k0 is still LRU
-        cache.put(k2, self.plan("2"))
-        assert cache.peek(k0) is None
-        assert cache.peek(k1) is not None
-
     def test_hit_rate_zero_before_any_lookup(self):
         from repro.core.plan_cache import PlanLRU
 
         assert PlanLRU().stats()["plan_cache_hit_rate"] == 0.0
+
+    def test_capacity_bounds_the_cache(self):
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=2)
+        keys = self.keys()[:5]
+        for i, k in enumerate(keys):
+            cache.put(k, self.plan(str(i)))
+        assert len(cache) == cache.stats()["plan_cache_size"] == 2
+        assert [cache.get(k).metric for k in keys[3:]] == ["3", "4"]
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            PlanLRU(capacity=0)
+
+    def test_put_on_a_resident_key_replaces_in_place(self):
+        """A second plan for a cached key takes its place: nothing else is
+        evicted, and nothing counts as a derivation."""
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=2)
+        k0, k1 = self.keys()[:2]
+        cache.put(k0, self.plan("old"))
+        cache.put(k1, self.plan("other"))
+        cache.put(k0, self.plan("new"))
+        assert len(cache) == 2
+        assert cache.get_or_derive(k0, lambda: self.plan("x")).metric == "new"
+        assert cache.get(k1).metric == "other"
+        assert cache.stats()["plan_derives"] == 0
+
+    def test_only_a_miss_calls_derive(self):
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=4)
+        k0, k1 = self.keys()[:2]
+        calls = []
+
+        def derive(tag):
+            calls.append(tag)
+            return self.plan(tag)
+
+        first = cache.get_or_derive(k0, lambda: derive("a"))
+        assert cache.get_or_derive(k0, lambda: derive("b")) is first
+        cache.put(k1, self.plan("put"))
+        assert cache.get_or_derive(k1, lambda: derive("c")).metric == "put"
+        assert calls == ["a"]
+        assert cache.stats()["plan_derives"] == 1
+
+    def test_concurrent_misses_of_one_key_derive_once(self):
+        """A thread that misses while another derives the key waits and
+        takes that plan, although its own data would derive another."""
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=4)
+        key = self.keys()[0]
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def slow_derive():
+            calls.append("first")
+            entered.set()
+            assert release.wait(10)
+            return self.plan("first")
+
+        got = {}
+        first = threading.Thread(
+            target=lambda: got.update(a=cache.get_or_derive(key, slow_derive))
+        )
+        first.start()
+        assert entered.wait(10)
+        second = threading.Thread(target=lambda: got.update(
+            b=cache.get_or_derive(key, lambda: calls.append("second"))
+        ))
+        second.start()
+        second.join(0.1)
+        assert second.is_alive()  # waiting on the derive in flight
+        release.set()
+        first.join(10)
+        second.join(10)
+        assert got["a"] is got["b"] and got["a"].metric == "first"
+        assert calls == ["first"]
+        assert cache.stats()["plan_derives"] == 1
+
+    def test_a_failed_derive_hands_the_key_to_a_waiter(self):
+        """The first derive raises on its own input: the waiter derives
+        from its own, and the key is left with no derive in flight."""
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=4)
+        key = self.keys()[0]
+        entered, release = threading.Event(), threading.Event()
+
+        def failing_derive():
+            entered.set()
+            assert release.wait(10)
+            raise ValueError("non-finite input")
+
+        errors, got = [], {}
+
+        def first():
+            try:
+                cache.get_or_derive(key, failing_derive)
+            except ValueError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first)]
+        threads[0].start()
+        assert entered.wait(10)
+        threads.append(threading.Thread(target=lambda: got.update(
+            b=cache.get_or_derive(key, lambda: self.plan("second"))
+        )))
+        threads[1].start()
+        threads[1].join(0.1)
+        assert threads[1].is_alive()  # waiting on the failing derive
+        release.set()
+        for t in threads:
+            t.join(10)
+        assert len(errors) == 1
+        assert got["b"].metric == "second"
+        assert cache.get(key) is got["b"]
+        assert cache.stats()["plan_derives"] == 1
+        assert cache._deriving == {}
+
+    def test_a_derive_in_flight_blocks_only_its_own_key(self):
+        from repro.core.plan_cache import PlanLRU
+
+        cache = PlanLRU(capacity=4)
+        k0, k1 = self.keys()[:2]
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_derive():
+            entered.set()
+            assert release.wait(10)
+            return self.plan("slow")
+
+        slow = threading.Thread(target=cache.get_or_derive, args=(k0, slow_derive))
+        slow.start()
+        try:
+            assert entered.wait(10)
+            # k1 derives and returns while k0's derive is still running
+            assert cache.get_or_derive(k1, lambda: self.plan("fast")).metric == "fast"
+            assert slow.is_alive()
+        finally:
+            release.set()
+            slow.join(10)
+        assert cache.get(k0).metric == "slow"

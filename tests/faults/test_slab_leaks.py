@@ -184,6 +184,57 @@ class TestPoolCrashPaths:
         assert_no_leaks()
 
 
+def sum_on_worker(array, offset):
+    """Array-job function: where it ran, and what it read."""
+    return os.getpid(), float(array.sum()) + offset
+
+
+def refuse_on_worker(array):
+    raise ValueError(f"refused a {array.shape} array")
+
+
+class TestArrayJobs:
+    """``ChunkWorkPool.submit_array``: one function on one slab-resident
+    array, on a worker; the slab goes with the future, however it ends."""
+
+    def test_the_function_runs_on_a_worker_and_the_slab_goes(self, pool_events):
+        array = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        pool = make_pool(pool_events)
+        try:
+            pid, total = pool.submit_array(sum_on_worker, array, 0.5).result(
+                timeout=120
+            )
+        finally:
+            pool.shutdown()
+        assert pid != MAIN_PID
+        assert total == float(array.sum()) + 0.5
+        wait_for_releases(2)
+        assert_no_leaks()
+
+    def test_an_error_in_the_function_still_releases_the_slab(self, pool_events):
+        pool = make_pool(pool_events)
+        try:
+            future = pool.submit_array(refuse_on_worker, np.ones((4, 4)))
+            with pytest.raises(ValueError, match=r"refused a \(4, 4\) array"):
+                future.result(timeout=120)
+        finally:
+            pool.shutdown()
+        assert "crash" not in pool_events  # an error is not a worker death
+        wait_for_releases(2)
+        assert_no_leaks()
+
+    def test_a_submit_that_raises_releases_the_slab_at_once(self):
+        from repro.parallel.executor import _on_slab
+
+        def refuse(name, descriptors):
+            assert name in active_slab_names() and len(descriptors) == 2
+            raise RuntimeError("pool shut down")
+
+        with pytest.raises(RuntimeError, match="shut down"):
+            _on_slab([np.ones(8), np.zeros((2, 2))], refuse)
+        assert_no_leaks()
+
+
 class TestStreamingAbandon:
     def test_closing_the_generator_releases_in_flight_slabs(self):
         """A consumer that walks away mid-stream leaks nothing."""
@@ -227,15 +278,16 @@ class TestLibraryPooledPath:
 
 
 class TestServicePooledPath:
-    def test_pooled_service_matches_the_library_and_leaks_nothing(self):
+    @pytest.mark.parametrize("chunks", [16, None], ids=["tiled", "one-chunk"])
+    def test_pooled_service_matches_the_library_and_leaks_nothing(self, chunks):
         data = smooth3d()
         want = compress_chunked(
-            data, codec="qoz", chunks=16, rel_error_bound=1e-3
+            data, codec="qoz", chunks=chunks, rel_error_bound=1e-3
         )
         slab = (slice(3, 29), slice(None), slice(10, 20))
         with ServiceClient(ServiceConfig(processes=2)) as svc:
             blob = svc.compress(
-                data, codec="qoz", chunks=16, rel_error_bound=1e-3
+                data, codec="qoz", chunks=chunks, rel_error_bound=1e-3
             )
             assert blob == want
             np.testing.assert_array_equal(
@@ -246,9 +298,31 @@ class TestServicePooledPath:
             )
             assert_no_leaks()
 
-    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_worker_killed_in_a_one_chunk_job_heals_to_the_same_bytes(
+        self, tmp_path
+    ):
+        """The whole one-chunk job rides the self-healing pool: its worker
+        dying costs a retry of the same slab, not the request."""
+        data = smooth3d(16)
+        marker = tmp_path / "died-once"
+        kwargs = dict(
+            codec="crashy", error_bound=1e-3,
+            codec_kwargs={"marker": str(marker)},
+        )
+        with ServiceClient(ServiceConfig(processes=2)) as svc:
+            blob = svc.compress(data, **kwargs)
+            assert svc.stats()["pool_retry"] == 1
+        assert marker.exists()
+        assert blob == compress_chunked(data, **kwargs)
+        wait_for_releases(2)
+        assert_no_leaks()
+
+    @pytest.mark.parametrize(
+        "processes,chunks", [(1, 16), (2, 16), (2, None)],
+        ids=["in-process", "pooled-tiled", "pooled-one-chunk"],
+    )
     def test_deadline_while_running_releases_slab_and_units(
-        self, monkeypatch, processes
+        self, monkeypatch, processes, chunks
     ):
         """A job cancelled mid-run frees its slot and its admission place,
         and with a pool it must not strand the slabs still being filled
@@ -258,7 +332,7 @@ class TestServicePooledPath:
         from repro.chunked.api import CompressJob
 
         data = smooth3d(seed=1)
-        request = dict(codec="qoz", chunks=16, rel_error_bound=1e-3)
+        request = dict(codec="qoz", chunks=chunks, rel_error_bound=1e-3)
         # the blocking step of each route, on the serving side
         owner, step = (Slab, "pack") if processes == 2 else (CompressJob, "compress_to")
         with ServiceClient(ServiceConfig(processes=processes)) as svc:

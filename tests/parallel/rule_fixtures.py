@@ -1,7 +1,7 @@
 """The fixtures of the reprolint rules that became structure pins.
 
 Each entry is ``(rule id, path under src/repro, source, flagged lines)``:
-the bad/good snippet pairs the rules were written against (PR 7, 8, 10),
+the bad/good snippet pairs the rules were written against,
 kept so ``test_structure.py`` can show that a pin flags everything its
 rule flagged and nothing its rule let through.  Lines count inside the
 dedented string; the leading newline makes the first code line line 2.
@@ -223,52 +223,6 @@ FIXTURES = [
                 return fut.result(1.0)
             except TimeoutError:
                 return None
-        """, []),
-    # ---------------------------------------------------------------- RL011
-    ("RL011", "service/sharding.py", """
-        import multiprocessing
-
-        def launch(config):
-            metrics = ServiceMetrics()
-            proc = multiprocessing.Process(
-                target=shard_main, args=(config, metrics)
-            )
-            proc.start()
-        """, [6]),
-    ("RL011", "service/sharding.py", """
-        import pickle
-
-        class ShardRuntime:
-            def snapshot(self):
-                return pickle.dumps(self._plans)
-        """, [6]),
-    ("RL011", "service/sharding.py", """
-        def publish(conn):
-            admission = AdmissionController(budget=64)
-            conn.send(admission)
-        """, [4]),
-    ("RL011", "service/sharding.py", """
-        import multiprocessing
-        from repro.service.planbus import encode_plan
-
-        def launch(config):
-            metrics = ServiceMetrics()
-            metrics.record_done()
-            proc = multiprocessing.Process(
-                target=shard_main, args=(config,)
-            )
-            conn, other = multiprocessing.Pipe()
-            conn.send_bytes(encode_plan("climate", plan))
-            return proc, metrics
-        """, []),
-    # the bus IS the sanctioned boundary: what fires anywhere else in the
-    # service layer is the bus's whole job
-    ("RL011", "service/planbus.py", """
-        import pickle
-
-        def encode_plan(family):
-            plans = PlanLRU(capacity=8)
-            return pickle.dumps(plans)
         """, []),
 ]
 

@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.chunked import compress_chunked, compress_chunked_to_file
+from repro.chunked.api import CompressJob
 from repro.compressors.base import _admit_bound
 from repro.core.qoz import FAN_OUT_MIN_POINTS, QoZ
 from repro.core.selection import SelectionResult
@@ -41,6 +42,7 @@ from repro.parallel import (
     shutdown_pool,
 )
 from repro.parallel.executor import ChunkWorkPool, kept_pool
+from repro.utils import ErrorBound
 
 PINNED = json.loads(
     (pathlib.Path(__file__).parent.parent / "data" / "derive_decisions.json")
@@ -157,6 +159,23 @@ class TestSameDecisions:
         ]
         assert vectors == list(dict.fromkeys(in_candidate_order))
         assert len(vectors) < len(in_candidate_order)  # the memo's keys
+
+
+class TestOneChunkJobOnOneWorker:
+    """The service's one-chunk job runs whole on one worker, its derive
+    included when owed (``CompressJob.submit_whole``): the plan is the
+    serial derive's, and the container the library's."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_its_plan_is_the_serial_one(self, metric, dtype):
+        data = get_dataset("hurricane", shape=(24, 64, 64), seed=0).astype(dtype)
+        call = dict(codec="qoz", codec_kwargs={"metric": metric})
+        job = CompressJob(data, chunks=None, bound=ErrorBound("rel", REL), **call)
+        with kept_pool(2) as pool:
+            plan, container = job.submit_whole(pool).result(timeout=JOIN_S)
+        assert plan == job.derive()
+        assert container == compress_chunked(data, rel_error_bound=REL, **call)
 
 
 class TestWorkersDeriveInline:

@@ -10,7 +10,7 @@ library's ``CompressJob`` instead of rebuilding its walk.  A second
 pool, slab owner, plan probe, bound resolver or container walk is
 exactly the duplication this layout removed, so each is pinned here.
 
-The second half holds the nine invariants that were reprolint rules
+The second half holds the eight invariants that were reprolint rules
 (DESIGN.md §11): the same checks, a few asserts each — the wire-format
 registry's among them.
 """
@@ -163,23 +163,6 @@ def test_each_codec_module_builds_its_plan_in_one_place():
             if isinstance(node.func, ast.Name) and node.func.id == "FrozenPlan"
         ]
         assert len(built) <= 1, path.name
-
-
-def test_the_shard_supervisor_is_not_on_the_data_path():
-    # one accept path: shards listen on the public port themselves
-    # (SO_REUSEPORT); the supervisor listens for STATS/PING only and
-    # never dials a shard — a router in front of them was measured and
-    # removed (EXPERIMENTS.md §10)
-    tree = ast.parse((SRC / "service" / "sharding.py").read_text())
-    listens = [
-        scope for node, scope in calls(tree)
-        if isinstance(node.func, ast.Attribute)
-        and node.func.attr == "start_server"
-    ]
-    assert listens and all(s[0] == "_AdminServer" for s in listens), listens
-    assert "open_connection" not in {
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
 
 
 def test_every_tuning_trial_is_one_evaluator():
@@ -434,7 +417,7 @@ def native_byte_order_on_the_wire(tree):
 
 def unpickling(tree):
     # pickle reads only bytes this program wrote (§7): the pool's own
-    # channel and the private inter-shard bus
+    # channel
     picklers = {"pickle", "cPickle", "_pickle", "dill", "cloudpickle"}
     loaders = {"loads", "load", "Unpickler"}
     for n in ast.walk(tree):
@@ -450,28 +433,6 @@ def unpickling(tree):
             yield n.lineno
 
 
-def shard_state_leaving_the_process(tree):
-    # admission, metrics and the plan LRU are shard-private (§14): no
-    # Process argument, pickle or pipe / queue write names one of them
-    writes = {"send", "send_bytes", "put", "put_nowait"}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = ast.unparse(node.func)
-        if not (
-            name.endswith("Process")
-            or name in ("pickle.dumps", "pickle.dump")
-            or ("." in name and tail(node.func) in writes)
-        ):
-            continue
-        if any(
-            tail(sub).lstrip("_") in ("plans", "metrics", "admission")
-            for arg in [*node.args, *(k.value for k in node.keywords)]
-            for sub in ast.walk(arg)
-        ):
-            yield node.lineno
-
-
 WIRE_MODULES = ("encoding/*", "compressors/*", "core/stream.py",
                 "core/header.py", "chunked/*", "service/protocol.py")
 
@@ -482,11 +443,8 @@ RETIRED_RULES = {
     "RL005": (stores_into_service_state, ("service/*",), ()),
     "RL006": (swallowed_broad_excepts, ("*",), ()),
     "RL007": (native_byte_order_on_the_wire, WIRE_MODULES, ()),
-    "RL008": (unpickling, ("*",),
-              ("parallel/executor.py", "service/planbus.py")),
+    "RL008": (unpickling, ("*",), ("parallel/executor.py",)),
     "RL009": (untyped_fault_handlers, ("service/*", "parallel/*"), ()),
-    "RL011": (shard_state_leaving_the_process,
-              ("service/*", "core/plan_cache.py"), ("service/planbus.py",)),
 }
 
 

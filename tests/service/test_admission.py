@@ -9,8 +9,8 @@ The load-bearing properties the module docstring promises:
 * :func:`repro.service.admission.decide` is *pure* — replaying the same
   (units, snapshot, limits) tuple reproduces the decision bit-for-bit,
   including the retry hint;
-* histogram keys merge by addition (the fleet property is in
-  ``test_planbus.py``).
+* the snapshot holds counts and sums, its means and percentiles
+  derived from them.
 
 Swept over seeded-numpy random inputs, so a regression shows up as a
 deterministic counterexample, not a flake.

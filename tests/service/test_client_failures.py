@@ -125,8 +125,8 @@ class TestSendAll:
 class ScriptedServer:
     """Accepts one connection per behavior, running them in order.
 
-    Models a shard dying and a replacement (or a reuseport sibling)
-    answering the redial: behavior k handles the k-th connection.
+    Models a server dying and its restart answering the redial:
+    behavior k handles the k-th connection.
     """
 
     def __init__(self, behaviors):
@@ -194,7 +194,7 @@ class TestReconnect:
             srv.close()
 
     def test_connection_error_is_both_families(self):
-        # satellite contract: callers written against either exception
-        # family (transport vs RPC) keep catching shard-death errors
+        # callers written against either exception family (transport vs
+        # RPC) keep catching a dropped connection
         assert issubclass(ServiceConnectionError, RemoteServiceError)
         assert issubclass(ServiceConnectionError, ProtocolError)

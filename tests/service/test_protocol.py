@@ -236,6 +236,31 @@ class TestRequestMeta:
         assert out.client_id is None
         assert out.attempt == 0
 
+    def test_shard_key_meta_from_an_old_client_is_ignored(self):
+        """Unknown meta keys are skipped.  ``shard_key`` (written by
+        clients up to wire-registry revision 3) is now one of them, so an
+        old client keeps working against a new server."""
+        req = p.CompressRequest(
+            data=np.arange(16, dtype=np.float32).reshape(4, 4),
+            codec="qoz", error_bound=1e-3, family="climate",
+            priority="batch",
+        )
+        new = p.encode_request(req)
+        # hand-build the old frame: same body, one more meta entry
+        w = p._Writer()
+        w.u8(p.PROTOCOL_VERSION)
+        w.u8(p.OP_COMPRESS)
+        w.kv({"priority": "batch", "shard_key": "pin-7"})
+        r = p._Reader(new)
+        r.u8(), r.u8(), r.kv()
+        old = w.getvalue() + new[r._pos:]
+        assert old != new
+        a, b = p.decode_request(old), p.decode_request(new)
+        assert not hasattr(a, "shard_key")
+        np.testing.assert_array_equal(a.data, b.data)
+        a.data = b.data = None
+        assert a == b
+
     def test_invalid_priority_rejected_on_both_sides(self):
         req = p.DecompressRequest(blob=b"abc")
         req.priority = "urgent"

@@ -179,6 +179,28 @@ class TestOneClientSurface:
         with pytest.raises(TypeError, match="shard_key"):
             RemoteClient(port=1, shard_key="k")  # raises before it dials
 
+    def test_the_fleet_api_is_gone(self):
+        """One serving process: the shard fleet's hooks went with it,
+        removed, not aliased."""
+        from dataclasses import fields
+
+        import repro.service
+        from repro.core.plan_cache import PlanLRU
+        from repro.service.server import ServiceServer
+
+        names = [f.name for f in fields(ServiceConfig)]
+        assert len(names) == 8
+        assert "shard_id" not in names and "n_shards" not in names
+        with pytest.raises(TypeError, match="plans"):
+            CompressionService(ServiceConfig(), plans=PlanLRU())
+        with pytest.raises(TypeError, match="reuse_port"):
+            ServiceServer(None, reuse_port=True)
+        with pytest.raises(TypeError, match="on_derive"):
+            PlanLRU(8, on_derive=print)
+        for gone in ("install", "peek"):
+            assert not hasattr(PlanLRU, gone), gone
+        assert not hasattr(repro.service, "aggregate_snapshots")
+
 
 class TestPlanCache:
     def test_warm_hit_skips_derivation(self):
@@ -328,8 +350,8 @@ class RendezvousCodec(Compressor):
 
 class TestJobSlots:
     """One dispatch path: each job its own task in one of S slots
-    (S = ``processes`` with a pool, else 1), interactive first, the batch
-    lane at most ``max(1, S - 1)`` wide."""
+    (S = ``processes + 1`` with a pool, else 1), interactive first, the
+    batch lane at most ``max(1, S - 1)`` wide."""
 
     def test_two_one_chunk_requests_overlap_on_two_workers(self, tmp_path):
         data = smooth3d((8, 8, 8), seed=30)
@@ -390,7 +412,7 @@ class TestJobSlots:
             late = h.submit("i0")  # admitted last, started first
             await h.service.start()
             await asyncio.sleep(0.01)
-            assert h.started == (["i0"] if processes == 1 else ["i0", "b0"])
+            assert h.started == (["i0"] if processes == 1 else ["i0", "b0", "b1"])
             for name in ("i0", "b0", "b1", "b2"):
                 await h.finish(name)
             assert h.started == ["i0", "b0", "b1", "b2"]
@@ -410,13 +432,15 @@ class TestJobSlots:
             for i in range(3):
                 h.submit(f"b{i}", "batch")
             await asyncio.sleep(0.01)
-            # however much bulk work waits, the batch lane is one job wide
-            # here (max(1, S - 1)): a second worker is not handed to it
-            assert h.started == ["b0"]
+            # however much bulk work waits, the batch lane leaves a slot
+            # free (max(1, S - 1) wide): one job without a pool, and with
+            # two workers two of the three slots
+            batch_lane = ["b0"] if processes == 1 else ["b0", "b1"]
+            assert h.started == batch_lane
             h.submit("i0")
             await asyncio.sleep(0.01)
             if processes == 2:
-                assert h.started == ["b0", "i0"]  # a free slot: no wait at all
+                assert h.started == batch_lane + ["i0"]  # no wait at all
             else:
                 assert h.started == ["b0"]
                 await h.finish("b0")
@@ -432,7 +456,7 @@ class TestJobSlots:
         async def main():
             h = self.Harness(processes)
             await h.service.start()
-            for i in range(processes):
+            for i in range(h.service._slots):
                 h.submit(f"i{i}")  # every slot taken
             doomed = h.submit("late", deadline_ms=20.0)
             alive = h.submit("patient")
@@ -464,7 +488,7 @@ class TestJobSlots:
             futures = [h.submit(f"i{i}") for i in range(4)]
             futures += [h.submit(f"b{i}", "batch") for i in range(2)]
             await asyncio.sleep(0.01)
-            assert len(h.started) == processes  # the rest still queued
+            assert len(h.started) == h.service._slots  # the rest still queued
             done = h.started[0]
             await h.finish(done)
             await h.service.close()
@@ -501,16 +525,34 @@ class TestJobSlots:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("processes,slots", [(1, 1), (2, 3), (4, 5)])
+    def test_slots_are_the_workers_and_one_more(self, processes, slots):
+        """Derived, never configured: one slot without a pool, else one per
+        worker and one to keep them busy through a job's hand-over.  Every
+        slot finds a thread: a full batch lane of cache-miss derives holds
+        S - 1 of them."""
+
+        async def main():
+            service = CompressionService(ServiceConfig(processes=processes))
+            await service.start()
+            try:
+                assert service._slots == slots
+                assert service._threads._max_workers >= slots
+            finally:
+                await service.close()
+
+        asyncio.run(main())
+
     def test_slot_fill_is_jobs_in_flight_over_slots(self):
         async def main():
-            h = self.Harness(2)
+            h = self.Harness(3)
             await h.service.start()
             h.submit("i0")
             await asyncio.sleep(0.01)
-            assert h.service.stats()["batch_fill_ewma"] == 0.5  # 1 of 2
+            assert h.service.stats()["batch_fill_ewma"] == 0.25  # 1 of 4
             h.submit("i1")
             await asyncio.sleep(0.01)
-            assert h.service.stats()["batch_fill_ewma"] == 0.75  # mean of 1/2, 2/2
+            assert h.service.stats()["batch_fill_ewma"] == 0.375  # mean of 1/4, 2/4
             await h.service.close()
 
         asyncio.run(main())
@@ -595,6 +637,126 @@ class TestSameRepliesWithAPool:
         assert replies in both_ways
         assert pooled.compress(fields[1], **request) == replies[1]
 
+    def test_a_one_chunk_job_caches_the_plan_its_worker_derived(self, pooled):
+        """The worker that runs a one-chunk job whole hands back the plan
+        it derived: the family's next member is a cache hit, and runs it."""
+        fields = [smooth3d((32, 32, 32), seed=55 + i, dtype=np.float32)
+                  for i in range(2)]
+        request = dict(codec="qoz", rel_error_bound=1e-3, family="one-worker")
+        before = pooled.stats()
+        replies = [pooled.compress(x, **request) for x in fields]
+        after = pooled.stats()
+        assert after["plan_derives"] == before["plan_derives"] + 1
+        assert after["plan_cache_hits"] == before["plan_cache_hits"] + 1
+        x = fields[0]
+        plan = QoZ().derive_plan(
+            x, error_bound=1e-3 * float(x.max() - x.min()),
+            data_range=float(x.max() - x.min()),
+        )
+        assert replies == [
+            compress_chunked(y, plan=plan, codec="qoz", rel_error_bound=1e-3)
+            for y in fields
+        ]
+
+    @pytest.mark.parametrize("request_kwargs", [
+        dict(codec="zfp", error_bound=1e-3),
+        dict(codec="qoz", error_bound=1e-3, per_chunk_tuning=True),
+    ], ids=["planless-codec", "per-chunk-tuning"])
+    def test_a_one_chunk_job_without_a_cached_plan(self, pooled, request_kwargs):
+        """No plan to look up: the worker runs the library walk as is, and
+        the cache neither derives nor counts a lookup."""
+        data = smooth3d((24, 24, 24), seed=57, dtype=np.float32)
+        before = pooled.stats()
+        assert pooled.compress(data, **request_kwargs) == compress_chunked(
+            data, **request_kwargs
+        )
+        after = pooled.stats()
+        for key in ("plan_derives", "plan_cache_hits", "plan_cache_misses"):
+            assert after[key] == before[key], key
+
+    def test_a_failed_one_chunk_job_frees_its_place(self, pooled):
+        """The worker's error crosses back as the library's error, and the
+        job leaves no admission place or slab behind."""
+        from repro.errors import CompressionError
+
+        data = smooth3d((24, 24, 24), seed=58, dtype=np.float32)
+        data[12, 20, 14] = np.nan
+        with pytest.raises(CompressionError, match="non-finite"):
+            pooled.compress(data, codec="sz3", error_bound=1e-2)
+        assert pooled.stats()["admission_jobs"] == 0
+        data[12, 20, 14] = 0.0
+        assert pooled.compress(data, codec="sz3", error_bound=1e-2) == (
+            compress_chunked(data, codec="sz3", error_bound=1e-2)
+        )
+
+    def test_a_failed_batch_stops_the_jobs_other_batches(self, monkeypatch):
+        """One NaN off the sampled corners fails the chunk that holds it:
+        the error reaches the client only once the job has stopped —
+        nothing of it is submitted afterwards, and the window is whole."""
+        from repro.errors import CompressionError
+        from repro.parallel.executor import ChunkWorkPool
+
+        submits = []
+        real = ChunkWorkPool.submit_compress_views
+
+        def counted(pool, *args, **kwargs):
+            submits.append(time.monotonic())
+            return real(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkWorkPool, "submit_compress_views", counted)
+        data = smooth3d((64, 64, 64), seed=60, dtype=np.float32)
+        data[12, 20, 44] = np.nan
+        with ServiceClient(ServiceConfig(processes=2)) as client:
+            with pytest.raises(CompressionError, match="non-finite"):
+                client.compress(data, codec="sz3", error_bound=1e-2, chunks=8)
+            raised = len(submits)
+            time.sleep(0.5)
+            assert len(submits) == raised < 256  # 8^3 chunks in pairs
+            service = client.service
+            assert service._window._value == service._pool.window_batches
+            assert client.stats()["admission_jobs"] == 0
+
+
+class TestPooledHandOver:
+    """The scheduler's two helpers around a pooled hand-over."""
+
+    def test_settled_results_pass_through_when_none_failed(self):
+        from repro.service.scheduler import _first_failure
+
+        results = [[b"a"], [], [b"b", b"c"]]
+        assert _first_failure(results) is results
+
+    def test_the_first_failure_in_order_is_raised(self):
+        from repro.service.scheduler import _first_failure
+
+        with pytest.raises(ValueError, match="first"):
+            _first_failure([[b"a"], ValueError("first"), KeyError("second")])
+
+    def test_a_cancelled_hand_over_cancels_only_a_pool_future(self):
+        """A deadline can land while the helper still runs on its thread:
+        a pool future it hands back is cancelled (which frees its slab);
+        a finished container or a helper error is left alone."""
+        from concurrent.futures import Future
+
+        from repro.service.scheduler import _cancel_pooled
+
+        def started_with(result=None, error=None):
+            started = Future()
+            if error is not None:
+                started.set_exception(error)
+            else:
+                started.set_result(result)
+            return started
+
+        pooled = Future()
+        _cancel_pooled(started_with(pooled))
+        assert pooled.cancelled()
+        _cancel_pooled(started_with((None, b"container")))
+        _cancel_pooled(started_with(error=ValueError("admit failed")))
+        cancelled = Future()
+        cancelled.cancel()
+        _cancel_pooled(cancelled)
+
 
 class TestErrorPropagation:
     def test_unknown_codec_raises(self, svc):
@@ -651,6 +813,47 @@ class TestStats:
         assert stats["processes"] == 1
         assert "batch_max" not in stats  # went with the dispatch groups
         assert stats["jobs_compress"] > 0
+
+    def test_histograms_agree_with_the_clients_stamps(self):
+        """Sequential requests of each kind and class: every one is in
+        its class's run histogram, none waited in the queue, and the
+        server's run p50 is the client's p50 less the hand-over — at most
+        one bucket below it, never above.  "No wait" is the lowest decade
+        of buckets: admitting a job and starting it takes 5-15 us here,
+        either side of the first edge (10 us)."""
+        from bisect import bisect_left
+
+        from repro.service.admission import HIST_EDGES_MS
+
+        data = smooth3d((16, 16, 16), seed=70, dtype=np.float32)
+        plain = repro.compress(data, codec="qoz", bound="rel:1e-3")
+        tiled = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=8)
+        slab = (slice(2, 14), slice(0, 16), slice(4, 12))
+        sends = [
+            lambda c, p: c.compress(
+                data, codec="qoz", rel_error_bound=1e-3, family="stamped",
+                priority=p,
+            ),
+            lambda c, p: c.decompress(plain, priority=p),
+            lambda c, p: c.read(tiled, slab, priority=p),
+        ]
+        stamps = {"interactive": [], "batch": []}
+        with ServiceClient(ServiceConfig(processes=1)) as client:
+            for _ in range(4):
+                for cls, seen in stamps.items():
+                    for send in sends:
+                        t0 = time.perf_counter()
+                        send(client, cls)
+                        seen.append(1e3 * (time.perf_counter() - t0))
+            stats = client.stats()
+        for cls, seen in stamps.items():
+            assert stats[f"run_count_{cls}"] == len(seen) == 12
+            assert stats[f"queue_wait_count_{cls}"] == len(seen)
+            assert stats[f"queue_wait_p90_ms_{cls}"] <= HIST_EDGES_MS[8]  # 0.1 ms
+            # the percentile rank the STATS histograms use
+            client_p50 = sorted(seen)[(50 * len(seen) + 99) // 100 - 1]
+            server = HIST_EDGES_MS.index(stats[f"run_p50_ms_{cls}"])
+            assert 0 <= bisect_left(HIST_EDGES_MS, client_p50) - server <= 1
 
 
 class TestRetryJitter:

@@ -168,6 +168,24 @@ class TestSmoke:
             assert stats["max_queue"] == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--shards", "2"],
+    ["serve", "--admin-port", "9754"],
+    ["serve-stats", "--all-shards"],
+    ["serve-stats", "--admin-port", "9754"],
+    ["serve-stats", "--per-shard"],
+])
+def test_the_fleet_flags_are_gone(argv, capsys):
+    """One serving process: the shard fleet's flags were removed, not
+    aliased."""
+    from repro.__main__ import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sigterm_stops_a_single_shard_server_and_its_pool_workers(
     subprocess_env, live_children
 ):

@@ -58,8 +58,10 @@ def test_registry_matches_live_slab_module():
     spec = spec_for("repro/parallel/slab.py")
     for name, expected in spec.constants.items():
         assert getattr(slab, name) == expected, name
-    # the derive-trial job ships its stack under the registered descriptor
-    assert slab.StackJob._fields[:2] == ("slab", "stack")
+    # the array job ships its array under the registered descriptor
+    assert slab.ArrayJob._fields == tuple(
+        spec.constants["ARRAY_JOB_LAYOUT"].split(",")
+    )
     assert slab.ChunkDescriptor._fields == tuple(
         spec.constants["SLAB_DESCRIPTOR_LAYOUT"].split(",")
     )

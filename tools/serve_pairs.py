@@ -65,7 +65,9 @@ def stop_server(proc):
 
 
 def one_run(workload, flags, src, connections):
-    """(req/s, warm p50 ms, connections per shard) of one server start."""
+    """(req/s, warm p50 ms, connections per shard) of one server start.
+    Only a checkout that still has ``--shards`` reports more than one
+    shard; the column is how a fleet's lopsided draws show."""
     proc, port = start_server(flags, src)
     clients = []
     try:
