@@ -232,7 +232,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         processes=args.processes,
         max_queue=args.max_queue,
-        plan_cache_size=args.plan_cache,
         serve_root=args.serve_root,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
@@ -340,15 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "printed once listening)")
     s.add_argument("--processes", type=int, default=1,
                    help="worker processes: all codec work runs on them, "
-                        "N + 1 requests at once, and the chunks of one "
-                        "big request fan out over them (1 = one job at a "
-                        "time, in-process)")
+                        "N + 1 requests at once, each compress whole on "
+                        "one worker (1 = one job at a time, in-process)")
     s.add_argument("--max-queue", type=int, default=64,
                    help="admission bound; beyond it requests get "
                         "retry-after backpressure (default 64)")
-    s.add_argument("--plan-cache", type=int, default=128,
-                   help="LRU capacity of the cross-request FrozenPlan "
-                        "cache (default 128)")
     s.add_argument("--serve-root", default=None, metavar="DIR",
                    help="allow path-based hyperslab reads for containers "
                         "under DIR (default: path reads disabled; "

@@ -78,14 +78,20 @@ def _streaming_value_range(data: np.ndarray, grid: ChunkGrid) -> float:
     return hi - lo
 
 
+def _bounds(slices: Sequence[slice]) -> Tuple[Tuple[int, int], ...]:
+    """Per-axis ``(start, stop)`` pairs: plain ints pickle smaller than
+    slice objects."""
+    return tuple((s.start, s.stop) for s in slices)
+
+
 class CompressJob:
     """One field on its way into a container: admit, derive, execute.
 
     :func:`compress_chunked_to_file` builds and consumes one per call; the
     service borrows the same object, with its plan cache around
-    :meth:`derive` and its pool around :meth:`write` — or, for a
-    one-chunk job, around :meth:`compress_to` itself, run on a worker —
-    so both write the same bytes because they run the same code.
+    :meth:`derive` and :meth:`compress_to` run in-process or, with a
+    pool, whole on one worker (:meth:`submit_whole`) — so both write the
+    same bytes because they run the same code.
 
     Construction is the **admit** step: the field is validated lazily
     (never copied), and a relative bound is made absolute against the
@@ -152,14 +158,15 @@ class CompressJob:
     def submit_whole(
         self, pool
     ) -> "Future[Tuple[Optional[FrozenPlan], bytes]]":
-        """A one-chunk job in one hand-over: a worker rebuilds this job
-        from the slab copy of its field (the same bound, value range and
-        plan in hand, if any) and runs :meth:`compress_to` — the serial
-        derive when one is owed, then the bytes this job would write.
-        Resolves to the plan it ran and the container."""
+        """This job in one hand-over: a worker rebuilds it from the slab
+        copy of its field (the same bound, value range, chunk grid and
+        plan in hand, if any) and runs :meth:`compress_to` in-process —
+        the serial derive when one is owed, then the bytes this job would
+        write.  Resolves to the plan it ran and the container."""
         return pool.submit_array(
             _whole_on_worker, self.data, self.codec_name, self.codec_kwargs,
-            self.bound, self.per_chunk_tuning, self.plan,
+            self.grid.chunk_shape, self.bound, self.per_chunk_tuning,
+            self.plan,
         )
 
     def compress_chunk(self, view: np.ndarray) -> bytes:
@@ -209,12 +216,13 @@ class CompressJob:
 
 
 def _whole_on_worker(
-    field: np.ndarray, codec: str, codec_kwargs: Dict, bound: ErrorBound,
-    per_chunk_tuning: bool, plan: Optional[FrozenPlan],
+    field: np.ndarray, codec: str, codec_kwargs: Dict,
+    chunks: Tuple[int, ...], bound: ErrorBound, per_chunk_tuning: bool,
+    plan: Optional[FrozenPlan],
 ) -> Tuple[Optional[FrozenPlan], bytes]:
     """Pool-worker half of :meth:`CompressJob.submit_whole`."""
     job = CompressJob(
-        field, codec, field.shape, codec_kwargs, bound, per_chunk_tuning, plan
+        field, codec, chunks, codec_kwargs, bound, per_chunk_tuning, plan
     )
     buf = io.BytesIO()
     job.compress_to(buf)
@@ -352,9 +360,9 @@ class ChunkedFile:
     reads go through positioned I/O (``os.pread``, which never moves a
     shared file offset) when the source is a real file, and through a
     seek lock otherwise.  Decoding itself is pure numpy on local buffers,
-    so concurrent ``chunk`` / ``read`` calls never interleave state —
-    the service layer decodes chunks of one container from many worker
-    threads at once.
+    so concurrent ``chunk`` / ``read`` calls never interleave state.
+    A closed reader refuses to read rather than read whatever file has
+    since taken its descriptor number.
     """
 
     def __init__(
@@ -484,13 +492,9 @@ class ChunkedFile:
         return blob
 
     def chunk(self, index: int) -> np.ndarray:
-        """Decode one chunk."""
-        return self.chunk_from(index, self.chunk_bytes(index))
-
-    def chunk_from(self, index: int, blob: bytes) -> np.ndarray:
-        """Decode chunk ``index`` from its stored bytes, which must
-        describe the shape its index entry gives it."""
-        out = decompress_any(blob)
+        """Decode one chunk, whose stored bytes must describe the shape
+        its index entry gives it."""
+        out = decompress_any(self.chunk_bytes(index))
         entry = self.info.entries[index]
         if out.shape != entry.shape:
             raise ChunkCorruptionError(
@@ -510,9 +514,9 @@ class ChunkedFile:
         Returns ``(normalized_slab, parts)`` where each part is
         ``(chunk_index, src_slices, dst_slices)`` — the intersection of
         the chunk's region with the slab, in chunk-local and slab-local
-        frames.  :meth:`read` executes this plan serially; the service
-        layer executes the same plan with concurrent chunk decodes, so
-        both paths assemble bit-identical outputs by construction.
+        frames.  :meth:`read` executes this plan serially and
+        :meth:`submit_read` on a pool's workers, so both paths assemble
+        bit-identical outputs by construction.
         """
         grid = self.grid
         slab = grid.normalize_slab(slab)
@@ -528,69 +532,42 @@ class ChunkedFile:
             parts.append((i, tuple(src), tuple(dst)))
         return slab, parts
 
-    def slab_descriptors(
-        self, slab: Slab
-    ) -> Tuple[
-        Tuple[int, ...],
-        List[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]],
-    ]:
-        """Descriptor form of :meth:`slab_plan`: pickle-ready int bounds.
+    def submit_read(self, slab: Slab, pool) -> "Future[np.ndarray]":
+        """:meth:`read` on ``pool``'s workers (a ``ChunkWorkPool``).
 
-        Returns ``(out_shape, parts)`` where each part is
-        ``(chunk_index, src_bounds, dst_bounds)`` with per-axis
-        ``(start, stop)`` pairs — the bounds the slab-batched decode job
-        ships across the pool boundary (:meth:`decode_parts`).
-        """
+        The stored bytes of every chunk the slab touches are read here;
+        each chunk's part (``slab.DECODE_PART_LAYOUT``: its bytes, its
+        :meth:`slab_plan` regions as per-axis ``(start, stop)`` pairs, its
+        index entry) goes to a worker, which checks the decoded shape as
+        :meth:`chunk` does and writes its region into a shared output
+        slab.  Resolves to the array :meth:`read` returns."""
         slab, parts = self.slab_plan(slab)
-        shape = tuple(s.stop - s.start for s in slab)
-        bounds = [
-            (
-                i,
-                tuple((s.start, s.stop) for s in src),
-                tuple((d.start, d.stop) for d in dst),
-            )
-            for i, src, dst in parts
-        ]
-        return shape, bounds
-
-    def decode_parts(
-        self,
-        bounds: Sequence[Tuple[int, tuple, tuple]],
-        blobs: Sequence[bytes],
-    ) -> List[tuple]:
-        """The pool's decode parts (``slab.DECODE_PART_LAYOUT``) of
-        :meth:`slab_descriptors` bounds and their chunks' stored bytes:
-        each carries its index entry, so the worker checks the decoded
-        shape as :meth:`chunk_from` does."""
         entries = self.info.entries
-        return [
-            (blob, src, dst, i, entries[i].start, entries[i].shape)
-            for (i, src, dst), blob in zip(bounds, blobs)
-        ]
+        return pool.submit_decode_parts(
+            [
+                (self.chunk_bytes(i), _bounds(src), _bounds(dst), i,
+                 entries[i].start, entries[i].shape)
+                for i, src, dst in parts
+            ],
+            tuple(s.stop - s.start for s in slab), self.dtype,
+        )
 
     def read(
         self, slab: Slab, processes: Optional[int] = None
     ) -> np.ndarray:
         """Extract an arbitrary hyperslab, decoding only intersecting chunks.
 
-        ``processes > 1`` fans the chunk decodes out over the kept pool
-        writing into a shared-memory output slab (one worker write per
-        chunk, no result pickling); the default decodes in-process.
-        Both paths execute the same :meth:`slab_plan`, so outputs are
-        bit-identical by construction.
+        ``processes > 1`` is :meth:`submit_read` on the kept pool (one
+        worker write per chunk into a shared-memory output slab, no result
+        pickling); the default decodes in-process.  Both paths execute the
+        same :meth:`slab_plan`, so outputs are bit-identical by
+        construction.
         """
         if processes not in (None, 0, 1):
-            shape, bounds = self.slab_descriptors(slab)
-            if len(bounds) > 1:
-                from repro.parallel.executor import kept_pool
+            from repro.parallel.executor import kept_pool
 
-                jobs = self.decode_parts(
-                    bounds, [self.chunk_bytes(i) for i, _, _ in bounds]
-                )
-                with kept_pool(processes) as pool:
-                    return pool.submit_decode_parts(
-                        jobs, shape, self.dtype
-                    ).result()
+            with kept_pool(processes) as pool:
+                return self.submit_read(slab, pool).result()
         slab, parts = self.slab_plan(slab)
         out = np.empty(
             tuple(s.stop - s.start for s in slab), dtype=self.dtype
@@ -624,6 +601,9 @@ class ChunkedFile:
 
     # -------------------------------------------------------------- plumbing
     def close(self) -> None:
+        # the descriptor number is free for the next open() once the file
+        # closes: a later read falls back to the closed file and raises
+        self._fd = None
         if self._own:
             self._file.close()
 

@@ -14,7 +14,7 @@ its lifetime.  Both drive the same helpers:
   (``slab.DECODE_PART_LAYOUT``) into an output slab and resolves to the
   assembled array — decoded chunks are never pickled back;
 * :meth:`ChunkWorkPool.submit_array` runs one function on one array on
-  one worker (``slab.ARRAY_JOB_LAYOUT``) — the service's one-chunk job,
+  one worker (``slab.ARRAY_JOB_LAYOUT``) — the service's compress job,
   derive and container included; :meth:`ChunkWorkPool.map_stack` deals
   a derive step's trials over every worker under the same layout;
 * :meth:`ChunkWorkPool.compress_stream` is the synchronous windowed
@@ -674,7 +674,7 @@ class ChunkWorkPool:
         """Decode hyperslab parts into one array.
 
         Each part is laid out as ``slab.DECODE_PART_LAYOUT`` (built by
-        :meth:`repro.chunked.api.ChunkedFile.decode_parts`); a worker
+        :meth:`repro.chunked.api.ChunkedFile.submit_read`); a worker
         checks each decoded chunk against its index entry and writes
         ``decoded[src]`` into ``out[dst]`` of a fresh output slab.  The
         regions of a hyperslab plan are disjoint by construction, so

@@ -78,15 +78,16 @@ SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 #: shares of ``map_stack``): the worker runs ``fn(array, *args)`` —
 #: ``array`` the chunk descriptor of one array in ``slab``: a derive's
 #: sampled block stack (``args`` then starts with the worker's share of
-#: bound vectors or interpolator candidates), or the field of a
-#: one-chunk job.  Also registered.
+#: bound vectors or interpolator candidates), or the field of a compress
+#: job sent whole (``CompressJob.submit_whole``).  Also registered.
 ARRAY_JOB_LAYOUT = "slab,array,fn,args"
 
 #: field order of one hyperslab decode part
-#: (``ChunkWorkPool.submit_decode_parts``): the chunk's stored stream,
+#: (``ChunkWorkPool.submit_decode_parts``, built by
+#: ``ChunkedFile.submit_read``): the chunk's stored stream,
 #: per-axis ``(start, stop)`` bounds in the chunk and in the output, and
 #: the chunk's container index entry — its number, start and shape — so
-#: the worker checks the decoded shape as ``ChunkedFile.chunk_from``
+#: the worker checks the decoded shape as ``ChunkedFile.chunk``
 #: does.  Also registered.
 DECODE_PART_LAYOUT = "blob,src,dst,index,start,shape"
 

@@ -28,26 +28,28 @@ The service's execution model, front to back:
 * Per-field work is the library's :class:`~repro.chunked.api.CompressJob`
   — admit, derive, execute — borrowed whole.  Derivation (sampling,
   Algorithm 1 selection, the Eq. 5 (alpha, beta) search) is the
-  amortizable step, so the service wraps ``job.derive`` in a
+  amortizable step, so the service wraps it in a
   :class:`~repro.core.plan_cache.PlanLRU` keyed by (codec config, bound
   request, field signature).  Warm traffic on a field family skips tuning
   entirely and goes straight to execution; the quantizer still enforces
   the error bound point-wise on every request, so a cache hit can never
   loosen the guarantee.  One derive is in flight per key: concurrent
   first requests of one ``family=`` run one plan.
-* Codec work runs off the event loop.  With ``processes > 1`` all of it
-  goes to the long-lived process pool
-  (:class:`~repro.parallel.executor.ChunkWorkPool`).  A one-chunk job
-  is one hand-over: one worker derives on a cache miss, executes and
-  returns the finished container.  A bigger job lends its cache-miss
-  derive the workers for the trials, then sends its chunks in slab
-  batches under one service-wide window.  Plain-stream decodes and the
-  parts of a read are decoded there too.  Otherwise it runs on a small
-  thread executor (numpy releases the GIL for the hot kernels, and
-  tests stay fork-free).
+* **Every job is one call** on a thread, off the event loop, and the
+  call is the library's own routine: a compress is the plan lookup plus
+  :meth:`CompressJob.compress_to`, a chunked decompress or a read is
+  :meth:`ChunkedFile.read`, a plain stream is ``decompress_any``.  With
+  ``processes > 1`` the same call hands the work to the long-lived
+  process pool (:class:`~repro.parallel.executor.ChunkWorkPool`) and
+  returns its future: a compress goes whole to one worker
+  (:meth:`CompressJob.submit_whole` — whatever its chunk count, the
+  worker derives on a cache miss, executes and returns the finished
+  container), a plain stream through ``submit_decompress`` and a read
+  through :meth:`ChunkedFile.submit_read`.  A job past its deadline is
+  answered at once but keeps its slot until its call ends, so every
+  slot has its own thread.
 
-Container bytes come out of the job's own walk, and hyperslab reads
-execute the same :meth:`ChunkedFile.slab_plan` the library path runs —
+Served bytes and arrays come out of the library's own routines, so
 byte/bit identity between served and in-process results is by
 construction, and pinned in ``tests/service``.
 """
@@ -59,7 +61,7 @@ import io
 import math
 import os
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -91,7 +93,7 @@ from repro.errors import (
     DecompressionError,
     ServiceOverloadedError,
 )
-from repro.parallel.executor import BATCH_CHUNKS, ChunkWorkPool
+from repro.parallel.executor import ChunkWorkPool
 from repro.service.admission import (
     AdmissionController,
     AdmissionLimits,
@@ -112,20 +114,19 @@ from repro.service.protocol import (
 )
 
 
-#: threads for the blocking halves of a job (field admission, container
-#: I/O, in-process codec work when ``processes <= 1``)
-IO_THREADS = 4
+#: derived plans kept across requests (LRU)
+PLAN_CACHE_SIZE = 128
 
-#: server-side containers kept open for path-based reads (LRU)
-OPEN_FILES = 8
+#: the least ``retry_after`` hint a rejected request carries (seconds)
+RETRY_AFTER = 0.05
 
 
 @dataclass
 class ServiceConfig:
     """Knobs of one service instance.
 
-    ``processes <= 1`` keeps execution in-process (thread executor, no
-    forks, one job at a time) — the right default for tests and small
+    ``processes <= 1`` keeps execution in-process (a thread, no forks,
+    one job at a time) — the right default for tests and small
     deployments; a larger value is that many pool workers and one job
     slot more, with all codec work on the workers.
 
@@ -144,16 +145,14 @@ class ServiceConfig:
 
     processes: int = 1
     max_queue: int = 64
-    plan_cache_size: int = 128
-    retry_after: float = 0.05
     serve_root: Optional[str] = None
     client_rate: float = 16.0
     client_burst: float = 48.0
     stats_interval: float = 0.0
 
 
-#: what a one-chunk job's worker hands back: the plan it ran (None for a
-#: codec without one, or per-chunk tuning) and the finished container
+#: what a compress's call hands back: the plan it ran (None for a codec
+#: without one, or per-chunk tuning) and the finished container
 _Ran = Tuple[Optional[FrozenPlan], bytes]
 
 #: the STATS ``jobs_<kind>`` counter each request type feeds
@@ -184,12 +183,12 @@ class CompressionService:
         self._pending: Dict[str, "Deque[_Job]"] = {
             cls: deque() for cls in PRIORITIES
         }
-        self.plans = PlanLRU(self.config.plan_cache_size)
+        self.plans = PlanLRU(PLAN_CACHE_SIZE)
         self.metrics = ServiceMetrics()
         self.admission = AdmissionController(
             AdmissionLimits(
                 max_queue_jobs=max(1, self.config.max_queue),
-                min_retry_after=self.config.retry_after,
+                min_retry_after=RETRY_AFTER,
             ),
             client_rate=self.config.client_rate,
             client_burst=self.config.client_burst,
@@ -203,17 +202,11 @@ class CompressionService:
         #: job slots: one per worker and one more when the pool fans out,
         #: else one
         self._slots = self.config.processes + 1 if self._pool.parallel else 1
-        # a full batch lane of cache-miss derives blocks S - 1 threads;
-        # the last slot's job must still find one
+        # a job makes one thread call and keeps its slot until the call
+        # ends, past its deadline too (``_call``): one thread per slot
         self._threads = ThreadPoolExecutor(
-            max_workers=max(IO_THREADS, self._slots),
-            thread_name_prefix="repro-svc",
+            max_workers=self._slots, thread_name_prefix="repro-svc"
         )
-        self._files: "OrderedDict[str, Tuple[Tuple[int, int], ChunkedFile]]" = (
-            OrderedDict()
-        )
-        #: bound on slab batches resident at once, over all running jobs
-        self._window = asyncio.Semaphore(self._pool.window_batches)
         self._running: Dict["asyncio.Task[None]", _Job] = {}
         self._started = False
 
@@ -235,14 +228,13 @@ class CompressionService:
         for pending in self._pending.values():
             while pending:
                 self._fail(pending.popleft(), self._shutting_down())
-        for _, (_, cf) in self._files.items():
-            cf.close()
-        self._files.clear()
         self._pool.shutdown()
+        # a cancelled job's call may still run: its reader closes with it
         self._threads.shutdown(wait=True)
 
-    def _shutting_down(self) -> ServiceOverloadedError:
-        return ServiceOverloadedError(self.config.retry_after, "shutting-down")
+    @staticmethod
+    def _shutting_down() -> ServiceOverloadedError:
+        return ServiceOverloadedError(RETRY_AFTER, "shutting-down")
 
     @staticmethod
     def _fail(job: _Job, exc: BaseException) -> None:
@@ -258,12 +250,16 @@ class CompressionService:
         whether the job was accepted, so it can push the RETRY response
         instead of holding the connection while the queue drains.  The
         job-count bound and the client's token bucket decide (see
-        :mod:`repro.service.admission`).
+        :mod:`repro.service.admission`); a malformed priority or deadline
+        is refused before either counts the request.
         """
         loop = asyncio.get_running_loop()
         priority = validate_priority(
             getattr(request, "priority", "interactive")
         )
+        deadline_ms = getattr(request, "deadline_ms", None)
+        if deadline_ms is not None:
+            deadline_ms = validate_deadline_ms(deadline_ms)
         attempt = int(getattr(request, "attempt", 0))
         client_id = getattr(request, "client_id", None)
         decision = self.admission.try_admit(request_units(request), client_id)
@@ -272,9 +268,6 @@ class CompressionService:
             raise ServiceOverloadedError(decision.retry_after, decision.reason)
         self.metrics.admit(priority, attempt)
         future = loop.create_future()
-        deadline_ms = getattr(request, "deadline_ms", None)
-        if deadline_ms is not None:
-            deadline_ms = validate_deadline_ms(deadline_ms)
         now = time.monotonic()
         job = _Job(
             request=request,
@@ -324,7 +317,6 @@ class CompressionService:
             "queue_depth_batch": len(self._pending["batch"]),
             "max_queue": self.config.max_queue,
             "processes": self.config.processes,
-            "open_containers": len(self._files),
         }
         health = self._pool.health()
         out["pool_degraded"] = int(health["pool_mode"] == "serial")
@@ -380,37 +372,21 @@ class CompressionService:
         self._fill_slots()
 
     async def _run_job(self, job: _Job) -> None:
-        """Run one job, routing the outcome into its future.
-
-        A job with a client deadline runs under ``asyncio.wait_for``:
-        hitting the deadline cancels the work coroutine (which cascades
-        into the wrapped pool futures, so abandoned chunk results are
-        dropped by the pool supervisor) and resolves the job's future
-        with :class:`DeadlineExceededError` — releasing its admission
-        place through the ordinary ``_on_job_done`` exit path.
-        """
+        """Run one job, routing the outcome into its future (a job past
+        its deadline is answered in :meth:`_call`, and its outcome then
+        goes nowhere)."""
         req = job.request
         if isinstance(req, CompressRequest):
-            work = self._compress(req)
+            work = self._compress(job, req)
         elif isinstance(req, DecompressRequest):
-            work = self._decompress(req)
+            work = self._decompress(job, req)
         elif isinstance(req, ReadSlabRequest):
-            work = self._read_slab(req)
+            work = self._read_slab(job, req)
         else:
             self._fail(job, TypeError(f"unschedulable request {type(req).__name__}"))
             return
         try:
-            if job.deadline is not None:
-                remaining = job.deadline - time.monotonic()
-                result = await asyncio.wait_for(work, max(0.0, remaining))
-            else:
-                result = await work
-        except asyncio.TimeoutError:
-            self.metrics.deadline_missed(job.priority, "running")
-            if not job.future.done():
-                job.future.set_exception(
-                    DeadlineExceededError(job.deadline_ms, "running")
-                )
+            result = await work
         except Exception as exc:  # the job's failure, never the service's
             if not job.future.done():
                 job.future.set_exception(exc)
@@ -418,30 +394,79 @@ class CompressionService:
             if not job.future.done():
                 job.future.set_result(result)
 
+    async def _call(
+        self, job: _Job, fn: Callable[..., Any], *args: object
+    ) -> Any:
+        """The job's one thread call, ``fn(*args)``, and the pool future
+        it hands back, if it hands one back, each awaited until the job's
+        deadline.
+
+        Past the deadline the job is answered at once.  A pool future is
+        then cancelled, which drops its result and frees its slab; a
+        thread call cannot be, so the job keeps its slot until the call
+        ends, and cancels what the call hands back then.  Slots and
+        threads stay equal that way: a later job never waits for a
+        thread, and an abandoned batch call still counts in its lane.
+        """
+        call = self._threads.submit(fn, *args)
+        started = asyncio.wrap_future(call)
+        try:
+            if not await self._in_time(job, started):
+                await asyncio.wait([started])  # the slot is held to here
+            handed = await started  # done by now
+            if not isinstance(handed, Future):
+                return handed
+            pooled = asyncio.wrap_future(handed)
+            if await self._in_time(job, pooled):
+                return await pooled
+            pooled.cancel()
+            raise DeadlineExceededError(job.deadline_ms, "running")
+        finally:
+            # cancelled (the service is closing) while the call runs on:
+            # what it hands back is cancelled once it ends
+            started.cancel()
+            call.add_done_callback(_cancel_pooled)
+
+    async def _in_time(self, job: _Job, waiting: "asyncio.Future[Any]") -> bool:
+        """Wait for ``waiting`` until the job's deadline.  Past it, answer
+        the job with :class:`DeadlineExceededError` — which releases its
+        admission place through ``_on_job_done`` — and return False,
+        leaving ``waiting`` running."""
+        left = None
+        if job.deadline is not None:
+            left = max(0.0, job.deadline - time.monotonic())
+        done, _ = await asyncio.wait([waiting], timeout=left)
+        if done:
+            return True
+        if not job.future.done():
+            self.metrics.deadline_missed(job.priority, "running")
+            self._fail(job, DeadlineExceededError(job.deadline_ms, "running"))
+        return False
+
     # ------------------------------------------------------------- compress
-    async def _compress(self, req: CompressRequest) -> bytes:
-        loop = asyncio.get_running_loop()
-        if not self._pool.parallel:
-            prep = await loop.run_in_executor(
-                self._threads, self._prepare_compress, req, CompressJob.derive
-            )
-            # in-process execution IS the library walk, on a thread
-            return await loop.run_in_executor(
-                self._threads, _container_bytes, prep.compress_to
-            )
-        handed = await self._await_pooled(self._start_pooled, req)
-        if isinstance(handed, CompressJob):
-            return await self._compress_batches(handed)
-        _plan, container = handed
+    async def _compress(self, job: _Job, req: CompressRequest) -> bytes:
+        _plan, container = await self._call(job, self._start_compress, req)
         return container
 
-    def _prepare_compress(
-        self,
-        req: CompressRequest,
-        derive: Callable[[CompressJob], FrozenPlan],
-    ) -> CompressJob:
-        """Blocking half: admit the field, take the plan from the cache or,
-        on a miss, from ``derive(job)``."""
+    def _start_compress(
+        self, req: CompressRequest
+    ) -> Union[_Ran, "Future[_Ran]"]:
+        """The one thread call of a compress: admit the field, take the
+        plan from the cache, then run the library's own
+        :meth:`CompressJob.compress_to` — here, or with a pool whole on
+        one worker (:meth:`CompressJob.submit_whole`).  A cache miss
+        derives where the job runs: the worker hands back the plan it ran
+        with the container, and the cache keeps it."""
+        ran: List[_Ran] = []
+
+        def derive(job: CompressJob) -> FrozenPlan:
+            if not self._pool.parallel:
+                return job.derive()
+            ran.append(job.submit_whole(self._pool).result())
+            plan = ran[0][0]
+            assert plan is not None  # wants_plan: the walk derived one
+            return plan
+
         job = CompressJob(
             req.data, req.codec, req.chunks, req.codec_kwargs,
             req.normalized_bound, req.per_chunk_tuning,
@@ -453,87 +478,13 @@ class CompressionService:
                 field_signature(req.data, req.family),
             )
             job.plan = self.plans.get_or_derive(key, lambda: derive(job))
-        return job
-
-    def _start_pooled(
-        self, req: CompressRequest
-    ) -> Union[CompressJob, "_Ran", "Future[_Ran]"]:
-        """The one thread call of a pooled compress.
-
-        A one-chunk job goes to one worker whole — derive if the cache
-        misses, execute, write: the library's own
-        :meth:`CompressJob.compress_to` — and comes back as the plan it
-        ran and the finished container.  A bigger job comes back planned
-        (its derive lends the analysis the pool's workers), for
-        :meth:`_compress_batches`.
-        """
-        ran: List[_Ran] = []
-
-        def derive(job: CompressJob) -> FrozenPlan:
-            if len(job.grid) > 1:
-                return job.derive(self._pool)
-            ran.append(job.submit_whole(self._pool).result())
-            plan = ran[0][0]
-            assert plan is not None  # wants_plan: the walk derived one
-            return plan
-
-        job = self._prepare_compress(req, derive)
         if ran:
             return ran[0]
-        return job.submit_whole(self._pool) if len(job.grid) == 1 else job
-
-    async def _await_pooled(self, helper: Callable[..., Any], *args: object) -> Any:
-        """``helper(*args)`` on the thread executor, and the pool future
-        it hands back, if it hands one back.
-
-        A helper that fills a slab returns the pool future that owns it.
-        A deadline can cancel this coroutine while the helper is still
-        running on its thread: that pool future is then cancelled the
-        moment it exists, which releases the slab.
-        """
-        started = self._threads.submit(helper, *args)
-        try:
-            handed = await asyncio.wrap_future(started)
-        except asyncio.CancelledError:
-            started.add_done_callback(_cancel_pooled)
-            raise
-        if isinstance(handed, Future):
-            return await asyncio.wrap_future(handed)
-        return handed
-
-    async def _compress_batches(self, job: CompressJob) -> bytes:
-        """A multi-chunk job: slab batches under the service-wide window,
-        then the container walk on a thread.  After a batch fails, the
-        batches still waiting for the window skip, and the job fails once
-        the ones already out have settled: nothing of it is submitted
-        after its error is returned."""
-        failed = False
-
-        async def one_batch(indices: List[int]) -> List[bytes]:
-            nonlocal failed
-            async with self._window:  # held from slab fill to completion:
-                # the bytes of live slabs never exceed the window's batches
-                if failed:
-                    return []
-                views = [job.data[job.grid.chunk_slices(i)] for i in indices]
-                try:
-                    return await self._await_pooled(
-                        self._pool.submit_compress_views,
-                        job.codec_name, job.codec_kwargs, views, job.eb, job.plan,
-                    )
-                except Exception:
-                    failed = True
-                    raise
-
-        indices = list(job.grid)
-        blob_lists = _first_failure(await asyncio.gather(*[
-            one_batch(indices[k:k + BATCH_CHUNKS])
-            for k in range(0, len(indices), BATCH_CHUNKS)
-        ], return_exceptions=True))
-        blobs = [b for lst in blob_lists for b in lst]
-        return await asyncio.get_running_loop().run_in_executor(
-            self._threads, _container_bytes, job.write, enumerate(blobs)
-        )
+        if self._pool.parallel:
+            return job.submit_whole(self._pool)
+        buf = io.BytesIO()
+        job.compress_to(buf)
+        return job.plan, buf.getvalue()
 
     # ------------------------------------------------------ decompress/read
     @staticmethod
@@ -553,39 +504,46 @@ class CompressionService:
                 f"{MAX_FRAME}-byte service frame cap"
             )
 
-    async def _decompress(self, req: DecompressRequest) -> np.ndarray:
+    async def _decompress(
+        self, job: _Job, req: DecompressRequest
+    ) -> np.ndarray:
         blob = req.blob
         header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
         self._check_decode_size(header.shape, header.dtype, "field")
-        if not header.is_chunked:
-            if self._pool.parallel:
-                # off the loop like every pool submit: acquiring a lane
-                # may build or heal the executor
-                return await self._await_pooled(
-                    self._pool.submit_decompress, blob
-                )
-            return await asyncio.get_running_loop().run_in_executor(
-                self._threads, decompress_any, blob
-            )
-        cf = ChunkedFile(blob)
-        try:
-            full = tuple(slice(0, n) for n in cf.shape)
-            return await self._read_from(cf, full)
-        finally:
-            cf.close()
+        if header.is_chunked:
+            return await self._call(job, self._read, blob, None)
+        if self._pool.parallel:
+            return await self._call(job, self._pool.submit_decompress, blob)
+        return await self._call(job, decompress_any, blob)
 
-    async def _read_slab(self, req: ReadSlabRequest) -> np.ndarray:
+    async def _read_slab(self, job: _Job, req: ReadSlabRequest) -> np.ndarray:
         if isinstance(req.source, (bytes, bytearray, memoryview)):
-            cf = ChunkedFile(bytes(req.source))
-            try:
-                # wire-delivered container: its declared field size is as
-                # attacker-controlled as a DECOMPRESS blob's
+            source: Union[bytes, str] = bytes(req.source)
+        else:
+            source = self._resolve_path(str(req.source))
+        return await self._call(job, self._read, source, req.slab)
+
+    def _read(
+        self, source: Union[bytes, str], slab: Optional[Slab]
+    ) -> Union[np.ndarray, "Future[np.ndarray]"]:
+        """The one thread call of a read (``slab=None``: the whole field):
+        open the container — bytes off the wire, or a file under
+        ``serve_root`` — and run :meth:`ChunkedFile.read`, or with a pool
+        :meth:`ChunkedFile.submit_read`, which has read every chunk it
+        needs by the time it returns.  Either way the reader closes here."""
+        with ChunkedFile(source) as cf:
+            if isinstance(source, bytes):
+                # a wire container's declared field is as attacker-
+                # controlled as a DECOMPRESS blob's, and a slab decodes
+                # every chunk it touches in full
                 self._check_decode_size(cf.shape, cf.dtype, "field")
-                return await self._read_from(cf, req.slab)
-            finally:
-                cf.close()
-        cf = await self._open_container(self._resolve_path(str(req.source)))
-        return await self._read_from(cf, req.slab)
+            region = cf.grid.normalize_slab(slab or (None,) * len(cf.shape))
+            self._check_decode_size(
+                [s.stop - s.start for s in region], cf.dtype, "hyperslab"
+            )
+            if self._pool.parallel:
+                return cf.submit_read(region, self._pool)
+            return cf.read(region)
 
     def _resolve_path(self, path: str) -> str:
         """Confine path-based reads to ``serve_root`` (refuse without one).
@@ -610,78 +568,9 @@ class CompressionService:
             )
         return candidate
 
-    async def _open_container(self, path: str) -> ChunkedFile:
-        """Open (or reuse) a server-side container, LRU + mtime-validated."""
-        loop = asyncio.get_running_loop()
-        st = await loop.run_in_executor(self._threads, os.stat, path)
-        stamp = (st.st_mtime_ns, st.st_size)
-        cached = self._files.pop(path, None)
-        if cached is not None and cached[0] == stamp:
-            self._files[path] = cached  # re-insert = move to MRU end
-            return cached[1]
-        if cached is not None:
-            cached[1].close()
-        cf = await loop.run_in_executor(self._threads, ChunkedFile, path)
-        self._files[path] = (stamp, cf)
-        while len(self._files) > OPEN_FILES:
-            _, (_, old) = self._files.popitem(last=False)
-            old.close()
-        return cf
-
-    async def _settled(
-        self, fn: Callable[..., Any], *arglists: Sequence[Any]
-    ) -> List[Any]:
-        """``fn`` over the argument lists on the thread executor.  A
-        failure is raised once every call has settled, so a failed request
-        leaves no decode running behind it."""
-        loop = asyncio.get_running_loop()
-        return _first_failure(await asyncio.gather(*[
-            loop.run_in_executor(self._threads, fn, *args)
-            for args in zip(*arglists)
-        ], return_exceptions=True))
-
-    async def _read_from(self, cf: ChunkedFile, slab: Slab) -> np.ndarray:
-        """Concurrent-decode execution of ``ChunkedFile.slab_plan``."""
-        out_shape, parts = cf.slab_descriptors(slab)
-        self._check_decode_size(out_shape, cf.dtype, "hyperslab")
-        if not parts:
-            return np.empty(out_shape, dtype=cf.dtype)
-        indices = [i for i, _, _ in parts]
-        blobs = await self._settled(cf.chunk_bytes, indices)
-        if self._pool.parallel:
-            return await self._await_pooled(
-                self._pool.submit_decode_parts,
-                cf.decode_parts(parts, blobs), out_shape, cf.dtype,
-            )
-        out = np.empty(out_shape, dtype=cf.dtype)
-        chunks = await self._settled(cf.chunk_from, indices, blobs)
-        for (_, src, dst), chunk in zip(parts, chunks):
-            out[_slices(dst)] = chunk[_slices(src)]
-        return out
-
-
-def _slices(bounds: Sequence[Tuple[int, int]]) -> Tuple[slice, ...]:
-    return tuple(slice(start, stop) for start, stop in bounds)
-
-
-def _container_bytes(walk: Callable[..., object], *args: object) -> bytes:
-    """Run one of a job's container walks into memory."""
-    buf = io.BytesIO()
-    walk(buf, *args)
-    return buf.getvalue()
-
-
-def _first_failure(results: List[Any]) -> List[Any]:
-    """``results`` of a settled ``gather(..., return_exceptions=True)``,
-    or the first exception among them, raised."""
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return results
-
 
 def _cancel_pooled(started: "Future[Any]") -> None:
-    """Cancel the pool future a finished helper call produced, if any."""
+    """Cancel the pool future a finished thread call handed back, if any."""
     if not started.cancelled() and started.exception() is None:
         handed = started.result()
         if isinstance(handed, Future):

@@ -80,9 +80,11 @@ class WireSpec:
 #   slab.py      rev 4: the derive-trial job becomes the array job
 #                'slab,array,fn,args' (worker runs fn(array, *args)): a
 #                trial share ships its items as the first arg, and the
-#                service ships a one-chunk job's field under it (with
+#                service ships a compress job's field under it (with
 #                its bound and plan, if cached), whose worker returns the
-#                plan it ran and the finished container
+#                plan it ran and the finished container (the arguments
+#                now carry the job's chunk shape too; the layout is
+#                unchanged)
 #   planbus.py   rev 1: inter-shard plan replication bus — one pipe
 #                payload per message, 'u8 ver | u8 kind | u16 shard_id |
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars

@@ -199,6 +199,33 @@ class TestContainerRobustness:
                 ChunkedFile(path)
             gc.collect()  # a leaked handle would raise ResourceWarning here
 
+    @pytest.mark.parametrize("version", [None, 2], ids=["v3", "v2"])
+    def test_a_closed_reader_refuses_to_read(self, field, tmp_path, version):
+        """Not the file that took its descriptor number since: a v3
+        reader would call that a corrupt chunk, a v2 one (no digests)
+        would return the other file's bytes."""
+        paths = []
+        for scale in (1, -1):
+            blob = compress_chunked(scale * field, codec="sz3", chunks=16,
+                                    rel_error_bound=REL_EB)
+            if version is not None:
+                buf = io.BytesIO()
+                with ChunkedFile(blob) as f:
+                    w = ChunkedWriter(buf, f.info.header.codec_id, f.dtype,
+                                      f.grid, f.error_bound, version=version)
+                    for i in f.grid:
+                        w.write_chunk(i, f.chunk_bytes(i))
+                    w.finalize()
+                blob = buf.getvalue()
+            paths.append(tmp_path / f"{scale}.rpz")
+            paths[-1].write_bytes(blob)
+        closed = ChunkedFile(paths[0])
+        closed.close()
+        with ChunkedFile(paths[1]) as other:
+            with pytest.raises(ValueError, match="closed"):
+                closed.chunk_bytes(0)
+            assert other.chunk_bytes(0)
+
     def test_writer_refuses_missing_and_duplicate_chunks(self):
         grid = grid_for((8, 8), 4)
         buf = io.BytesIO()

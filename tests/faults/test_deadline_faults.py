@@ -72,6 +72,40 @@ class TestLifecycle:
             )
             assert isinstance(blob, bytes)
 
+    def test_a_job_past_its_deadline_keeps_its_slot_until_its_call_ends(
+        self, monkeypatch
+    ):
+        """The thread call of a timed-out compress cannot be stopped: the
+        next job waits it out in the queue, not in its run time, so it
+        still finds a thread of its own when it starts."""
+        from repro.chunked.api import CompressJob
+
+        real = CompressJob.compress_to
+        calls = []
+
+        def first_one_slow(*args, **kwargs):
+            if not calls:
+                calls.append(time.monotonic())
+                time.sleep(0.6)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(CompressJob, "compress_to", first_one_slow)
+        with ServiceClient(ServiceConfig(processes=1)) as svc:
+            with pytest.raises(DeadlineExceededError):
+                svc.compress(
+                    smooth2d(seed=6), codec="qoz", rel_error_bound=1e-3,
+                    deadline_ms=80.0,
+                )
+            blob = svc.compress(
+                smooth2d(seed=7), codec="qoz", rel_error_bound=1e-3,
+                deadline_ms=5000.0,
+            )
+            assert isinstance(blob, bytes)
+            stats = svc.stats()
+        assert stats["deadline_timeout_interactive"] == 1
+        assert stats["queue_wait_sum_us_interactive"] > 300_000
+        assert stats["run_sum_us_interactive"] < 400_000
+
     def test_deadline_far_in_the_future_is_inert(self):
         with ServiceClient(ServiceConfig(processes=1)) as svc:
             blob = svc.compress(

@@ -294,6 +294,34 @@ class TestFailuresLeaveThePoolUsable:
             assert executor._kept.borrowers == 0
         assert compress() == serial
 
+    def test_a_failed_batch_stops_the_jobs_other_batches(self, monkeypatch):
+        """One NaN off the sampled corners fails the chunk that holds it:
+        the error reaches the caller only with the call's other batches
+        cancelled — nothing of it is submitted afterwards, no slab left."""
+        from repro.errors import CompressionError
+
+        submits = []
+        real = ChunkWorkPool.submit_compress_views
+
+        def counted(pool, *args, **kwargs):
+            submits.append(time.monotonic())
+            return real(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkWorkPool, "submit_compress_views", counted)
+        rng = np.random.default_rng(60)
+        data = np.cumsum(rng.standard_normal((64, 64, 64)), axis=0)
+        data = (data / np.abs(data).max()).astype(np.float32)
+        data[12, 20, 44] = np.nan
+        with pytest.raises(CompressionError, match="non-finite"):
+            compress_chunked(
+                data, codec="sz3", error_bound=1e-2, chunks=8, processes=2
+            )
+        raised = len(submits)
+        assert active_slab_names() == []
+        time.sleep(0.5)
+        assert 0 < len(submits) == raised < 256  # 8^3 chunks in pairs
+        assert executor._kept.borrowers == 0
+
     def test_generator_closed_early_leaves_no_slab(self, serial):
         chunks = [(i, FIELD[i]) for i in range(32)]
         with kept_pool(2) as pool:

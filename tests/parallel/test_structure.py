@@ -223,6 +223,27 @@ def test_the_scheduler_has_one_dispatch_path():
     assert starts == [("_fill_slots",)], starts
 
 
+def test_the_scheduler_reaches_codec_work_only_through_the_library():
+    # every job is one call (DESIGN.md §9): a compress is CompressJob's, a
+    # read ChunkedFile's, a plain stream the pool's submit_decompress; the
+    # service's own batch loop, slab window and hyperslab fan-out went,
+    # and a second copy of them would grow back here
+    tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
+    named = {
+        tail(node) for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not named & {
+        "chunk_bytes", "chunk_from", "submit_compress_views",
+        "submit_decode_parts", "submit_array", "compress_stream", "Semaphore",
+    }
+    pool_uses = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and tail(node.value) == "_pool"
+    }
+    assert pool_uses == {"parallel", "submit_decompress", "health", "shutdown"}
+
+
 def test_core_does_not_import_the_pool():
     # derivation takes a trial runner as an argument; it never reaches
     # for a pool itself, so a worker that derives cannot fan out again

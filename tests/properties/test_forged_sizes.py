@@ -382,7 +382,7 @@ PINNED = {
     "api-to_array-v3": Forgery("v3-float32-decode", "window", 155, 4, 1),
     "api-read": Forgery("v3-float32-read", "window", 91, 2, 128),
     "utils-ceil_div": Forgery("v2-float64-serve-decode", "window", 31, 8, 2**16 - 1),
-    "scheduler-_read_from": Forgery("v3-float64-serve-decode", "window", 100, 4, 128),
+    "scheduler-_read": Forgery("v3-float64-serve-decode", "window", 100, 4, 128),
     "protocol-string": Forgery("response-error", "window", 4, 1, 255, "big"),
     "protocol-_unpack_array-dtype": Forgery("response-array", "flip", 6, value=6),
     "protocol-_unpack_array-descr": Forgery("response-array", "flip", 4, value=4),

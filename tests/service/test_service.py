@@ -28,7 +28,7 @@ from repro.core.qoz import QoZ
 from repro.errors import DeadlineExceededError, ServiceOverloadedError
 from repro.service import RemoteClient, ServiceClient, ServiceConfig
 from repro.service.protocol import CompressRequest
-from repro.service.scheduler import CompressionService
+from repro.service.scheduler import RETRY_AFTER, CompressionService
 
 
 def smooth3d(shape=(40, 40, 40), seed=0, dtype=np.float64):
@@ -40,7 +40,7 @@ def smooth3d(shape=(40, 40, 40), seed=0, dtype=np.float64):
 
 @pytest.fixture(scope="module")
 def svc():
-    with ServiceClient(ServiceConfig(processes=1, plan_cache_size=16)) as client:
+    with ServiceClient(ServiceConfig(processes=1)) as client:
         yield client
 
 
@@ -131,9 +131,8 @@ class TestByteIdentity:
             assert np.array_equal(svc.read("field.rpz", slab), inline)
             served = svc.read(str(path), slab)
             assert np.array_equal(served, inline)
-            # second read reuses the cached open container
+            # a second read opens the file again
             assert np.array_equal(svc.read(str(path), slab), inline)
-            assert svc.stats()["open_containers"] >= 1
 
     def test_path_reads_refused_without_serve_root(self, svc, tmp_path):
         path = tmp_path / "anything.rpz"
@@ -155,6 +154,88 @@ class TestByteIdentity:
             ):
                 with pytest.raises(PermissionError, match="outside"):
                     svc.read(escape, (slice(0, 4),))
+
+
+class TestPathReads:
+    """A path read opens its container inside the job's one call and
+    closes it there: no reader outlives its read, so none can be closed
+    under one, or read a file that changed since it was opened."""
+
+    @staticmethod
+    def containers(tmp_path, n):
+        from repro.chunked import compress_chunked_to_file
+
+        paths = [str(tmp_path / f"f{i}.rpz") for i in range(n)]
+        for i, path in enumerate(paths):
+            compress_chunked_to_file(
+                smooth3d((16, 16, 16), seed=80 + i), path, codec="zfp",
+                error_bound=1e-3, chunks=8,
+            )
+        return paths
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_path_read_sees_the_file_as_it_is_now(self, tmp_path, processes):
+        """Rewritten in place with the same size and mtime, the next read
+        still gets the new field (a transposed field compresses to the
+        same size here)."""
+        from repro.chunked import compress_chunked_to_file
+
+        (path,) = self.containers(tmp_path, 1)
+        stamp = os.stat(path)
+        config = ServiceConfig(processes=processes, serve_root=str(tmp_path))
+        with ServiceClient(config) as svc:
+            before = svc.read(path, (slice(None),) * 3)
+            compress_chunked_to_file(
+                smooth3d((16, 16, 16), seed=80).transpose(1, 0, 2).copy(),
+                path, codec="zfp", error_bound=1e-3, chunks=8,
+            )
+            assert os.stat(path).st_size == stamp.st_size
+            os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            after = svc.read(path, (slice(None),) * 3)
+        with ChunkedFile(path) as f:
+            assert np.array_equal(after, f.read((slice(None),) * 3))
+        assert not np.array_equal(after, before)
+
+    def test_path_reads_leave_no_file_open(self, tmp_path):
+        paths = self.containers(tmp_path, 3)
+        config = ServiceConfig(serve_root=str(tmp_path))
+        with ServiceClient(config) as svc:
+            svc.read(paths[0], (slice(0, 4),) * 3)  # warm: threads, imports
+            fds = len(os.listdir("/proc/self/fd"))
+            for path in paths * 3:
+                svc.read(path, (slice(2, 14), slice(None), slice(4, 12)))
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_close_lets_a_running_read_finish(self, tmp_path, monkeypatch):
+        from repro.service.protocol import ReadSlabRequest
+
+        (path,) = self.containers(tmp_path, 1)
+        slab = (slice(2, 14), slice(None), slice(4, 12))
+        with ChunkedFile(path) as f:
+            want = f.read(slab)
+        outcomes = []
+        real = ChunkedFile.read
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.3)
+            try:
+                outcomes.append(real(self, *args, **kwargs))
+            except Exception as exc:
+                outcomes.append(exc)
+                raise
+
+        monkeypatch.setattr(ChunkedFile, "read", slow)
+
+        async def main():
+            service = CompressionService(ServiceConfig(serve_root=str(tmp_path)))
+            await service.start()
+            job = service.submit(ReadSlabRequest(source=path, slab=slab))
+            await asyncio.sleep(0.1)  # the read is on its thread now
+            await service.close()
+            assert job.exception().reason == "shutting-down"
+
+        asyncio.run(main())
+        assert len(outcomes) == 1 and np.array_equal(outcomes[0], want)
 
 
 class TestOneClientSurface:
@@ -189,7 +270,7 @@ class TestOneClientSurface:
         from repro.service.server import ServiceServer
 
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 8
+        assert len(names) == 6
         assert "shard_id" not in names and "n_shards" not in names
         with pytest.raises(TypeError, match="plans"):
             CompressionService(ServiceConfig(), plans=PlanLRU())
@@ -277,9 +358,7 @@ class TestPlanCache:
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):
         async def main():
-            service = CompressionService(
-                ServiceConfig(max_queue=2, retry_after=0.25)
-            )
+            service = CompressionService(ServiceConfig(max_queue=2))
             # scheduler deliberately NOT started: the queue can only fill
             req = CompressRequest(
                 data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0
@@ -287,9 +366,36 @@ class TestBackpressure:
             futures = [service.submit(req) for _ in range(2)]
             with pytest.raises(ServiceOverloadedError) as err:
                 service.submit(req)
-            assert err.value.retry_after == 0.25
+            assert err.value.retry_after == RETRY_AFTER
             for f in futures:
                 f.cancel()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("field,bad", [
+        ("deadline_ms", -1.0), ("deadline_ms", float("nan")),
+        ("priority", "urgent"),
+    ])
+    def test_a_malformed_request_is_refused_before_admission(self, field, bad):
+        """Refused at the door without taking a place or a client's
+        tokens: a full queue's worth of bad requests leaves it empty."""
+        from repro.errors import ProtocolError
+
+        async def main():
+            service = CompressionService(ServiceConfig(max_queue=2))
+            request = dict(
+                data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0,
+                client_id="c1",
+            )
+            for _ in range(3):
+                with pytest.raises(ProtocolError):
+                    service.submit(CompressRequest(**request, **{field: bad}))
+            stats = service.stats()
+            assert stats["admission_jobs"] == 0
+            assert stats["quota_clients_tracked"] == 0
+            future = service.submit(CompressRequest(**request))
+            assert service.stats()["admission_jobs"] == 1
+            future.cancel()
 
         asyncio.run(main())
 
@@ -389,7 +495,7 @@ class TestJobSlots:
             self.gates = {}
             self.service._compress = self._work  # shadows the method
 
-        async def _work(self, req):
+        async def _work(self, job, req):
             self.started.append(req.family)
             await self.gates.setdefault(req.family, asyncio.Event()).wait()
             return req.family.encode()
@@ -528,16 +634,15 @@ class TestJobSlots:
     @pytest.mark.parametrize("processes,slots", [(1, 1), (2, 3), (4, 5)])
     def test_slots_are_the_workers_and_one_more(self, processes, slots):
         """Derived, never configured: one slot without a pool, else one per
-        worker and one to keep them busy through a job's hand-over.  Every
-        slot finds a thread: a full batch lane of cache-miss derives holds
-        S - 1 of them."""
+        worker and one to keep them busy through a job's hand-over.  A job
+        holds at most one thread at a time, so there is one per slot."""
 
         async def main():
             service = CompressionService(ServiceConfig(processes=processes))
             await service.start()
             try:
                 assert service._slots == slots
-                assert service._threads._max_workers >= slots
+                assert service._threads._max_workers == slots
             finally:
                 await service.close()
 
@@ -566,8 +671,9 @@ def pooled():
 
 class TestSameRepliesWithAPool:
     """``processes=2`` sends all of a job's codec work to the workers —
-    derive trials, execution, plain-stream decodes, reads of any part
-    count; every reply equals the in-process service's and the library's."""
+    a compress whole to one worker, whatever its chunk count, a plain
+    stream decode, a read of any part count; every reply equals the
+    in-process service's and the library's."""
 
     @pytest.mark.parametrize("chunks", [None, 16], ids=["one-chunk", "tiled"])
     @pytest.mark.parametrize("family", [None, "pooled-siblings"])
@@ -689,48 +795,9 @@ class TestSameRepliesWithAPool:
             compress_chunked(data, codec="sz3", error_bound=1e-2)
         )
 
-    def test_a_failed_batch_stops_the_jobs_other_batches(self, monkeypatch):
-        """One NaN off the sampled corners fails the chunk that holds it:
-        the error reaches the client only once the job has stopped —
-        nothing of it is submitted afterwards, and the window is whole."""
-        from repro.errors import CompressionError
-        from repro.parallel.executor import ChunkWorkPool
-
-        submits = []
-        real = ChunkWorkPool.submit_compress_views
-
-        def counted(pool, *args, **kwargs):
-            submits.append(time.monotonic())
-            return real(pool, *args, **kwargs)
-
-        monkeypatch.setattr(ChunkWorkPool, "submit_compress_views", counted)
-        data = smooth3d((64, 64, 64), seed=60, dtype=np.float32)
-        data[12, 20, 44] = np.nan
-        with ServiceClient(ServiceConfig(processes=2)) as client:
-            with pytest.raises(CompressionError, match="non-finite"):
-                client.compress(data, codec="sz3", error_bound=1e-2, chunks=8)
-            raised = len(submits)
-            time.sleep(0.5)
-            assert len(submits) == raised < 256  # 8^3 chunks in pairs
-            service = client.service
-            assert service._window._value == service._pool.window_batches
-            assert client.stats()["admission_jobs"] == 0
-
 
 class TestPooledHandOver:
-    """The scheduler's two helpers around a pooled hand-over."""
-
-    def test_settled_results_pass_through_when_none_failed(self):
-        from repro.service.scheduler import _first_failure
-
-        results = [[b"a"], [], [b"b", b"c"]]
-        assert _first_failure(results) is results
-
-    def test_the_first_failure_in_order_is_raised(self):
-        from repro.service.scheduler import _first_failure
-
-        with pytest.raises(ValueError, match="first"):
-            _first_failure([[b"a"], ValueError("first"), KeyError("second")])
+    """The scheduler's helper around a pooled hand-over."""
 
     def test_a_cancelled_hand_over_cancels_only_a_pool_future(self):
         """A deadline can land while the helper still runs on its thread:
@@ -789,6 +856,29 @@ class TestErrorPropagation:
             with pytest.raises(DecompressionError, match="frame cap"):
                 svc.decompress(bomb)
 
+    @pytest.mark.parametrize("client", ["svc", "pooled"])
+    def test_a_wire_container_too_big_to_decode_is_refused_for_any_slab(
+        self, request, monkeypatch, client
+    ):
+        """A slab read decodes every chunk it touches in full, and a
+        run-length coded chunk declares its size in a few hundred bytes:
+        the declared field of a container sent over the wire is held to
+        the frame cap however small the slab.  The cap is lowered here so
+        the field that crosses it stays small."""
+        import repro.service.scheduler as scheduler
+        from repro.errors import DecompressionError
+
+        data = np.zeros((64, 64, 64), dtype=np.float32)  # one chunk
+        blob = compress_chunked(data, codec="sz3", error_bound=1e-2)
+        assert len(blob) < 1024
+        client = request.getfixturevalue(client)
+        corner = (slice(0, 1),) * 3
+        monkeypatch.setattr(scheduler, "MAX_FRAME", data.nbytes - 1)
+        with pytest.raises(DecompressionError, match="declared field"):
+            client.read(blob, corner)
+        monkeypatch.undo()
+        assert np.array_equal(client.read(blob, corner), data[corner])
+
     def test_service_survives_errors(self, svc):
         # the scheduler task must still be alive after the failures above
         data = smooth3d(seed=15)
@@ -806,7 +896,7 @@ class TestStats:
             "queue_depth", "max_queue", "processes",
             "jobs_compress", "jobs_decompress", "jobs_read",
             "plan_cache_size", "plan_cache_capacity", "plan_cache_hits",
-            "plan_cache_misses", "plan_derives", "open_containers",
+            "plan_cache_misses", "plan_derives",
         ):
             assert key in stats, key
         assert stats["max_queue"] == 64

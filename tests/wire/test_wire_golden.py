@@ -74,18 +74,32 @@ def test_decode_parts_are_built_in_the_registered_layout():
     from repro.chunked import ChunkedFile, compress_chunked
     from repro.parallel.slab import DecodePart
 
+    class Recorder:
+        """Stands in for the pool: keeps what ``submit_read`` ships."""
+
+        def submit_decode_parts(self, parts, out_shape, out_dtype):
+            self.parts, self.out = parts, (out_shape, out_dtype)
+            return "future"
+
+    def bounds(slices):
+        return tuple((s.start, s.stop) for s in slices)
+
     blob = compress_chunked(
         np.zeros((8, 8), dtype=np.float32), codec="zfp",
         error_bound=1e-3, chunks=4,
     )
+    slab = (slice(2, 6), slice(0, 8))
+    pool = Recorder()
     with ChunkedFile(blob) as f:
-        _, bounds = f.slab_descriptors((slice(2, 6), slice(0, 8)))
-        blobs = [f.chunk_bytes(i) for i, _, _ in bounds]
-        parts = [DecodePart._make(p) for p in f.decode_parts(bounds, blobs)]
-        for part, (i, src, dst), stored in zip(parts, bounds, blobs):
+        assert f.submit_read(slab, pool) == "future"
+        assert pool.out == ((4, 8), f.dtype)
+        _, plan = f.slab_plan(slab)
+        assert len(pool.parts) == len(plan) == 4
+        for part, (i, src, dst) in zip(pool.parts, plan):
             entry = f.info.entries[i]
-            assert part == DecodePart(
-                stored, src, dst, i, entry.start, entry.shape
+            assert DecodePart._make(part) == DecodePart(
+                f.chunk_bytes(i), bounds(src), bounds(dst), i, entry.start,
+                entry.shape,
             )
 
 
