@@ -68,12 +68,15 @@ class ServiceConnectionError(RemoteServiceError, ProtocolError):
 
 
 class WorkerCrashError(ReproError):
-    """Raised when a job repeatedly crashes worker processes.
+    """Raised when a job kills the worker processes that run it.
 
-    The self-healing pool retries a job whose worker died (the whole
-    batch is not failed for one bad chunk), but a job that breaks the
-    pool ``max_job_crashes`` times is *poisoned*: it fails alone with
-    this error instead of taking the pool down again.
+    The self-healing pool re-dispatches every job in flight when a
+    worker dies (the whole batch is not failed for one bad chunk).  A
+    job in flight at its second pool break reruns alone on a worker of
+    its own; if that worker dies too, the job is *poisoned* and fails
+    with this error, while its bystanders keep their results.  A job
+    the pool could not rerun because it was shutting down fails with
+    it too.
     """
 
 

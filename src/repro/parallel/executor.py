@@ -38,14 +38,8 @@ import math
 import os
 import signal
 import threading
-import time
 from collections import deque
-from concurrent.futures import (
-    Future,
-    InvalidStateError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from multiprocessing.util import Finalize
@@ -59,6 +53,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -84,6 +79,9 @@ BATCH_CHUNKS = 2
 #: stays bounded by the window, not the field
 WINDOW_PER_WORKER = 4
 
+#: pool breaks a job may be in flight for; at this one it reruns alone
+MAX_JOB_CRASHES = 2
+
 
 def _compress_one(args) -> bytes:
     name, kwargs, field, error_bound, rel_error_bound = args
@@ -99,11 +97,6 @@ def _own_signals() -> None:
     server that handles SIGTERM."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _probe_job(_arg: int = 0) -> int:
-    """Trivial job used to test whether a candidate pool's workers live."""
-    return _arg + 1
 
 
 def _compress_batch(args) -> List[bytes]:
@@ -248,28 +241,28 @@ class ChunkWorkPool:
     ``concurrent.futures`` futures: the library blocks on them, an
     asyncio scheduler wraps them with ``asyncio.wrap_future``.
 
-    On top of that sits a supervisor (see DESIGN.md §12): a worker dying
-    of OOM/segfault bricks a raw ``ProcessPoolExecutor`` permanently
-    (every in-flight future gets ``BrokenProcessPool`` and every later
-    submit re-raises it), so callers never see raw pool futures.  Each
-    submit returns an *outer* future; the supervisor routes the inner
-    pool future's outcome into it and, on a pool break:
+    On top of that sits a supervisor with two rules (DESIGN.md §12).  A
+    worker dying of OOM/segfault bricks a raw ``ProcessPoolExecutor``
+    permanently (every in-flight future gets ``BrokenProcessPool`` and
+    every later submit re-raises it), so callers never see raw pool
+    futures: each submit returns an *outer* future, and the supervisor
+    routes the inner pool future's outcome into it.
 
-    * the first observer of a break (generation-checked, so a batch of
-      simultaneous failures heals once) tears the pool down; the next
-      dispatch builds a fresh one;
-    * the jobs that died are re-dispatched with a bounded per-job crash
-      budget — a job that breaks the pool ``max_job_crashes`` times is
-      *poisoned* and fails alone with :class:`WorkerCrashError` instead
-      of taking the batch (or the pool) with it;
-    * ``max_consecutive_crashes`` breaks with no intervening success
-      degrade the pool to an in-process serial lane (a one-thread
-      executor — submits stay non-blocking), and a periodic probe job on
-      a candidate pool re-promotes to process workers once one survives.
+    * **Heal.**  The first observer of a break (generation-checked, so a
+      batch of simultaneous failures heals once) tears the executor
+      down; the next dispatch builds a fresh one.  Every job in flight
+      at the break is re-dispatched.
+    * **Charge only the job that killed the worker.**  A break does not
+      say whose job it was, so a job in flight at its
+      :data:`MAX_JOB_CRASHES`-th break reruns alone, on a one-worker
+      executor of its own.  If that worker dies too the job is
+      *poisoned* and fails with :class:`WorkerCrashError`; its
+      bystanders return their results.  No job ever runs in the calling
+      process.
 
-    Every supervisor transition is reported through ``on_event`` (the
-    service wires this to ``ServiceMetrics.pool_event``), and the
-    current mode is visible via :meth:`health`.
+    Every supervisor event (``crash``, ``retry``, ``respawn``,
+    ``poisoned``) is reported through ``on_event`` (the service wires
+    this to ``ServiceMetrics.pool_event``).
 
     Crash retries re-ship the payload (or slab descriptor) verbatim, so
     a stream compressed through the pool is byte-identical to one
@@ -284,28 +277,19 @@ class ChunkWorkPool:
     def __init__(
         self,
         processes: Optional[int] = None,
-        max_job_crashes: int = 2,
-        max_consecutive_crashes: int = 3,
-        probe_interval: float = 5.0,
         on_event: Optional[Callable[[str], None]] = None,
         mp_context=None,
     ) -> None:
         self.processes = processes
-        self.max_job_crashes = int(max_job_crashes)
-        self.max_consecutive_crashes = int(max_consecutive_crashes)
-        self.probe_interval = float(probe_interval)
         self._on_event = on_event
         self._mp_context = mp_context
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._serial: Optional[ThreadPoolExecutor] = None
+        #: one-worker executors of jobs rerunning alone
+        self._lone: Set[ProcessPoolExecutor] = set()
         self._generation = 0
-        self._consecutive = 0
-        self._degraded = False
         self._closed = False
         self._ever_built = False
-        self._probe_inflight = False
-        self._last_probe = 0.0
         #: library calls inside ``with kept_pool(...)`` on this pool right
         #: now (the registry's count, under the registry's lock)
         self.borrowers = 0
@@ -325,62 +309,29 @@ class ChunkWorkPool:
         """Whether submits actually fan out to worker processes."""
         return self.processes is not None and self.processes > 1
 
-    @property
-    def degraded(self) -> bool:
-        """True while jobs run on the in-process serial fallback lane."""
-        return self._degraded
-
-    def health(self) -> Dict[str, Any]:
-        """Supervisor state for the service stats snapshot."""
-        with self._lock:
-            return {
-                "pool_mode": "serial" if self._degraded else "process",
-                "pool_generation": self._generation,
-                "pool_consecutive_crashes": self._consecutive,
-            }
-
     # ------------------------------------------------------------ supervisor
     def _emit(self, kind: str) -> None:
         if self._on_event is not None:
             self._on_event(kind)
 
-    def _new_executor(self) -> ProcessPoolExecutor:
+    def _new_executor(self, workers: Optional[int] = None) -> ProcessPoolExecutor:
         share_tracker_with_children()
         return ProcessPoolExecutor(
-            max_workers=self.processes, mp_context=self._mp_context,
+            max_workers=workers or self.processes, mp_context=self._mp_context,
             initializer=_own_signals,
         )
 
-    def _acquire_lane(self):
-        """Pick the executor for one dispatch attempt.
-
-        Returns ``(lane, generation, process_lane, probe_needed)``; the
-        probe kick happens in the caller, outside the lock, because a
-        probe whose future completes synchronously would re-enter it.
-        """
+    def _acquire(self) -> Tuple[ProcessPoolExecutor, int]:
+        """The shared executor, built on demand, and its generation."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a shut-down ChunkWorkPool")
-            if self._degraded:
-                if self._serial is None:
-                    self._serial = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="repro-serial"
-                    )
-                now = time.monotonic()
-                probe = (
-                    not self._probe_inflight
-                    and now - self._last_probe >= self.probe_interval
-                )
-                if probe:
-                    self._probe_inflight = True
-                    self._last_probe = now
-                return self._serial, self._generation, False, probe
             if self._pool is None:
                 self._pool = self._new_executor()
                 if self._ever_built:
                     self._emit("respawn")
                 self._ever_built = True
-            return self._pool, self._generation, True, False
+            return self._pool, self._generation
 
     def _note_crash(self, gen: int) -> None:
         """Heal one pool break: teardown now, a fresh pool on next dispatch.
@@ -393,65 +344,13 @@ class ChunkWorkPool:
             if self._closed or gen != self._generation:
                 return
             self._generation += 1
-            self._consecutive += 1
             dead, self._pool = self._pool, None
-            degraded_now = (
-                not self._degraded
-                and self._consecutive >= self.max_consecutive_crashes
-            )
-            if degraded_now:
-                self._degraded = True
-                self._last_probe = time.monotonic()
         if dead is not None:
             try:
                 dead.shutdown(wait=False, cancel_futures=True)
             except (OSError, RuntimeError):
                 pass  # a broken executor may refuse; it is already dead
         self._emit("crash")
-        if degraded_now:
-            self._emit("degraded")
-
-    def _note_success(self, gen: int) -> None:
-        with self._lock:
-            if gen == self._generation:
-                self._consecutive = 0
-
-    def _start_probe(self) -> None:
-        """Try one job on a candidate process pool; adopt it if it lives."""
-        candidate = self._new_executor()
-        try:
-            fut = candidate.submit(_probe_job)
-        except (BrokenProcessPool, RuntimeError):
-            self._probe_failed(candidate)
-            return
-        fut.add_done_callback(lambda f: self._probe_done(f, candidate))
-
-    def _probe_done(self, fut: Future, candidate: ProcessPoolExecutor) -> None:
-        ok = not fut.cancelled() and fut.exception() is None
-        with self._lock:
-            adopt = ok and self._degraded and not self._closed
-            if adopt:
-                self._pool = candidate
-                self._degraded = False
-                self._consecutive = 0
-                self._generation += 1
-            self._probe_inflight = False
-        if adopt:
-            self._emit("promoted")
-        else:
-            self._probe_failed(candidate, emit=not ok)
-
-    def _probe_failed(
-        self, candidate: ProcessPoolExecutor, emit: bool = True
-    ) -> None:
-        with self._lock:
-            self._probe_inflight = False
-        try:
-            candidate.shutdown(wait=False, cancel_futures=True)
-        except (OSError, RuntimeError):
-            pass
-        if emit:
-            self._emit("probe-failure")
 
     # -------------------------------------------------------------- dispatch
     def _submit(self, fn: Callable, payload) -> "Future":
@@ -461,62 +360,93 @@ class ChunkWorkPool:
 
     def _dispatch(self, fn: Callable, payload, outer: "Future", crashes: int) -> None:
         while not outer.cancelled():
-            lane, gen, process_lane, probe = self._acquire_lane()
-            if probe:
-                self._start_probe()
+            pool, gen = self._acquire()
             try:
-                inner = lane.submit(fn, payload)
+                inner = pool.submit(fn, payload)
             except BrokenProcessPool:
                 # the pool broke between two of our submits; heal and
                 # retry the dispatch (this is a pool fault, not a job
-                # fault — the job never ran, so its crash budget is
+                # fault — the job never ran, so its crash count is
                 # untouched)
                 self._note_crash(gen)
                 continue
             inner.add_done_callback(
-                lambda f: self._job_done(f, fn, payload, outer, crashes, gen, process_lane)
+                lambda f: self._job_done(f, fn, payload, outer, crashes, gen)
             )
             return
 
+    def _run_alone(self, fn: Callable, payload, outer: "Future") -> None:
+        """Rerun one job on a one-worker executor of its own: a worker
+        that dies there was killed by this job and no other."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit to a shut-down ChunkWorkPool")
+            lone = self._new_executor(1)
+            self._lone.add(lone)
+        try:
+            inner = lone.submit(fn, payload)
+        except (RuntimeError, OSError):
+            self._retire(lone)
+            raise
+        inner.add_done_callback(lambda f: self._alone_done(f, lone, outer))
+
+    def _retire(self, lone: ProcessPoolExecutor) -> None:
+        with self._lock:
+            self._lone.discard(lone)
+        lone.shutdown(wait=False)
+
     def _job_done(
-        self,
-        inner: "Future",
-        fn: Callable,
-        payload,
-        outer: "Future",
-        crashes: int,
-        gen: int,
-        process_lane: bool,
+        self, inner: "Future", fn: Callable, payload, outer: "Future",
+        crashes: int, gen: int,
     ) -> None:
-        if outer.cancelled():
+        if not self._broke(inner, outer):
             return
+        self._note_crash(gen)
+        crashes += 1
+        self._emit("retry")
+        try:
+            if crashes < MAX_JOB_CRASHES:
+                self._dispatch(fn, payload, outer, crashes)
+            else:
+                self._run_alone(fn, payload, outer)
+        except (RuntimeError, OSError) as exc:
+            # shut down (or out of processes) under a crashed job: nothing
+            # will run it again, so it must not be left unresolved
+            self._set_exception(
+                outer, WorkerCrashError(f"job lost its worker and cannot rerun: {exc}")
+            )
+
+    def _alone_done(
+        self, inner: "Future", lone: ProcessPoolExecutor, outer: "Future"
+    ) -> None:
+        self._retire(lone)
+        if self._broke(inner, outer):
+            self._emit("poisoned")
+            self._set_exception(
+                outer,
+                WorkerCrashError(
+                    "job killed its worker again running alone "
+                    "(pool healed; this job is poisoned)"
+                ),
+            )
+
+    def _broke(self, inner: "Future", outer: "Future") -> bool:
+        """Whether ``inner`` lost its worker; if not, its outcome is now
+        ``outer``'s."""
+        if outer.cancelled():
+            return False
         if inner.cancelled():
             # only shutdown cancels queued inner futures; mirror it
             outer.cancel()
-            return
+            return False
         exc = inner.exception()
         if isinstance(exc, BrokenProcessPool):
-            self._note_crash(gen)
-            crashes += 1
-            if crashes >= self.max_job_crashes:
-                self._emit("poisoned")
-                self._set_exception(
-                    outer,
-                    WorkerCrashError(
-                        f"job killed its worker {crashes} times "
-                        f"(pool healed; this job is poisoned)"
-                    ),
-                )
-                return
-            self._emit("retry")
-            self._dispatch(fn, payload, outer, crashes)
-            return
+            return True
         if exc is not None:
             self._set_exception(outer, exc)
-            return
-        if process_lane:
-            self._note_success(gen)
-        self._set_result(outer, inner.result())
+        else:
+            self._set_result(outer, inner.result())
+        return False
 
     @staticmethod
     def _set_result(outer: "Future", value) -> None:
@@ -728,18 +658,19 @@ class ChunkWorkPool:
         return outer
 
     def shutdown(self) -> None:
-        """Idempotent teardown that tolerates an already-broken pool."""
+        """Idempotent teardown that tolerates an already-broken pool; it
+        stops the one-worker executors of jobs rerunning alone too."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            pool, self._pool = self._pool, None
-            serial, self._serial = self._serial, None
-        for lane in (pool, serial):
-            if lane is None:
+            executors = [self._pool, *self._lone]
+            self._pool = None
+        for executor in executors:
+            if executor is None:
                 continue
             try:
-                lane.shutdown(wait=True, cancel_futures=True)
+                executor.shutdown(wait=True, cancel_futures=True)
             except (OSError, RuntimeError):
                 pass  # a broken executor may raise on shutdown; it is gone
 

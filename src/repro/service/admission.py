@@ -436,9 +436,9 @@ class ServiceMetrics:
         self._bump(f"{table}_{priority}")
 
     def pool_event(self, kind: str) -> None:
-        """One worker-pool supervisor transition (crash/retry/respawn/
-        poisoned/degraded/promoted/probe-failure).  Thread-safe: the
-        supervisor reports from executor callback threads, not the loop.
+        """One worker-pool supervisor event (crash/retry/respawn/
+        poisoned).  Thread-safe: the supervisor reports from executor
+        callback threads, not the loop.
         """
         with self._pool_lock:
             self._pool_events[kind] = self._pool_events.get(kind, 0) + 1

@@ -194,7 +194,7 @@ class CompressionService:
             client_burst=self.config.client_burst,
             mean_run_s=self.metrics.mean_run_s,
         )
-        # the pool supervisor reports crash/retry/respawn/degrade events
+        # the pool supervisor reports crash/retry/respawn/poisoned events
         # straight into the metrics registry (pool_event is thread-safe)
         self._pool = ChunkWorkPool(
             self.config.processes, on_event=self.metrics.pool_event
@@ -318,12 +318,6 @@ class CompressionService:
             "max_queue": self.config.max_queue,
             "processes": self.config.processes,
         }
-        health = self._pool.health()
-        out["pool_degraded"] = int(health["pool_mode"] == "serial")
-        out["pool_generation"] = int(health["pool_generation"])
-        out["pool_consecutive_crashes"] = int(
-            health["pool_consecutive_crashes"]
-        )
         out.update(self.metrics.snapshot())
         out.update(self.admission.stats())
         out.update(self.plans.stats())

@@ -1,5 +1,6 @@
 """Shared pytest fixtures and subprocess helpers."""
 
+import logging
 import os
 import pathlib
 import time
@@ -69,6 +70,39 @@ def live_children_fixture():
     """:func:`live_children` for test modules (conftest is not importable
     by name when ``benchmarks/conftest.py`` is collected too)."""
     return live_children
+
+
+class _CallbackErrors(logging.Handler):
+    """Collects what ``concurrent.futures`` logs when a done-callback
+    raises: the exception goes nowhere else, and a callback that was
+    meant to resolve another future leaves that future pending."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record):
+        if "exception calling callback" in record.getMessage():
+            self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_done_callback_raises():
+    """Fail any test during which a future's done-callback raised."""
+    handler = _CallbackErrors()
+    logger = logging.getLogger("concurrent.futures")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "a done-callback raised:\n" + "\n".join(
+                logging.Formatter().format(r) for r in handler.records
+            ),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session", autouse=True)

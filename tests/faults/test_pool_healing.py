@@ -1,16 +1,22 @@
-"""Kill real workers; assert the ChunkWorkPool supervisor heals.
+"""Kill real workers; assert the ChunkWorkPool supervisor's two rules.
 
 The contract under test (DESIGN.md §12): a worker death must never leak
-``BrokenProcessPool`` to a caller — in-flight jobs are retried on a
-fresh pool within a bounded crash budget, a job that keeps breaking the
-pool is poisoned *alone*, repeated breaks degrade to an in-process
-serial lane, and a successful probe promotes back to process workers.
+``BrokenProcessPool`` to a caller.  Every job in flight at a pool break
+is re-dispatched on a fresh pool (heal); a job in flight at its second
+break reruns alone on a worker of its own, and fails with
+``WorkerCrashError`` only if that worker dies too — its bystanders keep
+their results.  No job ever runs in the calling process.
 """
 
+import json
 import multiprocessing
 import os
 import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 
 import pytest
@@ -19,8 +25,8 @@ from repro.errors import WorkerCrashError
 from repro.parallel.executor import ChunkWorkPool
 
 #: pid of the pytest process; worker jobs compare against it before
-#: doing anything lethal — on the degraded serial lane they run right
-#: here, where SIGKILL would take pytest down with them
+#: doing anything lethal — a regression that ran a job right here would
+#: otherwise take pytest down with it
 MAIN_PID = os.getpid()
 
 #: explicit start method — these tests fork fresh pools constantly and
@@ -34,14 +40,10 @@ def ok_job(payload):
 
 
 def kill_worker_job(_payload):
-    """SIGKILL the hosting worker — the canonical pool-breaking fault.
-
-    Returning a sentinel on the serial lane lets tests assert the
-    degraded lane actually served the job.
-    """
+    """SIGKILL the hosting worker — the canonical pool-breaking fault."""
     if os.getpid() != MAIN_PID:
         os.kill(os.getpid(), signal.SIGKILL)
-    return "served-on-serial-lane"
+    return "ran-in-the-caller"
 
 
 def kill_worker_once_job(marker_path):
@@ -57,6 +59,11 @@ def kill_worker_once_job(marker_path):
     return "ok-after-retry"
 
 
+def nap_then_kill_worker_job(seconds):
+    time.sleep(seconds)
+    return kill_worker_job(None)
+
+
 def make_pool(events, **kwargs):
     kwargs.setdefault("processes", 2)
     kwargs.setdefault("mp_context", FORK_CTX)
@@ -67,7 +74,7 @@ class TestHealing:
     def test_transient_worker_death_retries_to_success(
         self, tmp_path, pool_events
     ):
-        pool = make_pool(pool_events, max_job_crashes=5)
+        pool = make_pool(pool_events)
         try:
             marker = str(tmp_path / "crashed-once")
             bad = pool._submit(kill_worker_once_job, marker)
@@ -85,7 +92,7 @@ class TestHealing:
         assert "poisoned" not in pool_events
 
     def test_poisoned_job_fails_alone_pool_survives(self, pool_events):
-        pool = make_pool(pool_events, max_job_crashes=2)
+        pool = make_pool(pool_events)
         try:
             bad = pool._submit(kill_worker_job, None)
             with pytest.raises(WorkerCrashError, match="poisoned"):
@@ -95,44 +102,161 @@ class TestHealing:
             assert [f.result(timeout=120) for f in good] == [
                 i * 2 for i in range(4)
             ]
-            assert pool.health()["pool_mode"] == "process"
         finally:
             pool.shutdown()
         assert pool_events.count("poisoned") == 1
-        assert pool_events.count("crash") == 2  # one per crash budget unit
+        # two breaks of the shared pool; the third death is the lone
+        # rerun's own executor, which no other job shares
+        assert pool_events.count("crash") == 2
 
-    def test_degrades_to_serial_lane_then_promotes(self, pool_events):
-        pool = make_pool(
-            pool_events,
-            max_job_crashes=10,
-            max_consecutive_crashes=2,
-            probe_interval=0.1,
+
+#: runs in a child interpreter: a regression that runs a killing job in
+#: the calling process kills the child, not pytest.  Prints one JSON line.
+CHILD = textwrap.dedent("""
+    import json, multiprocessing, os, signal, sys, time
+    import numpy as np
+    from repro.compressors.base import Compressor, get_compressor, register
+    from repro.errors import WorkerCrashError
+    from repro.parallel.executor import ChunkWorkPool
+    from repro.parallel.slab import Slab
+
+    ENTRY, SCENARIO = sys.argv[1], sys.argv[2]
+
+    def kill(*_):
+        # every submit and re-dispatch lands before the break: the five
+        # jobs are in flight at both
+        time.sleep(0.05)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def nap(value, *_):
+        time.sleep(0.3)
+        return float(np.asarray(value).ravel()[0])
+
+    def whoami(_):
+        return os.getpid()
+
+    @register
+    class Napper(Compressor):
+        name, codec_id = "napper", 211
+
+        def _compress(self, data, eb):
+            time.sleep(0.3)
+            return data.astype(np.float64).tobytes()
+
+        def _decompress(self, payload, header):
+            return np.frombuffer(payload, np.float64).reshape(header.shape)
+
+    @register
+    class Killer(Napper):
+        name, codec_id = "killer", 210
+
+        def _compress(self, data, eb):
+            kill()
+
+    slabs = []
+
+    def batch(pool, codec, value):
+        array = np.full((4, 4), value, np.float32)
+        slab = Slab.create(array.nbytes)
+        slabs.append(slab)
+        future = pool.submit_compress_batch(
+            codec, None, slab.name, slab.pack([array]), 1e-3
         )
-        try:
-            # two consecutive breaks degrade the pool; the third dispatch
-            # of the same job lands on the in-process serial lane, where
-            # the kill is guarded and the job completes
-            fut = pool._submit(kill_worker_job, None)
-            assert fut.result(timeout=120) == "served-on-serial-lane"
-            assert pool.degraded
-            assert pool.health()["pool_mode"] == "serial"
-            assert "degraded" in pool_events
+        return future, lambda streams: float(
+            get_compressor("napper").decompress(streams[0])[0, 0]
+        )
 
-            # keep submitting: each degraded dispatch may kick a probe;
-            # one surviving probe promotes back to process workers
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                assert pool._submit(ok_job, 7).result(timeout=120) == 14
-                if pool.health()["pool_mode"] == "process":
-                    break
-                time.sleep(0.15)
-            else:
-                pytest.fail("pool never promoted back to process mode")
-            assert "promoted" in pool_events
-            # and the promoted pool actually serves on worker processes
-            assert pool._submit(ok_job, 3).result(timeout=120) == 6
-        finally:
-            pool.shutdown()
+    def submit(pool, killer, value):
+        if ENTRY == "submit":
+            return pool._submit(kill if killer else nap, value), float
+        if ENTRY == "array":
+            array = np.full(4, value, np.float32)
+            return pool.submit_array(kill if killer else nap, array), float
+        return batch(pool, "killer" if killer else "napper", value)
+
+    def outcome(future, read):
+        try:
+            return read(future.result(timeout=120))
+        except WorkerCrashError:
+            return "WorkerCrashError"
+
+    pool = ChunkWorkPool(2, mp_context=multiprocessing.get_context("fork"))
+    if SCENARIO == "survives":
+        outcomes = [outcome(*submit(pool, True, 0)) for _ in range(4)]
+    else:
+        jobs = [submit(pool, True, 0)]
+        jobs += [submit(pool, False, v) for v in (1, 2, 3, 4)]
+        outcomes = [outcome(*job) for job in jobs]
+    worker = pool._submit(whoami, None).result(timeout=120)
+    pool.shutdown()
+    for slab in slabs:
+        slab.release()
+    print(json.dumps({"outcomes": outcomes, "worker": worker, "pid": os.getpid()}))
+""")
+
+
+def kill_what_is_left(pgid):
+    """SIGKILL a process group — a killed child's orphaned pool workers,
+    or a hung child — sparing its resource tracker, which unlinks the
+    child's slabs once the child is gone."""
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = pathlib.Path(f"/proc/{entry}/stat").read_text()
+            cmdline = pathlib.Path(f"/proc/{entry}/cmdline").read_bytes()
+            if (
+                int(stat.rsplit(")", 1)[1].split()[2]) == pgid
+                and b"resource_tracker" not in cmdline
+            ):
+                os.kill(int(entry), signal.SIGKILL)
+        except (OSError, ValueError):
+            continue  # gone meanwhile
+
+
+def run_child(entry, scenario, env, tmp_path):
+    """Run :data:`CHILD`; its output goes to files, not pipes, because the
+    workers of a child that was killed outlive it holding their copies."""
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CHILD, entry, scenario],
+            env=env, stdout=stdout, stderr=stderr, start_new_session=True,
+        )
+    code = None
+    try:
+        code = proc.wait(timeout=300)
+    finally:
+        if code != 0:
+            kill_what_is_left(proc.pid)
+            proc.wait()
+    assert code == 0, (
+        f"child exited {code} (-9: a killing job ran in the calling "
+        f"process)\n{err.read_text()}"
+    )
+    return json.loads(out.read_text().splitlines()[-1])
+
+
+ENTRIES = ["submit", "compress_batch", "array"]
+
+
+class TestTheTwoRules:
+    """Each rule through ``_submit``, ``submit_compress_batch`` (a codec
+    that kills, registered in the child) and ``submit_array``."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_the_caller_survives_jobs_that_keep_killing_workers(
+        self, entry, subprocess_env, tmp_path
+    ):
+        report = run_child(entry, "survives", subprocess_env, tmp_path)
+        assert report["outcomes"] == ["WorkerCrashError"] * 4
+        # and the pool still runs jobs on worker processes
+        assert report["worker"] != report["pid"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_only_the_killer_fails_its_bystanders_return(
+        self, entry, subprocess_env, tmp_path
+    ):
+        report = run_child(entry, "bystanders", subprocess_env, tmp_path)
+        assert report["outcomes"] == ["WorkerCrashError", 1.0, 2.0, 3.0, 4.0]
 
 
 class TestShutdown:
@@ -145,8 +269,23 @@ class TestShutdown:
             pool._submit(ok_job, 1)
 
     def test_shutdown_tolerates_a_broken_pool(self, pool_events):
-        pool = make_pool(pool_events, max_job_crashes=1)
+        pool = make_pool(pool_events)
         with pytest.raises(WorkerCrashError):
             pool._submit(kill_worker_job, None).result(timeout=120)
         pool.shutdown()
         pool.shutdown()
+
+    def test_a_worker_death_during_shutdown_resolves_its_job(self, pool_events):
+        """The job cannot be re-dispatched on a pool that is shutting
+        down: it fails typed instead of leaving its caller waiting."""
+        pool = make_pool(pool_events)
+        future = pool._submit(nap_then_kill_worker_job, 0.5)
+        closer = threading.Timer(0.2, pool.shutdown)
+        closer.start()
+        try:
+            with pytest.raises(WorkerCrashError, match="cannot rerun"):
+                future.result(timeout=10)
+        finally:
+            closer.join(30)
+            pool.shutdown()
+        assert not closer.is_alive()

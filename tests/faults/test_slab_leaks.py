@@ -12,8 +12,8 @@ filesystem.
 
 Worker kills reuse the pool-healing conventions of
 ``test_pool_healing.py``: fork context (the crashing test codec below is
-registered in this module and must be inherited), MAIN_PID guard so the
-degraded serial lane can't kill pytest itself.
+registered in this module and must be inherited), MAIN_PID guard so a
+job that ran in the calling process could not kill pytest itself.
 """
 
 import multiprocessing
@@ -73,8 +73,7 @@ class CrashyCodec(Compressor):
     ``marker=`` makes the kill one-shot (the marker file records that a
     first attempt died, so the retried dispatch completes) — a transient
     worker death.  Without it every process-pool attempt dies — a poison
-    job.  On the caller's pid (pytest itself, i.e. the degraded serial
-    lane) the kill is skipped and the job completes.
+    job.  On the caller's pid (pytest itself) the kill is skipped.
     """
 
     name = "crashy"
@@ -122,7 +121,7 @@ class TestPoolCrashPaths:
         """Heal/retry re-dispatches the same descriptors and succeeds."""
         arrays = chunk_arrays()
         slab, descs = batch_descriptors(arrays)
-        pool = make_pool(pool_events, max_job_crashes=5)
+        pool = make_pool(pool_events)
         try:
             fut = pool.submit_compress_batch(
                 "crashy",
@@ -144,7 +143,7 @@ class TestPoolCrashPaths:
     def test_poisoned_batch_job_still_releases_slab(self, pool_events):
         arrays = chunk_arrays()
         slab, descs = batch_descriptors(arrays)
-        pool = make_pool(pool_events, max_job_crashes=2)
+        pool = make_pool(pool_events)
         try:
             fut = pool.submit_compress_batch(
                 "crashy", {}, slab.name, descs, error_bound=1e-3
@@ -155,32 +154,6 @@ class TestPoolCrashPaths:
             slab.release()
             pool.shutdown()
         assert pool_events.count("poisoned") == 1
-        assert_no_leaks()
-
-    def test_degraded_serial_lane_reads_the_slab_in_process(
-        self, pool_events
-    ):
-        """The serial lane attaches to the same slab and serves the job."""
-        arrays = chunk_arrays(n=3)
-        slab, descs = batch_descriptors(arrays)
-        pool = make_pool(
-            pool_events,
-            max_job_crashes=10,
-            max_consecutive_crashes=2,
-            probe_interval=30.0,
-        )
-        try:
-            fut = pool.submit_compress_batch(
-                "crashy", {}, slab.name, descs, error_bound=1e-3
-            )
-            blobs = fut.result(timeout=120)
-            assert pool.degraded
-        finally:
-            slab.release()
-            pool.shutdown()
-        codec = CrashyCodec()
-        for arr, blob in zip(arrays, blobs):
-            np.testing.assert_array_equal(codec.decompress(blob), arr)
         assert_no_leaks()
 
 

@@ -241,7 +241,7 @@ def test_the_scheduler_reaches_codec_work_only_through_the_library():
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and tail(node.value) == "_pool"
     }
-    assert pool_uses == {"parallel", "submit_decompress", "health", "shutdown"}
+    assert pool_uses == {"parallel", "submit_decompress", "shutdown"}
 
 
 def test_core_does_not_import_the_pool():
@@ -398,7 +398,7 @@ def untyped_fault_handlers(tree):
     return handlers_that_drop(
         tree,
         {"BrokenProcessPool", "BrokenExecutor", "TimeoutError"},
-        RESOLVES_THE_JOB | {"_note_crash", "_dispatch", "_probe_failed"},
+        RESOLVES_THE_JOB | {"_note_crash", "_dispatch"},
         typed,
     )
 
