@@ -70,13 +70,11 @@ class ServiceConnectionError(RemoteServiceError, ProtocolError):
 class WorkerCrashError(ReproError):
     """Raised when a job kills the worker processes that run it.
 
-    The self-healing pool re-dispatches every job in flight when a
-    worker dies (the whole batch is not failed for one bad chunk).  A
-    job in flight at its second pool break reruns alone on a worker of
-    its own; if that worker dies too, the job is *poisoned* and fails
-    with this error, while its bystanders keep their results.  A job
-    the pool could not rerun because it was shutting down fails with
-    it too.
+    A worker death is charged to the one job that worker held: the pool
+    re-dispatches it at its first death, and at its second the job is
+    *poisoned* and fails with this error, while the jobs on the other
+    workers never notice.  A job the pool could not rerun because it
+    was shutting down fails with it too.
     """
 
 

@@ -1,14 +1,14 @@
-"""One pooled fan-out: every process pool and every slab lives here.
+"""One pooled fan-out: every worker process and every slab lives here.
 
-:class:`ChunkWorkPool` is the only code in the package that constructs a
-``ProcessPoolExecutor`` or creates a :class:`~repro.parallel.slab.Slab`.
+:class:`ChunkWorkPool` is the only code in the package that starts a
+worker process or creates a :class:`~repro.parallel.slab.Slab`.
 The library (every ``processes=`` call) borrows the one process-wide
 pool that :func:`kept_pool` keeps warm; the service keeps its own for
 its lifetime.  Both drive the same helpers:
 
-* :meth:`ChunkWorkPool.submit_compress_views` packs a batch of chunk
-  views into an input slab and resolves to their streams — chunk
-  *payloads* never ride the pickle channel, the submitted job is
+* :meth:`ChunkWorkPool.compress_stream` packs each batch of chunk views
+  into an input slab and yields their streams in a bounded window —
+  chunk *payloads* never ride the pickle channel, the submitted job is
   ``(slab_name, descriptors, codec, ...)``, a few hundred bytes;
 * :meth:`ChunkWorkPool.submit_decode_parts` decodes hyperslab parts
   (``slab.DECODE_PART_LAYOUT``) into an output slab and resolves to the
@@ -16,9 +16,7 @@ its lifetime.  Both drive the same helpers:
 * :meth:`ChunkWorkPool.submit_array` runs one function on one array on
   one worker (``slab.ARRAY_JOB_LAYOUT``) — the service's compress job,
   derive and container included; :meth:`ChunkWorkPool.map_stack` deals
-  a derive step's trials over every worker under the same layout;
-* :meth:`ChunkWorkPool.compress_stream` is the synchronous windowed
-  generator over the first.
+  a derive step's trials over every worker under the same layout.
 
 The helpers release their slab when their future is done — result,
 error or cancel — so no caller can leak one.  Chunk jobs optionally
@@ -35,26 +33,19 @@ state (``last_report``).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import pickle
 import signal
 import threading
 from collections import deque
-from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, InvalidStateError
 from contextlib import contextmanager
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from multiprocessing.util import Finalize
 from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -79,24 +70,70 @@ BATCH_CHUNKS = 2
 #: stays bounded by the window, not the field
 WINDOW_PER_WORKER = 4
 
-#: pool breaks a job may be in flight for; at this one it reruns alone
+#: worker deaths a job may cause; at this one it fails, poisoned
 MAX_JOB_CRASHES = 2
 
+#: held from a worker's pipe to the close of the child's end in the
+#: parent, and by every fork: a process forked in between would hold a
+#: copy of that end, and the worker's death would never reach EOF
+_SPAWN_LOCK = threading.RLock()
+os.register_at_fork(
+    before=_SPAWN_LOCK.acquire,
+    after_in_parent=_SPAWN_LOCK.release,
+    after_in_child=_SPAWN_LOCK.release,
+)
 
-def _compress_one(args) -> bytes:
-    name, kwargs, field, error_bound, rel_error_bound = args
+
+def _compress_field(field, name, kwargs, error_bound, rel_error_bound) -> bytes:
     return get_compressor(name, **kwargs).compress(
         field, error_bound, rel_error_bound
     )
 
 
 def _own_signals() -> None:
-    """Worker initializer.  A worker forked under an asyncio loop inherits
-    the loop's signal wakeup fd and no-op handlers: the SIGTERM a healing
-    pool sends *it* would reach the parent's loop instead and stop a
-    server that handles SIGTERM."""
+    """A worker forked under an asyncio loop inherits the loop's signal
+    wakeup fd and no-op handlers: the SIGTERM multiprocessing sends a
+    daemonic worker at exit would reach the parent's loop instead and
+    stop a server that handles SIGTERM."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _serve(conn, owner_end) -> None:
+    """Worker: run ``fn(arg)`` for each pickled ``(fn, arg)`` on ``conn``
+    and send back one reply per job, until killed.  The copy of the
+    owner's end inherited at fork is closed, so the owner's death
+    reaches EOF here and ends the worker."""
+    _own_signals()
+    owner_end.close()
+    while True:
+        job = conn.recv_bytes()
+        try:
+            fn, arg = pickle.loads(job)
+            result = fn(arg)
+        except BaseException as exc:  # the job's own error is its reply
+            _reply(conn, False, exc)
+        else:
+            _reply(conn, True, result)
+
+
+def _reply(conn, ok: bool, value) -> None:
+    """Worker: send one job's outcome.  A result or exception that does
+    not pickle sends the pickling error itself in its place."""
+    try:
+        reply = pickle.dumps((ok, value))
+    except Exception as exc:
+        return _reply(conn, False, exc)
+    conn.send_bytes(reply)
+
+
+def _resolve(future: "Future", ok: bool, value) -> None:
+    """Settle ``future`` with a result or an exception, unless its caller
+    cancelled it first."""
+    try:
+        (future.set_result if ok else future.set_exception)(value)
+    except InvalidStateError:
+        pass  # lost a race with a caller-side cancel
 
 
 def _compress_batch(args) -> List[bytes]:
@@ -152,8 +189,7 @@ def _decompress_into_batch(args) -> int:
     objects and keep the job layout introspectable).  A chunk that
     decodes to another shape than its index entry raises
     :class:`ChunkCorruptionError`, as the in-process read does.  Writes
-    are idempotent — a crash retry rewrites the same values — so this
-    rides the supervisor's heal/retry paths unchanged.
+    are idempotent — a crash retry rewrites the same values.
     """
     slab_name, out_shape, out_dtype, parts = args
     shm = attach_slab(slab_name)
@@ -203,19 +239,16 @@ def compress_fields_parallel(
     rel_error_bound: Optional[float] = None,
     processes: Optional[int] = None,
 ) -> List[bytes]:
-    """Compress every field of a dump, one pool job per field.
+    """Compress every field of a dump, one array job per field.
 
     With ``processes=1`` (or a single field) everything runs in-process,
     which keeps unit tests cheap and avoids fork overhead for tiny inputs.
     """
-    jobs = [
-        (codec_name, codec_kwargs or {}, f, error_bound, rel_error_bound)
-        for f in fields
-    ]
-    if processes == 1 or len(jobs) <= 1:
-        return [_compress_one(j) for j in jobs]
+    args = (codec_name, codec_kwargs or {}, error_bound, rel_error_bound)
+    if processes == 1 or len(fields) <= 1:
+        return [_compress_field(f, *args) for f in fields]
     with kept_pool(processes) as pool:
-        futures = [pool._submit(_compress_one, j) for j in jobs]
+        futures = [pool.submit_array(_compress_field, f, *args) for f in fields]
         return [f.result() for f in futures]
 
 
@@ -230,48 +263,44 @@ def decompress_blobs_parallel(
         return [f.result() for f in futures]
 
 
+@dataclass(eq=False)
+class _Job:
+    """A submitted job; ``payload`` is its pickled ``(fn, arg)``, re-sent
+    verbatim after a death, so a retry runs the same bytes."""
+
+    future: Future
+    payload: bytes
+    crashes: int = 0
+
+
+@dataclass(eq=False)
+class _Worker:
+    """A worker process, the parent's end of its pipe, and its one job."""
+
+    process: Any
+    conn: Any
+    job: Optional[_Job] = None
+
+
 class ChunkWorkPool:
-    """*Self-healing* process pool that owns every slab it ships.
+    """Process pool that owns its workers and every slab it ships.
 
-    ONE ``ProcessPoolExecutor`` serves the pool's lifetime — every
-    library call of a process (:func:`kept_pool`), every request of a
-    service (fork cost per call would swamp small jobs).
-    It is spawned lazily on the first submit, so constructing a service
-    with ``processes <= 1`` never forks at all.  Submits return
-    ``concurrent.futures`` futures: the library blocks on them, an
-    asyncio scheduler wraps them with ``asyncio.wrap_future``.
+    ONE set of workers serves the pool's lifetime — every library call
+    of a process (:func:`kept_pool`), every request of a service; the
+    first submit starts them.  Submits return ``concurrent.futures``
+    futures.  Each worker has a duplex pipe of its own and holds at most
+    one job; one manager thread hands out jobs and waits on every pipe
+    and process sentinel.  A worker that dies — even halfway through a
+    reply — reaches EOF on its own pipe, so the death is charged to the
+    job it held and no other (DESIGN.md §12): re-dispatched at its first
+    death, failed with :class:`WorkerCrashError` (*poisoned*) at its
+    :data:`MAX_JOB_CRASHES`-th.  The worker is replaced when work waits
+    for it; no job runs in the calling process.  ``on_event`` hears of
+    each ``crash``, ``retry``, ``respawn`` and ``poisoned``.
 
-    On top of that sits a supervisor with two rules (DESIGN.md §12).  A
-    worker dying of OOM/segfault bricks a raw ``ProcessPoolExecutor``
-    permanently (every in-flight future gets ``BrokenProcessPool`` and
-    every later submit re-raises it), so callers never see raw pool
-    futures: each submit returns an *outer* future, and the supervisor
-    routes the inner pool future's outcome into it.
-
-    * **Heal.**  The first observer of a break (generation-checked, so a
-      batch of simultaneous failures heals once) tears the executor
-      down; the next dispatch builds a fresh one.  Every job in flight
-      at the break is re-dispatched.
-    * **Charge only the job that killed the worker.**  A break does not
-      say whose job it was, so a job in flight at its
-      :data:`MAX_JOB_CRASHES`-th break reruns alone, on a one-worker
-      executor of its own.  If that worker dies too the job is
-      *poisoned* and fails with :class:`WorkerCrashError`; its
-      bystanders return their results.  No job ever runs in the calling
-      process.
-
-    Every supervisor event (``crash``, ``retry``, ``respawn``,
-    ``poisoned``) is reported through ``on_event`` (the service wires
-    this to ``ServiceMetrics.pool_event``).
-
-    Crash retries re-ship the payload (or slab descriptor) verbatim, so
-    a stream compressed through the pool is byte-identical to one
-    compressed inline.  Slab ownership (DESIGN.md §13):
-    :meth:`submit_compress_views` and :meth:`submit_decode_parts` create
-    their slab and release it when their future is done, which is after
-    any heal/retry/poison has run its course.  The raw
-    :meth:`submit_compress_batch` takes a caller-made slab by name and
-    never unlinks it.
+    A retry re-sends the job's pickled bytes, slab descriptors included,
+    so pooled streams are byte-identical to inline ones.  Slabs: DESIGN.md
+    §13 and the module docstring.
     """
 
     def __init__(
@@ -281,22 +310,23 @@ class ChunkWorkPool:
         mp_context=None,
     ) -> None:
         self.processes = processes
-        self._on_event = on_event
-        self._mp_context = mp_context
+        self._on_event = on_event or (lambda _kind: None)
+        self._mp_context = mp_context or multiprocessing.get_context()
+        #: the manager waits on ``_wake_r`` too; ``_lock`` guards the
+        #: queue, ``_closed`` and ``_woken`` (a wake-up is in that pipe)
+        self._wake_r, self._wake_w = self._mp_context.Pipe(duplex=False)
         self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: one-worker executors of jobs rerunning alone
-        self._lone: Set[ProcessPoolExecutor] = set()
-        self._generation = 0
-        self._closed = False
-        self._ever_built = False
+        self._queue: Deque[_Job] = deque()
+        self._closed = self._woken = False
+        self._manager: Optional[threading.Thread] = None
+        self._workers: List[_Worker] = []  # the manager thread's alone
         #: library calls inside ``with kept_pool(...)`` on this pool right
         #: now (the registry's count, under the registry's lock)
         self.borrowers = 0
 
     @property
     def workers(self) -> int:
-        """Worker processes a fresh pool is built with."""
+        """Worker processes the pool keeps."""
         return max(1, self.processes or os.cpu_count() or 1)
 
     @property
@@ -309,160 +339,148 @@ class ChunkWorkPool:
         """Whether submits actually fan out to worker processes."""
         return self.processes is not None and self.processes > 1
 
-    # ------------------------------------------------------------ supervisor
-    def _emit(self, kind: str) -> None:
-        if self._on_event is not None:
-            self._on_event(kind)
-
-    def _new_executor(self, workers: Optional[int] = None) -> ProcessPoolExecutor:
-        share_tracker_with_children()
-        return ProcessPoolExecutor(
-            max_workers=workers or self.processes, mp_context=self._mp_context,
-            initializer=_own_signals,
-        )
-
-    def _acquire(self) -> Tuple[ProcessPoolExecutor, int]:
-        """The shared executor, built on demand, and its generation."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot submit to a shut-down ChunkWorkPool")
-            if self._pool is None:
-                self._pool = self._new_executor()
-                if self._ever_built:
-                    self._emit("respawn")
-                self._ever_built = True
-            return self._pool, self._generation
-
-    def _note_crash(self, gen: int) -> None:
-        """Heal one pool break: teardown now, a fresh pool on next dispatch.
-
-        Every in-flight job of a broken pool observes the same break;
-        the generation counter makes the first observer do the healing
-        and turns the rest into no-ops.
-        """
-        with self._lock:
-            if self._closed or gen != self._generation:
-                return
-            self._generation += 1
-            dead, self._pool = self._pool, None
-        if dead is not None:
-            try:
-                dead.shutdown(wait=False, cancel_futures=True)
-            except (OSError, RuntimeError):
-                pass  # a broken executor may refuse; it is already dead
-        self._emit("crash")
-
     # -------------------------------------------------------------- dispatch
-    def _submit(self, fn: Callable, payload) -> "Future":
-        outer: Future = Future()
-        self._dispatch(fn, payload, outer, crashes=0)
-        return outer
-
-    def _dispatch(self, fn: Callable, payload, outer: "Future", crashes: int) -> None:
-        while not outer.cancelled():
-            pool, gen = self._acquire()
-            try:
-                inner = pool.submit(fn, payload)
-            except BrokenProcessPool:
-                # the pool broke between two of our submits; heal and
-                # retry the dispatch (this is a pool fault, not a job
-                # fault — the job never ran, so its crash count is
-                # untouched)
-                self._note_crash(gen)
-                continue
-            inner.add_done_callback(
-                lambda f: self._job_done(f, fn, payload, outer, crashes, gen)
-            )
-            return
-
-    def _run_alone(self, fn: Callable, payload, outer: "Future") -> None:
-        """Rerun one job on a one-worker executor of its own: a worker
-        that dies there was killed by this job and no other."""
+    def _submit(self, fn: Callable, arg) -> "Future":
+        """``fn(arg)`` on a worker; ``fn`` rides the pipe by name."""
+        future: Future = Future()
+        try:
+            job = _Job(future, pickle.dumps((fn, arg)))
+        except Exception as exc:  # a payload that does not pickle fails its job
+            future.set_exception(exc)
+            return future
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a shut-down ChunkWorkPool")
-            lone = self._new_executor(1)
-            self._lone.add(lone)
-        try:
-            inner = lone.submit(fn, payload)
-        except (RuntimeError, OSError):
-            self._retire(lone)
-            raise
-        inner.add_done_callback(lambda f: self._alone_done(f, lone, outer))
+            self._queue.append(job)
+            if self._manager is None:
+                self._manager = threading.Thread(
+                    target=self._manage, name="repro-pool", daemon=True
+                )
+                self._manager.start()
+            self._wake()
+        return future
 
-    def _retire(self, lone: ProcessPoolExecutor) -> None:
+    def _wake(self) -> None:
+        """Under the lock: make the manager's wait return."""
+        if not self._woken:
+            self._woken = True
+            self._wake_w.send_bytes(b"")
+
+    def _manage(self) -> None:
+        """The manager thread: start and replace workers, hand out jobs,
+        collect replies and deaths, and stop them all at shutdown."""
+        workers, spawned = self._workers, 0
+        try:
+            while True:
+                with self._lock:
+                    if self._closed:
+                        return
+                    self._woken = False
+                    missing = self.workers - len(workers) if self._queue else 0
+                for _ in range(missing):
+                    try:
+                        workers.append(self._spawn())
+                    except OSError as exc:  # out of processes or fds
+                        if not workers:
+                            self._fail_queued(f"no worker could start: {exc}")
+                        break
+                    spawned += 1
+                    if spawned > self.workers:
+                        self._on_event("respawn")
+                self._hand_out()
+                waits: Dict[Any, _Worker] = {}
+                for worker in workers:
+                    waits[worker.conn] = waits[worker.process.sentinel] = worker
+                ready = wait([self._wake_r, *waits])
+                if self._wake_r in ready:
+                    self._wake_r.recv_bytes()
+                for worker in {waits[r] for r in ready if r in waits}:
+                    if worker in workers:  # not lost meanwhile
+                        self._collect(worker)
+        finally:
+            # shut down — or stopped by a defect here: either way no
+            # worker keeps running and no caller keeps waiting
+            with self._lock:
+                self._closed = True
+                self._queue.extend(w.job for w in workers if w.job)
+            for worker in workers:
+                self._reap(worker)
+            self._fail_queued("job cannot rerun: the pool is shut down")
+
+    def _spawn(self) -> _Worker:
+        share_tracker_with_children()
+        with _SPAWN_LOCK:
+            ours, theirs = self._mp_context.Pipe()
+            process = self._mp_context.Process(
+                target=_serve, args=(theirs, ours), daemon=True
+            )
+            process.start()
+            theirs.close()
+        return _Worker(process, ours)
+
+    def _hand_out(self) -> None:
+        """Give each idle worker the next job that is not cancelled."""
+        sent = []
         with self._lock:
-            self._lone.discard(lone)
-        lone.shutdown(wait=False)
+            for worker in self._workers:
+                while worker.job is None and self._queue:
+                    job = self._queue.popleft()
+                    if not job.future.cancelled():
+                        worker.job = job
+                        sent.append((worker, job))
+        for worker, job in sent:
+            try:
+                worker.conn.send_bytes(job.payload)
+            except OSError:  # it died holding the job
+                self._lost(worker)
 
-    def _job_done(
-        self, inner: "Future", fn: Callable, payload, outer: "Future",
-        crashes: int, gen: int,
-    ) -> None:
-        if not self._broke(inner, outer):
-            return
-        self._note_crash(gen)
-        crashes += 1
-        self._emit("retry")
+    def _collect(self, worker: _Worker) -> None:
+        """Take ``worker``'s reply, or find it dead: its pipe's only other
+        end died with it, so a death reads as EOF — mid-reply too."""
         try:
-            if crashes < MAX_JOB_CRASHES:
-                self._dispatch(fn, payload, outer, crashes)
-            else:
-                self._run_alone(fn, payload, outer)
-        except (RuntimeError, OSError) as exc:
-            # shut down (or out of processes) under a crashed job: nothing
-            # will run it again, so it must not be left unresolved
-            self._set_exception(
-                outer, WorkerCrashError(f"job lost its worker and cannot rerun: {exc}")
-            )
+            reply = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            return self._lost(worker)
+        job, worker.job = worker.job, None
+        assert job is not None  # a worker replies only to the job it holds
+        self._hand_out()
+        try:
+            ok, value = pickle.loads(reply)
+        except Exception as exc:  # it arrived whole but does not load here
+            return _resolve(job.future, False, exc)
+        _resolve(job.future, ok, value)
 
-    def _alone_done(
-        self, inner: "Future", lone: ProcessPoolExecutor, outer: "Future"
-    ) -> None:
-        self._retire(lone)
-        if self._broke(inner, outer):
-            self._emit("poisoned")
-            self._set_exception(
-                outer,
-                WorkerCrashError(
-                    "job killed its worker again running alone "
-                    "(pool healed; this job is poisoned)"
-                ),
-            )
-
-    def _broke(self, inner: "Future", outer: "Future") -> bool:
-        """Whether ``inner`` lost its worker; if not, its outcome is now
-        ``outer``'s."""
-        if outer.cancelled():
-            return False
-        if inner.cancelled():
-            # only shutdown cancels queued inner futures; mirror it
-            outer.cancel()
-            return False
-        exc = inner.exception()
-        if isinstance(exc, BrokenProcessPool):
-            return True
-        if exc is not None:
-            self._set_exception(outer, exc)
-        else:
-            self._set_result(outer, inner.result())
-        return False
+    def _lost(self, worker: _Worker) -> None:
+        """A worker died: reap it, and charge the death to the one job it
+        held — re-dispatched at its first death, poisoned at its
+        :data:`MAX_JOB_CRASHES`-th — and to no other."""
+        self._workers.remove(worker)
+        self._reap(worker)
+        self._on_event("crash")
+        job = worker.job
+        if job is None or job.future.cancelled():
+            return
+        job.crashes += 1
+        if job.crashes < MAX_JOB_CRASHES:
+            with self._lock:
+                self._queue.appendleft(job)
+            return self._on_event("retry")
+        self._on_event("poisoned")
+        _resolve(job.future, False, WorkerCrashError(
+            f"job killed its worker {job.crashes} times; it is poisoned"
+        ))
 
     @staticmethod
-    def _set_result(outer: "Future", value) -> None:
-        if not outer.cancelled():
-            try:
-                outer.set_result(value)
-            except InvalidStateError:
-                pass  # lost a race with a caller-side cancel
+    def _reap(worker: _Worker) -> None:
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
 
-    @staticmethod
-    def _set_exception(outer: "Future", exc: BaseException) -> None:
-        if not outer.cancelled():
-            try:
-                outer.set_exception(exc)
-            except InvalidStateError:
-                pass  # lost a race with a caller-side cancel
+    def _fail_queued(self, why: str) -> None:
+        with self._lock:
+            queued, self._queue = self._queue, deque()
+        for job in queued:
+            _resolve(job.future, False, WorkerCrashError(why))
 
     # ------------------------------------------------------------------- api
     def submit_decompress(self, blob: bytes) -> "Future":
@@ -488,25 +506,6 @@ class ChunkWorkPool:
             error_bound, plan,
         )
         return self._submit(_compress_batch, job)
-
-    def submit_compress_views(
-        self,
-        codec_name: str,
-        codec_kwargs: Optional[Dict],
-        views: Sequence[np.ndarray],
-        error_bound: float,
-        plan=None,
-    ) -> "Future":
-        """Compress a batch of chunk views; resolves to their streams.
-
-        The views travel in one slab (:func:`_on_slab`).  Every chunk
-        shares the single *absolute* ``error_bound``: the caller resolves
-        a relative bound against the full field first, otherwise each
-        chunk would scale it by its local value range.
-        """
-        return _on_slab(views, lambda name, descriptors: self.submit_compress_batch(
-            codec_name, codec_kwargs, name, descriptors, error_bound, plan,
-        ))
 
     def submit_array(self, fn: Callable, array: np.ndarray, *args) -> "Future":
         """``fn(array, *args)`` on one worker; resolves to its result.
@@ -556,12 +555,14 @@ class ChunkWorkPool:
         """Yield ``(index, blob)`` for a stream of chunk jobs, in submit
         order.
 
-        Chunks go out :data:`BATCH_CHUNKS` at a time through
-        :meth:`submit_compress_views`; at most :attr:`window_batches`
-        batches are in flight, so peak memory stays bounded by the
-        window even when ``chunks`` lazily slices a memory-mapped array.
-        Closing the generator early (or a failing job) cancels what is
-        still pending, which releases those slabs.
+        Chunks go out :data:`BATCH_CHUNKS` at a time, each batch in one
+        slab (:func:`_on_slab`) for :meth:`submit_compress_batch`; at
+        most :attr:`window_batches` batches are in flight, so peak
+        memory stays bounded by the window even when ``chunks`` lazily
+        slices a memory-mapped array.  ``error_bound`` is absolute: the
+        caller resolved a relative one against the full field.  Closing
+        the generator early (or a failing job) cancels what is still
+        pending, which releases those slabs.
         """
         pending: Deque[Tuple[List[int], Future]] = deque()
         indices: List[int] = []
@@ -570,9 +571,12 @@ class ChunkWorkPool:
         def flush() -> None:
             nonlocal indices, views
             if indices:
-                future = self.submit_compress_views(
-                    codec_name, codec_kwargs, views, error_bound, plan
-                )
+                future = _on_slab(views, lambda name, descriptors: (
+                    self.submit_compress_batch(
+                        codec_name, codec_kwargs, name, descriptors,
+                        error_bound, plan,
+                    )
+                ))
                 pending.append((indices, future))
                 indices, views = [], []
 
@@ -633,7 +637,7 @@ class ChunkWorkPool:
                 return
             exc = future.exception()
             if exc is not None:
-                self._set_exception(outer, exc)
+                _resolve(outer, False, exc)
                 return
             with lock:
                 remaining -= 1
@@ -643,7 +647,7 @@ class ChunkWorkPool:
                 result = np.array(view)  # copy out before the unlink
                 del view
                 slab.release()
-                self._set_result(outer, result)
+                _resolve(outer, True, result)
 
         outer.add_done_callback(abandon)
         try:
@@ -658,21 +662,19 @@ class ChunkWorkPool:
         return outer
 
     def shutdown(self) -> None:
-        """Idempotent teardown that tolerates an already-broken pool; it
-        stops the one-worker executors of jobs rerunning alone too."""
+        """Idempotent: cancel the queued jobs, stop the workers, and fail
+        the jobs they still ran with :class:`WorkerCrashError`."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            executors = [self._pool, *self._lone]
-            self._pool = None
-        for executor in executors:
-            if executor is None:
-                continue
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-            except (OSError, RuntimeError):
-                pass  # a broken executor may raise on shutdown; it is gone
+            queued, self._queue = self._queue, deque()
+            manager = self._manager
+            self._wake()
+        for job in queued:
+            job.future.cancel()
+        if manager is not None and manager is not threading.current_thread():
+            manager.join()
 
 
 # ----------------------------------------------------------- the kept pool
@@ -680,7 +682,6 @@ _kept: Optional[ChunkWorkPool] = None
 _kept_for: tuple = ()  # (worker count, codec names) its workers were forked with
 _kept_lock = threading.RLock()
 _kept_exit: Optional[Finalize] = None
-_parked: List[Optional[ChunkWorkPool]] = []
 
 
 @contextmanager
@@ -701,8 +702,8 @@ def kept_pool(processes: Optional[int]) -> Iterator[ChunkWorkPool]:
         if _kept is None:
             _kept, _kept_for = ChunkWorkPool(processes), wanted
             # multiprocessing's exit hook, not atexit: a Process child
-            # joins its children before atexit or the executor's own
-            # handler would stop them; 100 = ahead of the queues' closers
+            # terminates and joins its children before atexit would run;
+            # priority 100 stops the workers in order before that
             if _kept_exit is None or not _kept_exit.still_active():
                 _kept_exit = Finalize(None, shutdown_pool, exitpriority=100)
         pool = _kept
@@ -727,10 +728,8 @@ def shutdown_pool() -> None:
 
 def _forget_kept_pool() -> None:
     """In a forked child (the pool's own workers included) the kept pool
-    has no threads: park it — collecting its executor would take a lock
-    that a thread which was not copied may hold — and start empty."""
+    has no threads and its workers are not the child's: start empty."""
     global _kept, _kept_lock
-    _parked.append(_kept)
     _kept, _kept_lock = None, threading.RLock()
 
 

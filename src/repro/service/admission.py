@@ -436,10 +436,8 @@ class ServiceMetrics:
         self._bump(f"{table}_{priority}")
 
     def pool_event(self, kind: str) -> None:
-        """One worker-pool supervisor event (crash/retry/respawn/
-        poisoned).  Thread-safe: the supervisor reports from executor
-        callback threads, not the loop.
-        """
+        """One worker-pool event (crash/retry/respawn/poisoned).
+        Thread-safe: the pool reports from its manager thread."""
         with self._pool_lock:
             self._pool_events[kind] = self._pool_events.get(kind, 0) + 1
 

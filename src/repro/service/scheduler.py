@@ -194,8 +194,7 @@ class CompressionService:
             client_burst=self.config.client_burst,
             mean_run_s=self.metrics.mean_run_s,
         )
-        # the pool supervisor reports crash/retry/respawn/poisoned events
-        # straight into the metrics registry (pool_event is thread-safe)
+        # the pool reports its worker deaths straight into the metrics
         self._pool = ChunkWorkPool(
             self.config.processes, on_event=self.metrics.pool_event
         )

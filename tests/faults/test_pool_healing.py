@@ -1,17 +1,18 @@
-"""Kill real workers; assert the ChunkWorkPool supervisor's two rules.
+"""Kill real workers; assert that ChunkWorkPool charges each death to
+the one job the dead worker held.
 
-The contract under test (DESIGN.md §12): a worker death must never leak
-``BrokenProcessPool`` to a caller.  Every job in flight at a pool break
-is re-dispatched on a fresh pool (heal); a job in flight at its second
-break reruns alone on a worker of its own, and fails with
-``WorkerCrashError`` only if that worker dies too — its bystanders keep
-their results.  No job ever runs in the calling process.
+The contract under test (DESIGN.md §12): a worker death reaches EOF on
+that worker's own pipe — even halfway through its reply — and is charged
+to exactly the job it held.  That job is re-dispatched at its first
+death and fails with ``WorkerCrashError`` at its second; every other job
+returns its result, and no job ever runs in the calling process.
 """
 
 import json
 import multiprocessing
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -19,9 +20,11 @@ import textwrap
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkerCrashError
+from repro.parallel import active_slab_names
 from repro.parallel.executor import ChunkWorkPool
 
 #: pid of the pytest process; worker jobs compare against it before
@@ -80,8 +83,7 @@ class TestHealing:
             bad = pool._submit(kill_worker_once_job, marker)
             good = [pool._submit(ok_job, i) for i in range(6)]
             assert bad.result(timeout=120) == "ok-after-retry"
-            # jobs that merely shared the broken pool are re-dispatched
-            # too and still produce correct results
+            # jobs on the other worker never notice the death
             assert [f.result(timeout=120) for f in good] == [
                 i * 2 for i in range(6)
             ]
@@ -105,8 +107,7 @@ class TestHealing:
         finally:
             pool.shutdown()
         assert pool_events.count("poisoned") == 1
-        # two breaks of the shared pool; the third death is the lone
-        # rerun's own executor, which no other job shares
+        # two deaths, both its own
         assert pool_events.count("crash") == 2
 
 
@@ -212,13 +213,14 @@ def kill_what_is_left(pgid):
             continue  # gone meanwhile
 
 
-def run_child(entry, scenario, env, tmp_path):
-    """Run :data:`CHILD`; its output goes to files, not pipes, because the
-    workers of a child that was killed outlive it holding their copies."""
+def run_child(args, env, tmp_path, script=CHILD):
+    """Run ``script`` (default :data:`CHILD`) with ``args``; its output goes
+    to files, not pipes, because the workers of a child that was killed
+    outlive it holding their copies."""
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     with out.open("w") as stdout, err.open("w") as stderr:
         proc = subprocess.Popen(
-            [sys.executable, "-c", CHILD, entry, scenario],
+            [sys.executable, "-c", script, *args],
             env=env, stdout=stdout, stderr=stderr, start_new_session=True,
         )
     code = None
@@ -230,7 +232,7 @@ def run_child(entry, scenario, env, tmp_path):
             proc.wait()
     assert code == 0, (
         f"child exited {code} (-9: a killing job ran in the calling "
-        f"process)\n{err.read_text()}"
+        f"process)\n{out.read_text()}{err.read_text()}"
     )
     return json.loads(out.read_text().splitlines()[-1])
 
@@ -246,7 +248,7 @@ class TestTheTwoRules:
     def test_the_caller_survives_jobs_that_keep_killing_workers(
         self, entry, subprocess_env, tmp_path
     ):
-        report = run_child(entry, "survives", subprocess_env, tmp_path)
+        report = run_child([entry, "survives"], subprocess_env, tmp_path)
         assert report["outcomes"] == ["WorkerCrashError"] * 4
         # and the pool still runs jobs on worker processes
         assert report["worker"] != report["pid"]
@@ -255,8 +257,164 @@ class TestTheTwoRules:
     def test_only_the_killer_fails_its_bystanders_return(
         self, entry, subprocess_env, tmp_path
     ):
-        report = run_child(entry, "bystanders", subprocess_env, tmp_path)
+        report = run_child([entry, "bystanders"], subprocess_env, tmp_path)
         assert report["outcomes"] == ["WorkerCrashError", 1.0, 2.0, 3.0, 4.0]
+
+
+#: a worker that dies halfway through its reply: the marked job's reply
+#: (the first one that carries MARK, once per marker file) gets its
+#: length header and half its frame written, then the worker SIGKILLs
+#: itself.  Patched before the pool forks, so every worker inherits it.
+#: Prints one JSON line; exits 1 if a future is not back in 10 s.
+MID_REPLY_CHILD = textwrap.dedent("""
+    import json, multiprocessing, os, signal, struct, sys, time
+    from multiprocessing.connection import Connection
+    from repro.parallel.executor import ChunkWorkPool
+
+    MARKER, MARK, OWNER = sys.argv[1], b"torn-reply-marker", os.getpid()
+    send_bytes = Connection._send_bytes
+
+    def torn(self, buf):
+        frame = bytes(buf)
+        if os.getpid() != OWNER and MARK in frame and not os.path.exists(MARKER):
+            open(MARKER, "w").close()
+            self._send(struct.pack("!i", len(frame)) + frame[:len(frame) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return send_bytes(self, buf)
+
+    Connection._send_bytes = torn
+
+    def echo(value):
+        time.sleep(0.05)
+        return value
+
+    events = []
+    pool = ChunkWorkPool(
+        2, on_event=events.append, mp_context=multiprocessing.get_context("fork")
+    )
+    start = time.monotonic()
+    futures = [pool._submit(echo, MARK if k == 0 else k) for k in range(8)]
+    try:
+        values = [f.result(timeout=10) for f in futures]
+    except Exception as exc:
+        print(json.dumps({"error": repr(exc)}), flush=True)
+        os._exit(1)  # a wedged pool would hang the exit too
+    seconds = time.monotonic() - start
+    pool.shutdown()
+    print(json.dumps({
+        "marked": values[0].decode(), "neighbours": values[1:],
+        "events": events, "seconds": seconds,
+    }))
+""")
+
+
+def test_a_worker_killed_mid_reply_costs_only_a_retry_of_its_job(
+    subprocess_env, tmp_path
+):
+    """The death reaches EOF on the dead worker's pipe alone: its job is
+    re-dispatched and returns, and its seven neighbours return."""
+    marker = tmp_path / "torn-once"
+    report = run_child(
+        [str(marker)], subprocess_env, tmp_path, script=MID_REPLY_CHILD
+    )
+    assert marker.exists()
+    assert report["marked"] == "torn-reply-marker"
+    assert report["neighbours"] == list(range(1, 8))
+    assert report["events"].count("crash") == 1
+    assert report["events"].count("retry") == 1
+    assert "poisoned" not in report["events"]
+    assert report["seconds"] < 10
+
+
+class Unpicklable(Exception):
+    """An exception that holds a lock, so it does not pickle."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def return_a_lock(_payload):
+    return threading.Lock()
+
+
+def raise_unpicklable(_payload):
+    raise Unpicklable()
+
+
+class TestPicklingFailures:
+    """What does not pickle fails its own job with the pickling
+    ``TypeError`` — the payload in the caller, a result or an exception
+    in the worker — and the pool goes on with the next job."""
+
+    @pytest.mark.parametrize("fn, payload", [
+        (ok_job, threading.Lock()),
+        (return_a_lock, None),
+        (raise_unpicklable, None),
+    ], ids=["payload", "result", "exception"])
+    def test_only_that_job_fails_typed(self, fn, payload, pool_events):
+        pool = make_pool(pool_events)
+        try:
+            before = pool._submit(ok_job, 1)
+            bad = pool._submit(fn, payload)
+            with pytest.raises(TypeError, match="pickle"):
+                bad.result(timeout=120)
+            assert before.result(timeout=120) == 2
+            assert pool._submit(ok_job, 2).result(timeout=120) == 4
+        finally:
+            pool.shutdown()
+        assert pool_events == []  # no worker died for it
+
+
+def tile(array):
+    """A 45 KB result: a reply long enough to be written in two parts."""
+    return np.full(5625, float(array[0]))
+
+
+def kill_loop_trial(seed):
+    """One trial of the random-kill loop: 3000 array jobs with 45 KB
+    results on four forked workers, one random worker SIGKILLed 0.02-0.4 s
+    in.  Returns the pool's events; raises if a result is wrong or not
+    back within 15 s.  Every slab is released on every way out."""
+    rng = random.Random(seed)
+    events = []
+    pool = ChunkWorkPool(
+        4, on_event=events.append, mp_context=multiprocessing.get_context("fork")
+    )
+    futures = []
+    before = {p.pid for p in multiprocessing.active_children()}
+
+    def kill_one():
+        time.sleep(rng.uniform(0.02, 0.4))
+        deadline = time.monotonic() + 15
+        while not (
+            workers := {p.pid for p in multiprocessing.active_children()} - before
+        ) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        if workers:  # else the results time out and say so
+            os.kill(rng.choice(sorted(workers)), signal.SIGKILL)
+
+    killer = threading.Thread(target=kill_one)
+    try:
+        killer.start()
+        for k in range(3000):
+            futures.append(pool.submit_array(tile, np.full(4, k, np.float32)))
+        for k, future in enumerate(futures):
+            assert np.array_equal(future.result(timeout=15), tile([k]))
+    finally:
+        killer.join()
+        for future in futures:
+            future.cancel()  # a late one's slab goes now, not never
+        pool.shutdown()
+    return events
+
+
+@pytest.mark.chaos
+def test_random_worker_kills_never_hang_the_pool():
+    for seed in range(20):
+        events = kill_loop_trial(seed)
+        assert events.count("crash") <= 1 and "poisoned" not in events, events
+        assert active_slab_names() == []
 
 
 class TestShutdown:
@@ -277,7 +435,8 @@ class TestShutdown:
 
     def test_a_worker_death_during_shutdown_resolves_its_job(self, pool_events):
         """The job cannot be re-dispatched on a pool that is shutting
-        down: it fails typed instead of leaving its caller waiting."""
+        down — whose workers it stops — so it fails typed instead of
+        leaving its caller waiting."""
         pool = make_pool(pool_events)
         future = pool._submit(nap_then_kill_worker_job, 0.5)
         closer = threading.Timer(0.2, pool.shutdown)

@@ -131,6 +131,28 @@ FIXTURES = [
             except ValueError:
                 pass
         """, []),
+    # a pool worker's loop: its job's error is its reply
+    ("RL006", "parallel/executor.py", """
+        def serve(conn):
+            while True:
+                try:
+                    fn, arg = pickle.loads(conn.recv_bytes())
+                    result = fn(arg)
+                except BaseException:
+                    continue
+                _reply(conn, True, result)
+        """, [7]),
+    ("RL006", "parallel/executor.py", """
+        def serve(conn):
+            while True:
+                try:
+                    fn, arg = pickle.loads(conn.recv_bytes())
+                    result = fn(arg)
+                except BaseException as exc:
+                    _reply(conn, False, exc)
+                else:
+                    _reply(conn, True, result)
+        """, []),
     # ---------------------------------------------------------------- RL007
     ("RL007", "encoding/mod.py", """
         import numpy as np
@@ -176,14 +198,12 @@ FIXTURES = [
         """, []),
     # ---------------------------------------------------------------- RL009
     ("RL009", "parallel/executor.py", """
-        from concurrent.futures.process import BrokenProcessPool
-
-        def submit(pool, fn):
+        def collect(worker):
             try:
-                return pool.submit(fn)
-            except BrokenProcessPool:
+                return worker.conn.recv_bytes()
+            except (EOFError, OSError):
                 return None
-        """, [7]),
+        """, [5]),
     ("RL009", "service/scheduler.py", """
         import asyncio
 
@@ -195,14 +215,19 @@ FIXTURES = [
         """, [7]),
     ("RL009", "parallel/executor.py", """
         import asyncio
-        from concurrent.futures.process import BrokenProcessPool
         from repro.errors import DeadlineExceededError, WorkerCrashError
 
-        def dispatch(self, fn, gen):
+        def collect(self, worker):
             try:
-                return self._pool.submit(fn)
-            except BrokenProcessPool:
-                self._note_crash(gen)
+                return worker.conn.recv_bytes()
+            except (EOFError, OSError):
+                self._lost(worker)
+
+        def hand_out(self, worker, job):
+            try:
+                worker.conn.send_bytes(job.payload)
+            except OSError:
+                job.future.set_exception(WorkerCrashError("job lost"))
 
         async def guard(coro, timeout):
             try:
@@ -210,11 +235,11 @@ FIXTURES = [
             except asyncio.TimeoutError:
                 raise DeadlineExceededError(timeout * 1e3, "running")
 
-        def finish(outer, exc):
+        def spawn(self):
             try:
-                raise exc
-            except BrokenProcessPool:
-                outer.set_exception(WorkerCrashError("job poisoned"))
+                return self._spawn()
+            except OSError:
+                return None  # not a pipe: the caller's business
         """, []),
     # outside service/ and parallel/ a timeout is the caller's business
     ("RL009", "cli/progress.py", """

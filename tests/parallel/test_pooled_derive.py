@@ -215,8 +215,10 @@ class TestFaults:
         shutdown_pool()
         before = {p.pid for p in multiprocessing.active_children()}
         expected = derive(self.DATA, "psnr")
+        events = []
         with kept_pool(2) as pool:
             pool._submit(abs, 0).result()  # fork the workers
+            hears, pool._on_event = pool._on_event, events.append
             victim = min(
                 {p.pid for p in multiprocessing.active_children()} - before
             )
@@ -235,7 +237,11 @@ class TestFaults:
                 killer.join(JOIN_S)
             assert not killer.is_alive()
             assert active_slab_names() == []
-            assert pool._generation >= 1
+            deadline = time.monotonic() + JOIN_S  # a death is seen apart
+            while "crash" not in events and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pool._on_event = hears
+            assert "crash" in events
         assert plan == expected[0]
         assert counters(tuning) == counters(expected[1])
         assert executor._kept.borrowers == 0

@@ -192,10 +192,10 @@ class TestForkedChildren:
         compress()
         parent_pool = id(executor._kept)  # no reference: see below
         read_fd, write_fd = os.pipe()
-        # forked as if another thread were inside the executor's submit:
-        # a child that dropped (and so finalised) the inherited pool would
-        # block on this lock for ever, which is why it parks it instead
-        with executor._kept._pool._shutdown_lock:
+        # forked as if another thread were inside the pool's submit: the
+        # child drops the inherited pool with its lock held, and nothing
+        # it does afterwards may wait on that lock
+        with executor._kept._lock:
             pid = os.fork()
         if pid == 0:  # pragma: no cover - runs in the child
             status = b"F"
@@ -301,13 +301,13 @@ class TestFailuresLeaveThePoolUsable:
         from repro.errors import CompressionError
 
         submits = []
-        real = ChunkWorkPool.submit_compress_views
+        real = ChunkWorkPool.submit_compress_batch
 
         def counted(pool, *args, **kwargs):
             submits.append(time.monotonic())
             return real(pool, *args, **kwargs)
 
-        monkeypatch.setattr(ChunkWorkPool, "submit_compress_views", counted)
+        monkeypatch.setattr(ChunkWorkPool, "submit_compress_batch", counted)
         rng = np.random.default_rng(60)
         data = np.cumsum(rng.standard_normal((64, 64, 64)), axis=0)
         data = (data / np.abs(data).max()).astype(np.float32)
@@ -403,12 +403,12 @@ def test_second_pool_cold_starts_beside_a_busy_kept_pool(rounds, serial):
         for _ in range(rounds):
             second = ChunkWorkPool(2)
             try:
-                got = second.submit_compress_views(
-                    "sz3", {}, views, 1e-3
-                ).result(timeout=JOIN_S)
+                got = list(second.compress_stream(
+                    enumerate(views), "sz3", {}, 1e-3
+                ))
             finally:
                 second.shutdown()
-            assert got == expected
+            assert got == list(enumerate(expected))
     finally:
         stop.set()
         busy.join(JOIN_S)

@@ -1,7 +1,7 @@
 """One pooled fan-out and one front door, checked on the syntax tree.
 
-``ChunkWorkPool`` is the only code in ``src/`` allowed to construct a
-``ProcessPoolExecutor`` or create a :class:`~repro.parallel.slab.Slab`,
+``ChunkWorkPool`` is the only code in ``src/`` allowed to start a worker
+process or create a :class:`~repro.parallel.slab.Slab`,
 and the library's one is built by ``kept_pool`` alone
 (DESIGN.md §7, §13); every compress route is the same admit ->
 derive -> execute (§4): ``Compressor`` owns the plan contract, one
@@ -51,16 +51,24 @@ def call_sites(match):
     return sites
 
 
-def test_process_pools_are_built_only_inside_chunkworkpool():
-    sites = call_sites(
-        lambda f: (isinstance(f, ast.Name) and f.id == "ProcessPoolExecutor")
-        or (isinstance(f, ast.Attribute) and f.attr == "ProcessPoolExecutor")
-    )
-    assert sites, "the check no longer sees the pool being built"
+def test_worker_processes_are_started_only_inside_chunkworkpool():
+    starters = {"Process", "Pool", "ProcessPoolExecutor"}
+    sites = call_sites(lambda f: tail(f) in starters)
+    assert sites, "the check no longer sees a worker being started"
     assert all(
         path == "parallel/executor.py" and scope[0] == "ChunkWorkPool"
         for path, scope in sites
     ), sites
+    # nor is a process pool imported to be started some other way
+    imported = [
+        (path.relative_to(SRC).as_posix(), node.module, alias.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in starters or node.module == "concurrent.futures.process"
+    ]
+    assert imported == [], imported
 
 
 def test_the_library_borrows_the_kept_pool_and_builds_none():
@@ -350,33 +358,51 @@ def stores_into_service_state(tree):
             yield n.lineno
 
 
-def handlers_that_drop(tree, catches, routes, typed=None):
+TRY_NODES = (ast.Try, getattr(ast, "TryStar", ast.Try))  # except* is 3.11+
+
+
+def handlers_that_drop(tree, catches, routes, typed=None, guarding=None):
     """``except`` clauses that catch one of ``catches`` (``None``: a bare
     ``except``) and neither call one of ``routes`` nor raise — with
-    ``typed``, raise one of those classes; a bare re-raise does not count."""
-    for handler in ast.walk(tree):
-        if not isinstance(handler, ast.ExceptHandler):
+    ``typed``, raise one of those classes; a bare re-raise does not count.
+    With ``guarding``, only the clauses of a ``try`` whose body calls one
+    of those names."""
+    for node in ast.walk(tree):
+        if not isinstance(node, TRY_NODES) or guarding and not any(
+            isinstance(n, ast.Call) and tail(n.func) in guarding
+            for statement in node.body for n in ast.walk(statement)
+        ):
             continue
-        types = (
-            handler.type.elts if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        if not {t and tail(t) for t in types} & catches:
-            continue
-        body = list(ast.walk(handler))
-        routed = any(
-            isinstance(n, ast.Call) and tail(n.func) in routes for n in body
-        )
-        raised = any(
-            isinstance(n, ast.Raise)
-            and (typed is None or tail(getattr(n.exc, "func", n.exc)) in typed)
-            for n in body
-        )
-        if not (routed or raised):
-            yield handler.lineno
+        for handler in node.handlers:
+            types = (
+                handler.type.elts if isinstance(handler.type, ast.Tuple)
+                else [handler.type]
+            )
+            if not {t and tail(t) for t in types} & catches:
+                continue
+            body = list(ast.walk(handler))
+            routed = any(
+                isinstance(n, ast.Call) and tail(n.func) in routes for n in body
+            )
+            raised = any(
+                isinstance(n, ast.Raise)
+                and (typed is None
+                     or tail(getattr(n.exc, "func", n.exc)) in typed)
+                for n in body
+            )
+            if not (routed or raised):
+                yield handler.lineno
 
 
-RESOLVES_THE_JOB = {"encode_error", "encode_retry", "set_exception"}
+#: calls that settle a job: the service's error replies, a future's
+#: exception, the pool's ``_resolve`` of a future and a worker's
+#: ``_reply`` to its owner
+RESOLVES_THE_JOB = {
+    "encode_error", "encode_retry", "set_exception", "_resolve", "_reply",
+}
+
+#: calls on a worker's pipe: EOF or an OS error from one is its death
+PIPE_CALLS = {"recv", "recv_bytes", "send", "send_bytes", "poll"}
 
 
 def swallowed_broad_excepts(tree):
@@ -387,19 +413,21 @@ def swallowed_broad_excepts(tree):
 
 
 def untyped_fault_handlers(tree):
-    # the recovery state machine (§12): a pool break or a timeout feeds the
-    # supervisor, resolves the job, or leaves as a ReproError
+    # the recovery state machine (§12): a worker death — EOF or an OS
+    # error on its pipe — feeds the death handler ``_lost``; it, a broken
+    # executor or a timeout resolves the job or leaves as a ReproError
     from repro import errors
 
     typed = {
         name for name, cls in vars(errors).items()
         if isinstance(cls, type) and issubclass(cls, errors.ReproError)
     }
-    return handlers_that_drop(
-        tree,
-        {"BrokenProcessPool", "BrokenExecutor", "TimeoutError"},
-        RESOLVES_THE_JOB | {"_note_crash", "_dispatch"},
-        typed,
+    routes = RESOLVES_THE_JOB | {"_lost"}
+    yield from handlers_that_drop(
+        tree, {"BrokenExecutor", "TimeoutError"}, routes, typed
+    )
+    yield from handlers_that_drop(
+        tree, {"EOFError", "OSError"}, routes, typed, guarding=PIPE_CALLS
     )
 
 
