@@ -14,17 +14,6 @@ from typing import Sequence
 import numpy as np
 
 
-def _radial_wavenumber(shape: Sequence[int]) -> np.ndarray:
-    """|k| grid for rfftn output layout."""
-    freqs = [np.fft.fftfreq(n) for n in shape[:-1]]
-    freqs.append(np.fft.rfftfreq(shape[-1]))
-    grids = np.meshgrid(*freqs, indexing="ij")
-    k2 = np.zeros_like(grids[0])
-    for g in grids:
-        k2 = k2 + g * g
-    return np.sqrt(k2)
-
-
 def gaussian_random_field(
     shape: Sequence[int],
     slope: float = 3.0,
@@ -37,18 +26,30 @@ def gaussian_random_field(
     below that wavenumber, controlling the largest structure size.
     """
     shape = tuple(int(n) for n in shape)
+    ndim = len(shape)
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(shape)
-    spec = np.fft.rfftn(white)
-    k = _radial_wavenumber(shape)
+    spec = np.fft.rfftn(rng.standard_normal(shape))
+    # |k| on the rfftn layout: the per-axis frequencies broadcast, their
+    # squares summed in axis order into one array
+    k = np.zeros((1,) * ndim)
+    for axis, n in enumerate(shape):
+        g = np.fft.rfftfreq(n) if axis == ndim - 1 else np.fft.fftfreq(n)
+        g = g.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
+        k = k + g * g
+    np.sqrt(k, out=k)
     kfund = 1.0 / max(shape)
     k0 = kmin * kfund
-    amp = np.zeros_like(k)
-    nz = k > 0
-    amp[nz] = (np.maximum(k[nz], k0)) ** (-slope / 2.0)
+    # the amplitude, in k's own buffer; k = 0 only at the origin
+    np.maximum(k, k0, out=k)
+    k **= -slope / 2.0
+    k.flat[0] = 0.0
+    spec *= k
+    del k
     # NumPy 2.x deprecates s= without an explicit axes= sequence
-    field = np.fft.irfftn(spec * amp, s=shape, axes=tuple(range(len(shape))))
+    field = np.fft.irfftn(spec, s=shape, axes=tuple(range(ndim)))
+    del spec
     std = field.std()
     if std > 0:
         field /= std
-    return field - field.mean()
+    field -= field.mean()
+    return field

@@ -24,12 +24,33 @@ def ricker(t: np.ndarray, peak_frequency: float) -> np.ndarray:
     return (1.0 - 2.0 * a) * np.exp(-a)
 
 
-def _laplacian(p: np.ndarray, inv_h2: float) -> np.ndarray:
-    """Second-order central-difference Laplacian, zero-padded borders."""
-    lap = -2.0 * p.ndim * p
+def _neighbour_sum(p: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """``out = np.roll(p, 1, axis) + np.roll(p, -1, axis)``, from slices."""
+    n = p.shape[axis]
+    lead = (slice(None),) * axis
+    # (cells, their left neighbours, their right neighbours) along axis:
+    # the interior, then the first and the last cell, which wrap
+    for cells, left, right in (
+        (slice(1, n - 1), slice(0, n - 2), slice(2, n)),
+        (slice(0, 1), slice(n - 1, n), slice(1 % n, 1 % n + 1)),
+        (slice(n - 1, n), slice((n - 2) % n, (n - 2) % n + 1), slice(0, 1)),
+    ):
+        np.add(p[lead + (left,)], p[lead + (right,)], out=out[lead + (cells,)])
+
+
+def _laplacian(
+    p: np.ndarray, inv_h2: float, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Second-order central-difference Laplacian of ``p``, into ``out``.
+
+    The borders are periodic (each axis wraps around); the damping sponge
+    absorbs what wraps.  ``scratch`` is overwritten.
+    """
+    np.multiply(-2.0 * p.ndim, p, out=out)
     for axis in range(p.ndim):
-        lap += np.roll(p, 1, axis=axis) + np.roll(p, -1, axis=axis)
-    return lap * inv_h2
+        _neighbour_sum(p, axis, scratch)
+        out += scratch
+    out *= inv_h2
 
 
 class WaveSimulator:
@@ -56,9 +77,12 @@ class WaveSimulator:
                 v.reshape((-1,) + (1,) * (len(self.shape) - 1)), self.shape
             ).copy()
             rng = np.random.default_rng(seed)
-            velocity *= 1.0 + 0.05 * np.tanh(
-                rng.standard_normal(self.shape)
-            )
+            jitter = rng.standard_normal(self.shape)
+            np.tanh(jitter, out=jitter)
+            jitter *= 0.05
+            jitter += 1.0
+            velocity *= jitter
+            del jitter
         self.velocity = np.asarray(velocity, dtype=np.float64)
         if self.velocity.shape != self.shape:
             raise ConfigurationError("velocity model shape mismatch")
@@ -91,22 +115,35 @@ class WaveSimulator:
         """Zero the pressure fields and the clock."""
         self.p = np.zeros(self.shape)
         self.p_prev = np.zeros(self.shape)
+        # step()'s Laplacian and spare buffer, reused by every step
+        self._lap = np.empty(self.shape)
+        self._spare = np.empty(self.shape)
         self.step_count = 0
 
     def step(self, n: int = 1) -> None:
-        """Advance ``n`` time steps."""
-        c2dt2 = (self.velocity * self.dt) ** 2
+        """Advance ``n`` time steps.
+
+        ``p`` and ``p_prev`` are the solver's working buffers, overwritten
+        by later steps; keep a ``snapshot()``.
+        """
+        c2dt2 = self.velocity * self.dt
+        c2dt2 **= 2
         inv_h2 = 1.0 / (self.dx * self.dx)
+        lap = self._lap
         for _ in range(n):
             t = self.step_count * self.dt
-            lap = _laplacian(self.p, inv_h2)
-            p_next = 2.0 * self.p - self.p_prev + c2dt2 * lap
+            _laplacian(self.p, inv_h2, out=lap, scratch=self._spare)
+            lap *= c2dt2
+            # p_next = 2 p - p_prev + c2dt2 lap, in the spare buffer
+            p_next = np.multiply(2.0, self.p, out=self._spare)
+            p_next -= self.p_prev
+            p_next += lap
             p_next[self.source] += (
                 ricker(np.array([t]), self.peak_frequency)[0] * self.dt**2
             )
             p_next *= self._damp
-            self.p_prev = self.p * self._damp
-            self.p = p_next
+            np.multiply(self.p, self._damp, out=self.p_prev)
+            self._spare, self.p = self.p, p_next
             self.step_count += 1
 
     def snapshot(self, dtype=np.float32) -> np.ndarray:

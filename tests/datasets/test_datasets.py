@@ -10,6 +10,7 @@ from repro.datasets import (
     get_dataset,
 )
 from repro.datasets.registry import DATASETS, LABELS
+from repro.datasets.wave import _laplacian
 from repro.errors import ConfigurationError
 
 
@@ -64,6 +65,16 @@ class TestWaveSimulator:
         sim = WaveSimulator((16, 16, 16))
         sim.step(5)
         assert sim.snapshot().shape == (16, 16, 16)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (2, 3, 4), (7, 1, 3)])
+    def test_laplacian_wraps_like_roll(self, shape):
+        p = np.random.default_rng(0).standard_normal(shape)
+        ref = -2.0 * p.ndim * p
+        for axis in range(p.ndim):
+            ref += np.roll(p, 1, axis=axis) + np.roll(p, -1, axis=axis)
+        out = np.empty(shape)
+        _laplacian(p, 0.25, out, scratch=np.empty(shape))
+        np.testing.assert_array_equal(out, ref * 0.25)
 
     def test_1d_rejected(self):
         with pytest.raises(ConfigurationError):
