@@ -4,24 +4,29 @@
 worker process or creates a :class:`~repro.parallel.slab.Slab`.
 The library (every ``processes=`` call) borrows the one process-wide
 pool that :func:`kept_pool` keeps warm; the service keeps its own for
-its lifetime.  Both drive the same helpers:
+its lifetime.
+
+A job is ``fn(arg)`` on a worker.  Bulk arrays never ride its pickle
+channel: a job that needs one is an array job (``slab.ARRAY_JOB_LAYOUT``),
+``fn(array, *args)`` on a view into a slab, and :func:`_array_job` is
+the one worker function that attaches a slab.  Every fan-out settles
+through one :func:`_gather`:
 
 * :meth:`ChunkWorkPool.compress_stream` packs each batch of chunk views
-  into an input slab and yields their streams in a bounded window —
-  chunk *payloads* never ride the pickle channel, the submitted job is
-  ``(slab_name, descriptors, codec, ...)``, a few hundred bytes;
+  into a slab, one job per chunk, and yields their streams in a bounded
+  window;
 * :meth:`ChunkWorkPool.submit_decode_parts` decodes hyperslab parts
-  (``slab.DECODE_PART_LAYOUT``) into an output slab and resolves to the
-  assembled array — decoded chunks are never pickled back;
-* :meth:`ChunkWorkPool.submit_array` runs one function on one array on
-  one worker (``slab.ARRAY_JOB_LAYOUT``) — the service's compress job,
-  derive and container included; :meth:`ChunkWorkPool.map_stack` deals
-  a derive step's trials over every worker under the same layout.
+  (``slab.DECODE_PART_LAYOUT``) into an output slab, a share of them
+  per job, and resolves to the assembled array;
+* :meth:`ChunkWorkPool.map_stack` deals a derive step's trials over
+  every worker, and :meth:`ChunkWorkPool.submit_array` runs one function
+  on one array — the service's compress job, derive and container
+  included.
 
-The helpers release their slab when their future is done — result,
-error or cancel — so no caller can leak one.  Chunk jobs optionally
-carry a :class:`~repro.core.plan_cache.FrozenPlan` derived once from the
-full field; workers then run only the execution half of the codec.
+A slab is released when the future that owns it is done — result, error
+or cancel — so no caller can leak one.  Chunk jobs carry the field's
+:class:`~repro.core.plan_cache.FrozenPlan` (or ``None``), so workers run
+only the execution half of the codec.
 
 Scientific dumps also hold many independent *fields* (the paper's RTM
 has 3600, Hurricane 48x13; Fig. 14): :func:`compress_fields_parallel` /
@@ -32,6 +37,8 @@ state (``last_report``).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -61,8 +68,8 @@ from repro.parallel.slab import (
     share_tracker_with_children,
 )
 
-#: chunks packed into one slab batch: one submit amortizes the dispatch
-#: overhead of this many chunks
+#: chunks packed into one slab batch: one slab and one future serve
+#: this many chunk jobs
 BATCH_CHUNKS = 2
 
 #: slab-resident chunks allowed per worker; with BATCH_CHUNKS this keeps
@@ -136,38 +143,85 @@ def _resolve(future: "Future", ok: bool, value) -> None:
         pass  # lost a race with a caller-side cancel
 
 
-def _compress_batch(args) -> List[bytes]:
-    """Worker: compress every chunk described by one slab batch.
+def _gather(futures: Iterable["Future"], then: Callable[[list], Any]) -> "Future":
+    """One future for many: it resolves to ``then(their results in
+    order)``, at once for none.  The first error fails it, an inner
+    cancel cancels it, and cancelling it cancels every inner future; an
+    error of ``then`` fails it too, so no callback here raises.  (A
+    submit that raises means the pool shut down, which settles every job
+    made before it.)"""
+    outer: Future = Future()
+    inner = list(futures)
+    results: list = [None] * len(inner)
+    left = len(inner)
+    lock = threading.Lock()
 
-    ``args`` is ``(slab_name, descriptors, codec_name, codec_kwargs,
-    error_bound, plan)`` where each descriptor is ``(offset, shape,
-    dtype)`` into the named input slab (layout pinned by
-    ``slab.SLAB_DESCRIPTOR_LAYOUT`` in the wire registry).  The worker
-    never takes slab ownership; re-dispatch after a crash ships the
-    identical descriptors, so retried streams stay byte-identical.
-    """
-    slab_name, descriptors, codec_name, codec_kwargs, error_bound, plan = args
-    codec = get_compressor(codec_name, **codec_kwargs)
-    shm = attach_slab(slab_name)
-    try:
-        blobs: List[bytes] = []
-        for offset, shape, dtype in descriptors:
-            view = np.ndarray(
-                tuple(shape), dtype=np.dtype(dtype),
-                buffer=shm.buf, offset=offset,
+    def finish() -> None:
+        try:
+            value = then(results)
+        except Exception as exc:
+            return _resolve(outer, False, exc)
+        _resolve(outer, True, value)
+
+    def one_done(k: int, future: "Future") -> None:
+        nonlocal left
+        if outer.done():
+            return
+        if future.cancelled():
+            outer.cancel()
+        elif future.exception() is not None:
+            _resolve(outer, False, future.exception())
+        else:
+            with lock:
+                results[k] = future.result()
+                left -= 1
+                last = left == 0
+            if last:
+                finish()
+
+    def cancel_inner(_outer: "Future") -> None:
+        for future in inner:
+            future.cancel()
+
+    outer.add_done_callback(cancel_inner)
+    for k, future in enumerate(inner):
+        future.add_done_callback(functools.partial(one_done, k))
+    if not inner:
+        finish()
+    return outer
+
+
+def _compress_chunk(view, codec_name, codec_kwargs, error_bound, plan) -> bytes:
+    """Worker: one chunk of a slab batch, by the call the in-process walk
+    makes on it — so a pooled stream is the serial one."""
+    return get_compressor(codec_name, **codec_kwargs).compress_with_plan(
+        view, plan, error_bound
+    )
+
+
+def _decode_parts(out: np.ndarray, parts) -> None:
+    """Worker: decode each part (``slab.DECODE_PART_LAYOUT``) and write
+    its region into ``out``, the read's output slab; bounds are per-axis
+    ``(start, stop)`` pairs (plain ints pickle smaller than slices).  A
+    chunk that decodes to another shape than its index entry raises
+    :class:`ChunkCorruptionError`, as the in-process read does."""
+    for part in map(DecodePart._make, parts):
+        chunk = decompress_any(part.blob)
+        if chunk.shape != tuple(part.shape):
+            raise ChunkCorruptionError(
+                part.index, part.start, part.shape,
+                shape_disagreement(chunk.shape),
             )
-            blobs.append(codec.compress_with_plan(view, plan, error_bound))
-            del view  # views must die before the mapping closes
-        return blobs
-    finally:
-        detach_slab(shm)
+        src = tuple(slice(a, b) for a, b in part.src)
+        out[tuple(slice(a, b) for a, b in part.dst)] = chunk[src]
 
 
 def _array_job(job: ArrayJob) -> Any:
-    """Worker: ``fn(array, *args)`` on a slab-resident array — a share of
-    a derive step's independent trials, or a whole field
-    (``ARRAY_JOB_LAYOUT``).  The callers' functions are deterministic and
-    read the array only, so a crash retry returns the same."""
+    """Worker: ``fn(array, *args)`` on a slab-resident array
+    (``ARRAY_JOB_LAYOUT``) — the one worker function that attaches a
+    slab.  ``fn`` is deterministic and reads the array, or writes its
+    own disjoint regions of it (a read's decode share), so a crash retry
+    returns — and writes — the same."""
     offset, shape, dtype = job.array
     shm = attach_slab(job.slab)
     try:
@@ -180,55 +234,27 @@ def _array_job(job: ArrayJob) -> Any:
         detach_slab(shm)
 
 
-def _decompress_into_batch(args) -> int:
-    """Worker: decode blobs and write regions into a shared output slab.
-
-    ``args`` is ``(slab_name, out_shape, out_dtype, parts)`` with each
-    part laid out as ``slab.DECODE_PART_LAYOUT``; bounds are per-axis
-    ``(start, stop)`` pairs (plain ints pickle smaller than slice
-    objects and keep the job layout introspectable).  A chunk that
-    decodes to another shape than its index entry raises
-    :class:`ChunkCorruptionError`, as the in-process read does.  Writes
-    are idempotent — a crash retry rewrites the same values.
-    """
-    slab_name, out_shape, out_dtype, parts = args
-    shm = attach_slab(slab_name)
+def _owning(slab: Slab, submit: Callable[[], "Future"]) -> "Future":
+    """``submit()``, whose future then owns ``slab``: it is released in
+    the future's done-callback — on result, error and cancel alike — or
+    at once if ``submit`` raises."""
     try:
-        out = np.ndarray(
-            tuple(out_shape), dtype=np.dtype(out_dtype), buffer=shm.buf
-        )
-        for part in map(DecodePart._make, parts):
-            chunk = decompress_any(part.blob)
-            if chunk.shape != tuple(part.shape):
-                raise ChunkCorruptionError(
-                    part.index, part.start, part.shape,
-                    shape_disagreement(chunk.shape),
-                )
-            src = tuple(slice(a, b) for a, b in part.src)
-            dst = tuple(slice(a, b) for a, b in part.dst)
-            out[dst] = chunk[src]
-        done = len(parts)
-        del out  # views must die before the mapping closes
-        return done
-    finally:
-        detach_slab(shm)
+        future = submit()
+    except BaseException:
+        slab.release()
+        raise
+    future.add_done_callback(lambda _f: slab.release())
+    return future
 
 
 def _on_slab(
     arrays: Sequence[np.ndarray], submit: Callable[[str, list], "Future"]
 ) -> "Future":
     """``submit(slab name, descriptors)`` of ``arrays`` packed into a fresh
-    slab — the one copy per array, in the calling thread; views may be
-    lazy memmap slices.  The slab is released in the future's
-    done-callback: on result, error and cancel alike."""
+    slab that the future owns (:func:`_owning`) — the one copy per array,
+    in the calling thread; views may be lazy memmap slices."""
     slab = Slab.create(max(1, sum(int(a.nbytes) for a in arrays)))
-    try:
-        future = submit(slab.name, slab.pack(arrays))
-    except BaseException:
-        slab.release()
-        raise
-    future.add_done_callback(lambda _f: slab.release())
-    return future
+    return _owning(slab, lambda: submit(slab.name, slab.pack(arrays)))
 
 
 def compress_fields_parallel(
@@ -496,16 +522,16 @@ class ChunkWorkPool:
         error_bound: float,
         plan=None,
     ) -> "Future":
-        """Submit one slab batch of chunk compressions (one future, many
-        chunks).  The future resolves to the list of streams in
-        descriptor order.  The caller made the slab and must keep it
+        """Compress each chunk a descriptor locates in the named slab, one
+        array job per chunk; the future resolves to the list of streams
+        in descriptor order.  The caller made the slab and must keep it
         alive until the future resolves — crash retries re-attach it.
         """
-        job = (
-            slab_name, tuple(descriptors), codec_name, codec_kwargs or {},
-            error_bound, plan,
-        )
-        return self._submit(_compress_batch, job)
+        args = (codec_name, codec_kwargs or {}, error_bound, plan)
+        return _gather((
+            self._submit(_array_job, ArrayJob(slab_name, where, _compress_chunk, args))
+            for where in descriptors
+        ), list)
 
     def submit_array(self, fn: Callable, array: np.ndarray, *args) -> "Future":
         """``fn(array, *args)`` on one worker; resolves to its result.
@@ -521,28 +547,29 @@ class ChunkWorkPool:
     def map_stack(self, fn: Callable, stack: np.ndarray, items, *spec) -> list:
         """``fn(stack, items, *spec)``, the items dealt over the workers.
 
-        ``stack`` travels once, in a slab this call owns and releases on
-        every way out; each worker takes an interleaved share, and the
-        results come back in ``items`` order.  Blocks until all are in.
+        ``stack`` travels once, in a slab the call's future owns; each
+        worker takes an interleaved share, and the results come back in
+        ``items`` order.  Blocks until all are in; a way out before that
+        cancels the shares still pending.
         """
         shares = min(len(items), self.workers)
-        slab = Slab.create(max(1, int(stack.nbytes)))
-        futures: List[Future] = []
-        try:
-            (where,) = slab.pack([stack])
-            for k in range(shares):
-                args = (tuple(items[k::shares]), *spec)
-                futures.append(
-                    self._submit(_array_job, ArrayJob(slab.name, where, fn, args))
-                )
+
+        def deal(results: list) -> list:
             out: list = [None] * len(items)
-            for k, future in enumerate(futures):
-                out[k::shares] = future.result()
+            for k, result in enumerate(results):
+                out[k::shares] = result
             return out
+
+        future = _on_slab([stack], lambda name, descriptors: _gather((
+            self._submit(_array_job, ArrayJob(
+                name, descriptors[0], fn, (tuple(items[k::shares]), *spec)
+            ))
+            for k in range(shares)
+        ), deal))
+        try:
+            return future.result()
         finally:
-            for future in futures:
-                future.cancel()
-            slab.release()
+            future.cancel()
 
     def compress_stream(
         self,
@@ -564,35 +591,24 @@ class ChunkWorkPool:
         the generator early (or a failing job) cancels what is still
         pending, which releases those slabs.
         """
-        pending: Deque[Tuple[List[int], Future]] = deque()
-        indices: List[int] = []
-        views: List[np.ndarray] = []
+        chunks = iter(chunks)
+        pending: Deque[Tuple[tuple, Future]] = deque()
 
-        def flush() -> None:
-            nonlocal indices, views
-            if indices:
-                future = _on_slab(views, lambda name, descriptors: (
+        def drain_oldest() -> Iterator[Tuple[int, bytes]]:
+            indices, future = pending.popleft()
+            return zip(indices, future.result())
+
+        try:
+            for batch in iter(lambda: list(itertools.islice(chunks, BATCH_CHUNKS)), []):
+                indices, views = zip(*batch)
+                pending.append((indices, _on_slab(views, lambda name, descriptors: (
                     self.submit_compress_batch(
                         codec_name, codec_kwargs, name, descriptors,
                         error_bound, plan,
                     )
-                ))
-                pending.append((indices, future))
-                indices, views = [], []
-
-        def drain_oldest() -> Iterator[Tuple[int, bytes]]:
-            batch, future = pending.popleft()
-            return zip(batch, future.result())
-
-        try:
-            for index, view in chunks:
-                indices.append(index)
-                views.append(view)
-                if len(indices) >= BATCH_CHUNKS:
-                    flush()
+                ))))
                 while len(pending) >= self.window_batches:
                     yield from drain_oldest()
-            flush()
             while pending:
                 yield from drain_oldest()
         finally:
@@ -608,58 +624,27 @@ class ChunkWorkPool:
         """Decode hyperslab parts into one array.
 
         Each part is laid out as ``slab.DECODE_PART_LAYOUT`` (built by
-        :meth:`repro.chunked.api.ChunkedFile.submit_read`); a worker
-        checks each decoded chunk against its index entry and writes
-        ``decoded[src]`` into ``out[dst]`` of a fresh output slab.  The
-        regions of a hyperslab plan are disjoint by construction, so
-        concurrent writes never overlap.  Parts are dealt round-robin
-        into one batch per worker (times two, for stragglers).  The
-        last batch to finish copies the array out and releases the
-        slab; an error or a cancel releases it too and drops the rest.
+        :meth:`repro.chunked.api.ChunkedFile.submit_read`).  The parts
+        are dealt round-robin into one share per worker (times two, for
+        stragglers), each an array job on a fresh output slab: the
+        worker checks each decoded chunk against its index entry and
+        writes ``decoded[src]`` into ``out[dst]``.  The regions of a
+        hyperslab plan are disjoint by construction, so concurrent writes
+        never overlap.  When every share is in, the array is copied out
+        and the slab released; an error or a cancel releases it too and
+        cancels the other shares.
         """
         dtype = np.dtype(out_dtype)
         shape = tuple(int(n) for n in out_shape)
         slab = Slab.create(max(1, dtype.itemsize * math.prod(shape)))
-        outer: Future = Future()
-        n_batches = max(1, min(len(parts), 2 * self.workers))
-        batches: List[Future] = []
-        remaining = n_batches
-        lock = threading.Lock()
-
-        def abandon(_outer: "Future") -> None:
-            for future in batches:
-                future.cancel()
-            slab.release()
-
-        def batch_done(future: "Future") -> None:
-            nonlocal remaining
-            if future.cancelled() or outer.done():
-                return
-            exc = future.exception()
-            if exc is not None:
-                _resolve(outer, False, exc)
-                return
-            with lock:
-                remaining -= 1
-                last = remaining == 0
-            if last:
-                view = slab.view(0, shape, dtype)
-                result = np.array(view)  # copy out before the unlink
-                del view
-                slab.release()
-                _resolve(outer, True, result)
-
-        outer.add_done_callback(abandon)
-        try:
-            for b in range(n_batches):
-                job = (slab.name, shape, dtype.str, tuple(parts[b::n_batches]))
-                batches.append(self._submit(_decompress_into_batch, job))
-        except BaseException:
-            outer.cancel()
-            raise
-        for future in batches:
-            future.add_done_callback(batch_done)
-        return outer
+        where = (0, shape, dtype.str)
+        shares = max(1, min(len(parts), 2 * self.workers))
+        return _owning(slab, lambda: _gather((
+            self._submit(_array_job, ArrayJob(
+                slab.name, where, _decode_parts, (tuple(parts[b::shares]),)
+            ))
+            for b in range(shares)
+        ), lambda _: np.array(slab.view(*where))))  # a copy: the slab goes next
 
     def shutdown(self) -> None:
         """Idempotent: cancel the queued jobs, stop the workers, and fail

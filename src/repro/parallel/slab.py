@@ -1,15 +1,12 @@
-"""Shared-memory slabs: zero-copy chunk transport for the process pool.
+"""Shared-memory slabs: zero-copy array transport for the process pool.
 
-Before this module, every chunk crossed the pool boundary as pickled
-ndarray bytes twice — once out (the chunk payload inside the submitted
-job tuple) and once back for decode results.  A slab moves the bulk
-bytes into a named ``multiprocessing.shared_memory`` segment instead:
-the parent copies chunk data into the slab **once**, workers attach by
-name and operate on sliced ndarray views, and the pickled job shrinks to
-a descriptor of a few dozen bytes per chunk
-(:data:`SLAB_DESCRIPTOR_LAYOUT` — the layout is registered in
-:mod:`repro.wire_registry` because descriptors cross a process
-boundary, exactly like struct formats cross a file boundary).
+A slab is a named ``multiprocessing.shared_memory`` segment.  The
+parent copies arrays into it **once** (:meth:`Slab.pack`), workers
+attach by name and operate on ndarray views of it, and the pickled job
+carries a descriptor of a few dozen bytes per array
+(:data:`SLAB_DESCRIPTOR_LAYOUT` — registered in :mod:`repro.wire_registry`
+with the job layouts below, because they cross a process boundary,
+exactly like struct formats cross a file boundary).
 
 Ownership contract (DESIGN.md §13): the process that calls
 :meth:`Slab.create` owns the segment and is the only one that may
@@ -52,7 +49,6 @@ __all__ = [
     "ARRAY_JOB_LAYOUT",
     "DECODE_PART_LAYOUT",
     "HAVE_SHARED_MEMORY",
-    "SLAB_BATCH_VERSION",
     "SLAB_DESCRIPTOR_LAYOUT",
     "SLAB_NAME_PREFIX",
     "ArrayJob",
@@ -65,21 +61,20 @@ __all__ = [
     "share_tracker_with_children",
 ]
 
-#: version tag of the (slab name, descriptors) job layout shipped to
-#: workers; bump together with the wire_registry entry when it changes
-SLAB_BATCH_VERSION = 1
-
 #: field order of one chunk descriptor as it crosses the pool boundary:
 #: byte offset into the slab, chunk shape, dtype string.  Registered in
 #: repro/wire_registry.py (the wire_drift pin holds it to the registry).
 SLAB_DESCRIPTOR_LAYOUT = "offset,shape,dtype"
 
-#: field order of one array job (``ChunkWorkPool.submit_array`` and the
-#: shares of ``map_stack``): the worker runs ``fn(array, *args)`` —
-#: ``array`` the chunk descriptor of one array in ``slab``: a derive's
-#: sampled block stack (``args`` then starts with the worker's share of
-#: bound vectors or interpolator candidates), or the field of a compress
-#: job sent whole (``CompressJob.submit_whole``).  Also registered.
+#: field order of one array job, the only job that reaches a slab: the
+#: worker runs ``fn(array, *args)`` — ``array`` the chunk descriptor of
+#: one array in ``slab``.  It carries a derive's sampled block stack
+#: (``map_stack``; ``args`` then starts with the worker's share of bound
+#: vectors or interpolator candidates), the field of a compress job sent
+#: whole (``CompressJob.submit_whole``), one chunk of a compress batch
+#: (``submit_compress_batch``; ``args`` the codec, its kwargs, the bound
+#: and the plan) and a read's output slab (``submit_decode_parts``;
+#: ``args`` a share of decode parts).  Also registered.
 ARRAY_JOB_LAYOUT = "slab,array,fn,args"
 
 #: field order of one hyperslab decode part
@@ -198,10 +193,9 @@ class Slab:
     def pack(self, arrays: Sequence[np.ndarray]) -> List[ChunkDescriptor]:
         """Copy arrays into the slab back to back; return their descriptors.
 
-        This is the ONE copy of the zero-copy path — it replaces the old
-        pickle-encode in the parent plus pickle-decode in the worker.
-        Inputs may be lazy views (memmap slices); ``np.copyto`` both
-        materializes and compacts them into C order.
+        This is the ONE copy of the zero-copy path.  Inputs may be lazy
+        views (memmap slices); ``np.copyto`` both materializes and
+        compacts them into C order.
         """
         descriptors: List[ChunkDescriptor] = []
         offset = 0
@@ -276,5 +270,5 @@ def detach_slab(shm: "shared_memory.SharedMemory") -> None:
     try:
         shm.close()
     except BufferError:
-        # a view outlived the batch; the worker process exit reclaims it
+        # a view outlived the job; the worker process exit reclaims it
         pass

@@ -85,6 +85,10 @@ class WireSpec:
 #                plan it ran and the finished container (the arguments
 #                now carry the job's chunk shape too; the layout is
 #                unchanged)
+#   slab.py      rev 5: SLAB_BATCH_VERSION and its '(slab_name,
+#                descriptors, codec, ...)' batch tuple go: a chunk of a
+#                compress batch and a share of a read's decode parts are
+#                each one array job; the other layouts are unchanged
 #   planbus.py   rev 1: inter-shard plan replication bus — one pipe
 #                payload per message, 'u8 ver | u8 kind | u16 shard_id |
 #                body', kinds HELLO/PLAN/STATS_REQ/STATS_RESP; scalars
@@ -130,10 +134,9 @@ WIRE_SPECS: Tuple[WireSpec, ...] = (
     ),
     WireSpec(
         module="repro/parallel/slab.py",
-        revision=4,
+        revision=5,
         formats=(),  # descriptors ride multiprocessing's pickle, no struct
         constants={
-            "SLAB_BATCH_VERSION": 1,
             "SLAB_DESCRIPTOR_LAYOUT": "offset,shape,dtype",
             "ARRAY_JOB_LAYOUT": "slab,array,fn,args",
             "DECODE_PART_LAYOUT": "blob,src,dst,index,start,shape",

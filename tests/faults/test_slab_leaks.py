@@ -23,11 +23,13 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
 
 from repro.chunked import (
+    ChunkedFile,
     compress_chunked,
     decompress_chunked,
     read_hyperslab,
@@ -248,6 +250,30 @@ class TestLibraryPooledPath:
         # switch (tiny chunks; failed 4 runs of 12 at the parent)
         wait_for_releases(2)
         assert_no_leaks()
+
+
+class TestReadOnAShutDownPool:
+    def test_a_read_whose_pool_shuts_down_resolves_and_leaks_nothing(self):
+        """A pooled read whose pool shuts down before its shares are in
+        resolves — its queued shares were cancelled, the ones on workers
+        failed — and its output slab goes with it."""
+        blob = compress_chunked(
+            smooth3d(), codec="qoz", chunks=8, rel_error_bound=1e-3
+        )
+        whole = (slice(None),) * 3
+        for _ in range(3):
+            pool = ChunkWorkPool(2)
+            with ChunkedFile(blob) as f:
+                future = f.submit_read(whole, pool)
+                pool.shutdown()
+            try:
+                got = future.result(timeout=10)
+            except (CancelledError, WorkerCrashError):
+                pass
+            else:  # every share was in before the shutdown: not stranded
+                np.testing.assert_array_equal(got, read_hyperslab(blob, whole))
+            wait_for_releases(2)
+            assert_no_leaks()
 
 
 class TestServicePooledPath:

@@ -333,6 +333,25 @@ class TestFailuresLeaveThePoolUsable:
         assert compress() == serial
 
 
+def never_called(stack, items):
+    raise AssertionError(f"a share of {items} reached a worker")
+
+
+def test_a_fan_out_of_no_items_returns_at_once(fresh_registry):
+    """``map_stack`` over no items resolves to ``[]`` without a job — a
+    gather of nothing must not wait for a result that never comes."""
+    out = []
+    with kept_pool(2) as pool:
+        call = threading.Thread(  # a daemon: a hang must not hold the exit
+            target=lambda: out.append(pool.map_stack(never_called, FIELD, [])),
+            daemon=True,
+        )
+        call.start()
+        call.join(JOIN_S)
+    assert not call.is_alive() and out == [[]]
+    assert worker_pids() == fresh_registry  # nothing was submitted
+
+
 class TestThreads:
     def test_threads_share_the_pool(self, fresh_registry, serial):
         """More callers than cores, eager thread switches: every call gets

@@ -94,6 +94,14 @@ def test_slabs_are_created_only_under_parallel():
     assert all(path.startswith("parallel/") for path, _ in sites), sites
 
 
+def test_only_the_array_job_attaches_a_slab():
+    # one worker function attaches, views and detaches; every pooled call
+    # is that job or a plain ``fn(arg)`` job, so a second attach loop is
+    # the duplication the batch helpers were folded from
+    sites = call_sites(lambda f: tail(f) == "attach_slab")
+    assert sites == [("parallel/executor.py", ("_array_job",))], sites
+
+
 def test_the_scheduler_does_not_import_the_slab_module():
     tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
     imported = {

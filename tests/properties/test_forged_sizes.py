@@ -387,10 +387,10 @@ PINNED = {
     "protocol-_unpack_array-dtype": Forgery("response-array", "flip", 6, value=6),
     "protocol-_unpack_array-descr": Forgery("response-array", "flip", 4, value=4),
     "mgard-budget": Forgery("mgard-float32", "flip", 171, value=0),
-    "executor-_decompress_into_batch": Forgery(
+    "executor-_decode_parts": Forgery(
         "v2zfp-float32-pool-read", "flip", 286, value=2
     ),
-    "executor-_decompress_into_batch-served": Forgery(
+    "executor-_decode_parts-served": Forgery(
         "v2zfp-float32-pool-serve-read", "flip", 286, value=2
     ),
 }

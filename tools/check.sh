@@ -4,8 +4,8 @@
 #
 #   tools/check.sh          invariant tests + tier-1 suite + leak gate
 #   tools/check.sh --fast   wire golden, structure pins, forged-size
-#                           property, route matrix, pooled-derive identity
-#                           (seconds)
+#                           property, route matrix, pooled-derive identity,
+#                           generator digests (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -14,10 +14,11 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + forged sizes + route identity =="
+echo "== wire golden + structure pins + forged sizes + route identity + digests =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/properties/test_forged_sizes.py tests/api/test_route_matrix.py \
-    tests/parallel/test_pooled_derive.py -q
+    tests/parallel/test_pooled_derive.py \
+    tests/datasets/test_generator_digests.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
