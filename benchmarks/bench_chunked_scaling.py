@@ -57,7 +57,9 @@ CHUNK_EDGES = (16, 24, 32, 48)
 
 def _run_chunk_size_table():
     from conftest import bench_dataset
-    from repro.chunked import ChunkedFile, compress_chunked
+
+    import repro
+    from repro.chunked import ChunkedFile
     from repro.compressors.base import get_compressor
 
     data = bench_dataset("miranda")
@@ -71,8 +73,8 @@ def _run_chunk_size_table():
 
     for edge in CHUNK_EDGES:
         t0 = time.perf_counter()
-        blob = compress_chunked(
-            data, codec=CODEC, chunks=edge, rel_error_bound=REL_EB
+        blob = repro.compress(
+            data, codec=CODEC, chunks=edge, bound=("rel", REL_EB)
         )
         dt = time.perf_counter() - t0
         with ChunkedFile(blob) as f:
@@ -109,7 +111,7 @@ def run_benchmark():
 
     import numpy as np
 
-    from repro.chunked import compress_chunked
+    import repro
     from repro.datasets import get_dataset
 
     rng = np.random.default_rng(2022)
@@ -122,8 +124,8 @@ def run_benchmark():
     }
 
     def compress_with(workers):
-        return compress_chunked(
-            data, codec="qoz", chunks=FAN_CHUNK, rel_error_bound=REL_EB,
+        return repro.compress(
+            data, codec="qoz", chunks=FAN_CHUNK, bound=("rel", REL_EB),
             processes=None if workers == 1 else workers,
         )
 

@@ -58,8 +58,8 @@ def calibration_melem_s(rng):
 
 
 def run_benchmark():
+    import repro
     from repro import SZ3
-    from repro.chunked import compress_chunked
     from repro.core.qoz import QoZ
     from repro.datasets import get_dataset
 
@@ -95,15 +95,15 @@ def run_benchmark():
     )
 
     dt_shared = _best_of(
-        lambda: compress_chunked(
-            field, codec="qoz", chunks=CHUNK, rel_error_bound=1e-3
+        lambda: repro.compress(
+            field, codec="qoz", chunks=CHUNK, bound="rel:1e-3"
         ),
         rounds=2,
     )
     record("qoz_chunked_shared_plan", field.nbytes, dt_shared)
     dt_tuned = _best_of(
-        lambda: compress_chunked(
-            field, codec="qoz", chunks=CHUNK, rel_error_bound=1e-3,
+        lambda: repro.compress(
+            field, codec="qoz", chunks=CHUNK, bound="rel:1e-3",
             per_chunk_tuning=True,
         ),
         rounds=2,

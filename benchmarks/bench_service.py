@@ -64,7 +64,7 @@ def build_request(kind, fields, client_id):
     return CompressRequest(
         data=fields[kind],
         codec=CODEC,
-        rel_error_bound=REL_EB,
+        bound=("rel", REL_EB),
         family=f"load-{kind}",
         priority=kind if kind in protocol.PRIORITIES else "interactive",
         client_id=client_id,
@@ -85,7 +85,7 @@ def warm_plans(svc, fields):
     """Derive both families' plans once so every timed request is warm."""
     for kind, data in fields.items():
         svc.compress(
-            data, codec=CODEC, rel_error_bound=REL_EB, family=f"load-{kind}"
+            data, codec=CODEC, bound=("rel", REL_EB), family=f"load-{kind}"
         )
 
 
@@ -98,7 +98,7 @@ def calibrate(svc, fields):
             svc.compress(
                 fields[kind],
                 codec=CODEC,
-                rel_error_bound=REL_EB,
+                bound=("rel", REL_EB),
                 family=f"load-{kind}",
                 priority=kind,
             )

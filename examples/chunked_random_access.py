@@ -10,7 +10,7 @@ Run: python examples/chunked_random_access.py
 
 import numpy as np
 
-from repro.chunked import ChunkedFile, compress_chunked_to_file
+import repro
 from repro.datasets import get_dataset
 
 PATH = "miranda_chunked.rpz"
@@ -23,8 +23,8 @@ def main() -> None:
     # relative bound resolved against the FULL field's value range, then
     # applied to every chunk — same guarantee as the unchunked path
     eps = 1e-3
-    info = compress_chunked_to_file(
-        data, PATH, codec="sz3", chunks=32, rel_error_bound=eps
+    info = repro.compress(
+        data, file=PATH, codec="sz3", chunks=32, bound=f"rel:{eps}"
     )
     eb = info.header.error_bound
     print(f"container: {info.total_bytes} bytes "
@@ -32,7 +32,7 @@ def main() -> None:
           f"grid {info.grid.grid_shape} of {info.grid.chunk_shape} chunks, "
           f"abs eb = {eb:.3g}")
 
-    with ChunkedFile(PATH) as f:
+    with repro.open(PATH) as f:
         # --- single-chunk random access -------------------------------
         i = f.n_chunks // 2
         entry = f.info.entries[i]

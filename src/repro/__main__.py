@@ -11,7 +11,7 @@ batch when ``--processes`` > 1), not the field size.
 Examples::
 
     python -m repro compress field.npy field.rpz --codec qoz --chunks 256 --eb rel:1e-3
-    python -m repro compress dataset:miranda:48x64x64 field.rpz --codec sz3 --rel-eb 1e-3
+    python -m repro compress dataset:miranda:48x64x64 field.rpz --codec sz3 --eb abs:1e-2
     python -m repro info field.rpz --list-chunks
     python -m repro verify field.rpz
     python -m repro decompress field.rpz recon.npy
@@ -101,29 +101,18 @@ def _stream_header(path: str):
 
 
 def _cmd_compress(args) -> int:
-    from repro.chunked import compress_chunked_to_file
-    from repro.errors import CompressionError
-    from repro.utils import normalize_bound
+    import repro
 
-    try:
-        bound = normalize_bound(args.eb, args.abs_eb, args.rel_eb)
-    except CompressionError as exc:
-        if "exactly one" not in str(exc):
-            raise  # a malformed value: main() prints the parser's line
-        # the library names its keywords; the user typed flags
-        raise SystemExit(
-            "error: give exactly one of --eb / --abs-eb / --rel-eb"
-        )
     data = _load_input(args.input)
     t0 = time.perf_counter()
-    info = compress_chunked_to_file(
+    info = repro.compress(
         data,
-        args.output,
         codec=args.codec,
+        bound=args.eb,
         chunks=args.chunks,
+        file=args.output,
         processes=args.processes,
         per_chunk_tuning=args.per_chunk_tuning,
-        bound=bound,
     )
     dt = time.perf_counter() - t0
     raw = int(np.prod(info.grid.shape)) * info.header.dtype.itemsize
@@ -137,14 +126,23 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    from repro.chunked import ChunkedFile
-    from repro.compressors.base import decompress_any
+    import repro
 
     header = _stream_header(args.input)
     t0 = time.perf_counter()
-    if not header.is_chunked:
-        with open(args.input, "rb") as fh:
-            recon = decompress_any(fh.read())
+    if header.is_chunked:
+        # out of core: a whole container streams chunk by chunk into a
+        # .npy memmap; a slab decodes only the chunks it touches
+        with repro.open(args.input) as f:
+            if args.slab is None:
+                f.to_npy(args.output)
+                shape = f.shape
+            else:
+                out = f.read(args.slab)
+                np.save(args.output, out)
+                shape = out.shape
+    else:
+        recon = repro.decompress(args.input)
         if args.slab is not None:
             from repro.chunked import grid_for
 
@@ -153,16 +151,6 @@ def _cmd_decompress(args) -> int:
             recon = recon[grid_for(recon.shape, recon.shape).normalize_slab(args.slab)]
         np.save(args.output, recon)
         shape = recon.shape
-    else:
-        with ChunkedFile(args.input) as f:
-            if args.slab is not None:
-                slab = f.grid.normalize_slab(args.slab)
-                out = f.read(slab)
-                np.save(args.output, out)
-                shape = out.shape
-            else:
-                f.to_npy(args.output)
-                shape = f.shape
     dt = time.perf_counter() - t0
     print(f"wrote {args.output}: shape={tuple(shape)} "
           f"dtype={header.dtype} in {dt:.2f}s")
@@ -291,11 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--codec", default="qoz", help="registered codec name (default: qoz)")
     c.add_argument("--chunks", type=_parse_chunks, default=None,
                    help="chunk shape, e.g. '256' or '64,64,32' (default 256/axis)")
-    c.add_argument("--eb", default=None, metavar="SPEC",
-                   help="unified error-bound spec: 'abs:1e-3' or 'rel:1e-4'")
-    c.add_argument("--abs-eb", type=float, default=None, help="absolute error bound")
-    c.add_argument("--rel-eb", type=float, default=None,
-                   help="value-range-relative error bound")
+    c.add_argument("--eb", required=True, metavar="SPEC",
+                   help="error bound: 'abs:1e-3' (absolute) or 'rel:1e-4' "
+                        "(relative to the field's value range)")
     c.add_argument("--processes", type=int, default=1,
                    help="process-pool width for chunk fan-out (default 1)")
     c.add_argument("--per-chunk-tuning", action="store_true",

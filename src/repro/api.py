@@ -1,10 +1,9 @@
 """The public facade: ``repro.compress`` / ``repro.decompress`` / ``repro.open``.
 
-Three entry idioms accreted around the same concepts — single-array
-codec classes, the :mod:`repro.chunked` functions, and the service
-clients — each with its own kwarg spellings.  This module is the one
-surface that routes between them **from arguments alone** (DESIGN.md
-§13 states the routing rules normatively):
+These three functions are the one way in above the codec classes: the
+chunked container layer (:mod:`repro.chunked`) and the service clients
+sit under them.  The routing follows **from arguments alone** (DESIGN.md
+§13 states the rules normatively):
 
 * ``client=`` targets a running service (in-process or remote) — the
   request executes there, nothing else about the call changes;
@@ -13,15 +12,9 @@ surface that routes between them **from arguments alone** (DESIGN.md
   container path;
 * otherwise the call is a plain single-array codec round-trip.
 
-Error bounds use the unified spelling (``bound=`` — an
-:class:`~repro.utils.ErrorBound`, ``"abs:1e-3"``, ``("rel", 1e-4)`` or
-a bare number) or exactly one of the legacy kwargs; every spelling
-funnels through :func:`repro.utils.normalize_bound`, so the emitted
-stream never depends on which one was used.
-
-The package-qualified layer functions (``repro.chunked.compress_chunked``
-and friends) remain canonical API for code that wants the specific
-layer.
+An error bound has one spelling, ``bound=``: an
+:class:`~repro.utils.ErrorBound`, ``"abs:1e-3"``, ``("rel", 1e-4)`` or a
+bare number (absolute), all parsed by :meth:`ErrorBound.parse`.
 """
 
 from __future__ import annotations
@@ -34,16 +27,18 @@ import numpy as np
 
 from repro.chunked.api import (
     ChunkedFile,
+    CompressJob,
     PathLike,
-    compress_chunked,
-    compress_chunked_to_file,
-    decompress_chunked,
+    _write_container,
 )
-from repro.chunked.container import ContainerInfo
+from repro.chunked.container import (
+    ContainerInfo,
+    as_fileobj,
+    parse_header_from,
+)
 from repro.compressors.base import decompress_any, get_compressor
-from repro.core.header import HEADER_PROBE_BYTES, parse_header
 from repro.errors import CompressionError
-from repro.utils import BoundLike, normalize_bound
+from repro.utils import BoundLike, ErrorBound
 
 __all__ = ["compress", "decompress", "open"]
 
@@ -52,8 +47,6 @@ def compress(
     data: np.ndarray,
     codec: str = "qoz",
     bound: Optional[BoundLike] = None,
-    error_bound: Optional[float] = None,
-    rel_error_bound: Optional[float] = None,
     chunks: Union[int, Sequence[int], None] = None,
     chunked: Optional[bool] = None,
     file: Union[PathLike, BinaryIO, None] = None,
@@ -67,14 +60,26 @@ def compress(
     """Compress ``data`` through whichever path the arguments select.
 
     Returns the compressed stream as ``bytes`` — except with ``file=``,
-    which streams a container to disk and returns its
+    which streams a container to an open binary file or, crash-safe
+    (temp file, fsync, rename), to a path, and returns its
     :class:`~repro.chunked.container.ContainerInfo`.  ``chunked=False``
     forces the single-array path and refuses chunked-only arguments
     instead of silently ignoring them.  ``service_kwargs`` (priority,
     client_id, deadline_ms, family) pass through to a ``client=`` call
     and are rejected elsewhere.
+
+    On the chunked path ``data`` may be any array-like with numpy
+    indexing — a ``np.load(..., mmap_mode='r')`` memmap stays out of
+    core.  A codec with a derivation (QoZ, SZ3) runs its sampling /
+    selection / tuning **once** over the full field and every chunk
+    executes the frozen plan; ``processes > 1`` fans the chunks, and
+    QoZ's independent tuning trials, over the process's kept worker
+    pool (same plan, same bytes).  ``per_chunk_tuning=True`` re-runs the
+    analysis on every chunk instead; ``plan=`` injects a previously
+    derived :class:`~repro.core.plan_cache.FrozenPlan` from the same
+    codec and skips derivation entirely.
     """
-    spec = normalize_bound(bound, error_bound, rel_error_bound)
+    spec = ErrorBound.parse(bound)
 
     wants_chunked = (
         file is not None
@@ -117,18 +122,14 @@ def compress(
         )
 
     if chunked or wants_chunked:
-        route: Dict[str, Any] = dict(
-            codec=codec,
-            chunks=chunks,
-            codec_kwargs=codec_kwargs,
-            processes=processes,
-            per_chunk_tuning=per_chunk_tuning,
-            plan=plan,
-            bound=spec,
+        job = CompressJob(
+            data, codec, chunks, codec_kwargs, spec, per_chunk_tuning, plan
         )
         if file is not None:
-            return compress_chunked_to_file(data, file, **route)
-        return compress_chunked(data, **route)
+            return _write_container(job, file, processes)
+        buf = io.BytesIO()
+        job.compress_to(buf, processes)
+        return buf.getvalue()
 
     codec_inst = get_compressor(codec, **(codec_kwargs or {}))
     return codec_inst.compress(data, **spec.kwargs())
@@ -154,12 +155,11 @@ def decompress(
 ) -> np.ndarray:
     """Decode any stream this package produces back into an array.
 
-    Routing mirrors :func:`compress`: ``client=`` executes on a
-    service (a path or open file is read here and its bytes shipped); a
-    path (or open file) is read as a chunked container; raw
-    bytes are sniffed by their stream header — chunked containers take
-    the container path (honoring ``processes=``), single-array streams
-    take their codec's decoder.
+    ``client=`` executes on a service (a path or open file is read here
+    and its bytes shipped).  Locally, every source kind — bytes, a path,
+    an open binary file — has its stream header read once, then a chunked
+    container decodes through :meth:`ChunkedFile.to_array` (honoring
+    ``processes=``) and a plain stream through its codec's decoder.
     """
     if client is not None:
         if processes not in (None, 0, 1):
@@ -175,13 +175,17 @@ def decompress(
             f"{sorted(service_kwargs)} are service-call options; "
             "they need client="
         )
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        blob = bytes(source)
-        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
+    fh, own = as_fileobj(source)
+    try:
+        header, _ = parse_header_from(fh)
         if header.is_chunked:
-            return decompress_chunked(blob, processes=processes)
-        return decompress_any(blob)
-    return decompress_chunked(source, processes=processes)
+            with ChunkedFile(fh) as f:
+                return f.to_array(processes)
+        fh.seek(0)
+        return decompress_any(fh.read())
+    finally:
+        if own:
+            fh.close()
 
 
 def open(

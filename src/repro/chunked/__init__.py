@@ -5,17 +5,18 @@ per call, so memory scales with the domain and decompression is
 all-or-nothing.  This package tiles an N-D field into configurable blocks
 (default 256 per axis), compresses each block independently through any
 registered codec under one shared absolute error bound, and packs the
-results into a self-describing multi-chunk container (RPZ1 v2 with a
-chunk index) — enabling out-of-core compression, process-pool fan-out
-over chunks, and random access to single chunks or hyperslabs without
-reading the rest of the stream.  See DESIGN.md §5.
+results into a self-describing multi-chunk container (RPZ1 v3: a chunk
+index with one content digest per chunk) — enabling out-of-core
+compression, process-pool fan-out over chunks, and random access to
+single chunks or hyperslabs without reading the rest of the stream.  See
+DESIGN.md §5.
 
-Quickstart::
+It is reached through the facade::
 
-    from repro.chunked import compress_chunked, ChunkedFile
+    import repro
 
-    blob = compress_chunked(data, codec="qoz", chunks=64, rel_error_bound=1e-3)
-    with ChunkedFile(blob) as f:
+    blob = repro.compress(data, codec="qoz", chunks=64, bound="rel:1e-3")
+    with repro.open(blob) as f:
         sub = f.read((slice(0, 16), None, slice(8, 24)))  # hyperslab
 """
 
@@ -23,11 +24,6 @@ from repro.chunked.api import (
     ChunkedFile,
     ChunkFault,
     VerifyReport,
-    compress_chunked,
-    compress_chunked_to_file,
-    decompress_chunk,
-    decompress_chunked,
-    read_hyperslab,
     verify_container,
 )
 from repro.chunked.container import ChunkedWriter, ContainerInfo, read_container_info
@@ -41,13 +37,8 @@ __all__ = [
     "ContainerInfo",
     "DEFAULT_CHUNK",
     "VerifyReport",
-    "compress_chunked",
-    "compress_chunked_to_file",
-    "decompress_chunk",
-    "decompress_chunked",
     "grid_for",
     "normalize_chunk_shape",
     "read_container_info",
-    "read_hyperslab",
     "verify_container",
 ]

@@ -1,6 +1,7 @@
-"""High-level chunked compression API (out-of-core, random access).
+"""Chunked compression and random access: the layer under ``repro.compress``
+with ``chunks=`` / ``file=`` / ``processes=`` and under ``repro.open``.
 
-:func:`compress_chunked` tiles a field into blocks (default 256 per axis),
+:class:`CompressJob` tiles a field into blocks (default 256 per axis),
 compresses every block independently through any registered codec under
 ONE absolute error bound (relative bounds are resolved against the *full*
 field's value range, so the container honors exactly the bound the
@@ -10,10 +11,10 @@ unchunked path would), and packs them into a multi-chunk container.
 chunk index, then decodes individual chunks or arbitrary hyperslabs on
 demand — reading just the byte ranges of the chunks touched.
 
-Memory behavior: the file-to-file paths (``compress_chunked_to_file`` with
-a ``np.memmap`` input, ``ChunkedFile.to_npy``) keep peak memory bounded by
-a small multiple of one chunk, which is what lets ``python -m repro``
-handle fields larger than RAM.
+Memory behavior: the file-to-file paths (``repro.compress(..., file=)``
+with a ``np.memmap`` input, ``ChunkedFile.to_npy``) keep peak memory
+bounded by a small multiple of one chunk, which is what lets
+``python -m repro`` handle fields larger than RAM.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ from repro.errors import (
     shape_disagreement,
 )
 from repro.utils import (
-    BoundLike,
     ErrorBound,
-    normalize_bound,
     resolve_error_bound,
     validate_field_lazy,
 )
@@ -87,7 +86,7 @@ def _bounds(slices: Sequence[slice]) -> Tuple[Tuple[int, int], ...]:
 class CompressJob:
     """One field on its way into a container: admit, derive, execute.
 
-    :func:`compress_chunked_to_file` builds and consumes one per call; the
+    ``repro.compress`` builds and consumes one per chunked call; the
     service borrows the same object, with its plan cache around
     :meth:`derive` and :meth:`compress_to` run in-process or, with a
     pool, whole on one worker (:meth:`submit_whole`) — so both write the
@@ -229,66 +228,22 @@ def _whole_on_worker(
     return job.plan, buf.getvalue()
 
 
-def compress_chunked_to_file(
-    data: np.ndarray,
+def _write_container(
+    job: CompressJob,
     file: Union[PathLike, BinaryIO],
-    codec: str = "qoz",
-    chunks: Union[int, Sequence[int], None] = None,
-    codec_kwargs: Optional[Dict] = None,
-    error_bound: Optional[float] = None,
-    rel_error_bound: Optional[float] = None,
     processes: Optional[int] = None,
-    per_chunk_tuning: bool = False,
-    plan=None,
-    bound: Optional[BoundLike] = None,
 ) -> ContainerInfo:
-    """Tile ``data``, compress every chunk, stream a container to ``file``.
+    """Run ``job`` into ``file``: an open binary file is written as is; a
+    path gets the crash-safe write.
 
-    ``data`` may be any array-like with numpy indexing — in particular a
-    ``np.load(..., mmap_mode='r')`` memmap, in which case only one chunk
-    (per worker) is ever resident.  ``processes=None`` (the default)
-    compresses in-process; with ``processes > 1``, chunk jobs fan out over
-    the process's kept worker pool (forked by the first such call, stopped
-    by :func:`repro.parallel.shutdown_pool` or at exit) in bounded batches,
-    so memory stays proportional to the batch, not the field.
-
-    When the codec supports plan derivation (QoZ, SZ3), its sampling /
-    selection / tuning runs **once** over the full field and the frozen
-    plan is broadcast to every chunk — the dominant cost of chunked QoZ
-    compression, otherwise re-paid per chunk, is amortized to one payment.
-    A call that fans out lends the same pool to that derivation: QoZ's
-    independent tuning trials run on the workers (same plan, same bytes).
-    ``per_chunk_tuning=True`` opts back into independent per-chunk
-    analysis: marginally better per-chunk ratios (each chunk gets its own
-    (alpha, beta) and interpolators) at a many-fold compression-time cost.
-    The error bound is enforced point-wise by the quantizer either way.
-
-    ``plan`` injects a previously derived
-    :class:`~repro.core.plan_cache.FrozenPlan`, skipping derivation here
-    entirely; it must come from the same codec or the first chunk
-    rejects it with :class:`~repro.errors.CompressionError`.
-
-    The bound may be given as the unified ``bound=``
-    (:class:`~repro.utils.ErrorBound` or any spelling its parser
-    accepts) or as exactly one of the legacy kwarg pair.
+    The crash-safe write streams into a sibling temp file, fsyncs it,
+    then atomically renames it over the target.  An interruption at any
+    point leaves either the old file or the complete new one — never a
+    torn container (the fault suite's rename-failure case pins this).
     """
-    job = CompressJob(
-        data,
-        codec,
-        chunks,
-        codec_kwargs,
-        normalize_bound(bound, error_bound, rel_error_bound),
-        per_chunk_tuning,
-        plan,
-    )
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     if not own:
         return job.compress_to(file, processes)
-
-    # Crash-safe path write: stream into a sibling temp file, fsync it,
-    # then atomically rename over the target.  An interruption at any
-    # point leaves either the old file or the complete new one — never a
-    # torn container (the fault suite's rename-failure case pins this).
     target = os.fsdecode(file)  # type: ignore[arg-type]
     directory = os.path.dirname(os.path.abspath(target))
     fd, tmp_path = tempfile.mkstemp(
@@ -320,36 +275,6 @@ def compress_chunked_to_file(
     return info
 
 
-def compress_chunked(
-    data: np.ndarray,
-    codec: str = "qoz",
-    chunks: Union[int, Sequence[int], None] = None,
-    codec_kwargs: Optional[Dict] = None,
-    error_bound: Optional[float] = None,
-    rel_error_bound: Optional[float] = None,
-    processes: Optional[int] = None,
-    per_chunk_tuning: bool = False,
-    plan=None,
-    bound: Optional[BoundLike] = None,
-) -> bytes:
-    """In-memory variant of :func:`compress_chunked_to_file`."""
-    buf = io.BytesIO()
-    compress_chunked_to_file(
-        data,
-        buf,
-        codec=codec,
-        chunks=chunks,
-        codec_kwargs=codec_kwargs,
-        error_bound=error_bound,
-        rel_error_bound=rel_error_bound,
-        processes=processes,
-        per_chunk_tuning=per_chunk_tuning,
-        plan=plan,
-        bound=bound,
-    )
-    return buf.getvalue()
-
-
 class ChunkedFile:
     """Random-access reader over a chunked container (bytes, path, or file).
 
@@ -370,11 +295,7 @@ class ChunkedFile:
         source: Union[bytes, PathLike, BinaryIO],
         verify: bool = True,
     ) -> None:
-        if isinstance(source, str) or hasattr(source, "__fspath__"):
-            self._file: BinaryIO = open(source, "rb")
-            self._own = True
-        else:
-            self._file, self._own = as_fileobj(source)
+        self._file, self._own = as_fileobj(source)
         # verify=True checks each chunk's stored digest on read (v3
         # containers only — v2 has no digests to check); verify=False
         # opts out, e.g. for a repair tool that wants the raw bytes
@@ -577,15 +498,12 @@ class ChunkedFile:
         return out
 
     def to_array(self, processes: Optional[int] = None) -> np.ndarray:
-        """Decode the whole field."""
-        if processes not in (None, 0, 1) and self.n_chunks > 1:
-            return self.read(
-                tuple(slice(0, n) for n in self.shape), processes=processes
-            )
-        out = np.empty(self.shape, dtype=self.dtype)
-        for i in self.grid:
-            out[self.chunk_slices(i)] = self.chunk(i)
-        return out
+        """Decode the whole field: a :meth:`read` of the full slab (a
+        one-chunk container decodes in-process whatever ``processes``)."""
+        return self.read(
+            tuple(slice(0, n) for n in self.shape),
+            processes=processes if self.n_chunks > 1 else None,
+        )
 
     def to_npy(self, path: PathLike) -> None:
         """Stream-decode into a ``.npy`` file, one chunk resident at a time."""
@@ -612,31 +530,6 @@ class ChunkedFile:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def decompress_chunked(
-    source: Union[bytes, PathLike, BinaryIO],
-    processes: Optional[int] = None,
-) -> np.ndarray:
-    """Decode a whole chunked container back into an array."""
-    with ChunkedFile(source) as f:
-        return f.to_array(processes=processes)
-
-
-def decompress_chunk(
-    source: Union[bytes, PathLike, BinaryIO], index: int
-) -> Tuple[Tuple[slice, ...], np.ndarray]:
-    """Decode one chunk; returns ``(slices_in_full_array, chunk_array)``."""
-    with ChunkedFile(source) as f:
-        return f.chunk_slices(index), f.chunk(index)
-
-
-def read_hyperslab(
-    source: Union[bytes, PathLike, BinaryIO], slab: Slab
-) -> np.ndarray:
-    """Decode an arbitrary hyperslab from a chunked container."""
-    with ChunkedFile(source) as f:
-        return f.read(slab)
 
 
 # ------------------------------------------------------------- verification

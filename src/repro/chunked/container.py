@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Union
@@ -181,7 +182,7 @@ def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
     if not header.is_chunked:
         raise DecompressionError(
             "stream is not a chunked container (FLAG_CHUNKED clear); "
-            "use repro.compressors.base.decompress_any"
+            "use repro.decompress() to decode a plain stream"
         )
     ndim = len(header.shape)
     with_checksums = header.version == VERSION_CHECKSUM
@@ -229,11 +230,17 @@ def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
     )
 
 
-def as_fileobj(source: Union[bytes, bytearray, memoryview, BinaryIO]):
-    """Wrap bytes in a BytesIO; pass file objects through.
+def as_fileobj(
+    source: Union[
+        bytes, bytearray, memoryview, str, "os.PathLike[str]", BinaryIO
+    ]
+):
+    """Open a path, wrap bytes in a BytesIO, pass file objects through.
 
     Returns ``(fileobj, should_close)``.
     """
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        return open(source, "rb"), True
     if isinstance(source, (bytes, bytearray, memoryview)):
         return io.BytesIO(bytes(source)), True
     return source, False

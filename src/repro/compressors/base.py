@@ -62,9 +62,10 @@ def decompress_any(blob: bytes) -> np.ndarray:
     _ensure_loaded()
     header, _ = parse_header(blob)
     if header.is_chunked:
-        from repro.chunked import decompress_chunked
+        from repro.chunked.api import ChunkedFile
 
-        return decompress_chunked(blob)
+        with ChunkedFile(blob) as f:
+            return f.to_array()
     if header.codec_id not in _BY_ID:
         raise DecompressionError(f"unknown codec id {header.codec_id}")
     return _BY_ID[header.codec_id]().decompress(blob)
@@ -226,13 +227,13 @@ class Compressor(ABC):
         header, offset = parse_header(blob)
         if header.is_chunked:
             raise DecompressionError(
-                "stream is a chunked container; use decompress_any() or "
-                "repro.chunked.decompress_chunked()"
+                "stream is a chunked container; use repro.decompress() "
+                "or repro.open()"
             )
         if header.codec_id != self.codec_id:
             raise DecompressionError(
                 f"stream was written by codec id {header.codec_id}, "
-                f"not {self.name} ({self.codec_id}); use decompress_any()"
+                f"not {self.name} ({self.codec_id}); use repro.decompress()"
             )
         recon = self._decompress(blob[offset:], header)
         return recon.astype(header.dtype)

@@ -99,7 +99,6 @@ class QoZ(Compressor):
         anchor_stride: Optional[int] = None,
         sample_block: Optional[int] = None,
         sample_rate: Optional[float] = None,
-        use_anchors: bool = True,
         selection: str = "level",
         tune: bool = True,
         alpha: Optional[float] = None,
@@ -127,7 +126,6 @@ class QoZ(Compressor):
         self.anchor_stride = anchor_stride
         self.sample_block = sample_block
         self.sample_rate = sample_rate
-        self.use_anchors = use_anchors
         self.selection = selection
         self.tune = tune and alpha is None
         self.fixed_alpha = alpha
@@ -157,13 +155,10 @@ class QoZ(Compressor):
         memory-mapped field stays out of core.
         """
         cfg = self._resolved_config(data.ndim)
-        anchor = int(cfg["anchor_stride"]) if self.use_anchors else 0
-        if anchor:
-            max_level = min(
-                max_level_for_anchor(anchor), max_level_for_shape(data.shape)
-            )
-        else:
-            max_level = max_level_for_shape(data.shape)
+        anchor = int(cfg["anchor_stride"])
+        max_level = min(
+            max_level_for_anchor(anchor), max_level_for_shape(data.shape)
+        )
 
         needs_samples = self.selection != "none" or self.tune
         blocks = None

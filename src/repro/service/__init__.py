@@ -25,16 +25,16 @@ Quickstart::
     from repro.service import RemoteClient
 
     with RemoteClient(port=9753) as svc:
-        blob = svc.compress(field, codec="qoz", rel_error_bound=1e-3)
+        blob = svc.compress(field, codec="qoz", bound="rel:1e-3")
         sub = svc.read(blob, (slice(0, 16), slice(None), slice(8, 24)))
 
     # or fully in-process (tests, embedding):
     from repro.service import ServiceClient
 
     with ServiceClient() as svc:
-        blob = svc.compress(field, codec="qoz", rel_error_bound=1e-3)
+        blob = svc.compress(field, codec="qoz", bound="rel:1e-3")
 
-Served bytes are identical to :func:`repro.chunked.compress_chunked`
+Served bytes are identical to ``repro.compress(..., chunked=True)``
 output — the scheduler runs the same derivation, the same chunk
 execution, and the same container writer, just asynchronously and with
 the derivation half cached.

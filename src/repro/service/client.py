@@ -112,8 +112,7 @@ class _ClientAPI:
         self,
         data: np.ndarray,
         codec: str = "qoz",
-        error_bound: Optional[float] = None,
-        rel_error_bound: Optional[float] = None,
+        bound: Optional[BoundLike] = None,
         chunks: Union[int, Sequence[int], None] = None,
         codec_kwargs: Optional[Dict] = None,
         family: Optional[str] = None,
@@ -121,7 +120,6 @@ class _ClientAPI:
         priority: str = "interactive",
         client_id: Optional[str] = None,
         deadline_ms: Optional[float] = None,
-        bound: Optional[BoundLike] = None,
     ) -> bytes:
         if chunks is not None and not isinstance(chunks, int):
             chunks = tuple(chunks)
@@ -129,12 +127,10 @@ class _ClientAPI:
             data=np.asarray(data),
             codec=codec,
             codec_kwargs=dict(codec_kwargs or {}),
-            error_bound=error_bound,
-            rel_error_bound=rel_error_bound,
+            bound=bound,
             chunks=chunks,
             family=family,
             per_chunk_tuning=per_chunk_tuning,
-            bound=bound,
             **self._meta(priority, client_id, deadline_ms),
         )))
 

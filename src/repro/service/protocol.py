@@ -58,7 +58,7 @@ from repro.errors import (
     ProtocolError,
     ServiceConnectionError,
 )
-from repro.utils import BoundLike, ErrorBound, normalize_bound
+from repro.utils import BoundLike, ErrorBound
 
 PROTOCOL_VERSION = 2
 
@@ -303,18 +303,15 @@ class CompressRequest:
     / ``attempt`` are the admission metadata every schedulable request
     carries (see the module docstring).
 
-    The error bound may be the unified ``bound``
-    (:class:`~repro.utils.ErrorBound` or any spelling it parses) or
-    exactly one of the legacy kwarg pair; all three spellings normalize
-    to the same ``(mode u8, value f64)`` wire fields, so the frame
-    bytes never depend on which one the caller used.
+    ``bound`` is an :class:`~repro.utils.ErrorBound` or any spelling
+    :meth:`~repro.utils.ErrorBound.parse` accepts (``"rel:1e-3"``); every
+    spelling goes on the wire as the same ``(mode u8, value f64)``
+    fields, and a decoded request holds the parsed ``ErrorBound``.
     """
 
     data: np.ndarray
     codec: str = "qoz"
     codec_kwargs: Dict = field(default_factory=dict)
-    error_bound: Optional[float] = None
-    rel_error_bound: Optional[float] = None
     chunks: Union[int, Tuple[int, ...], None] = None
     family: Optional[str] = None
     per_chunk_tuning: bool = False
@@ -326,10 +323,8 @@ class CompressRequest:
 
     @property
     def normalized_bound(self) -> ErrorBound:
-        """The request's bound, whichever of the three fields spelled it."""
-        return normalize_bound(
-            self.bound, self.error_bound, self.rel_error_bound
-        )
+        """The request's bound, parsed from whichever spelling it has."""
+        return ErrorBound.parse(self.bound)
 
 
 @dataclass
@@ -503,7 +498,12 @@ def decode_request(body: bytes) -> Request:
         codec = r.string()
         kwargs = r.kv()
         eb_mode = r.u8()
-        bound = r.f64()
+        if eb_mode >= len(ErrorBound.MODES):
+            raise ProtocolError(f"unknown error-bound mode {eb_mode}")
+        try:
+            bound = ErrorBound(ErrorBound.MODES[eb_mode], r.f64())
+        except CompressionError as exc:
+            raise ProtocolError(str(exc)) from None
         chunks_kind = r.u8()
         chunks: Union[int, Tuple[int, ...], None]
         if chunks_kind == 0:
@@ -521,8 +521,7 @@ def decode_request(body: bytes) -> Request:
             data=data,
             codec=codec,
             codec_kwargs=kwargs,
-            error_bound=bound if eb_mode == 0 else None,
-            rel_error_bound=bound if eb_mode == 1 else None,
+            bound=bound,
             chunks=chunks,
             family=family,
             per_chunk_tuning=per_chunk,

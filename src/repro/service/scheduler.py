@@ -465,9 +465,8 @@ class CompressionService:
             req.normalized_bound, req.per_chunk_tuning,
         )
         if job.wants_plan:
-            spec = req.normalized_bound
             key = plan_cache_key(
-                req.codec, req.codec_kwargs, spec.mode, spec.value,
+                req.codec, req.codec_kwargs, job.bound.mode, job.bound.value,
                 field_signature(req.data, req.family),
             )
             job.plan = self.plans.get_or_derive(key, lambda: derive(job))

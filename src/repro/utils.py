@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
@@ -17,10 +17,9 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class ErrorBound:
     """The one spelling of an error bound: a mode plus a positive value.
 
-    Every public entry point historically grew its own kwarg pair
-    (``error_bound=`` / ``rel_error_bound=``, ``--abs-eb`` / ``--rel-eb``,
-    protocol kv floats); this type is the single validated value they all
-    normalize into (:func:`normalize_bound`).  ``abs`` is an absolute
+    Every entry point above the codec classes (the facade, the service
+    clients, ``CompressRequest``, the CLI's ``--eb``) takes its bound as
+    ``bound=`` and parses it into this type.  ``abs`` is an absolute
     point-wise bound; ``rel`` is relative to the field's value range
     (``max - min``), the paper's ``REL`` mode.
     """
@@ -84,7 +83,9 @@ class ErrorBound:
         return self.mode == "rel"
 
     def kwargs(self) -> Dict[str, float]:
-        """The legacy kwarg-pair spelling (for shims and wire kv maps)."""
+        """The codec-level kwarg spelling: the one translation into
+        ``Compressor.compress`` / ``derive_plan`` and
+        :func:`resolve_error_bound`."""
         key = "rel_error_bound" if self.is_relative else "error_bound"
         return {key: self.value}
 
@@ -93,32 +94,6 @@ class ErrorBound:
 
 
 BoundLike = Union[ErrorBound, str, float, Tuple[Any, Any]]
-
-
-def normalize_bound(
-    bound: Optional[BoundLike] = None,
-    error_bound: Optional[float] = None,
-    rel_error_bound: Optional[float] = None,
-) -> ErrorBound:
-    """Collapse every bound spelling into one validated :class:`ErrorBound`.
-
-    Exactly one of the three must be given — the unified ``bound=`` or
-    one of the legacy kwargs; this is THE normalizer every entry point
-    (facade, chunked API, protocol kv kwargs, CLI) routes through.
-    """
-    given = sum(
-        x is not None for x in (bound, error_bound, rel_error_bound)
-    )
-    if given != 1:
-        raise CompressionError(
-            "specify exactly one of bound=, error_bound= or rel_error_bound="
-        )
-    if bound is not None:
-        return ErrorBound.parse(bound)
-    if error_bound is not None:
-        return ErrorBound("abs", float(error_bound))
-    assert rel_error_bound is not None
-    return ErrorBound("rel", float(rel_error_bound))
 
 
 def validate_input(data: np.ndarray, name: str = "data") -> np.ndarray:

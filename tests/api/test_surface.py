@@ -44,10 +44,9 @@ PUBLIC_SYMBOLS = [
 #: pinned parameter lists of the facade (names, order, defaults)
 FACADE_SIGNATURES = {
     "compress": (
-        "(data, codec='qoz', bound=None, error_bound=None, "
-        "rel_error_bound=None, chunks=None, chunked=None, file=None, "
-        "codec_kwargs=None, processes=None, per_chunk_tuning=False, "
-        "plan=None, client=None, **service_kwargs)"
+        "(data, codec='qoz', bound=None, chunks=None, chunked=None, "
+        "file=None, codec_kwargs=None, processes=None, "
+        "per_chunk_tuning=False, plan=None, client=None, **service_kwargs)"
     ),
     "decompress": "(source, processes=None, client=None, **service_kwargs)",
     "open": "(source, verify=True)",
@@ -90,6 +89,29 @@ def test_facade_module_exports_exactly_the_facade():
     import repro.api
 
     assert repro.api.__all__ == ["compress", "decompress", "open"]
+
+
+#: what ``repro.chunked`` exports: types and the verifier, but no compress,
+#: decompress or hyperslab function — those enter through the facade only
+CHUNKED_SYMBOLS = [
+    "ChunkFault",
+    "ChunkGrid",
+    "ChunkedFile",
+    "ChunkedWriter",
+    "ContainerInfo",
+    "DEFAULT_CHUNK",
+    "VerifyReport",
+    "grid_for",
+    "normalize_chunk_shape",
+    "read_container_info",
+    "verify_container",
+]
+
+
+def test_the_chunked_layer_is_no_second_door():
+    import repro.chunked
+
+    assert sorted(repro.chunked.__all__) == CHUNKED_SYMBOLS
 
 
 def test_error_bound_surface():

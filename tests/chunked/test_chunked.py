@@ -6,15 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+import repro
 from repro.chunked import (
     ChunkedFile,
     ChunkedWriter,
-    compress_chunked,
-    compress_chunked_to_file,
-    decompress_chunk,
-    decompress_chunked,
     grid_for,
-    read_hyperslab,
 )
 from repro.compressors.base import (
     available_compressors,
@@ -42,9 +38,9 @@ class TestRoundtrip:
     def test_same_bound_as_unchunked_path(self, field, codec):
         """Chunked and unchunked honor the same absolute bound."""
         abs_eb = resolve_error_bound(field, None, REL_EB)
-        blob = compress_chunked(field, codec=codec, chunks=16,
-                                rel_error_bound=REL_EB)
-        recon = decompress_chunked(blob)
+        blob = repro.compress(field, codec=codec, chunks=16,
+                              bound=("rel", REL_EB))
+        recon = repro.decompress(blob)
         assert recon.shape == field.shape and recon.dtype == field.dtype
         err = np.abs(recon.astype(np.float64) - field.astype(np.float64)).max()
         assert err <= abs_eb
@@ -61,42 +57,42 @@ class TestRoundtrip:
         assert header.is_chunked
 
     def test_decompress_any_routes_containers(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
         np.testing.assert_array_equal(
-            decompress_any(blob), decompress_chunked(blob)
+            decompress_any(blob), repro.decompress(blob)
         )
 
     def test_codec_decompress_refuses_container(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
         with pytest.raises(DecompressionError, match="chunked container"):
             get_compressor("sz3").decompress(blob)
 
     @pytest.mark.parametrize("shape,chunks", [((37,), 16), ((30, 22), (16, 8))])
     def test_low_rank_and_float64(self, rng, shape, chunks):
         data = np.cumsum(rng.standard_normal(shape).ravel()).reshape(shape)
-        blob = compress_chunked(data, codec="sz3", chunks=chunks,
-                                error_bound=1e-4)
-        recon = decompress_chunked(blob)
+        blob = repro.compress(data, codec="sz3", chunks=chunks,
+                              bound=1e-4)
+        recon = repro.decompress(blob)
         assert recon.dtype == np.float64
         assert np.abs(recon - data).max() <= 1e-4
 
     def test_parallel_fanout_matches_sequential(self, field):
-        seq = compress_chunked(field, codec="sz3", chunks=8,
-                               rel_error_bound=REL_EB)
-        par = compress_chunked(field, codec="sz3", chunks=8,
-                               rel_error_bound=REL_EB, processes=2)
+        seq = repro.compress(field, codec="sz3", chunks=8,
+                             bound=("rel", REL_EB))
+        par = repro.compress(field, codec="sz3", chunks=8,
+                             bound=("rel", REL_EB), processes=2)
         np.testing.assert_array_equal(
-            decompress_chunked(seq), decompress_chunked(par)
+            repro.decompress(seq), repro.decompress(par)
         )
 
     def test_relative_bound_uses_full_field_range(self, rng):
         """A chunk with tiny local range must NOT get a tighter bound."""
         data = np.zeros((32, 8)) + 0.5
         data[16:] += 100.0 * rng.standard_normal((16, 8)).cumsum(axis=0)
-        blob = compress_chunked(data, codec="sz3", chunks=(16, 8),
-                                rel_error_bound=1e-3)
+        blob = repro.compress(data, codec="sz3", chunks=(16, 8),
+                              bound="rel:1e-3")
         header, _ = parse_header(blob)
         assert header.error_bound == pytest.approx(
             resolve_error_bound(data, None, 1e-3)
@@ -105,16 +101,16 @@ class TestRoundtrip:
 
 class TestRandomAccess:
     def test_single_chunk_matches_full_reconstruction(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
-        full = decompress_chunked(blob)
-        slices, chunk = decompress_chunk(blob, 3)
-        np.testing.assert_array_equal(chunk, full[slices])
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
+        full = repro.decompress(blob)
+        with repro.open(blob) as f:
+            np.testing.assert_array_equal(f.chunk(3), full[f.chunk_slices(3)])
 
     def test_chunk_decode_reads_only_its_byte_range(self, field):
         """Corrupting every OTHER chunk's bytes must not affect chunk i."""
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
         with ChunkedFile(blob) as f:
             target = 2
             expect = f.chunk(target)
@@ -128,27 +124,27 @@ class TestRandomAccess:
             np.testing.assert_array_equal(f.chunk(target), expect)
 
     def test_hyperslab_extraction(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=(8, 16, 5),
-                                rel_error_bound=REL_EB)
-        full = decompress_chunked(blob)
+        blob = repro.compress(field, codec="sz3", chunks=(8, 16, 5),
+                              bound=("rel", REL_EB))
+        full = repro.decompress(blob)
         slab = (slice(5, 18), slice(0, 24), slice(10, 15))
-        np.testing.assert_array_equal(read_hyperslab(blob, slab), full[slab])
+        with repro.open(blob) as f:
+            part = f.read(slab)
+        np.testing.assert_array_equal(part, full[slab])
         # hyperslab values honor the bound vs the original too
         abs_eb = resolve_error_bound(field, None, REL_EB)
         err = np.abs(
-            read_hyperslab(blob, slab).astype(np.float64)
-            - field[slab].astype(np.float64)
+            part.astype(np.float64) - field[slab].astype(np.float64)
         ).max()
         assert err <= abs_eb
 
     def test_hyperslab_with_none_and_negatives(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
-        full = decompress_chunked(blob)
-        np.testing.assert_array_equal(
-            read_hyperslab(blob, (None, slice(-8, None), slice(0, 9))),
-            full[:, -8:, 0:9],
-        )
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
+        full = repro.decompress(blob)
+        with repro.open(blob) as f:
+            part = f.read((None, slice(-8, None), slice(0, 9)))
+        np.testing.assert_array_equal(part, full[:, -8:, 0:9])
 
 
 class TestBackCompat:
@@ -176,10 +172,10 @@ class TestBackCompat:
 
 class TestContainerRobustness:
     def test_truncated_container_raises(self, field):
-        blob = compress_chunked(field, codec="sz3", chunks=16,
-                                rel_error_bound=REL_EB)
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
         with pytest.raises(DecompressionError):
-            decompress_chunked(blob[: len(blob) // 2])
+            repro.decompress(blob[: len(blob) // 2])
 
     def test_non_container_rejected_by_reader(self, field):
         plain = get_compressor("sz3").compress(field, error_bound=1e-3)
@@ -206,8 +202,8 @@ class TestContainerRobustness:
         would return the other file's bytes."""
         paths = []
         for scale in (1, -1):
-            blob = compress_chunked(scale * field, codec="sz3", chunks=16,
-                                    rel_error_bound=REL_EB)
+            blob = repro.compress(scale * field, codec="sz3", chunks=16,
+                                  bound=("rel", REL_EB))
             if version is not None:
                 buf = io.BytesIO()
                 with ChunkedFile(blob) as f:
@@ -238,16 +234,15 @@ class TestContainerRobustness:
 
     def test_eb_validation(self, field):
         with pytest.raises(CompressionError):
-            compress_chunked(field, codec="sz3", chunks=16)  # no bound
+            repro.compress(field, codec="sz3", chunks=16)  # no bound
         with pytest.raises(CompressionError):
-            compress_chunked(field, codec="sz3", chunks=16,
-                             error_bound=1e-3, rel_error_bound=1e-3)
+            repro.compress(field, codec="sz3", chunks=16, bound="rel:-1")
 
     def test_file_roundtrip_and_to_npy(self, field, tmp_path):
         path = tmp_path / "field.rpz"
         out = tmp_path / "recon.npy"
-        info = compress_chunked_to_file(
-            field, path, codec="sz3", chunks=16, rel_error_bound=REL_EB
+        info = repro.compress(
+            field, file=path, codec="sz3", chunks=16, bound=("rel", REL_EB)
         )
         assert info.total_bytes == path.stat().st_size
         with ChunkedFile(path) as f:
@@ -257,5 +252,5 @@ class TestContainerRobustness:
             assert d["n_chunks"] == f.n_chunks
             f.to_npy(out)
         np.testing.assert_array_equal(
-            np.load(out), decompress_chunked(path.read_bytes())
+            np.load(out), repro.decompress(path.read_bytes())
         )

@@ -68,7 +68,7 @@ class TestEndToEnd:
 
         assert main(["compress", str(path), str(rpz),
                      "--codec", "sz3", "--chunks", "32",
-                     "--rel-eb", "1e-3"]) == 0
+                     "--eb", "rel:1e-3"]) == 0
         assert "wrote" in capsys.readouterr().out
 
         assert main(["info", str(rpz), "--list-chunks"]) == 0
@@ -89,7 +89,7 @@ class TestEndToEnd:
         full = tmp_path / "full.npy"
         slab = tmp_path / "slab.npy"
         main(["compress", str(path), str(rpz), "--codec", "sz3",
-              "--chunks", "32", "--rel-eb", "1e-3"])
+              "--chunks", "32", "--eb", "rel:1e-3"])
         main(["decompress", str(rpz), str(full)])
         main(["decompress", str(rpz), str(slab), "--slab", "10:50,60:80"])
         np.testing.assert_array_equal(
@@ -100,7 +100,7 @@ class TestEndToEnd:
         rpz = tmp_path / "nyx.rpz"
         assert main(["compress", "dataset:nyx:24x24x24", str(rpz),
                      "--codec", "sz3", "--chunks", "16",
-                     "--rel-eb", "1e-3", "--processes", "2"]) == 0
+                     "--eb", "rel:1e-3", "--processes", "2"]) == 0
         assert main(["info", str(rpz)]) == 0
         assert "(24, 24, 24)" in capsys.readouterr().out
 
@@ -119,24 +119,14 @@ class TestEndToEnd:
         assert main(["decompress", str(plain), str(out)]) == 0
         assert np.load(out).shape == data.shape
 
-    def test_eb_required(self, npy_field, tmp_path):
-        path, _ = npy_field
-        with pytest.raises(SystemExit):
-            main(["compress", str(path), str(tmp_path / "x.rpz")])
-
-    @pytest.mark.parametrize(
-        "flags", [[], ["--eb", "rel:1e-3", "--abs-eb", "1e-3"]],
-        ids=["zero", "two"],
-    )
-    def test_bound_count_error_names_the_flags(self, npy_field, tmp_path, flags):
-        """``normalize_bound`` counts; the CLI only re-words its error
-        from keywords to flags (exit status 1, as before)."""
+    def test_eb_required(self, npy_field, tmp_path, capsys):
+        """``--eb`` is the one bound flag and argparse enforces it: a
+        missing one is a usage error (status 2) naming the flag."""
         path, _ = npy_field
         with pytest.raises(SystemExit) as exc:
-            main(["compress", str(path), str(tmp_path / "x.rpz"), *flags])
-        assert exc.value.code == (
-            "error: give exactly one of --eb / --abs-eb / --rel-eb"
-        )
+            main(["compress", str(path), str(tmp_path / "x.rpz")])
+        assert exc.value.code == 2
+        assert "required: --eb" in capsys.readouterr().err
 
     def test_malformed_eb_is_one_error_line(self, npy_field, tmp_path, capsys):
         path, _ = npy_field
@@ -163,7 +153,7 @@ def test_python_dash_m_entrypoint(npy_field, tmp_path, subprocess_env):
     rpz = tmp_path / "field.rpz"
     result = subprocess.run(
         [sys.executable, "-m", "repro", "compress", str(path), str(rpz),
-         "--codec", "sz3", "--chunks", "32", "--rel-eb", "1e-3"],
+         "--codec", "sz3", "--chunks", "32", "--eb", "rel:1e-3"],
         env=subprocess_env,
         capture_output=True,
         text=True,

@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.chunked import compress_chunked_to_file
+import repro
 from repro.core.engine import InterpPlan, LevelPlan, interp_compress
 
 #: fixed scratch allowance (decode/encode tables, small streams, sample
@@ -60,9 +60,9 @@ def test_chunked_compress_peak_is_chunk_plus_sample_sized(tmp_path):
     del blocks
     out = tmp_path / "field.rpz"
 
-    compress_chunked_to_file(data, out, codec="qoz", chunks=32, error_bound=1e-3)
+    repro.compress(data, file=out, codec="qoz", chunks=32, bound=1e-3)
     tracemalloc.start()
-    compress_chunked_to_file(data, out, codec="qoz", chunks=32, error_bound=1e-3)
+    repro.compress(data, file=out, codec="qoz", chunks=32, bound=1e-3)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -80,12 +80,12 @@ def test_compress_peak_does_not_scale_with_field_size(tmp_path):
     def peak_for(shape, seed):
         data = _field_memmap(tmp_path, shape, seed)
         out = tmp_path / f"f{shape[0]}.rpz"
-        compress_chunked_to_file(
-            data, out, codec="sz3", chunks=32, error_bound=1e-3
+        repro.compress(
+            data, file=out, codec="sz3", chunks=32, bound=1e-3
         )
         tracemalloc.start()
-        compress_chunked_to_file(
-            data, out, codec="sz3", chunks=32, error_bound=1e-3
+        repro.compress(
+            data, file=out, codec="sz3", chunks=32, bound=1e-3
         )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.chunked import ChunkedFile, compress_chunked
+import repro
+from repro.chunked import ChunkedFile
 
 N_THREADS = 8
 ROUNDS = 6  # per thread, per scenario
@@ -34,7 +35,7 @@ def field():
 @pytest.fixture(scope="module")
 def container(field):
     # 3x3x3 = 27 chunks so threads genuinely interleave byte ranges
-    return compress_chunked(field, codec="qoz", error_bound=1e-3, chunks=16)
+    return repro.compress(field, codec="qoz", bound=1e-3, chunks=16)
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,9 @@ import io
 import numpy as np
 import pytest
 
+import repro
 from repro.__main__ import main
-from repro.chunked import (
-    ChunkedFile,
-    compress_chunked,
-    compress_chunked_to_file,
-    verify_container,
-)
+from repro.chunked import ChunkedFile, verify_container
 from repro.chunked.container import ChunkedWriter, read_container_info
 from repro.compressors.base import get_compressor
 from repro.core.header import VERSION, VERSION_CHECKSUM
@@ -30,7 +26,7 @@ def smooth2d(shape=(48, 48), seed=0):
 
 
 def write_container(data, version):
-    """The compress_chunked walk, pinned to one container version."""
+    """The chunked compress walk, pinned to one container version."""
     from repro.chunked.tiling import grid_for
 
     codec = get_compressor("qoz")
@@ -50,8 +46,8 @@ def write_container(data, version):
 
 class TestVersions:
     def test_default_writer_emits_v3_with_digests(self):
-        blob = compress_chunked(
-            smooth2d(), codec="qoz", rel_error_bound=1e-3, chunks=16
+        blob = repro.compress(
+            smooth2d(), codec="qoz", bound="rel:1e-3", chunks=16
         )
         info = read_container_info(io.BytesIO(blob))
         assert info.header.version == VERSION_CHECKSUM
@@ -102,8 +98,8 @@ class TestVerifyCli:
     def write_file(self, tmp_path, seed=0):
         data = smooth2d(seed=seed)
         target = tmp_path / "field.rpz"
-        compress_chunked_to_file(
-            data, target, codec="qoz", rel_error_bound=1e-3, chunks=16
+        repro.compress(
+            data, file=target, codec="qoz", bound="rel:1e-3", chunks=16
         )
         return target
 

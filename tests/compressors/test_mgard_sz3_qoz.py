@@ -106,7 +106,6 @@ class TestQoZ:
             QoZ(selection="global", tune=False),            # SZ3 + AP + S
             QoZ(selection="level", tune=False),             # + LIS
             QoZ(selection="level", tune=True),              # full QoZ
-            QoZ(use_anchors=False),
         ]
         for codec in variants:
             out = codec.decompress(codec.compress(data, rel_error_bound=1e-3))

@@ -164,10 +164,10 @@ class TestDescribeStream:
         assert info["compressed_bytes"] == len(blob)
 
     def test_chunked_stream(self):
-        from repro.chunked import compress_chunked
+        import repro
 
         data = np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16)
-        blob = compress_chunked(data, codec="sz3", chunks=8, error_bound=1e-3)
+        blob = repro.compress(data, codec="sz3", chunks=8, bound=1e-3)
         info = describe_stream(blob)
         assert info["format"].startswith("chunked container")
         assert info["n_chunks"] == 4

@@ -15,7 +15,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.chunked import ChunkedFile, compress_chunked
+import repro
+from repro.chunked import ChunkedFile
 from repro.chunked.tiling import grid_for
 from repro.core.plan_cache import FrozenPlan, execute_frozen_plan
 from repro.core.qoz import QoZ
@@ -82,9 +83,9 @@ class TestChunkWiseReuse:
     def test_chunked_container_shared_vs_per_chunk_same_bound(self):
         data = smooth3d((48, 48, 48), seed=6).astype(np.float32)
         eb = 1e-3
-        shared = compress_chunked(data, codec="qoz", chunks=24, error_bound=eb)
-        tuned = compress_chunked(
-            data, codec="qoz", chunks=24, error_bound=eb, per_chunk_tuning=True
+        shared = repro.compress(data, codec="qoz", chunks=24, bound=eb)
+        tuned = repro.compress(
+            data, codec="qoz", chunks=24, bound=eb, per_chunk_tuning=True
         )
         for blob in (shared, tuned):
             with ChunkedFile(blob) as f:
@@ -92,16 +93,16 @@ class TestChunkWiseReuse:
             assert np.abs(out.astype(np.float64) - data).max() <= eb
 
     def test_injected_plan_matches_derived_plan_bytes(self):
-        """compress_chunked(plan=...) must equal the derive-inside path
+        """repro.compress(plan=...) must equal the derive-inside path
         (the service layer injects its cached plan through this kwarg)."""
         data = smooth3d((48, 48, 48), seed=9)
         eb = 1e-3
         plan = QoZ(metric="cr").derive_plan(data, error_bound=eb)
-        injected = compress_chunked(
-            data, codec="qoz", chunks=24, error_bound=eb, plan=plan
+        injected = repro.compress(
+            data, codec="qoz", chunks=24, bound=eb, plan=plan
         )
-        derived = compress_chunked(
-            data, codec="qoz", chunks=24, error_bound=eb
+        derived = repro.compress(
+            data, codec="qoz", chunks=24, bound=eb
         )
         assert injected == derived
 
@@ -109,16 +110,16 @@ class TestChunkWiseReuse:
         data = smooth3d(seed=10)
         plan = QoZ(metric="cr").derive_plan(data, error_bound=1e-3)
         with pytest.raises(CompressionError, match="does not support plan"):
-            compress_chunked(
-                data, codec="zfp", chunks=24, error_bound=1e-3, plan=plan
+            repro.compress(
+                data, codec="zfp", chunks=24, bound=1e-3, plan=plan
             )
 
     def test_injected_plan_contradicts_per_chunk_tuning(self):
         data = smooth3d(seed=11)
         plan = QoZ(metric="cr").derive_plan(data, error_bound=1e-3)
         with pytest.raises(CompressionError, match="contradictory"):
-            compress_chunked(
-                data, codec="qoz", chunks=24, error_bound=1e-3,
+            repro.compress(
+                data, codec="qoz", chunks=24, bound=1e-3,
                 plan=plan, per_chunk_tuning=True,
             )
 
@@ -135,7 +136,7 @@ class TestChunkWiseReuse:
 
         QoZ.derive_plan = counting
         try:
-            compress_chunked(data, codec="qoz", chunks=24, error_bound=1e-3)
+            repro.compress(data, codec="qoz", chunks=24, bound=1e-3)
         finally:
             QoZ.derive_plan = orig
         assert calls["n"] == 1

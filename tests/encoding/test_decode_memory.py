@@ -22,7 +22,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.chunked import ChunkedFile, compress_chunked
+import repro
+from repro.chunked import ChunkedFile
 from repro.encoding.codec import decode_symbol_stream, encode_symbol_stream
 
 #: scratch allowance: a few int64 arrays of the decoder's block size plus
@@ -136,7 +137,7 @@ def test_single_chunk_decode_peak_is_chunk_sized():
     rng = np.random.default_rng(9)
     x = np.cumsum(rng.standard_normal((96, 96, 96)), axis=0)
     data = (x / np.abs(x).max()).astype(np.float32)
-    blob = compress_chunked(data, codec="sz3", chunks=48, rel_error_bound=1e-3)
+    blob = repro.compress(data, codec="sz3", chunks=48, bound="rel:1e-3")
     with ChunkedFile(blob) as f:
         chunk_raw = int(np.prod(f.grid.chunk_shape)) * f.dtype.itemsize
         f.chunk(0)  # warm

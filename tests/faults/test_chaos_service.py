@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.chunked import compress_chunked
+import repro
 from repro.service import RemoteClient
 
 pytestmark = pytest.mark.chaos
@@ -96,14 +96,14 @@ def test_worker_kill_under_load_recovers_byte_identical(server):
     proc, port = server
     server_pid = proc.pid
     data = smooth3d(seed=1)
-    expected = compress_chunked(
-        data, codec="qoz", rel_error_bound=1e-3, chunks=18
+    expected = repro.compress(
+        data, codec="qoz", bound="rel:1e-3", chunks=18
     )
 
     # force the lazy pool to spawn its workers, then pick a victim
     with RemoteClient(port=port) as warm:
         assert warm.compress(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=18
+            data, codec="qoz", bound="rel:1e-3", chunks=18
         ) == expected
     deadline = time.monotonic() + 30
     while not worker_pids(server_pid):
@@ -126,7 +126,7 @@ def test_worker_kill_under_load_recovers_byte_identical(server):
                     blobs.append(
                         client.compress(
                             data, codec="qoz",
-                            rel_error_bound=1e-3, chunks=18,
+                            bound="rel:1e-3", chunks=18,
                         )
                     )
         except Exception as exc:  # pragma: no cover - diagnostic
@@ -161,14 +161,14 @@ def test_worker_kill_under_load_recovers_byte_identical(server):
                 break
             assert time.monotonic() < deadline, stats
             client.compress(
-                data, codec="qoz", rel_error_bound=1e-3, chunks=18
+                data, codec="qoz", bound="rel:1e-3", chunks=18
             )
         assert stats.get("pool_respawn", 0) >= 1
         assert stats.get("pool_poisoned", 0) == 0
         assert proc.poll() is None, "the server died"
         # post-recovery service is fully functional and byte-identical
         assert client.compress(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=18
+            data, codec="qoz", bound="rel:1e-3", chunks=18
         ) == expected
 
     # slab hygiene (DESIGN.md §13): the kill landed mid-batch, yet every

@@ -35,7 +35,7 @@ class TestLifecycle:
         with ServiceClient(ServiceConfig(processes=1)) as svc:
             with pytest.raises(DeadlineExceededError) as err:
                 svc.compress(
-                    smooth2d(), codec="qoz", rel_error_bound=1e-3,
+                    smooth2d(), codec="qoz", bound="rel:1e-3",
                     deadline_ms=1e-4,
                 )
             assert err.value.stage == "queued"
@@ -57,7 +57,7 @@ class TestLifecycle:
             started = time.monotonic()
             with pytest.raises(DeadlineExceededError) as err:
                 svc.compress(
-                    smooth2d(seed=1), codec="qoz", rel_error_bound=1e-3,
+                    smooth2d(seed=1), codec="qoz", bound="rel:1e-3",
                     deadline_ms=80.0,
                 )
             assert err.value.stage == "running"
@@ -68,7 +68,7 @@ class TestLifecycle:
 
             # the service survives the timeout: later requests complete
             blob = svc.compress(
-                smooth2d(seed=2), codec="qoz", rel_error_bound=1e-3
+                smooth2d(seed=2), codec="qoz", bound="rel:1e-3"
             )
             assert isinstance(blob, bytes)
 
@@ -93,11 +93,11 @@ class TestLifecycle:
         with ServiceClient(ServiceConfig(processes=1)) as svc:
             with pytest.raises(DeadlineExceededError):
                 svc.compress(
-                    smooth2d(seed=6), codec="qoz", rel_error_bound=1e-3,
+                    smooth2d(seed=6), codec="qoz", bound="rel:1e-3",
                     deadline_ms=80.0,
                 )
             blob = svc.compress(
-                smooth2d(seed=7), codec="qoz", rel_error_bound=1e-3,
+                smooth2d(seed=7), codec="qoz", bound="rel:1e-3",
                 deadline_ms=5000.0,
             )
             assert isinstance(blob, bytes)
@@ -109,7 +109,7 @@ class TestLifecycle:
     def test_deadline_far_in_the_future_is_inert(self):
         with ServiceClient(ServiceConfig(processes=1)) as svc:
             blob = svc.compress(
-                smooth2d(seed=3), codec="qoz", rel_error_bound=1e-3,
+                smooth2d(seed=3), codec="qoz", bound="rel:1e-3",
                 deadline_ms=600_000.0,
             )
             assert isinstance(blob, bytes)
@@ -126,14 +126,14 @@ class TestValidationAndWire:
 
     def test_deadline_rides_the_v2_meta_channel(self):
         req = CompressRequest(
-            data=smooth2d(seed=4), error_bound=0.5, deadline_ms=250.0
+            data=smooth2d(seed=4), bound=0.5, deadline_ms=250.0
         )
         decoded = decode_request(encode_request(req))
         assert isinstance(decoded, CompressRequest)
         assert decoded.deadline_ms == 250.0
 
     def test_absent_deadline_stays_absent(self):
-        req = CompressRequest(data=smooth2d(seed=5), error_bound=0.5)
+        req = CompressRequest(data=smooth2d(seed=5), bound=0.5)
         decoded = decode_request(encode_request(req))
         assert decoded.deadline_ms is None
 

@@ -28,12 +28,8 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from repro.chunked import (
-    ChunkedFile,
-    compress_chunked,
-    decompress_chunked,
-    read_hyperslab,
-)
+import repro
+from repro.chunked import ChunkedFile
 from repro.compressors.base import Compressor, register
 from repro.errors import DeadlineExceededError, WorkerCrashError
 from repro.parallel.executor import ChunkWorkPool
@@ -240,12 +236,12 @@ class TestLibraryPooledPath:
         data = smooth3d(16)
         marker = tmp_path / "died-once"
         kwargs = dict(
-            codec="crashy", chunks=8, error_bound=1e-3,
+            codec="crashy", chunks=8, bound=1e-3,
             codec_kwargs={"marker": str(marker)},
         )
-        pooled = compress_chunked(data, processes=2, **kwargs)
+        pooled = repro.compress(data, processes=2, **kwargs)
         assert marker.exists(), "no worker ever hit the kill switch"
-        assert pooled == compress_chunked(data, processes=None, **kwargs)
+        assert pooled == repro.compress(data, processes=None, **kwargs)
         # the last batch's release can trail the call's return by a thread
         # switch (tiny chunks; failed 4 runs of 12 at the parent)
         wait_for_releases(2)
@@ -257,8 +253,8 @@ class TestReadOnAShutDownPool:
         """A pooled read whose pool shuts down before its shares are in
         resolves — its queued shares were cancelled, the ones on workers
         failed — and its output slab goes with it."""
-        blob = compress_chunked(
-            smooth3d(), codec="qoz", chunks=8, rel_error_bound=1e-3
+        blob = repro.compress(
+            smooth3d(), codec="qoz", chunks=8, bound="rel:1e-3"
         )
         whole = (slice(None),) * 3
         for _ in range(3):
@@ -271,7 +267,7 @@ class TestReadOnAShutDownPool:
             except (CancelledError, WorkerCrashError):
                 pass
             else:  # every share was in before the shutdown: not stranded
-                np.testing.assert_array_equal(got, read_hyperslab(blob, whole))
+                np.testing.assert_array_equal(got, repro.decompress(blob))
             wait_for_releases(2)
             assert_no_leaks()
 
@@ -280,20 +276,20 @@ class TestServicePooledPath:
     @pytest.mark.parametrize("chunks", [16, None], ids=["tiled", "one-chunk"])
     def test_pooled_service_matches_the_library_and_leaks_nothing(self, chunks):
         data = smooth3d()
-        want = compress_chunked(
-            data, codec="qoz", chunks=chunks, rel_error_bound=1e-3
+        want = repro.compress(
+            data, codec="qoz", chunks=chunks, bound="rel:1e-3", chunked=True
         )
         slab = (slice(3, 29), slice(None), slice(10, 20))
         with ServiceClient(ServiceConfig(processes=2)) as svc:
             blob = svc.compress(
-                data, codec="qoz", chunks=chunks, rel_error_bound=1e-3
+                data, codec="qoz", chunks=chunks, bound="rel:1e-3"
             )
             assert blob == want
             np.testing.assert_array_equal(
-                svc.decompress(blob), decompress_chunked(want)
+                svc.decompress(blob), repro.decompress(want)
             )
             np.testing.assert_array_equal(
-                svc.read(blob, slab), read_hyperslab(want, slab)
+                svc.read(blob, slab), repro.decompress(want)[slab]
             )
             assert_no_leaks()
 
@@ -305,14 +301,14 @@ class TestServicePooledPath:
         data = smooth3d(16)
         marker = tmp_path / "died-once"
         kwargs = dict(
-            codec="crashy", error_bound=1e-3,
+            codec="crashy", bound=1e-3,
             codec_kwargs={"marker": str(marker)},
         )
         with ServiceClient(ServiceConfig(processes=2)) as svc:
             blob = svc.compress(data, **kwargs)
             assert svc.stats()["pool_retry"] == 1
         assert marker.exists()
-        assert blob == compress_chunked(data, **kwargs)
+        assert blob == repro.compress(data, chunked=True, **kwargs)
         wait_for_releases(2)
         assert_no_leaks()
 
@@ -331,7 +327,7 @@ class TestServicePooledPath:
         from repro.chunked.api import CompressJob
 
         data = smooth3d(seed=1)
-        request = dict(codec="qoz", chunks=chunks, rel_error_bound=1e-3)
+        request = dict(codec="qoz", chunks=chunks, bound="rel:1e-3")
         # the blocking step of each route, on the serving side
         owner, step = (Slab, "pack") if processes == 2 else (CompressJob, "compress_to")
         with ServiceClient(ServiceConfig(processes=processes)) as svc:
@@ -351,7 +347,9 @@ class TestServicePooledPath:
             assert stats["admission_jobs"] == 0
             monkeypatch.undo()
             # the slot is free again: the next request is served
-            assert svc.compress(data, **request) == compress_chunked(data, **request)
+            assert svc.compress(data, **request) == repro.compress(
+                data, chunked=True, **request
+            )
             wait_for_releases(10)  # the abandoned fills finish, then drop
             assert_no_leaks()
 

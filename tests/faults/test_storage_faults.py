@@ -2,9 +2,9 @@
 
 The integrity contract (DESIGN.md §12): a v3 container never yields
 wrong bytes — a flipped bit surfaces as :class:`ChunkCorruptionError`
-naming the damaged chunk, and an interrupted ``compress_chunked_to_file``
-leaves either the complete old file or the complete new file on disk,
-never a torn mix.
+naming the damaged chunk, and an interrupted
+``repro.compress(..., file=path)`` leaves either the complete old file
+or the complete new file on disk, never a torn mix.
 """
 
 import io
@@ -13,13 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.chunked import (
-    ChunkedFile,
-    compress_chunked,
-    compress_chunked_to_file,
-    decompress_chunked,
-    verify_container,
-)
+import repro
+from repro.chunked import ChunkedFile, verify_container
 from repro.chunked.container import read_container_info
 from repro.errors import ChunkCorruptionError
 
@@ -42,8 +37,8 @@ def flip_bit_in_chunk(blob: bytes, index: int):
 
 class TestBitFlips:
     def test_flip_raises_typed_error_with_chunk_coords(self):
-        blob = compress_chunked(
-            smooth2d(), codec="qoz", rel_error_bound=1e-3, chunks=16
+        blob = repro.compress(
+            smooth2d(), codec="qoz", bound="rel:1e-3", chunks=16
         )
         corrupt, entry = flip_bit_in_chunk(blob, 3)
         with ChunkedFile(corrupt) as f:
@@ -55,16 +50,16 @@ class TestBitFlips:
         assert "checksum mismatch" in str(err.value)
 
     def test_decompress_path_verifies_too(self):
-        blob = compress_chunked(
-            smooth2d(seed=1), codec="qoz", rel_error_bound=1e-3, chunks=16
+        blob = repro.compress(
+            smooth2d(seed=1), codec="qoz", bound="rel:1e-3", chunks=16
         )
         corrupt, _ = flip_bit_in_chunk(blob, 0)
         with pytest.raises(ChunkCorruptionError):
-            decompress_chunked(corrupt)
+            repro.decompress(corrupt)
 
     def test_verify_opt_out_skips_the_check(self):
-        blob = compress_chunked(
-            smooth2d(seed=2), codec="qoz", rel_error_bound=1e-3, chunks=16
+        blob = repro.compress(
+            smooth2d(seed=2), codec="qoz", bound="rel:1e-3", chunks=16
         )
         corrupt, _ = flip_bit_in_chunk(blob, 2)
         with ChunkedFile(corrupt, verify=False) as f:
@@ -73,8 +68,8 @@ class TestBitFlips:
             assert isinstance(f.chunk_bytes(2), bytes)
 
     def test_verify_container_lists_every_damaged_chunk(self):
-        blob = compress_chunked(
-            smooth2d(seed=3), codec="qoz", rel_error_bound=1e-3, chunks=16
+        blob = repro.compress(
+            smooth2d(seed=3), codec="qoz", bound="rel:1e-3", chunks=16
         )
         corrupt, _ = flip_bit_in_chunk(blob, 1)
         corrupt, _ = flip_bit_in_chunk(corrupt, 5)
@@ -96,9 +91,9 @@ class TestInterruptedWrites:
 
     def test_failed_rename_leaves_old_file_intact(self, tmp_path, monkeypatch):
         target = tmp_path / "field.rpz"
-        compress_chunked_to_file(
-            smooth2d(seed=4), target, codec="qoz",
-            rel_error_bound=1e-3, chunks=16,
+        repro.compress(
+            smooth2d(seed=4), file=target, codec="qoz",
+            bound="rel:1e-3", chunks=16,
         )
         old_bytes = target.read_bytes()
 
@@ -107,9 +102,9 @@ class TestInterruptedWrites:
 
         monkeypatch.setattr(os, "replace", broken_replace)
         with pytest.raises(OSError, match="injected"):
-            compress_chunked_to_file(
-                smooth2d(seed=5), target, codec="qoz",
-                rel_error_bound=1e-3, chunks=16,
+            repro.compress(
+                smooth2d(seed=5), file=target, codec="qoz",
+                bound="rel:1e-3", chunks=16,
             )
         monkeypatch.undo()
 
@@ -127,9 +122,9 @@ class TestInterruptedWrites:
 
         monkeypatch.setattr(os, "fsync", broken_fsync)
         with pytest.raises(OSError, match="injected"):
-            compress_chunked_to_file(
-                smooth2d(seed=6), target, codec="qoz",
-                rel_error_bound=1e-3, chunks=16,
+            repro.compress(
+                smooth2d(seed=6), file=target, codec="qoz",
+                bound="rel:1e-3", chunks=16,
             )
         monkeypatch.undo()
 
@@ -139,8 +134,8 @@ class TestInterruptedWrites:
     def test_successful_write_is_complete_and_verifiable(self, tmp_path):
         target = tmp_path / "ok.rpz"
         data = smooth2d(seed=7)
-        compress_chunked_to_file(
-            data, target, codec="qoz", rel_error_bound=1e-3, chunks=16
+        repro.compress(
+            data, file=target, codec="qoz", bound="rel:1e-3", chunks=16
         )
         self.assert_no_temp_droppings(tmp_path)
         assert verify_container(str(target)).ok

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.chunked import compress_chunked, compress_chunked_to_file
 from repro.chunked.api import CompressJob
 from repro.compressors.base import _admit_bound
 from repro.core.qoz import FAN_OUT_MIN_POINTS, QoZ
@@ -127,9 +126,9 @@ class TestSameDecisions:
         assert lent == fans_out * [
             ("score_level_candidates", stack), ("score_bound_vectors", stack)
         ]
-        call = dict(codec="qoz", chunks=chunks, rel_error_bound=REL)
-        assert compress_chunked(data, processes=2, **call) == compress_chunked(
-            data, **call
+        call = dict(codec="qoz", chunks=chunks, bound=("rel", REL))
+        assert repro.compress(data, processes=2, **call) == repro.compress(
+            data, chunked=True, **call
         )
 
     # 'ac' fans out like the rest since its score stopped going through BLAS
@@ -175,7 +174,9 @@ class TestOneChunkJobOnOneWorker:
         with kept_pool(2) as pool:
             plan, container = job.submit_whole(pool).result(timeout=JOIN_S)
         assert plan == job.derive()
-        assert container == compress_chunked(data, rel_error_bound=REL, **call)
+        assert container == repro.compress(
+            data, chunked=True, bound=("rel", REL), **call
+        )
 
 
 class TestWorkersDeriveInline:
@@ -189,10 +190,10 @@ class TestWorkersDeriveInline:
     def test_per_chunk_tuning_in_workers_builds_no_pool(self, live_children):
         data = get_dataset("nyx", shape=(32, 32, 64), seed=0).astype(np.float32)
         call = dict(
-            codec="qoz", chunks=32, rel_error_bound=REL, per_chunk_tuning=True
+            codec="qoz", chunks=32, bound=("rel", REL), per_chunk_tuning=True
         )
-        assert compress_chunked(data, processes=2, **call) == compress_chunked(
-            data, **call
+        assert repro.compress(data, processes=2, **call) == repro.compress(
+            data, chunked=True, **call
         )
         assert [live_children(w) for w in self.worker_pids()] == [[], []]
 
@@ -269,12 +270,12 @@ class TestFaults:
                     raise OSError("disk full")
                 return super().write(data)
 
-        call = dict(codec="qoz", chunks=32, rel_error_bound=REL)
+        call = dict(codec="qoz", chunks=32, bound=("rel", REL))
         for _ in range(2):
             with pytest.raises(OSError, match="disk full"):
-                compress_chunked_to_file(self.DATA, Full(), processes=2, **call)
+                repro.compress(self.DATA, file=Full(), processes=2, **call)
             assert active_slab_names() == []
             assert executor._kept.borrowers == 0
         assert repro.compress(
             self.DATA, bound=f"rel:{REL}", chunks=32, processes=2
-        ) == compress_chunked(self.DATA, **call)
+        ) == repro.compress(self.DATA, chunked=True, **call)

@@ -21,11 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.chunked import (
-    compress_chunked,
-    compress_chunked_to_file,
-    decompress_chunked,
-)
+import repro
 from repro.compressors import base
 from repro.compressors.sz3 import SZ3
 from repro.datasets import get_dataset
@@ -45,8 +41,8 @@ JOIN_S = 60.0
 
 
 def compress(processes=2, codec="sz3", chunks=16, data=FIELD):
-    return compress_chunked(
-        data, codec=codec, chunks=chunks, rel_error_bound=1e-3,
+    return repro.compress(
+        data, codec=codec, chunks=chunks, bound="rel:1e-3",
         processes=processes,
     )
 
@@ -87,7 +83,7 @@ class TestOnePoolPerProcess:
         assert len(first) == 2
         blob = compress()
         np.testing.assert_array_equal(
-            decompress_chunked(blob, processes=2), decompress_chunked(serial)
+            repro.decompress(blob, processes=2), repro.decompress(serial)
         )
         decompress_blobs_parallel([serial, serial], processes=2)
         assert worker_pids() - fresh_registry == first
@@ -124,8 +120,8 @@ class TestOnePoolPerProcess:
         try:
             blob = compress(codec="late-sz3")
             np.testing.assert_array_equal(
-                decompress_chunked(blob, processes=2),
-                decompress_chunked(blob),
+                repro.decompress(blob, processes=2),
+                repro.decompress(blob),
             )
         finally:
             del base._REGISTRY["late-sz3"], base._BY_ID[201]
@@ -248,7 +244,7 @@ class TestFailuresLeaveThePoolUsable:
         assert compress() == serial
         assert victim not in worker_pids()
         np.testing.assert_array_equal(
-            decompress_chunked(serial, processes=2), decompress_chunked(serial)
+            repro.decompress(serial, processes=2), repro.decompress(serial)
         )
 
     @pytest.mark.chaos
@@ -285,9 +281,9 @@ class TestFailuresLeaveThePoolUsable:
 
         for _ in range(3):
             with pytest.raises(OSError, match="disk full"):
-                compress_chunked_to_file(
-                    FIELD, Full(), codec="sz3", chunks=8,
-                    rel_error_bound=1e-3, processes=2,
+                repro.compress(
+                    FIELD, file=Full(), codec="sz3", chunks=8,
+                    bound="rel:1e-3", processes=2,
                 )
             # at once, not when the abandoned batches finish
             assert active_slab_names() == []
@@ -313,8 +309,8 @@ class TestFailuresLeaveThePoolUsable:
         data = (data / np.abs(data).max()).astype(np.float32)
         data[12, 20, 44] = np.nan
         with pytest.raises(CompressionError, match="non-finite"):
-            compress_chunked(
-                data, codec="sz3", error_bound=1e-2, chunks=8, processes=2
+            repro.compress(
+                data, codec="sz3", bound=1e-2, chunks=8, processes=2
             )
         raised = len(submits)
         assert active_slab_names() == []

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import repro
-from repro.chunked import ChunkedFile, compress_chunked
+from repro.chunked import ChunkedFile
 from repro.chunked.container import ChunkedWriter
 from repro.compressors.base import get_compressor
 from repro.core.header import VERSION, pack_sections, parse_header, unpack_sections
@@ -132,8 +132,8 @@ def corpus():
                 lambda _, b: repro.decompress(b),
                 array_as_header_says,
             )
-        container = compress_chunked(
-            data, codec="sz3", chunks=(12, 24, 12), rel_error_bound=1e-3
+        container = repro.compress(
+            data, codec="sz3", chunks=(12, 24, 12), bound="rel:1e-3"
         )
         containers = {f"v3-{tag}": container}
         if dtype is np.float64:
@@ -141,8 +141,8 @@ def corpus():
         else:
             # zfp decodes a chunk whose header declares another shape:
             # the case the index-entry check exists for
-            containers["v2zfp-float32"] = as_v2(compress_chunked(
-                data, codec="zfp", chunks=(12, 24, 12), rel_error_bound=1e-3
+            containers["v2zfp-float32"] = as_v2(repro.compress(
+                data, codec="zfp", chunks=(12, 24, 12), bound="rel:1e-3"
             ))
         for name, blob in containers.items():
             targets[f"{name}-decode"] = Target(
@@ -170,7 +170,7 @@ def corpus():
     requests = {
         "compress": protocol.CompressRequest(
             data=field[:4, :5, :6], codec="sz3", codec_kwargs={"method": "cubic"},
-            rel_error_bound=1e-3, chunks=(2, 3, 4), family="climate",
+            bound="rel:1e-3", chunks=(2, 3, 4), family="climate",
             priority="batch", client_id="c1", deadline_ms=500.0,
         ),
         "decompress": protocol.DecompressRequest(blob=targets["sz3-float32"].blob),

@@ -42,7 +42,7 @@ from repro.service.protocol import (
 
 
 def compress_req(n_elements, codec="qoz", **kw):
-    kw.setdefault("rel_error_bound", 1e-3)
+    kw.setdefault("bound", "rel:1e-3")
     return CompressRequest(
         data=np.zeros(int(n_elements), dtype=np.float32), codec=codec, **kw
     )
@@ -91,11 +91,11 @@ class TestRequestUnits:
         assert units[-1] > units[0]
 
     def test_read_open_ends_from_the_container_header(self):
-        from repro.chunked import compress_chunked
+        import repro
 
-        blob = compress_chunked(
+        blob = repro.compress(
             np.zeros((16, 64, 32), dtype=np.float32), codec="zfp",
-            error_bound=1e-3, chunks=32,
+            bound=1e-3, chunks=32,
         )
         read = ReadSlabRequest(source=blob, slab=(slice(0, 4), slice(None)))
         assert request_units(read) == pytest.approx(4 * 64 * 32 / 1e6)

@@ -70,7 +70,7 @@ class TestServerDrops:
         port = serve_once(drop_after_reading)
         with RemoteClient(port=port, timeout=10) as client:
             with pytest.raises((ProtocolError, RemoteServiceError)):
-                client.compress(tiny_field(), codec="qoz", error_bound=0.1)
+                client.compress(tiny_field(), codec="qoz", bound=0.1)
 
     def test_close_mid_response_frame_is_typed(self, serve_once):
         def send_torn_frame(conn):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.service import protocol as p
+from repro.utils import ErrorBound
 
 
 def roundtrip_request(req):
@@ -27,7 +28,7 @@ class TestRequestRoundtrip:
             data=data,
             codec="qoz",
             codec_kwargs={"metric": "psnr", "radius": 16, "tune": True},
-            rel_error_bound=1e-3,
+            bound="rel:1e-3",
             chunks=chunks,
             family="hurricane-U",
             per_chunk_tuning=True,
@@ -35,8 +36,7 @@ class TestRequestRoundtrip:
         out = roundtrip_request(req)
         assert out.codec == "qoz"
         assert out.codec_kwargs == {"metric": "psnr", "radius": 16, "tune": True}
-        assert out.error_bound is None
-        assert out.rel_error_bound == 1e-3
+        assert out.bound == ErrorBound.relative(1e-3)
         assert out.chunks == chunks
         assert out.family == "hurricane-U"
         assert out.per_chunk_tuning is True
@@ -45,32 +45,48 @@ class TestRequestRoundtrip:
 
     def test_compress_abs_bound_and_defaults(self):
         req = p.CompressRequest(
-            data=np.zeros(7, dtype=np.float64), error_bound=0.25
+            data=np.zeros(7, dtype=np.float64), bound=0.25
         )
         out = roundtrip_request(req)
-        assert out.error_bound == 0.25
-        assert out.rel_error_bound is None
+        assert out.bound == ErrorBound.absolute(0.25)
         assert out.family is None
         assert out.chunks is None
         assert out.per_chunk_tuning is False
 
     def test_compress_array_is_writable(self):
         req = p.CompressRequest(
-            data=np.ones((2, 3), dtype=np.float32), error_bound=1.0
+            data=np.ones((2, 3), dtype=np.float32), bound=1.0
         )
         out = roundtrip_request(req)
         out.data[0, 0] = 5.0  # must not raise (frombuffer default is RO)
 
-    def test_compress_requires_exactly_one_bound(self):
+    def test_compress_requires_a_well_formed_bound(self):
         data = np.zeros(4, dtype=np.float32)
-        with pytest.raises(ProtocolError):
-            p.encode_request(p.CompressRequest(data=data))
-        with pytest.raises(ProtocolError):
-            p.encode_request(
-                p.CompressRequest(
-                    data=data, error_bound=1.0, rel_error_bound=1.0
-                )
+        for bound in (None, "rel", "rel:-1", ("pct", 1.0)):
+            with pytest.raises(ProtocolError):
+                p.encode_request(p.CompressRequest(data=data, bound=bound))
+
+    def test_every_bound_spelling_encodes_the_same_bytes(self):
+        data = np.zeros(4, dtype=np.float32)
+        frames = {
+            p.encode_request(p.CompressRequest(data=data, bound=bound))
+            for bound in (
+                "rel:0.001", ("rel", 1e-3), ErrorBound.relative(1e-3)
             )
+        }
+        assert len(frames) == 1
+
+    def test_decode_rejects_a_forged_bound(self):
+        body = p.encode_request(
+            p.CompressRequest(data=np.zeros(4, dtype=np.float32), bound=0.375)
+        )
+        at = body.index(struct.pack("<d", 0.375))
+        assert body[at - 1] == 0  # the mode byte: absolute
+        unknown_mode = body[: at - 1] + b"\x02" + body[at:]
+        negative = body[:at] + struct.pack("<d", -1.0) + body[at + 8:]
+        for forged in (unknown_mode, negative):
+            with pytest.raises(ProtocolError):
+                p.decode_request(forged)
 
     def test_decompress(self):
         out = roundtrip_request(p.DecompressRequest(blob=b"\x01\x02payload"))
@@ -99,7 +115,7 @@ class TestRequestRoundtrip:
     def test_kwargs_reject_unencodable_types(self):
         req = p.CompressRequest(
             data=np.zeros(4, dtype=np.float32),
-            error_bound=1.0,
+            bound=1.0,
             codec_kwargs={"alpha": [1, 2]},
         )
         with pytest.raises(ProtocolError):
@@ -202,7 +218,7 @@ class TestRequestMeta:
 
     def test_meta_roundtrips_on_compress(self):
         req = p.CompressRequest(
-            data=np.zeros(4, dtype=np.float32), error_bound=1.0,
+            data=np.zeros(4, dtype=np.float32), bound=1.0,
             priority="batch", client_id="sim-07", attempt=3,
         )
         out = roundtrip_request(req)
@@ -242,7 +258,7 @@ class TestRequestMeta:
         old client keeps working against a new server."""
         req = p.CompressRequest(
             data=np.arange(16, dtype=np.float32).reshape(4, 4),
-            codec="qoz", error_bound=1e-3, family="climate",
+            codec="qoz", bound=1e-3, family="climate",
             priority="batch",
         )
         new = p.encode_request(req)

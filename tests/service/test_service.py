@@ -3,7 +3,7 @@
 The acceptance contract this file pins:
 
 * a served compress / decompress / hyperslab-read is byte- (or bit-)
-  identical to the in-process ``compress_chunked`` / ``decompress_chunked``
+  identical to the in-process ``repro.compress`` / ``repro.decompress``
   / ``ChunkedFile.read`` path;
 * a warm plan-cache hit skips derivation entirely (asserted via a
   derive-call counter spy on the codec, plus the service's own stats);
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.chunked import ChunkedFile, compress_chunked, decompress_chunked
+from repro.chunked import ChunkedFile
 from repro.compressors.base import Compressor, register
 from repro.core.qoz import QoZ
 from repro.errors import DeadlineExceededError, ServiceOverloadedError
@@ -47,34 +47,34 @@ def svc():
 class TestByteIdentity:
     def test_compress_matches_inline_chunked_path(self, svc):
         data = smooth3d(seed=1)
-        served = svc.compress(data, codec="qoz", rel_error_bound=1e-3, chunks=20)
-        inline = compress_chunked(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=20
+        served = svc.compress(data, codec="qoz", bound="rel:1e-3", chunks=20)
+        inline = repro.compress(
+            data, codec="qoz", bound="rel:1e-3", chunks=20
         )
         assert served == inline
 
     def test_abs_bound_and_sz3(self, svc):
         data = smooth3d(seed=2, dtype=np.float32)
-        served = svc.compress(data, codec="sz3", error_bound=1e-3, chunks=20)
-        inline = compress_chunked(data, codec="sz3", error_bound=1e-3, chunks=20)
+        served = svc.compress(data, codec="sz3", bound=1e-3, chunks=20)
+        inline = repro.compress(data, codec="sz3", bound=1e-3, chunks=20)
         assert served == inline
 
     def test_codec_without_plan_support(self, svc):
         data = smooth3d(seed=3)
-        served = svc.compress(data, codec="zfp", error_bound=1e-3, chunks=20)
-        inline = compress_chunked(
-            data, codec="zfp", error_bound=1e-3, chunks=20
+        served = svc.compress(data, codec="zfp", bound=1e-3, chunks=20)
+        inline = repro.compress(
+            data, codec="zfp", bound=1e-3, chunks=20
         )
         assert served == inline
 
     def test_codec_kwargs_affect_the_stream(self, svc):
         data = smooth3d(seed=4)
         served = svc.compress(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=20,
+            data, codec="qoz", bound="rel:1e-3", chunks=20,
             codec_kwargs={"metric": "psnr"},
         )
-        inline = compress_chunked(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=20,
+        inline = repro.compress(
+            data, codec="qoz", bound="rel:1e-3", chunks=20,
             codec_kwargs={"metric": "psnr"},
         )
         assert served == inline
@@ -82,20 +82,20 @@ class TestByteIdentity:
     def test_per_chunk_tuning_opt_out(self, svc):
         data = smooth3d(seed=5)
         served = svc.compress(
-            data, codec="qoz", error_bound=1e-3, chunks=20,
+            data, codec="qoz", bound=1e-3, chunks=20,
             per_chunk_tuning=True,
         )
-        inline = compress_chunked(
-            data, codec="qoz", error_bound=1e-3, chunks=20,
+        inline = repro.compress(
+            data, codec="qoz", bound=1e-3, chunks=20,
             per_chunk_tuning=True,
         )
         assert served == inline
 
     def test_decompress_matches_inline(self, svc):
         data = smooth3d(seed=6)
-        blob = compress_chunked(data, codec="qoz", error_bound=1e-3, chunks=20)
+        blob = repro.compress(data, codec="qoz", bound=1e-3, chunks=20)
         served = svc.decompress(blob)
-        inline = decompress_chunked(blob)
+        inline = repro.decompress(blob)
         assert served.dtype == inline.dtype
         assert np.array_equal(served, inline)
 
@@ -107,7 +107,7 @@ class TestByteIdentity:
 
     def test_hyperslab_read_matches_chunkedfile(self, svc):
         data = smooth3d(seed=8)
-        blob = compress_chunked(data, codec="qoz", error_bound=1e-3, chunks=16)
+        blob = repro.compress(data, codec="qoz", bound=1e-3, chunks=16)
         slab = (slice(3, 37), slice(None), slice(10, 11))
         served = svc.read(blob, slab)
         with ChunkedFile(blob) as f:
@@ -115,12 +115,10 @@ class TestByteIdentity:
         assert np.array_equal(served, inline)
 
     def test_hyperslab_read_from_server_side_path(self, tmp_path):
-        from repro.chunked import compress_chunked_to_file
-
         data = smooth3d(seed=9)
         path = tmp_path / "field.rpz"
-        compress_chunked_to_file(
-            data, str(path), codec="qoz", error_bound=1e-3, chunks=16
+        repro.compress(
+            data, file=str(path), codec="qoz", bound=1e-3, chunks=16
         )
         slab = (slice(0, 20), slice(5, 25), slice(None))
         with ChunkedFile(str(path)) as f:
@@ -163,13 +161,11 @@ class TestPathReads:
 
     @staticmethod
     def containers(tmp_path, n):
-        from repro.chunked import compress_chunked_to_file
-
         paths = [str(tmp_path / f"f{i}.rpz") for i in range(n)]
         for i, path in enumerate(paths):
-            compress_chunked_to_file(
-                smooth3d((16, 16, 16), seed=80 + i), path, codec="zfp",
-                error_bound=1e-3, chunks=8,
+            repro.compress(
+                smooth3d((16, 16, 16), seed=80 + i), file=path, codec="zfp",
+                bound=1e-3, chunks=8,
             )
         return paths
 
@@ -178,16 +174,14 @@ class TestPathReads:
         """Rewritten in place with the same size and mtime, the next read
         still gets the new field (a transposed field compresses to the
         same size here)."""
-        from repro.chunked import compress_chunked_to_file
-
         (path,) = self.containers(tmp_path, 1)
         stamp = os.stat(path)
         config = ServiceConfig(processes=processes, serve_root=str(tmp_path))
         with ServiceClient(config) as svc:
             before = svc.read(path, (slice(None),) * 3)
-            compress_chunked_to_file(
+            repro.compress(
                 smooth3d((16, 16, 16), seed=80).transpose(1, 0, 2).copy(),
-                path, codec="zfp", error_bound=1e-3, chunks=8,
+                file=path, codec="zfp", bound=1e-3, chunks=8,
             )
             assert os.stat(path).st_size == stamp.st_size
             os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
@@ -298,10 +292,10 @@ class TestPlanCache:
         try:
             with ServiceClient(ServiceConfig(processes=1)) as svc:
                 first = svc.compress(
-                    data, codec="qoz", rel_error_bound=1e-3, chunks=20
+                    data, codec="qoz", bound="rel:1e-3", chunks=20
                 )
                 second = svc.compress(
-                    data, codec="qoz", rel_error_bound=1e-3, chunks=20
+                    data, codec="qoz", bound="rel:1e-3", chunks=20
                 )
                 stats = svc.stats()
         finally:
@@ -314,8 +308,8 @@ class TestPlanCache:
     def test_different_bound_is_a_different_plan(self, svc):
         data = smooth3d(seed=11)
         before = svc.stats()["plan_derives"]
-        svc.compress(data, codec="qoz", rel_error_bound=1e-3, chunks=20)
-        svc.compress(data, codec="qoz", rel_error_bound=1e-2, chunks=20)
+        svc.compress(data, codec="qoz", bound="rel:1e-3", chunks=20)
+        svc.compress(data, codec="qoz", bound="rel:1e-2", chunks=20)
         assert svc.stats()["plan_derives"] == before + 2
 
     def test_family_tag_shares_plans_across_siblings(self):
@@ -334,7 +328,7 @@ class TestPlanCache:
                 blobs = [
                     svc.compress(
                         smooth3d(seed=20 + t), codec="qoz",
-                        error_bound=eb, chunks=20, family="turbulence-u",
+                        bound=eb, chunks=20, family="turbulence-u",
                     )
                     for t in range(3)
                 ]
@@ -343,14 +337,14 @@ class TestPlanCache:
         assert calls["n"] == 1
         # plan sharing trades only ratio, never the bound
         for t, blob in enumerate(blobs):
-            recon = decompress_chunked(blob)
+            recon = repro.decompress(blob)
             assert np.abs(recon - smooth3d(seed=20 + t)).max() <= eb
 
     def test_chunk_shape_does_not_fragment_the_cache(self, svc):
         data = smooth3d(seed=12)
         before = svc.stats()["plan_derives"]
-        svc.compress(data, codec="qoz", error_bound=2e-3, chunks=20)
-        svc.compress(data, codec="qoz", error_bound=2e-3, chunks=10)
+        svc.compress(data, codec="qoz", bound=2e-3, chunks=20)
+        svc.compress(data, codec="qoz", bound=2e-3, chunks=10)
         # the plan is derived from the full field; tiling is irrelevant
         assert svc.stats()["plan_derives"] == before + 1
 
@@ -361,7 +355,7 @@ class TestBackpressure:
             service = CompressionService(ServiceConfig(max_queue=2))
             # scheduler deliberately NOT started: the queue can only fill
             req = CompressRequest(
-                data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0
+                data=np.zeros((4, 4), dtype=np.float32), bound=1.0
             )
             futures = [service.submit(req) for _ in range(2)]
             with pytest.raises(ServiceOverloadedError) as err:
@@ -384,7 +378,7 @@ class TestBackpressure:
         async def main():
             service = CompressionService(ServiceConfig(max_queue=2))
             request = dict(
-                data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0,
+                data=np.zeros((4, 4), dtype=np.float32), bound=1.0,
                 client_id="c1",
             )
             for _ in range(3):
@@ -406,7 +400,7 @@ class TestBackpressure:
             try:
                 req = CompressRequest(
                     data=np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8),
-                    error_bound=0.1,
+                    bound=0.1,
                     codec="zfp",
                 )
                 # admission either succeeds or backpressures; after the
@@ -462,7 +456,7 @@ class TestJobSlots:
     def test_two_one_chunk_requests_overlap_on_two_workers(self, tmp_path):
         data = smooth3d((8, 8, 8), seed=30)
         request = dict(
-            codec="rendezvous", error_bound=1e-3,
+            codec="rendezvous", bound=1e-3,
             codec_kwargs={"dir": str(tmp_path)},
         )
         replies, errors = [], []
@@ -502,7 +496,7 @@ class TestJobSlots:
 
         def submit(self, name, priority="interactive", deadline_ms=None):
             return self.service.submit(CompressRequest(
-                data=np.zeros((4, 4), dtype=np.float32), error_bound=1.0,
+                data=np.zeros((4, 4), dtype=np.float32), bound=1.0,
                 family=name, priority=priority, deadline_ms=deadline_ms,
             ))
 
@@ -679,8 +673,8 @@ class TestSameRepliesWithAPool:
     @pytest.mark.parametrize("family", [None, "pooled-siblings"])
     def test_compress(self, svc, pooled, chunks, family):
         data = smooth3d((32, 32, 32), seed=40, dtype=np.float32)
-        request = dict(codec="qoz", rel_error_bound=1e-3, chunks=chunks)
-        want = compress_chunked(data, **request)
+        request = dict(codec="qoz", bound="rel:1e-3", chunks=chunks)
+        want = repro.compress(data, chunked=True, **request)
         assert pooled.compress(data, family=family, **request) == want
         assert svc.compress(data, family=family, **request) == want
 
@@ -701,7 +695,7 @@ class TestSameRepliesWithAPool:
     )
     def test_read(self, svc, pooled, slab):
         data = smooth3d((32, 32, 32), seed=42, dtype=np.float32)
-        blob = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=16)
+        blob = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=16)
         with ChunkedFile(blob) as f:
             want = f.read(slab)
         for client in (svc, pooled):
@@ -713,7 +707,7 @@ class TestSameRepliesWithAPool:
         whichever of the two fields it was derived from."""
         fields = [smooth3d((32, 32, 32), seed=50 + i, dtype=np.float32)
                   for i in range(2)]
-        request = dict(codec="qoz", rel_error_bound=1e-3, family="two-at-once")
+        request = dict(codec="qoz", bound="rel:1e-3", family="two-at-once")
         before = pooled.stats()
         replies = [None, None]
 
@@ -736,7 +730,7 @@ class TestSameRepliesWithAPool:
             for x in fields
         ]
         both_ways = [
-            [compress_chunked(x, plan=plan, codec="qoz", rel_error_bound=1e-3)
+            [repro.compress(x, plan=plan, codec="qoz", bound="rel:1e-3")
              for x in fields]
             for plan in plans
         ]
@@ -748,7 +742,7 @@ class TestSameRepliesWithAPool:
         it derived: the family's next member is a cache hit, and runs it."""
         fields = [smooth3d((32, 32, 32), seed=55 + i, dtype=np.float32)
                   for i in range(2)]
-        request = dict(codec="qoz", rel_error_bound=1e-3, family="one-worker")
+        request = dict(codec="qoz", bound="rel:1e-3", family="one-worker")
         before = pooled.stats()
         replies = [pooled.compress(x, **request) for x in fields]
         after = pooled.stats()
@@ -760,21 +754,21 @@ class TestSameRepliesWithAPool:
             data_range=float(x.max() - x.min()),
         )
         assert replies == [
-            compress_chunked(y, plan=plan, codec="qoz", rel_error_bound=1e-3)
+            repro.compress(y, plan=plan, codec="qoz", bound="rel:1e-3")
             for y in fields
         ]
 
     @pytest.mark.parametrize("request_kwargs", [
-        dict(codec="zfp", error_bound=1e-3),
-        dict(codec="qoz", error_bound=1e-3, per_chunk_tuning=True),
+        dict(codec="zfp", bound=1e-3),
+        dict(codec="qoz", bound=1e-3, per_chunk_tuning=True),
     ], ids=["planless-codec", "per-chunk-tuning"])
     def test_a_one_chunk_job_without_a_cached_plan(self, pooled, request_kwargs):
         """No plan to look up: the worker runs the library walk as is, and
         the cache neither derives nor counts a lookup."""
         data = smooth3d((24, 24, 24), seed=57, dtype=np.float32)
         before = pooled.stats()
-        assert pooled.compress(data, **request_kwargs) == compress_chunked(
-            data, **request_kwargs
+        assert pooled.compress(data, **request_kwargs) == repro.compress(
+            data, chunked=True, **request_kwargs
         )
         after = pooled.stats()
         for key in ("plan_derives", "plan_cache_hits", "plan_cache_misses"):
@@ -788,11 +782,11 @@ class TestSameRepliesWithAPool:
         data = smooth3d((24, 24, 24), seed=58, dtype=np.float32)
         data[12, 20, 14] = np.nan
         with pytest.raises(CompressionError, match="non-finite"):
-            pooled.compress(data, codec="sz3", error_bound=1e-2)
+            pooled.compress(data, codec="sz3", bound=1e-2)
         assert pooled.stats()["admission_jobs"] == 0
         data[12, 20, 14] = 0.0
-        assert pooled.compress(data, codec="sz3", error_bound=1e-2) == (
-            compress_chunked(data, codec="sz3", error_bound=1e-2)
+        assert pooled.compress(data, codec="sz3", bound=1e-2) == (
+            repro.compress(data, chunked=True, codec="sz3", bound=1e-2)
         )
 
 
@@ -829,14 +823,14 @@ class TestErrorPropagation:
     def test_unknown_codec_raises(self, svc):
         with pytest.raises(KeyError):
             svc.compress(
-                smooth3d(seed=13), codec="no-such-codec", error_bound=1e-3
+                smooth3d(seed=13), codec="no-such-codec", bound=1e-3
             )
 
     def test_bad_bound_raises(self, svc):
         from repro.errors import CompressionError
 
         with pytest.raises(CompressionError):
-            svc.compress(smooth3d(seed=14), codec="qoz", error_bound=-1.0)
+            svc.compress(smooth3d(seed=14), codec="qoz", bound=-1.0)
 
     def test_missing_path_raises(self, svc):
         with pytest.raises(OSError):
@@ -869,7 +863,7 @@ class TestErrorPropagation:
         from repro.errors import DecompressionError
 
         data = np.zeros((64, 64, 64), dtype=np.float32)  # one chunk
-        blob = compress_chunked(data, codec="sz3", error_bound=1e-2)
+        blob = repro.compress(data, chunked=True, codec="sz3", bound=1e-2)
         assert len(blob) < 1024
         client = request.getfixturevalue(client)
         corner = (slice(0, 1),) * 3
@@ -882,9 +876,9 @@ class TestErrorPropagation:
     def test_service_survives_errors(self, svc):
         # the scheduler task must still be alive after the failures above
         data = smooth3d(seed=15)
-        blob = svc.compress(data, codec="qoz", error_bound=1e-3, chunks=20)
-        assert blob == compress_chunked(
-            data, codec="qoz", error_bound=1e-3, chunks=20
+        blob = svc.compress(data, codec="qoz", bound=1e-3, chunks=20)
+        assert blob == repro.compress(
+            data, codec="qoz", bound=1e-3, chunks=20
         )
 
 
@@ -917,11 +911,11 @@ class TestStats:
 
         data = smooth3d((16, 16, 16), seed=70, dtype=np.float32)
         plain = repro.compress(data, codec="qoz", bound="rel:1e-3")
-        tiled = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=8)
+        tiled = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=8)
         slab = (slice(2, 14), slice(0, 16), slice(4, 12))
         sends = [
             lambda c, p: c.compress(
-                data, codec="qoz", rel_error_bound=1e-3, family="stamped",
+                data, codec="qoz", bound="rel:1e-3", family="stamped",
                 priority=p,
             ),
             lambda c, p: c.decompress(plain, priority=p),
@@ -1047,11 +1041,11 @@ class TestPriorityAndQuota:
     def test_bad_priority_rejected_client_side(self, svc):
         with pytest.raises(Exception, match="priority"):
             svc.compress(smooth3d((8, 8, 8)), codec="zfp",
-                         error_bound=1e-3, priority="urgent")
+                         bound=1e-3, priority="urgent")
 
     def test_batch_priority_roundtrips(self, svc):
         data = smooth3d((16, 16, 16), seed=5)
-        blob = svc.compress(data, codec="zfp", error_bound=1e-3,
+        blob = svc.compress(data, codec="zfp", bound=1e-3,
                             priority="batch", client_id="tests")
         recon = svc.decompress(blob, priority="batch", client_id="tests")
         assert np.abs(recon - data).max() <= 1e-3

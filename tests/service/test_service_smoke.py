@@ -4,7 +4,7 @@ This is the test the ``service-smoke`` CI job runs: spawn ``python -m
 repro serve`` as a subprocess, drive a compress -> hyperslab-read ->
 decompress roundtrip through :class:`RemoteClient` from several threads
 at once, and pin the served bytes to the in-process
-``compress_chunked`` / ``ChunkedFile`` path.
+``repro.compress`` / ``ChunkedFile`` path.
 """
 
 import os
@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.chunked import ChunkedFile, compress_chunked
+import repro
+from repro.chunked import ChunkedFile
 from repro.errors import RemoteServiceError
 from repro.service import RemoteClient
 
@@ -77,8 +78,8 @@ def subprocess_env():
 class TestSmoke:
     def test_concurrent_roundtrips_match_inprocess_path(self, server):
         data = smooth3d(seed=1)
-        inline = compress_chunked(
-            data, codec="qoz", rel_error_bound=1e-3, chunks=18
+        inline = repro.compress(
+            data, codec="qoz", bound="rel:1e-3", chunks=18
         )
         with ChunkedFile(inline) as f:
             expected_slab = f.read(SLAB)
@@ -90,7 +91,7 @@ class TestSmoke:
             try:
                 with RemoteClient(port=server, retries=10) as client:
                     blob = client.compress(
-                        data, codec="qoz", rel_error_bound=1e-3, chunks=18
+                        data, codec="qoz", bound="rel:1e-3", chunks=18
                     )
                     slab = client.read(blob, SLAB)
                     recon = client.decompress(blob)
@@ -124,17 +125,17 @@ class TestSmoke:
 
         data = smooth3d((24, 24, 24), seed=5)
         plain = repro.compress(data, codec="qoz", bound="rel:1e-3")
-        tiled = compress_chunked(data, codec="qoz", rel_error_bound=1e-3, chunks=12)
+        tiled = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=12)
         corner = (slice(0, 10), slice(2, 12), slice(None, 12))
         with RemoteClient(port=server) as client:
             tagged = client.compress(
-                data, codec="qoz", rel_error_bound=1e-3, family="smoke-one-chunk"
+                data, codec="qoz", bound="rel:1e-3", family="smoke-one-chunk"
             )
-            keyed = client.compress(data, codec="qoz", rel_error_bound=1e-3)
+            keyed = client.compress(data, codec="qoz", bound="rel:1e-3")
             decoded = client.decompress(plain)
             part = client.read(tiled, corner)
-        assert tagged == keyed == compress_chunked(
-            data, codec="qoz", rel_error_bound=1e-3
+        assert tagged == keyed == repro.compress(
+            data, chunked=True, codec="qoz", bound="rel:1e-3"
         )
         assert np.array_equal(decoded, repro.decompress(plain))
         with ChunkedFile(tiled) as f:
@@ -143,9 +144,9 @@ class TestSmoke:
     def test_plan_cache_is_warm_across_connections(self, server):
         data = smooth3d(seed=3)
         with RemoteClient(port=server) as client:
-            client.compress(data, codec="qoz", rel_error_bound=1e-3, chunks=18)
+            client.compress(data, codec="qoz", bound="rel:1e-3", chunks=18)
             before = client.stats()
-            client.compress(data, codec="qoz", rel_error_bound=1e-3, chunks=18)
+            client.compress(data, codec="qoz", bound="rel:1e-3", chunks=18)
             after = client.stats()
         # the second identical request is a pure cache hit — no derive
         assert after["plan_derives"] == before["plan_derives"]
@@ -155,7 +156,7 @@ class TestSmoke:
         with RemoteClient(port=server) as client:
             with pytest.raises(RemoteServiceError):
                 client.compress(
-                    smooth3d(seed=2), codec="no-such-codec", error_bound=1e-3
+                    smooth3d(seed=2), codec="no-such-codec", bound=1e-3
                 )
             # the connection survives an error response
             client.ping()
@@ -198,7 +199,9 @@ def test_sigterm_stops_a_single_shard_server_and_its_pool_workers(
         line = proc.stdout.readline()
         assert "listening on" in line, (line, proc.stderr.read())
         with RemoteClient(port=int(line.rsplit(":", 1)[1])) as client:
-            client.compress(smooth3d(), codec="qoz", rel_error_bound=1e-3, chunks=18)
+            client.compress(
+                smooth3d(), codec="qoz", bound="rel:1e-3", chunks=18
+            )
         workers = [pid for pid, _cmd in live_children(proc.pid)]
         assert workers, "the request forked no pool worker"
         proc.send_signal(signal.SIGTERM)

@@ -189,7 +189,7 @@ class TestSoak:
                 ("interactive", interactive_field), ("batch", batch_field),
             ):
                 req = protocol.CompressRequest(
-                    data=field, codec="qoz", rel_error_bound=1e-3,
+                    data=field, codec="qoz", bound="rel:1e-3",
                     family=f"soak-{name}",
                 )
                 sock.sendall(protocol.frame(protocol.encode_request(req)))
@@ -202,18 +202,18 @@ class TestSoak:
 
         requests = [
             protocol.CompressRequest(
-                data=interactive_field, codec="qoz", rel_error_bound=1e-3,
+                data=interactive_field, codec="qoz", bound="rel:1e-3",
                 family="soak-interactive", priority="interactive",
             ),
             protocol.DecompressRequest(
                 blob=blobs["interactive"], priority="interactive",
             ),
             protocol.CompressRequest(
-                data=interactive_field, codec="qoz", rel_error_bound=1e-3,
+                data=interactive_field, codec="qoz", bound="rel:1e-3",
                 family="soak-interactive", priority="interactive",
             ),
             protocol.CompressRequest(
-                data=batch_field, codec="qoz", rel_error_bound=1e-3,
+                data=batch_field, codec="qoz", bound="rel:1e-3",
                 family="soak-batch", priority="batch",
             ),
         ]

@@ -71,7 +71,8 @@ def test_registry_matches_live_slab_module():
 
 
 def test_decode_parts_are_built_in_the_registered_layout():
-    from repro.chunked import ChunkedFile, compress_chunked
+    import repro
+    from repro.chunked import ChunkedFile
     from repro.parallel.slab import DecodePart
 
     class Recorder:
@@ -84,9 +85,9 @@ def test_decode_parts_are_built_in_the_registered_layout():
     def bounds(slices):
         return tuple((s.start, s.stop) for s in slices)
 
-    blob = compress_chunked(
+    blob = repro.compress(
         np.zeros((8, 8), dtype=np.float32), codec="zfp",
-        error_bound=1e-3, chunks=4,
+        bound=1e-3, chunks=4,
     )
     slab = (slice(2, 6), slice(0, 8))
     pool = Recorder()
