@@ -5,18 +5,18 @@ Every codec maps ``ndarray -> bytes`` and back; streams are self-describing
 the codec that produced it.  :class:`Compressor` owns the compress
 contract — admit, derive, execute, each written once — so a subclass
 supplies only its analysis (``_derive``) or its plan-less payload
-(``_compress``), plus ``_decompress``.
+(``_compress`` and the ``_decompress`` that inverts it).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
 from repro.core.header import pack_header, parse_header
 from repro.core.plan_cache import FrozenPlan, PlanExecution, execute_frozen_plan
+from repro.core.stream import decode_interp_payload
 from repro.errors import CompressionError, DecompressionError
 from repro.utils import (
     resolve_error_bound,
@@ -71,13 +71,6 @@ def decompress_any(blob: bytes) -> np.ndarray:
     return _BY_ID[header.codec_id]().decompress(blob)
 
 
-def codec_derives_plan(name: str) -> bool:
-    """Whether codec ``name`` has a derivation a plan cache can amortize
-    (False for unknown names: the request fails later with its real error)."""
-    _ensure_loaded()
-    return name in _REGISTRY and _REGISTRY[name].derives_plan
-
-
 def codec_name_for_id(codec_id: int) -> str:
     """Registry name of a stream codec id (e.g. ``2 -> 'qoz'``)."""
     _ensure_loaded()
@@ -111,7 +104,7 @@ def _admit_bound(
     return eb, data_range
 
 
-class Compressor(ABC):
+class Compressor:
     """Abstract error-bounded lossy compressor.
 
     Compression is three steps on every route, each written once here:
@@ -256,13 +249,15 @@ class Compressor(ABC):
         """Payload of a codec without a plan stage."""
         raise NotImplementedError
 
-    @abstractmethod
     def _decompress(self, payload: bytes, header) -> np.ndarray:
         """Reconstruct a float64 array from the codec payload.
 
         ``header`` is the parsed :class:`repro.core.header.StreamHeader`
-        (shape, dtype, error bound).
+        (shape, dtype, error bound).  The default inverts the plan
+        execution's payload (:func:`execute_frozen_plan`); a codec with
+        its own ``_compress`` decodes its own.
         """
+        return decode_interp_payload(payload, header)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -18,14 +18,11 @@ L2-projection "update" step, keeping only the interpolation details.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.compressors.base import Compressor, register
 from repro.core.engine import (
-    InterpPlan,
-    LevelPlan,
+    assemble_plan,
     execute_passes,
     interp_decompress,
     seed_known_points,
@@ -33,14 +30,14 @@ from repro.core.engine import (
 from repro.core.header import pack_sections, unpack_sections
 from repro.core.interpolation import LINEAR
 from repro.core.levels import ORDER_FORWARD, max_level_for_shape
-from repro.core.stream import pack_interp_payload, unpack_interp_payload
+from repro.core.stream import decode_interp_payload, pack_interp_payload
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.lossless import (
     compress_floats_lossless,
     decompress_floats_lossless,
 )
 from repro.errors import DecompressionError
-from repro.quantize.linear import DEFAULT_RADIUS, LinearQuantizer
+from repro.quantize.linear import LinearQuantizer
 
 
 def _level_budgets(eb: float, max_level: int) -> dict:
@@ -55,27 +52,17 @@ class MGARDPlus(Compressor):
     name = "mgard"
     codec_id = 5
 
-    def __init__(self, radius: int = DEFAULT_RADIUS):
-        self.radius = radius
-
-    def _plan(self, shape, eb: float, dtype) -> tuple:
-        top = max_level_for_shape(shape)
-        budgets = _level_budgets(eb, top)
-        levels = {
-            l: LevelPlan(eb=budgets[l], method=LINEAR, order_id=ORDER_FORWARD)
-            for l in range(1, top + 1)
-        }
-        return (
-            InterpPlan(levels=levels, anchor_stride=0, radius=self.radius,
-                       cast_dtype=dtype),
-            top,
-        )
-
     def _compress(self, data: np.ndarray, eb: float) -> bytes:
-        plan, top = self._plan(data.shape, eb, data.dtype)
+        top = max_level_for_shape(data.shape)
+        budgets = _level_budgets(eb, top)
+        plan = assemble_plan(
+            budgets,
+            dict.fromkeys(budgets, (LINEAR, ORDER_FORWARD)),
+            cast_dtype=data.dtype,
+        )
         work = data.astype(np.float64, copy=True)
         known = seed_known_points(work, plan)
-        quantizer = LinearQuantizer(radius=self.radius, cast_dtype=data.dtype)
+        quantizer = LinearQuantizer(radius=plan.radius, cast_dtype=data.dtype)
         # open loop: predictions from original values throughout
         execute_passes(work, plan, quantizer, compress=True, closed_loop=False)
         codes, outliers = quantizer.harvest()
@@ -101,10 +88,7 @@ class MGARDPlus(Compressor):
         sections = unpack_sections(payload)
         if len(sections) != 3:
             raise DecompressionError("MGARD payload must have 3 sections")
-        plan, _top, known, codes, outliers = unpack_interp_payload(
-            sections[0], header.dtype, max_points=math.prod(header.shape)
-        )
-        recon = interp_decompress(header.shape, plan, codes, outliers, known)
+        recon = decode_interp_payload(sections[0], header)
         reader = BitReader(sections[1])
         n_bad = reader.read_uint(64)
         if n_bad:

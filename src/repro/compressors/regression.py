@@ -1,9 +1,12 @@
-"""Block-wise linear-regression predictor (SZ2's second predictor).
+"""Block tiling and the block-wise linear-regression predictor (SZ2's
+second predictor).
 
-Each block is fit with a first-order polynomial ``f = c0 + sum_d c_d x_d``
-by closed-form least squares (the regular grid makes coordinate axes
-orthogonal, so each slope is an independent projection).  Coefficients are
-stored as float32 and both sides predict from the rounded values, so the
+:func:`pad_to_blocks`, :func:`blockify` and :func:`unblockify` tile a
+field into equal blocks; SZ2 and ZFP both use them.  Each block is fit
+with a first-order polynomial ``f = c0 + sum_d c_d x_d`` by closed-form
+least squares (the regular grid makes coordinate axes orthogonal, so
+each slope is an independent projection).  Coefficients are stored as
+float32 and both sides predict from the rounded values, so the
 predictor is bit-identical across compression and decompression.
 """
 
@@ -12,6 +15,14 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+
+def pad_to_blocks(data: np.ndarray, block: int) -> np.ndarray:
+    """Edge-pad (as float64) so every extent is a multiple of ``block``."""
+    pads = [(0, (-n) % block) for n in data.shape]
+    if not any(p[1] for p in pads):
+        return np.asarray(data, dtype=np.float64)
+    return np.pad(np.asarray(data, dtype=np.float64), pads, mode="edge")
 
 
 def blockify(data: np.ndarray, block: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from repro.compressors.lorenzo import (
 from repro.compressors.regression import (
     blockify,
     fit_plane,
+    pad_to_blocks,
     predict_plane,
     unblockify,
 )
@@ -41,37 +42,26 @@ from repro.encoding.lossless import (
     decompress_bytes,
     decompress_floats_lossless,
 )
-from repro.errors import DecompressionError
+from repro.errors import CompressionError, DecompressionError
 from repro.quantize.linear import DEFAULT_RADIUS, LinearQuantizer
 
-#: SZ2 default block edge per dimensionality
+#: SZ2 block edge per dimensionality
 BLOCK_SIZES = {1: 32, 2: 12, 3: 6}
-
-
-def _pad_to_blocks(data: np.ndarray, block: int) -> np.ndarray:
-    """Edge-pad so every extent is a multiple of the block edge."""
-    pads = [(0, (-n) % block) for n in data.shape]
-    if not any(p[1] for p in pads):
-        return np.asarray(data, dtype=np.float64)
-    return np.pad(np.asarray(data, dtype=np.float64), pads, mode="edge")
 
 
 @register
 class SZ2(Compressor):
-    """SZ2.1 baseline (Lorenzo + regression + quantization + Huffman)."""
+    """SZ2.1 baseline (Lorenzo + regression + quantization + Huffman).
+
+    Takes no parameters: the block edge is :data:`BLOCK_SIZES`' entry for
+    the field's dimensionality and the quantizer radius
+    :data:`~repro.quantize.linear.DEFAULT_RADIUS`.
+    """
 
     name = "sz2"
     codec_id = 3
 
-    def __init__(self, block: int | None = None, radius: int = DEFAULT_RADIUS):
-        """``block``: override the per-dimension default block edge."""
-        self.block = block
-        self.radius = radius
-
     # ------------------------------------------------------------ helpers
-    def _block_edge(self, ndim: int) -> int:
-        return self.block or BLOCK_SIZES.get(ndim, 6)
-
     @staticmethod
     def _choose_predictors(
         padded: np.ndarray, block: int
@@ -95,19 +85,17 @@ class SZ2(Compressor):
     # ----------------------------------------------------------- compress
     def _compress(self, data: np.ndarray, eb: float) -> bytes:
         if data.ndim > 3:
-            from repro.errors import CompressionError
-
             raise CompressionError(
                 "SZ2's Lorenzo predictor supports 1-3 dimensions "
                 f"(got {data.ndim}); use SZ3/QoZ for 4-D data"
             )
-        block = self._block_edge(data.ndim)
-        padded = _pad_to_blocks(data, block)
+        block = BLOCK_SIZES[data.ndim]
+        padded = pad_to_blocks(data, block)
         nd = padded.ndim
         use_reg, point_mask = self._choose_predictors(padded, block)
         blocks = blockify(padded, block)
 
-        quantizer = LinearQuantizer(radius=self.radius, cast_dtype=data.dtype)
+        quantizer = LinearQuantizer(radius=DEFAULT_RADIUS, cast_dtype=data.dtype)
         recon_pad = pad_low(padded.shape)
         inner = tuple(slice(1, None) for _ in range(nd))
 
@@ -132,7 +120,7 @@ class SZ2(Compressor):
 
         writer = BitWriter()
         writer.write_uint(block, 8)
-        writer.write_uint(self.radius, 32)
+        writer.write_uint(DEFAULT_RADIUS, 32)
         writer.write_uint(nd, 8)
         for n in padded.shape:
             writer.write_uint(n, 64)

@@ -25,6 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.compressors.base import Compressor, register
+from repro.compressors.regression import blockify, pad_to_blocks, unblockify
 from repro.core.header import pack_sections, unpack_sections
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.lossless import (
@@ -121,37 +122,6 @@ def _from_negabinary(u: np.ndarray) -> np.ndarray:
     return (u.astype(np.int64) ^ _NB_MASK) - _NB_MASK
 
 
-def _pad_to_blocks(data: np.ndarray) -> np.ndarray:
-    pads = [(0, (-n) % BLOCK) for n in data.shape]
-    if not any(p[1] for p in pads):
-        return np.asarray(data, dtype=np.float64)
-    return np.pad(np.asarray(data, dtype=np.float64), pads, mode="edge")
-
-
-def _blockify(data: np.ndarray) -> np.ndarray:
-    """(n_blocks, 4, 4, ...) stack of blocks."""
-    nd = data.ndim
-    counts = [n // BLOCK for n in data.shape]
-    shape = []
-    for c in counts:
-        shape.extend([c, BLOCK])
-    view = data.reshape(shape)
-    perm = list(range(0, 2 * nd, 2)) + list(range(1, 2 * nd, 2))
-    return (
-        view.transpose(perm).reshape((int(np.prod(counts)),) + (BLOCK,) * nd)
-    )
-
-
-def _unblockify(blocks: np.ndarray, shape) -> np.ndarray:
-    nd = len(shape)
-    counts = [n // BLOCK for n in shape]
-    view = blocks.reshape(counts + [BLOCK] * nd)
-    perm = []
-    for d in range(nd):
-        perm.extend([d, nd + d])
-    return view.transpose(perm).reshape(tuple(shape))
-
-
 def _plane_cut(emax: np.ndarray, eb: float, ndim: int) -> np.ndarray:
     """Lowest bit-plane that must be kept per block (accuracy mode).
 
@@ -173,13 +143,11 @@ class ZFP(Compressor):
     codec_id = 4
 
     def _compress(self, data: np.ndarray, eb: float) -> bytes:
-        padded = _pad_to_blocks(data)
+        padded = pad_to_blocks(data, BLOCK)
         nd = padded.ndim
-        blocks = _blockify(padded)
-        nb = blocks.shape[0]
-        m = BLOCK**nd
+        flat = blockify(padded, BLOCK)
+        nb, m = flat.shape
 
-        flat = blocks.reshape(nb, m)
         maxabs = np.abs(flat).max(axis=1)
         nonzero = maxabs > 0
         emax = np.zeros(nb, dtype=np.int64)
@@ -266,7 +234,7 @@ class ZFP(Compressor):
         ints = tblocks.reshape(nb, m).astype(np.float64)
         scale = np.ldexp(1.0, (emax - Q))
         flat = ints * scale[:, None]
-        return _unblockify(flat.reshape((nb,) + (BLOCK,) * nd), padded_shape)
+        return unblockify(flat, padded_shape, BLOCK)
 
     def _decompress(self, payload: bytes, header) -> np.ndarray:
         sections = unpack_sections(payload)

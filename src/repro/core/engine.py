@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from repro.core.levels import (
     ORDER_FORWARD,
     anchor_count,
     anchor_slices,
-    max_level_for_anchor,
-    max_level_for_shape,
+    level_entry,
     pass_schedule,
+    top_level,
 )
-from repro.errors import ConfigurationError, DecompressionError
+from repro.errors import DecompressionError
 from repro.quantize.linear import DEFAULT_RADIUS, LinearQuantizer
 
 
@@ -54,21 +54,24 @@ class InterpPlan:
 
     def max_level(self, shape: Sequence[int]) -> int:
         """Top interpolation level for a shape under this plan."""
-        if self.anchor_stride:
-            return min(
-                max_level_for_anchor(self.anchor_stride), max_level_for_shape(shape)
-            )
-        return max_level_for_shape(shape)
+        return top_level(shape, self.anchor_stride)
 
     def level_plan(self, level: int) -> LevelPlan:
         """Plan for one level; levels above the top reuse the top's."""
-        if level in self.levels:
-            return self.levels[level]
-        # levels above the configured ones reuse the highest configured one
-        top = max(self.levels)
-        if level > top:
-            return self.levels[top]
-        raise ConfigurationError(f"no plan for level {level}")
+        return level_entry(self.levels, level)
+
+
+def assemble_plan(
+    ebs: Mapping[int, float],
+    interpolators: Mapping[int, Tuple[int, int]],
+    anchor_stride: int = 0,
+    radius: int = DEFAULT_RADIUS,
+    cast_dtype: "np.dtype[np.generic] | type" = np.float64,
+) -> InterpPlan:
+    """The one engine-plan builder: each level's bound and ``(method,
+    order_id)`` zipped into its :class:`LevelPlan`."""
+    levels = {l: LevelPlan(e, *interpolators[l]) for l, e in ebs.items()}
+    return InterpPlan(levels, anchor_stride, radius, cast_dtype)
 
 
 @dataclass
@@ -163,18 +166,14 @@ def seed_known_points(
 
 
 def plant_known_points(
-    work: np.ndarray, plan: InterpPlan, values: np.ndarray, batch: bool = False
+    work: np.ndarray, plan: InterpPlan, values: np.ndarray
 ) -> None:
     """Write the losslessly-stored points into a fresh work array."""
-    shape = work.shape[1:] if batch else work.shape
     if plan.anchor_stride:
-        sl = anchor_slices(len(shape), plan.anchor_stride)
-        sl = ((slice(None),) if batch else ()) + sl
+        sl = anchor_slices(work.ndim, plan.anchor_stride)
         work[sl] = values.reshape(work[sl].shape)
-    elif batch:
-        work[(slice(None),) + (0,) * len(shape)] = values.reshape(-1)
     else:
-        work[(0,) * len(shape)] = float(values.reshape(-1)[0])
+        work[(0,) * work.ndim] = float(values.reshape(-1)[0])
 
 
 def interp_compress(
@@ -211,25 +210,23 @@ def interp_decompress(
     codes: np.ndarray,
     outliers: np.ndarray,
     known: np.ndarray,
-    batch_size: int = 0,
 ) -> np.ndarray:
-    """Inverse of :func:`interp_compress`."""
-    full_shape = (batch_size, *shape) if batch_size else tuple(shape)
+    """Inverse of :func:`interp_compress` (one field, not a stack)."""
     # every point is either a seeded known point or carries one quant
     # code; a mismatch means the header shape or the payload is corrupt —
     # check with exact int arithmetic before sizing any allocation off
     # the (attacker-controlled) shape
-    total = math.prod(full_shape)
+    total = math.prod(shape)
     seeds = anchor_count(shape, plan.anchor_stride) if plan.anchor_stride else 1
-    if known.size != seeds * max(batch_size, 1) or known.size + codes.size != total:
+    if known.size != seeds or known.size + codes.size != total:
         raise DecompressionError(
             f"payload carries {known.size} known + {codes.size} coded "
             f"points for a shape of {total}"
         )
-    work = np.zeros(full_shape, dtype=np.float64)
-    plant_known_points(work, plan, known, batch=bool(batch_size))
+    work = np.zeros(tuple(shape), dtype=np.float64)
+    plant_known_points(work, plan, known)
     quantizer = LinearQuantizer(
         radius=plan.radius, codes=codes, outliers=outliers
     )
-    execute_passes(work, plan, quantizer, compress=False, batch=bool(batch_size))
+    execute_passes(work, plan, quantizer, compress=False)
     return work

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterator, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,28 @@ def max_level_for_anchor(anchor_stride: int) -> int:
             f"anchor stride must be a power of two, got {anchor_stride}"
         )
     return max(anchor_stride.bit_length() - 1, 1)
+
+
+def top_level(shape: Sequence[int], anchor_stride: int) -> int:
+    """Top interpolation level for a shape: the anchor grid caps it, and
+    without anchors (``anchor_stride`` 0) the shape alone sets it."""
+    if anchor_stride:
+        return min(max_level_for_anchor(anchor_stride), max_level_for_shape(shape))
+    return max_level_for_shape(shape)
+
+
+_Entry = TypeVar("_Entry")
+
+
+def level_entry(table: Mapping[int, _Entry], level: int) -> _Entry:
+    """A per-level table's entry; levels above the top reuse the top's
+    (paper §VI-B: the sampled blocks are shallower than the field)."""
+    if level in table:
+        return table[level]
+    top = max(table)
+    if level > top:
+        return table[top]
+    raise ConfigurationError(f"no plan for level {level}")
 
 
 @dataclass(frozen=True)

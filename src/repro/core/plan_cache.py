@@ -35,10 +35,10 @@ from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import InterpPlan, interp_compress
-from repro.core.levels import max_level_for_anchor, max_level_for_shape
+from repro.core.engine import InterpPlan, assemble_plan, interp_compress
+from repro.core.levels import level_entry, top_level
 from repro.core.stream import pack_interp_payload
-from repro.core.tuning import build_plan
+from repro.core.tuning import level_error_bounds
 from repro.errors import ConfigurationError
 from repro.quantize.linear import DEFAULT_RADIUS
 
@@ -67,18 +67,11 @@ class FrozenPlan:
 
     def interpolator(self, level: int) -> Tuple[int, int]:
         """Interpolator for a level (levels above the top reuse the top)."""
-        if level in self.interpolators:
-            return self.interpolators[level]
-        return self.interpolators[max(self.interpolators)]
+        return level_entry(self.interpolators, level)
 
     def max_level(self, shape: Sequence[int]) -> int:
         """Top interpolation level for a concrete array shape."""
-        if self.anchor_stride:
-            return min(
-                max_level_for_anchor(self.anchor_stride),
-                max_level_for_shape(shape),
-            )
-        return max_level_for_shape(shape)
+        return top_level(shape, self.anchor_stride)
 
     def build_interp_plan(
         self,
@@ -88,17 +81,18 @@ class FrozenPlan:
     ) -> Tuple[InterpPlan, int]:
         """Expand into a concrete engine plan for one array shape.
 
-        Delegates to :func:`repro.core.tuning.build_plan` — the same
-        Eq. 5 expansion the tuning trials run — so frozen-plan execution
+        The same Eq. 5 expansion (:func:`~repro.core.tuning.level_error_bounds`)
+        and plan assembly the tuning trials run, so frozen-plan execution
         can never drift from what tuning scored.
         """
         if not self.interpolators:
             raise ConfigurationError("frozen plan has no interpolator levels")
         top = self.max_level(shape)
-        plan = build_plan(
-            eb, self.alpha, self.beta, self, top, self.anchor_stride, self.radius
+        ebs = level_error_bounds(eb, self.alpha, self.beta, top)
+        interpolators = {l: self.interpolator(l) for l in ebs}
+        plan = assemble_plan(
+            ebs, interpolators, self.anchor_stride, self.radius, cast_dtype
         )
-        plan.cast_dtype = cast_dtype
         return plan, top
 
 

@@ -16,35 +16,35 @@ SZ3 + AP + S          ``selection='global', tune=False``
 SZ3 + AP + S + LIS    ``selection='level', tune=False``
 QoZ (full)            defaults
 ====================  ==========================================
+
+The constructor takes only what the paper's auto-tuner varies or the user
+chooses: ``metric``, ``selection``, ``tune`` and a fixed ``(alpha,
+beta)``.  The anchor stride, sample block and sample rate are fixed per
+dimensionality (paper §VII-A4) and read at derive time from
+:data:`DEFAULTS_2D` / :data:`DEFAULTS_3D`; the quantizer radius is
+:data:`~repro.quantize.linear.DEFAULT_RADIUS`.  A sweep over any of them
+patches those constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.compressors.base import Compressor, register
-from repro.core.engine import interp_decompress
 from repro.core.interpolation import CUBIC
-from repro.core.levels import (
-    ORDER_FORWARD,
-    max_level_for_anchor,
-    max_level_for_shape,
-)
+from repro.core.levels import ORDER_FORWARD, top_level
 from repro.core.plan_cache import FrozenPlan, PlanExecution
 from repro.core.sampling import sample_blocks
 from repro.core.selection import SelectionResult, select_interpolators
-from repro.core.stream import unpack_interp_payload
 from repro.core.tuning import (
     TUNING_METRICS,
     TuningOutcome,
     tune_parameters,
 )
 from repro.errors import ConfigurationError
-from repro.quantize.linear import DEFAULT_RADIUS
 from repro.utils import value_range
 
 #: paper §VII-A4 experimental configuration.  One deviation: the paper
@@ -96,19 +96,17 @@ class QoZ(Compressor):
     def __init__(
         self,
         metric: str = "cr",
-        anchor_stride: Optional[int] = None,
-        sample_block: Optional[int] = None,
-        sample_rate: Optional[float] = None,
         selection: str = "level",
         tune: bool = True,
         alpha: Optional[float] = None,
         beta: Optional[float] = None,
-        radius: int = DEFAULT_RADIUS,
     ) -> None:
         """Configure a QoZ codec.
 
         ``metric``: 'cr' (maximize compression ratio), 'psnr', 'ssim' or
         'ac' — the paper's user-specified inclined quality metric.
+        ``selection``: 'level' (Algorithm 1), 'global' or 'none' (the
+        Fig. 12 ablations).  ``tune``: run the (alpha, beta) search.
         ``alpha``/``beta``: fix Eq. 5's parameters instead of auto-tuning
         (both must be given; disables ``tune``).
         """
@@ -123,25 +121,12 @@ class QoZ(Compressor):
         if (alpha is None) != (beta is None):
             raise ConfigurationError("give both alpha and beta or neither")
         self.metric = metric
-        self.anchor_stride = anchor_stride
-        self.sample_block = sample_block
-        self.sample_rate = sample_rate
         self.selection = selection
         self.tune = tune and alpha is None
         self.fixed_alpha = alpha
         self.fixed_beta = beta
-        self.radius = radius
         #: populated by every compress() call
         self.last_report: Optional[CompressionReport] = None
-
-    # ----------------------------------------------------------- defaults
-    def _resolved_config(self, ndim: int) -> Dict[str, float]:
-        base = DEFAULTS_2D if ndim <= 2 else DEFAULTS_3D
-        return dict(
-            anchor_stride=self.anchor_stride or base["anchor_stride"],
-            sample_block=self.sample_block or base["sample_block"],
-            sample_rate=self.sample_rate or base["sample_rate"],
-        )
 
     # ------------------------------------------------------ plan derivation
     def _derive(
@@ -154,11 +139,9 @@ class QoZ(Compressor):
         scan when a reconstruction metric needs the value range), so a
         memory-mapped field stays out of core.
         """
-        cfg = self._resolved_config(data.ndim)
+        cfg = DEFAULTS_2D if data.ndim <= 2 else DEFAULTS_3D
         anchor = int(cfg["anchor_stride"])
-        max_level = min(
-            max_level_for_anchor(anchor), max_level_for_shape(data.shape)
-        )
+        max_level = top_level(data.shape, anchor)
 
         needs_samples = self.selection != "none" or self.tune
         blocks = None
@@ -180,7 +163,6 @@ class QoZ(Compressor):
             beta=beta,
             interpolators=dict(selection.per_level),
             anchor_stride=anchor,
-            radius=self.radius,
             metric=self.metric,
         )
         return frozen, (
@@ -212,7 +194,7 @@ class QoZ(Compressor):
             return SelectionResult(
                 per_level={1: (CUBIC, ORDER_FORWARD)}, l1_errors={}
             )
-        result = select_interpolators(blocks, eb, self.radius, fan_out=fan_out)
+        result = select_interpolators(blocks, eb, fan_out=fan_out)
         if self.selection == "global":
             # one interpolator everywhere: reuse the finest level's winner
             # (it covers the bulk of the points)
@@ -245,14 +227,6 @@ class QoZ(Compressor):
             max_level,
             metric=self.metric,
             data_range=1.0 if data_range is None else data_range,
-            radius=self.radius,
             fan_out=fan_out,
         )
         return outcome.alpha, outcome.beta, outcome
-
-    # --------------------------------------------------------- decompress
-    def _decompress(self, payload: bytes, header) -> np.ndarray:
-        plan, _top, known, codes, outliers = unpack_interp_payload(
-            payload, header.dtype, max_points=math.prod(header.shape)
-        )
-        return interp_decompress(header.shape, plan, codes, outliers, known)

@@ -18,12 +18,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import InterpPlan, LevelPlan, PassStats, execute_passes
+from repro.core.engine import PassStats, assemble_plan, execute_passes
 from repro.core.interpolation import CUBIC, LINEAR
 from repro.core.levels import (
     ORDER_BACKWARD,
     ORDER_FORWARD,
     dim_order,
+    level_entry,
     max_level_for_shape,
 )
 from repro.quantize.linear import DEFAULT_RADIUS, LinearQuantizer
@@ -67,9 +68,7 @@ class SelectionResult:
     def interpolator(self, level: int) -> Tuple[int, int]:
         """Interpolator for a level; levels above the sampled blocks' top
         level reuse the highest selected one (paper §VI-B)."""
-        if level in self.per_level:
-            return self.per_level[level]
-        return self.per_level[max(self.per_level)]
+        return level_entry(self.per_level, level)
 
 
 def _trial_level(
@@ -86,11 +85,7 @@ def _trial_level(
     informative.
     """
     trial = work.copy()
-    plan = InterpPlan(
-        levels={level: LevelPlan(eb=eb, method=method, order_id=order_id)},
-        anchor_stride=0,
-        radius=radius,
-    )
+    plan = assemble_plan({level: eb}, {level: (method, order_id)}, radius=radius)
     stats = PassStats()
     quantizer = LinearQuantizer(radius=radius)
     execute_passes(
@@ -164,15 +159,13 @@ def select_global_interpolator(
     """
     block_shape = blocks.shape[1:]
     top = max_level_for_shape(block_shape)
+    levels = range(1, top + 1)
     best_err = np.inf
     best = CANDIDATES[0]
     for method, order_id in distinct_candidates(len(block_shape)):
-        plan = InterpPlan(
-            levels={
-                l: LevelPlan(eb=eb, method=method, order_id=order_id)
-                for l in range(1, top + 1)
-            },
-            anchor_stride=0,
+        plan = assemble_plan(
+            dict.fromkeys(levels, eb),
+            dict.fromkeys(levels, (method, order_id)),
             radius=radius,
         )
         stats = PassStats()

@@ -6,19 +6,19 @@ error bound); then three data sections — losslessly-coded known points
 (anchors or root), the entropy-coded quantization indices, and the exact
 outlier values.
 
-:func:`describe_stream` is the generic inspection entry point over *any*
-repro stream (plain or chunked container) — it reads only headers and the
-chunk index, never payloads, and backs ``python -m repro info``.
+:func:`summarize_header` describes a plain stream from its header alone
+for ``python -m repro info``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.engine import InterpPlan, LevelPlan
-from repro.core.header import pack_sections, parse_header, unpack_sections
+from repro.core.engine import InterpPlan, assemble_plan, interp_decompress
+from repro.core.header import pack_sections, unpack_sections
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.codec import decode_symbol_stream, encode_symbol_stream
 from repro.encoding.lossless import (
@@ -26,25 +26,6 @@ from repro.encoding.lossless import (
     decompress_floats_lossless,
 )
 from repro.errors import DecompressionError
-
-
-def describe_stream(blob: bytes) -> Dict:
-    """Header-level summary of any repro stream, without decoding payloads.
-
-    For a chunked container the summary includes the chunk grid and
-    per-chunk byte statistics (parsed from the index alone).
-    """
-    header, _ = parse_header(blob)
-    if header.is_chunked:
-        from repro.chunked import ChunkedFile
-
-        with ChunkedFile(blob) as f:
-            info = f.describe()
-        # size the actual blob, not just what the chunk index implies
-        info["compressed_bytes"] = len(blob)
-        info["compression_ratio"] = info["raw_bytes"] / max(1, len(blob))
-        return info
-    return summarize_header(header, len(blob))
 
 
 def summarize_header(header, compressed_bytes: int) -> Dict:
@@ -129,15 +110,12 @@ def unpack_interp_payload(
     max_level = reader.read_uint(8)
     if max_level < 1:
         raise DecompressionError("interpolation payload plans no level")
-    levels = {}
+    ebs: Dict[int, float] = {}
+    interpolators: Dict[int, Tuple[int, int]] = {}
     for level in range(1, max_level + 1):
-        method = reader.read_uint(1)
-        order_id = reader.read_uint(1)
-        eb = _bits_float(reader.read_uint(64))
-        levels[level] = LevelPlan(eb=eb, method=method, order_id=order_id)
-    plan = InterpPlan(
-        levels=levels, anchor_stride=anchor_stride, radius=radius, cast_dtype=dtype
-    )
+        interpolators[level] = reader.read_uint(1), reader.read_uint(1)
+        ebs[level] = _bits_float(reader.read_uint(64))
+    plan = assemble_plan(ebs, interpolators, anchor_stride, radius, dtype)
     known = decompress_floats_lossless(
         sections[1], max_values=max_points
     ).astype(np.float64)
@@ -146,3 +124,12 @@ def unpack_interp_payload(
         sections[3], max_values=max_points
     ).astype(np.float64)
     return plan, max_level, known, codes, outliers
+
+
+def decode_interp_payload(payload: bytes, header) -> np.ndarray:
+    """The float64 field an interpolation payload holds; ``header`` is the
+    stream's parsed :class:`~repro.core.header.StreamHeader`."""
+    plan, _top, known, codes, outliers = unpack_interp_payload(
+        payload, header.dtype, max_points=math.prod(header.shape)
+    )
+    return interp_decompress(header.shape, plan, codes, outliers, known)

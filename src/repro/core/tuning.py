@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import InterpPlan, LevelPlan, interp_compress
+from repro.core.engine import InterpPlan, assemble_plan, interp_compress
 from repro.core.selection import SelectionResult
 from repro.encoding.codec import estimate_stream_bits
 from repro.errors import ConfigurationError
@@ -67,28 +67,16 @@ def build_plan(
 ) -> InterpPlan:
     """Assemble a complete engine plan from tuned knobs.
 
-    The single authoritative Eq. 5 expansion: tuning trials and
-    frozen-plan execution (:meth:`FrozenPlan.build_interp_plan`) both run
-    it.  ``selection`` is anything with an ``interpolator(level)`` method
-    (a :class:`SelectionResult` or a :class:`FrozenPlan`).
+    The Eq. 5 expansion (:func:`level_error_bounds`) of the tuned
+    ``(alpha, beta)``, zipped with ``selection``'s interpolators — anything
+    with an ``interpolator(level)`` method (a :class:`SelectionResult` or
+    a :class:`~repro.core.plan_cache.FrozenPlan`) — into a float64-checked
+    plan; :meth:`FrozenPlan.build_interp_plan` is the same expansion for
+    a field of a given dtype.
     """
     ebs = level_error_bounds(eb, alpha, beta, max_level)
     interpolators = {l: selection.interpolator(l) for l in ebs}
-    return _assemble_plan(ebs, interpolators, anchor_stride, radius)
-
-
-def _assemble_plan(
-    ebs: Dict[int, float],
-    interpolators: Dict[int, Tuple[int, int]],
-    anchor_stride: int,
-    radius: int,
-) -> InterpPlan:
-    """Engine plan from already-expanded per-level bounds."""
-    levels = {}
-    for l, e in ebs.items():
-        method, order_id = interpolators[l]
-        levels[l] = LevelPlan(eb=e, method=method, order_id=order_id)
-    return InterpPlan(levels=levels, anchor_stride=anchor_stride, radius=radius)
+    return assemble_plan(ebs, interpolators, anchor_stride, radius)
 
 
 @dataclass
@@ -161,7 +149,7 @@ def score_bound_vectors(
     return [
         _evaluate_candidate(
             blocks,
-            _assemble_plan(dict(enumerate(v, 1)), interpolators, 0, radius),
+            assemble_plan(dict(enumerate(v, 1)), interpolators, radius=radius),
             metric, data_range, ssim_ref,
         )
         for v in vectors

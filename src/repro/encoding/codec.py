@@ -1,8 +1,8 @@
 """The composed symbol-stream codec used for quantization indices.
 
 Pipeline: alphabet remap (offset to the observed [min, max] range) ->
-optional zero-run tokenization (:mod:`repro.encoding.rle`) -> canonical
-Huffman.  Also provides a fast Shannon-entropy size estimator used by QoZ's
+zero-run tokenization when one symbol dominates (:mod:`repro.encoding.rle`)
+-> canonical Huffman.  Also provides a fast Shannon-entropy size estimator used by QoZ's
 online tuning, which must predict the bit rate without building streams.
 """
 
@@ -25,7 +25,7 @@ from repro.errors import DecompressionError
 RLE_DOMINANCE_THRESHOLD = 0.25
 
 
-def encode_symbol_stream(codes: np.ndarray, use_rle: bool = True) -> bytes:
+def encode_symbol_stream(codes: np.ndarray) -> bytes:
     """Encode a non-negative int array into a self-describing byte string."""
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     writer = BitWriter()
@@ -41,7 +41,7 @@ def encode_symbol_stream(codes: np.ndarray, use_rle: bool = True) -> bytes:
     counts = np.bincount(syms)
     alphabet = counts.size
     dom = int(np.argmax(counts))
-    rle = bool(use_rle) and counts[dom] >= RLE_DOMINANCE_THRESHOLD * codes.size
+    rle = counts[dom] >= RLE_DOMINANCE_THRESHOLD * codes.size
     writer.write_uint(lo, 32)
     writer.write_uint(alphabet, 32)
     writer.write_uint(1 if rle else 0, 1)
@@ -121,7 +121,7 @@ def shannon_bits(freqs: np.ndarray) -> float:
     return float(-(freqs * np.log2(p)).sum())
 
 
-def estimate_stream_bits(codes: np.ndarray, use_rle: bool = True) -> float:
+def estimate_stream_bits(codes: np.ndarray) -> float:
     """Predict the encoded size of ``codes`` in bits without encoding.
 
     Scores the token histogram with its Shannon entropy plus the run extra
@@ -138,7 +138,7 @@ def estimate_stream_bits(codes: np.ndarray, use_rle: bool = True) -> float:
     counts = np.bincount(syms)
     dom = int(np.argmax(counts))
     header = 64 + 32 + 32 + 1
-    if use_rle and counts[dom] >= RLE_DOMINANCE_THRESHOLD * codes.size:
+    if counts[dom] >= RLE_DOMINANCE_THRESHOLD * codes.size:
         tok_counts, extra_bits = run_token_histogram(syms, dom, counts)
         payload = shannon_bits(tok_counts) + float(extra_bits)
         table = 38 * int(np.count_nonzero(tok_counts))

@@ -217,20 +217,3 @@ def next_pow2(n: int) -> int:
 def is_pow2(n: int) -> bool:
     """True when n is a positive power of two."""
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def block_starts(extent: int, block: int) -> np.ndarray:
-    """Start offsets of consecutive ``block``-sized tiles covering ``extent``."""
-    return np.arange(0, extent, block)
-
-
-def strict_bound_violations(
-    original: np.ndarray, recon: np.ndarray, eb: float
-) -> np.ndarray:
-    """Boolean mask of points where |orig - recon| exceeds the bound.
-
-    A tiny relative tolerance absorbs float round-off in the comparison
-    itself; codecs use this mask to emit exact-value outliers so the bound
-    is unconditionally strict on the returned array.
-    """
-    return np.abs(original.astype(np.float64) - recon.astype(np.float64)) > eb

@@ -85,6 +85,26 @@ def test_facade_signatures_are_pinned(name, expected):
     assert _unannotated(getattr(repro, name)) == expected
 
 
+#: each library codec's constructor parameters, in order: only what a
+#: caller sets.  Fixed configuration (anchor stride, sample block and rate,
+#: block edge, quantizer radius) is module constants read at derive time,
+#: so a knob can come back only together with a caller that sets it
+CODEC_PARAMETERS = {
+    "MGARDPlus": [],
+    "QoZ": ["metric", "selection", "tune", "alpha", "beta"],
+    "SZ2": [],
+    "SZ3": ["method"],
+    "ZFP": [],
+}
+
+
+def test_codec_constructors_take_only_the_kept_parameters():
+    for name, expected in CODEC_PARAMETERS.items():
+        codec = getattr(repro, name)
+        assert codec.name in repro.available_compressors()
+        assert list(inspect.signature(codec).parameters) == expected, name
+
+
 def test_facade_module_exports_exactly_the_facade():
     import repro.api
 

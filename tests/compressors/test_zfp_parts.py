@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.compressors.regression import blockify, unblockify
 from repro.compressors.zfp import (
     BLOCK,
     P_TOP,
     Q,
     ZFP,
-    _blockify,
     _from_negabinary,
     _group_bounds,
     _plane_cut,
     _scan_order,
     _to_negabinary,
     _transform_axis,
-    _unblockify,
 )
 
 
@@ -90,9 +89,9 @@ class TestScanOrder:
 class TestBlockify:
     def test_roundtrip(self, rng):
         data = rng.standard_normal((8, 12, 4))
-        blocks = _blockify(data)
-        assert blocks.shape == (2 * 3 * 1, 4, 4, 4)
-        np.testing.assert_array_equal(_unblockify(blocks, (8, 12, 4)), data)
+        blocks = blockify(data, BLOCK)
+        assert blocks.shape == (2 * 3 * 1, BLOCK**3)
+        np.testing.assert_array_equal(unblockify(blocks, (8, 12, 4), BLOCK), data)
 
 
 class TestPlaneCut:

@@ -103,18 +103,6 @@ class TestRoundtrip:
         assert np.abs(recon - data).max() <= 1e-3
         assert not np.array_equal(codes_f, codes_b)
 
-    def test_batched_matches_individual(self):
-        shape = (16, 16)
-        stack = np.stack([smooth_field(shape, seed=s) for s in range(4)])
-        plan = make_plan(shape, 1e-3)
-        codes_b, out_b, known_b, work_b = interp_compress(stack, plan, batch=True)
-        recon_b = interp_decompress(shape, plan, codes_b, out_b, known_b,
-                                    batch_size=4)
-        for i in range(4):
-            codes_i, out_i, known_i, _ = interp_compress(stack[i], plan)
-            recon_i = interp_decompress(shape, plan, codes_i, out_i, known_i)
-            np.testing.assert_array_equal(recon_b[i], recon_i)
-
     def test_stats_collection(self):
         shape = (32, 32)
         data = smooth_field(shape, seed=5)

@@ -22,7 +22,7 @@ from repro.core.header import (
     unpack_sections,
 )
 from repro.core.interpolation import CUBIC, LINEAR
-from repro.core.stream import describe_stream, pack_interp_payload, unpack_interp_payload
+from repro.core.stream import pack_interp_payload, summarize_header, unpack_interp_payload
 from repro.errors import DecompressionError
 
 
@@ -157,7 +157,8 @@ class TestDescribeStream:
 
         data = np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8)
         blob = get_compressor("sz3").compress(data, error_bound=1e-3)
-        info = describe_stream(blob)
+        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
+        info = summarize_header(header, len(blob))
         assert info["codec"] == "sz3"
         assert info["shape"] == (8, 8)
         assert info["format"].startswith("plain stream")
@@ -168,7 +169,8 @@ class TestDescribeStream:
 
         data = np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16)
         blob = repro.compress(data, codec="sz3", chunks=8, bound=1e-3)
-        info = describe_stream(blob)
+        with repro.open(blob) as f:
+            info = f.describe()
         assert info["format"].startswith("chunked container")
         assert info["n_chunks"] == 4
         assert info["chunk_shape"] == (8, 8)

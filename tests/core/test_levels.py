@@ -11,10 +11,12 @@ from repro.core.levels import (
     anchor_count,
     anchor_slices,
     dim_order,
+    level_entry,
     level_pass_specs,
     max_level_for_anchor,
     max_level_for_shape,
     pass_schedule,
+    top_level,
     total_pass_targets,
 )
 from repro.errors import ConfigurationError
@@ -35,6 +37,22 @@ class TestLevelCounts:
     def test_anchor_not_pow2_raises(self):
         with pytest.raises(ConfigurationError):
             max_level_for_anchor(48)
+
+    def test_top_level_is_capped_by_the_anchor_grid(self):
+        assert top_level((256, 256), 64) == 6  # the anchor grid caps it
+        assert top_level((33, 20), 64) == 6
+        assert top_level((16, 16), 64) == 4  # a small shape caps it
+        assert top_level((256, 256), 0) == 8  # no anchors: shape alone
+        with pytest.raises(ConfigurationError):
+            top_level((256,), 48)
+
+    def test_levels_above_the_top_reuse_the_top(self):
+        table = {1: "fine", 2: "top"}
+        assert [level_entry(table, l) for l in (1, 2, 3, 9)] == [
+            "fine", "top", "top", "top"
+        ]
+        with pytest.raises(ConfigurationError):
+            level_entry({2: "top"}, 1)  # below the top is never filled in
 
     def test_dim_order(self):
         assert dim_order(3, ORDER_FORWARD) == (0, 1, 2)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.encoding.bitstream import BitReader
 from repro.encoding.codec import (
+    RLE_DOMINANCE_THRESHOLD,
     decode_symbol_stream,
     encode_symbol_stream,
     estimate_stream_bits,
@@ -33,12 +35,6 @@ class TestSymbolStream:
         blob = encode_symbol_stream(codes)
         np.testing.assert_array_equal(decode_symbol_stream(blob), codes)
         assert len(blob) * 8 / codes.size < 0.5  # needs RLE to get here
-
-    def test_rle_disabled(self, rng):
-        codes = np.full(5000, 7, dtype=np.int64)
-        codes[::7] = 9
-        blob = encode_symbol_stream(codes, use_rle=False)
-        np.testing.assert_array_equal(decode_symbol_stream(blob), codes)
 
     def test_negative_codes_rejected(self):
         with pytest.raises(ValueError):
@@ -108,13 +104,25 @@ class TestEstimate:
     st.integers(min_value=1, max_value=5000),
     st.integers(min_value=1, max_value=100),
     st.floats(min_value=0.0, max_value=1.0),
-    st.booleans(),
 )
-def test_roundtrip_property(seed, n, alphabet, dominance, use_rle):
+@example(seed=0, n=5000, alphabet=16, dominance=0.0)  # no symbol dominates
+@example(seed=0, n=5000, alphabet=16, dominance=0.9)  # runs
+def test_roundtrip_property(seed, n, alphabet, dominance):
+    # ``dominance`` spans both stream forms: run tokens once one symbol
+    # covers RLE_DOMINANCE_THRESHOLD of the stream, plain Huffman below
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, 100000))
     codes = offset + rng.integers(0, alphabet, size=n)
     mask = rng.random(n) < dominance
     codes[mask] = offset + alphabet // 2
-    blob = encode_symbol_stream(codes.astype(np.int64), use_rle=use_rle)
+    blob = encode_symbol_stream(codes.astype(np.int64))
+    top = np.bincount(codes - offset).max()
+    assert _uses_runs(blob) == (top >= RLE_DOMINANCE_THRESHOLD * n)
     np.testing.assert_array_equal(decode_symbol_stream(blob), codes)
+
+
+def _uses_runs(blob: bytes) -> bool:
+    """The stream header's run-token flag (after count, offset, alphabet)."""
+    reader = BitReader(blob)
+    reader.read_uint(64 + 32 + 32)
+    return bool(reader.read_uint(1))

@@ -181,6 +181,20 @@ def test_each_codec_module_builds_its_plan_in_one_place():
         assert len(built) <= 1, path.name
 
 
+def test_each_plan_rule_has_one_home():
+    # the anchor-capped top level is levels.top_level's; an engine plan
+    # is built by engine.assemble_plan alone (cast_dtype included)
+    def named(name):
+        return lambda f: isinstance(f, ast.Name) and f.id == name
+
+    assert call_sites(named("max_level_for_anchor")) == [
+        ("core/levels.py", ("top_level",))
+    ]
+    assert call_sites(named("InterpPlan")) == [
+        ("core/engine.py", ("assemble_plan",))
+    ]
+
+
 def test_every_tuning_trial_is_one_evaluator():
     # the inline runner and a pool worker both reach the engine through
     # _evaluate_candidate; a second caller would be a second trial kernel
