@@ -33,7 +33,7 @@ def main() -> None:
         t0 = time.perf_counter()
         blobs = compress_fields_parallel(
             fields, codec_name, codec_kwargs=kwargs,
-            rel_error_bound=1e-3, processes=2,
+            bound="rel:1e-3", processes=2,
         )
         dt = time.perf_counter() - t0
         cr = float(

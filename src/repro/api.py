@@ -38,7 +38,7 @@ from repro.chunked.container import (
 )
 from repro.compressors.base import decompress_any, get_compressor
 from repro.errors import CompressionError
-from repro.utils import BoundLike, ErrorBound
+from repro.utils import BoundLike, ErrorBound, fans_out
 
 __all__ = ["compress", "decompress", "open"]
 
@@ -86,7 +86,7 @@ def compress(
         or chunks is not None
         or per_chunk_tuning
         or plan is not None
-        or (processes is not None and processes > 1)
+        or fans_out(processes)
     )
     if chunked is False and wants_chunked:
         raise CompressionError(
@@ -100,7 +100,7 @@ def compress(
                 "file= and plan= do not travel over a service client; "
                 "compress locally or write the returned bytes yourself"
             )
-        if processes not in (None, 0, 1):
+        if fans_out(processes):
             raise CompressionError(
                 "processes= is a server-side setting; configure the "
                 "service, not the call"
@@ -162,7 +162,7 @@ def decompress(
     ``processes=``) and a plain stream through its codec's decoder.
     """
     if client is not None:
-        if processes not in (None, 0, 1):
+        if fans_out(processes):
             raise CompressionError(
                 "processes= is a server-side setting; configure the "
                 "service, not the call"

@@ -57,6 +57,7 @@ from repro.errors import (
 )
 from repro.utils import (
     ErrorBound,
+    fans_out,
     resolve_error_bound,
     validate_field_lazy,
 )
@@ -195,7 +196,7 @@ class CompressJob:
         # lazy views, not copies: the pool packs each batch straight into
         # a shared-memory slab, so the slab fill is the only copy per chunk
         views = ((i, self.data[self.grid.chunk_slices(i)]) for i in self.grid)
-        if processes in (None, 0, 1) or self.grid.n_chunks <= 1:
+        if not fans_out(processes) or self.grid.n_chunks <= 1:
             if self.wants_plan:
                 self.plan = self.derive()
             return self.write(
@@ -484,7 +485,7 @@ class ChunkedFile:
         same :meth:`slab_plan`, so outputs are bit-identical by
         construction.
         """
-        if processes not in (None, 0, 1):
+        if fans_out(processes):
             from repro.parallel.executor import kept_pool
 
             with kept_pool(processes) as pool:

@@ -67,6 +67,7 @@ from repro.parallel.slab import (
     detach_slab,
     share_tracker_with_children,
 )
+from repro.utils import BoundLike, ErrorBound, fans_out
 
 #: chunks packed into one slab batch: one slab and one future serve
 #: this many chunk jobs
@@ -91,10 +92,8 @@ os.register_at_fork(
 )
 
 
-def _compress_field(field, name, kwargs, error_bound, rel_error_bound) -> bytes:
-    return get_compressor(name, **kwargs).compress(
-        field, error_bound, rel_error_bound
-    )
+def _compress_field(field, name, kwargs, bound: ErrorBound) -> bytes:
+    return get_compressor(name, **kwargs).compress(field, **bound.kwargs())
 
 
 def _own_signals() -> None:
@@ -261,17 +260,16 @@ def compress_fields_parallel(
     fields: Sequence[np.ndarray],
     codec_name: str,
     codec_kwargs: Optional[Dict] = None,
-    error_bound: Optional[float] = None,
-    rel_error_bound: Optional[float] = None,
+    bound: Optional[BoundLike] = None,
     processes: Optional[int] = None,
 ) -> List[bytes]:
-    """Compress every field of a dump, one array job per field.
-
-    With ``processes=1`` (or a single field) everything runs in-process,
-    which keeps unit tests cheap and avoids fork overhead for tiny inputs.
+    """Compress every field of a dump under one ``bound=`` (parsed by
+    :meth:`ErrorBound.parse`, as the facade does), one array job per
+    field over ``processes`` workers; in-process unless :func:`fans_out`
+    (or for a single field).
     """
-    args = (codec_name, codec_kwargs or {}, error_bound, rel_error_bound)
-    if processes == 1 or len(fields) <= 1:
+    args = (codec_name, codec_kwargs or {}, ErrorBound.parse(bound))
+    if not fans_out(processes) or len(fields) <= 1:
         return [_compress_field(f, *args) for f in fields]
     with kept_pool(processes) as pool:
         futures = [pool.submit_array(_compress_field, f, *args) for f in fields]
@@ -281,8 +279,9 @@ def compress_fields_parallel(
 def decompress_blobs_parallel(
     blobs: Sequence[bytes], processes: Optional[int] = None
 ) -> List[np.ndarray]:
-    """Decompress many streams in parallel (codec-routing per stream)."""
-    if processes == 1 or len(blobs) <= 1:
+    """Decompress many streams (codec-routing per stream), in parallel
+    when :func:`fans_out`."""
+    if not fans_out(processes) or len(blobs) <= 1:
         return [decompress_any(b) for b in blobs]
     with kept_pool(processes) as pool:
         futures = [pool.submit_decompress(b) for b in blobs]
@@ -363,7 +362,7 @@ class ChunkWorkPool:
     @property
     def parallel(self) -> bool:
         """Whether submits actually fan out to worker processes."""
-        return self.processes is not None and self.processes > 1
+        return fans_out(self.processes)
 
     # -------------------------------------------------------------- dispatch
     def _submit(self, fn: Callable, arg) -> "Future":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +94,14 @@ class ErrorBound:
 
 
 BoundLike = Union[ErrorBound, str, float, Tuple[Any, Any]]
+
+
+def fans_out(processes: Optional[int]) -> bool:
+    """The one reading of ``processes=`` on every library call: fan out
+    over worker processes only above 1; ``None``, ``0``, ``1`` and
+    anything below run in-process.  (Here, not in the pool's module, so
+    an in-process call never imports ``multiprocessing``.)"""
+    return processes is not None and processes > 1
 
 
 def validate_input(data: np.ndarray, name: str = "data") -> np.ndarray:

@@ -105,6 +105,15 @@ def test_codec_constructors_take_only_the_kept_parameters():
         assert list(inspect.signature(codec).parameters) == expected, name
 
 
+def test_compress_fields_parallel_spells_the_bound_as_the_facade_does():
+    # bound= only: no error_bound= / rel_error_bound= above the codecs
+    from repro.parallel import compress_fields_parallel
+
+    assert _unannotated(compress_fields_parallel) == (
+        "(fields, codec_name, codec_kwargs=None, bound=None, processes=None)"
+    )
+
+
 def test_facade_module_exports_exactly_the_facade():
     import repro.api
 

@@ -75,7 +75,7 @@ class TestExecutor:
     def test_serial_path(self):
         fields = self._fields(2)
         blobs = compress_fields_parallel(
-            fields, "sz3", rel_error_bound=1e-3, processes=1
+            fields, "sz3", bound="rel:1e-3", processes=1
         )
         outs = decompress_blobs_parallel(blobs, processes=1)
         for f, o in zip(fields, outs):
@@ -85,10 +85,10 @@ class TestExecutor:
     def test_parallel_matches_serial(self):
         fields = self._fields(4)
         serial = compress_fields_parallel(
-            fields, "sz3", rel_error_bound=1e-3, processes=1
+            fields, "sz3", bound="rel:1e-3", processes=1
         )
         parallel = compress_fields_parallel(
-            fields, "sz3", rel_error_bound=1e-3, processes=2
+            fields, "sz3", bound="rel:1e-3", processes=2
         )
         assert [len(b) for b in serial] == [len(b) for b in parallel]
         for s, p in zip(serial, parallel):
@@ -98,7 +98,7 @@ class TestExecutor:
         fields = self._fields(4)
         blobs = compress_fields_parallel(
             fields, "qoz", codec_kwargs={"metric": "cr"},
-            rel_error_bound=1e-2, processes=2,
+            bound="rel:1e-2", processes=2,
         )
         outs = decompress_blobs_parallel(blobs, processes=2)
         for f, o in zip(fields, outs):

@@ -201,7 +201,7 @@ class TestWorkersDeriveInline:
         fields = [
             get_dataset(n, shape=(32, 32, 32), seed=0) for n in ("nyx", "miranda")
         ]
-        call = dict(codec_name="qoz", rel_error_bound=REL)
+        call = dict(codec_name="qoz", bound=("rel", REL))
         assert compress_fields_parallel(
             fields, processes=2, **call
         ) == compress_fields_parallel(fields, processes=1, **call)

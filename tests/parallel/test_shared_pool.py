@@ -28,6 +28,7 @@ from repro.datasets import get_dataset
 from repro.parallel import (
     ChunkWorkPool,
     active_slab_names,
+    compress_fields_parallel,
     decompress_blobs_parallel,
     executor,
     shutdown_pool,
@@ -127,6 +128,32 @@ class TestOnePoolPerProcess:
             del base._REGISTRY["late-sz3"], base._BY_ID[201]
 
 
+@pytest.mark.parametrize("processes", [None, 0, 1, -1])
+def test_no_door_starts_a_worker_at_most_one_process(
+    processes, fresh_registry, serial
+):
+    # one rule reads processes= everywhere (repro.utils.fans_out): only a
+    # value above 1 fans out, so no door forks a pool for 0, None or -1
+    with repro.open(serial) as f:
+        doors = {
+            "compress": lambda: compress(processes=processes),
+            "decompress": lambda: repro.decompress(serial, processes=processes),
+            "ChunkedFile.read": lambda: f.read(
+                (slice(0, 8), slice(None), slice(None)), processes=processes
+            ),
+            "ChunkedFile.to_array": lambda: f.to_array(processes),
+            "compress_fields_parallel": lambda: compress_fields_parallel(
+                [FIELD, FIELD], "sz3", bound="rel:1e-3", processes=processes
+            ),
+            "decompress_blobs_parallel": lambda: decompress_blobs_parallel(
+                [serial, serial], processes=processes
+            ),
+        }
+        for door, call in doors.items():
+            call()
+            assert worker_pids() == fresh_registry, door
+
+
 EXIT_SCRIPT = """
 import multiprocessing, os, sys, time
 import numpy as np
@@ -166,7 +193,7 @@ from repro.datasets import get_dataset
 x = get_dataset("nyx", shape=(32, 32, 32)).astype(np.float32)
 # the first pooled call ships no slab: nothing has started the resource
 # tracker when the workers fork
-repro.parallel.compress_fields_parallel([x, x], "sz3", rel_error_bound=1e-3,
+repro.parallel.compress_fields_parallel([x, x], "sz3", bound="rel:1e-3",
                                         processes=2)
 repro.compress(x, codec="sz3", bound="rel:1e-3", chunks=16, processes=2)
 """
