@@ -1,16 +1,14 @@
-"""Shared benchmark fixtures.
+"""Shared helpers of the two printing benchmarks (Fig. 11's images and
+Table IV's throughput).
 
-Benchmarks regenerate the paper's tables/figures at laptop scale: shapes
-are reduced stand-ins (set ``REPRO_BENCH_SCALE=2`` to double every extent).
-Each bench prints its paper-style table and appends it to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can record
-paper-vs-measured values.
+Shapes are reduced stand-ins (set ``REPRO_BENCH_SCALE=2`` to double every
+extent).  Each bench prints its table and writes it to
+``benchmarks/results/<name>.txt``.  The paper's orderings are asserted by
+``tests/paper/test_claims.py``, not here.
 """
 
 import os
 import pathlib
-
-import pytest
 
 from repro.datasets import get_dataset
 
@@ -45,9 +43,3 @@ def record(name: str, text: str) -> None:
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-@pytest.fixture(scope="session")
-def dataset():
-    """Accessor fixture for cached benchmark datasets."""
-    return bench_dataset

@@ -1,13 +1,13 @@
-"""Experiment harness: rate-distortion sweeps, CR-targeted search, reports."""
+"""Experiment harness: one rate-distortion measurement, CR-targeted search,
+report tables and PGM images."""
 
-from repro.analysis.experiment import RatePoint, rate_distortion_curve, evaluate_once
+from repro.analysis.experiment import RatePoint, evaluate_once
 from repro.analysis.crsearch import find_error_bound_for_cr
 from repro.analysis.report import format_table
 from repro.analysis.visualize import write_pgm
 
 __all__ = [
     "RatePoint",
-    "rate_distortion_curve",
     "evaluate_once",
     "find_error_bound_for_cr",
     "format_table",

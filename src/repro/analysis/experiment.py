@@ -1,10 +1,8 @@
-"""Rate-distortion sweeps — the engine behind every figure benchmark."""
+"""One rate-distortion measurement: the engine behind the paper-claim ledger."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
-from typing import Iterable, List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +21,6 @@ from repro.metrics import (
 class RatePoint:
     """One (error bound -> compression result) measurement."""
 
-    codec: str
-    rel_eb: float
     abs_eb: float
     bit_rate: float
     compression_ratio: float
@@ -32,12 +28,6 @@ class RatePoint:
     ssim: float
     autocorr: float
     max_error: float
-    compress_mbps: float
-    decompress_mbps: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict view (for CSV/JSON emission by callers)."""
-        return asdict(self)
 
 
 def evaluate_once(
@@ -47,15 +37,10 @@ def evaluate_once(
     compute_ssim: bool = True,
 ) -> RatePoint:
     """Compress/decompress once and collect every evaluation metric."""
-    t0 = time.perf_counter()
     blob = codec.compress(data, rel_error_bound=rel_eb)
-    t1 = time.perf_counter()
     recon = codec.decompress(blob)
-    t2 = time.perf_counter()
     vrange = float(data.max() - data.min())
     return RatePoint(
-        codec=codec.name,
-        rel_eb=rel_eb,
         abs_eb=rel_eb * vrange,
         bit_rate=bit_rate(data, blob),
         compression_ratio=compression_ratio(data, blob),
@@ -63,19 +48,4 @@ def evaluate_once(
         ssim=ssim(data, recon) if compute_ssim else float("nan"),
         autocorr=error_autocorrelation(data, recon),
         max_error=max_abs_error(data, recon),
-        compress_mbps=data.nbytes / 1e6 / max(t1 - t0, 1e-9),
-        decompress_mbps=data.nbytes / 1e6 / max(t2 - t1, 1e-9),
     )
-
-
-def rate_distortion_curve(
-    codec: Compressor,
-    data: np.ndarray,
-    rel_ebs: Iterable[float],
-    compute_ssim: bool = True,
-) -> List[RatePoint]:
-    """Sweep relative error bounds (one curve of Figs. 8-10)."""
-    return [
-        evaluate_once(codec, data, float(e), compute_ssim=compute_ssim)
-        for e in rel_ebs
-    ]

@@ -125,27 +125,6 @@ class HuffmanCode:
         """Number of symbols the code covers (incl. zero-length ones)."""
         return int(self.lengths.size)
 
-    def encoded_bit_count(self, freqs: np.ndarray) -> int:
-        """Exact payload size in bits for symbols with the given histogram.
-
-        Raises ``ValueError`` if the histogram puts mass on symbols the
-        code cannot encode — outside the alphabet or with no code —
-        instead of silently undercounting them as 0 bits (which would
-        corrupt codec/stage size comparisons built on this estimate).
-        """
-        freqs = np.asarray(freqs, dtype=np.int64)
-        n = min(freqs.size, self.lengths.size)
-        if freqs[n:].any():
-            raise ValueError(
-                "histogram has mass outside the code's alphabet "
-                f"(size {self.lengths.size})"
-            )
-        head = freqs[:n]
-        lens = self.lengths[:n].astype(np.int64)
-        if (head[lens == 0] > 0).any():
-            raise ValueError("histogram has mass on symbols with no code")
-        return int((head * lens).sum())
-
     # ----------------------------------------------------------------- encode
     def encode(self, symbols: np.ndarray, writer: BitWriter) -> None:
         """Append the codes of ``symbols`` to ``writer`` (vectorized)."""

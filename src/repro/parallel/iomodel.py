@@ -69,7 +69,8 @@ def dump_load_series(
     """Fig. 14 series: per codec per core count, dump and load seconds.
 
     ``codec_stats``: name -> dict with keys ``cr``, ``compress_mbps``,
-    ``decompress_mbps`` (measured on this host by the benchmark harness).
+    ``decompress_mbps`` (``examples/parallel_io.py`` pairs measured CRs
+    with the paper's native Table IV speeds, DESIGN.md §3).
     """
     rows = []
     for cores in core_counts:

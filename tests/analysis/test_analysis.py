@@ -1,4 +1,5 @@
-"""Tests for the experiment harness (sweeps, CR search, reports, PGM)."""
+"""Tests for the experiment harness (one measurement, CR search, reports,
+PGM)."""
 
 import os
 
@@ -10,7 +11,6 @@ from repro.analysis import (
     evaluate_once,
     find_error_bound_for_cr,
     format_table,
-    rate_distortion_curve,
     write_pgm,
 )
 
@@ -27,18 +27,15 @@ def field(n=96, seed=0):
 class TestEvaluate:
     def test_single_point_fields(self):
         pt = evaluate_once(SZ3(), field(), 1e-3)
-        assert pt.codec == "sz3"
         assert pt.compression_ratio > 1
         assert pt.bit_rate == pytest.approx(
             32.0 / pt.compression_ratio, rel=1e-6
         )
         assert pt.max_error <= pt.abs_eb
         assert 0 < pt.ssim <= 1
-        assert pt.compress_mbps > 0
-        assert "psnr" in pt.as_dict()
 
     def test_curve_monotonicity(self):
-        pts = rate_distortion_curve(SZ3(), field(), [1e-2, 1e-3, 1e-4])
+        pts = [evaluate_once(SZ3(), field(), e) for e in (1e-2, 1e-3, 1e-4)]
         rates = [p.bit_rate for p in pts]
         psnrs = [p.psnr for p in pts]
         assert rates == sorted(rates)  # tighter bound -> more bits

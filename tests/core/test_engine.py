@@ -9,15 +9,18 @@ from repro.core.engine import (
     InterpPlan,
     LevelPlan,
     PassStats,
+    execute_passes,
     interp_compress,
     interp_decompress,
 )
 from repro.core.interpolation import CUBIC, LINEAR
 from repro.core.levels import (
     ORDER_BACKWARD,
+    ORDER_FORWARD,
     max_level_for_anchor,
     max_level_for_shape,
 )
+from repro.quantize.linear import LinearQuantizer
 
 
 def make_plan(shape, eb, method=CUBIC, anchor=0, order_id=0, alpha=1.0, beta=1.0):
@@ -130,6 +133,63 @@ class TestRoundtrip:
 
         assert np.all(codes == DEFAULT_RADIUS)
         assert outliers.size == 0
+
+
+class TestCoarseLevelsOnSubGrid:
+    """Levels >= 3 (stride >= 4) touch only points on the stride-4
+    lattice, so running them on the contiguous sub-grid ``data[::4, ...]``
+    as levels >= 1 must give the same codes, outliers and reconstruction
+    as running them on the full array.  A dense coarse path and a
+    candidate-stacked coarse run both rest on this."""
+
+    @pytest.mark.parametrize(
+        "shape", [(37, 50), (64, 64), (33, 20, 45), (32, 32, 32)]
+    )
+    @pytest.mark.parametrize("method", [LINEAR, CUBIC])
+    @pytest.mark.parametrize("order_id", [ORDER_FORWARD, ORDER_BACKWARD])
+    @pytest.mark.parametrize("anchor", [0, 16])
+    def test_same_codes_outliers_and_reconstruction(
+        self, shape, method, order_id, anchor
+    ):
+        rng = np.random.default_rng(3)
+        # the noise puts outliers on the coarse levels of a small radius
+        data = smooth_field(shape) + 0.05 * rng.standard_normal(shape)
+        # distinct bounds per level, so a level mapped one off shows
+        plan = make_plan(shape, 1e-3, method=method, anchor=anchor,
+                         order_id=order_id, alpha=1.5, beta=8.0)
+        plan.radius = 16
+        top = plan.max_level(shape)
+        assert top >= 3
+
+        full = data.astype(np.float64)
+        q_full = LinearQuantizer(radius=plan.radius)
+        for level in range(top, 2, -1):
+            execute_passes(full, plan, q_full, compress=True, only_level=level)
+        codes, outliers = q_full.harvest()
+
+        sub_plan = InterpPlan(
+            levels={l - 2: plan.levels[l] for l in range(3, top + 1)},
+            anchor_stride=anchor // 4, radius=plan.radius,
+        )
+        sub = np.ascontiguousarray(data[(slice(None, None, 4),) * data.ndim])
+        sub_codes, sub_outliers, sub_known, sub_work = interp_compress(
+            sub, sub_plan
+        )
+        assert sub_plan.max_level(sub.shape) == top - 2
+        np.testing.assert_array_equal(sub_codes, codes)
+        np.testing.assert_array_equal(sub_outliers, outliers)
+        assert outliers.size > 0
+        lattice = (slice(None, None, 4),) * data.ndim
+        np.testing.assert_array_equal(sub_work, full[lattice])
+        # the finer levels were not run: every other point is untouched
+        off = np.ones(shape, dtype=bool)
+        off[lattice] = False
+        np.testing.assert_array_equal(full[off], data[off])
+        # and the sub-grid decodes the full run's codes to the same values
+        np.testing.assert_array_equal(
+            interp_decompress(sub.shape, sub_plan, codes, outliers, sub_known),
+            full[lattice],
+        )
 
 
 @settings(max_examples=25, deadline=None)

@@ -133,31 +133,6 @@ class TestHuffmanRoundtrip:
         with pytest.raises(ValueError):
             code.encode(np.array([2]), BitWriter())
 
-    def test_encoded_bit_count_matches_actual(self):
-        rng = np.random.default_rng(5)
-        syms = rng.integers(0, 12, size=1000)
-        freqs = np.bincount(syms, minlength=12)
-        code = HuffmanCode.from_frequencies(freqs)
-        w = BitWriter()
-        code.encode(syms, w)
-        assert w.bit_length == code.encoded_bit_count(freqs)
-
-    def test_encoded_bit_count_rejects_mass_outside_alphabet(self):
-        code = HuffmanCode.from_frequencies(np.array([5, 5, 5]))
-        # longer histogram is fine while the extra bins are empty ...
-        assert code.encoded_bit_count(np.array([1, 1, 1, 0, 0])) > 0
-        # ... but silent truncation of real mass would misprice the stream
-        with pytest.raises(ValueError):
-            code.encoded_bit_count(np.array([1, 1, 1, 0, 7]))
-
-    def test_encoded_bit_count_rejects_unencodable_symbols(self):
-        code = HuffmanCode.from_frequencies(np.array([5, 5, 0]))
-        assert code.lengths[2] == 0
-        with pytest.raises(ValueError):
-            code.encoded_bit_count(np.array([1, 1, 1]))
-        # zero mass on the codeless symbol stays countable
-        assert code.encoded_bit_count(np.array([1, 1, 0])) == 2
-
     def test_deserialize_rejects_kraft_violations(self):
         from repro.errors import DecompressionError
 
