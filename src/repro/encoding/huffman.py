@@ -7,10 +7,12 @@ directions are fully vectorized.  Encoding is a table lookup +
 window at *every* bit offset of the block straight from the packed bytes,
 resolve each offset's (symbol, code length) through a 16-bit first-level
 table (with a vectorized canonical pass for longer codes), then extract the
-actual codeword chain by pointer doubling over the per-offset "next
-position" array.  No per-symbol Python loop, and the block-sized arrays are
-one per-thread scratch reused by every block of every stream, so decode
-memory is bounded by the block size, not the stream (DESIGN.md §6).
+actual codeword chain from the per-offset "next position" array: a few
+jump compositions, one scalar walk of stride-sized anchor hops, then the
+anchor lanes in lockstep.  No per-symbol Python loop, and the block-sized
+arrays are one per-thread scratch reused by every block of every stream,
+so decode memory is bounded by the block size, not the stream (DESIGN.md
+§6).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.errors import DecompressionError
 MAX_CODE_LENGTH = 32
 #: first-level decode table width
 _TABLE_BITS = 16
-_ESCAPE = 255
 #: escape marker in the fused table's 6-bit length field
 _ESCAPE_LEN = 63
 #: bits examined per decode round; bounds decode scratch (five int64 rows
@@ -105,8 +106,17 @@ class HuffmanCode:
 
     def __init__(self, lengths: np.ndarray):
         self.lengths = np.asarray(lengths, dtype=np.uint8)
-        self.codes = _canonical_codes(self.lengths)
+        self._codes: Optional[np.ndarray] = None
         self._decode_table: Optional[tuple] = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Canonical code per symbol, built on first use (only :meth:`encode`
+        reads them); not a ``cached_property``, whose class-wide lock (Python
+        < 3.12) a pool worker forked mid-computation inherits held."""
+        if self._codes is None:
+            self._codes = _canonical_codes(self.lengths)
+        return self._codes
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -143,47 +153,34 @@ class HuffmanCode:
         lengths = self.lengths
         maxlen = int(lengths.max(initial=0))
         t = min(maxlen, _TABLE_BITS) if maxlen else 1
-        size = 1 << t
-        table_sym = np.zeros(size, dtype=np.int64)
-        table_len = np.full(size, _ESCAPE, dtype=np.uint8)
+        # canonical (length, symbol) order: the codes count up in it, so
+        # each short code's 2^(t-len) rows follow the previous code's and
+        # the short codes fill the table from row 0; the rows left over
+        # are the escape tail — the long codes' prefixes and, for a
+        # Kraft-incomplete code, its unused code space
         syms = np.flatnonzero(lengths)
-        short = syms[lengths[syms] <= t]
-        if short.size:
-            lens_s = lengths[short].astype(np.int64)
-            reps = np.int64(1) << (t - lens_s)
-            starts = (self.codes[short].astype(np.int64)) << (t - lens_s)
-            order = np.argsort(starts, kind="stable")
-            # each short code owns 2^(t-len) consecutive table rows, so
-            # the repeats can never exceed the 2^t-entry table
-            assert int(reps.sum()) <= size
-            table_sym = np.repeat(short[order].astype(np.int64), reps[order])
-            table_len = np.repeat(lengths[short][order], reps[order])
-            if table_sym.size != size:  # gaps only if long codes exist
-                full_sym = np.zeros(size, dtype=np.int64)
-                full_len = np.full(size, _ESCAPE, dtype=np.uint8)
-                pos = starts[order]
-                idx = np.repeat(pos, reps[order]) + _ragged_offsets(reps[order])
-                full_sym[idx] = table_sym
-                full_len[idx] = table_len
-                table_sym, table_len = full_sym, full_len
-        # canonical fallback arrays for codes longer than t
-        first_code = np.zeros(maxlen + 2, dtype=np.int64)
-        count = np.bincount(lengths[syms], minlength=maxlen + 2).astype(np.int64)
-        index = np.zeros(maxlen + 2, dtype=np.int64)
-        code = 0
-        total = 0
-        for ln in range(1, maxlen + 1):
-            code <<= 1
-            first_code[ln] = code
-            index[ln] = total
-            code += count[ln]
-            total += count[ln]
-        sorted_syms = syms[np.lexsort((syms, lengths[syms]))]
+        sorted_syms = syms[np.argsort(lengths[syms], kind="stable")]
+        sorted_lens = lengths[sorted_syms].astype(np.int64)
+        n_short = int(np.searchsorted(sorted_lens, t, side="right"))
+        reps = np.int64(1) << (t - sorted_lens[:n_short])
         # fused (symbol, length) entry: one gather resolves both.  The
         # length field is 6 bits (max length 32 < 63); 63 marks escapes.
-        combo = (table_sym.astype(np.int64) << np.int64(6)) | np.where(
-            table_len == _ESCAPE, np.int64(_ESCAPE_LEN), table_len.astype(np.int64)
+        combo = np.full(1 << t, _ESCAPE_LEN, dtype=np.int64)
+        n_rows = int(reps.sum())
+        combo[:n_rows] = np.repeat(
+            (sorted_syms[:n_short] << 6) | sorted_lens[:n_short], reps
         )
+        # canonical fallback arrays for codes longer than t: per length,
+        # its code count, its first code, and how many codes are shorter
+        count = np.bincount(sorted_lens, minlength=maxlen + 2)
+        index = np.cumsum(count) - count
+        first_code = np.zeros(maxlen + 2, dtype=np.int64)
+        for ln in range(1, maxlen + 1):
+            first_code[ln] = (first_code[ln - 1] + count[ln - 1]) << 1
+        # the first block's bits per codeword: the mean length under the
+        # code's own (Kraft-implied) distribution p = 2^-len
+        kraft = np.ldexp(1.0, -sorted_lens)
+        mean_len = float(sorted_lens @ kraft / kraft.sum()) if kraft.size else 1.0
         self._decode_table = (
             t,
             combo,
@@ -191,17 +188,18 @@ class HuffmanCode:
             first_code,
             count,
             index,
-            sorted_syms.astype(np.int64),
-            bool((table_len == _ESCAPE).any()),
+            sorted_syms,
+            n_rows < combo.size,
+            mean_len,
         )
         return self._decode_table
 
     def _resolve_escapes(self, reader, pos, entry, step, esc, tables):
         """Vectorized canonical decode for windows the first-level table
-        cannot resolve (codes longer than the table width, or gaps left by
-        a non-Kraft-complete table).  Unresolvable windows are marked with
-        symbol -1 / step 1; they only matter if the codeword chain actually
-        visits them, in which case :meth:`decode` raises."""
+        cannot resolve (codes longer than the table width, or the unused
+        tail of a Kraft-incomplete code).  Unresolvable windows are marked
+        with symbol -1 / step 1; they only matter if the codeword chain
+        actually visits them, in which case :meth:`decode` raises."""
         t, _, maxlen, first_code, length_count, index, sorted_syms = tables[:7]
         w = reader.peek_windows_at(pos + esc, 32)
         sym_e = np.full(esc.size, -1, dtype=np.int64)
@@ -220,50 +218,29 @@ class HuffmanCode:
         step[esc] = step_e
 
     @staticmethod
-    def _extract_chain(nxt, span, m, buf_a, buf_b):
+    def _extract_chain(nxt, m, buf_a, buf_b):
         """Positions after 0..m codewords, following ``nxt`` from offset 0.
 
-        ``nxt`` maps every offset in ``[0, span)`` to the offset after one
-        codeword and self-loops past ``span``, so the chain saturates at
-        the first position outside the block.  Small chains use pointer
-        doubling (log2(m) full passes over ``nxt``); larger ones compose
-        ``nxt`` only a few times, walk stride-sized anchor hops, then
-        advance all anchor lanes in lockstep — O(m) gathers total instead
-        of a full composition pass per doubling round.  The compositions
-        and the lanes live in the two scratch rows ``buf_a`` / ``buf_b``;
-        the returned chain is a view of one, good until the next block.
+        ``nxt`` maps every offset of the block to the offset after one
+        codeword and self-loops past the block, so the chain saturates at
+        the first position outside the block.  It is composed into a
+        stride-sized jump, a scalar walk takes the anchor hops, and the
+        anchor lanes advance in lockstep: O(m) gathers.  The compositions
+        and lanes live in the scratch rows ``buf_a`` / ``buf_b``; the
+        returned chain is a view of one, good until the next block.
         """
-        if m < 512:
-            chain = np.empty(m + 1, dtype=np.intp)
-            chain[0] = 0
-            filled = 1
-            while filled < m + 1:
-                if chain[filled - 1] >= span:  # saturated: tail is constant
-                    chain[filled:] = chain[filled - 1]
-                    break
-                take = min(filled, m + 1 - filled)
-                chain[filled : filled + take] = nxt[chain[:take]]
-                filled += take
-                if filled < m + 1:
-                    nxt = nxt[nxt]  # now jumps `filled` codewords
-            return chain
-        # each composition pass costs O(span); each halving of the anchor
+        # each composition pass costs O(block); each halving of the anchor
         # walk saves m/stride scalar steps — balance the two
-        c = max(2, min(7, (m // 600).bit_length() - 1))
+        c = max(2, min(7, (m // 2400).bit_length()))
         stride = 1 << c
         stride_jump = nxt
         for i in range(c):  # ping-pong: never gather into the source
             spare = (buf_b if i & 1 else buf_a)[: nxt.size]
             stride_jump = np.take(stride_jump, stride_jump, out=spare, mode="clip")
-        n_anchor = m // stride + 1
-        anchors = np.empty(n_anchor, dtype=np.intp)
+        hop = memoryview(stride_jump)
         a = 0
-        for i in range(n_anchor):
-            anchors[i] = a
-            if a >= span:
-                anchors[i:] = a  # saturated: every later anchor is the same
-                break
-            a = int(stride_jump[a])
+        anchors = [0] + [a := hop[a] for _ in range(m // stride)]
+        n_anchor = len(anchors)
         lanes = buf_a[: stride * n_anchor].reshape(stride, n_anchor)
         lanes[0] = anchors
         for r in range(1, stride):
@@ -292,9 +269,9 @@ class HuffmanCode:
         if count > reader.remaining:  # every codeword costs >= 1 bit
             raise DecompressionError("huffman stream exhausted")
         tables = self._ensure_decode_table()
-        (t, combo, maxlen), has_escapes = tables[:3], tables[7]
-        pos = reader.position
-        start_pos = pos
+        t, combo, maxlen = tables[:3]
+        has_escapes, bits_per_codeword = tables[7:]
+        pos = start_pos = reader.position
         nbits_total = reader.bit_length
         out = np.empty(count, dtype=np.int64)
         produced = 0
@@ -310,13 +287,15 @@ class HuffmanCode:
             span = min(
                 _BLOCK_BITS, nbits_total - pos, (count - produced) * max(maxlen, 1)
             )
-            # chain-length budget: the worst case is one codeword per bit,
-            # but after the first block the observed bits-per-codeword
-            # bounds it far tighter (undershoot only costs an extra lap)
-            m = min(count - produced, span)
+            # chain-length budget from the bits per codeword: the code's
+            # own mean length in the first block, the observed mean after
+            # it (undershoot only costs an extra lap); a codeword costs
+            # >= 1 bit, so never more than span
             if produced:
-                avg_bits = (pos - start_pos) / produced
-                m = min(m, int(span / avg_bits * 1.3) + 64)
+                bits_per_codeword = (pos - start_pos) / produced
+            m = min(
+                count - produced, span, int(span / bits_per_codeword * 1.3) + 64
+            )
             windows = reader.peek_windows(pos, span, t).view(np.int64)
             entry = np.take(combo, windows, out=entries[:span], mode="clip")
             ext = span + MAX_CODE_LENGTH + 1
@@ -333,7 +312,7 @@ class HuffmanCode:
             # block (chain entries there keep their value so the block
             # boundary position survives the jump composition)
             nxt += identity[:ext]
-            chain = self._extract_chain(nxt, span, m, buf_a, buf_b)
+            chain = self._extract_chain(nxt, m, buf_a, buf_b)
             # symbols whose codeword starts inside this block, gathered
             # straight into the output; the >> 6 runs on just the chain
             # entries, not every bit offset
@@ -403,11 +382,3 @@ class HuffmanCode:
             if kraft > np.int64(1) << MAX_CODE_LENGTH:
                 raise DecompressionError("corrupt huffman table (kraft)")
         return cls(lengths)
-
-
-def _ragged_offsets(reps: np.ndarray) -> np.ndarray:
-    """[0..reps[0]), [0..reps[1]), ... concatenated."""
-    total = int(reps.sum())
-    ends = np.cumsum(reps)
-    starts = ends - reps
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, reps)

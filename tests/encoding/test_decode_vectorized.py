@@ -1,8 +1,10 @@
 """The entropy decoder stays vectorized, counted instead of timed.
 
 A decoder that loops over symbols in Python runs at least one traced
-line per symbol; the block decoder (DESIGN.md §6) runs a fixed number
-per block of bits, ~0.15 per symbol on these streams.  Counting
+line per symbol; the block decoder (DESIGN.md §6) runs a few lines per
+block of bits plus one per anchor hop of its chain walk: ~0.10 per
+symbol on the Zipf and byte streams, 0.20 and 0.36 on the 16- and
+20-bit ones, whose long codewords make short chains.  Counting
 ``sys.settrace`` line events gives the same verdict on every host,
 where a throughput gate depends on the machine's speed.
 """
@@ -30,6 +32,16 @@ def byte_planes(rng):
     return rng.integers(0, 256, size=N_SYMBOLS)
 
 
+def uniform_16_bit(rng):
+    """About 16 bits per symbol: the short chains of long codewords."""
+    return rng.integers(0, 1 << 16, size=N_SYMBOLS)
+
+
+def uniform_20_bit(rng):
+    """About 19 bits per symbol, past the 16-bit first-level table."""
+    return rng.integers(0, 1 << 20, size=N_SYMBOLS)
+
+
 def traced_lines(fn):
     """``(fn(), Python line events it ran)``, every frame counted."""
     lines = 0
@@ -49,7 +61,9 @@ def traced_lines(fn):
     return out, lines
 
 
-@pytest.mark.parametrize("profile", [zipf_mid, byte_planes])
+@pytest.mark.parametrize(
+    "profile", [zipf_mid, byte_planes, uniform_16_bit, uniform_20_bit]
+)
 def test_decode_runs_fewer_python_lines_than_symbols(profile):
     syms = profile(np.random.default_rng(2022)).astype(np.int64)
     blob = encode_symbol_stream(syms)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encoding import huffman
 from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.huffman import (
     MAX_CODE_LENGTH,
@@ -15,10 +16,12 @@ from repro.encoding.huffman import (
     _canonical_codes,
     _tree_lengths,
 )
+from repro.errors import DecompressionError
 
 
-def roundtrip(symbols, alphabet):
-    code = HuffmanCode.from_symbols(symbols, alphabet)
+def roundtrip(symbols, alphabet, code=None):
+    if code is None:
+        code = HuffmanCode.from_symbols(symbols, alphabet)
     w = BitWriter()
     code.serialize(w)
     code.encode(symbols, w)
@@ -94,20 +97,6 @@ class TestHuffmanRoundtrip:
         r = BitReader(b"")
         assert code.decode(r, 0).size == 0
 
-    def test_long_codes_use_escape_path(self):
-        # geometric frequencies force code lengths past the 16-bit table
-        n = 24
-        freqs = (2 ** np.arange(n, dtype=np.float64)).astype(np.int64)
-        code = HuffmanCode(lengths=HuffmanCode.from_frequencies(freqs).lengths)
-        assert code.lengths.max() > 16
-        rng = np.random.default_rng(3)
-        syms = rng.choice(n, p=freqs / freqs.sum(), size=4000)
-        w = BitWriter()
-        code.encode(syms, w)
-        r = BitReader(w.getvalue())
-        out = code.decode(r, syms.size)
-        np.testing.assert_array_equal(out, syms)
-
     def test_large_alphabet_sparse(self):
         syms = np.array([10000, 50000, 10000, 3, 50000, 3], dtype=np.int64)
         out, _ = roundtrip(syms, 65536)
@@ -134,8 +123,6 @@ class TestHuffmanRoundtrip:
             code.encode(np.array([2]), BitWriter())
 
     def test_deserialize_rejects_kraft_violations(self):
-        from repro.errors import DecompressionError
-
         # three 1-bit codes cannot coexist: 3 * 2^-1 > 1
         w = BitWriter()
         w.write_uint(3, 32)  # alphabet size
@@ -144,6 +131,120 @@ class TestHuffmanRoundtrip:
         w.write_array(np.array([1, 1, 1], dtype=np.uint64), 6)
         with pytest.raises(DecompressionError):
             HuffmanCode.deserialize(BitReader(w.getvalue()))
+
+
+# --- decoder regimes: chain strides, first-block budget, escapes, tails -----
+
+
+def _stride(m):
+    """The anchor stride ``_extract_chain`` walks a chain of m codewords at."""
+    return 1 << max(2, min(7, (m // 2400).bit_length()))
+
+
+@pytest.fixture
+def chain_laps(monkeypatch):
+    """(m, short) of every block's chain: its codeword budget, and whether
+    the budget ran out inside the block (where links step forward; past
+    the block every link is a self-loop)."""
+    laps = []
+    extract = HuffmanCode._extract_chain
+
+    def spy(nxt, m, buf_a, buf_b):
+        chain = extract(nxt, m, buf_a, buf_b)
+        laps.append((m, bool(nxt[chain[m]] != chain[m])))
+        return chain
+
+    monkeypatch.setattr(HuffmanCode, "_extract_chain", staticmethod(spy))
+    return laps
+
+
+def uniform(bits, n):
+    """n symbols uniform over 2^bits: every codeword about ``bits`` long."""
+    return lambda rng: (rng.integers(0, 1 << bits, size=n), 1 << bits, None)
+
+
+def all_18_bit(rng):
+    """A complete code of 2^18 18-bit codewords: every window escapes the
+    16-bit table and every codeword on the chain is resolved canonically."""
+    code = HuffmanCode(np.full(1 << 18, 18, dtype=np.uint8))
+    return rng.integers(0, 1 << 18, size=25_000), 1 << 18, code
+
+
+def past_the_table(rng):
+    """Geometric frequencies give codes of up to 23 bits; the stream holds
+    every symbol, so the escapes are on the chain, not only beside it."""
+    freqs = 1 << np.arange(24, dtype=np.int64)
+    code = HuffmanCode.from_frequencies(freqs)
+    syms = np.concatenate([
+        rng.choice(24, p=freqs / freqs.sum(), size=200_000),
+        np.repeat(np.arange(24), 40),
+    ])
+    rng.shuffle(syms)
+    return syms, 24, code
+
+
+#: (input, block bits or None for the default, strides its chains reach)
+REGIMES = [
+    pytest.param(uniform(1, 800_000), 1 << 18, {128}, id="1-bit-in-2^18-bit-blocks"),
+    pytest.param(uniform(1, 400_000), None, {64}, id="1-bit"),
+    pytest.param(uniform(3, 140_000), None, {32}, id="3-bit"),
+    pytest.param(uniform(5, 80_000), None, {16}, id="5-bit"),
+    pytest.param(uniform(12, 35_000), None, {8}, id="12-bit"),
+    pytest.param(all_18_bit, None, {4}, id="18-bit-all-escapes"),
+    pytest.param(past_the_table, None, {64}, id="past-the-16-bit-table"),
+]
+
+
+@pytest.mark.parametrize("make, block_bits, strides", REGIMES)
+def test_decoder_regimes(make, block_bits, strides, chain_laps, monkeypatch):
+    if block_bits:
+        monkeypatch.setattr(huffman, "_BLOCK_BITS", block_bits)
+    syms, alphabet, code = make(np.random.default_rng(7))
+    out, code = roundtrip(syms, alphabet, code)
+    np.testing.assert_array_equal(out, syms)
+    assert len(chain_laps) >= 3  # spread across several blocks
+    assert strides <= {_stride(m) for m, _ in chain_laps}
+    if code.lengths.max() > 16:
+        assert (code.lengths[syms] > 16).any()
+
+
+def test_the_regimes_reach_every_stride():
+    reached = set().union(*(case.values[2] for case in REGIMES))
+    assert reached == {1 << c for c in range(2, 8)}
+
+
+def test_a_first_block_budget_undershoot_takes_another_lap(chain_laps):
+    # a one-bit symbol at p ~ 0.995: the code's Kraft mean length (~4.0
+    # bits) overstates its real ~1.03 bits per codeword, so the first
+    # block's budget runs out before its span does
+    rng = np.random.default_rng(8)
+    syms = rng.integers(1, 64, size=300_000)
+    syms[rng.random(syms.size) < 0.995] = 0
+    out, code = roundtrip(syms, 64)
+    np.testing.assert_array_equal(out, syms)
+    assert code.lengths[0] == 1
+    assert chain_laps[0][1]
+
+
+@pytest.mark.parametrize(
+    "lengths, syms, tail",
+    [
+        ([1, 2], [0, 1, 0, 1, 0], "11"),
+        ([1, 2, 20, 20], [0, 2, 1, 3, 0], "1" * 20),
+    ],
+    ids=["tail-in-the-table", "tail-past-the-long-codes"],
+)
+def test_an_unused_tail_window_on_the_chain_raises(lengths, syms, tail):
+    # a Kraft-incomplete code (3/4 and 3/4 + 2^-19 of the code space):
+    # the symbols decode, the unused tail's window after them does not
+    code = HuffmanCode(np.array(lengths, dtype=np.uint8))
+    w = BitWriter()
+    code.encode(np.array(syms), w)
+    w.write_uint(int(tail, 2), len(tail))
+    blob = w.getvalue()
+    np.testing.assert_array_equal(code.decode(BitReader(blob), len(syms)), syms)
+    with pytest.raises(DecompressionError):
+        code.decode(BitReader(blob), len(syms) + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,3 +424,41 @@ def test_canonical_codes_equal_the_one_by_one_assignment():
         np.testing.assert_array_equal(
             _canonical_codes(lengths), canonical_codes_one_by_one(lengths)
         )
+
+
+def decode_table_code_by_code(lengths, t):
+    """Reference fused table: each code of at most ``t`` bits owns the
+    ``2^(t - len)`` rows from ``code << (t - len)``, holding ``sym << 6 |
+    len``; every other row is an escape (length field 63)."""
+    table = np.full(1 << t, 63, dtype=np.int64)
+    codes = canonical_codes_one_by_one(lengths)
+    for sym in np.flatnonzero(lengths):
+        ln = int(lengths[sym])
+        if ln <= t:
+            start = int(codes[sym]) << (t - ln)
+            table[start : start + (1 << (t - ln))] = (int(sym) << 6) | ln
+    return table
+
+
+def test_decode_table_equals_the_code_by_code_fill():
+    rng = np.random.default_rng(14)
+    cases = [np.zeros(3, dtype=np.uint8), np.array([0, 1], dtype=np.uint8)]
+    for i in range(2000):
+        size = int(rng.integers(1, 200))
+        if i % 2:  # wide weight ranges: codes past the 16-bit table
+            freqs = (2.0 ** rng.uniform(0, rng.uniform(5, 40), size)).astype(np.int64)
+        else:
+            freqs = rng.integers(0, rng.choice([2, 50, 10**6]), size=size)
+        lengths = _build_lengths(freqs)
+        if i % 3 == 0:  # drop codes: Kraft-incomplete
+            lengths[rng.random(size) < 0.3] = 0
+        cases.append(lengths)
+    seen = set()
+    for lengths in cases:
+        t, table = HuffmanCode(lengths)._ensure_decode_table()[:2]
+        maxlen = int(lengths.max(initial=0))
+        assert t == (min(maxlen, 16) if maxlen else 1)
+        np.testing.assert_array_equal(table, decode_table_code_by_code(lengths, t))
+        kraft = np.ldexp(1.0, -lengths[lengths > 0].astype(np.int64)).sum()
+        seen.add((t < maxlen, kraft < 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -5,7 +5,7 @@
 #   tools/check.sh          invariant tests + tier-1 suite + leak gate
 #   tools/check.sh --fast   wire golden, structure pins, forged-size
 #                           property, route matrix, pooled-derive identity,
-#                           generator digests (seconds)
+#                           generator digests, entropy decoder (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -14,11 +14,14 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + forged sizes + route identity + digests =="
+echo "== wire golden + structure pins + forged sizes + route identity + digests + decoder =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/properties/test_forged_sizes.py tests/api/test_route_matrix.py \
     tests/parallel/test_pooled_derive.py \
-    tests/datasets/test_generator_digests.py -q
+    tests/datasets/test_generator_digests.py \
+    tests/encoding/test_golden_streams.py \
+    tests/encoding/test_decode_vectorized.py \
+    tests/encoding/test_huffman.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
