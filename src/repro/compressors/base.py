@@ -17,6 +17,11 @@ import numpy as np
 from repro.core.header import pack_header, parse_header
 from repro.core.plan_cache import FrozenPlan, PlanExecution, execute_frozen_plan
 from repro.core.stream import decode_interp_payload
+from repro.encoding.bitstream import BitReader, BitWriter
+from repro.encoding.lossless import (
+    compress_floats_lossless,
+    decompress_floats_lossless,
+)
 from repro.errors import CompressionError, DecompressionError
 from repro.utils import (
     resolve_error_bound,
@@ -77,6 +82,36 @@ def codec_name_for_id(codec_id: int) -> str:
     if codec_id not in _BY_ID:
         raise KeyError(f"unknown codec id {codec_id}")
     return _BY_ID[codec_id].name
+
+
+def store_violations(
+    writer: BitWriter, data: np.ndarray, recon: np.ndarray, eb: float
+) -> bytes:
+    """The verification pass of an open-loop codec (MGARD+, ZFP): the
+    points whose delivered value (``recon`` cast to ``data``'s dtype)
+    breaks ``eb`` are stored exactly.  Writes their count and flat indices
+    to ``writer``; returns the section holding their values."""
+    original = np.asarray(data, np.float64)
+    delivered = recon.astype(data.dtype).astype(np.float64)
+    bad_idx = np.flatnonzero((np.abs(original - delivered) > eb).ravel())
+    writer.write_uint(bad_idx.size, 64)
+    writer.write_array(bad_idx.astype(np.uint64), 64)
+    return compress_floats_lossless(original.ravel()[bad_idx].astype(data.dtype))
+
+
+def patch_violations(out: np.ndarray, reader: BitReader, values: bytes) -> None:
+    """Inverse of :func:`store_violations`: validate the stored points and
+    write them into the C-contiguous ``out`` in place."""
+    n_bad = reader.read_uint(64)
+    if not n_bad:
+        return
+    bad_idx = reader.read_array(n_bad, 64).astype(np.int64)
+    bad_vals = decompress_floats_lossless(values, max_values=out.size)
+    if bad_vals.size != n_bad or int(bad_idx.min()) < 0 or int(
+        bad_idx.max()
+    ) >= out.size:
+        raise DecompressionError("corrupt outlier index stream")
+    out.ravel()[bad_idx] = bad_vals
 
 
 def _ensure_loaded() -> None:

@@ -20,7 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Compressor, register
+from repro.compressors.base import (
+    Compressor,
+    patch_violations,
+    register,
+    store_violations,
+)
 from repro.core.engine import (
     assemble_plan,
     execute_passes,
@@ -32,10 +37,6 @@ from repro.core.interpolation import LINEAR
 from repro.core.levels import ORDER_FORWARD, max_level_for_shape
 from repro.core.stream import decode_interp_payload, pack_interp_payload
 from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.lossless import (
-    compress_floats_lossless,
-    decompress_floats_lossless,
-)
 from repro.errors import DecompressionError
 from repro.quantize.linear import LinearQuantizer
 
@@ -69,18 +70,12 @@ class MGARDPlus(Compressor):
 
         # replay the decoder to find points over the accumulated budget
         recon = interp_decompress(data.shape, plan, codes, outliers, known)
-        delivered = recon.astype(data.dtype).astype(np.float64)
-        bad = np.abs(np.asarray(data, np.float64) - delivered) > eb
-        bad_idx = np.flatnonzero(bad.ravel())
-        bad_vals = np.asarray(data, np.float64).ravel()[bad_idx]
-
         writer = BitWriter()
-        writer.write_uint(bad_idx.size, 64)
-        writer.write_array(bad_idx.astype(np.uint64), 64)
+        exact = store_violations(writer, data, recon, eb)
         sections = [
             pack_interp_payload(plan, top, known, codes, outliers, data.dtype),
             writer.getvalue(),
-            compress_floats_lossless(bad_vals.astype(data.dtype)),
+            exact,
         ]
         return pack_sections(sections)
 
@@ -89,17 +84,5 @@ class MGARDPlus(Compressor):
         if len(sections) != 3:
             raise DecompressionError("MGARD payload must have 3 sections")
         recon = decode_interp_payload(sections[0], header)
-        reader = BitReader(sections[1])
-        n_bad = reader.read_uint(64)
-        if n_bad:
-            bad_idx = reader.read_array(n_bad, 64).astype(np.int64)
-            bad_vals = decompress_floats_lossless(
-                sections[2], max_values=recon.size
-            ).astype(np.float64)
-            if bad_vals.size != n_bad or int(bad_idx.min()) < 0 or int(
-                bad_idx.max()
-            ) >= recon.size:
-                raise DecompressionError("corrupt outlier index stream")
-            flat = recon.ravel()
-            flat[bad_idx] = bad_vals
+        patch_violations(recon, BitReader(sections[1]), sections[2])
         return recon

@@ -24,14 +24,15 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.compressors.base import Compressor, register
+from repro.compressors.base import (
+    Compressor,
+    patch_violations,
+    register,
+    store_violations,
+)
 from repro.compressors.regression import blockify, pad_to_blocks, unblockify
 from repro.core.header import pack_sections, unpack_sections
 from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.lossless import (
-    compress_floats_lossless,
-    decompress_floats_lossless,
-)
 from repro.errors import DecompressionError
 from repro.utils import ceil_div
 
@@ -199,23 +200,11 @@ class ZFP(Compressor):
             u, encode_block, emax, kcut, nd, padded.shape
         )
         crop = tuple(slice(0, n) for n in data.shape)
-        recon_crop = recon[crop]
-        delivered = recon_crop.astype(data.dtype).astype(np.float64)
-        bad = np.abs(np.asarray(data, np.float64) - delivered) > eb
-        bad_idx = np.flatnonzero(bad.ravel())
-        bad_vals = np.asarray(data, np.float64).ravel()[bad_idx]
-
         hw = BitWriter()
         hw.write_uint(0, 1)  # reserved
         hw.write_uint(len(body), 64)
-        hw.write_uint(bad_idx.size, 64)
-        hw.write_array(bad_idx.astype(np.uint64), 64)
-        head = hw.getvalue()
-        sections = [
-            head,
-            body,
-            compress_floats_lossless(bad_vals.astype(data.dtype)),
-        ]
+        exact = store_violations(hw, data, recon[crop], eb)
+        sections = [hw.getvalue(), body, exact]
         return pack_sections(sections)
 
     def _reconstruct(self, u, encode_block, emax, kcut, nd, padded_shape):
@@ -242,12 +231,7 @@ class ZFP(Compressor):
             raise DecompressionError("ZFP payload must have 3 sections")
         hr = BitReader(sections[0])
         hr.read_uint(1)
-        body_len = hr.read_uint(64)
-        n_bad = hr.read_uint(64)
-        bad_idx = hr.read_array(n_bad, 64).astype(np.int64)
-        bad_vals = decompress_floats_lossless(
-            sections[2], max_values=math.prod(header.shape)
-        ).astype(np.float64)
+        hr.read_uint(64)  # body length
 
         shape = header.shape
         nd = len(shape)
@@ -290,11 +274,5 @@ class ZFP(Compressor):
         recon = self._reconstruct(u, encode_block, emax, kcut, nd, padded_shape)
         crop = tuple(slice(0, n) for n in shape)
         out = np.ascontiguousarray(recon[crop])
-        if n_bad:
-            if bad_vals.size != n_bad or int(bad_idx.min()) < 0 or int(
-                bad_idx.max()
-            ) >= out.size:
-                raise DecompressionError("corrupt outlier index stream")
-            flat = out.ravel()
-            flat[bad_idx] = bad_vals
+        patch_violations(out, hr, sections[2])
         return out

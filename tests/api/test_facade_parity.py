@@ -1,9 +1,6 @@
-"""The facade must be a router, not a re-implementation: byte parity.
-
-Every route through :func:`repro.compress` / :func:`repro.decompress` /
-:func:`repro.open` is checked against the layer it routes to (a codec
-class, :class:`~repro.chunked.api.CompressJob`) — identical bytes out,
-identical arrays back.
+"""The facade routes: every source kind decodes, and a call it cannot
+route fails typed.  That every route writes the same bytes and decodes
+the same array is P2 (``tests/api/test_route_matrix.py``).
 """
 
 import io
@@ -13,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.chunked.api import CompressJob
+from inputs import walk
 from repro.compressors.base import decompress_any, get_compressor
 from repro.chunked.container import read_container_info
 from repro.errors import CompressionError, DecompressionError
@@ -21,9 +18,7 @@ from repro.errors import CompressionError, DecompressionError
 
 @pytest.fixture(scope="module")
 def field():
-    rng = np.random.default_rng(7)
-    x = np.cumsum(rng.standard_normal((24, 20, 12)), axis=0)
-    return (x / np.abs(x).max()).astype(np.float32)
+    return walk((24, 20, 12), 7, np.float32)
 
 
 BOUNDS = [
@@ -33,64 +28,6 @@ BOUNDS = [
     (("rel", 1e-3), {"rel_error_bound": 1e-3}),
     (1e-3, {"error_bound": 1e-3}),
 ]
-
-
-class TestSingleArrayRoute:
-    @pytest.mark.parametrize("codec", ["qoz", "sz3"])
-    @pytest.mark.parametrize("bound,legacy", BOUNDS)
-    def test_bytes_match_direct_codec_call(self, field, codec, bound, legacy):
-        facade = repro.compress(field, codec=codec, bound=bound)
-        direct = get_compressor(codec).compress(field, **legacy)
-        assert facade == direct
-        np.testing.assert_array_equal(
-            repro.decompress(facade), decompress_any(direct)
-        )
-
-
-
-def _job_bytes(field, chunks, processes=None):
-    """The container the layer under the facade writes."""
-    buf = io.BytesIO()
-    CompressJob(
-        field, "qoz", chunks, None, repro.ErrorBound.parse("rel:1e-3")
-    ).compress_to(buf, processes)
-    return buf.getvalue()
-
-
-class TestChunkedRoute:
-    @pytest.mark.parametrize("processes", [None, 2])
-    def test_chunks_arg_routes_to_chunked_bytes(self, field, processes):
-        facade = repro.compress(
-            field, bound="rel:1e-3", chunks=10, processes=processes
-        )
-        assert facade == _job_bytes(field, 10, processes)
-        with repro.open(facade) as f:
-            whole = f.to_array()
-        np.testing.assert_array_equal(
-            repro.decompress(facade, processes=processes), whole
-        )
-
-    def test_chunked_true_alone_selects_the_container_path(self, field):
-        facade = repro.compress(field, bound="rel:1e-3", chunked=True)
-        assert facade == _job_bytes(field, None)
-
-    def test_file_arg_routes_to_container_on_disk(self, field, tmp_path):
-        target = tmp_path / "facade.rpc"
-        repro.compress(field, bound=1e-3, chunks=10, file=target)
-        buf = io.BytesIO()
-        repro.compress(field, file=buf, chunks=10, bound=1e-3)
-        assert target.read_bytes() == buf.getvalue()
-        np.testing.assert_array_equal(
-            repro.decompress(target),
-            repro.decompress(buf.getvalue()),
-        )
-
-    def test_open_read_matches_the_whole_decode(self, field):
-        blob = repro.compress(field, bound=1e-3, chunks=10)
-        slab = (slice(3, 17), slice(None), slice(2, 9))
-        with repro.open(blob) as f:
-            got = f.read(slab)
-        np.testing.assert_array_equal(got, repro.decompress(blob)[slab])
 
 
 class TestDecompressSources:

@@ -1,12 +1,20 @@
-"""One front door: every compress route gives the same outcome.
+"""P2, route identity: every route gives the same outcome.
 
-Routes: the codec class, the facade's single-array call, the chunked
-container written in-process, the same with ``processes=2``, and an
-in-process :class:`ServiceClient`.  Each is admit -> derive -> execute
-through the same three implementations (DESIGN.md §4), so for a valid
-probe the routes that chunk the same way must emit the same bytes, and
-for an invalid probe every route that accepts the argument must raise
-the same :class:`ReproError` subclass.
+Compress routes: the codec class, its derive-then-execute halves, the
+facade's single-array call, ``compress_fields_parallel`` serially and
+on two workers, and the chunked container written in-process, to a
+path, with ``processes=2``, through an in-process :class:`ServiceClient`
+(cold, then a warm plan-cache hit) and through a pooled one.  Decode
+routes: the whole decode and a hyperslab read, serially, with
+``processes=2``, and through both clients.  Each compress is admit ->
+derive -> execute through the same three implementations (DESIGN.md
+§4), so for a valid probe -- every codec x ndim 1-4 x dtype, the single
+routes under both bound modes -- the routes that chunk the same way
+emit the same bytes and every decode route returns the same array; for
+an invalid probe every route that accepts the argument raises the same
+:class:`ReproError` subclass.  The in-process routes run on every
+probe; the fan-out routes (a pool of two workers) only move bytes and
+arrays between processes, so they run on one rank and dtype per codec.
 """
 
 import io
@@ -16,13 +24,28 @@ import numpy as np
 import pytest
 
 import repro
-from repro.compressors.base import available_compressors, get_compressor
+from inputs import LIBRARY_CODECS, walk
+from repro.chunked import ChunkedFile
+from repro.compressors.base import (
+    available_compressors,
+    decompress_any,
+    get_compressor,
+)
 from repro.errors import CompressionError
+from repro.parallel import compress_fields_parallel, decompress_blobs_parallel
 from repro.service import ServiceClient, ServiceConfig
 from repro.utils import ErrorBound
 
 SHAPE = (24, 20, 16)
 CHUNKS = 12
+#: ndim -> (shape, chunk shape): two chunks, cut along a different axis
+#: per rank, so the hyperslab below spans both
+TILINGS = {
+    1: ((61,), (32,)),
+    2: ((26, 21), (26, 11)),
+    3: ((14, 12, 9), (7, 12, 9)),
+    4: ((6, 5, 4, 7), (6, 3, 4, 7)),
+}
 
 CODECS = [
     pytest.param("qoz", {"metric": "cr"}, id="qoz-cr"),
@@ -32,16 +55,15 @@ CODECS = [
 BOUNDS = [ErrorBound("abs", 2e-3), ErrorBound("rel", 1e-3)]
 
 
-def field(dtype=np.float64, seed=0):
-    rng = np.random.default_rng(seed)
-    x = np.cumsum(rng.standard_normal(SHAPE), axis=0)
-    x += np.cumsum(rng.standard_normal(SHAPE), axis=1)
-    return (x / np.abs(x).max()).astype(dtype)
-
-
 @pytest.fixture(scope="module")
 def svc():
     with ServiceClient(ServiceConfig(processes=1)) as client:
+        yield client
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    with ServiceClient(ServiceConfig(processes=2)) as client:
         yield client
 
 
@@ -73,77 +95,238 @@ def raised(call):
     return type(err.value)
 
 
+def derive_then_execute(x, codec, kwargs, bound):
+    plan = get_compressor(codec, **kwargs).derive_plan(x, **bound.kwargs())
+    if plan is None:  # a codec without an analysis stage
+        return get_compressor(codec, **kwargs).compress(x, **bound.kwargs())
+    return get_compressor(codec, **kwargs).compress_with_plan(x, plan)
+
+
+def agree(outcomes):
+    """Every route's outcome equals the first route's."""
+    (first, want), *rest = outcomes.items()
+    for name, got in rest:
+        if isinstance(want, bytes):
+            assert got == want, f"{name} != {first}"
+        else:
+            assert got.dtype == want.dtype, f"{name} != {first}"
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} != {first}")
+    return want
+
+
+MATRIX = [
+    pytest.param(
+        codec, ndim, dtype, bound,
+        id=f"{codec}-{ndim}d-{np.dtype(dtype).name}-{bound}",
+    )
+    for codec in LIBRARY_CODECS
+    for ndim in TILINGS
+    for dtype in (np.float32, np.float64)
+    for bound in BOUNDS
+    if not (codec == "sz2" and ndim == 4)  # SZ2 is 1-3 D (P1)
+]
+
+
+#: codec -> the rank and dtype its fan-out routes run on, varied across
+#: the codecs so the pool carries every rank and both dtypes
+FAN_OUT = {
+    "mgard": (4, np.float32), "qoz": (3, np.float64), "sz2": (2, np.float32),
+    "sz3": (1, np.float64), "zfp": (3, np.float32),
+}
+
+
+def probe(codec, ndim, dtype, bound):
+    """The field, its tiling and the chunked call of a valid probe."""
+    shape, chunks = TILINGS[ndim]
+    x = walk(shape, ndim, dtype)
+    return x, dict(codec=codec, bound=bound, chunks=chunks)
+
+
 class TestValidProbes:
+    @pytest.mark.parametrize("codec,ndim,dtype,bound", MATRIX)
+    def test_every_route_agrees(self, codec, ndim, dtype, bound, svc, tmp_path):
+        x, call = probe(codec, ndim, dtype, bound)
+        plain = agree({
+            "codec": get_compressor(codec).compress(x, **bound.kwargs()),
+            "facade": repro.compress(x, codec=codec, bound=bound),
+            "derive-then-execute": derive_then_execute(x, codec, {}, bound),
+        })
+        if not bound.is_relative:
+            # the bound is read by admission and derivation, which every
+            # route shares: the routes below run once per codec x ndim x
+            # dtype (an absolute bound's chunked routes are
+            # TestOneChunkContainer's and the codec-option probes')
+            return
+        family = f"{codec}-{ndim}-{np.dtype(dtype).name}"
+        path = tmp_path / "f.rpz"
+        repro.compress(x, file=path, **call)
+        containers = {
+            "chunked": repro.compress(x, **call),
+            "path": path.read_bytes(),
+            "service": svc.compress(x, family=family, **call),
+        }
+        if get_compressor(codec).derives_plan:
+            # the family's plan, cached by the service call above
+            containers["service-warm"] = svc.compress(x, family=family, **call)
+        container = agree(containers)
+        # two distinct fields, so a mix-up of their order shows
+        serial = compress_fields_parallel([x, -x], codec, bound=bound)
+        assert serial[0] == plain
+        for blob, decoded in zip(serial, decompress_blobs_parallel(serial)):
+            agree({
+                "router": decompress_any(blob),
+                "serial": decoded,
+                "service": svc.decompress(blob),
+            })
+        # the default tiling: one chunk
+        agree({
+            "chunked": repro.compress(x, codec=codec, bound=bound, chunked=True),
+            "service": svc.compress(x, codec=codec, bound=bound),
+        })
+        whole = agree({
+            "serial": repro.decompress(container),
+            "router": decompress_any(container),
+            "service": svc.decompress(container),
+        })
+        slab = tuple(slice(1, n - 1) for n in x.shape)
+        with ChunkedFile(container) as f:
+            agree({
+                "whole": whole[slab],
+                "serial": f.read(slab),
+                "service": svc.read(container, slab),
+            })
+
+    @pytest.mark.parametrize("codec", LIBRARY_CODECS)
+    def test_fan_out_routes_agree(self, codec, pooled):
+        x, call = probe(codec, *FAN_OUT[codec], BOUNDS[1])
+        bound = call["bound"]
+        container = agree({
+            "chunked": repro.compress(x, **call),
+            "pooled": repro.compress(x, processes=2, **call),
+            "pooled-service": pooled.compress(x, **call),
+        })
+        # the default tiling: one chunk, sent whole to one pool worker
+        agree({
+            "chunked": repro.compress(x, codec=codec, bound=bound, chunked=True),
+            "pooled-service": pooled.compress(x, codec=codec, bound=bound),
+        })
+        # two distinct fields, so a mix-up of their order shows
+        fields = [x, -x]
+        serial = compress_fields_parallel(fields, codec, bound=bound)
+        assert compress_fields_parallel(
+            fields, codec, bound=bound, processes=2
+        ) == serial
+        in_pool = decompress_blobs_parallel(serial, processes=2)
+        for blob, decoded in zip(serial, in_pool):
+            agree({
+                "router": decompress_any(blob),
+                "pool": decoded,
+                "pooled-service": pooled.decompress(blob),
+            })
+        whole = agree({
+            "serial": repro.decompress(container),
+            "pooled": repro.decompress(container, processes=2),
+            "pooled-service": pooled.decompress(container),
+        })
+        slab = tuple(slice(1, n - 1) for n in x.shape)
+        with ChunkedFile(container) as f:
+            agree({
+                "whole": whole[slab],
+                "pooled": f.read(slab, processes=2),
+                "pooled-service": pooled.read(container, slab),
+            })
+
     @pytest.mark.parametrize("bound", BOUNDS, ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("codec,kwargs", CODECS)
-    def test_routes_agree_byte_for_byte(self, codec, kwargs, dtype, bound, svc):
-        x = field(dtype)
-        plain = {
-            name: call()
-            for name, call in single_routes(x, codec, kwargs, bound).items()
-        }
-        assert plain["codec"] == plain["facade"]
+    @pytest.mark.parametrize("codec,kwargs", [
+        *CODECS, pytest.param("sz3", {"method": "linear"}, id="sz3-linear"),
+    ])
+    def test_codec_options_reach_every_route(
+        self, codec, kwargs, dtype, bound, svc
+    ):
+        x = walk(SHAPE, 0, dtype)
+        plain = {name: call() for name, call in single_routes(
+            x, codec, kwargs, bound
+        ).items()}
+        plain["derive-then-execute"] = derive_then_execute(x, codec, kwargs, bound)
+        fields = dict(codec_name=codec, codec_kwargs=kwargs, bound=bound)
+        (plain["fields"],) = compress_fields_parallel([x], **fields)
+        plain["fields-pool"], _ = compress_fields_parallel(
+            [x, x], processes=2, **fields
+        )
+        agree(plain)
         routes = chunked_routes(x, codec, kwargs, bound, svc)
-        containers = {name: call() for name, call in routes.items()}
-        assert containers["chunked"] == containers["pooled"]
-        assert containers["chunked"] == containers["service"]
-        tol = bound.value * (1 + 1e-6)
-        if bound.is_relative:
-            tol *= float(x.max()) - float(x.min())
-        for blob in (plain["codec"], containers["chunked"]):
-            recon = repro.decompress(blob).astype(np.float64)
-            assert np.abs(recon - x).max() <= tol
+        agree({name: call() for name, call in routes.items()})
+
+    @pytest.mark.parametrize("bound", BOUNDS, ids=str)
+    def test_every_spelling_of_a_bound_is_that_bound(self, bound):
+        # the facade parses the spelling before a codec or dtype enters
+        spellings = [bound, str(bound), (bound.mode, bound.value)]
+        if not bound.is_relative:
+            spellings.append(bound.value)  # a bare number is absolute
+        x = walk(SHAPE)
+        agree({
+            repr(spelling): repro.compress(x, codec="sz3", bound=spelling)
+            for spelling in spellings
+        })
+
+    @pytest.mark.parametrize("bound", BOUNDS, ids=str)
+    def test_per_chunk_tuning_reaches_every_route(self, bound, svc):
+        routes = chunked_routes(
+            walk(SHAPE), "qoz", {}, bound, svc, per_chunk_tuning=True
+        )
+        agree({name: call() for name, call in routes.items()})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("metric", ["cr", "psnr", "ssim", "ac"])
     def test_pooled_derive_writes_the_serial_container(self, metric, dtype):
         # processes= lends the pool to the tuning trials too (DESIGN.md §7)
-        x = field(dtype, seed=3)
+        x = walk(SHAPE, 3, dtype)
         call = dict(
             codec="qoz", bound=BOUNDS[1], chunks=CHUNKS,
             codec_kwargs={"metric": metric},
         )
         assert repro.compress(x, processes=2, **call) == repro.compress(x, **call)
 
-    @pytest.mark.parametrize("bound", BOUNDS, ids=str)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("codec,kwargs", CODECS)
-    def test_compress_is_derive_then_execute(self, codec, kwargs, dtype, bound):
-        x = field(dtype, seed=1)
-        inline = get_compressor(codec, **kwargs).compress(x, **bound.kwargs())
-        plan = get_compressor(codec, **kwargs).derive_plan(x, **bound.kwargs())
-        replay = get_compressor(codec, **kwargs).compress_with_plan(x, plan)
-        assert replay == inline
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("codec,kwargs", CODECS)
-    def test_one_chunk_container_holds_the_single_route_stream(
-        self, codec, kwargs, dtype
-    ):
-        # absolute bound only: a float32 field's *relative* bound is scaled
-        # by a float32 difference on the single route and a float64 one on
-        # the chunked route (both pinned by golden streams), so those two
-        # eb values differ in the last bits
-        x = field(dtype, seed=2)
-        bound = BOUNDS[0]
-        plain = repro.compress(x, codec=codec, bound=bound, codec_kwargs=kwargs)
-        container = repro.compress(
-            x, codec=codec, bound=bound, codec_kwargs=kwargs, chunks=SHAPE
-        )
+#: ROADMAP item 4(P2): a float32 field's relative bound is scaled by a
+#: float32 difference on the single route and a float64 one on the
+#: chunked route (both pinned by golden streams), so the two eb values
+#: differ in the last bits: on these fields, in 14 of the 19 float32
+#: ``rel:`` cases (the 2-D field's two ranges round alike)
+ONE_CHUNK_DIFFERS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 4(P2): float32 rel: bound scaled differently",
+)
+ONE_CHUNK = [
+    pytest.param(*case.values, id=case.id, marks=(
+        ONE_CHUNK_DIFFERS
+        if case.values[2] is np.float32 and case.values[3].is_relative
+        and case.values[1] != 2 else ()
+    ))
+    for case in MATRIX
+]
+
+
+class TestOneChunkContainer:
+    @pytest.mark.parametrize("codec,ndim,dtype,bound", ONE_CHUNK)
+    def test_it_holds_the_single_route_stream(self, codec, ndim, dtype, bound):
+        x, _ = probe(codec, ndim, dtype, bound)
+        plain = repro.compress(x, codec=codec, bound=bound)
+        container = repro.compress(x, codec=codec, bound=bound, chunks=x.shape)
         with repro.open(container) as f:
             assert f.n_chunks == 1
             assert f.chunk_bytes(0) == plain
 
 
 def poisoned(value, where=(0, 0, 0)):
-    x = field()
+    x = walk(SHAPE)
     x[where] = value
     return x
 
 
 def overflowing():
-    x = field()
+    x = walk(SHAPE)
     x[0, 0, 0], x[-1, -1, -1] = 1.5e308, -1.5e308  # max - min = inf
     return x
 
@@ -166,6 +349,16 @@ class TestInvalidProbes:
             routes["derive"] = lambda: get_compressor(
                 codec, **kwargs
             ).derive_plan(x, **bound.kwargs())
+        outcomes = {name: raised(call) for name, call in routes.items()}
+        assert set(outcomes.values()) == {CompressionError}, outcomes
+
+    @pytest.mark.parametrize("bound", BOUNDS, ids=str)
+    def test_sz2_refuses_a_4d_field_on_every_route(self, bound, svc):
+        x = walk(TILINGS[4][0])
+        routes = {
+            **single_routes(x, "sz2", {}, bound),
+            **chunked_routes(x, "sz2", {}, bound, svc),
+        }
         outcomes = {name: raised(call) for name, call in routes.items()}
         assert set(outcomes.values()) == {CompressionError}, outcomes
 
@@ -195,7 +388,7 @@ class TestInvalidProbes:
         "target", ["sz3", "sz2"], ids=["wrong-codec", "plan-less-codec"]
     )
     def test_a_plan_the_codec_cannot_run(self, target):
-        x = field()
+        x = walk(SHAPE)
         plan = get_compressor("qoz").derive_plan(x, error_bound=2e-3)
         call = dict(codec=target, bound="abs:2e-3", chunks=CHUNKS, plan=plan)
         routes = {
@@ -211,7 +404,7 @@ class TestClientDecompressSources:
     def test_client_route_accepts_what_the_local_route_accepts(
         self, svc, tmp_path
     ):
-        x = field(np.float32)
+        x = walk(SHAPE, 0, np.float32)
         path = tmp_path / "f.rpz"
         repro.compress(x, bound="rel:1e-3", chunks=CHUNKS, file=path)
         local = repro.decompress(str(path))

@@ -105,6 +105,12 @@ def test_codec_constructors_take_only_the_kept_parameters():
         assert list(inspect.signature(codec).parameters) == expected, name
 
 
+def test_the_registry_builds_codecs_by_name():
+    assert repro.get_compressor("qoz", metric="ssim").metric == "ssim"
+    with pytest.raises(KeyError):
+        repro.get_compressor("lzma")
+
+
 def test_compress_fields_parallel_spells_the_bound_as_the_facade_does():
     # bound= only: no error_bound= / rel_error_bound= above the codecs
     from repro.parallel import compress_fields_parallel

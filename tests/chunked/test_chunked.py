@@ -1,4 +1,8 @@
-"""Tests for the chunked container: roundtrips, random access, back-compat."""
+"""Tests for the chunked container: random access, back-compat, robustness.
+
+Its bound is P1 (``tests/properties/test_error_bound.py``), its bytes
+and decodes on every route P2 (``tests/api/test_route_matrix.py``).
+"""
 
 import io
 import struct
@@ -12,14 +16,9 @@ from repro.chunked import (
     ChunkedWriter,
     grid_for,
 )
-from repro.compressors.base import (
-    available_compressors,
-    decompress_any,
-    get_compressor,
-)
+from repro.compressors.base import decompress_any, get_compressor
 from repro.core.header import parse_header
 from repro.errors import CompressionError, DecompressionError
-from repro.utils import resolve_error_bound
 
 
 @pytest.fixture(scope="module")
@@ -31,72 +30,6 @@ def field():
 
 
 REL_EB = 1e-3
-
-
-class TestRoundtrip:
-    @pytest.mark.parametrize("codec", available_compressors())
-    def test_same_bound_as_unchunked_path(self, field, codec):
-        """Chunked and unchunked honor the same absolute bound."""
-        abs_eb = resolve_error_bound(field, None, REL_EB)
-        blob = repro.compress(field, codec=codec, chunks=16,
-                              bound=("rel", REL_EB))
-        recon = repro.decompress(blob)
-        assert recon.shape == field.shape and recon.dtype == field.dtype
-        err = np.abs(recon.astype(np.float64) - field.astype(np.float64)).max()
-        assert err <= abs_eb
-
-        unchunked = get_compressor(codec).compress(field, error_bound=abs_eb)
-        urecon = decompress_any(unchunked)
-        uerr = np.abs(
-            urecon.astype(np.float64) - field.astype(np.float64)
-        ).max()
-        assert uerr <= abs_eb
-        # the container header records exactly the resolved bound
-        header, _ = parse_header(blob)
-        assert header.error_bound == pytest.approx(abs_eb)
-        assert header.is_chunked
-
-    def test_decompress_any_routes_containers(self, field):
-        blob = repro.compress(field, codec="sz3", chunks=16,
-                              bound=("rel", REL_EB))
-        np.testing.assert_array_equal(
-            decompress_any(blob), repro.decompress(blob)
-        )
-
-    def test_codec_decompress_refuses_container(self, field):
-        blob = repro.compress(field, codec="sz3", chunks=16,
-                              bound=("rel", REL_EB))
-        with pytest.raises(DecompressionError, match="chunked container"):
-            get_compressor("sz3").decompress(blob)
-
-    @pytest.mark.parametrize("shape,chunks", [((37,), 16), ((30, 22), (16, 8))])
-    def test_low_rank_and_float64(self, rng, shape, chunks):
-        data = np.cumsum(rng.standard_normal(shape).ravel()).reshape(shape)
-        blob = repro.compress(data, codec="sz3", chunks=chunks,
-                              bound=1e-4)
-        recon = repro.decompress(blob)
-        assert recon.dtype == np.float64
-        assert np.abs(recon - data).max() <= 1e-4
-
-    def test_parallel_fanout_matches_sequential(self, field):
-        seq = repro.compress(field, codec="sz3", chunks=8,
-                             bound=("rel", REL_EB))
-        par = repro.compress(field, codec="sz3", chunks=8,
-                             bound=("rel", REL_EB), processes=2)
-        np.testing.assert_array_equal(
-            repro.decompress(seq), repro.decompress(par)
-        )
-
-    def test_relative_bound_uses_full_field_range(self, rng):
-        """A chunk with tiny local range must NOT get a tighter bound."""
-        data = np.zeros((32, 8)) + 0.5
-        data[16:] += 100.0 * rng.standard_normal((16, 8)).cumsum(axis=0)
-        blob = repro.compress(data, codec="sz3", chunks=(16, 8),
-                              bound="rel:1e-3")
-        header, _ = parse_header(blob)
-        assert header.error_bound == pytest.approx(
-            resolve_error_bound(data, None, 1e-3)
-        )
 
 
 class TestRandomAccess:
@@ -122,21 +55,6 @@ class TestRandomAccess:
                 corrupted[start : start + e.nbytes] = b"\xff" * e.nbytes
         with ChunkedFile(bytes(corrupted)) as f:
             np.testing.assert_array_equal(f.chunk(target), expect)
-
-    def test_hyperslab_extraction(self, field):
-        blob = repro.compress(field, codec="sz3", chunks=(8, 16, 5),
-                              bound=("rel", REL_EB))
-        full = repro.decompress(blob)
-        slab = (slice(5, 18), slice(0, 24), slice(10, 15))
-        with repro.open(blob) as f:
-            part = f.read(slab)
-        np.testing.assert_array_equal(part, full[slab])
-        # hyperslab values honor the bound vs the original too
-        abs_eb = resolve_error_bound(field, None, REL_EB)
-        err = np.abs(
-            part.astype(np.float64) - field[slab].astype(np.float64)
-        ).max()
-        assert err <= abs_eb
 
     def test_hyperslab_with_none_and_negatives(self, field):
         blob = repro.compress(field, codec="sz3", chunks=16,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from inputs import walk
 from repro import MGARDPlus, QoZ, SZ3
 from repro.compressors.mgard import _level_budgets
-from repro.core.interpolation import CUBIC, LINEAR
 from repro.errors import ConfigurationError
 from repro.metrics import compression_ratio, psnr
 
@@ -21,14 +21,6 @@ class TestMGARD:
     def test_level_budgets_sum_below_bound(self):
         budgets = _level_budgets(1e-3, 10)
         assert sum(budgets.values()) < 1e-3
-
-    def test_corrections_are_rare(self):
-        data = field2d()
-        codec = MGARDPlus()
-        blob = codec.compress(data, rel_error_bound=1e-3)
-        out = codec.decompress(blob)
-        eb = 1e-3 * (data.max() - data.min())
-        assert np.abs(out.astype(np.float64) - data.astype(np.float64)).max() <= eb
 
     def test_open_loop_worse_rate_than_sz3(self):
         # the closed-loop SZ3 at the same bound should compress better
@@ -149,3 +141,28 @@ class TestQoZ:
         )
         # tuned PSNR should not be dramatically worse than untuned
         assert p_tuned >= psnr(data, out_bad) - 1.0
+
+    def test_trace_exposes_all_candidates_and_extra_trials(self):
+        codec = QoZ(metric="psnr")
+        codec.compress(walk((96, 96), 4, np.float32), rel_error_bound=1e-3)
+        tuning = codec.last_report.tuning
+        assert tuning is not None
+        assert len(tuning.trials) == 20  # 5 alphas x 4 betas
+        assert tuning.extra_trials >= 0
+        # the winner appears among the trials
+        assert any(
+            t.alpha == tuning.alpha and t.beta == tuning.beta
+            for t in tuning.trials
+        )
+
+    def test_cr_mode_records_no_metric(self):
+        codec = QoZ(metric="cr")
+        codec.compress(walk((64, 64), 5, np.float32), rel_error_bound=1e-3)
+        assert all(t.metric is None for t in codec.last_report.tuning.trials)
+
+    def test_selection_reported_levels(self):
+        codec = QoZ(metric="cr")
+        codec.compress(walk((96, 96), 6, np.float32), rel_error_bound=1e-3)
+        sel = codec.last_report.selection
+        assert sel is not None
+        assert 1 in sel.per_level

@@ -1,8 +1,10 @@
-"""Unit tests for the ZFP-like codec's building blocks."""
+"""Unit tests for the ZFP-like codec's building blocks, and the
+verification pass it shares with MGARD+."""
 
 import numpy as np
 import pytest
 
+from repro.compressors.base import patch_violations
 from repro.compressors.regression import blockify, unblockify
 from repro.compressors.zfp import (
     BLOCK,
@@ -16,6 +18,9 @@ from repro.compressors.zfp import (
     _to_negabinary,
     _transform_axis,
 )
+from repro.encoding.bitstream import BitReader, BitWriter
+from repro.encoding.lossless import compress_floats_lossless
+from repro.errors import DecompressionError
 
 
 class TestNegabinary:
@@ -130,3 +135,17 @@ class TestZFPAccuracy:
         blob = codec.compress(f, error_bound=1e-6)
         np.testing.assert_array_equal(codec.decompress(blob), f)
         assert len(blob) < 300
+
+
+class TestVerificationPass:
+    """The exact store MGARD+ and ZFP share (DESIGN.md §8); that it
+    keeps the bound is P1."""
+
+    @pytest.mark.parametrize("index", [42, 2**64 - 1], ids=["past-end", "negative"])
+    def test_a_forged_index_is_refused(self, index):
+        writer = BitWriter()
+        writer.write_uint(1, 64)
+        writer.write_array(np.array([index], dtype=np.uint64), 64)
+        values = compress_floats_lossless(np.ones(1))
+        with pytest.raises(DecompressionError, match="outlier index"):
+            patch_violations(np.zeros(42), BitReader(writer.getvalue()), values)

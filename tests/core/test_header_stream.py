@@ -37,6 +37,11 @@ class TestHeader:
     def test_bad_magic(self):
         with pytest.raises(DecompressionError):
             parse_header(b"XXXX" + b"\x00" * 32)
+        # a valid header whose magic alone is flipped
+        blob = bytearray(pack_header(2, np.dtype(np.float32), (8, 8), 0.1))
+        blob[0] ^= 0xFF
+        with pytest.raises(DecompressionError, match="magic"):
+            parse_header(bytes(blob))
 
     def test_truncated(self):
         blob = pack_header(1, np.dtype(np.float64), (8, 8), 0.1)
@@ -189,6 +194,10 @@ class TestSections:
         blob = pack_sections([b"hello", b"world"])
         with pytest.raises(DecompressionError):
             unpack_sections(blob[:-3])
+
+    def test_trailing_bytes_belong_to_no_section(self):
+        sections = [b"hello", b"world"]
+        assert unpack_sections(pack_sections(sections) + b"\x00" * 16) == sections
 
     def test_offset_parsing(self):
         blob = b"HDR" + pack_sections([b"x"])

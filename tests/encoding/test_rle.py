@@ -120,6 +120,15 @@ class TestTokenizeRuns:
         with pytest.raises(DecompressionError):
             detokenize_runs(tokens, extras, dominant=0, alphabet_size=4)
 
+    def test_detokenize_rejects_run_lengths_that_wrap_int64(self):
+        """Four class-62 runs sum to 2**64 + 8, which wraps int64 to
+        exactly 8: a stream declaring 8 symbols must still raise, not
+        expand a wrapped total."""
+        tokens = np.full(4, 4 + 62, dtype=np.int64)
+        extras = np.full(4, 2, dtype=np.uint64)
+        with pytest.raises(DecompressionError, match="overflow"):
+            detokenize_runs(tokens, extras, 0, 4, expected_size=8)
+
     def test_dominant_not_zero(self):
         syms = np.array([3, 3, 3, 1, 3, 3], dtype=np.int64)
         out, tokens, _, _ = roundtrip(syms, 3, 4)

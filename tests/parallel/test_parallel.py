@@ -1,15 +1,13 @@
-"""Tests for the parallel I/O model and the multi-process executor."""
+"""Tests for the parallel I/O model.
 
-import numpy as np
+The multi-process executor's bytes and arrays are P2
+(``tests/api/test_route_matrix.py``), its bound P1.
+"""
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import (
-    IOSystemModel,
-    compress_fields_parallel,
-    decompress_blobs_parallel,
-    dump_load_series,
-)
+from repro.parallel import IOSystemModel, dump_load_series
 
 
 class TestIOModel:
@@ -60,47 +58,3 @@ class TestIOModel:
         assert len(rows) == 4
         assert {r["codec"] for r in rows} == {"qoz", "zfp"}
         assert all(r["dump_s"] > 0 and r["load_s"] > 0 for r in rows)
-
-
-class TestExecutor:
-    def _fields(self, k=3):
-        rng = np.random.default_rng(0)
-        x = np.linspace(0, np.pi, 48)
-        base = np.sin(x)[:, None] * np.cos(x)[None, :]
-        return [
-            (base + 0.01 * rng.standard_normal((48, 48))).astype(np.float32)
-            for _ in range(k)
-        ]
-
-    def test_serial_path(self):
-        fields = self._fields(2)
-        blobs = compress_fields_parallel(
-            fields, "sz3", bound="rel:1e-3", processes=1
-        )
-        outs = decompress_blobs_parallel(blobs, processes=1)
-        for f, o in zip(fields, outs):
-            eb = 1e-3 * (f.max() - f.min())
-            assert np.abs(o.astype(np.float64) - f.astype(np.float64)).max() <= eb
-
-    def test_parallel_matches_serial(self):
-        fields = self._fields(4)
-        serial = compress_fields_parallel(
-            fields, "sz3", bound="rel:1e-3", processes=1
-        )
-        parallel = compress_fields_parallel(
-            fields, "sz3", bound="rel:1e-3", processes=2
-        )
-        assert [len(b) for b in serial] == [len(b) for b in parallel]
-        for s, p in zip(serial, parallel):
-            assert s == p  # byte-identical across process boundaries
-
-    def test_parallel_decompress(self):
-        fields = self._fields(4)
-        blobs = compress_fields_parallel(
-            fields, "qoz", codec_kwargs={"metric": "cr"},
-            bound="rel:1e-2", processes=2,
-        )
-        outs = decompress_blobs_parallel(blobs, processes=2)
-        for f, o in zip(fields, outs):
-            eb = 1e-2 * (f.max() - f.min())
-            assert np.abs(o.astype(np.float64) - f.astype(np.float64)).max() <= eb

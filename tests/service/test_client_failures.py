@@ -6,6 +6,7 @@ a frame — surfaces as a *typed* error (:class:`ProtocolError` /
 reports success for bytes that did not arrive.
 """
 
+import contextlib
 import socket
 import threading
 
@@ -36,13 +37,19 @@ class OneShotServer:
         self._thread.start()
 
     def _serve(self):
-        conn, _ = self._listener.accept()
+        try:
+            conn, _ = self._listener.accept()
+        except OSError:
+            return
         try:
             self._behavior(conn)
         finally:
             conn.close()
 
     def close(self):
+        # close() alone leaves a thread blocked in accept() asleep
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
         self._thread.join(timeout=10)
 
@@ -148,6 +155,9 @@ class ScriptedServer:
                 conn.close()
 
     def close(self):
+        # close() alone leaves a thread blocked in accept() asleep
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
         self._thread.join(timeout=10)
 

@@ -1,10 +1,8 @@
-"""In-process service tests: byte identity, plan caching, backpressure.
+"""In-process service tests: path reads, plan caching, backpressure.
 
 The acceptance contract this file pins:
 
-* a served compress / decompress / hyperslab-read is byte- (or bit-)
-  identical to the in-process ``repro.compress`` / ``repro.decompress``
-  / ``ChunkedFile.read`` path;
+* a path read stays under the serve root and sees the file as it is;
 * a warm plan-cache hit skips derivation entirely (asserted via a
   derive-call counter spy on the codec, plus the service's own stats);
 * a full queue rejects with ``ServiceOverloadedError`` + retry_after
@@ -42,116 +40,6 @@ def smooth3d(shape=(40, 40, 40), seed=0, dtype=np.float64):
 def svc():
     with ServiceClient(ServiceConfig(processes=1)) as client:
         yield client
-
-
-class TestByteIdentity:
-    def test_compress_matches_inline_chunked_path(self, svc):
-        data = smooth3d(seed=1)
-        served = svc.compress(data, codec="qoz", bound="rel:1e-3", chunks=20)
-        inline = repro.compress(
-            data, codec="qoz", bound="rel:1e-3", chunks=20
-        )
-        assert served == inline
-
-    def test_abs_bound_and_sz3(self, svc):
-        data = smooth3d(seed=2, dtype=np.float32)
-        served = svc.compress(data, codec="sz3", bound=1e-3, chunks=20)
-        inline = repro.compress(data, codec="sz3", bound=1e-3, chunks=20)
-        assert served == inline
-
-    def test_codec_without_plan_support(self, svc):
-        data = smooth3d(seed=3)
-        served = svc.compress(data, codec="zfp", bound=1e-3, chunks=20)
-        inline = repro.compress(
-            data, codec="zfp", bound=1e-3, chunks=20
-        )
-        assert served == inline
-
-    def test_codec_kwargs_affect_the_stream(self, svc):
-        data = smooth3d(seed=4)
-        served = svc.compress(
-            data, codec="qoz", bound="rel:1e-3", chunks=20,
-            codec_kwargs={"metric": "psnr"},
-        )
-        inline = repro.compress(
-            data, codec="qoz", bound="rel:1e-3", chunks=20,
-            codec_kwargs={"metric": "psnr"},
-        )
-        assert served == inline
-
-    def test_per_chunk_tuning_opt_out(self, svc):
-        data = smooth3d(seed=5)
-        served = svc.compress(
-            data, codec="qoz", bound=1e-3, chunks=20,
-            per_chunk_tuning=True,
-        )
-        inline = repro.compress(
-            data, codec="qoz", bound=1e-3, chunks=20,
-            per_chunk_tuning=True,
-        )
-        assert served == inline
-
-    def test_decompress_matches_inline(self, svc):
-        data = smooth3d(seed=6)
-        blob = repro.compress(data, codec="qoz", bound=1e-3, chunks=20)
-        served = svc.decompress(blob)
-        inline = repro.decompress(blob)
-        assert served.dtype == inline.dtype
-        assert np.array_equal(served, inline)
-
-    def test_decompress_plain_unchunked_stream(self, svc):
-        data = smooth3d(seed=7)
-        blob = QoZ().compress(data, error_bound=1e-3)
-        assert np.array_equal(served := svc.decompress(blob), QoZ().decompress(blob))
-        assert served.shape == data.shape
-
-    def test_hyperslab_read_matches_chunkedfile(self, svc):
-        data = smooth3d(seed=8)
-        blob = repro.compress(data, codec="qoz", bound=1e-3, chunks=16)
-        slab = (slice(3, 37), slice(None), slice(10, 11))
-        served = svc.read(blob, slab)
-        with ChunkedFile(blob) as f:
-            inline = f.read(slab)
-        assert np.array_equal(served, inline)
-
-    def test_hyperslab_read_from_server_side_path(self, tmp_path):
-        data = smooth3d(seed=9)
-        path = tmp_path / "field.rpz"
-        repro.compress(
-            data, file=str(path), codec="qoz", bound=1e-3, chunks=16
-        )
-        slab = (slice(0, 20), slice(5, 25), slice(None))
-        with ChunkedFile(str(path)) as f:
-            inline = f.read(slab)
-        config = ServiceConfig(processes=1, serve_root=str(tmp_path))
-        with ServiceClient(config) as svc:
-            # relative to the root and absolute-under-root both work
-            assert np.array_equal(svc.read("field.rpz", slab), inline)
-            served = svc.read(str(path), slab)
-            assert np.array_equal(served, inline)
-            # a second read opens the file again
-            assert np.array_equal(svc.read(str(path), slab), inline)
-
-    def test_path_reads_refused_without_serve_root(self, svc, tmp_path):
-        path = tmp_path / "anything.rpz"
-        path.write_bytes(b"irrelevant")
-        with pytest.raises(PermissionError, match="disabled"):
-            svc.read(str(path), (slice(0, 4),))
-
-    def test_path_reads_cannot_escape_serve_root(self, tmp_path):
-        root = tmp_path / "root"
-        root.mkdir()
-        secret = tmp_path / "secret.rpz"
-        secret.write_bytes(b"secret")
-        config = ServiceConfig(processes=1, serve_root=str(root))
-        with ServiceClient(config) as svc:
-            for escape in (
-                str(secret),                      # absolute, outside root
-                "../secret.rpz",                  # traversal
-                "sub/../../secret.rpz",           # nested traversal
-            ):
-                with pytest.raises(PermissionError, match="outside"):
-                    svc.read(escape, (slice(0, 4),))
 
 
 class TestPathReads:
@@ -230,6 +118,45 @@ class TestPathReads:
 
         asyncio.run(main())
         assert len(outcomes) == 1 and np.array_equal(outcomes[0], want)
+
+    def test_hyperslab_read_from_server_side_path(self, tmp_path):
+        data = smooth3d(seed=9)
+        path = tmp_path / "field.rpz"
+        repro.compress(
+            data, file=str(path), codec="qoz", bound=1e-3, chunks=16
+        )
+        slab = (slice(0, 20), slice(5, 25), slice(None))
+        with ChunkedFile(str(path)) as f:
+            inline = f.read(slab)
+        config = ServiceConfig(processes=1, serve_root=str(tmp_path))
+        with ServiceClient(config) as svc:
+            # relative to the root and absolute-under-root both work
+            assert np.array_equal(svc.read("field.rpz", slab), inline)
+            served = svc.read(str(path), slab)
+            assert np.array_equal(served, inline)
+            # a second read opens the file again
+            assert np.array_equal(svc.read(str(path), slab), inline)
+
+    def test_path_reads_refused_without_serve_root(self, svc, tmp_path):
+        path = tmp_path / "anything.rpz"
+        path.write_bytes(b"irrelevant")
+        with pytest.raises(PermissionError, match="disabled"):
+            svc.read(str(path), (slice(0, 4),))
+
+    def test_path_reads_cannot_escape_serve_root(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        secret = tmp_path / "secret.rpz"
+        secret.write_bytes(b"secret")
+        config = ServiceConfig(processes=1, serve_root=str(root))
+        with ServiceClient(config) as svc:
+            for escape in (
+                str(secret),                      # absolute, outside root
+                "../secret.rpz",                  # traversal
+                "sub/../../secret.rpz",           # nested traversal
+            ):
+                with pytest.raises(PermissionError, match="outside"):
+                    svc.read(escape, (slice(0, 4),))
 
 
 class TestOneClientSurface:
@@ -666,40 +593,10 @@ def pooled():
 class TestSameRepliesWithAPool:
     """``processes=2`` sends all of a job's codec work to the workers —
     a compress whole to one worker, whatever its chunk count, a plain
-    stream decode, a read of any part count; every reply equals the
-    in-process service's and the library's."""
-
-    @pytest.mark.parametrize("chunks", [None, 16], ids=["one-chunk", "tiled"])
-    @pytest.mark.parametrize("family", [None, "pooled-siblings"])
-    def test_compress(self, svc, pooled, chunks, family):
-        data = smooth3d((32, 32, 32), seed=40, dtype=np.float32)
-        request = dict(codec="qoz", bound="rel:1e-3", chunks=chunks)
-        want = repro.compress(data, chunked=True, **request)
-        assert pooled.compress(data, family=family, **request) == want
-        assert svc.compress(data, family=family, **request) == want
-
-    @pytest.mark.parametrize("chunks", [None, 16], ids=["plain", "tiled"])
-    def test_decompress(self, svc, pooled, chunks):
-        data = smooth3d((32, 32, 32), seed=41, dtype=np.float32)
-        blob = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=chunks)
-        want = repro.decompress(blob)
-        for client in (svc, pooled):
-            got = client.decompress(blob)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "slab",
-        [(slice(2, 14), slice(0, 16), slice(5, 6)),
-         (slice(3, 29), slice(None), slice(10, 20))],
-        ids=["one-part", "eight-parts"],
-    )
-    def test_read(self, svc, pooled, slab):
-        data = smooth3d((32, 32, 32), seed=42, dtype=np.float32)
-        blob = repro.compress(data, codec="qoz", bound="rel:1e-3", chunks=16)
-        with ChunkedFile(blob) as f:
-            want = f.read(slab)
-        for client in (svc, pooled):
-            assert np.array_equal(client.read(blob, slab), want)
+    stream decode, a read of any part count.  That every reply equals
+    the in-process service's and the library's is P2
+    (``tests/api/test_route_matrix.py``); here, what a pool adds: plans
+    shared between concurrent siblings and one-chunk jobs."""
 
     def test_concurrent_first_requests_of_a_family_run_one_plan(self, pooled):
         """Two siblings that arrive together before the family has a plan:

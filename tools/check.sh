@@ -3,8 +3,9 @@
 # jobs run, in fast-feedback order.
 #
 #   tools/check.sh          invariant tests + tier-1 suite + leak gate
-#   tools/check.sh --fast   wire golden, structure pins, forged-size
-#                           property, route matrix, pooled-derive identity,
+#   tools/check.sh --fast   wire golden, structure pins, the three
+#                           contract properties (error bound, route
+#                           matrix, forged sizes), pooled-derive identity,
 #                           generator digests, entropy decoder (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
@@ -14,9 +15,10 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + forged sizes + route identity + digests + decoder =="
+echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + decoder =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
-    tests/properties/test_forged_sizes.py tests/api/test_route_matrix.py \
+    tests/properties/test_error_bound.py tests/api/test_route_matrix.py \
+    tests/properties/test_forged_sizes.py \
     tests/parallel/test_pooled_derive.py \
     tests/datasets/test_generator_digests.py \
     tests/encoding/test_golden_streams.py \
