@@ -3,12 +3,20 @@
 Paper: on SCALE-LETKF, at CR 65, QoZ's reconstruction has the highest
 PSNR (45.4) vs SZ3 43.21, MGARD+ 35.6, SZ2 33.6, ZFP 27.1.  We bisect
 each codec's error bound to the target CR and compare PSNR; mid-depth
-slices are also written as PGM images for visual inspection.
+slices are also written as PGM images for visual inspection.  A codec
+that cannot reach the target CR within the search's bound interval (ZFP
+here) is reported as unreachable with the CR range it did reach, not as
+a row at the wrong CR.
 """
 
 from conftest import RESULTS_DIR, bench_dataset, record
 from repro import MGARDPlus, QoZ, SZ2, SZ3, ZFP
-from repro.analysis import find_error_bound_for_cr, format_table, write_pgm
+from repro.analysis import (
+    CRNotReachedError,
+    find_error_bound_for_cr,
+    format_table,
+    write_pgm,
+)
 from repro.metrics import psnr, ssim
 
 TARGET_CR = 65.0
@@ -26,7 +34,15 @@ def _run():
         ("mgard", MGARDPlus()),
         ("qoz", QoZ(metric="psnr")),
     ]:
-        rel_eb, cr, blob = find_error_bound_for_cr(codec, data, TARGET_CR)
+        try:
+            rel_eb, cr, blob = find_error_bound_for_cr(codec, data, TARGET_CR)
+        except CRNotReachedError as e:
+            low, high = e.reached
+            rows.append(
+                [cname, f"unreachable ({low:.1f}-{high:.1f})", "-",
+                 float("nan"), float("nan")]
+            )
+            continue
         recon = codec.decompress(blob)
         rows.append(
             [cname, round(cr, 1), f"{rel_eb:.3g}",

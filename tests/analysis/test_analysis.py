@@ -8,6 +8,7 @@ import pytest
 
 from repro import SZ3
 from repro.analysis import (
+    CRNotReachedError,
     evaluate_once,
     find_error_bound_for_cr,
     format_table,
@@ -52,6 +53,17 @@ class TestCRSearch:
         rel_eb, cr, blob = find_error_bound_for_cr(SZ3(), data, 20.0)
         assert abs(cr - 20.0) <= 0.15 * 20.0
         assert isinstance(blob, bytes) and len(blob) > 0
+
+    def test_unreachable_target_raises_with_the_reached_range(self):
+        """A bound interval too tight for the target CR is an error that
+        says which CRs the search did reach, not a point at the wrong CR."""
+        data = field(128, seed=3)
+        with pytest.raises(CRNotReachedError, match="not reached") as info:
+            find_error_bound_for_cr(SZ3(), data, 20.0, lo=1e-7, hi=1e-5)
+        low, high = info.value.reached
+        assert 0.0 < low <= high < 0.95 * 20.0
+        rel_eb, cr, blob = info.value.closest
+        assert cr == high and rel_eb <= 1e-5 and len(blob) > 0
 
     def test_monotone_direction(self):
         data = field(128, seed=2)

@@ -12,7 +12,10 @@ request or response body — and forges it once:
 * a single-bit flip, or a truncation;
 * one section of a plain stream replaced by a self-consistent symbol
   stream that declares 2**62 symbols (a decompression bomb only the
-  declared-size checks can refuse).
+  declared-size checks can refuse);
+* one lossless-float section (a stream's known values or outliers)
+  replaced by a framing that declares 2**36 float32 values over such a
+  bomb of 2**38 bytes, which only the framing's own value bound refuses.
 
 The decode must then raise a :class:`~repro.errors.ReproError` or return
 what the forged input declares (an array of the header's shape and dtype,
@@ -52,7 +55,7 @@ from repro.datasets import get_dataset
 from repro.encoding.bitstream import BitWriter
 from repro.encoding.huffman import HuffmanCode
 from repro.encoding.rle import RUN_CLASSES
-from repro.errors import ChunkCorruptionError, ReproError
+from repro.errors import ChunkCorruptionError, DecompressionError, ReproError
 from repro.service import ServiceClient, ServiceConfig, protocol
 
 CODECS = ("qoz", "sz3", "sz2", "zfp", "mgard")
@@ -220,10 +223,30 @@ def symbol_bomb(count=2**62):
     return w.getvalue()
 
 
+def framed_bomb(count=2**36):
+    """Lossless-float framing (``encoding.lossless``) that declares
+    ``count`` float32 values, over a coded payload that is a symbol bomb
+    of the ``4 * count`` bytes they would take."""
+    payload = bytes([1, 1]) + symbol_bomb(4 * count)  # nonempty, coded
+    w = BitWriter()
+    w.write_uint(count, 64)
+    w.write_uint(0, 8)  # float32
+    w.write_uint(len(payload), 64)
+    return w.getvalue() + payload
+
+
+#: the sections of each codec's plain stream that are lossless-float
+#: framings the decoder opens: known values and outliers of the
+#: interpolation payload (core/stream.py), SZ2's outliers, and the
+#: verified points MGARD+ stores (compressors/base.py:patch_violations;
+#: ZFP's stays unopened when, as here, no point needed it)
+FRAMED_SECTIONS = {"qoz": (1, 3), "sz3": (1, 3), "sz2": (3,), "mgard": (2,)}
+
+
 class Forgery(NamedTuple):
     target: str
-    kind: str  # "window", "flip", "truncate" or "bomb"
-    offset: int  # byte offset; the section index of a bomb
+    kind: str  # "window", "flip", "truncate", "bomb" or "framed"
+    offset: int  # byte offset; the section index of a bomb or framed bomb
     width: int = 0  # window bytes
     value: int = 0  # the size written, or the bit flipped
     order: str = "little"
@@ -235,10 +258,12 @@ class Forgery(NamedTuple):
             out = bytearray(blob)
             out[self.offset] ^= 1 << self.value
             return bytes(out)
-        if self.kind == "bomb":
+        if self.kind in ("bomb", "framed"):
             _, off = parse_header(blob)
             sections = unpack_sections(blob, off)
-            sections[self.offset] = symbol_bomb()
+            sections[self.offset] = (
+                symbol_bomb() if self.kind == "bomb" else framed_bomb()
+            )
             return blob[:off] + pack_sections(sections)
         offset = min(self.offset, len(blob) - self.width)
         window = self.value.to_bytes(self.width, self.order)
@@ -249,7 +274,10 @@ class Forgery(NamedTuple):
 def forgeries(draw):
     name = draw(st.sampled_from(sorted(corpus())))
     blob = corpus()[name].blob
-    if name.split("-")[0] in CODECS and draw(st.integers(0, 9)) == 0:
+    codec = name.split("-")[0]
+    if codec in CODECS and draw(st.integers(0, 9)) == 0:
+        if codec in FRAMED_SECTIONS and draw(st.booleans()):
+            return Forgery(name, "framed", draw(st.sampled_from(FRAMED_SECTIONS[codec])))
         _, off = parse_header(blob)
         count = len(unpack_sections(blob, off))
         return Forgery(name, "bomb", draw(st.integers(0, count - 1)))
@@ -415,6 +443,28 @@ def clients():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_pinned_forgery_fails_typed_and_bounded(clients, forgery):
     check_forgery(clients, forgery)
+
+
+@pytest.mark.parametrize(
+    "name, section",
+    [(f"{codec}-{dtype}", section)
+     for codec, sections in FRAMED_SECTIONS.items()
+     for dtype in ("float32", "float64") for section in sections],
+)
+def test_a_framed_bomb_is_refused_by_the_value_bound(clients, name, section):
+    """The framing's declared count is checked against the field before
+    the bomb under it is sized: a typed error, within the budget."""
+    target = corpus()[name]
+    budget = 4 * honest_peak(clients, name) + SLACK_BYTES
+    forged = Forgery(name, "framed", section).apply(target.blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompressionError, match="declares 68719476736 values"):
+            target.decode(clients, forged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, f"traced peak {peak} > {budget}"
 
 
 @pytest.mark.parametrize("route", ["read", "pool-read", "serve-read", "pool-serve-read"])

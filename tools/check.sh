@@ -6,7 +6,8 @@
 #   tools/check.sh --fast   wire golden, structure pins, the three
 #                           contract properties (error bound, route
 #                           matrix, forged sizes), pooled-derive identity,
-#                           generator digests, entropy decoder (seconds)
+#                           generator digests, entropy decoder, SSIM's box
+#                           mean against SciPy (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -15,7 +16,7 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + decoder =="
+echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + decoder + box mean =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/properties/test_error_bound.py tests/api/test_route_matrix.py \
     tests/properties/test_forged_sizes.py \
@@ -23,7 +24,8 @@ python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/datasets/test_generator_digests.py \
     tests/encoding/test_golden_streams.py \
     tests/encoding/test_decode_vectorized.py \
-    tests/encoding/test_huffman.py -q
+    tests/encoding/test_huffman.py \
+    tests/metrics/test_box_mean.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
