@@ -15,6 +15,7 @@ from repro.metrics import (
     psnr,
     ssim,
 )
+from repro.utils import value_range
 
 
 @dataclass
@@ -39,9 +40,8 @@ def evaluate_once(
     """Compress/decompress once and collect every evaluation metric."""
     blob = codec.compress(data, rel_error_bound=rel_eb)
     recon = codec.decompress(blob)
-    vrange = float(data.max() - data.min())
     return RatePoint(
-        abs_eb=rel_eb * vrange,
+        abs_eb=rel_eb * value_range(data),
         bit_rate=bit_rate(data, blob),
         compression_ratio=compression_ratio(data, blob),
         psnr=psnr(data, recon),

@@ -57,25 +57,12 @@ from repro.errors import (
 )
 from repro.utils import (
     ErrorBound,
+    admit_bound,
     fans_out,
-    resolve_error_bound,
     validate_field_lazy,
 )
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-
-def _streaming_value_range(data: np.ndarray, grid: ChunkGrid) -> float:
-    """``max - min`` of the whole field, reading one chunk at a time so a
-    memory-mapped input stays out of core."""
-    lo, hi = np.inf, -np.inf
-    for i in grid:
-        chunk = np.asarray(data[grid.chunk_slices(i)])
-        if not np.all(np.isfinite(chunk)):
-            raise CompressionError("data contains non-finite values")
-        lo = min(lo, float(chunk.min()))
-        hi = max(hi, float(chunk.max()))
-    return hi - lo
 
 
 def _bounds(slices: Sequence[slice]) -> Tuple[Tuple[int, int], ...]:
@@ -123,13 +110,8 @@ class CompressJob:
         self.codec = get_compressor(codec, **self.codec_kwargs)
         self.grid = grid_for(self.data.shape, chunks)
         self.bound = bound
-        self.vrange = (
-            _streaming_value_range(self.data, self.grid)
-            if bound.is_relative
-            else None
-        )
-        self.eb = resolve_error_bound(
-            self.data, data_range=self.vrange, **bound.kwargs()
+        self.eb, self.vrange = admit_bound(
+            self.data, grid=self.grid, **bound.kwargs()
         )
         self.per_chunk_tuning = per_chunk_tuning
         self.plan = plan

@@ -24,11 +24,10 @@ from repro.encoding.lossless import (
 )
 from repro.errors import CompressionError, DecompressionError
 from repro.utils import (
-    resolve_error_bound,
+    admit_bound,
     validate_error_bound,
     validate_field_lazy,
     validate_input,
-    value_range,
 )
 
 _REGISTRY: Dict[str, Type["Compressor"]] = {}
@@ -123,22 +122,6 @@ def _ensure_loaded() -> None:
     import repro.core.qoz  # noqa: F401
 
 
-def _admit_bound(
-    data: np.ndarray,
-    error_bound: Optional[float],
-    rel_error_bound: Optional[float],
-    data_range: Optional[float] = None,
-) -> Tuple[float, Optional[float]]:
-    """``(absolute bound, value range | None)``: a relative bound costs one
-    min/max scan, whose result derivation reuses."""
-    if rel_error_bound is not None and data_range is None:
-        data_range = value_range(data)
-    eb = resolve_error_bound(
-        data, error_bound, rel_error_bound, data_range=data_range
-    )
-    return eb, data_range
-
-
 class Compressor:
     """Abstract error-bounded lossy compressor.
 
@@ -171,7 +154,7 @@ class Compressor:
         ``|x - x'| <= eb`` holds unconditionally on the decompressed array.
         """
         data = validate_input(data)
-        eb, data_range = _admit_bound(data, error_bound, rel_error_bound)
+        eb, data_range = admit_bound(data, error_bound, rel_error_bound)
         return self._execute(data, None, eb, data_range)
 
     def derive_plan(
@@ -197,7 +180,7 @@ class Compressor:
         same with or without it.
         """
         data = validate_field_lazy(data)
-        eb, data_range = _admit_bound(
+        eb, data_range = admit_bound(
             data, error_bound, rel_error_bound, data_range
         )
         return self._derive(data, eb, data_range, fan_out)[0]

@@ -76,18 +76,9 @@ def _cubic_predict(even: np.ndarray, m: int) -> np.ndarray:
             pred[..., 0] = 0.5 * (even[..., 0] + even[..., 1])
         else:
             pred[..., 0] = even[..., 0]
-    # tail targets beyond the interior range
+    # tail targets beyond the interior range (j > ge - 3: no even[j + 2])
     for j in range(max(1, jhi + 1), m):
-        has_r1 = j + 1 <= ge - 1
-        has_r2 = j + 2 <= ge - 1
-        if has_r1 and has_r2:
-            pred[..., j] = (
-                -even[..., j - 1]
-                + 9.0 * even[..., j]
-                + 9.0 * even[..., j + 1]
-                - even[..., j + 2]
-            ) / 16.0
-        elif has_r1:
+        if j + 1 <= ge - 1:
             pred[..., j] = (
                 -0.125 * even[..., j - 1]
                 + 0.75 * even[..., j]

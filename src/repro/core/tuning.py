@@ -24,7 +24,6 @@ from repro.core.selection import SelectionResult
 from repro.encoding.codec import estimate_stream_bits
 from repro.errors import ConfigurationError
 from repro.metrics.autocorr import error_autocorrelation
-from repro.metrics.psnr import psnr
 from repro.metrics.ssim import SsimReference, ssim, ssim_reference
 from repro.quantize.linear import DEFAULT_RADIUS
 

@@ -35,6 +35,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils import value_range
+
 #: Wang et al. default stabilization constants
 K1 = 0.01
 K2 = 0.03
@@ -181,7 +183,7 @@ def ssim(
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if data_range is None:
-        data_range = float(x.max() - x.min())
+        data_range = value_range(x)
     if data_range == 0.0:
         return 1.0 if np.array_equal(x, y) else 0.0
     if reference is None:

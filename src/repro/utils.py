@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -145,14 +145,38 @@ def validate_error_bound(eb: float) -> float:
     return eb
 
 
-def value_range(data: np.ndarray) -> float:
-    """max(X) - min(X); the paper's ``vrange`` used for relative bounds/PSNR.
+def value_range(data: np.ndarray, grid=None) -> float:
+    """max(X) - min(X), the paper's ``vrange`` (relative bounds, PSNR):
+    the field's extremes subtracted in float64, whatever its dtype.
 
-    ``inf`` when the difference overflows the field's dtype and ``nan``
-    when the field holds one — :func:`resolve_error_bound` rejects both.
+    With a chunk ``grid`` (:class:`~repro.chunked.tiling.ChunkGrid`) the
+    field is read one chunk at a time, so a memory-mapped input stays out
+    of core.  ``nan`` when the field holds one and ``inf`` when it holds
+    an infinity or the difference overflows — :func:`resolve_error_bound`
+    rejects both.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(data) - np.min(data))
+    parts: Iterable[np.ndarray] = (
+        [data] if grid is None else (data[grid.chunk_slices(i)] for i in grid)
+    )
+    lo, hi = np.array([(np.min(p), np.max(p)) for p in parts]).T
+    return float(np.max(hi)) - float(np.min(lo))
+
+
+def admit_bound(
+    data: np.ndarray,
+    error_bound: Optional[float] = None,
+    rel_error_bound: Optional[float] = None,
+    data_range: Optional[float] = None,
+    grid=None,
+) -> Tuple[float, Optional[float]]:
+    """The admission of every compress route: ``(absolute bound, value
+    range | None)``.  A relative bound costs one :func:`value_range` scan
+    (chunk by chunk over ``grid``) unless the caller passes the range it
+    has; derivation reuses it."""
+    if rel_error_bound is not None and data_range is None:
+        data_range = value_range(data, grid)
+    eb = resolve_error_bound(data, error_bound, rel_error_bound, data_range)
+    return eb, data_range
 
 
 def resolve_error_bound(
@@ -167,10 +191,10 @@ def resolve_error_bound(
     Exactly one of the two must be given.  A relative bound on a constant
     field (vrange == 0) falls back to a tiny absolute bound so compression
     still succeeds (and is lossless in effect).  Callers that already know
-    the field's value range (the chunked route's streaming scan) pass it
-    as ``data_range`` so ``data`` is not re-scanned.  A range that is not
-    finite — the field holds NaN/Inf, or ``max - min`` overflows — yields
-    no usable bound and is rejected like any other bad bound.
+    the field's value range pass it as ``data_range`` so ``data`` is not
+    re-scanned.  A range that is not finite — the field holds NaN/Inf, or
+    ``max - min`` overflows — yields no usable bound and is rejected like
+    any other bad bound.
     """
     if (error_bound is None) == (rel_error_bound is None):
         raise CompressionError(

@@ -289,27 +289,8 @@ class TestValidProbes:
         assert repro.compress(x, processes=2, **call) == repro.compress(x, **call)
 
 
-#: ROADMAP item 4(P2): a float32 field's relative bound is scaled by a
-#: float32 difference on the single route and a float64 one on the
-#: chunked route (both pinned by golden streams), so the two eb values
-#: differ in the last bits: on these fields, in 14 of the 19 float32
-#: ``rel:`` cases (the 2-D field's two ranges round alike)
-ONE_CHUNK_DIFFERS = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 4(P2): float32 rel: bound scaled differently",
-)
-ONE_CHUNK = [
-    pytest.param(*case.values, id=case.id, marks=(
-        ONE_CHUNK_DIFFERS
-        if case.values[2] is np.float32 and case.values[3].is_relative
-        and case.values[1] != 2 else ()
-    ))
-    for case in MATRIX
-]
-
-
 class TestOneChunkContainer:
-    @pytest.mark.parametrize("codec,ndim,dtype,bound", ONE_CHUNK)
+    @pytest.mark.parametrize("codec,ndim,dtype,bound", MATRIX)
     def test_it_holds_the_single_route_stream(self, codec, ndim, dtype, bound):
         x, _ = probe(codec, ndim, dtype, bound)
         plain = repro.compress(x, codec=codec, bound=bound)

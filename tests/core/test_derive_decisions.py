@@ -7,7 +7,11 @@ metric it records what Algorithm 1 and the Table I tuner decided, how
 many trials they ran, and a digest of the stream those decisions
 produced.  Any optimisation of the derivation has to reproduce all of it
 bit for bit — a moved (alpha, beta), a different interpolator at one
-level or one extra trial is a behaviour change, not a speed-up.
+level or one extra trial is a behaviour change, not a speed-up.  The
+stream digests of the float32 miranda, scale, nyx and hurricane cases
+were regenerated once, on purpose, when a relative bound's value range
+became the float64 difference of the field's extremes on every route
+(no decision or counter moved; cesm, rtm and float64 kept theirs).
 
 Regenerate ONLY against a revision whose decisions are the ones being
 pinned:

@@ -1,5 +1,7 @@
 """Tests for the composed symbol-stream codec (remap + RLE + Huffman)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from repro.encoding.codec import (
     estimate_stream_bits,
     shannon_bits,
 )
+from repro.errors import DecompressionError
 
 
 class TestSymbolStream:
@@ -55,6 +58,52 @@ class TestSymbolStream:
         blob = encode_symbol_stream(codes)
         np.testing.assert_array_equal(decode_symbol_stream(blob), codes)
         assert len(blob) < 400
+
+
+class TestForgedCounts:
+    """A forged count is refused before it sizes anything: no Huffman
+    table is built and no token decoded, so the traced peak stays below
+    the stream's own size (with the check removed, these ~16 KB and
+    ~22 KB streams trace ~0.2 MB and ~7 MB: a table, then the tokens)."""
+
+    @staticmethod
+    def forge_count(blob, n):
+        assert 0 < n < 2**64
+        return n.to_bytes(8, "big") + blob[8:]  # the leading u64 count
+
+    @staticmethod
+    def uses_runs(blob):
+        reader = BitReader(blob)
+        for width in (64, 32, 32):  # count, offset, alphabet
+            reader.read_uint(width)
+        return bool(reader.read_uint(1))
+
+    @staticmethod
+    def refused_peak(blob, **kwargs):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecompressionError, match="exceeds"):
+                decode_symbol_stream(blob, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_count_past_the_stream_length(self, rng):
+        # without run tokens every symbol costs at least one bit
+        blob = encode_symbol_stream(rng.integers(0, 200, 1 << 14))
+        assert not self.uses_runs(blob)
+        for n in (len(blob) * 8 + 1, 2**62):
+            assert self.refused_peak(self.forge_count(blob, n)) < len(blob)
+
+    def test_a_token_count_past_the_symbol_count(self, rng):
+        # every token yields a symbol; the caller's max_size bounds n, so
+        # n_tokens <= n is what bounds the token decode
+        codes = rng.integers(0, 16, 1 << 16)
+        codes[rng.random(codes.size) < 0.6] = 7
+        blob = encode_symbol_stream(codes)
+        assert self.uses_runs(blob)
+        forged = self.forge_count(blob, 1)
+        assert self.refused_peak(forged, max_size=1) < len(blob)
 
 
 class TestEstimate:

@@ -1,15 +1,18 @@
 """Tests for the lossless byte / float coders."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encoding.bitstream import BitWriter
 from repro.encoding.lossless import (
     compress_bytes,
     compress_floats_lossless,
     decompress_bytes,
     decompress_floats_lossless,
 )
+from repro.errors import DecompressionError
 
 
 class TestCompressBytes:
@@ -103,6 +106,21 @@ class TestFloatsLossless:
         blob = compress_floats_lossless(vals)
         np.testing.assert_array_equal(decompress_floats_lossless(blob), vals)
         assert len(blob) < 1000
+
+    def test_a_length_past_the_payload_is_truncation(self):
+        # the 17-byte framing (u64 count, u8 dtype, u64 payload length)
+        # declaring one byte more than follows it: the payload would
+        # still decode whole, so only the length check refuses it
+        vals = np.linspace(0.0, 1.0, 100)
+        blob = compress_floats_lossless(vals)
+        framing = BitWriter()
+        framing.write_uint(vals.size, 64)
+        framing.write_uint(1, 8)  # float64
+        framing.write_uint(len(blob) - 17 + 1, 64)
+        forged = framing.getvalue() + blob[17:]
+        assert len(forged) == len(blob)
+        with pytest.raises(DecompressionError, match="truncated"):
+            decompress_floats_lossless(forged)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro.chunked.api import CompressJob
-from repro.compressors.base import _admit_bound
 from repro.core.qoz import FAN_OUT_MIN_POINTS, QoZ
 from repro.core.selection import SelectionResult
 from repro.core.tuning import (
@@ -41,7 +40,7 @@ from repro.parallel import (
     shutdown_pool,
 )
 from repro.parallel.executor import kept_pool
-from repro.utils import ErrorBound
+from repro.utils import ErrorBound, admit_bound
 
 PINNED = json.loads(
     (pathlib.Path(__file__).parent.parent / "data" / "derive_decisions.json")
@@ -62,7 +61,7 @@ def nothing_left_behind():
 def derive(data, metric, fan_out=None):
     """``(plan, tuning outcome)`` of one QoZ derive, admitted as
     ``QoZ.compress`` admits it."""
-    eb, vrange = _admit_bound(data, None, REL)
+    eb, vrange = admit_bound(data, None, REL)
     plan, (_selection, tuning) = QoZ(metric=metric)._derive(
         data, eb, vrange, fan_out
     )

@@ -157,6 +157,25 @@ def test_the_constant_field_fallback_is_written_once():
     assert sites == [("utils.py", "resolve_error_bound")]
 
 
+def test_a_value_range_is_subtracted_once():
+    # ``max(...) - min(...)``: the scale of a relative bound and of PSNR,
+    # one float64 difference on every route (a second one rounded a
+    # float32 field's range differently on the single route)
+    def names(node):
+        return {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+
+    sites = [
+        (path.relative_to(SRC).as_posix(), func.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and "max" in names(node.left) and "min" in names(node.right)
+    ]
+    assert sites == [("utils.py", "value_range")]
+
+
 def test_the_scheduler_borrows_the_library_walk():
     tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
     names = {

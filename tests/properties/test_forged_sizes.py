@@ -15,7 +15,11 @@ request or response body — and forges it once:
   declared-size checks can refuse);
 * one lossless-float section (a stream's known values or outliers)
   replaced by a framing that declares 2**36 float32 values over such a
-  bomb of 2**38 bytes, which only the framing's own value bound refuses.
+  bomb of 2**38 bytes, which only the framing's own value bound refuses;
+* the payload's section count lowered below the codec's own (a
+  well-formed, shorter section table, which only the codec's count
+  check refuses): not drawn, but tried for every shorter count of every
+  codec and dtype.
 
 The decode must then raise a :class:`~repro.errors.ReproError` or return
 what the forged input declares (an array of the header's shape and dtype,
@@ -245,10 +249,10 @@ FRAMED_SECTIONS = {"qoz": (1, 3), "sz3": (1, 3), "sz2": (3,), "mgard": (2,)}
 
 class Forgery(NamedTuple):
     target: str
-    kind: str  # "window", "flip", "truncate", "bomb" or "framed"
+    kind: str  # "window", "flip", "truncate", "bomb", "framed" or "sections"
     offset: int  # byte offset; the section index of a bomb or framed bomb
     width: int = 0  # window bytes
-    value: int = 0  # the size written, or the bit flipped
+    value: int = 0  # the size or section count written, or the bit flipped
     order: str = "little"
 
     def apply(self, blob):
@@ -258,6 +262,10 @@ class Forgery(NamedTuple):
             out = bytearray(blob)
             out[self.offset] ^= 1 << self.value
             return bytes(out)
+        if self.kind == "sections":
+            _, off = parse_header(blob)
+            count = self.value.to_bytes(4, "little")  # pack_sections' u32
+            return blob[:off] + count + blob[off + 4:]
         if self.kind in ("bomb", "framed"):
             _, off = parse_header(blob)
             sections = unpack_sections(blob, off)
@@ -465,6 +473,20 @@ def test_a_framed_bomb_is_refused_by_the_value_bound(clients, name, section):
     finally:
         tracemalloc.stop()
     assert peak <= budget, f"traced peak {peak} > {budget}"
+
+
+@pytest.mark.parametrize(
+    "name", [f"{codec}-{dtype}" for codec in CODECS for dtype in ("float32", "float64")]
+)
+def test_a_short_section_table_is_refused_by_the_codec(name):
+    """Each codec checks its payload's section count before it indexes a
+    section: a well-formed table of fewer sections is a typed error."""
+    target = corpus()[name]
+    _, off = parse_header(target.blob)
+    for count in range(len(unpack_sections(target.blob, off))):
+        forged = Forgery(name, "sections", 0, value=count).apply(target.blob)
+        with pytest.raises(DecompressionError, match="must have .* sections"):
+            target.decode(None, forged)
 
 
 @pytest.mark.parametrize("route", ["read", "pool-read", "serve-read", "pool-serve-read"])

@@ -6,8 +6,9 @@
 #   tools/check.sh --fast   wire golden, structure pins, the three
 #                           contract properties (error bound, route
 #                           matrix, forged sizes), pooled-derive identity,
-#                           generator digests, entropy decoder, SSIM's box
-#                           mean against SciPy (seconds)
+#                           generator digests, entropy coder (run tokens,
+#                           estimator, decoder), SSIM's box mean against
+#                           SciPy (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -16,7 +17,7 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + decoder + box mean =="
+echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + entropy coder + box mean =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/properties/test_error_bound.py tests/api/test_route_matrix.py \
     tests/properties/test_forged_sizes.py \
@@ -25,6 +26,7 @@ python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/encoding/test_golden_streams.py \
     tests/encoding/test_decode_vectorized.py \
     tests/encoding/test_huffman.py \
+    tests/encoding/test_rle.py tests/encoding/test_codec.py \
     tests/metrics/test_box_mean.py -q
 
 if python -c "import mypy" 2>/dev/null; then
