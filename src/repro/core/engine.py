@@ -145,6 +145,9 @@ def execute_passes(
             else:
                 recon = quantizer.dequantize(pred.size, pred, lp.eb)
                 targets[...] = recon
+            # a pass's prediction and reconstruction (up to a field's
+            # worth each) go before the next pass allocates its own
+            del pred, recon
 
 
 def seed_known_points(
@@ -186,7 +189,8 @@ def interp_compress(
     """Full compression run.
 
     Returns ``(codes, outliers, known, work)`` — quantization codes in
-    pass order, exact outlier values, losslessly-kept points, and the
+    pass order (the quantizer's narrow type, uint16 at the default
+    radius), exact outlier values, losslessly-kept points, and the
     reconstruction the decompressor will produce (useful for online
     metric evaluation without a decompression round-trip).  Callers that
     discard the reconstruction should pass ``keep_work=False``: the full
@@ -211,7 +215,8 @@ def interp_decompress(
     outliers: np.ndarray,
     known: np.ndarray,
 ) -> np.ndarray:
-    """Inverse of :func:`interp_compress` (one field, not a stack)."""
+    """Inverse of :func:`interp_compress` (one field, not a stack);
+    ``codes`` may be any non-negative integer array, int64 included."""
     # every point is either a seeded known point or carries one quant
     # code; a mismatch means the header shape or the payload is corrupt —
     # check with exact int arithmetic before sizing any allocation off

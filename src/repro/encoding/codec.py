@@ -20,14 +20,16 @@ from repro.encoding.rle import (
     tokenize_runs,
 )
 from repro.errors import DecompressionError
+from repro.utils import as_index_array, index_dtype
 
 #: apply run tokenization when the dominant symbol covers this fraction
 RLE_DOMINANCE_THRESHOLD = 0.25
 
 
 def encode_symbol_stream(codes: np.ndarray) -> bytes:
-    """Encode a non-negative int array into a self-describing byte string."""
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    """Encode a non-negative integer array, taken in its own dtype, into a
+    self-describing byte string."""
+    codes = as_index_array(codes)
     writer = BitWriter()
     writer.write_uint(codes.size, 64)
     if codes.size == 0:
@@ -69,6 +71,10 @@ def decode_symbol_stream(blob: bytes, max_size: int | None = None) -> np.ndarray
     declare an arbitrarily large count, so callers that know a bound
     should always pass it — the declared count is then rejected *before*
     it sizes any allocation.
+
+    The symbols come back in the narrowest type that holds the largest
+    one the header allows, ``lo + alphabet - 1``: uint16 for a
+    quantizer's codes, uint8 for bytes.
     """
     reader = BitReader(blob)
     n = reader.read_uint(64)
@@ -86,6 +92,7 @@ def decode_symbol_stream(blob: bytes, max_size: int | None = None) -> np.ndarray
     # before sizing any output allocation off it
     if not rle and n > reader.remaining:
         raise DecompressionError("symbol count exceeds stream length")
+    dtype = index_dtype(lo + alphabet - 1)
     if rle:
         dom = reader.read_uint(32)
         n_tokens = reader.read_uint(64)
@@ -93,16 +100,20 @@ def decode_symbol_stream(blob: bytes, max_size: int | None = None) -> np.ndarray
             raise DecompressionError(
                 "token count exceeds declared symbol count"
             )
+        if dom >= alphabet:  # the encoder's dominant symbol is in its alphabet
+            raise DecompressionError("dominant symbol outside the alphabet")
         code = HuffmanCode.deserialize(reader, alphabet + RUN_CLASSES)
-        tokens = code.decode(reader, n_tokens)
+        tokens = code.decode(
+            reader, n_tokens, index_dtype(alphabet + RUN_CLASSES - 1)
+        )
         widths = run_token_widths(tokens, alphabet)
         extra_vals = reader.read_varwidth_array(widths)
         syms = detokenize_runs(
-            tokens, extra_vals, dom, alphabet, expected_size=n
+            tokens, extra_vals, dom, alphabet, expected_size=n, dtype=dtype
         )
     else:
         code = HuffmanCode.deserialize(reader, alphabet)
-        syms = code.decode(reader, n)
+        syms = code.decode(reader, n, dtype)
     if syms.size != n:
         raise DecompressionError(
             f"symbol stream decoded to {syms.size} symbols, expected {n}"
@@ -130,7 +141,7 @@ def estimate_stream_bits(codes: np.ndarray) -> float:
     token stream itself is never materialized, because QoZ's (alpha, beta)
     auto-tuning calls this for every candidate trial.
     """
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    codes = as_index_array(codes)
     if codes.size == 0:
         return 0.0
     lo = int(codes.min())

@@ -249,8 +249,14 @@ class HuffmanCode:
         chain.reshape(n_anchor, stride)[:] = lanes.T
         return chain[: m + 1]
 
-    def decode(self, reader: BitReader, count: int) -> np.ndarray:
-        """Decode ``count`` symbols from ``reader`` (vectorized).
+    def decode(
+        self,
+        reader: BitReader,
+        count: int,
+        dtype: "np.dtype[np.generic] | type" = np.int64,
+    ) -> np.ndarray:
+        """Decode ``count`` symbols from ``reader`` (vectorized) into an
+        array of ``dtype``, which must hold every symbol of the code.
 
         Works in blocks of at most ``_BLOCK_BITS`` bits.  Per block, every
         bit offset is resolved to a speculative (symbol, next offset) pair
@@ -265,7 +271,7 @@ class HuffmanCode:
         in place; the decoder itself allocates only its output.
         """
         if count == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=dtype)
         if count > reader.remaining:  # every codeword costs >= 1 bit
             raise DecompressionError("huffman stream exhausted")
         tables = self._ensure_decode_table()
@@ -273,7 +279,7 @@ class HuffmanCode:
         has_escapes, bits_per_codeword = tables[7:]
         pos = start_pos = reader.position
         nbits_total = reader.bit_length
-        out = np.empty(count, dtype=np.int64)
+        out = np.empty(count, dtype=dtype)
         produced = 0
         # + 128: the links just past a block (MAX_CODE_LENGTH + 1 of them)
         # and the last, partly idle lane of anchors (at most 127 slots)
@@ -313,15 +319,17 @@ class HuffmanCode:
             # boundary position survives the jump composition)
             nxt += identity[:ext]
             chain = self._extract_chain(nxt, m, buf_a, buf_b)
-            # symbols whose codeword starts inside this block, gathered
-            # straight into the output; the >> 6 runs on just the chain
-            # entries, not every bit offset
+            # symbols whose codeword starts inside this block: their fused
+            # entries gathered into the spare row (the lanes are done with
+            # it), then the >> 6 writes them into the output in its dtype;
+            # both run on just the chain entries, not every bit offset
             k = min(int(np.searchsorted(chain, span, side="left")), m)
-            emitted = out[produced : produced + k]
-            np.take(entry, chain[:k], out=emitted, mode="clip")
-            emitted >>= 6
-            if n_esc and emitted.min(initial=0) < 0:
+            fused = np.take(entry, chain[:k], out=buf_a[:k], mode="clip")
+            if n_esc and fused.min(initial=0) < 0:
                 raise DecompressionError("invalid huffman code")
+            np.right_shift(
+                fused, 6, out=out[produced : produced + k], casting="unsafe"
+            )
             produced += k
             pos += int(chain[k])
         if pos > nbits_total:

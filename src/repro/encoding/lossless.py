@@ -28,8 +28,7 @@ def compress_bytes(data: bytes) -> bytes:
     if len(data) == 0:
         return bytes([0, _RAW])
     if len(data) > _MIN_CODED_BYTES:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        coded = encode_symbol_stream(buf.astype(np.int64))
+        coded = encode_symbol_stream(np.frombuffer(data, dtype=np.uint8))
         if len(coded) < len(data):
             return bytes([1, _CODED]) + coded
     return bytes([1, _RAW]) + data
@@ -50,7 +49,7 @@ def decompress_bytes(blob: bytes, max_size: int | None = None) -> bytes:
         return blob[2:]
     if mode == _CODED:
         decoded = decode_symbol_stream(blob[2:], max_size=max_size)
-        return decoded.astype(np.uint8).tobytes()
+        return decoded.astype(np.uint8, copy=False).tobytes()
     raise DecompressionError(f"unknown lossless mode {mode}")
 
 

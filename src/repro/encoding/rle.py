@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import DecompressionError
+from repro.utils import as_index_array, index_dtype
 
 #: number of run-length classes (supports runs up to 2**63 - 1)
 RUN_CLASSES = 64
@@ -47,10 +48,11 @@ def tokenize_runs(
     """Replace runs of ``dominant`` with run tokens.
 
     Returns ``(tokens, extra_values, extra_widths)`` where tokens live in
-    ``[0, alphabet_size + RUN_CLASSES)`` and the extras encode run-length
-    remainders (aligned with run tokens, in stream order).
+    ``[0, alphabet_size + RUN_CLASSES)``, in the narrowest type that holds
+    them, and the extras encode run-length remainders (aligned with run
+    tokens, in stream order).
     """
-    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+    symbols = as_index_array(symbols)
     literal_at, gaps = _run_gaps(symbols, dominant)
     # index, not mask: on an unpredictable pattern the boolean gather is
     # several times slower than flatnonzero + take
@@ -62,7 +64,10 @@ def tokenize_runs(
     # behind the runs of every gap up to its own, the r-th run behind the
     # literals before its gap and the r runs before it
     runs_before = np.cumsum(has_run[:-1])
-    tokens = np.empty(literal_at.size + run_at.size, dtype=np.int64)
+    tokens = np.empty(
+        literal_at.size + run_at.size,
+        dtype=index_dtype(alphabet_size + RUN_CLASSES - 1),
+    )
     tokens[np.arange(literal_at.size) + runs_before] = symbols[literal_at]
     tokens[run_at + np.arange(run_at.size)] = alphabet_size + k
     return tokens, (lens - (np.int64(1) << k)).astype(np.uint64), k.astype(np.uint8)
@@ -83,7 +88,7 @@ def run_token_histogram(
     ``np.bincount(tokens)`` would produce, which is what makes the Shannon
     estimator over it bit-for-bit identical to scoring real tokens.
     """
-    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+    symbols = as_index_array(symbols)
     if counts is None:
         counts = np.bincount(symbols) if symbols.size else np.zeros(1, np.int64)
     literals = counts.copy()
@@ -101,8 +106,10 @@ def detokenize_runs(
     dominant: int,
     alphabet_size: int,
     expected_size: int | None = None,
+    dtype: "np.dtype[np.generic] | type" = np.int64,
 ) -> np.ndarray:
-    """Inverse of :func:`tokenize_runs`.
+    """Inverse of :func:`tokenize_runs`, into an array of ``dtype``
+    (which must hold ``dominant`` and every literal token).
 
     Every run length is validated *before* any expansion is allocated: a
     run token of class ``k`` must carry an extra value below ``2**k``
@@ -112,13 +119,13 @@ def detokenize_runs(
     of silently mis-decoding or ballooning the output into an
     attacker-controlled allocation.
     """
-    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    tokens = as_index_array(tokens)
     if tokens.size == 0:
         if expected_size not in (None, 0):
             raise DecompressionError("run token stream decoded to 0 symbols")
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype)
     is_run = tokens >= alphabet_size
-    k = tokens[np.flatnonzero(is_run)] - alphabet_size
+    k = tokens[np.flatnonzero(is_run)] - np.int64(alphabet_size)
     if (k >= RUN_CLASSES).any() or tokens.min() < 0:
         raise DecompressionError("corrupt run token stream")
     if k.size != extra_values.size:
@@ -149,7 +156,7 @@ def detokenize_runs(
     slot = literal_at - np.arange(literal_at.size)
     np.take(grown, slot, out=slot)
     slot += literal_at
-    out = np.full(total, dominant, dtype=np.int64)
+    out = np.full(total, dominant, dtype=dtype)
     out[slot] = tokens[literal_at]
     return out
 
@@ -157,4 +164,4 @@ def detokenize_runs(
 def run_token_widths(tokens: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Per-run-token extra-bit widths, recoverable from the tokens alone."""
     run_at = np.flatnonzero(tokens >= alphabet_size)  # index, not mask
-    return (tokens[run_at] - alphabet_size).astype(np.uint8)
+    return (tokens[run_at] - np.int64(alphabet_size)).astype(np.uint8)

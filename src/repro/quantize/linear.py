@@ -19,11 +19,18 @@ from typing import List
 import numpy as np
 
 from repro.errors import DecompressionError
+from repro.utils import index_dtype
 
 #: default number of bins on each side of zero (SZ uses 2^15)
 DEFAULT_RADIUS = 32768
 #: reserved quantization code marking an exactly-stored point
 OUTLIER_CODE = 0
+
+
+def code_dtype(radius: int) -> np.dtype:
+    """The dtype of a quantizer's codes: the narrowest that holds the
+    largest, ``2 * radius - 1`` (uint16 at :data:`DEFAULT_RADIUS`)."""
+    return index_dtype(2 * radius - 1)
 
 
 def quantize_block(
@@ -35,9 +42,9 @@ def quantize_block(
 ):
     """Quantize one prediction pass.
 
-    Returns ``(codes, recon, outlier_values)``: non-negative int64 codes
-    (0 = outlier), the reconstructed values (exact at outliers), and the
-    outlier values in scan order.
+    Returns ``(codes, recon, outlier_values)``: non-negative codes of
+    :func:`code_dtype` (0 = outlier), the reconstructed values (exact at
+    outliers), and the outlier values in scan order.
 
     ``cast_dtype`` is the dtype the decompressed array will finally be
     cast to; the bound is verified against the *cast* reconstruction so
@@ -52,24 +59,24 @@ def quantize_block(
     recon = np.multiply(q, 2.0 * eb)
     recon += preds
     if np.dtype(cast_dtype) == np.float64:
-        delivered = recon  # already what the user receives; no cast round-trip
+        err = values - recon  # already what the user receives
     else:
-        delivered = recon.astype(cast_dtype).astype(np.float64)
-    err = values - delivered
+        # float64 - float32 promotes the cast value exactly: the same bits
+        # as a float64 copy of the cast reconstruction, one temporary less
+        err = values - recon.astype(cast_dtype)
     np.abs(err, out=err)
     ok = err <= eb
     np.abs(q, out=err)  # reuse the scratch for |q|
     ok &= err < radius
-    codes = q.astype(np.int64)
-    codes += radius
+    q += radius  # exact for every in-range bin
     if ok.all():
         # the usual pass: nothing to store exactly, nothing to patch
-        return codes, recon, np.empty(0, dtype=np.float64)
+        return q.astype(code_dtype(radius)), recon, np.empty(0, dtype=np.float64)
     bad = ~ok
-    codes[bad] = OUTLIER_CODE
+    q[bad] = OUTLIER_CODE  # before the cast: only in-range bins are cast
     outliers = values[bad]
     recon[bad] = outliers
-    return codes, recon, outliers
+    return q.astype(code_dtype(radius)), recon, outliers
 
 
 def reconstruct_block(
@@ -92,6 +99,10 @@ def reconstruct_block(
 @dataclass
 class LinearQuantizer:
     """Stateful quantizer accumulating codes/outliers across passes.
+
+    Codes come out as :func:`code_dtype` of ``radius``; the decoder takes
+    any non-negative integer array (int64 included) and converts one
+    pass's slice at a time, never the whole stream.
 
     Compression side::
 
@@ -117,9 +128,8 @@ class LinearQuantizer:
         """Decode set-up: the facts of the stream, taken once, not per pass."""
         if self.codes is None:
             return
-        codes = np.asarray(self.codes)
-        self._centred = codes - float(self.radius)  # exact: small integers
-        self._outlier_at = np.flatnonzero(codes == OUTLIER_CODE)
+        self.codes = np.asarray(self.codes)
+        self._outlier_at = np.flatnonzero(self.codes == OUTLIER_CODE)
         if self._outlier_at.size > self.outliers.size:
             raise DecompressionError("outlier stream exhausted")
 
@@ -139,7 +149,7 @@ class LinearQuantizer:
         codes = (
             np.concatenate(self._code_chunks)
             if self._code_chunks
-            else np.zeros(0, dtype=np.int64)
+            else np.zeros(0, dtype=code_dtype(self.radius))
         )
         outliers = (
             np.concatenate(self._outlier_chunks)
@@ -157,7 +167,10 @@ class LinearQuantizer:
         """
         preds = np.asarray(preds, dtype=np.float64)
         start, stop = self._code_pos, self._code_pos + count
-        flat = self._centred[start:stop] * (2.0 * eb)
+        # the centred bins are small integers, exact in float64
+        flat = self.codes[start:stop].astype(np.float64)
+        flat -= self.radius
+        flat *= 2.0 * eb
         if flat.size != count:
             raise DecompressionError("quantization code stream exhausted")
         self._code_pos = stop

@@ -249,3 +249,23 @@ def next_pow2(n: int) -> int:
 def is_pow2(n: int) -> bool:
     """True when n is a positive power of two."""
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def index_dtype(max_value: int) -> np.dtype:
+    """Narrowest unsigned integer dtype holding ``0..max_value``: the
+    type of a code or symbol array whose largest value is known.  Past
+    uint32 it is int64, never uint64, which ``np.bincount`` refuses."""
+    for t in (np.uint8, np.uint16, np.uint32):
+        if max_value <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def as_index_array(values) -> np.ndarray:
+    """``values`` as a contiguous integer array, kept in its own dtype
+    when ``np.bincount`` takes that (every signed type and unsigned up to
+    uint32), as int64 otherwise (uint64, bool, float, a list)."""
+    a = np.ascontiguousarray(values)
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp):
+        return a
+    return a.astype(np.int64)

@@ -24,7 +24,7 @@ from repro.core.engine import InterpPlan, LevelPlan, interp_compress
 #: fixed scratch allowance (decode/encode tables, small streams, sample
 #: blocks) independent of how large the field is
 _SCRATCH_FIXED = 8e6  # bytes
-#: per-chunk allowance: float64 work copy + int64 codes + a few encode
+#: per-chunk allowance: float64 work copy + the codes + a few encode
 #: passes over the chunk
 _CHUNK_FACTOR = 24.0  # x one chunk's float64 bytes
 

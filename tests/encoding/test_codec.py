@@ -60,6 +60,66 @@ class TestSymbolStream:
         assert len(blob) < 400
 
 
+def forge_field(blob, offset, width, value):
+    """``blob`` with the ``width``-bit field at bit ``offset`` (MSB first)
+    set to ``value``."""
+    shift = 8 * len(blob) - offset - width
+    x = int.from_bytes(blob, "big") & ~(((1 << width) - 1) << shift)
+    return (x | value << shift).to_bytes(len(blob), "big")
+
+
+#: bit offsets of two header fields, behind the u64 count: the u32
+#: offset (lo), and the u32 dominant symbol behind the u32 alphabet and
+#: the run flag (run streams only)
+LO_AT, DOMINANT_AT = 64, 129
+
+
+class TestSymbolDtype:
+    """The decoder takes the symbol type from the header's largest value,
+    ``lo + alphabet - 1`` (DESIGN.md §6); the encoder takes any integer
+    array as it comes, and its bytes do not depend on the dtype."""
+
+    @pytest.mark.parametrize("runs", [False, True], ids=["plain", "runs"])
+    @pytest.mark.parametrize(
+        "lo, span, dtype",
+        [(0, 256, np.uint8), (32700, 140, np.uint16),
+         (10**6, 40, np.uint32), (2**32 - 1, 40, np.int64)],
+    )
+    def test_the_header_sets_it(self, rng, lo, span, dtype, runs):
+        codes = lo + rng.integers(0, span, 4000)
+        codes[rng.random(codes.size) < (0.7 if runs else 0.0)] = lo + 1
+        codes[:2] = lo, lo + span - 1  # the alphabet is exactly `span`
+        blob = encode_symbol_stream(codes)
+        assert _uses_runs(blob) is runs
+        if np.can_cast(np.min_scalar_type(codes.max()), dtype):
+            assert encode_symbol_stream(codes.astype(dtype)) == blob
+        out = decode_symbol_stream(blob)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, codes)
+
+    @pytest.mark.parametrize("runs", [False, True], ids=["plain", "runs"])
+    def test_a_forged_offset_widens_the_type_and_cannot_wrap(self, rng, runs):
+        codes = rng.integers(0, 200, 3000)
+        codes[rng.random(codes.size) < (0.7 if runs else 0.0)] = 5
+        codes[0] = 0
+        blob = encode_symbol_stream(codes)
+        assert _uses_runs(blob) is runs
+        lo = 2**32 - 1
+        out = decode_symbol_stream(forge_field(blob, LO_AT, 32, lo))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, codes + lo)
+
+    def test_a_forged_dominant_symbol_is_refused(self, rng):
+        codes = rng.integers(0, 300, 3000)
+        codes[rng.random(codes.size) < 0.7] = 5
+        blob = encode_symbol_stream(codes)
+        assert _uses_runs(blob)
+        alphabet = int(codes.max() - codes.min()) + 1
+        for dom in (alphabet, 70000, 2**32 - 1):
+            with pytest.raises(DecompressionError, match="dominant"):
+                decode_symbol_stream(forge_field(blob, DOMINANT_AT, 32, dom))
+
+
 class TestForgedCounts:
     """A forged count is refused before it sizes anything: no Huffman
     table is built and no token decoded, so the traced peak stays below

@@ -94,7 +94,10 @@ class TestEarlyReturnEqualsMaskedPath:
         got = quantize_block(values, preds, eb, **kw)
         with np.errstate(invalid="ignore"):
             want = _quantize_block_masked(values, preds, eb, **kw)
-        for g, w in zip(got, want):
+        # the codes come narrow (TestCodeDtype): compare their values
+        assert got[0].shape == want[0].shape
+        np.testing.assert_array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)  # NaN == NaN here
         return got
@@ -184,9 +187,9 @@ class TestLinearQuantizerState:
             reconstruct_block(codes, np.zeros(3), 1e-3, np.zeros(0))
 
     def test_decode_equals_the_per_pass_formulation(self, rng):
-        """Set-up hoists the centring and the outlier mask out of the
-        passes; every pass must still give the bits of the formula it
-        replaced, outliers and strided predictions included."""
+        """Set-up hoists the outlier mask out of the passes, and each
+        pass centres its own slice; every pass must still give the bits
+        of the formula, outliers and strided predictions included."""
 
         def per_pass(codes, preds, eb, outliers, radius):
             recon = preds + (2.0 * eb) * (codes.astype(np.float64) - radius)
@@ -219,6 +222,37 @@ class TestLinearQuantizerState:
     def test_empty_harvest(self):
         codes, outliers = LinearQuantizer().harvest()
         assert codes.size == 0 and outliers.size == 0
+
+
+class TestCodeDtype:
+    """The code type is one decision, taken from the radius: the
+    narrowest unsigned type that holds the top code, ``2 * radius - 1``."""
+
+    @pytest.mark.parametrize(
+        "radius, dtype",
+        [(128, np.uint8), (DEFAULT_RADIUS, np.uint16),
+         (DEFAULT_RADIUS + 1, np.uint32)],
+    )
+    def test_the_radius_sets_it(self, radius, dtype):
+        eb = 1e-3
+        # the top and bottom bins, a zero residual and two outliers (out
+        # of range, NaN): only in-range bins reach the cast
+        steps = np.array([radius - 1, -(radius - 1), 0, 4 * radius, 0.0])
+        values = steps * (2 * eb)
+        values[-1] = np.nan
+        preds = np.zeros(values.size)
+        q = LinearQuantizer(radius)
+        with np.errstate(invalid="raise"):  # a cast of NaN or inf raises
+            recon = q.quantize(values, preds, eb)
+        codes, outliers = q.harvest()
+        assert codes.dtype == dtype
+        assert LinearQuantizer(radius).harvest()[0].dtype == dtype
+        assert codes.tolist() == [2 * radius - 1, 1, radius, 0, 0]
+        # the decoder takes the codes as they come, int64 included
+        for given_codes in (codes, codes.astype(np.int64)):
+            d = LinearQuantizer(radius, codes=given_codes, outliers=outliers)
+            got = d.dequantize(values.size, preds, eb)
+            assert got.tobytes() == recon.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

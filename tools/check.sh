@@ -8,7 +8,8 @@
 #                           matrix, forged sizes), pooled-derive identity,
 #                           generator digests, entropy coder (run tokens,
 #                           estimator, decoder), SSIM's box mean against
-#                           SciPy (seconds)
+#                           SciPy, the memory of one call and of the
+#                           entropy codec (seconds)
 #
 # mypy runs only when it is installed — the check environment is not
 # required to have it (CI's lint job always does).
@@ -17,7 +18,7 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + entropy coder + box mean =="
+echo "== wire golden + structure pins + error bound + route identity + forged sizes + digests + entropy coder + box mean + call memory =="
 python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/properties/test_error_bound.py tests/api/test_route_matrix.py \
     tests/properties/test_forged_sizes.py \
@@ -27,7 +28,8 @@ python -m pytest tests/wire tests/parallel/test_structure.py \
     tests/encoding/test_decode_vectorized.py \
     tests/encoding/test_huffman.py \
     tests/encoding/test_rle.py tests/encoding/test_codec.py \
-    tests/metrics/test_box_mean.py -q
+    tests/metrics/test_box_mean.py \
+    tests/api/test_call_memory.py tests/encoding/test_decode_memory.py -q
 
 if python -c "import mypy" 2>/dev/null; then
     echo "== mypy =="
