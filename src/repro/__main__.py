@@ -92,14 +92,6 @@ def _load_input(spec: str) -> np.ndarray:
     return np.load(spec, mmap_mode="r")
 
 
-def _stream_header(path: str):
-    """The fixed header of the stream stored at ``path``."""
-    from repro.core.header import HEADER_PROBE_BYTES, parse_header
-
-    with open(path, "rb") as fh:
-        return parse_header(fh.read(HEADER_PROBE_BYTES))[0]
-
-
 def _cmd_compress(args) -> int:
     import repro
 
@@ -128,51 +120,31 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     import repro
 
-    header = _stream_header(args.input)
     t0 = time.perf_counter()
-    if header.is_chunked:
-        # out of core: a whole container streams chunk by chunk into a
-        # .npy memmap; a slab decodes only the chunks it touches
-        with repro.open(args.input) as f:
-            if args.slab is None:
-                f.to_npy(args.output)
-                shape = f.shape
-            else:
-                out = f.read(args.slab)
-                np.save(args.output, out)
-                shape = out.shape
-    else:
-        recon = repro.decompress(args.input)
-        if args.slab is not None:
-            from repro.chunked import grid_for
-
-            # same slab validation/semantics as the chunked path (clean
-            # rank-mismatch errors instead of raw IndexErrors)
-            recon = recon[grid_for(recon.shape, recon.shape).normalize_slab(args.slab)]
-        np.save(args.output, recon)
-        shape = recon.shape
+    # out of core: a whole container streams chunk by chunk into a .npy
+    # memmap; a slab decodes only the chunks it touches (a plain stream
+    # is one chunk)
+    with repro.open(args.input) as f:
+        if args.slab is None:
+            f.to_npy(args.output)
+            shape = f.shape
+        else:
+            out = f.read(args.slab)
+            np.save(args.output, out)
+            shape = out.shape
+        dtype = f.dtype
     dt = time.perf_counter() - t0
     print(f"wrote {args.output}: shape={tuple(shape)} "
-          f"dtype={header.dtype} in {dt:.2f}s")
+          f"dtype={dtype} in {dt:.2f}s")
     return 0
 
 
 def _cmd_info(args) -> int:
-    import os
+    import repro
 
-    from repro.core.stream import summarize_header
-
-    header = _stream_header(args.input)
-    if header.is_chunked:
-        from repro.chunked import ChunkedFile
-
-        with ChunkedFile(args.input) as f:
-            info = f.describe()
-            entries = f.info.entries if args.list_chunks else None
-    else:
-        # header + on-disk size only; the payload is never read
-        info = summarize_header(header, os.path.getsize(args.input))
-        entries = None
+    with repro.open(args.input) as f:
+        info = f.describe()
+        entries = f.info.entries if args.list_chunks else None
     width = max(len(k) for k in info)
     for key, value in info.items():
         if isinstance(value, float):
@@ -193,17 +165,10 @@ def _cmd_info(args) -> int:
 def _cmd_verify(args) -> int:
     from repro.chunked import verify_container
 
-    header = _stream_header(args.input)
-    if not header.is_chunked:
-        # plain stream: the fixed header parsed (v3 would have checked
-        # its checksum here); payload integrity rests on decode guards
-        print(f"{args.input}: plain stream v{header.version}, "
-              f"header ok (no chunk index to verify)")
-        return 0
     report = verify_container(args.input)
     mode = "chunk checksums" if report.checksums else "structural bounds"
     if report.ok:
-        print(f"{args.input}: ok — v{report.version} container, "
+        print(f"{args.input}: ok — v{report.version} {report.kind}, "
               f"{report.n_chunks} chunk(s) verified ({mode})")
         return 0
     print(f"{args.input}: CORRUPT — {len(report.faults)} of "
@@ -294,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decompress",
         help="stream-decode a container to .npy (optionally just a hyperslab)",
     )
-    d.add_argument("input", help="compressed container (or plain stream) path")
+    d.add_argument("input", help="container or plain stream path")
     d.add_argument("output", help="output .npy path")
     d.add_argument("--slab", type=_parse_slab, default=None,
                    help="hyperslab to extract, e.g. '0:16,:,8:24' "
@@ -302,17 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_decompress)
 
     i = sub.add_parser("info", help="print stream metadata (no payload decode)")
-    i.add_argument("input", help="compressed stream path")
+    i.add_argument("input", help="container or plain stream path")
     i.add_argument("--list-chunks", action="store_true",
                    help="also print the per-chunk index table")
     i.set_defaults(func=_cmd_info)
 
     v = sub.add_parser(
         "verify",
-        help="verify a container's header and every chunk (checksums on "
-             "v3, structural bounds on v2); exit 1 listing corrupt chunks",
+        help="verify a stream's header and every chunk (checksums on a v3 "
+             "container, structural bounds on v2 and on a plain stream); "
+             "exit 1 listing corrupt chunks",
     )
-    v.add_argument("input", help="compressed container (or plain stream) path")
+    v.add_argument("input", help="container or plain stream path")
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser(

@@ -12,6 +12,10 @@ sit under them.  The routing follows **from arguments alone** (DESIGN.md
   container path;
 * otherwise the call is a plain single-array codec round-trip.
 
+Locally, reading has one path: ``decompress`` and ``open`` read every
+stream through :class:`~repro.chunked.api.ChunkedFile`, which opens a
+plain stream as a container of one chunk, itself.
+
 An error bound has one spelling, ``bound=``: an
 :class:`~repro.utils.ErrorBound`, ``"abs:1e-3"``, ``("rel", 1e-4)`` or a
 bare number (absolute), all parsed by :meth:`ErrorBound.parse`.
@@ -31,12 +35,8 @@ from repro.chunked.api import (
     PathLike,
     _write_container,
 )
-from repro.chunked.container import (
-    ContainerInfo,
-    as_fileobj,
-    parse_header_from,
-)
-from repro.compressors.base import decompress_any, get_compressor
+from repro.chunked.container import ContainerInfo
+from repro.compressors.base import get_compressor
 from repro.errors import CompressionError
 from repro.utils import BoundLike, ErrorBound, fans_out
 
@@ -157,9 +157,9 @@ def decompress(
 
     ``client=`` executes on a service (a path or open file is read here
     and its bytes shipped).  Locally, every source kind — bytes, a path,
-    an open binary file — has its stream header read once, then a chunked
-    container decodes through :meth:`ChunkedFile.to_array` (honoring
-    ``processes=``) and a plain stream through its codec's decoder.
+    an open binary file — decodes through :meth:`ChunkedFile.to_array`
+    (honoring ``processes=``): a plain stream is a container of one
+    chunk, which decodes as ``decompress_any`` does.
     """
     if client is not None:
         if fans_out(processes):
@@ -175,23 +175,15 @@ def decompress(
             f"{sorted(service_kwargs)} are service-call options; "
             "they need client="
         )
-    fh, own = as_fileobj(source)
-    try:
-        header, _ = parse_header_from(fh)
-        if header.is_chunked:
-            with ChunkedFile(fh) as f:
-                return f.to_array(processes)
-        fh.seek(0)
-        return decompress_any(fh.read())
-    finally:
-        if own:
-            fh.close()
+    with ChunkedFile(source) as f:
+        return f.to_array(processes)
 
 
 def open(
     source: Union[bytes, PathLike, BinaryIO], verify: bool = True
 ) -> ChunkedFile:
-    """Open a chunked container for random access (h5py-style).
+    """Open a stream for random access (h5py-style): a chunked container,
+    or a plain stream as a container of one chunk.
 
     Returns a :class:`~repro.chunked.api.ChunkedFile`; use it as a
     context manager.  ``verify=False`` skips per-chunk digest checks on

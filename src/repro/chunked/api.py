@@ -7,9 +7,11 @@ ONE absolute error bound (relative bounds are resolved against the *full*
 field's value range, so the container honors exactly the bound the
 unchunked path would), and packs them into a multi-chunk container.
 
-:class:`ChunkedFile` is the read side: it parses only the header and the
-chunk index, then decodes individual chunks or arbitrary hyperslabs on
-demand — reading just the byte ranges of the chunks touched.
+:class:`ChunkedFile` is the read side of every stream: it parses only the
+header and the chunk index, then decodes individual chunks or arbitrary
+hyperslabs on demand — reading just the byte ranges of the chunks
+touched.  A plain stream opens as a container of one chunk, itself, so
+``repro.decompress``, the service and the CLI read both kinds alike.
 
 Memory behavior: the file-to-file paths (``repro.compress(..., file=)``
 with a ``np.memmap`` input, ``ChunkedFile.to_npy``) keep peak memory
@@ -47,7 +49,7 @@ from repro.chunked.container import (
 )
 from repro.chunked.tiling import ChunkGrid, Slab, grid_for
 from repro.compressors.base import codec_name_for_id, decompress_any, get_compressor
-from repro.core.header import VERSION_CHECKSUM, chunk_digest, parse_header
+from repro.core.header import chunk_digest, parse_header
 from repro.core.plan_cache import FrozenPlan
 from repro.errors import (
     ChunkCorruptionError,
@@ -259,7 +261,8 @@ def _write_container(
 
 
 class ChunkedFile:
-    """Random-access reader over a chunked container (bytes, path, or file).
+    """Random-access reader over a stream (bytes, path, or file): a
+    chunked container, or a plain stream as a container of one chunk.
 
     Parsing touches only the header and the chunk index; chunk payloads
     are read lazily, one byte range per chunk.
@@ -326,7 +329,7 @@ class ChunkedFile:
         sizes = [e.nbytes for e in self.info.entries]
         raw = int(np.prod(self.shape)) * self.dtype.itemsize
         return {
-            "format": "chunked container (RPZ1 v%d)" % self.info.header.version,
+            "format": f"{self.info.kind} (RPZ1 v{self.info.header.version})",
             "codec": self.codec_name,
             "dtype": str(self.dtype),
             "shape": self.shape,
@@ -465,7 +468,10 @@ class ChunkedFile:
         worker write per chunk into a shared-memory output slab, no result
         pickling); the default decodes in-process.  Both paths execute the
         same :meth:`slab_plan`, so outputs are bit-identical by
-        construction.
+        construction.  In-process, a slab that is exactly one whole chunk
+        is that chunk's decoded array: no output is allocated before the
+        decode (whose guards size nothing from a forged header), and a
+        plain stream decodes as ``decompress_any`` does.
         """
         if fans_out(processes):
             from repro.parallel.executor import kept_pool
@@ -473,16 +479,18 @@ class ChunkedFile:
             with kept_pool(processes) as pool:
                 return self.submit_read(slab, pool).result()
         slab, parts = self.slab_plan(slab)
-        out = np.empty(
-            tuple(s.stop - s.start for s in slab), dtype=self.dtype
-        )
+        shape = tuple(s.stop - s.start for s in slab)
+        if len(parts) == 1 and self.info.entries[parts[0][0]].shape == shape:
+            return self.chunk(parts[0][0]).astype(self.dtype, copy=False)
+        out = np.empty(shape, dtype=self.dtype)
         for i, src, dst in parts:
             out[dst] = self.chunk(i)[src]
         return out
 
     def to_array(self, processes: Optional[int] = None) -> np.ndarray:
         """Decode the whole field: a :meth:`read` of the full slab (a
-        one-chunk container decodes in-process whatever ``processes``)."""
+        one-chunk container or a plain stream decodes in-process whatever
+        ``processes``)."""
         return self.read(
             tuple(slice(0, n) for n in self.shape),
             processes=processes if self.n_chunks > 1 else None,
@@ -533,13 +541,15 @@ class VerifyReport:
     """Outcome of walking a container's header and every chunk.
 
     ``checksums`` records whether content digests were available (v3) or
-    only structural checks ran (v2: byte-range sanity plus each chunk's
-    own stream header must parse and agree with the index entry).
+    only structural checks ran (v2 and a plain stream: byte-range sanity
+    plus each chunk's own stream header must parse and agree with the
+    index entry).  ``kind`` is ``ContainerInfo.kind``.
     """
 
     version: int
     n_chunks: int
     checksums: bool
+    kind: str
     faults: List[ChunkFault] = field(default_factory=list)
 
     @property
@@ -550,9 +560,11 @@ class VerifyReport:
 def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
     """Verify a container end to end without decoding any chunk payloads.
 
-    A corrupt fixed header (bad magic, truncated dims, failed v3 header
-    checksum) raises :class:`DecompressionError` outright — there is no
-    per-chunk report to give when the index itself cannot be trusted.
+    A plain stream is its own one chunk, checked structurally: its header
+    parses and gives the shape.  A corrupt fixed header (bad magic,
+    truncated dims, failed v3 header checksum) raises
+    :class:`DecompressionError` outright — there is no per-chunk report
+    to give when the index itself cannot be trusted.
     Per-chunk damage is *collected*, not raised, so one bad chunk does
     not hide the rest.
     """
@@ -561,7 +573,7 @@ def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
     # bytes of damaged chunks instead of dying on the first bad digest
     with ChunkedFile(source, verify=False) as f:
         info = f.info
-        checksums = info.header.version >= VERSION_CHECKSUM
+        checksums = all(e.checksum is not None for e in info.entries)
         for i, entry in enumerate(info.entries):
             try:
                 blob = f.chunk_bytes(i)
@@ -576,9 +588,9 @@ def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
                         )
                     )
                 continue
-            # v2: no digest column — validate what the format does pin
-            # down: the chunk's own stream header must parse and describe
-            # the shape the index claims
+            # v2 or a plain stream: no digest column — validate what the
+            # format does pin down: the chunk's own stream header must
+            # parse and describe the shape the index claims
             try:
                 head, _ = parse_header(blob)
             except DecompressionError as exc:
@@ -598,5 +610,6 @@ def verify_container(source: Union[bytes, PathLike, BinaryIO]) -> VerifyReport:
             version=info.header.version,
             n_chunks=len(info.entries),
             checksums=checksums,
+            kind=info.kind,
             faults=faults,
         )

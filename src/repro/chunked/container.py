@@ -10,7 +10,9 @@ A container is::
     chunk data   (each chunk an ordinary self-describing codec stream)
 
 New containers are written at v3 (``VERSION_CHECKSUM``); v2 containers
-(no checksums) remain fully readable, pinned by golden fixtures.
+(no checksums) remain fully readable, pinned by golden fixtures.  A plain
+stream (FLAG_CHUNKED clear) reads as a container of one chunk: itself
+(:func:`read_container_info`), so every reader takes one path.
 
 The index has a fixed size for a given (ndim, n_chunks), so
 :class:`ChunkedWriter` reserves it up front, streams compressed chunks to
@@ -51,13 +53,19 @@ from repro.errors import CompressionError, DecompressionError
 
 @dataclass(frozen=True)
 class ContainerInfo:
-    """Parsed metadata of a chunked container (no chunk payloads)."""
+    """Parsed metadata of a chunked container (no chunk payloads); a
+    plain stream's is one chunk, the stream itself."""
 
     header: StreamHeader
     grid: ChunkGrid
     entries: List[ChunkEntry]
     data_start: int  # absolute byte offset of the first chunk payload
     data_end: int  # absolute byte offset just past the stored bytes
+    plain: bool = False  # a plain stream read as a one-chunk container
+
+    @property
+    def kind(self) -> str:
+        return "plain stream" if self.plain else "chunked container"
 
     @property
     def total_bytes(self) -> int:
@@ -164,29 +172,32 @@ class ChunkedWriter:
             self.finalize()
 
 
-def parse_header_from(fileobj: BinaryIO, base: int = 0):
-    """Parse the fixed header of a stream stored in a seekable file."""
-    fileobj.seek(base)
-    return parse_header(fileobj.read(HEADER_PROBE_BYTES))
-
-
 def read_container_info(fileobj: BinaryIO, base: int = 0) -> ContainerInfo:
-    """Parse header + chunk index of a container without touching chunk data.
+    """Parse header + chunk index of a stream without touching chunk data.
 
-    The index is not checksummed, so it is checked against what the
-    header implies before anything is sized from it: the entries must fit
-    the stream, and their starts and shapes must be exactly the grid the
-    header shape and the nominal chunk shape tile.
+    The one place a reader tells the two stream kinds apart: a plain
+    stream (FLAG_CHUNKED clear) is a container of one chunk, itself —
+    the grid ``ChunkGrid(shape, shape)``, one entry at offset 0 spanning
+    the whole stream with no checksum, and ``data_start`` the stream's
+    own start.  A container's index is not checksummed, so it is checked
+    against what the header implies before anything is sized from it:
+    the entries must fit the stream, and their starts and shapes must be
+    exactly the grid the header shape and the nominal chunk shape tile.
     """
-    header, off = parse_header_from(fileobj, base)
+    fileobj.seek(base)
+    header, off = parse_header(fileobj.read(HEADER_PROBE_BYTES))
+    end = fileobj.seek(0, io.SEEK_END)
     if not header.is_chunked:
-        raise DecompressionError(
-            "stream is not a chunked container (FLAG_CHUNKED clear); "
-            "use repro.decompress() to decode a plain stream"
+        whole = ChunkEntry(
+            start=(0,) * len(header.shape), shape=header.shape, offset=0,
+            nbytes=end - base,
+        )
+        return ContainerInfo(
+            header=header, grid=ChunkGrid(header.shape, header.shape),
+            entries=[whole], data_start=base, data_end=end, plain=True,
         )
     ndim = len(header.shape)
     with_checksums = header.version == VERSION_CHECKSUM
-    end = fileobj.seek(0, io.SEEK_END)
     fileobj.seek(base + off)
     # the index size is known once n_chunks is — read its fixed prelude,
     # then the entries (v3 entries carry a trailing u64 digest)

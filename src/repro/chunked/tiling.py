@@ -9,6 +9,7 @@ out in a chunked container (:mod:`repro.chunked.container`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -139,22 +140,22 @@ class ChunkGrid:
         return tuple(out)
 
     def chunks_for_slab(self, slab: Slab) -> List[int]:
-        """Flat indices of every chunk intersecting a hyperslab."""
+        """Flat indices of every chunk intersecting a hyperslab, in
+        row-major order (plain ints: a read touches few chunks, and numpy
+        set-up would cost more than the walk)."""
         slab = self.normalize_slab(slab)
-        if any(s.stop <= s.start for s in slab):
-            return []
-        ranges = []
-        for s, c in zip(slab, self.chunk_shape):
-            ranges.append(range(s.start // c, (s.stop - 1) // c + 1))
-        grid = self.grid_shape
-        coords = np.stack(
-            [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1
-        )
-        if coords.size == 0:
-            return []
-        return [
-            int(i) for i in np.ravel_multi_index(tuple(coords.T), grid)
+        ranges = [
+            range(s.start // c, ceil_div(s.stop, c)) if s.stop > s.start else ()
+            for s, c in zip(slab, self.chunk_shape)
         ]
+        grid = self.grid_shape
+        out = []
+        for coords in itertools.product(*ranges):
+            flat = 0
+            for g, n in zip(coords, grid):
+                flat = flat * n + g
+            out.append(flat)
+        return out
 
 
 def grid_for(

@@ -13,6 +13,9 @@ Two stream layouts share the header (``flags`` distinguishes them):
   per-chunk streams, enabling random access without reading the rest of
   the container (see :mod:`repro.chunked` and DESIGN.md §2/§5).
 
+Readers open both alike: a plain stream is a container of one chunk,
+itself (:func:`repro.chunked.container.read_container_info`).
+
 Version history: v1 had no flags byte and only described plain streams;
 v2 adds ``flags``; v3 (``VERSION_CHECKSUM``) appends a u32 checksum of
 the fixed header + dims, and its chunk-index entries each carry a u64

@@ -25,7 +25,6 @@ from repro.utils import ceil_div, is_pow2
 #: dimension-order identifiers (paper §VI-B tests increasing/decreasing)
 ORDER_FORWARD = 0
 ORDER_BACKWARD = 1
-ORDER_NAMES = {ORDER_FORWARD: "forward", ORDER_BACKWARD: "backward"}
 
 
 def dim_order(ndim: int, order_id: int) -> Tuple[int, ...]:

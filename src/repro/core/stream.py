@@ -4,10 +4,9 @@ The payload records everything the decompressor needs to replay the pass
 traversal: anchor stride, quantizer radius, and per-level (method, order,
 error bound); then three data sections — losslessly-coded known points
 (anchors or root), the entropy-coded quantization indices, and the exact
-outlier values.
-
-:func:`summarize_header` describes a plain stream from its header alone
-for ``python -m repro info``.
+outlier values.  The fixed header in front of it is
+:mod:`repro.core.header`'s; a reader opens every stream, plain or
+chunked, through :class:`repro.chunked.api.ChunkedFile`.
 """
 
 from __future__ import annotations
@@ -26,32 +25,6 @@ from repro.encoding.lossless import (
     decompress_floats_lossless,
 )
 from repro.errors import DecompressionError
-
-
-def summarize_header(header, compressed_bytes: int) -> Dict:
-    """Summary of a plain stream from its parsed header + total size alone.
-
-    Needs no payload bytes, so callers with a file can pass its first
-    ``HEADER_PROBE_BYTES`` through :func:`repro.core.header.parse_header`
-    and the on-disk size, never reading the stream body.
-    """
-    from repro.compressors.base import codec_name_for_id
-
-    try:
-        codec = codec_name_for_id(header.codec_id)
-    except KeyError:
-        codec = f"unknown (id {header.codec_id})"
-    raw = int(np.prod(header.shape)) * header.dtype.itemsize
-    return {
-        "format": f"plain stream (RPZ1 v{header.version})",
-        "codec": codec,
-        "dtype": str(header.dtype),
-        "shape": header.shape,
-        "error_bound": header.error_bound,
-        "compressed_bytes": compressed_bytes,
-        "raw_bytes": raw,
-        "compression_ratio": raw / max(1, compressed_bytes),
-    }
 
 
 def _float_bits(x: float) -> int:

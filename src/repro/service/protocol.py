@@ -338,7 +338,8 @@ class DecompressRequest:
 
 @dataclass
 class ReadSlabRequest:
-    """Hyperslab read from a container: inline bytes or a server-side path."""
+    """Hyperslab read from a stream, inline bytes or a server-side path:
+    a chunked container, or a plain stream (a container of one chunk)."""
 
     source: Union[bytes, str]
     slab: Tuple[slice, ...]

@@ -37,15 +37,16 @@ The service's execution model, front to back:
   first requests of one ``family=`` run one plan.
 * **Every job is one call** on a thread, off the event loop, and the
   call is the library's own routine: a compress is the plan lookup plus
-  :meth:`CompressJob.compress_to`, a chunked decompress or a read is
-  :meth:`ChunkedFile.read`, a plain stream is ``decompress_any``.  With
-  ``processes > 1`` the same call hands the work to the long-lived
-  process pool (:class:`~repro.parallel.executor.ChunkWorkPool`) and
-  returns its future: a compress goes whole to one worker
+  :meth:`CompressJob.compress_to`, a decompress or a read is
+  :meth:`ChunkedFile.read` (a plain stream opens as a container of one
+  chunk).  With ``processes > 1`` the same call hands the work to the
+  long-lived process pool
+  (:class:`~repro.parallel.executor.ChunkWorkPool`) and returns its
+  future: a compress goes whole to one worker
   (:meth:`CompressJob.submit_whole` — whatever its chunk count, the
   worker derives on a cache miss, executes and returns the finished
-  container), a plain stream through ``submit_decompress`` and a read
-  through :meth:`ChunkedFile.submit_read`.  A job past its deadline is
+  container), a decompress or a read through
+  :meth:`ChunkedFile.submit_read`.  A job past its deadline is
   answered at once but keeps its slot until its call ends, so every
   slot has its own thread.
 
@@ -80,7 +81,6 @@ import numpy as np
 
 from repro.chunked.api import ChunkedFile, CompressJob
 from repro.chunked.tiling import Slab
-from repro.compressors.base import decompress_any
 from repro.core.header import HEADER_PROBE_BYTES, parse_header
 from repro.core.plan_cache import (
     FrozenPlan,
@@ -485,7 +485,7 @@ class CompressionService:
     ) -> None:
         """Cap attacker-declared output sizes at the protocol frame cap.
 
-        A forged container header can declare an arbitrarily large field
+        A forged stream header can declare an arbitrarily large field
         in a few bytes; the response has to fit in one frame anyway, so
         anything bigger than :data:`MAX_FRAME` is rejected *before* the
         allocation (exact big-int arithmetic — no int64 wraparound)."""
@@ -499,14 +499,7 @@ class CompressionService:
     async def _decompress(
         self, job: _Job, req: DecompressRequest
     ) -> np.ndarray:
-        blob = req.blob
-        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
-        self._check_decode_size(header.shape, header.dtype, "field")
-        if header.is_chunked:
-            return await self._call(job, self._read, blob, None)
-        if self._pool.parallel:
-            return await self._call(job, self._pool.submit_decompress, blob)
-        return await self._call(job, decompress_any, blob)
+        return await self._call(job, self._read, req.blob, None)
 
     async def _read_slab(self, job: _Job, req: ReadSlabRequest) -> np.ndarray:
         if isinstance(req.source, (bytes, bytearray, memoryview)):
@@ -518,17 +511,19 @@ class CompressionService:
     def _read(
         self, source: Union[bytes, str], slab: Optional[Slab]
     ) -> Union[np.ndarray, "Future[np.ndarray]"]:
-        """The one thread call of a read (``slab=None``: the whole field):
-        open the container — bytes off the wire, or a file under
-        ``serve_root`` — and run :meth:`ChunkedFile.read`, or with a pool
-        :meth:`ChunkedFile.submit_read`, which has read every chunk it
-        needs by the time it returns.  Either way the reader closes here."""
+        """The one thread call of a decompress or a read (``slab=None``:
+        the whole field): open the stream — bytes off the wire, or a file
+        under ``serve_root`` — and run :meth:`ChunkedFile.read`, or with a
+        pool :meth:`ChunkedFile.submit_read`, which has read every chunk
+        it needs by the time it returns.  Either way the reader closes
+        here."""
+        if isinstance(source, bytes):
+            # a wire stream's declared field is attacker-controlled, and a
+            # slab decodes every chunk it touches in full: the header alone
+            # is held to the frame cap, before any index is parsed
+            header, _ = parse_header(source[:HEADER_PROBE_BYTES])
+            self._check_decode_size(header.shape, header.dtype, "field")
         with ChunkedFile(source) as cf:
-            if isinstance(source, bytes):
-                # a wire container's declared field is as attacker-
-                # controlled as a DECOMPRESS blob's, and a slab decodes
-                # every chunk it touches in full
-                self._check_decode_size(cf.shape, cf.dtype, "field")
             region = cf.grid.normalize_slab(slab or (None,) * len(cf.shape))
             self._check_decode_size(
                 [s.stop - s.start for s in region], cf.dtype, "hyperslab"

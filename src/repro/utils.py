@@ -238,14 +238,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n (n >= 1)."""
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
-
-
 def is_pow2(n: int) -> bool:
     """True when n is a positive power of two."""
     return n >= 1 and (n & (n - 1)) == 0

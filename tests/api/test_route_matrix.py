@@ -6,7 +6,10 @@ on two workers, and the chunked container written in-process, to a
 path, with ``processes=2``, through an in-process :class:`ServiceClient`
 (cold, then a warm plan-cache hit) and through a pooled one.  Decode
 routes: the whole decode and a hyperslab read, serially, with
-``processes=2``, and through both clients.  Each compress is admit ->
+``processes=2``, and through both clients -- of a container, and of each
+codec's plain stream, which every reader opens as a container of one
+chunk (``repro.decompress`` from bytes, a path and an open file too),
+each returning ``decompress_any``'s array.  Each compress is admit ->
 derive -> execute through the same three implementations (DESIGN.md
 §4), so for a valid probe -- every codec x ndim 1-4 x dtype, the single
 routes under both bound modes -- the routes that chunk the same way
@@ -114,6 +117,33 @@ def agree(outcomes):
     return want
 
 
+def plain_stream_decodes(blob, tmp_path, client, processes=None):
+    """Every decode route of a plain stream returns ``decompress_any``'s
+    array, dtype included: ``repro.decompress`` from bytes, a path and an
+    open file, ``repro.open().read`` of the whole field and of a slab, and
+    the client's decompress and read."""
+    path = tmp_path / "plain.rpz"
+    path.write_bytes(blob)
+    want = decompress_any(blob)
+    whole = tuple(slice(0, n) for n in want.shape)
+    slab = tuple(slice(1, n - 1) for n in want.shape)
+    with repro.open(blob) as f, open(path, "rb") as fh:
+        agree({
+            "router": want,
+            "bytes": repro.decompress(blob, processes=processes),
+            "path": repro.decompress(path, processes=processes),
+            "file": repro.decompress(fh, processes=processes),
+            "read": f.read(whole, processes=processes),
+            "client": client.decompress(blob),
+            "client-read": client.read(blob, whole),
+        })
+        agree({
+            "router": want[slab],
+            "read": f.read(slab, processes=processes),
+            "client-read": client.read(blob, slab),
+        })
+
+
 MATRIX = [
     pytest.param(
         codec, ndim, dtype, bound,
@@ -151,6 +181,7 @@ class TestValidProbes:
             "facade": repro.compress(x, codec=codec, bound=bound),
             "derive-then-execute": derive_then_execute(x, codec, {}, bound),
         })
+        plain_stream_decodes(plain, tmp_path, svc)
         if not bound.is_relative:
             # the bound is read by admission and derivation, which every
             # route shares: the routes below run once per codec x ndim x
@@ -197,7 +228,7 @@ class TestValidProbes:
             })
 
     @pytest.mark.parametrize("codec", LIBRARY_CODECS)
-    def test_fan_out_routes_agree(self, codec, pooled):
+    def test_fan_out_routes_agree(self, codec, pooled, tmp_path):
         x, call = probe(codec, *FAN_OUT[codec], BOUNDS[1])
         bound = call["bound"]
         container = agree({
@@ -223,6 +254,7 @@ class TestValidProbes:
                 "pool": decoded,
                 "pooled-service": pooled.decompress(blob),
             })
+        plain_stream_decodes(serial[0], tmp_path, pooled, processes=2)
         whole = agree({
             "serial": repro.decompress(container),
             "pooled": repro.decompress(container, processes=2),

@@ -64,6 +64,28 @@ class TestRandomAccess:
             part = f.read((None, slice(-8, None), slice(0, 9)))
         np.testing.assert_array_equal(part, full[:, -8:, 0:9])
 
+    def test_a_whole_chunk_read_is_that_chunk_decoded(self, field, monkeypatch):
+        """A slab that is exactly one whole chunk returns the chunk's own
+        decoded array, with no output allocated beside it; any other slab
+        is assembled into a fresh one."""
+        decoded = []
+        chunk = ChunkedFile.chunk
+
+        def recording_chunk(self, index):
+            decoded.append(chunk(self, index))
+            return decoded[-1]
+
+        monkeypatch.setattr(ChunkedFile, "chunk", recording_chunk)
+        blob = repro.compress(field, codec="sz3", chunks=16,
+                              bound=("rel", REL_EB))
+        plain = get_compressor("sz3").compress(field, error_bound=1e-3)
+        with repro.open(blob) as f, repro.open(plain) as p:
+            assert f.read(f.chunk_slices(3)) is decoded[-1]
+            assert p.read((None, None, None)) is decoded[-1]
+            part = p.read((slice(1, None), None, None))
+            assert not np.shares_memory(part, decoded[-1])
+            np.testing.assert_array_equal(part, decoded[-1][1:])
+
 
 class TestBackCompat:
     def test_version1_streams_still_decode(self, field):
@@ -95,18 +117,27 @@ class TestContainerRobustness:
         with pytest.raises(DecompressionError):
             repro.decompress(blob[: len(blob) // 2])
 
-    def test_non_container_rejected_by_reader(self, field):
+    def test_a_plain_stream_opens_as_its_own_one_chunk(self, field):
+        """The reader's one rule for FLAG_CHUNKED clear: one chunk over the
+        whole array, whose bytes are the whole stream, with no digest."""
         plain = get_compressor("sz3").compress(field, error_bound=1e-3)
-        with pytest.raises(DecompressionError, match="not a chunked"):
-            ChunkedFile(plain)
+        with ChunkedFile(plain) as f:
+            assert f.n_chunks == 1 and f.grid.chunk_shape == field.shape
+            assert f.info.data_start == 0 and f.info.total_bytes == len(plain)
+            assert f.info.entries[0].checksum is None
+            assert f.chunk_bytes(0) == plain
+            np.testing.assert_array_equal(f.chunk(0), decompress_any(plain))
 
     def test_reader_closes_file_when_parse_fails(self, field, tmp_path):
         """A failed open must not leak the file handle."""
         import gc
         import warnings
 
-        path = tmp_path / "plain.rpz"
-        path.write_bytes(get_compressor("sz3").compress(field, error_bound=1e-3))
+        blob = repro.compress(field, codec="sz3", chunks=16, bound=1e-3)
+        with ChunkedFile(blob) as f:
+            index_end = f.info.data_start
+        path = tmp_path / "truncated.rpz"
+        path.write_bytes(blob[: index_end - 1])  # cut inside the chunk index
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             with pytest.raises(DecompressionError):

@@ -118,6 +118,9 @@ class TestEndToEnd:
         assert "plain stream" in capsys.readouterr().out
         assert main(["decompress", str(plain), str(out)]) == 0
         assert np.load(out).shape == data.shape
+        slab = tmp_path / "slab.npy"
+        assert main(["decompress", str(plain), str(slab), "--slab=-1,2:9"]) == 0
+        np.testing.assert_array_equal(np.load(slab), np.load(out)[-1:, 2:9])
 
     def test_eb_required(self, npy_field, tmp_path, capsys):
         """``--eb`` is the one bound flag and argparse enforces it: a

@@ -22,7 +22,7 @@ from repro.core.header import (
     unpack_sections,
 )
 from repro.core.interpolation import CUBIC, LINEAR
-from repro.core.stream import pack_interp_payload, summarize_header, unpack_interp_payload
+from repro.core.stream import pack_interp_payload, unpack_interp_payload
 from repro.errors import DecompressionError
 
 
@@ -158,16 +158,18 @@ class TestChunkIndex:
 
 class TestDescribeStream:
     def test_plain_stream(self):
+        import repro
         from repro.compressors.base import get_compressor
 
         data = np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8)
         blob = get_compressor("sz3").compress(data, error_bound=1e-3)
-        header, _ = parse_header(blob[:HEADER_PROBE_BYTES])
-        info = summarize_header(header, len(blob))
+        with repro.open(blob) as f:
+            info = f.describe()
         assert info["codec"] == "sz3"
         assert info["shape"] == (8, 8)
         assert info["format"].startswith("plain stream")
         assert info["compressed_bytes"] == len(blob)
+        assert info["n_chunks"] == 1 and info["chunk_shape"] == (8, 8)
 
     def test_chunked_stream(self):
         import repro

@@ -346,14 +346,38 @@ class TestFailuresLeaveThePoolUsable:
         assert executor._kept.borrowers == 0
 
     def test_generator_closed_early_leaves_no_slab(self, serial):
-        chunks = [(i, FIELD[i]) for i in range(32)]
-        with kept_pool(2) as pool:
-            stream = pool.compress_stream(chunks, "sz3", {}, 1e-3)
-            next(stream)
-            assert active_slab_names() != []
-            stream.close()
-            assert active_slab_names() == []
-        assert compress() == serial
+        """The batches behind the first are still on the workers when the
+        generator closes, whatever the host's speed: ``HeldSZ3`` holds a
+        1-D chunk until ``gate`` opens, and only the first batch is 2-D.
+        Closing releases every live slab at once, and the pool goes on
+        serving."""
+        gate = multiprocessing.Event()  # made before the fork: shared
+
+        class HeldSZ3(SZ3):
+            name = "held-sz3"
+            codec_id = 202
+
+            def compress_with_plan(self, data, *args, **kwargs):
+                if data.ndim == 1:
+                    gate.wait(JOIN_S)
+                return super().compress_with_plan(data, *args, **kwargs)
+
+        base.register(HeldSZ3)
+        first = [(i, FIELD[i]) for i in range(executor.BATCH_CHUNKS)]
+        held = [(i, FIELD[i].ravel()) for i in range(len(first), 32)]
+        try:
+            with kept_pool(2) as pool:  # forked with HeldSZ3 registered
+                stream = pool.compress_stream(first + held, "held-sz3", {}, 1e-3)
+                next(stream)
+                assert active_slab_names() != []
+                stream.close()
+                assert active_slab_names() == []
+                gate.set()
+                assert compress() == serial
+                assert executor._kept is pool
+        finally:
+            gate.set()
+            del base._REGISTRY["held-sz3"], base._BY_ID[202]
 
 
 def never_called(stack, items):

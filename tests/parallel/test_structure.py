@@ -274,9 +274,9 @@ def test_the_scheduler_has_one_dispatch_path():
 
 def test_the_scheduler_reaches_codec_work_only_through_the_library():
     # every job is one call (DESIGN.md §9): a compress is CompressJob's, a
-    # read ChunkedFile's, a plain stream the pool's submit_decompress; the
-    # service's own batch loop, slab window and hyperslab fan-out went,
-    # and a second copy of them would grow back here
+    # decompress or a read ChunkedFile's (a plain stream is a container of
+    # one chunk); the service's own batch loop, slab window and hyperslab
+    # fan-out went, and a second copy of them would grow back here
     tree = ast.parse((SRC / "service" / "scheduler.py").read_text())
     named = {
         tail(node) for node in ast.walk(tree)
@@ -290,7 +290,7 @@ def test_the_scheduler_reaches_codec_work_only_through_the_library():
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and tail(node.value) == "_pool"
     }
-    assert pool_uses == {"parallel", "submit_decompress", "shutdown"}
+    assert pool_uses == {"parallel", "shutdown"}
 
 
 def test_core_does_not_import_the_pool():

@@ -9,7 +9,6 @@ from repro.utils import (
     dtype_code,
     dtype_from_code,
     is_pow2,
-    next_pow2,
     resolve_error_bound,
     validate_input,
     value_range,
@@ -87,12 +86,6 @@ class TestSmallHelpers:
         assert ceil_div(7, 2) == 4
         assert ceil_div(8, 2) == 4
         assert ceil_div(1, 10) == 1
-
-    def test_next_pow2(self):
-        assert next_pow2(1) == 1
-        assert next_pow2(3) == 4
-        assert next_pow2(64) == 64
-        assert next_pow2(65) == 128
 
     def test_is_pow2(self):
         assert is_pow2(1) and is_pow2(64)

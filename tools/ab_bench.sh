@@ -3,7 +3,10 @@
 #
 #   tools/ab_bench.sh <parent-ref> <workload[,workload...]|all> [pairs=10]
 #
-# Unpacks <parent-ref> (`git archive`) into a temporary directory and,
+# Unpacks <parent-ref> (`git archive`) and a snapshot of this checkout's
+# working tree (its tracked and untracked files, ignored ones left out:
+# `git ls-files -co --exclude-standard`) side by side into one temporary
+# directory, so both sides run from fresh copies at alike paths, and,
 # for each named workload (`all` = every workload of BENCHMARK.json), runs
 # benchmarks/suite/run.py for seeds 1..pairs on both trees — alternating
 # which side goes first, so neither always gets the quieter half of a
@@ -11,8 +14,8 @@
 # benchmarks/suite/compare.py (one verdict per metric; its rows for the
 # workloads that were not run are left out).  Exits 1 if any workload had
 # a regression or a fixed value that differs.  Each side runs its *own*
-# copy of the suite against its own src/, as the PR gate does.  The
-# parent copy and the result files are removed on any way out.
+# copy of the suite against its own src/, as the PR gate does.  Both
+# copies and the result files are removed on any way out.
 set -eu
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -34,8 +37,11 @@ trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
 
-mkdir "$tmp/parent"
+mkdir "$tmp/parent" "$tmp/change"
 git -C "$repo" archive "$parent" | tar -x -C "$tmp/parent"
+# a tracked file deleted in the working tree is listed but not copied
+(cd "$repo" && git ls-files -z -co --exclude-standard \
+    | tar --null -T - --ignore-failed-read -cf -) | tar -x -C "$tmp/change"
 
 run_side() {  # run_side <tree> <out.json> <seed>
     (cd "$1" && python3 benchmarks/suite/run.py --workload "$workload" \
@@ -49,15 +55,15 @@ for workload in $(echo "$workloads" | tr ',' ' '); do
         echo "pair $i/$pairs ($workload)" >&2
         if [ $((i % 2)) -eq 1 ]; then
             run_side "$tmp/parent" "$tmp/A.$workload.json" "$i"
-            run_side "$repo" "$tmp/B.$workload.json" "$i"
+            run_side "$tmp/change" "$tmp/B.$workload.json" "$i"
         else
-            run_side "$repo" "$tmp/B.$workload.json" "$i"
+            run_side "$tmp/change" "$tmp/B.$workload.json" "$i"
             run_side "$tmp/parent" "$tmp/A.$workload.json" "$i"
         fi
         i=$((i + 1))
     done
     echo "== $workload"
-    python3 "$repo/benchmarks/suite/compare.py" \
+    python3 "$tmp/change/benchmarks/suite/compare.py" \
         "$tmp/A.$workload.json" "$tmp/B.$workload.json" >"$tmp/verdict" || status=1
     grep -v "no runs on one side" "$tmp/verdict" || true
 done
